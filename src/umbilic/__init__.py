@@ -10,15 +10,14 @@ from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
                      SymmetryViolated, TotallyDegenerate, TransitionSingular,
                      UmbilicError, UnderResolved, ZeroOnContour)
-from .field import (ChartGrid, PeriodicField, TorusLattice, chart_derivative,
-                    derivative, periodic_derivative, pointwise_map)
-from .series import PowerSeries2, geometric_inverse, series_derivative, series_eval
-from .cartan import (FORMS, InvariantField, MetricInput, cartan_r,
-                     cartan_r_all_forms, covariant_hessian_zz, gauss_curvature,
+from .field import ChartGrid, PeriodicField, TorusLattice
+from .series import PowerSeries2, geometric_inverse
+from .cartan import (FORMS, InvariantField, cartan_r, cartan_r_all_forms,
+                     covariant_hessian_zz, gauss_curvature,
                      kzz_identity_residual, potential_from_metric,
                      rigid_r_from_F, spherical_test)
-from .index import (AuditReport, ChartTransition, QuadraticDifferentialRep,
-                    SurfaceSpec, UmbilicRecord, ZeroCluster,
+from .index import (AuditReport, ChartTransition, SurfaceSpec,
+                    UmbilicRecord, ZeroCluster,
                     chart_transition_quadratic, locate_zero_cells,
                     poincare_hopf_audit, refine_cluster_residual,
                     sphere_two_chart_umbilics, torus_umbilics, umbilic_index,

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossFormMismatch, NotPseudoconvex
-from .field import ChartGrid, PeriodicField, DEFAULT_TAIL_TOL
+from .field import ChartGrid, DEFAULT_TAIL_TOL
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
     "FORMS",
-    "MetricInput",
     "InvariantField",
     "potential_from_metric",
     "cartan_r",
@@ -45,36 +44,6 @@ __all__ = [
 ]
 
 FORMS = ("q_form", "p_form", "divergence_form")
-
-
-@dataclass
-class MetricInput:
-    """Declarative metric input: a bundle metric h, a potential u, or a
-    rigid defining function F."""
-
-    kind: str  # metric_h | potential_u | rigid_F
-    payload: object
-
-    def __post_init__(self):
-        if self.kind not in ("metric_h", "potential_u", "rigid_F"):
-            raise ValueError(f"unknown metric input kind {self.kind!r}")
-        if self.kind == "metric_h":
-            f = self.payload
-            if not getattr(f, "real_tag", False) or float(np.min(f.values.real)) <= 0.0:
-                raise ValueError("metric_h requires strictly positive real samples")
-        elif self.kind == "potential_u":
-            if not getattr(self.payload, "real_tag", False):
-                raise ValueError("potential_u requires a real-tagged field")
-        else:
-            if not isinstance(self.payload, PowerSeries2) or not self.payload.real_tag:
-                raise ValueError("rigid_F requires a real-tagged PowerSeries2")
-
-    def potential(self, tail_tol: float | None = DEFAULT_TAIL_TOL):
-        if self.kind == "potential_u":
-            return self.payload
-        if self.kind == "metric_h":
-            return potential_from_metric(self.payload, tail_tol=tail_tol)
-        raise ValueError("rigid_F inputs go through rigid_r_from_F, not the field pipeline")
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 Subcommands (each takes --config plus the overrides --grid-n, --seed,
 --out): invariant, umbilics, ph-audit, loewner, search, obstruction.
+ph-audit runs the same pipeline as umbilics, whose report already holds
+the index-sum audit.
 
 A run configuration is a JSON document:
 
@@ -50,6 +52,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -97,6 +100,18 @@ def _require(cond, msg):
         _fail(msg)
 
 
+@contextmanager
+def _parsing():
+    """Report a malformed config value (a ValueError or TypeError raised
+    while parsing it or building inputs from it) as ConfigError, exit 2.
+    Usable as a decorator; numerical stages stay outside it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}") from exc
+
+
+@_parsing()
 def validate_config(cfg: dict) -> dict:
     """Validate and normalize a run configuration; returns the echo form."""
     _require(isinstance(cfg, dict), "config must be a JSON object")
@@ -109,10 +124,11 @@ def validate_config(cfg: dict) -> dict:
         om = surface.get("omega")
         _require(isinstance(om, (list, tuple)) and len(om) == 2,
                  "torus surface needs omega: [re, im]")
-        _require(float(om[1]) != 0.0, "omega must have nonzero imaginary part")
+        _lattice(cfg)  # omega must be numeric with a nonzero imaginary part
     elif kind == "sphere":
         _require(int(surface.get("degree", 0)) >= 1, "sphere surface needs degree >= 1")
         for p in surface.get("perturbations", []):
+            _require(isinstance(p, dict), "each perturbation must be an object")
             _require(p.get("harmonic") in SPHERE_HARMONICS,
                      f"unknown harmonic {p.get('harmonic')!r}")
             float(p.get("epsilon", 0.0))
@@ -125,23 +141,26 @@ def validate_config(cfg: dict) -> dict:
     _require(isinstance(metric, dict), "metric must be an object")
     sources = [k for k in ("builtin", "modes", "samples") if k in metric]
     _require(len(sources) == 1, "metric needs exactly one of builtin | modes | samples")
+    _require(isinstance(metric.get("modes", {}), dict), "metric modes must be an object")
 
     op = cfg["operation"]
     _require(op in OPERATIONS, f"operation must be one of {OPERATIONS}")
 
     numeric = cfg.setdefault("numeric", {})
+    _require(isinstance(numeric, dict), "numeric must be an object")
     grid_n = int(numeric.get("grid_n", 128))
     _require(grid_n >= 64 and grid_n % 2 == 0, "grid_n must be even and >= 64")
     numeric["grid_n"] = grid_n
     numeric["seed"] = int(numeric.get("seed", 0))
     tol = numeric.setdefault("tolerances", {})
+    _require(isinstance(tol, dict), "numeric.tolerances must be an object")
     for name, val in tol.items():
         _require(float(val) > 0.0, f"tolerance {name!r} must be positive")
 
     if op == "loewner":
         lw = cfg.get("loewner")
-        _require(isinstance(lw, dict) and "g" in lw and "order" in lw,
-                 "loewner operation needs loewner: {g, order}")
+        _require(isinstance(lw, dict) and isinstance(lw.get("g"), dict) and "order" in lw,
+                 "loewner operation needs loewner: {g: {...}, order}")
         _require(int(lw["order"]) >= 2, "loewner order must be >= 2")
     if op == "obstruction":
         ob = cfg.get("obstruction")
@@ -151,6 +170,7 @@ def validate_config(cfg: dict) -> dict:
                  "obstruction direction must be nonzero")
     if op == "search":
         _require(kind == "torus", "search runs on a torus surface")
+        _require(isinstance(cfg.get("search", {}), dict), "search must be an object")
     if op in ("invariant", "umbilics", "ph-audit", "obstruction", "search") and kind == "sphere":
         _require(metric.get("builtin", "fs") == "fs",
                  "sphere runs take their metric from the surface entry (builtin fs)")
@@ -174,28 +194,37 @@ def _modes_from_config(modes_cfg: dict) -> dict:
     return out
 
 
+def _lattice(cfg: dict) -> TorusLattice:
+    return TorusLattice(complex(*map(float, cfg["surface"]["omega"])))
+
+
+@_parsing()
 def build_torus_potential(cfg: dict) -> TrigPotential:
-    lattice = TorusLattice(complex(*map(float, cfg["surface"]["omega"])))
+    lattice = _lattice(cfg)
     metric = cfg["metric"]
     if "builtin" in metric:
         name = metric["builtin"]
         params = metric.get("params", {})
-        if name == "constant":
-            return TrigPotential(lattice, {(0, 0): float(params.get("value", 0.0))})
-        _fail(f"unknown torus builtin metric {name!r}")
-    if "modes" in metric:
-        return TrigPotential.from_half_modes(lattice, _modes_from_config(metric["modes"]))
-    # tabulated samples: recover band-limited modes from a dumped grid
-    field = load_grid(metric["samples"], lattice)
-    C = np.fft.fft2(field.values) / field.n ** 2
-    modes = {}
-    n = field.n
-    for j in range(-(n // 2) + 1, n // 2):
-        for k in range(-(n // 2) + 1, n // 2):
-            c = C[j % n, k % n]
-            if abs(c) > 1e-12:
-                modes[(j, k)] = complex(c)
-    return TrigPotential(lattice, modes)
+        _require(name == "constant", f"unknown torus builtin metric {name!r}")
+        pot = TrigPotential(lattice, {(0, 0): float(params.get("value", 0.0))})
+    elif "modes" in metric:
+        pot = TrigPotential.from_half_modes(lattice, _modes_from_config(metric["modes"]))
+    else:
+        # tabulated samples: recover band-limited modes from a dumped grid
+        field = load_grid(metric["samples"], lattice)
+        C = np.fft.fft2(field.values) / field.n ** 2
+        modes = {}
+        n = field.n
+        for j in range(-(n // 2) + 1, n // 2):
+            for k in range(-(n // 2) + 1, n // 2):
+                c = C[j % n, k % n]
+                if abs(c) > 1e-12:
+                    modes[(j, k)] = complex(c)
+        pot = TrigPotential(lattice, modes)
+    n = cfg["numeric"]["grid_n"]
+    _require(pot.mode_budget < n // 2,
+             f"mode budget {pot.mode_budget} does not fit on an n={n} grid")
+    return pot
 
 
 # --------------------------------------------------------------------------
@@ -223,13 +252,19 @@ def dump_grid(field, path: str):
                 fh.write(f"{a0:.17g},{a1:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
+@_parsing()
 def load_grid(path: str, lattice: TorusLattice) -> PeriodicField:
     """Reload a torus grid dump written by :func:`dump_grid`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "s,t,re,im":
-            raise ConfigError(f"unsupported samples header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+    except OSError as exc:
+        raise ConfigError(f"cannot read samples: {exc}") from exc
+    if header != "s,t,re,im":
+        raise ConfigError(f"unsupported samples header {header!r}")
+    if any(len(row) != 4 for row in rows):
+        raise ConfigError("samples rows must have four fields s,t,re,im")
     count = len(rows)
     n = int(round(count ** 0.5))
     if n * n != count:
@@ -277,9 +312,11 @@ def _torus_field(cfg: dict):
     return pot, pot.to_field(cfg["numeric"]["grid_n"])
 
 
+@_parsing()
 def _sphere_args(cfg: dict):
     surf = cfg["surface"]
-    perts = [(p["harmonic"], float(p["epsilon"])) for p in surf.get("perturbations", [])]
+    perts = [(p["harmonic"], float(p.get("epsilon", 0.0)))
+             for p in surf.get("perturbations", [])]
     return int(surf["degree"]), perts
 
 
@@ -314,48 +351,47 @@ def run_invariant(cfg: dict) -> dict:
 
 def run_umbilics(cfg: dict) -> dict:
     kind = cfg["surface"]["kind"]
+    extra = {}
     if kind == "torus":
         _, u = _torus_field(cfg)
         records, audit, clusters = torus_umbilics(u)
     elif kind == "sphere":
         degree, perts = _sphere_args(cfg)
-        records, audit = sphere_two_chart_umbilics(degree, perts,
-                                                   chart_n=max(cfg["numeric"]["grid_n"], 128))
+        # sphere charts never run below n = 128; diagnostics record the n used
+        extra["chart_n"] = max(cfg["numeric"]["grid_n"], 128)
+        records, audit = sphere_two_chart_umbilics(degree, perts, chart_n=extra["chart_n"])
     else:
         _fail("umbilics needs a torus or sphere surface")
     return {"results": {
         "records": [_record_dict(r) for r in records],
         "audit": _audit_dict(audit),
-    }}
-
-
-def run_ph_audit(cfg: dict) -> dict:
-    return run_umbilics(cfg)
+    }, "diagnostics_extra": extra}
 
 
 def run_loewner(cfg: dict) -> dict:
     lw = cfg["loewner"]
     order = int(lw["order"])
-    gspec = lw["g"]
-    if "builtin" in gspec:
-        name = gspec["builtin"]
-        if name == "zbar":
-            g = PowerSeries2(max(order - 2, 1), {(0, 1): 1.0})
-        elif name == "zero":
-            g = PowerSeries2.zero(max(order - 2, 0))
+    with _parsing():
+        gspec = lw["g"]
+        if "builtin" in gspec:
+            name = gspec["builtin"]
+            if name == "zbar":
+                g = PowerSeries2(max(order - 2, 1), {(0, 1): 1.0})
+            elif name == "zero":
+                g = PowerSeries2.zero(max(order - 2, 0))
+            else:
+                _fail(f"unknown builtin loewner g {name!r}")
         else:
-            _fail(f"unknown builtin loewner g {name!r}")
-    else:
-        coeffs = {}
-        for key, val in gspec.get("coeffs", {}).items():
-            k, l = _parse_mode_key(key)
-            coeffs[(k, l)] = complex(float(val[0]), float(val[1]))
-        g = PowerSeries2(max(order - 2, max((k + l for k, l in coeffs), default=0)), coeffs)
-    ncfg = lw.get("normalization", {})
-    norm = LoewnerNormalization(
-        f_diag=list(map(float, ncfg.get("f_diag", []))),
-        phi_diag=list(map(float, ncfg.get("phi_diag", []))),
-        suppress_phi_harmonic=bool(ncfg.get("suppress_phi_harmonic", True)))
+            coeffs = {}
+            for key, val in gspec.get("coeffs", {}).items():
+                k, l = _parse_mode_key(key)
+                coeffs[(k, l)] = complex(float(val[0]), float(val[1]))
+            g = PowerSeries2(max(order - 2, max((k + l for k, l in coeffs), default=0)), coeffs)
+        ncfg = lw.get("normalization", {})
+        norm = LoewnerNormalization(
+            f_diag=list(map(float, ncfg.get("f_diag", []))),
+            phi_diag=list(map(float, ncfg.get("phi_diag", []))),
+            suppress_phi_harmonic=bool(ncfg.get("suppress_phi_harmonic", True)))
     sol = loewner_solve(g, order, norm)
     return {"results": {
         "order": sol.order,
@@ -368,17 +404,17 @@ def run_loewner(cfg: dict) -> dict:
 
 
 def run_search(cfg: dict) -> dict:
-    lattice = TorusLattice(complex(*map(float, cfg["surface"]["omega"])))
     s = cfg.get("search", {})
-    config = SearchConfig(
-        lattice=lattice,
-        mode_budget=int(s.get("mode_budget", 3)),
-        trials=int(s.get("trials", 4)),
-        evaluations=int(s.get("evaluations", 100)),
-        seed=cfg["numeric"]["seed"],
-        grid_n=cfg["numeric"]["grid_n"],
-        coeff_bound=float(s.get("coeff_bound", 1.0)),
-        mode_filter=s.get("mode_filter", "all"))
+    with _parsing():
+        config = SearchConfig(
+            lattice=_lattice(cfg),
+            mode_budget=int(s.get("mode_budget", 3)),
+            trials=int(s.get("trials", 4)),
+            evaluations=int(s.get("evaluations", 100)),
+            seed=cfg["numeric"]["seed"],
+            grid_n=cfg["numeric"]["grid_n"],
+            coeff_bound=float(s.get("coeff_bound", 1.0)),
+            mode_filter=s.get("mode_filter", "all"))
     report = torus_search(config)
     return {"results": report.results_payload(),
             "diagnostics_extra": {"wall_time_s": report.wall_time}}
@@ -407,7 +443,7 @@ def run_obstruction(cfg: dict) -> dict:
 _RUNNERS = {
     "invariant": run_invariant,
     "umbilics": run_umbilics,
-    "ph-audit": run_ph_audit,
+    "ph-audit": run_umbilics,  # the same pipeline; the audit is part of its report
     "loewner": run_loewner,
     "search": run_search,
     "obstruction": run_obstruction,

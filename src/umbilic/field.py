@@ -9,6 +9,10 @@ Two grid-backed representations live here:
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
+Both share their pointwise sample arithmetic (sums, scalings, exp, log,
+reciprocal, modulus, conjugation) through one private base class; they
+differ only in derivatives, products, evaluation and grid identity.
+
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
 z = s + t*omega; the Wirtinger operators are recovered from
@@ -31,15 +35,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from .errors import DomainError, UnderResolved
 
-__all__ = [
-    "TorusLattice",
-    "PeriodicField",
-    "ChartGrid",
-    "periodic_derivative",
-    "chart_derivative",
-    "derivative",
-    "pointwise_map",
-]
+__all__ = ["TorusLattice", "PeriodicField", "ChartGrid"]
 
 _REAL_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-6
@@ -124,14 +120,21 @@ def _fold_axis0(E: np.ndarray) -> np.ndarray:
     return C
 
 
+def _extend_both(C: np.ndarray) -> np.ndarray:
+    """:func:`_extend_axis0` along both axes: n x n -> (n+1) x (n+1)."""
+    return _extend_axis0(_extend_axis0(C).swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _fold_both(E: np.ndarray) -> np.ndarray:
+    """:func:`_fold_axis0` along both axes: (n+1) x (n+1) -> n x n."""
+    return _fold_axis0(_fold_axis0(E).swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def _extended_centered_spectrum(values: np.ndarray) -> np.ndarray:
     """(n+1) x (n+1) centered spectrum (divided by n^2) of the samples,
     with frequencies -n/2 .. n/2 on both axes."""
     n = values.shape[0]
-    C = np.fft.fftshift(np.fft.fft2(values)) / (n * n)
-    E = _extend_axis0(C)
-    E = _extend_axis0(E.swapaxes(0, 1)).swapaxes(0, 1)
-    return E
+    return _extend_both(np.fft.fftshift(np.fft.fft2(values)) / (n * n))
 
 
 def trig_resample(values: np.ndarray, m: int) -> np.ndarray:
@@ -143,19 +146,13 @@ def trig_resample(values: np.ndarray, m: int) -> np.ndarray:
         return np.array(values, dtype=complex)
     C = np.fft.fftshift(np.fft.fft2(values))
     if m > n:
-        E = _extend_axis0(C)
-        E = _extend_axis0(E.swapaxes(0, 1)).swapaxes(0, 1)
         P = np.zeros((m, m), dtype=complex)
         off = m // 2 - n // 2
-        P[off:off + n + 1, off:off + n + 1] = E
-        out = np.fft.ifft2(np.fft.ifftshift(P)) * (m * m) / (n * n)
+        P[off:off + n + 1, off:off + n + 1] = _extend_both(C)
     else:
         off = n // 2 - m // 2
-        X = C[off:off + m + 1, off:off + m + 1]
-        F = _fold_axis0(X)
-        F = _fold_axis0(F.swapaxes(0, 1)).swapaxes(0, 1)
-        out = np.fft.ifft2(np.fft.ifftshift(F)) * (m * m) / (n * n)
-    return out
+        P = _fold_both(C[off:off + m + 1, off:off + m + 1])
+    return np.fft.ifft2(np.fft.ifftshift(P)) * (m * m) / (n * n)
 
 
 def _dealiased_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,10 +177,126 @@ def _tail_energy_fraction(spectrum: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
+# sample arithmetic shared by both representations
+# --------------------------------------------------------------------------
+
+class _SampledField:
+    """Square n x n complex samples with a reality tag, and the pointwise
+    arithmetic that is the same on every grid.
+
+    Subclasses supply the grid: ``_check_n`` validates the resolution,
+    ``_grid_key`` identifies the grid for binary operations, and ``_like``
+    builds a field on the same grid from new samples (``other`` is the
+    second operand of a binary operation, if any).  Derivatives, products
+    and evaluation off the grid are theirs as well.
+    """
+
+    def __init__(self, values: np.ndarray, real_tag: bool = False):
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
+            raise ValueError("values must be a square n x n array")
+        self._check_n(values.shape[0])
+        if real_tag:
+            scale = max(1.0, float(np.max(np.abs(values))))
+            if float(np.max(np.abs(values.imag))) > _REAL_TOL * scale:
+                raise ValueError("real_tag field has non-negligible imaginary part")
+            values = values.real.astype(complex)
+        self.values = values
+        self.real_tag = bool(real_tag)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    def real_part(self, validate: bool = True, tol: float = 1e-9):
+        """Project onto the real part.  With validate=True the imaginary
+        drift must be below tol relative to the largest sample modulus."""
+        if validate:
+            scale = max(1.0, float(np.max(np.abs(self.values))))
+            drift = float(np.max(np.abs(self.values.imag)))
+            if drift > tol * scale:
+                raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
+        return self._like(self.values.real.astype(complex), True)
+
+    # -- pointwise arithmetic -------------------------------------------------
+
+    def add(self, other):
+        self._check_same_grid(other)
+        return self._like(self.values + other.values,
+                          self.real_tag and other.real_tag, other)
+
+    def scale(self, c: complex):
+        c = complex(c)
+        return self._like(self.values * c, self.real_tag and c.imag == 0.0)
+
+    def shift(self, c: complex):
+        c = complex(c)
+        return self._like(self.values + c, self.real_tag and c.imag == 0.0)
+
+    def exp(self):
+        return self._like(np.exp(self.values), self.real_tag)
+
+    def log(self, floor: float = 1e-300):
+        _domain_check(self.values, floor, "log")
+        if self.real_tag and np.all(self.values.real > 0.0):
+            return self._like(np.log(self.values.real).astype(complex), True)
+        return self._like(np.log(self.values), False)
+
+    def reciprocal(self, floor: float = 1e-300):
+        _domain_check(self.values, floor, "reciprocal")
+        return self._like(1.0 / self.values, self.real_tag)
+
+    def modulus(self):
+        return self._like(np.abs(self.values).astype(complex), True)
+
+    def conj(self):
+        return self._like(np.conj(self.values), self.real_tag)
+
+    # -- operators ------------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, _SampledField):
+            return self.add(other)
+        return self.shift(other)
+
+    def __radd__(self, other):
+        return self.shift(other)
+
+    def __sub__(self, other):
+        if isinstance(other, _SampledField):
+            return self.add(other.scale(-1.0))
+        return self.shift(-other)
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __mul__(self, other):
+        if isinstance(other, _SampledField):
+            return self.mul(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def _check_same_grid(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        if other._grid_key() != self._grid_key():
+            raise ValueError(f"{type(self).__name__} operands must share one sample grid")
+
+
+def _domain_check(values: np.ndarray, floor: float, opname: str):
+    m = float(np.min(np.abs(values)))
+    if m <= floor:
+        raise DomainError(f"{opname} requires samples bounded away from 0 "
+                          f"(min modulus {m:.3e}, floor {floor:.3e})")
+
+
+# --------------------------------------------------------------------------
 # periodic field
 # --------------------------------------------------------------------------
 
-class PeriodicField:
+class PeriodicField(_SampledField):
     """Doubly periodic field sampled on the n x n lattice grid
     (s, t) in [0,1)^2 with z = s + t*omega.
 
@@ -194,21 +307,20 @@ class PeriodicField:
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("values must be a square n x n array")
-        n = values.shape[0]
+        super().__init__(values, real_tag)
+        self.lattice = lattice
+        self._eval_spectrum = None  # lazy cache for off-grid evaluation
+
+    @staticmethod
+    def _check_n(n: int):
         if n < 8 or n % 2 != 0:
             raise ValueError(f"grid resolution must be even and >= 8, got {n}")
-        if real_tag:
-            scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-            if float(np.max(np.abs(values.imag))) > _REAL_TOL * scale:
-                raise ValueError("real_tag field has non-negligible imaginary part")
-            values = values.real.astype(complex)
-        self.lattice = lattice
-        self.values = values
-        self.real_tag = bool(real_tag)
-        self._eval_spectrum = None  # lazy cache for off-grid evaluation
+
+    def _grid_key(self):
+        return self.n, self.lattice.omega
+
+    def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "PeriodicField":
+        return PeriodicField(self.lattice, values, real_tag=real_tag)
 
     # -- construction ------------------------------------------------------
 
@@ -244,17 +356,9 @@ class PeriodicField:
 
     # -- basic data --------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def grid_axes(self):
-        s = np.arange(self.n) / self.n
-        return s, s
-
     def z_grid(self) -> np.ndarray:
-        s, t = self.grid_axes()
-        S, T = np.meshgrid(s, t, indexing="ij")
+        s = np.arange(self.n) / self.n
+        S, T = np.meshgrid(s, s, indexing="ij")
         return self.lattice.st_to_z(S, T)
 
     def spectrum(self) -> np.ndarray:
@@ -266,28 +370,7 @@ class PeriodicField:
     def min_modulus(self) -> float:
         return float(np.min(np.abs(self.values)))
 
-    def with_values(self, values: np.ndarray, real_tag: bool = False) -> "PeriodicField":
-        return PeriodicField(self.lattice, values, real_tag=real_tag)
-
-    def real_part(self, validate: bool = True, tol: float = 1e-9) -> "PeriodicField":
-        """Project onto the real part.  With validate=True the imaginary
-        drift must be below tol relative to the field scale."""
-        if validate:
-            scale = max(1.0, self.sup_norm())
-            drift = float(np.max(np.abs(self.values.imag)))
-            if drift > tol * scale:
-                raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
-        return PeriodicField(self.lattice, self.values.real.astype(complex), real_tag=True)
-
     # -- calculus ----------------------------------------------------------
-
-    def check_resolution(self, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-        frac = _tail_energy_fraction(self.spectrum())
-        if frac > tail_tol:
-            raise UnderResolved(
-                f"spectral tail carries {frac:.3e} of total energy "
-                f"(tolerance {tail_tol:.1e}) on an n={self.n} grid")
-        return frac
 
     def derivative(self, direction: str, tail_tol: float | None = DEFAULT_TAIL_TOL) -> "PeriodicField":
         """Exact Wirtinger derivative of the trigonometric interpolant.
@@ -325,48 +408,13 @@ class PeriodicField:
             M = (np.conj(omega) * ds - dt) / denom
         else:
             M = (dt - omega * ds) / denom
-        out = np.fft.ifft2(C * M)
-        return PeriodicField(self.lattice, out, real_tag=False)
+        return self._like(np.fft.ifft2(C * M), False)
 
     def mul(self, other: "PeriodicField") -> "PeriodicField":
+        """Dealiased product (see :func:`_dealiased_product`)."""
         self._check_same_grid(other)
-        vals = _dealiased_product(self.values, other.values)
-        return PeriodicField(self.lattice, vals, real_tag=self.real_tag and other.real_tag)
-
-    def add(self, other: "PeriodicField") -> "PeriodicField":
-        self._check_same_grid(other)
-        return PeriodicField(self.lattice, self.values + other.values,
-                             real_tag=self.real_tag and other.real_tag)
-
-    def scale(self, c: complex) -> "PeriodicField":
-        c = complex(c)
-        return PeriodicField(self.lattice, self.values * c,
-                             real_tag=self.real_tag and c.imag == 0.0)
-
-    def shift(self, c: complex) -> "PeriodicField":
-        c = complex(c)
-        return PeriodicField(self.lattice, self.values + c,
-                             real_tag=self.real_tag and c.imag == 0.0)
-
-    def exp(self) -> "PeriodicField":
-        return PeriodicField(self.lattice, np.exp(self.values), real_tag=self.real_tag)
-
-    def log(self, floor: float = 1e-300) -> "PeriodicField":
-        _domain_check(self.values, floor, "log")
-        if self.real_tag and np.all(self.values.real > 0.0):
-            return PeriodicField(self.lattice, np.log(self.values.real).astype(complex),
-                                 real_tag=True)
-        return PeriodicField(self.lattice, np.log(self.values), real_tag=False)
-
-    def reciprocal(self, floor: float = 1e-300) -> "PeriodicField":
-        _domain_check(self.values, floor, "reciprocal")
-        return PeriodicField(self.lattice, 1.0 / self.values, real_tag=self.real_tag)
-
-    def modulus(self) -> "PeriodicField":
-        return PeriodicField(self.lattice, np.abs(self.values).astype(complex), real_tag=True)
-
-    def conj(self) -> "PeriodicField":
-        return PeriodicField(self.lattice, np.conj(self.values), real_tag=self.real_tag)
+        return self._like(_dealiased_product(self.values, other.values),
+                          self.real_tag and other.real_tag)
 
     # -- evaluation off the grid --------------------------------------------
 
@@ -389,38 +437,6 @@ class PeriodicField:
         s, t = self.lattice.z_to_st(z)
         return self.evaluate_st(s, t)
 
-    # -- operators -----------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, PeriodicField):
-            return self.add(other)
-        return self.shift(other)
-
-    def __radd__(self, other):
-        return self.shift(other)
-
-    def __sub__(self, other):
-        if isinstance(other, PeriodicField):
-            return self.add(other.scale(-1.0))
-        return self.shift(-other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, PeriodicField):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _check_same_grid(self, other: "PeriodicField"):
-        if not isinstance(other, PeriodicField):
-            raise TypeError("expected a PeriodicField")
-        if other.n != self.n or other.lattice.omega != self.lattice.omega:
-            raise ValueError("fields must share lattice and resolution")
-
 
 def _modes_are_hermitian(modes: dict, tol: float = 1e-12) -> bool:
     for (j, k), c in modes.items():
@@ -428,13 +444,6 @@ def _modes_are_hermitian(modes: dict, tol: float = 1e-12) -> bool:
         if cc is None or abs(np.conj(complex(cc)) - complex(c)) > tol * max(1.0, abs(c)):
             return False
     return True
-
-
-def _domain_check(values: np.ndarray, floor: float, opname: str):
-    m = float(np.min(np.abs(values)))
-    if m <= floor:
-        raise DomainError(f"{opname} requires samples bounded away from 0 "
-                          f"(min modulus {m:.3e}, floor {floor:.3e})")
 
 
 # --------------------------------------------------------------------------
@@ -495,38 +504,41 @@ def _fd_axis0(values: np.ndarray, h: float) -> np.ndarray:
 # chart grid
 # --------------------------------------------------------------------------
 
-class ChartGrid:
+class ChartGrid(_SampledField):
     """Field sampled on the square [-R, R]^2 of a coordinate chart.
 
     values[i, j] = f(x_i + i*y_j) with x, y = linspace(-R, R, n).  The mask
     marks the disk |z| <= R; an optional validity mask can exclude points
-    (e.g. targets of a partial chart transition).  Derivatives are 8th-order
-    finite differences, one-sided within four layers of the square edge, so
-    quantitative claims should be restricted to an interior region.
+    (e.g. targets of a partial chart transition).  Binary operations AND
+    the operands' validity masks; unary ones carry the mask along.
+    Derivatives are 8th-order finite differences, one-sided within four
+    layers of the square edge, so quantitative claims should be restricted
+    to an interior region.
     """
 
     def __init__(self, chart_id: str, radius: float, values: np.ndarray,
                  real_tag: bool = False, valid: np.ndarray | None = None):
-        values = np.asarray(values, dtype=complex)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("values must be a square n x n array")
-        if values.shape[0] < _FD_STENCIL:
-            raise ValueError(f"chart grid needs n >= {_FD_STENCIL}")
+        super().__init__(values, real_tag)
         radius = float(radius)
         if radius <= 0.0:
             raise ValueError("chart radius must be positive")
-        if real_tag:
-            scale = max(1.0, float(np.max(np.abs(values))))
-            if float(np.max(np.abs(values.imag))) > _REAL_TOL * scale:
-                raise ValueError("real_tag field has non-negligible imaginary part")
-            values = values.real.astype(complex)
         self.chart_id = str(chart_id)
         self.radius = radius
-        self.values = values
-        self.real_tag = bool(real_tag)
         self.valid = None if valid is None else np.asarray(valid, dtype=bool)
         self._spline_re = None
         self._spline_im = None
+
+    @staticmethod
+    def _check_n(n: int):
+        if n < _FD_STENCIL:
+            raise ValueError(f"chart grid needs n >= {_FD_STENCIL}")
+
+    def _grid_key(self):
+        return self.n, self.radius
+
+    def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "ChartGrid":
+        valid = self.valid if other is None else _and_valid(self.valid, other.valid)
+        return ChartGrid(self.chart_id, self.radius, values, real_tag=real_tag, valid=valid)
 
     @classmethod
     def from_function(cls, chart_id: str, radius: float, n: int,
@@ -548,10 +560,6 @@ class ChartGrid:
         return cls(chart_id, radius, np.asarray(fn(Z), dtype=complex), real_tag=real_tag)
 
     # -- basic data ----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     @property
     def spacing(self) -> float:
@@ -584,15 +592,6 @@ class ChartGrid:
             return 0.0
         return float(np.min(np.abs(self.values[m])))
 
-    def real_part(self, validate: bool = True, tol: float = 1e-9) -> "ChartGrid":
-        if validate:
-            scale = max(1.0, float(np.max(np.abs(self.values))))
-            drift = float(np.max(np.abs(self.values.imag)))
-            if drift > tol * scale:
-                raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
-        return ChartGrid(self.chart_id, self.radius, self.values.real.astype(complex),
-                         real_tag=True, valid=self.valid)
-
     # -- calculus -------------------------------------------------------------
 
     def derivative(self, direction: str, tail_tol: float | None = None) -> "ChartGrid":
@@ -608,55 +607,13 @@ class ChartGrid:
             out = 0.5 * (fx - 1j * fy)
         else:
             out = 0.5 * (fx + 1j * fy)
-        return ChartGrid(self.chart_id, self.radius, out, real_tag=False, valid=self.valid)
+        return self._like(out, False)
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
+        """Plain sample product on the intersection of validity masks."""
         self._check_same_grid(other)
-        valid = _and_valid(self.valid, other.valid)
-        return ChartGrid(self.chart_id, self.radius, self.values * other.values,
-                         real_tag=self.real_tag and other.real_tag, valid=valid)
-
-    def add(self, other: "ChartGrid") -> "ChartGrid":
-        self._check_same_grid(other)
-        valid = _and_valid(self.valid, other.valid)
-        return ChartGrid(self.chart_id, self.radius, self.values + other.values,
-                         real_tag=self.real_tag and other.real_tag, valid=valid)
-
-    def scale(self, c: complex) -> "ChartGrid":
-        c = complex(c)
-        return ChartGrid(self.chart_id, self.radius, self.values * c,
-                         real_tag=self.real_tag and c.imag == 0.0, valid=self.valid)
-
-    def shift(self, c: complex) -> "ChartGrid":
-        c = complex(c)
-        return ChartGrid(self.chart_id, self.radius, self.values + c,
-                         real_tag=self.real_tag and c.imag == 0.0, valid=self.valid)
-
-    def exp(self) -> "ChartGrid":
-        return ChartGrid(self.chart_id, self.radius, np.exp(self.values),
-                         real_tag=self.real_tag, valid=self.valid)
-
-    def log(self, floor: float = 1e-300) -> "ChartGrid":
-        _domain_check(self.values, floor, "log")
-        if self.real_tag and np.all(self.values.real > 0.0):
-            return ChartGrid(self.chart_id, self.radius,
-                             np.log(self.values.real).astype(complex),
-                             real_tag=True, valid=self.valid)
-        return ChartGrid(self.chart_id, self.radius, np.log(self.values),
-                         real_tag=False, valid=self.valid)
-
-    def reciprocal(self, floor: float = 1e-300) -> "ChartGrid":
-        _domain_check(self.values, floor, "reciprocal")
-        return ChartGrid(self.chart_id, self.radius, 1.0 / self.values,
-                         real_tag=self.real_tag, valid=self.valid)
-
-    def modulus(self) -> "ChartGrid":
-        return ChartGrid(self.chart_id, self.radius, np.abs(self.values).astype(complex),
-                         real_tag=True, valid=self.valid)
-
-    def conj(self) -> "ChartGrid":
-        return ChartGrid(self.chart_id, self.radius, np.conj(self.values),
-                         real_tag=self.real_tag, valid=self.valid)
+        return self._like(self.values * other.values,
+                          self.real_tag and other.real_tag, other)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -679,38 +636,6 @@ class ChartGrid:
         sre, sim = self._splines()
         return sre.ev(x, y) + 1j * sim.ev(x, y)
 
-    # -- operators ----------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, ChartGrid):
-            return self.add(other)
-        return self.shift(other)
-
-    def __radd__(self, other):
-        return self.shift(other)
-
-    def __sub__(self, other):
-        if isinstance(other, ChartGrid):
-            return self.add(other.scale(-1.0))
-        return self.shift(-other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, ChartGrid):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _check_same_grid(self, other: "ChartGrid"):
-        if not isinstance(other, ChartGrid):
-            raise TypeError("expected a ChartGrid")
-        if other.n != self.n or other.radius != self.radius:
-            raise ValueError("chart grids must share radius and resolution")
-
 
 def _and_valid(a, b):
     if a is None:
@@ -718,78 +643,3 @@ def _and_valid(a, b):
     if b is None:
         return a.copy()
     return a & b
-
-
-# --------------------------------------------------------------------------
-# operation-style entry points
-# --------------------------------------------------------------------------
-
-def periodic_derivative(f: PeriodicField, direction: str,
-                        tail_tol: float | None = DEFAULT_TAIL_TOL) -> PeriodicField:
-    """Spectral Wirtinger derivative of a periodic field (see
-    :meth:`PeriodicField.derivative`)."""
-    if not isinstance(f, PeriodicField):
-        raise TypeError("periodic_derivative expects a PeriodicField")
-    return f.derivative(direction, tail_tol=tail_tol)
-
-
-def chart_derivative(f: ChartGrid, direction: str) -> ChartGrid:
-    if not isinstance(f, ChartGrid):
-        raise TypeError("chart_derivative expects a ChartGrid")
-    return f.derivative(direction)
-
-
-def derivative(f, direction: str, tail_tol: float | None = DEFAULT_TAIL_TOL):
-    """Representation-generic Wirtinger derivative."""
-    if isinstance(f, PeriodicField):
-        return f.derivative(direction, tail_tol=tail_tol)
-    if isinstance(f, ChartGrid):
-        return f.derivative(direction)
-    raise TypeError(f"cannot differentiate {type(f).__name__}")
-
-
-def pointwise_map(fields, fn: str, **kwargs):
-    """Elementwise maps on one or more fields of a shared representation.
-
-    fn is one of exp, log, mul, add, scale, reciprocal, modulus; mul on
-    periodic fields is the dealiased product, everything else is plain
-    sample arithmetic.  log and reciprocal take a ``floor`` keyword
-    (default 1e-300) below which samples are rejected.
-    """
-    fields = list(fields)
-    if not fields:
-        raise ValueError("pointwise_map needs at least one field")
-    head = fields[0]
-    for other in fields[1:]:
-        head._check_same_grid(other)
-    if fn == "exp":
-        _expect_arity(fields, 1, fn)
-        return head.exp()
-    if fn == "log":
-        _expect_arity(fields, 1, fn)
-        return head.log(floor=kwargs.get("floor", 1e-300))
-    if fn == "reciprocal":
-        _expect_arity(fields, 1, fn)
-        return head.reciprocal(floor=kwargs.get("floor", 1e-300))
-    if fn == "modulus":
-        _expect_arity(fields, 1, fn)
-        return head.modulus()
-    if fn == "scale":
-        _expect_arity(fields, 1, fn)
-        return head.scale(kwargs["factor"])
-    if fn == "add":
-        out = head
-        for other in fields[1:]:
-            out = out.add(other)
-        return out
-    if fn == "mul":
-        out = head
-        for other in fields[1:]:
-            out = out.mul(other)
-        return out
-    raise ValueError(f"unknown pointwise map {fn!r}")
-
-
-def _expect_arity(fields, k, fn):
-    if len(fields) != k:
-        raise ValueError(f"pointwise map {fn!r} takes exactly {k} field(s)")

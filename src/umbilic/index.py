@@ -38,7 +38,6 @@ __all__ = [
     "SurfaceSpec",
     "UmbilicRecord",
     "ZeroCluster",
-    "QuadraticDifferentialRep",
     "ChartTransition",
     "AuditReport",
     "winding_degree",
@@ -125,20 +124,6 @@ class ZeroCluster:
     @property
     def size(self) -> int:
         return len(self.cells)
-
-
-@dataclass
-class QuadraticDifferentialRep:
-    """Chart representative alpha dz (x) dz of the umbilic quadratic
-    differential; alpha is proportional to -r by a positive factor, which
-    leaves every winding degree unchanged."""
-
-    alpha: object
-    chart_id: str
-
-    @classmethod
-    def from_invariant(cls, invariant, chart_id: str) -> "QuadraticDifferentialRep":
-        return cls(alpha=invariant.r.scale(-1.0), chart_id=chart_id)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PowerSeries2", "series_derivative", "series_eval", "geometric_inverse"]
+__all__ = ["PowerSeries2", "geometric_inverse"]
 
 _SYM_TOL = 1e-12
 
@@ -201,16 +201,6 @@ class PowerSeries2:
     def __repr__(self):
         terms = ", ".join(f"({k},{l}): {c:.6g}" for (k, l), c in sorted(self.coeffs.items()))
         return f"PowerSeries2(deg<={self.max_degree}, {{{terms}}})"
-
-
-def series_derivative(f: PowerSeries2, direction: str) -> PowerSeries2:
-    """Exact formal Wirtinger derivative (see PowerSeries2.derivative)."""
-    return f.derivative(direction)
-
-
-def series_eval(f: PowerSeries2, z: complex) -> complex:
-    """Evaluate the truncated series at (z, conj z)."""
-    return f.eval(z)
 
 
 def geometric_inverse(e: PowerSeries2, out_degree: int) -> PowerSeries2:

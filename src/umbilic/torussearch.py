@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from .cartan import cartan_r
 from .errors import SymmetryViolated, TotallyDegenerate
-from .field import PeriodicField, TorusLattice
+from .field import DEFAULT_TAIL_TOL, PeriodicField, TorusLattice
 from .index import locate_zero_cells, refine_cluster_residual
 
 __all__ = [
@@ -116,13 +116,17 @@ class SymmetryDirection:
         return SymmetryDirection(-self.beta, self.alpha)
 
 
-def directional_derivative(f: PeriodicField, alpha: float, beta: float,
-                           tail_tol=None) -> PeriodicField:
-    """(alpha d/dx + beta d/dy) f via d/dx = D + Dbar, d/dy = i (D - Dbar)."""
+def _xy_derivatives(f: PeriodicField, tail_tol=None):
+    """(d/dx f, d/dy f) via d/dx = D + Dbar, d/dy = i (D - Dbar)."""
     df = f.derivative("D", tail_tol=tail_tol)
     dbf = f.derivative("Dbar", tail_tol=tail_tol)
-    fx = df.add(dbf)
-    fy = df.add(dbf.scale(-1.0)).scale(1j)
+    return df.add(dbf), df.add(dbf.scale(-1.0)).scale(1j)
+
+
+def directional_derivative(f: PeriodicField, alpha: float, beta: float,
+                           tail_tol=None) -> PeriodicField:
+    """(alpha d/dx + beta d/dy) f."""
+    fx, fy = _xy_derivatives(f, tail_tol)
     return fx.scale(alpha).add(fy.scale(beta))
 
 
@@ -242,10 +246,8 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     b^2 Y'psi for the constant b with D = aY + bY'.
     """
     field = u.to_field(grid_n)
-    du = field.derivative("D")
-    dbu = field.derivative("Dbar")
-    fx = du.add(dbu)
-    fy = du.add(dbu.scale(-1.0)).scale(1j)
+    # fx and fy also set the scale of the symmetry test
+    fx, fy = _xy_derivatives(field, DEFAULT_TAIL_TOL)
     yu = fx.scale(Y.alpha).add(fy.scale(Y.beta))
     scale = 1.0 + fx.sup_norm() + fy.sup_norm()
     if yu.sup_norm() > symmetry_tol * scale:
@@ -262,7 +264,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     # constructive proof path
     Yp = Y.perpendicular()
     emu = field.scale(-1.0).exp()
-    v = emu.mul(dbu.derivative("D")).real_part(validate=True, tol=1e-7)
+    v = emu.mul(field.derivative("Dbar").derivative("D")).real_part(validate=True, tol=1e-7)
     ypv = directional_derivative(v, Yp.alpha, Yp.beta).real_part(validate=True, tol=1e-7)
     psi = emu.mul(ypv).real_part(validate=True, tol=1e-7)
     P = psi.values.real
@@ -329,12 +331,14 @@ class SearchConfig:
     coeff_bound: float = 1.0
     mode_filter: str = "all"  # "all" | "s_only"
 
+    def __post_init__(self):
+        if self.mode_filter not in ("all", "s_only"):
+            raise ValueError(f"unknown mode filter {self.mode_filter!r}")
+
     def mode_list(self):
         B = self.mode_budget
         if self.mode_filter == "s_only":
             return [(j, 0) for j in range(1, B + 1)]
-        if self.mode_filter != "all":
-            raise ValueError(f"unknown mode filter {self.mode_filter!r}")
         out = []
         for k in range(0, B + 1):
             for j in range(-B, B + 1):

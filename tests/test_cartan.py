@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from umbilic.cartan import (FORMS, MetricInput, cartan_r, cartan_r_all_forms,
+from umbilic.cartan import (FORMS, cartan_r, cartan_r_all_forms,
                             covariant_hessian_zz, gauss_curvature,
                             kzz_identity_residual, potential_from_metric,
                             rigid_r_from_F, spherical_test)
@@ -41,13 +41,12 @@ class TestPotentialFromMetric:
         with pytest.raises(NotPseudoconvex):
             potential_from_metric(h)
 
-    def test_metric_input_wrapper(self):
+    def test_metric_and_potential_guards(self):
         h = ChartGrid.from_function("c1", 1.0, 64,
                                     lambda Z: np.exp(-np.abs(Z) ** 2), real_tag=True)
-        mi = MetricInput("metric_h", h)
-        assert mi.potential().sup_norm(0.5) < 1e-8
+        assert potential_from_metric(h).sup_norm(0.5) < 1e-8
         with pytest.raises(ValueError):
-            MetricInput("potential_u", h.derivative("D"))  # not real-tagged
+            cartan_r(h.derivative("D"), "p_form")  # not real-tagged
 
 
 class TestCartanR:

@@ -93,6 +93,9 @@ class TestRunners:
         report = run(cfg)
         audit = report["results"]["audit"]
         assert audit["sum_twice_index"] == 4 and audit["passed"]
+        # the chart resolution actually used is reported, outside results
+        assert report["diagnostics"]["chart_n"] == 256
+        assert "chart_n" not in report["results"]
 
     def test_loewner_runner(self):
         cfg = {
@@ -183,6 +186,31 @@ class TestMainAndExitCodes:
         code = main(["invariant", "--config", write_cfg(tmp_path, cfg)])
         assert code == 6
         capsys.readouterr()
+
+    @pytest.mark.parametrize("cfg", [
+        torus_cfg(surface={"kind": "torus", "omega": ["a", 1]}),
+        torus_cfg(metric={"modes": {"40,0": [0.1, 0.0]}}, numeric={"grid_n": 64}),
+        torus_cfg(numeric={"grid_n": "big"}),
+        torus_cfg(numeric={"grid_n": 128, "tolerances": {"cross_form": "abc"}}),
+        {"surface": {"kind": "sphere", "degree": "x"}, "metric": {"builtin": "fs"},
+         "operation": "umbilics", "numeric": {"grid_n": 128}},
+        torus_cfg(operation="search", numeric={"grid_n": 64},
+                  search={"mode_filter": "bogus"}),
+        torus_cfg(operation="obstruction", obstruction={"direction": ["q", 1]}),
+        torus_cfg(metric={"modes": [1, 2]}),
+        torus_cfg(operation="loewner", loewner={"g": 5, "order": 8}),
+        torus_cfg(operation="loewner",
+                  loewner={"g": {"coeffs": {"a,1": [1.0, 0.0]}}, "order": 8}),
+        torus_cfg(numeric={"grid_n": 128, "tolerances": [1e-7]}),
+    ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
+            "mode_filter", "direction", "modes_list", "loewner_g",
+            "loewner_coeff_key", "tolerances_list"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, cfg):
+        code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)  # exactly one JSON object
+        assert err["error"]["code"] == "ConfigError"
+        assert err["error"]["exit_status"] == 2
 
     def test_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from umbilic.errors import DomainError, UnderResolved
-from umbilic.field import (ChartGrid, PeriodicField, TorusLattice,
-                           chart_derivative, periodic_derivative,
-                           pointwise_map, trig_resample)
+from umbilic.field import ChartGrid, PeriodicField, TorusLattice, trig_resample
 
 from _oracles import random_band_limited
 
@@ -52,13 +50,13 @@ class TestPeriodicDerivative:
         f = PeriodicField.from_function(LAT, n, lambda S, T: np.sin(2 * np.pi * S),
                                         real_tag=True)
         S, _ = grid_st(n)
-        df = periodic_derivative(f, "D")
+        df = f.derivative("D")
         assert np.max(np.abs(df.values - np.pi * np.cos(2 * np.pi * S))) < 1e-10
 
     def test_constant_derivative_is_exactly_zero(self):
         f = PeriodicField.constant(LAT, 32, 3.7)
         for direction in ("D", "Dbar"):
-            assert periodic_derivative(f, direction).sup_norm() == 0.0
+            assert f.derivative(direction).sup_norm() == 0.0
 
     def test_laplacian_eigenfunction(self):
         n = 64
@@ -139,13 +137,13 @@ class TestDealiasedProducts:
 class TestPointwiseMaps:
     def test_exp_of_zero(self):
         f = PeriodicField.constant(LAT, 16, 0.0)
-        out = pointwise_map([f], "exp")
+        out = f.exp()
         assert np.max(np.abs(out.values - 1.0)) == 0.0
         assert out.real_tag
 
     def test_reciprocal_of_two(self):
         f = PeriodicField.constant(LAT, 16, 2.0)
-        out = pointwise_map([f], "reciprocal")
+        out = f.reciprocal()
         assert np.max(np.abs(out.values - 0.5)) == 0.0
 
     def test_log_exp_roundtrip(self):
@@ -157,26 +155,26 @@ class TestPointwiseMaps:
         f = PeriodicField.from_function(LAT, 32, lambda S, T: np.sin(2 * np.pi * S),
                                         real_tag=True)
         with pytest.raises(DomainError):
-            pointwise_map([f], "log")
+            f.log()
 
     def test_scale_and_add(self):
         f = PeriodicField.constant(LAT, 16, 1.0)
         g = PeriodicField.constant(LAT, 16, 2.0)
-        out = pointwise_map([f, g], "add")
+        out = f.add(g)
         assert np.max(np.abs(out.values - 3.0)) == 0.0
-        out = pointwise_map([f], "scale", factor=-2.0)
+        out = f.scale(-2.0)
         assert np.max(np.abs(out.values + 2.0)) == 0.0
 
     def test_modulus_is_real(self):
         f = PeriodicField.constant(LAT, 16, 3 - 4j)
-        out = pointwise_map([f], "modulus")
+        out = f.modulus()
         assert out.real_tag and np.max(np.abs(out.values - 5.0)) < 1e-14
 
     def test_mismatched_grids_rejected(self):
         f = PeriodicField.constant(LAT, 16, 1.0)
         g = PeriodicField.constant(LAT, 32, 1.0)
         with pytest.raises(ValueError):
-            pointwise_map([f, g], "add")
+            f.add(g)
 
 
 class TestEvaluation:
@@ -210,8 +208,8 @@ class TestChartGrid:
 
     def test_polynomial_derivatives_exact(self):
         ch = ChartGrid.from_function("c1", 1.2, 64, lambda Z: Z ** 2)
-        dz = chart_derivative(ch, "D")
-        dzb = chart_derivative(ch, "Dbar")
+        dz = ch.derivative("D")
+        dzb = ch.derivative("Dbar")
         Z = ch.z_grid()
         assert np.max(np.abs(dz.values - 2 * Z)) < 1e-11
         assert np.max(np.abs(dzb.values)) < 1e-11
@@ -243,3 +241,83 @@ class TestChartGrid:
         pts = np.array([0.1 + 0.2j, -0.3 + 0.05j])
         vals = ch.evaluate_at(pts)
         assert np.max(np.abs(vals - np.exp(pts))) < 1e-7
+
+
+def sampled(kind, value, n=10, real_tag=False, valid=None):
+    """A constant field of the given representation on an n x n grid."""
+    values = np.full((n, n), value, dtype=complex)
+    if kind == "periodic":
+        return PeriodicField(LAT, values, real_tag=real_tag)
+    return ChartGrid("c1", 1.0, values, real_tag=real_tag, valid=valid)
+
+
+@pytest.mark.parametrize("kind", ["periodic", "chart"])
+class TestSharedArithmetic:
+    def test_real_tag_propagation(self, kind):
+        f = sampled(kind, 2.0, real_tag=True)
+        g = sampled(kind, 3.0, real_tag=True)
+        c = sampled(kind, 1.0 + 1.0j)
+        cases = [
+            (f.add(g), True, 5.0), (f.add(c), False, 3.0 + 1.0j),
+            (f.scale(-2.0), True, -4.0), (f.scale(1j), False, 2.0j),
+            (f.shift(0.5), True, 2.5), (f.shift(0.5j), False, 2.0 + 0.5j),
+            (f.exp(), True, np.exp(2.0)), (c.exp(), False, np.exp(1.0 + 1.0j)),
+            (f.log(), True, np.log(2.0)), (c.log(), False, np.log(1.0 + 1.0j)),
+            (f.scale(-1.0).log(), False, np.log(-2.0 + 0j)),
+            (c.modulus(), True, abs(1.0 + 1.0j)),
+            (f.conj(), True, 2.0), (c.conj(), False, 1.0 - 1.0j),
+            (f.reciprocal(), True, 0.5), (f - g, True, -1.0), (-c, False, -1.0 - 1.0j),
+            (c.real_part(validate=False), True, 1.0),
+        ]
+        for out, tag, value in cases:
+            assert type(out) is type(f)
+            assert out.real_tag is tag
+            assert np.max(np.abs(out.values - value)) < 1e-15
+        with pytest.raises(ValueError):
+            c.real_part()
+
+    def test_domain_errors(self, kind):
+        z = sampled(kind, 0.0, real_tag=True)
+        with pytest.raises(DomainError):
+            z.log()
+        with pytest.raises(DomainError):
+            z.reciprocal()
+
+    def test_mismatched_grids_rejected(self, kind):
+        f = sampled(kind, 1.0)
+        g = sampled(kind, 1.0, n=12)
+        for op in (f.add, f.mul, f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(ValueError):
+                op(g)
+        if kind == "periodic":
+            other = PeriodicField(LAT_GEN, f.values)
+        else:
+            other = ChartGrid("c1", 2.0, f.values)
+        with pytest.raises(ValueError):
+            f.add(other)
+
+    def test_mixed_representations_rejected(self, kind):
+        f = sampled(kind, 1.0)
+        other = sampled("chart" if kind == "periodic" else "periodic", 1.0)
+        for op in (f.add, f.mul, f.__add__, f.__sub__, f.__mul__):
+            with pytest.raises(TypeError):
+                op(other)
+
+
+class TestChartValidity:
+    def test_valid_masks_anded_and_carried(self):
+        rng = np.random.default_rng(3)
+        A = rng.random((10, 10)) > 0.3
+        B = rng.random((10, 10)) > 0.3
+        a = sampled("chart", 2.0, real_tag=True, valid=A)
+        b = sampled("chart", 3.0, real_tag=True, valid=B)
+        plain = sampled("chart", 4.0, real_tag=True)
+        for out in (a.add(b), a.mul(b), a + b, a - b, a * b):
+            assert np.array_equal(out.valid, A & B)
+        for out in (a.add(plain), plain.mul(a)):
+            assert np.array_equal(out.valid, A) and out.valid is not A
+        assert plain.add(plain).valid is None
+        for out in (a.scale(2.0), a.shift(1.0), a.exp(), a.log(), a.reciprocal(),
+                    a.modulus(), a.conj(), a.real_part(), -a, a.derivative("D")):
+            assert np.array_equal(out.valid, A)
+        assert not a.mul(b).mask()[~(A & B)].any()
