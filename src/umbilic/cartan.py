@@ -18,6 +18,11 @@ curvature identity Pu = -(e^{2u}/2) K_{;zz} with K the Gauss curvature of
 e^{u} |dz|^2 (see :func:`kzz_identity_residual`); those two facts pin the
 mixed-derivative factor in the quadratic term, and the suite cross-checks
 the forms against each other on every run that asks for it.
+
+On sampled fields the q form and the P form run the same sequence of
+derivatives and products (q = Du is the first derivative the P form takes),
+so the two agree bitwise; the independent evidence of the cross-form check
+comes from the divergence form.
 """
 
 from __future__ import annotations

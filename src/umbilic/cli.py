@@ -142,6 +142,9 @@ def validate_config(cfg: dict) -> dict:
     sources = [k for k in ("builtin", "modes", "samples") if k in metric]
     _require(len(sources) == 1, "metric needs exactly one of builtin | modes | samples")
     _require(isinstance(metric.get("modes", {}), dict), "metric modes must be an object")
+    _require(isinstance(metric.get("params", {}), dict), "metric params must be an object")
+    _require(isinstance(metric.get("samples", ""), str), "metric samples must be a file path")
+    _require(isinstance(cfg.get("output", {}), dict), "output must be an object")
 
     op = cfg["operation"]
     _require(op in OPERATIONS, f"operation must be one of {OPERATIONS}")
@@ -161,6 +164,9 @@ def validate_config(cfg: dict) -> dict:
         lw = cfg.get("loewner")
         _require(isinstance(lw, dict) and isinstance(lw.get("g"), dict) and "order" in lw,
                  "loewner operation needs loewner: {g: {...}, order}")
+        _require(isinstance(lw["g"].get("coeffs", {}), dict), "loewner g coeffs must be an object")
+        _require(isinstance(lw.get("normalization", {}), dict),
+                 "loewner normalization must be an object")
         _require(int(lw["order"]) >= 2, "loewner order must be >= 2")
     if op == "obstruction":
         ob = cfg.get("obstruction")
@@ -400,7 +406,7 @@ def run_loewner(cfg: dict) -> dict:
                      for (k, l), c in sorted(sol.f.coeffs.items())},
         "phi_coeffs": {f"{k},{l}": [c.real, c.imag]
                        for (k, l), c in sorted(sol.phi.coeffs.items())},
-    }}
+    }, "diagnostics_extra": {"normalization_ignored": norm.ignored(order)}}
 
 
 def run_search(cfg: dict) -> dict:
@@ -499,8 +505,12 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error(ConfigError(f"cannot read config: {exc}"), None)
         return 2
-    if not isinstance(cfg, dict):
-        _emit_error(ConfigError("config must be a JSON object"), None)
+    # the overrides below write into numeric and output, and errors are
+    # also written to output.report
+    if not isinstance(cfg, dict) or not all(isinstance(cfg.get(key, {}), dict)
+                                            for key in ("numeric", "output")):
+        _emit_error(ConfigError("config must be a JSON object, with numeric and "
+                                "output entries that are objects"), None)
         return 2
     cfg.setdefault("numeric", {})
     if args.grid_n is not None:

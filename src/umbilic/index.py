@@ -261,45 +261,41 @@ def _edge_min_modulus(eval_line, lo=0.0, hi=1.0, iters=80):
 # --------------------------------------------------------------------------
 
 class _Geometry:
-    """Uniform view of a sampled field for the cell-winding pass."""
+    """Uniform view of a sampled field for the cell-winding pass.  Cells and
+    corners carry grid indices; torus indices may run past the grid and are
+    reduced by :meth:`wrap`."""
 
     def __init__(self, f):
         self.field = f
+        self.n = f.n
         if isinstance(f, PeriodicField):
             self.periodic = True
-            self.n = f.n
             self.ncells = f.n
-            s = np.arange(f.n) / f.n
-            self.ax0, self.ax1 = s, s
-            self.h0 = self.h1 = 1.0 / f.n
+            self.h = 1.0 / f.n
             self.orientation = f.lattice.orientation
             self.chart_id = "torus"
         elif isinstance(f, ChartGrid):
             self.periodic = False
-            self.n = f.n
             self.ncells = f.n - 1
-            x = f.axis()
-            self.ax0, self.ax1 = x, x
-            self.h0 = self.h1 = f.spacing
+            self.axis = f.axis()
+            self.h = f.spacing
             self.orientation = 1
             self.chart_id = f.chart_id
         else:
             raise TypeError(f"cannot locate zeros on {type(f).__name__}")
 
-    def corner_value(self, i, j):
-        return self.field.values[i % self.n, j % self.n]
+    def wrap(self, i, j):
+        """Grid indices of a torus cell or corner; chart indices never wrap."""
+        if self.periodic:
+            return i % self.n, j % self.n
+        return i, j
 
     def corner_st(self, i, j):
         if self.periodic:
             return i / self.n, j / self.n
-        return self.ax0[i], self.ax1[j]
+        return self.axis[i], self.axis[j]
 
-    def st_to_z(self, a, b):
-        if self.periodic:
-            return self.field.lattice.st_to_z(a, b)
-        return a + 1j * b
-
-    def edge_line(self, i, j, kind):
+    def edge_line(self, kind, i, j):
         """Callable p in [0,1] -> field values along the edge starting at
         corner (i, j) toward +axis0 (kind 'h') or +axis1 (kind 'v')."""
         a0, b0 = self.corner_st(i, j)
@@ -315,6 +311,20 @@ class _Geometry:
             return f.evaluate_st(a0 + p * da, b0 + p * db)
 
         return line
+
+
+def _box_edges(i0, i1, j0, j1):
+    """Edges of the boundary of the cell box [i0, i1] x [j0, j1] with the
+    sign of their phase increment in a positive walk: bottom, right, top,
+    left.  A one-cell box yields h(i,j), v(i+1,j), h(i,j+1), v(i,j)."""
+    for i in range(i0, i1 + 1):
+        yield ("h", i, j0), 1.0
+    for j in range(j0, j1 + 1):
+        yield ("v", i1 + 1, j), 1.0
+    for i in range(i0, i1 + 1):
+        yield ("h", i, j1 + 1), -1.0
+    for j in range(j0, j1 + 1):
+        yield ("v", i0, j), -1.0
 
 
 # --------------------------------------------------------------------------
@@ -334,10 +344,9 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
     """
     geom = _Geometry(f)
     V = f.values
-    n = geom.n
 
     if geom.periodic:
-        consider = np.ones((n, n), dtype=bool)
+        consider = np.ones(V.shape, dtype=bool)
     else:
         consider = f.mask(region_radius)
     sup = float(np.max(np.abs(V[consider]))) if consider.any() else 0.0
@@ -352,51 +361,30 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
     P = np.angle(V)
     M = np.abs(V)
     if geom.periodic:
-        dH = _wrap(np.roll(P, -1, axis=0) - P)
-        dV = _wrap(np.roll(P, -1, axis=1) - P)
-        badH = (np.abs(dH) >= _STEP_LIMIT) | (M <= floor) | (np.roll(M, -1, axis=0) <= floor)
-        badV = (np.abs(dV) >= _STEP_LIMIT) | (M <= floor) | (np.roll(M, -1, axis=1) <= floor)
-    else:
-        dH = _wrap(P[1:, :] - P[:-1, :])
-        dV = _wrap(P[:, 1:] - P[:, :-1])
-        badH = (np.abs(dH) >= _STEP_LIMIT) | (M[1:, :] <= floor) | (M[:-1, :] <= floor)
-        badV = (np.abs(dV) >= _STEP_LIMIT) | (M[:, 1:] <= floor) | (M[:, :-1] <= floor)
+        # wrap-pad the torus so both grid kinds have ncells + 1 corners per axis
+        P, M, consider = (np.pad(a, ((0, 1), (0, 1)), mode="wrap")
+                          for a in (P, M, consider))
+    dH = _wrap(P[1:, :] - P[:-1, :])
+    dV = _wrap(P[:, 1:] - P[:, :-1])
+    badH = (np.abs(dH) >= _STEP_LIMIT) | (M[1:, :] <= floor) | (M[:-1, :] <= floor)
+    badV = (np.abs(dV) >= _STEP_LIMIT) | (M[:, 1:] <= floor) | (M[:, :-1] <= floor)
 
     nc = geom.ncells
-    if geom.periodic:
-        cellH0 = dH
-        cellH1 = np.roll(dH, -1, axis=1)
-        cellV0 = dV
-        cellV1 = np.roll(dV, -1, axis=0)
-        cbadH0, cbadH1 = badH, np.roll(badH, -1, axis=1)
-        cbadV0, cbadV1 = badV, np.roll(badV, -1, axis=0)
-        cell_ok = np.ones((nc, nc), dtype=bool)
-    else:
-        cellH0 = dH[:, :-1]
-        cellH1 = dH[:, 1:]
-        cellV0 = dV[:-1, :]
-        cellV1 = dV[1:, :]
-        cbadH0, cbadH1 = badH[:, :-1], badH[:, 1:]
-        cbadV0, cbadV1 = badV[:-1, :], badV[1:, :]
-        cell_ok = (consider[:-1, :-1] & consider[1:, :-1]
-                   & consider[:-1, 1:] & consider[1:, 1:])
-
-    wsum = cellH0 + cellV1 - cellH1 - cellV0
-    cell_bad = (cbadH0 | cbadH1 | cbadV0 | cbadV1) & cell_ok
+    cell_ok = (consider[:-1, :-1] & consider[1:, :-1]
+               & consider[:-1, 1:] & consider[1:, 1:])
+    wsum = dH[:, :-1] + dV[1:, :] - dH[:, 1:] - dV[:-1, :]
+    cell_bad = (badH[:, :-1] | badH[:, 1:] | badV[:-1, :] | badV[1:, :]) & cell_ok
     windings = np.where(cell_ok, np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
     windings[cell_bad] = 0
 
     # refine edges of bad cells; share results between adjacent cells
     edge_cache: dict = {}
 
-    def refined_edge(i, j, kind):
-        if geom.periodic:
-            key = (kind, i % n, j % n)
-        else:
-            key = (kind, i, j)
+    def refined_edge(kind, i, j):
+        key = (kind, *geom.wrap(i, j))
         if key in edge_cache:
             return edge_cache[key]
-        line = geom.edge_line(*key[1:], kind)
+        line = geom.edge_line(*key)
         v0 = complex(line(np.array([0.0]))[0])
         v1 = complex(line(np.array([1.0]))[0])
         try:
@@ -407,17 +395,14 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
         return res
 
     crossing_cells: dict = {}
-    bad_idx = np.argwhere(cell_bad)
-    for i, j in map(tuple, bad_idx):
-        edges = [("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j)]
+    for i, j in map(tuple, np.argwhere(cell_bad)):
         total = 0.0
         crossing = []
-        for kind, ei, ej in edges:
-            status, payload = refined_edge(ei, ej, kind)
+        for edge, sign in _box_edges(i, i, j, j):
+            status, payload = refined_edge(*edge)
             if status == "crossing":
-                crossing.append(((kind, ei, ej), payload))
+                crossing.append((edge, payload))
             else:
-                sign = 1.0 if (kind, ei, ej) in (("h", i, j), ("v", i + 1, j)) else -1.0
                 total += sign * payload
         if crossing:
             crossing_cells[(i, j)] = crossing
@@ -436,51 +421,33 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
 
     def ring_winding(group):
         """Winding around the one-cell-expanded bounding box of a cluster,
-        for clusters whose own cells touch the zero set."""
+        for clusters whose own cells touch the zero set.  Torus clusters
+        that get here do not wrap, so their box fits on the torus."""
         i0 = min(i for i, _ in group) - 1
         i1 = max(i for i, _ in group) + 1
         j0 = min(j for _, j in group) - 1
         j1 = max(j for _, j in group) + 1
-        if geom.periodic:
-            if (i1 - i0 + 2) > nc or (j1 - j0 + 2) > nc:
-                return None
-        else:
-            if i0 < 0 or j0 < 0 or i1 + 1 > nc or j1 + 1 > nc:
-                return None
-        inside = {(i % nc if geom.periodic else i, j % nc if geom.periodic else j)
-                  for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)}
-        own = {(i % nc if geom.periodic else i, j % nc if geom.periodic else j)
-               for i, j in group}
-        if any(c in flagged and c not in own for c in inside):
+        if not geom.periodic and (i0 < 0 or j0 < 0 or i1 + 1 > nc or j1 + 1 > nc):
+            return None
+        own = {geom.wrap(i, j) for i, j in group}
+        if any(geom.wrap(i, j) in flagged and geom.wrap(i, j) not in own
+               for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)):
             return None
         total = 0.0
         try:
-            for i in range(i0, i1 + 1):
-                st, val = refined_edge(i, j0, "h")
-                if st == "crossing":
+            for edge, sign in _box_edges(i0, i1, j0, j1):
+                status, payload = refined_edge(*edge)
+                if status == "crossing":
                     return None
-                total += val
-                st, val = refined_edge(i, j1 + 1, "h")
-                if st == "crossing":
-                    return None
-                total -= val
-            for j in range(j0, j1 + 1):
-                st, val = refined_edge(i1 + 1, j, "v")
-                if st == "crossing":
-                    return None
-                total += val
-                st, val = refined_edge(i0, j, "v")
-                if st == "crossing":
-                    return None
-                total -= val
+                total += sign * payload
         except PhaseStepTooLarge:
             return None
         return geom.orientation * int(round(total / (2.0 * np.pi)))
 
     clusters = []
     for group in clusters_cells:
-        cells = [(i, j, (None if (i % nc, j % nc) in crossing_cells
-                         else int(windings[i % nc, j % nc]))) for i, j in group]
+        cells = [(i, j, (None if geom.wrap(i, j) in crossing_cells
+                         else int(windings[geom.wrap(i, j)]))) for i, j in group]
         has_crossing = any(w is None for _, _, w in cells)
         wrapping = _cluster_wraps(group, nc) if geom.periodic else False
         winding = None
@@ -489,29 +456,23 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
         elif not wrapping:
             winding = ring_winding(group)
         kind = "point" if winding is not None else "curve"
-        # representative corner: minimum modulus over member cell corners
-        best = None
-        for i, j in group:
-            for ci, cj in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)):
-                if geom.periodic:
-                    m = float(M[ci % n, cj % n])
-                elif 0 <= ci < n and 0 <= cj < n:
-                    m = float(M[ci, cj])
-                else:
-                    continue
-                if best is None or m < best[0]:
-                    best = (m, ci, cj)
-        _, bi, bj = best
+        # representative corner: first minimum modulus over member cell corners
+        m, bi, bj = min(((float(M[geom.wrap(ci, cj)]), ci, cj)
+                         for i, j in group
+                         for ci, cj in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))),
+                        key=lambda c: c[0])
         a, b = geom.corner_st(bi, bj)
         if geom.periodic:
             a, b = a % 1.0, b % 1.0
-        center = complex(geom.st_to_z(a, b))
+            center = complex(f.lattice.st_to_z(a, b))
+        else:
+            center = complex(a + 1j * b)
         xing = []
         for i, j in group:
-            xing.extend(crossing_cells.get((i % nc, j % nc), []))
+            xing.extend(crossing_cells.get(geom.wrap(i, j), []))
         clusters.append(ZeroCluster(
             chart_id=geom.chart_id, cells=cells, winding=winding, kind=kind,
-            center=center, center_st=(a, b), min_modulus=best[0],
+            center=center, center_st=(a, b), min_modulus=m,
             crossing_edges=xing))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
@@ -576,21 +537,13 @@ def umbilic_index(f, z0: complex, radius: float, *,
     while True:
         theta = 2.0 * np.pi * np.arange(m) / m
         pts = z0 + radius * np.exp(1j * theta)
-        vals = np.asarray(f.evaluate_at(pts))
-        mods = np.abs(vals)
-        if float(mods.min()) <= floor:
-            raise ZeroOnContour(
-                f"contour value {float(mods.min()):.3e} at/below floor {floor:.3e} "
-                f"(radius {radius:.3e} about {z0:.6f})")
-        steps = _wrap(np.diff(np.angle(np.concatenate([vals, vals[:1]]))))
-        if float(np.max(np.abs(steps))) < _STEP_LIMIT:
-            deg = winding_degree(vals, zero_floor=floor)
-            return -deg
-        if 2 * m > budget:
-            raise PhaseStepTooLarge(
-                f"contour about {z0:.6f} not resolved within {budget} points")
-        m *= 2
-
+        try:
+            return -winding_degree(f.evaluate_at(pts), zero_floor=floor)
+        except PhaseStepTooLarge:
+            if 2 * m > budget:
+                raise PhaseStepTooLarge(
+                    f"contour about {z0:.6f} not resolved within {budget} points") from None
+            m *= 2
 
 
 # --------------------------------------------------------------------------
@@ -664,14 +617,12 @@ def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     geom = _Geometry(f)
     sup = f.sup_norm()
     if cluster.kind == "point" or not cluster.crossing_edges:
-        cell = geom.h0 * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
-        _, best = _refine_zero(f, cluster.center, 0.5 * geom.h0,
+        cell = geom.h * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
+        _, best = _refine_zero(f, cluster.center, 0.5 * geom.h,
                                max_move=_cluster_extent(cluster, cell) + 1.5 * cell)
         return best / sup
     (kind, ei, ej), (p, _) = min(cluster.crossing_edges, key=lambda e: e[1][1])
-    if geom.periodic:
-        ei, ej = ei % geom.n, ej % geom.n
-    line = geom.edge_line(ei, ej, kind)
+    line = geom.edge_line(kind, *geom.wrap(ei, ej))
     lo = max(0.0, p - 2.0 ** -9)
     hi = min(1.0, p + 2.0 ** -9)
     _, best = _edge_min_modulus(line, lo, hi)

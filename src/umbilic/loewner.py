@@ -69,6 +69,13 @@ class LoewnerNormalization:
         i = n - 1
         return float(self.phi_diag[i]) if 0 <= i < len(self.phi_diag) else 0.0
 
+    def ignored(self, N: int) -> dict:
+        """Entries an order-N solve never reads: f is complete through degree
+        N and phi through N - 1, so |z|^{2n} is pinned for n <= N // 2 in f
+        and for n <= (N - 1) // 2 in phi."""
+        return {"f_diag": max(0, len(self.f_diag) - N // 2),
+                "phi_diag": max(0, len(self.phi_diag) - (N - 1) // 2)}
+
 
 @dataclass
 class LoewnerSolution:

@@ -334,6 +334,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode_filter not in ("all", "s_only"):
             raise ValueError(f"unknown mode filter {self.mode_filter!r}")
+        if self.trials < 1 or self.mode_budget < 1:
+            raise ValueError("a search needs trials >= 1 and mode_budget >= 1")
 
     def mode_list(self):
         B = self.mode_budget

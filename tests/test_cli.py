@@ -109,6 +109,18 @@ class TestRunners:
         assert res["residual_norm"] <= 1e-12
         assert "1,0" in res["f_coeffs"]
 
+    def test_loewner_unused_prescription_reported(self):
+        cfg = {
+            "surface": {"kind": "chart", "radius": 1.0},
+            "metric": {"builtin": "constant"},
+            "operation": "loewner",
+            "loewner": {"g": {"builtin": "zbar"}, "order": 6,
+                        "normalization": {"f_diag": [0.0] * 50, "phi_diag": [0.0] * 2}},
+        }
+        report = run(cfg)
+        assert report["diagnostics"]["normalization_ignored"] == {"f_diag": 47, "phi_diag": 0}
+        assert "normalization_ignored" not in report["results"]
+
     def test_obstruction_runner(self):
         cfg = torus_cfg(
             metric={"modes": {"1,0": [0.2, 0.0]}},
@@ -202,9 +214,22 @@ class TestMainAndExitCodes:
         torus_cfg(operation="loewner",
                   loewner={"g": {"coeffs": {"a,1": [1.0, 0.0]}}, "order": 8}),
         torus_cfg(numeric={"grid_n": 128, "tolerances": [1e-7]}),
+        torus_cfg(operation="loewner", loewner={"g": {"coeffs": [1, 2]}, "order": 8}),
+        torus_cfg(operation="loewner",
+                  loewner={"g": {"builtin": "zbar"}, "order": 8, "normalization": [1]}),
+        torus_cfg(metric={"builtin": "constant", "params": [1]}),
+        torus_cfg(output="x"),
+        torus_cfg(operation="search", numeric={"grid_n": 64}, search={"trials": 0}),
+        torus_cfg(operation="search", numeric={"grid_n": 64}, search={"trials": -1}),
+        torus_cfg(operation="search", numeric={"grid_n": 64}, search={"mode_budget": 0}),
+        torus_cfg(metric={"samples": 3}),
+        torus_cfg(metric={"samples": True}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
-            "loewner_coeff_key", "tolerances_list"])
+            "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
+            "loewner_normalization_list", "metric_params_list", "output_string",
+            "search_trials_0", "search_trials_negative", "search_mode_budget_0",
+            "samples_int", "samples_bool"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, cfg):
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
         assert code == 2

@@ -118,6 +118,24 @@ class TestLoewnerSolve:
         assert abs(sol.phi.coeff(1, 1) - 0.2) < 1e-12
         assert sol.residual_norm <= 1e-9
 
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_ignored_entries_match_the_solve(self, N):
+        # an entry is read exactly when prescribing it changes the solution
+        g = random_g(5)
+        base = loewner_solve(g, N)
+
+        def changes(**diag):
+            sol = loewner_solve(g, N, LoewnerNormalization(**diag))
+            return (sol.f.coeffs, sol.phi.coeffs) != (base.f.coeffs, base.phi.coeffs)
+
+        read = {}
+        for name in ("f_diag", "phi_diag"):
+            read[name] = [i for i in range(N) if changes(**{name: [0.0] * i + [0.5]})]
+            assert read[name] == list(range(len(read[name])))
+        norm = LoewnerNormalization(f_diag=[0.1] * N, phi_diag=[0.1] * N)
+        assert norm.ignored(N) == {"f_diag": N - len(read["f_diag"]),
+                                   "phi_diag": N - len(read["phi_diag"])}
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             loewner_solve(PowerSeries2.zero(10), 1)

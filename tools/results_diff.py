@@ -1,0 +1,121 @@
+"""Compare the CLI outcomes of two source trees on every benchmark pool config.
+
+    python3 tools/results_diff.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding an ``umbilic`` package (the
+``src/`` of two checkouts).  Every config of ``perfbench.workloads.pool(w)``,
+for each workload, goes through ``umbilic.cli.main`` once per tree, each tree
+in its own interpreter.  The report gives the number of configs compared,
+how many have byte-identical ``results`` blocks as sorted-key JSON, every
+exit-status or error-code mismatch, and the largest relative drift over the
+numeric leaves of the ``results`` blocks that differ.  The exit status is 0
+when every config is identical, else 1.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # perfbench/ is imported read-only
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from worker import run_job  # noqa: E402
+
+
+def run_tree(src: Path, out: Path):
+    """Child process: run every pool config on the umbilic package in src."""
+    sys.path.insert(0, str(src))
+    import umbilic.cli as cli
+    if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
+        raise ImportError(f"umbilic was imported from {cli.__file__}, not from {src}")
+    outcomes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, report_path = Path(tmp) / "cfg.json", Path(tmp) / "report.json"
+        for workload in workloads.WORKLOADS:
+            for jid, cfg in sorted(workloads.pool(workload).items()):
+                cfg_path.write_text(json.dumps(cfg))
+                status, report, _, escaped = run_job(cli, cfg["operation"],
+                                                     cfg_path, report_path)
+                outcomes[jid] = {"status": status, "escaped": escaped,
+                                 "results": report.get("results"),
+                                 "error": report.get("error", {}).get("code")}
+    out.write_text(json.dumps(outcomes))
+
+
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _leaves(obj[key], f"{path}/{key}")
+    elif isinstance(obj, list):
+        for k, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, obj
+
+
+def drift(a, b):
+    """(largest relative difference, its leaf path) over the numeric leaves
+    of two results blocks; (inf, path) where their shapes or other leaves
+    differ."""
+    la, lb = list(_leaves(a)), list(_leaves(b))
+    if [p for p, _ in la] != [p for p, _ in lb]:
+        return float("inf"), "structure"
+    worst = (0.0, "")
+    for (path, x), (_, y) in zip(la, lb):
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+        if not numeric:
+            if x != y:
+                return float("inf"), path
+            continue
+        if x != y:
+            rel = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, (rel, path))
+    return worst
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--child":
+        run_tree(Path(args[1]), Path(args[2]))
+        return 0
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "old.json", Path(tmp) / "new.json"]
+        procs = [subprocess.Popen([sys.executable, __file__, "--child", src, str(out)])
+                 for src, out in zip(args, outs)]
+        if any(p.wait() != 0 for p in procs):
+            print("a tree failed to run", file=sys.stderr)
+            return 2
+        old, new = (json.loads(out.read_text()) for out in outs)
+
+    identical, mismatches, worst = 0, [], (0.0, "")
+    for jid in sorted(old):
+        a, b = old[jid], new[jid]
+        if (a["status"], a["error"], a["escaped"]) != (b["status"], b["error"], b["escaped"]):
+            mismatches.append(f"{jid}: exit {a['status']} {a['error'] or a['escaped']} "
+                              f"-> exit {b['status']} {b['error'] or b['escaped']}")
+        elif json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True):
+            identical += 1
+        else:
+            rel, path = drift(a["results"], b["results"])
+            worst = max(worst, (rel, f"{jid} {path}"))
+    failed = {jid: f"exit {o['status']} {o['error']}" for jid, o in sorted(old.items())
+              if o["status"] != 0}
+    print(json.dumps({"compared": len(old), "identical": identical,
+                      "outcome_mismatches": mismatches,
+                      "nonzero_exits_old": failed,
+                      "largest_relative_drift": worst[0],
+                      "largest_drift_at": worst[1]}, indent=1))
+    return 0 if identical == len(old) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
