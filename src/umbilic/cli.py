@@ -29,6 +29,15 @@ A run configuration is a JSON document:
       "output":   {"report": "report.json", "grid_dump": "r.csv"}
     }
 
+search and obstruction take a torus; invariant, umbilics and ph-audit a
+torus or a sphere (metric builtin fs); loewner any surface, which it
+ignores.  Integers (grid_n, seed, degree, order, mode_budget, trials,
+evaluations) are JSON integers, integral numbers (64.0) or integer strings
+("64"), never 64.9, "6.5" or true; other numbers are finite JSON numbers or
+numeric strings ("1e-7"); suppress_phi_harmonic is true or false; paths
+(metric.samples, output.report, output.grid_dump) are strings.
+:func:`parse_config` parses each value once; runners read only its inputs.
+
 Reports are JSON with a config echo, a deterministic results block, and a
 diagnostics block (wall time, resolution checks).  A failed index audit is
 still a completed computation (exit 0, failure recorded in the report);
@@ -84,138 +93,171 @@ EXIT_CODES = {
     DomainError: 9,
 }
 
-OPERATIONS = ("invariant", "umbilics", "ph-audit", "loewner", "search", "obstruction")
+# the surface kinds each operation accepts; loewner ignores its surface
+SURFACES = {
+    "invariant": ("torus", "sphere"),
+    "umbilics": ("torus", "sphere"),
+    "ph-audit": ("torus", "sphere"),
+    "loewner": ("torus", "sphere", "chart"),
+    "search": ("torus",),
+    "obstruction": ("torus",),
+}
+OPERATIONS = tuple(SURFACES)
 
 
 # --------------------------------------------------------------------------
-# config validation
+# config parsing
 # --------------------------------------------------------------------------
-
-def _fail(msg: str):
-    raise ConfigError(msg)
-
 
 def _require(cond, msg):
     if not cond:
-        _fail(msg)
+        raise ConfigError(msg)
 
 
 @contextmanager
 def _parsing():
-    """Report a malformed config value (a ValueError or TypeError raised
-    while parsing it or building inputs from it) as ConfigError, exit 2.
-    Usable as a decorator; numerical stages stay outside it."""
+    """Report a malformed config value (a ValueError, TypeError or
+    OverflowError raised while parsing it or building inputs from it) as
+    ConfigError, exit 2.  Usable as a decorator; numerical stages stay
+    outside it."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-@_parsing()
-def validate_config(cfg: dict) -> dict:
-    """Validate and normalize a run configuration; returns the echo form."""
-    _require(isinstance(cfg, dict), "config must be a JSON object")
-    for key in ("surface", "metric", "operation"):
-        _require(key in cfg, f"config needs a {key!r} entry")
-    surface = cfg["surface"]
-    _require(isinstance(surface, dict) and "kind" in surface, "surface needs a kind")
-    kind = surface["kind"]
-    if kind == "torus":
-        om = surface.get("omega")
-        _require(isinstance(om, (list, tuple)) and len(om) == 2,
-                 "torus surface needs omega: [re, im]")
-        _lattice(cfg)  # omega must be numeric with a nonzero imaginary part
-    elif kind == "sphere":
-        _require(int(surface.get("degree", 0)) >= 1, "sphere surface needs degree >= 1")
-        for p in surface.get("perturbations", []):
-            _require(isinstance(p, dict), "each perturbation must be an object")
-            _require(p.get("harmonic") in SPHERE_HARMONICS,
-                     f"unknown harmonic {p.get('harmonic')!r}")
-            float(p.get("epsilon", 0.0))
-    elif kind == "chart":
-        _require(float(surface.get("radius", 0.0)) > 0.0, "chart surface needs radius > 0")
-    else:
-        _fail(f"unknown surface kind {kind!r}")
-
-    metric = cfg["metric"]
-    _require(isinstance(metric, dict), "metric must be an object")
-    sources = [k for k in ("builtin", "modes", "samples") if k in metric]
-    _require(len(sources) == 1, "metric needs exactly one of builtin | modes | samples")
-    _require(isinstance(metric.get("modes", {}), dict), "metric modes must be an object")
-    _require(isinstance(metric.get("params", {}), dict), "metric params must be an object")
-    _require(isinstance(metric.get("samples", ""), str), "metric samples must be a file path")
-    _require(isinstance(cfg.get("output", {}), dict), "output must be an object")
-
-    op = cfg["operation"]
-    _require(op in OPERATIONS, f"operation must be one of {OPERATIONS}")
-
-    numeric = cfg.setdefault("numeric", {})
-    _require(isinstance(numeric, dict), "numeric must be an object")
-    grid_n = int(numeric.get("grid_n", 128))
-    _require(grid_n >= 64 and grid_n % 2 == 0, "grid_n must be even and >= 64")
-    numeric["grid_n"] = grid_n
-    numeric["seed"] = int(numeric.get("seed", 0))
-    tol = numeric.setdefault("tolerances", {})
-    _require(isinstance(tol, dict), "numeric.tolerances must be an object")
-    for name, val in tol.items():
-        _require(float(val) > 0.0, f"tolerance {name!r} must be positive")
-
-    if op == "loewner":
-        lw = cfg.get("loewner")
-        _require(isinstance(lw, dict) and isinstance(lw.get("g"), dict) and "order" in lw,
-                 "loewner operation needs loewner: {g: {...}, order}")
-        _require(isinstance(lw["g"].get("coeffs", {}), dict), "loewner g coeffs must be an object")
-        _require(isinstance(lw.get("normalization", {}), dict),
-                 "loewner normalization must be an object")
-        _require(int(lw["order"]) >= 2, "loewner order must be >= 2")
-    if op == "obstruction":
-        ob = cfg.get("obstruction")
-        _require(isinstance(ob, dict) and isinstance(ob.get("direction"), (list, tuple))
-                 and len(ob["direction"]) == 2, "obstruction needs direction: [alpha, beta]")
-        _require(any(float(x) != 0.0 for x in ob["direction"]),
-                 "obstruction direction must be nonzero")
-    if op == "search":
-        _require(kind == "torus", "search runs on a torus surface")
-        _require(isinstance(cfg.get("search", {}), dict), "search must be an object")
-    if op in ("invariant", "umbilics", "ph-audit", "obstruction", "search") and kind == "sphere":
-        _require(metric.get("builtin", "fs") == "fs",
-                 "sphere runs take their metric from the surface entry (builtin fs)")
-    return cfg
+def _int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
-def _parse_mode_key(key: str):
-    parts = key.split(",")
-    if len(parts) != 2:
-        _fail(f"mode key {key!r} must look like 'j,k'")
-    return int(parts[0]), int(parts[1])
-
-
-def _modes_from_config(modes_cfg: dict) -> dict:
-    out = {}
-    for key, val in modes_cfg.items():
-        j, k = _parse_mode_key(key)
-        _require(isinstance(val, (list, tuple)) and len(val) == 2,
-                 f"mode {key!r} must map to [re, im]")
-        out[(j, k)] = complex(float(val[0]), float(val[1]))
+def _float(value) -> float:
+    out = float(value)
+    if isinstance(value, bool) or not np.isfinite(out):
+        raise ValueError(f"{value!r} is not a finite number")
     return out
 
 
-def _lattice(cfg: dict) -> TorusLattice:
-    return TorusLattice(complex(*map(float, cfg["surface"]["omega"])))
+def _pair(value, what: str) -> tuple:
+    _require(isinstance(value, (list, tuple)) and len(value) == 2, f"{what} must be a pair [a, b]")
+    return _float(value[0]), _float(value[1])
+
+
+def _section(parent: dict, key: str) -> dict:
+    value = parent.get(key, {})
+    _require(isinstance(value, dict), f"{key} must be an object")
+    return value
+
+
+def _modes(section: dict) -> dict:
+    """{(j, k): complex} from {"j,k": [re, im]} entries."""
+    out = {}
+    for key, val in section.items():
+        parts = key.split(",")
+        _require(len(parts) == 2, f"mode key {key!r} must look like 'j,k'")
+        out[int(parts[0]), int(parts[1])] = complex(*_pair(val, f"mode {key!r}"))
+    return out
 
 
 @_parsing()
-def build_torus_potential(cfg: dict) -> TrigPotential:
-    lattice = _lattice(cfg)
-    metric = cfg["metric"]
-    if "builtin" in metric:
-        name = metric["builtin"]
-        params = metric.get("params", {})
-        _require(name == "constant", f"unknown torus builtin metric {name!r}")
-        pot = TrigPotential(lattice, {(0, 0): float(params.get("value", 0.0))})
-    elif "modes" in metric:
-        pot = TrigPotential.from_half_modes(lattice, _modes_from_config(metric["modes"]))
+def parse_config(cfg: dict) -> tuple:
+    """Parse a run configuration once into (echo, inputs).  The echo is the
+    config with integer numeric.grid_n and seed and the numeric defaults
+    filled in.  inputs holds grid_n, tolerances, grid_dump and what the
+    operation reads: potential (TrigPotential), sphere (degree,
+    [(harmonic, epsilon)]), loewner (g, order, LoewnerNormalization),
+    search (SearchConfig) and direction (SymmetryDirection)."""
+    _require(isinstance(cfg, dict), "config must be a JSON object")
+    for key in ("surface", "metric", "operation"):
+        _require(key in cfg, f"config needs a {key!r} entry")
+    op, surface, metric = cfg["operation"], cfg["surface"], cfg["metric"]
+    _require(op in SURFACES, f"operation must be one of {OPERATIONS}")
+
+    numeric = _section(cfg, "numeric")
+    grid_n, seed = _int(numeric.get("grid_n", 128)), _int(numeric.get("seed", 0))
+    _require(grid_n >= 64 and grid_n % 2 == 0, "grid_n must be even and >= 64")
+    tol = _section(numeric, "tolerances")
+    tolerances = {name: _float(val) for name, val in tol.items()}
+    _require(all(val > 0.0 for val in tolerances.values()), "tolerances must be positive")
+    echo = dict(cfg, numeric=dict(numeric, grid_n=grid_n, seed=seed, tolerances=tol))
+    output = _section(cfg, "output")
+    for key in ("report", "grid_dump"):
+        _require(isinstance(output.get(key, ""), str), f"output.{key} must be a file path")
+    inputs = {"grid_n": grid_n, "tolerances": tolerances,
+              "grid_dump": output.get("grid_dump", "")}
+
+    _require(isinstance(surface, dict), "surface must be an object")
+    kind = surface.get("kind")
+    _require(kind in SURFACES[op],
+             f"{op} runs on a {' or '.join(SURFACES[op])} surface, not {kind!r}")
+    _require(isinstance(metric, dict) and
+             sum(k in metric for k in ("builtin", "modes", "samples")) == 1,
+             "metric needs exactly one of builtin | modes | samples")
+    if kind == "torus":
+        lattice = TorusLattice(complex(*_pair(surface.get("omega"), "torus omega")))
+    elif kind == "sphere":
+        degree, perts = _int(surface.get("degree", 0)), surface.get("perturbations", [])
+        _require(degree >= 1, "sphere surface needs degree >= 1")
+        _require(isinstance(perts, list) and all(
+            isinstance(p, dict) and p.get("harmonic") in SPHERE_HARMONICS for p in perts),
+            f"sphere perturbations must be objects with a harmonic in {sorted(SPHERE_HARMONICS)}")
+        inputs["sphere"] = degree, [(p["harmonic"], _float(p.get("epsilon", 0.0))) for p in perts]
+        _require(op == "loewner" or metric.get("builtin") == "fs",
+                 "sphere runs take their metric from the surface entry (builtin fs)")
     else:
+        _require(_float(surface.get("radius", 0.0)) > 0.0, "chart surface needs radius > 0")
+
+    if op == "loewner":
+        inputs["loewner"] = _loewner_inputs(cfg.get("loewner"))
+    elif op == "search":
+        s = _section(cfg, "search")
+        inputs["search"] = SearchConfig(
+            lattice=lattice, mode_budget=_int(s.get("mode_budget", 3)),
+            trials=_int(s.get("trials", 4)), evaluations=_int(s.get("evaluations", 100)),
+            seed=seed, grid_n=grid_n, coeff_bound=_float(s.get("coeff_bound", 1.0)),
+            mode_filter=s.get("mode_filter", "all"))
+    elif kind == "torus":
+        inputs["potential"] = build_torus_potential(metric, lattice, grid_n)
+    if op == "obstruction":
+        direction = _pair(_section(cfg, "obstruction").get("direction"), "obstruction direction")
+        inputs["direction"] = SymmetryDirection(*direction)
+    return echo, inputs
+
+
+def _loewner_inputs(lw) -> tuple:
+    _require(isinstance(lw, dict) and isinstance(lw.get("g"), dict) and "order" in lw,
+             "loewner operation needs loewner: {g: {...}, order}")
+    order, gspec = _int(lw["order"]), lw["g"]
+    _require(order >= 2, "loewner order must be >= 2")
+    if "builtin" in gspec:
+        name = gspec["builtin"]
+        _require(name in ("zbar", "zero"), f"unknown builtin loewner g {name!r}")
+        g = (PowerSeries2(max(order - 2, 1), {(0, 1): 1.0}) if name == "zbar"
+             else PowerSeries2.zero(max(order - 2, 0)))
+    else:
+        coeffs = _modes(_section(gspec, "coeffs"))
+        g = PowerSeries2(max(order - 2, max((k + l for k, l in coeffs), default=0)), coeffs)
+    ncfg = _section(lw, "normalization")
+    diags = [ncfg.get("f_diag", []), ncfg.get("phi_diag", [])]
+    suppress = ncfg.get("suppress_phi_harmonic", True)
+    _require(all(isinstance(d, list) for d in diags) and isinstance(suppress, bool),
+             "f_diag and phi_diag must be lists, suppress_phi_harmonic true or false")
+    return g, order, LoewnerNormalization(*([_float(x) for x in d] for d in diags), suppress)
+
+
+def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> TrigPotential:
+    """The potential a torus metric entry describes; it must fit an
+    n = grid_n grid."""
+    if "builtin" in metric:
+        _require(metric["builtin"] == "constant",
+                 f"unknown torus builtin metric {metric['builtin']!r}")
+        value = _float(_section(metric, "params").get("value", 0.0))
+        pot = TrigPotential(lattice, {(0, 0): value})
+    elif "modes" in metric:
+        pot = TrigPotential.from_half_modes(lattice, _modes(_section(metric, "modes")))
+    else:
+        _require(isinstance(metric["samples"], str), "metric samples must be a file path")
         # tabulated samples: recover band-limited modes from a dumped grid
         field = load_grid(metric["samples"], lattice)
         C = np.fft.fft2(field.values) / field.n ** 2
@@ -227,9 +269,8 @@ def build_torus_potential(cfg: dict) -> TrigPotential:
                 if abs(c) > 1e-12:
                     modes[(j, k)] = complex(c)
         pot = TrigPotential(lattice, modes)
-    n = cfg["numeric"]["grid_n"]
-    _require(pot.mode_budget < n // 2,
-             f"mode budget {pot.mode_budget} does not fit on an n={n} grid")
+    _require(pot.mode_budget < grid_n // 2,
+             f"mode budget {pot.mode_budget} does not fit on an n={grid_n} grid")
     return pot
 
 
@@ -313,91 +354,43 @@ def _audit_dict(audit) -> dict:
     return out
 
 
-def _torus_field(cfg: dict):
-    pot = build_torus_potential(cfg)
-    return pot, pot.to_field(cfg["numeric"]["grid_n"])
-
-
-@_parsing()
-def _sphere_args(cfg: dict):
-    surf = cfg["surface"]
-    perts = [(p["harmonic"], float(p.get("epsilon", 0.0)))
-             for p in surf.get("perturbations", [])]
-    return int(surf["degree"]), perts
-
-
-def run_invariant(cfg: dict) -> dict:
-    kind = cfg["surface"]["kind"]
-    tol = cfg["numeric"]["tolerances"].get("cross_form", 1e-7)
-    if kind == "torus":
-        _, u = _torus_field(cfg)
-        forms = cartan_r_all_forms(u, tol=tol)
-        r = forms["p_form"].r
-        spherical = spherical_test(u, cfg["numeric"]["tolerances"].get("spherical", 1e-9))
-    elif kind == "sphere":
-        from .index import sphere_metric_potentials
-        degree, perts = _sphere_args(cfg)
-        u1, _ = sphere_metric_potentials(degree, perts, chart_radius=1.6,
-                                         chart_n=cfg["numeric"]["grid_n"])
-        r = cartan_r(u1, "p_form").r
-        spherical = spherical_test(u1, cfg["numeric"]["tolerances"].get("spherical", 1e-6),
-                                   region_radius=1.0)
-        u = u1
+def run_invariant(inp: dict) -> dict:
+    tol = inp["tolerances"]
+    if "potential" in inp:
+        u = inp["potential"].to_field(inp["grid_n"])
+        r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"].r
+        spherical = spherical_test(u, tol.get("spherical", 1e-9))
     else:
-        _fail("invariant on a bare chart needs a torus or sphere surface")
+        from .index import sphere_metric_potentials
+        u, _ = sphere_metric_potentials(*inp["sphere"], chart_radius=1.6, chart_n=inp["grid_n"])
+        r = cartan_r(u, "p_form").r
+        spherical = spherical_test(u, tol.get("spherical", 1e-6), region_radius=1.0)
     result = {
         "form": "p_form",
         "r_sup_norm": r.sup_norm(),
         "r_min_modulus": r.min_modulus(),
         "spherical": bool(spherical),
-        "grid_n": cfg["numeric"]["grid_n"],
+        "grid_n": inp["grid_n"],
     }
     return {"results": result, "dump_field": r}
 
 
-def run_umbilics(cfg: dict) -> dict:
-    kind = cfg["surface"]["kind"]
+def run_umbilics(inp: dict) -> dict:
     extra = {}
-    if kind == "torus":
-        _, u = _torus_field(cfg)
-        records, audit, clusters = torus_umbilics(u)
-    elif kind == "sphere":
-        degree, perts = _sphere_args(cfg)
-        # sphere charts never run below n = 128; diagnostics record the n used
-        extra["chart_n"] = max(cfg["numeric"]["grid_n"], 128)
-        records, audit = sphere_two_chart_umbilics(degree, perts, chart_n=extra["chart_n"])
+    if "potential" in inp:
+        records, audit, _ = torus_umbilics(inp["potential"].to_field(inp["grid_n"]))
     else:
-        _fail("umbilics needs a torus or sphere surface")
+        # sphere charts never run below n = 128; diagnostics record the n used
+        extra["chart_n"] = max(inp["grid_n"], 128)
+        records, audit = sphere_two_chart_umbilics(*inp["sphere"], chart_n=extra["chart_n"])
     return {"results": {
         "records": [_record_dict(r) for r in records],
         "audit": _audit_dict(audit),
     }, "diagnostics_extra": extra}
 
 
-def run_loewner(cfg: dict) -> dict:
-    lw = cfg["loewner"]
-    order = int(lw["order"])
-    with _parsing():
-        gspec = lw["g"]
-        if "builtin" in gspec:
-            name = gspec["builtin"]
-            if name == "zbar":
-                g = PowerSeries2(max(order - 2, 1), {(0, 1): 1.0})
-            elif name == "zero":
-                g = PowerSeries2.zero(max(order - 2, 0))
-            else:
-                _fail(f"unknown builtin loewner g {name!r}")
-        else:
-            coeffs = {}
-            for key, val in gspec.get("coeffs", {}).items():
-                k, l = _parse_mode_key(key)
-                coeffs[(k, l)] = complex(float(val[0]), float(val[1]))
-            g = PowerSeries2(max(order - 2, max((k + l for k, l in coeffs), default=0)), coeffs)
-        ncfg = lw.get("normalization", {})
-        norm = LoewnerNormalization(
-            f_diag=list(map(float, ncfg.get("f_diag", []))),
-            phi_diag=list(map(float, ncfg.get("phi_diag", []))),
-            suppress_phi_harmonic=bool(ncfg.get("suppress_phi_harmonic", True)))
+def run_loewner(inp: dict) -> dict:
+    g, order, norm = inp["loewner"]
     sol = loewner_solve(g, order, norm)
     return {"results": {
         "order": sol.order,
@@ -409,28 +402,15 @@ def run_loewner(cfg: dict) -> dict:
     }, "diagnostics_extra": {"normalization_ignored": norm.ignored(order)}}
 
 
-def run_search(cfg: dict) -> dict:
-    s = cfg.get("search", {})
-    with _parsing():
-        config = SearchConfig(
-            lattice=_lattice(cfg),
-            mode_budget=int(s.get("mode_budget", 3)),
-            trials=int(s.get("trials", 4)),
-            evaluations=int(s.get("evaluations", 100)),
-            seed=cfg["numeric"]["seed"],
-            grid_n=cfg["numeric"]["grid_n"],
-            coeff_bound=float(s.get("coeff_bound", 1.0)),
-            mode_filter=s.get("mode_filter", "all"))
-    report = torus_search(config)
+def run_search(inp: dict) -> dict:
+    report = torus_search(inp["search"])
     return {"results": report.results_payload(),
             "diagnostics_extra": {"wall_time_s": report.wall_time}}
 
 
-def run_obstruction(cfg: dict) -> dict:
-    pot = build_torus_potential(cfg)
-    a, b = map(float, cfg["obstruction"]["direction"])
-    rep = symmetric_obstruction_check(pot, SymmetryDirection(a, b),
-                                      grid_n=cfg["numeric"]["grid_n"])
+def run_obstruction(inp: dict) -> dict:
+    pot = inp["potential"]
+    rep = symmetric_obstruction_check(pot, inp["direction"], grid_n=inp["grid_n"])
     return {"results": {
         "direction": [rep.direction.alpha, rep.direction.beta],
         "zeros_found": rep.zeros_found,
@@ -457,22 +437,21 @@ _RUNNERS = {
 
 
 def run(cfg: dict) -> dict:
-    """Dispatch a validated config and assemble the report."""
-    cfg = validate_config(cfg)
+    """Parse a config, run its operation and assemble the report."""
     t0 = time.monotonic()
-    out = _RUNNERS[cfg["operation"]](cfg)
+    echo, inputs = parse_config(cfg)
+    out = _RUNNERS[echo["operation"]](inputs)
     wall = time.monotonic() - t0
     report = {
         "version": __version__,
-        "config": cfg,
+        "config": echo,
         "results": out["results"],
         "diagnostics": {"wall_time_s": wall},
     }
     report["diagnostics"].update(out.get("diagnostics_extra", {}))
-    dump_path = cfg.get("output", {}).get("grid_dump")
-    if dump_path and "dump_field" in out:
-        dump_grid(out["dump_field"], dump_path)
-        report["diagnostics"]["grid_dump"] = dump_path
+    if inputs["grid_dump"] and "dump_field" in out:
+        dump_grid(out["dump_field"], inputs["grid_dump"])
+        report["diagnostics"]["grid_dump"] = inputs["grid_dump"]
     return report
 
 
@@ -549,7 +528,7 @@ def _emit_error(exc: UmbilicError, cfg):
     }
     print(json.dumps(obj, indent=2, sort_keys=True), file=sys.stderr)
     out_path = (cfg or {}).get("output", {}).get("report")
-    if out_path:
+    if out_path and isinstance(out_path, str):
         try:
             with open(out_path, "w") as fh:
                 fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

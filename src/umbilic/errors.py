@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit.
 
-Every class below maps to a distinct nonzero exit status in the command
-line front end (see :mod:`umbilic.cli`), so keep the hierarchy flat and
-the names stable.
+Every class below maps to a nonzero exit status in the command line front
+end (see :mod:`umbilic.cli`); exit 7 is shared by PhaseStepTooLarge,
+ZeroOnContour, CrossFormMismatch and TransitionSingular, every other class
+has its own.  Keep the hierarchy flat and the names stable.
 """
 
 

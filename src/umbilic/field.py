@@ -361,9 +361,6 @@ class PeriodicField(_SampledField):
         S, T = np.meshgrid(s, s, indexing="ij")
         return self.lattice.st_to_z(S, T)
 
-    def spectrum(self) -> np.ndarray:
-        return np.fft.fft2(self.values)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 

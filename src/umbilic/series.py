@@ -61,10 +61,6 @@ class PowerSeries2:
         c = complex(c)
         return cls(max_degree, {(0, 0): c}, real_tag=(c.imag == 0.0))
 
-    @classmethod
-    def monomial(cls, k: int, l: int, c: complex, max_degree: int) -> "PowerSeries2":
-        return cls(max_degree, {(k, l): c}, real_tag=(k == l and complex(c).imag == 0.0))
-
     # -- access ---------------------------------------------------------------
 
     def coeff(self, k: int, l: int) -> complex:

@@ -334,8 +334,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode_filter not in ("all", "s_only"):
             raise ValueError(f"unknown mode filter {self.mode_filter!r}")
-        if self.trials < 1 or self.mode_budget < 1:
-            raise ValueError("a search needs trials >= 1 and mode_budget >= 1")
+        if (min(self.trials, self.mode_budget, self.evaluations) < 1 or not self.coeff_bound > 0
+                or self.mode_budget >= self.grid_n // 2):
+            raise ValueError("a search needs trials, mode_budget and evaluations >= 1, "
+                             "coeff_bound > 0 and mode_budget < grid_n / 2")
 
     def mode_list(self):
         B = self.mode_budget

@@ -1,9 +1,13 @@
+import copy
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from umbilic.cli import (dump_grid, load_grid, main, run, validate_config)
+from umbilic.cli import dump_grid, load_grid, main, parse_config, run
 from umbilic.errors import ConfigError
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 
@@ -29,44 +33,44 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 
 class TestConfigValidation:
     def test_good_config(self):
-        assert validate_config(torus_cfg())["numeric"]["grid_n"] == 128
+        assert parse_config(torus_cfg())[0]["numeric"]["grid_n"] == 128
 
     def test_missing_surface(self):
         with pytest.raises(ConfigError):
-            validate_config({"metric": {}, "operation": "invariant"})
+            parse_config({"metric": {}, "operation": "invariant"})
 
     def test_unknown_surface(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(surface={"kind": "cube"}))
+            parse_config(torus_cfg(surface={"kind": "cube"}))
 
     def test_unknown_operation(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(operation="explode"))
+            parse_config(torus_cfg(operation="explode"))
 
     def test_two_metric_sources(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(metric={"builtin": "constant", "modes": {}}))
+            parse_config(torus_cfg(metric={"builtin": "constant", "modes": {}}))
 
     def test_odd_grid(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(numeric={"grid_n": 127}))
+            parse_config(torus_cfg(numeric={"grid_n": 127}))
 
     def test_small_grid(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(numeric={"grid_n": 32}))
+            parse_config(torus_cfg(numeric={"grid_n": 32}))
 
     def test_nonpositive_tolerance(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(numeric={"grid_n": 128,
-                                               "tolerances": {"spherical": -1.0}}))
+            parse_config(torus_cfg(numeric={"grid_n": 128,
+                                            "tolerances": {"spherical": -1.0}}))
 
     def test_real_omega_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(torus_cfg(surface={"kind": "torus", "omega": [1.0, 0.0]}))
+            parse_config(torus_cfg(surface={"kind": "torus", "omega": [1.0, 0.0]}))
 
     def test_echo_revalidates(self):
-        echo = validate_config(torus_cfg())
-        assert validate_config(json.loads(json.dumps(echo))) == echo
+        echo, _ = parse_config(torus_cfg())
+        assert parse_config(json.loads(json.dumps(echo)))[0] == echo
 
 
 class TestRunners:
@@ -224,18 +228,63 @@ class TestMainAndExitCodes:
         torus_cfg(operation="search", numeric={"grid_n": 64}, search={"mode_budget": 0}),
         torus_cfg(metric={"samples": 3}),
         torus_cfg(metric={"samples": True}),
+        {"surface": {"kind": "sphere", "degree": 2}, "metric": {"builtin": "fs"},
+         "operation": "obstruction", "obstruction": {"direction": [0.0, 1.0]}},
+        {"surface": {"kind": "chart", "radius": 1.0}, "metric": {"builtin": "constant"},
+         "operation": "obstruction", "obstruction": {"direction": [0.0, 1.0]}},
+        torus_cfg(operation="loewner", loewner={"g": {"coeffs": {"0,1": [1.0]}}, "order": 8}),
+        # a high descriptor number: an integer path must never be opened
+        torus_cfg(output={"report": 987}),
+        torus_cfg(output={"grid_dump": 987}),
+        torus_cfg(operation="loewner", loewner={
+            "g": {"builtin": "zbar"}, "order": 8,
+            "normalization": {"suppress_phi_harmonic": "false"}}),
+        torus_cfg(numeric={"grid_n": 64.9}),
+        torus_cfg(operation="loewner", loewner={"g": {"builtin": "zbar"}, "order": 6.5}),
+        torus_cfg(surface={"kind": "torus", "omega": [10 ** 400, 1]}),
+        torus_cfg(operation="search", numeric={"grid_n": 64},
+                  search={"mode_budget": 1, "trials": 1, "evaluations": 0}),
+        torus_cfg(operation="search", numeric={"grid_n": 64},
+                  search={"mode_budget": 1, "trials": 1, "evaluations": 2, "coeff_bound": -1}),
+        torus_cfg(operation="search", numeric={"grid_n": 64},
+                  search={"mode_budget": 40, "trials": 1, "evaluations": 2}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
             "loewner_normalization_list", "metric_params_list", "output_string",
             "search_trials_0", "search_trials_negative", "search_mode_budget_0",
-            "samples_int", "samples_bool"])
+            "samples_int", "samples_bool", "obstruction_sphere", "obstruction_chart",
+            "loewner_coeff_short", "report_int", "grid_dump_int", "suppress_string",
+            "grid_n_fraction", "loewner_order_fraction", "omega_huge",
+            "search_evaluations_0", "search_coeff_bound_negative",
+            "search_mode_budget_too_high"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, cfg):
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)  # exactly one JSON object
         assert err["error"]["code"] == "ConfigError"
         assert err["error"]["exit_status"] == 2
+
+    def test_error_not_written_to_integer_report(self, tmp_path, capsys):
+        read_fd, write_fd = os.pipe()
+        os.set_blocking(read_fd, False)
+        try:
+            cfg = torus_cfg(numeric={"grid_n": 127}, output={"report": write_fd})
+            assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 2
+            with pytest.raises(BlockingIOError):  # nothing reached the descriptor
+                os.read(read_fd, 1)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        capsys.readouterr()
+
+    def test_numeric_string_tolerance(self):
+        modes = {"modes": {"1,0": [0.15, 0.0], "0,1": [0.0, -0.1]}}
+        as_text = torus_cfg(metric=modes, numeric={
+            "grid_n": 128, "tolerances": {"cross_form": "1e-7", "spherical": "1e-9"}})
+        as_number = torus_cfg(metric=modes, numeric={
+            "grid_n": 128, "tolerances": {"cross_form": 1e-7, "spherical": 1e-9}})
+        assert run(as_text)["results"] == run(as_number)["results"]
 
     def test_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -286,8 +335,7 @@ class TestGridDump:
     def test_samples_metric_roundtrip(self, tmp_path):
         # dump a potential and feed it back through the samples metric source
         pot_cfg = torus_cfg(metric={"modes": {"1,0": [0.15, 0.0], "1,1": [0.0, 0.05]}})
-        from umbilic.cli import build_torus_potential
-        pot = build_torus_potential(pot_cfg)
+        pot = parse_config(pot_cfg)[1]["potential"]
         field = pot.to_field(128)
         path = tmp_path / "u.csv"
         dump_grid(field, str(path))
@@ -296,3 +344,63 @@ class TestGridDump:
         direct = run(pot_cfg)
         assert report["results"]["r_sup_norm"] == pytest.approx(
             direct["results"]["r_sup_norm"], rel=1e-9)
+
+
+# one valid config per operation and surface kind; parse_config never runs them
+FUZZ_BASES = [
+    torus_cfg(metric={"modes": {"1,0": [0.15, 0.0], "0,1": [0.0, -0.1]}},
+              numeric={"grid_n": 64, "seed": 1, "tolerances": {"cross_form": 1e-7}},
+              output={"report": "r.json", "grid_dump": "r.csv"}),
+    {"surface": {"kind": "sphere", "degree": 2,
+                 "perturbations": [{"harmonic": "re_z", "epsilon": 0.05}]},
+     "metric": {"builtin": "fs"}, "operation": "umbilics", "numeric": {"grid_n": 128}},
+    torus_cfg(operation="ph-audit", metric={"builtin": "constant", "params": {"value": 0.5}}),
+    {"surface": {"kind": "chart", "radius": 1.0}, "metric": {"builtin": "constant"},
+     "operation": "loewner",
+     "loewner": {"g": {"coeffs": {"0,1": [1.0, 0.0], "2,1": [0.5, -0.5]}}, "order": 8,
+                 "normalization": {"f_diag": [0.1], "phi_diag": [0.2],
+                                   "suppress_phi_harmonic": False}}},
+    torus_cfg(operation="loewner", loewner={"g": {"builtin": "zbar"}, "order": 6}),
+    torus_cfg(operation="search", numeric={"grid_n": 64, "seed": 3},
+              search={"mode_budget": 2, "trials": 1, "evaluations": 10,
+                      "coeff_bound": 0.5, "mode_filter": "s_only"}),
+    torus_cfg(operation="obstruction", metric={"modes": {"1,0": [0.2, 0.0]}},
+              obstruction={"direction": [0.0, 1.0]}),
+]
+
+# huge integers, non-finite floats and text that reads as a number or a name
+EDGE_VALUES = st.sampled_from([
+    10 ** 400, -10 ** 400, 2 ** 64, float("inf"), float("nan"), 0, -1, 64.9, "1e-7", "64",
+    "6.5", "false", "inf", "nan", "0,1", "torus", "sphere", "chart", "fs", "zbar", "constant"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | EDGE_VALUES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "omega", "degree", "builtin", "modes", "value",
+                         "g", "order", "coeffs", "direction"]) | st.text(max_size=6),
+        inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every key path below node, leaves and sections alike."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_parse_returns_or_raises_config_error(self, data):
+        cfg = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+        path = data.draw(st.sampled_from(list(_paths(cfg))))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(EDGE_VALUES | JSON_VALUES)
+        try:
+            parse_config(cfg)
+        except ConfigError:
+            pass

@@ -6,15 +6,17 @@ OLD_SRC and NEW_SRC are directories holding an ``umbilic`` package (the
 ``src/`` of two checkouts).  Every config of ``perfbench.workloads.pool(w)``,
 for each workload, goes through ``umbilic.cli.main`` once per tree, each tree
 in its own interpreter.  The report gives the number of configs compared,
-how many have byte-identical ``results`` blocks as sorted-key JSON, every
-exit-status or error-code mismatch, and the largest relative drift over the
-numeric leaves of the ``results`` blocks that differ.  The exit status is 0
-when every config is identical, else 1.
+how many have byte-identical ``results`` blocks and ``config`` echoes as
+sorted-key JSON, every exit-status or error-code mismatch, every config
+whose echo differs, and the largest relative drift over the numeric leaves
+of the ``results`` blocks that differ.  The exit status is 0 when every
+config's results and echo are identical, else 1.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -30,13 +32,15 @@ from worker import run_job  # noqa: E402
 
 def run_tree(src: Path, out: Path):
     """Child process: run every pool config on the umbilic package in src."""
-    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(src.resolve()))
     import umbilic.cli as cli
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise ImportError(f"umbilic was imported from {cli.__file__}, not from {src}")
     outcomes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path, report_path = Path(tmp) / "cfg.json", Path(tmp) / "report.json"
+        # relative paths: the report path is echoed, and must match across trees
+        os.chdir(tmp)
+        cfg_path, report_path = Path("cfg.json"), Path("report.json")
         for workload in workloads.WORKLOADS:
             for jid, cfg in sorted(workloads.pool(workload).items()):
                 cfg_path.write_text(json.dumps(cfg))
@@ -44,6 +48,7 @@ def run_tree(src: Path, out: Path):
                                                      cfg_path, report_path)
                 outcomes[jid] = {"status": status, "escaped": escaped,
                                  "results": report.get("results"),
+                                 "config": report.get("config"),
                                  "error": report.get("error", {}).get("code")}
     out.write_text(json.dumps(outcomes))
 
@@ -97,6 +102,8 @@ def main(argv=None) -> int:
         old, new = (json.loads(out.read_text()) for out in outs)
 
     identical, mismatches, worst = 0, [], (0.0, "")
+    echo_mismatches = [jid for jid in sorted(old) if json.dumps(old[jid]["config"], sort_keys=True)
+                       != json.dumps(new[jid]["config"], sort_keys=True)]
     for jid in sorted(old):
         a, b = old[jid], new[jid]
         if (a["status"], a["error"], a["escaped"]) != (b["status"], b["error"], b["escaped"]):
@@ -111,10 +118,12 @@ def main(argv=None) -> int:
               if o["status"] != 0}
     print(json.dumps({"compared": len(old), "identical": identical,
                       "outcome_mismatches": mismatches,
+                      "config_identical": len(old) - len(echo_mismatches),
+                      "config_mismatches": echo_mismatches,
                       "nonzero_exits_old": failed,
                       "largest_relative_drift": worst[0],
                       "largest_drift_at": worst[1]}, indent=1))
-    return 0 if identical == len(old) else 1
+    return 0 if identical == len(old) and not echo_mismatches else 1
 
 
 if __name__ == "__main__":
