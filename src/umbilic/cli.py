@@ -39,12 +39,13 @@ numeric strings ("1e-7"); suppress_phi_harmonic is true or false; paths
 :func:`parse_config` parses each value once; runners read only its inputs.
 
 Reports are JSON with a config echo, a deterministic results block, and a
-diagnostics block (wall time, resolution checks).  A failed index audit is
+diagnostics block (wall time, resolution checks, clusters of winding 0 that
+umbilics and ph-audit dropped).  A failed index audit is
 still a completed computation (exit 0, failure recorded in the report);
 configuration and numerical faults exit nonzero with a machine-readable
 error object:
 
-    exit 2  configuration invalid
+    exit 2  configuration invalid, or an output path cannot be written
     exit 3  metric not strictly pseudoconvex
     exit 4  totally degenerate input (locally spherical)
     exit 5  linear solve failed
@@ -383,6 +384,8 @@ def run_umbilics(inp: dict) -> dict:
         # sphere charts never run below n = 128; diagnostics record the n used
         extra["chart_n"] = max(inp["grid_n"], 128)
         records, audit = sphere_two_chart_umbilics(*inp["sphere"], chart_n=extra["chart_n"])
+    # clusters of winding 0 give no record; they may be merged zero pairs
+    extra["dropped_clusters"] = audit.details["dropped_clusters"]
     return {"results": {
         "records": [_record_dict(r) for r in records],
         "audit": _audit_dict(audit),
@@ -450,7 +453,10 @@ def run(cfg: dict) -> dict:
     }
     report["diagnostics"].update(out.get("diagnostics_extra", {}))
     if inputs["grid_dump"] and "dump_field" in out:
-        dump_grid(out["dump_field"], inputs["grid_dump"])
+        try:
+            dump_grid(out["dump_field"], inputs["grid_dump"])
+        except OSError as exc:
+            raise ConfigError(f"cannot write grid dump: {exc}") from exc
         report["diagnostics"]["grid_dump"] = inputs["grid_dump"]
     return report
 
@@ -512,8 +518,12 @@ def main(argv=None) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     out_path = cfg.get("output", {}).get("report")
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            _emit_error(ConfigError(f"cannot write report: {exc}"), cfg)
+            return 2
     print(text)
     return 0
 

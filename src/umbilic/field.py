@@ -416,7 +416,13 @@ class PeriodicField(_SampledField):
     # -- evaluation off the grid --------------------------------------------
 
     def evaluate_st(self, s, t) -> np.ndarray:
-        """Evaluate the trigonometric interpolant at arbitrary (s, t)."""
+        """Evaluate the trigonometric interpolant at arbitrary (s, t).
+
+        Point p is the row sum of ``(Es @ E) * Et``: one matrix product per
+        batch and no contraction planning, so a single point costs little
+        more than a short batch.  At grid nodes the result equals ``values``
+        to rounding, which is why zero-curve refinement takes the endpoint
+        values of grid edges from the samples."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         n = self.n
@@ -426,7 +432,7 @@ class PeriodicField(_SampledField):
         freqs = np.arange(-(n // 2), n // 2 + 1)
         Es = np.exp(2j * np.pi * np.outer(s, freqs))
         Et = np.exp(2j * np.pi * np.outer(t, freqs))
-        return np.einsum("pj,jk,pk->p", Es, E, Et, optimize=True)
+        return ((Es @ E) * Et).sum(1)
 
     def evaluate_at(self, z) -> np.ndarray:
         """Evaluate the interpolant at complex points (periodic in the lattice)."""

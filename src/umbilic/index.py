@@ -20,6 +20,14 @@ such zeros carry no winding, so cells are also flagged when edge refinement
 runs into an unresolvable phase jump of ~pi (a sign crossing) or into the
 zero floor.  Clusters of the second kind are reported with kind "curve" and
 winding None.
+
+Edge refinement is level-synchronous: every segment of every edge that
+still needs bisection is split at the same level, and the midpoints of one
+level go to the interpolant in one batched evaluation, so refining the
+edges of all flagged cells takes at most max_depth evaluation calls.  Edge
+endpoints are grid nodes, and their values are the samples themselves (the
+interpolant reproduces them to rounding), the same values the cell pass
+used to flag the edge.
 """
 
 from __future__ import annotations
@@ -192,46 +200,70 @@ def winding_degree(loop_values, zero_floor: float | None = None) -> int:
 # edge refinement
 # --------------------------------------------------------------------------
 
-class _EdgeCrossing(Exception):
-    """Internal: an edge runs through (or indistinguishably close to) the
-    zero set; carries the parameter of the closest approach."""
+def _refine_edges(geom, keys, floor, max_depth):
+    """Accumulate wrapped phase increments along grid edges, all edges at once.
 
-    def __init__(self, p, modulus):
-        self.p = float(p)
-        self.modulus = float(modulus)
-        super().__init__(f"crossing near p={p:.6f}, |f|={modulus:.3e}")
+    keys are edges ``(kind, i, j)`` in grid indices (see
+    :meth:`_Geometry.edge_line`).  Endpoint values are the grid samples the
+    cell pass classified.  Segments whose phase step is pi/2 or larger are
+    bisected level by level, and the midpoints of one level, over all
+    edges, go to the field in one ``evaluate_st`` call.  A sample at the
+    zero floor, or a near-pi jump left on a segment of length
+    2^-max_depth, is a crossing; a smaller unresolved jump is a phase-step
+    failure.  Of several such events on one edge the one on the leftmost
+    segment counts (segments starting right of it are no longer split),
+    and the phase steps of an edge without one are summed left to right.
 
-
-def _refine_edge(eval_line, v0, v1, floor, max_depth=12):
-    """Accumulate wrapped phase increments along one straight edge.
-
-    eval_line maps parameters in [0,1] to field values.  Segments whose
-    phase step is pi/2 or larger are bisected; a persistent near-pi jump on
-    a tiny segment, or a sample at the zero floor, raises _EdgeCrossing.
-    Returns the total phase increment.
+    Returns {key: ("ok", total) | ("crossing", (p, modulus)) |
+    ("step", PhaseStepTooLarge message)}.
     """
-    min_len = 0.5 ** max_depth
-    total = 0.0
-    stack = [(0.0, 1.0, v0, v1)]
-    while stack:
-        pa, pb, va, vb = stack.pop()
-        ma, mb = abs(va), abs(vb)
-        if min(ma, mb) <= floor:
-            raise _EdgeCrossing(pa if ma <= mb else pb, min(ma, mb))
-        step = float(_wrap(np.angle(vb) - np.angle(va)))
-        if abs(step) < _STEP_LIMIT:
-            total += step
-            continue
-        if pb - pa <= min_len:
-            if abs(step) >= _CROSSING_STEP:
-                raise _EdgeCrossing(0.5 * (pa + pb), min(ma, mb))
-            raise PhaseStepTooLarge(
-                f"edge phase step {step:.3f} unresolved at depth {max_depth}")
+    corners = ([(i, j) for _, i, j in keys], [_far_corner(*key) for key in keys])
+    st0, st1 = (np.array([geom.corner_st(*c) for c in cs], dtype=float).reshape(-1, 2)
+                for cs in corners)
+    dst = st1 - st0
+    va, vb = (np.array([geom.field.values[geom.wrap(*c)] for c in cs], dtype=complex)
+              for cs in corners)
+    edge = np.arange(len(keys))
+    pa, pb = np.zeros(len(keys)), np.ones(len(keys))
+    event_start = np.full(len(keys), np.inf)
+    events = {}
+    leaves = []
+    for depth in range(max_depth + 1):
+        ma, mb = np.abs(va), np.abs(vb)
+        low = np.minimum(ma, mb)
+        step = _wrap(np.angle(vb) - np.angle(va))
+        at_floor = low <= floor
+        ok = ~at_floor & (np.abs(step) < _STEP_LIMIT)
+        big = ~at_floor & ~ok
+        leaves.append((edge[ok], pa[ok], step[ok]))
+        last = depth == max_depth
+        for k in np.flatnonzero(at_floor | big if last else at_floor):
+            e = int(edge[k])
+            if pa[k] >= event_start[e]:
+                continue
+            event_start[e] = pa[k]
+            if at_floor[k]:
+                events[e] = ("crossing", (float(pa[k] if ma[k] <= mb[k] else pb[k]),
+                                          float(low[k])))
+            elif abs(step[k]) >= _CROSSING_STEP:
+                events[e] = ("crossing", (float(0.5 * (pa[k] + pb[k])), float(low[k])))
+            else:
+                events[e] = ("step", f"edge phase step {step[k]:.3f} unresolved "
+                                     f"at depth {max_depth}")
+        split = big & (pa < event_start[edge])
+        if last or not split.any():
+            break
+        edge, pa, pb, va, vb = edge[split], pa[split], pb[split], va[split], vb[split]
         pm = 0.5 * (pa + pb)
-        vm = complex(eval_line(np.array([pm]))[0])
-        stack.append((pm, pb, vm, vb))
-        stack.append((pa, pm, va, vm))
-    return total
+        vm = geom.field.evaluate_st(st0[edge, 0] + pm * dst[edge, 0],
+                                    st0[edge, 1] + pm * dst[edge, 1])
+        edge, pa, pb = (np.concatenate(pair) for pair in ((edge, edge), (pa, pm), (pm, pb)))
+        va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
+    totals = [0.0] * len(keys)
+    e_ok, p_ok, s_ok = (np.concatenate(parts) for parts in zip(*leaves))
+    for k in np.lexsort((p_ok, e_ok)):
+        totals[e_ok[k]] += float(s_ok[k])
+    return {key: events.get(e, ("ok", totals[e])) for e, key in enumerate(keys)}
 
 
 def _edge_min_modulus(eval_line, lo=0.0, hi=1.0, iters=80):
@@ -299,10 +331,7 @@ class _Geometry:
         """Callable p in [0,1] -> field values along the edge starting at
         corner (i, j) toward +axis0 (kind 'h') or +axis1 (kind 'v')."""
         a0, b0 = self.corner_st(i, j)
-        if kind == "h":
-            a1, b1 = self.corner_st(i + 1, j)
-        else:
-            a1, b1 = self.corner_st(i, j + 1)
+        a1, b1 = self.corner_st(*_far_corner(kind, i, j))
         da, db = a1 - a0, b1 - b0
         f = self.field
 
@@ -311,6 +340,11 @@ class _Geometry:
             return f.evaluate_st(a0 + p * da, b0 + p * db)
 
         return line
+
+
+def _far_corner(kind, i, j):
+    """End corner of the edge of the given kind starting at corner (i, j)."""
+    return (i + 1, j) if kind == "h" else (i, j + 1)
 
 
 def _box_edges(i0, i1, j0, j1):
@@ -377,25 +411,25 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
     windings = np.where(cell_ok, np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
     windings[cell_bad] = 0
 
-    # refine edges of bad cells; share results between adjacent cells
+    # refine edges of bad cells, all of them at once; adjacent cells share
+    # results through the cache
     edge_cache: dict = {}
 
-    def refined_edge(kind, i, j):
-        key = (kind, *geom.wrap(i, j))
-        if key in edge_cache:
-            return edge_cache[key]
-        line = geom.edge_line(*key)
-        v0 = complex(line(np.array([0.0]))[0])
-        v1 = complex(line(np.array([1.0]))[0])
-        try:
-            res = ("ok", _refine_edge(line, v0, v1, floor, max_depth=max_depth))
-        except _EdgeCrossing as xc:
-            res = ("crossing", (xc.p, xc.modulus))
-        edge_cache[key] = res
-        return res
+    def refine(edges):
+        keys = dict.fromkeys((kind, *geom.wrap(i, j)) for (kind, i, j), _ in edges)
+        edge_cache.update(_refine_edges(
+            geom, [key for key in keys if key not in edge_cache], floor, max_depth))
 
+    def refined_edge(kind, i, j):
+        status, payload = edge_cache[(kind, *geom.wrap(i, j))]
+        if status == "step":
+            raise PhaseStepTooLarge(payload)
+        return status, payload
+
+    bad_cells = [tuple(c) for c in np.argwhere(cell_bad)]
+    refine(e for i, j in bad_cells for e in _box_edges(i, i, j, j))
     crossing_cells: dict = {}
-    for i, j in map(tuple, np.argwhere(cell_bad)):
+    for i, j in bad_cells:
         total = 0.0
         crossing = []
         for edge, sign in _box_edges(i, i, j, j):
@@ -433,6 +467,7 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
         if any(geom.wrap(i, j) in flagged and geom.wrap(i, j) not in own
                for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)):
             return None
+        refine(_box_edges(i0, i1, j0, j1))
         total = 0.0
         try:
             for edge, sign in _box_edges(i0, i1, j0, j1):
@@ -688,6 +723,7 @@ def torus_umbilics(u: PeriodicField, *, form: str = "p_form",
     n = u.n
     cell_dz = (1.0 + abs(lattice.omega)) / n
     records = []
+    dropped = []
     sup = r.sup_norm()
     refined = [_refine_zero(r, c.center, 0.5 / n,
                             max_move=0.75 * _cluster_extent(c, cell_dz) + 1.25 * cell_dz)
@@ -699,6 +735,7 @@ def torus_umbilics(u: PeriodicField, *, form: str = "p_form",
         # isolated from its neighbors
         twice = -c.winding
         if twice == 0:
+            dropped.append(_dropped_entry(c))
             continue
         base = max(2.5 * cell_dz, 1.25 * _cluster_extent(c, cell_dz))
         sep = min((lattice.torus_distance(z0, refined[k][0])
@@ -710,7 +747,15 @@ def torus_umbilics(u: PeriodicField, *, form: str = "p_form",
                                      residual=resid / sup,
                                      chart_id="torus", contour_radius=radius))
     audit = poincare_hopf_audit(records, SurfaceSpec.torus(lattice))
+    audit.details["dropped_clusters"] = dropped
     return records, audit, clusters
+
+
+def _dropped_entry(c: ZeroCluster) -> dict:
+    """Audit entry for a cluster of winding 0, which gives no record: it may
+    be a merged pair of opposite-index zeros."""
+    return {"chart": c.chart_id, "center": [c.center.real, c.center.imag],
+            "cells": c.size}
 
 
 def _cross_check_index(r, z0, radius, twice, zero_floor_rel, sup, isolated):
@@ -817,6 +862,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
 
     # refine and index every cluster in its own chart
     entries = []
+    dropped = []
     for cid, (r, clusters) in charts.items():
         sup = r.sup_norm(locate_radius)
         h = 2.0 * chart_radius / (chart_n - 1)
@@ -828,6 +874,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
                                      max_move=0.75 * _cluster_extent(c, h) + 1.25 * h)
             twice = -c.winding
             if twice == 0:
+                dropped.append(_dropped_entry(c))
                 continue
             others = [o for o in clusters if o is not c]
             sep = min((abs(z0 - o.center) for o in others), default=np.inf)
@@ -887,4 +934,5 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
     audit.details["chart_stability"] = stability
     audit.details["all_chart_entries"] = [
         {"chart": e["chart"], "z": e["z"], "twice": e["twice"]} for e in entries]
+    audit.details["dropped_clusters"] = dropped
     return records, audit

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's spectral machinery:
 derivatives are 4th-order centered finite differences on the periodic grid,
 products are plain sample products.  These paths are inaccurate but
-independent, which is what makes them useful checks.
+independent, which is what makes them useful checks.  The depth-first edge
+refinement is the reference for the library's level-synchronous one: the
+same bisection rule, one midpoint evaluation at a time.
 """
 
 import numpy as np
@@ -90,3 +92,45 @@ def one_directional(lattice: TorusLattice, jk, profile):
     else:
         Y = SymmetryDirection(-xi_y / j0, 1.0)
     return pot, Y
+
+
+class EdgeCrossing(Exception):
+    """An edge runs through (or indistinguishably close to) the zero set;
+    carries the parameter of the closest approach."""
+
+    def __init__(self, p, modulus):
+        self.p = float(p)
+        self.modulus = float(modulus)
+        super().__init__(f"crossing near p={p:.6f}, |f|={modulus:.3e}")
+
+
+def refine_edge_depth_first(eval_line, v0, v1, floor, max_depth=12):
+    """Depth-first reference for the library's level-synchronous edge
+    refinement: one midpoint evaluation at a time, walking the edge left to
+    right.  Returns ("ok", total phase increment), ("crossing", (p,
+    modulus)) or ("step", message)."""
+    step_limit, crossing_step = 0.5 * np.pi, 0.75 * np.pi
+    min_len = 0.5 ** max_depth
+    total = 0.0
+    stack = [(0.0, 1.0, v0, v1)]
+    try:
+        while stack:
+            pa, pb, va, vb = stack.pop()
+            ma, mb = abs(va), abs(vb)
+            if min(ma, mb) <= floor:
+                raise EdgeCrossing(pa if ma <= mb else pb, min(ma, mb))
+            step = float(np.pi - np.mod(np.pi - (np.angle(vb) - np.angle(va)), 2.0 * np.pi))
+            if abs(step) < step_limit:
+                total += step
+                continue
+            if pb - pa <= min_len:
+                if abs(step) >= crossing_step:
+                    raise EdgeCrossing(0.5 * (pa + pb), min(ma, mb))
+                return "step", f"edge phase step {step:.3f} unresolved at depth {max_depth}"
+            pm = 0.5 * (pa + pb)
+            vm = complex(eval_line(np.array([pm]))[0])
+            stack.append((pm, pb, vm, vb))
+            stack.append((pa, pm, va, vm))
+    except EdgeCrossing as xc:
+        return "crossing", (xc.p, xc.modulus)
+    return "ok", total

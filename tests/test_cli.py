@@ -100,6 +100,7 @@ class TestRunners:
         # the chart resolution actually used is reported, outside results
         assert report["diagnostics"]["chart_n"] == 256
         assert "chart_n" not in report["results"]
+        assert report["diagnostics"]["dropped_clusters"] == []
 
     def test_loewner_runner(self):
         cfg = {
@@ -248,6 +249,9 @@ class TestMainAndExitCodes:
                   search={"mode_budget": 1, "trials": 1, "evaluations": 2, "coeff_bound": -1}),
         torus_cfg(operation="search", numeric={"grid_n": 64},
                   search={"mode_budget": 40, "trials": 1, "evaluations": 2}),
+        # relative to the test's working directory, where it does not exist
+        torus_cfg(output={"report": "missing-directory/report.json"}),
+        torus_cfg(output={"grid_dump": "missing-directory/r.csv"}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
@@ -257,8 +261,10 @@ class TestMainAndExitCodes:
             "loewner_coeff_short", "report_int", "grid_dump_int", "suppress_string",
             "grid_n_fraction", "loewner_order_fraction", "omega_huge",
             "search_evaluations_0", "search_coeff_bound_negative",
-            "search_mode_budget_too_high"])
-    def test_malformed_value_exit_2(self, tmp_path, capsys, cfg):
+            "search_mode_budget_too_high", "report_missing_directory",
+            "grid_dump_missing_directory"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
+        monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)  # exactly one JSON object

@@ -194,6 +194,34 @@ class TestEvaluation:
         v = f.evaluate_st([0.123], [0.456])[0]
         assert abs(v - np.sin(2 * np.pi * 0.123) * np.cos(2 * np.pi * 0.456)) < 1e-13
 
+    def test_grid_nodes_reproduce_samples(self):
+        # edge refinement takes the values at grid nodes from the samples
+        f = random_band_limited(9, LAT_GEN, n=64).add(
+            random_band_limited(10, LAT_GEN, n=64).scale(1j))
+        S, T = grid_st(64)
+        vals = f.evaluate_st(S.ravel(), T.ravel()).reshape(64, 64)
+        assert np.max(np.abs(vals - f.values)) <= 1e-13 * f.sup_norm()
+
+    def test_batch_matches_double_sum_and_single_points(self):
+        n = 64
+        f = random_band_limited(3, LAT_GEN, n=n).add(
+            random_band_limited(4, LAT_GEN, n=n).scale(1j))
+        rng = np.random.default_rng(6)
+        s, t = rng.uniform(-1.0, 2.0, 37), rng.uniform(-1.0, 2.0, 37)
+        batch = f.evaluate_st(s, t)
+        single = np.array([f.evaluate_st(a, b)[0] for a, b in zip(s, t)])
+        # direct double sum over frequencies -n/2..n/2, the Nyquist bins split
+        freqs = np.arange(-(n // 2), n // 2 + 1)
+        weight = np.where(np.abs(freqs) == n // 2, 0.5, 1.0)
+        C = np.fft.fft2(f.values)[np.ix_(freqs % n, freqs % n)] / n ** 2
+        C *= np.outer(weight, weight)
+        J, K = np.meshgrid(freqs, freqs, indexing="ij")
+        direct = np.array([np.sum(C * np.exp(2j * np.pi * (J * a + K * b)))
+                           for a, b in zip(s, t)])
+        scale = f.sup_norm()
+        assert np.max(np.abs(batch - direct)) <= 1e-14 * scale
+        assert np.max(np.abs(batch - single)) <= 1e-14 * scale
+
     def test_evaluate_at_is_periodic(self):
         f = random_band_limited(2, LAT_GEN, n=64)
         z = 0.3 + 0.2j

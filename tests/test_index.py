@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from umbilic import index
 from umbilic.cartan import cartan_r
 from umbilic.errors import (NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate,
                             TransitionSingular, ZeroOnContour)
@@ -12,7 +13,7 @@ from umbilic.index import (AuditReport, ChartTransition, SurfaceSpec,
                            sphere_two_chart_umbilics, torus_umbilics,
                            umbilic_index, winding_degree)
 
-from _oracles import random_band_limited
+from _oracles import one_directional, random_band_limited, refine_edge_depth_first
 
 LAT = TorusLattice(1j)
 OBLIQUE = TorusLattice(0.3 + 1.1j)
@@ -114,6 +115,90 @@ class TestLocateZeroCells:
         vals[:20, :] = 1e-15
         with pytest.raises(TotallyDegenerate):
             locate_zero_cells(PeriodicField(LAT, vals))
+
+
+def criterion9_r():
+    """r of the first one-directional potential of acceptance criterion 9,
+    as the obstruction check builds it; r vanishes on closed curves."""
+    rng = np.random.default_rng(4242)
+    profile = {1: 0.12 * (rng.normal() + 1j * rng.normal()),
+               2: 0.04 * (rng.normal() + 1j * rng.normal())}
+    pot, _ = one_directional(LAT, (1, 0), profile)
+    return cartan_r(pot.to_field(128), "divergence_form", check_resolution=False).r
+
+
+def generic_torus_r():
+    u = random_band_limited(2, OBLIQUE, n=64, budget=2, amplitude=0.4)
+    return cartan_r(u, "p_form", check_resolution=False).r
+
+
+def chart_point_and_line():
+    # a point zero of winding 1 and a sign-change line of constant phase
+    return ChartGrid.from_function("c1", 1.0, 64,
+                                   lambda Z: (Z - (0.2 + 0.1j)) * (Z.real - 0.5))
+
+
+class TestEdgeRefinement:
+    """Level-synchronous edge refinement against the depth-first reference,
+    which evaluates the interpolant one midpoint at a time."""
+
+    @pytest.mark.parametrize("make, kinds", [
+        (criterion9_r, {"ok", "crossing"}),
+        (generic_torus_r, {"ok"}),
+        (chart_point_and_line, {"ok", "crossing"}),
+    ], ids=["criterion9", "generic-torus", "chart"])
+    def test_matches_depth_first_reference(self, monkeypatch, make, kinds):
+        f = make()
+        batches = []
+        batched = index._refine_edges
+
+        def record(geom, keys, floor, max_depth):
+            out = batched(geom, keys, floor, max_depth)
+            batches.append((geom, floor, max_depth, out))
+            return out
+
+        monkeypatch.setattr(index, "_refine_edges", record)
+        assert locate_zero_cells(f)
+        seen = set()
+        for geom, floor, max_depth, out in batches:
+            for key, (kind, payload) in out.items():
+                line = geom.edge_line(*key)
+                v0, v1 = (complex(line(np.array([p]))[0]) for p in (0.0, 1.0))
+                ref_kind, ref = refine_edge_depth_first(line, v0, v1, floor, max_depth)
+                assert kind == ref_kind, key
+                if kind == "crossing":
+                    assert payload[0] == ref[0], key
+                    assert abs(payload[1] - ref[1]) <= 1e-9 * ref[1], key
+                elif kind == "ok":
+                    assert abs(payload - ref) <= 1e-12, key
+                else:
+                    assert payload == ref, key
+                seen.add(kind)
+        assert seen == kinds
+
+    def test_unresolved_step_raises_where_used(self):
+        # a phase ramp of 0.6 pi per grid step has no zero: bisection
+        # resolves it, and without bisection the stored failure is raised
+        h = 2.0 / 63
+        f = ChartGrid.from_function("c1", 1.0, 64,
+                                    lambda Z: np.exp(0.6j * np.pi * Z.real / h))
+        assert locate_zero_cells(f) == []
+        with pytest.raises(PhaseStepTooLarge, match="unresolved at depth 0"):
+            locate_zero_cells(f, max_depth=0)
+
+    def test_one_evaluation_call_per_level(self, monkeypatch):
+        f = criterion9_r()
+        points = []
+        evaluate = PeriodicField.evaluate_st
+
+        def counted(self, s, t):
+            points.append(np.size(s))
+            return evaluate(self, s, t)
+
+        monkeypatch.setattr(PeriodicField, "evaluate_st", counted)
+        clusters = locate_zero_cells(f, max_depth=12)
+        assert clusters and all(c.kind == "curve" for c in clusters)
+        assert 0 < len(points) <= 12 + 1
 
 
 class TestUmbilicIndex:
@@ -254,6 +339,17 @@ class TestTorusPipeline:
     def test_constant_potential_degenerate(self):
         with pytest.raises(TotallyDegenerate):
             torus_umbilics(PeriodicField.constant(LAT, 64, 0.3))
+
+    def test_dropped_cluster_is_reported(self):
+        # the square-merged-pair input of the basis-change test: two
+        # opposite-index zeros near 0.15+0.16j share one cluster of winding 0
+        u = random_band_limited(1, LAT, n=128, budget=2, amplitude=0.4)
+        records, audit, clusters = torus_umbilics(u)
+        dropped = audit.details["dropped_clusters"]
+        assert len(dropped) == 1
+        assert dropped[0]["chart"] == "torus" and dropped[0]["cells"] == 2
+        assert abs(complex(*dropped[0]["center"]) - (0.15 + 0.16j)) < 0.02
+        assert len(records) == len(clusters) - 1
 
     @pytest.mark.parametrize("lattice, seed", [
         (LAT, 2), (OBLIQUE, 2),

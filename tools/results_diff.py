@@ -8,8 +8,10 @@ for each workload, goes through ``umbilic.cli.main`` once per tree, each tree
 in its own interpreter.  The report gives the number of configs compared,
 how many have byte-identical ``results`` blocks and ``config`` echoes as
 sorted-key JSON, every exit-status or error-code mismatch, every config
-whose echo differs, and the largest relative drift over the numeric leaves
-of the ``results`` blocks that differ.  The exit status is 0 when every
+whose echo differs, and the largest relative and the largest absolute
+drift over the numeric leaves of the ``results`` blocks that differ, each
+with its leaf (a rounding-level change on a tiny residual shows a large
+relative drift and a tiny absolute one).  The exit status is 0 when every
 config's results and echo are identical, else 1.
 """
 
@@ -65,23 +67,23 @@ def _leaves(obj, path=""):
 
 
 def drift(a, b):
-    """(largest relative difference, its leaf path) over the numeric leaves
-    of two results blocks; (inf, path) where their shapes or other leaves
-    differ."""
+    """The largest relative and the largest absolute difference over the
+    numeric leaves of two results blocks, each as (difference, leaf path);
+    both (inf, path) where their shapes or other leaves differ."""
     la, lb = list(_leaves(a)), list(_leaves(b))
     if [p for p, _ in la] != [p for p, _ in lb]:
-        return float("inf"), "structure"
-    worst = (0.0, "")
+        return (float("inf"), "structure"), (float("inf"), "structure")
+    worst_rel = worst_abs = (0.0, "")
     for (path, x), (_, y) in zip(la, lb):
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
         if not numeric:
             if x != y:
-                return float("inf"), path
+                return (float("inf"), path), (float("inf"), path)
             continue
         if x != y:
-            rel = abs(x - y) / max(abs(x), abs(y))
-            worst = max(worst, (rel, path))
-    return worst
+            worst_rel = max(worst_rel, (abs(x - y) / max(abs(x), abs(y)), path))
+            worst_abs = max(worst_abs, (abs(x - y), path))
+    return worst_rel, worst_abs
 
 
 def main(argv=None) -> int:
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
             return 2
         old, new = (json.loads(out.read_text()) for out in outs)
 
-    identical, mismatches, worst = 0, [], (0.0, "")
+    identical, mismatches, worst_rel, worst_abs = 0, [], (0.0, ""), (0.0, "")
     echo_mismatches = [jid for jid in sorted(old) if json.dumps(old[jid]["config"], sort_keys=True)
                        != json.dumps(new[jid]["config"], sort_keys=True)]
     for jid in sorted(old):
@@ -112,8 +114,9 @@ def main(argv=None) -> int:
         elif json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True):
             identical += 1
         else:
-            rel, path = drift(a["results"], b["results"])
-            worst = max(worst, (rel, f"{jid} {path}"))
+            (rel, rel_path), (dif, dif_path) = drift(a["results"], b["results"])
+            worst_rel = max(worst_rel, (rel, f"{jid} {rel_path}"))
+            worst_abs = max(worst_abs, (dif, f"{jid} {dif_path}"))
     failed = {jid: f"exit {o['status']} {o['error']}" for jid, o in sorted(old.items())
               if o["status"] != 0}
     print(json.dumps({"compared": len(old), "identical": identical,
@@ -121,8 +124,10 @@ def main(argv=None) -> int:
                       "config_identical": len(old) - len(echo_mismatches),
                       "config_mismatches": echo_mismatches,
                       "nonzero_exits_old": failed,
-                      "largest_relative_drift": worst[0],
-                      "largest_drift_at": worst[1]}, indent=1))
+                      "largest_relative_drift": worst_rel[0],
+                      "largest_drift_at": worst_rel[1],
+                      "largest_absolute_drift": worst_abs[0],
+                      "largest_absolute_drift_at": worst_abs[1]}, indent=1))
     return 0 if identical == len(old) and not echo_mismatches else 1
 
 
