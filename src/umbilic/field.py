@@ -130,6 +130,12 @@ def _fold_both(E: np.ndarray) -> np.ndarray:
     return _fold_axis0(_fold_axis0(E).swapaxes(0, 1)).swapaxes(0, 1)
 
 
+def _lattice_wirtinger(ds, dt, omega):
+    """(D, Dbar) from d/ds and d/dt on the lattice of 1 and omega."""
+    denom = np.conj(omega) - omega
+    return (np.conj(omega) * ds - dt) / denom, (dt - omega * ds) / denom
+
+
 def _extended_centered_spectrum(values: np.ndarray) -> np.ndarray:
     """(n+1) x (n+1) centered spectrum (divided by n^2) of the samples,
     with frequencies -n/2 .. n/2 on both axes."""
@@ -397,15 +403,8 @@ class PeriodicField(_SampledField):
         k = _int_freqs(n)
         mult = 2j * np.pi * k
         mult[n // 2] = 0.0
-        omega = self.lattice.omega
-        denom = np.conj(omega) - omega
-        ds = mult[:, None]
-        dt = mult[None, :]
-        if direction == "D":
-            M = (np.conj(omega) * ds - dt) / denom
-        else:
-            M = (dt - omega * ds) / denom
-        return self._like(np.fft.ifft2(C * M), False)
+        M = _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)
+        return self._like(np.fft.ifft2(C * M[direction == "Dbar"]), False)
 
     def mul(self, other: "PeriodicField") -> "PeriodicField":
         """Dealiased product (see :func:`_dealiased_product`)."""
@@ -423,16 +422,27 @@ class PeriodicField(_SampledField):
         more than a short batch.  At grid nodes the result equals ``values``
         to rounding, which is why zero-curve refinement takes the endpoint
         values of grid edges from the samples."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n
+        Es, Et = self._rows(s, t)
+        return ((Es @ self._eval_spectrum) * Et).sum(1)
+
+    def jet_at(self, z):
+        """(f, D f, Dbar f) of the interpolant at complex points: the rows of
+        :meth:`evaluate_st`, one more matrix product for d/ds and a weighted
+        row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`."""
+        Es, Et = self._rows(*self.lattice.z_to_st(np.atleast_1d(np.asarray(z, dtype=complex))))
+        k = 2j * np.pi * np.arange(-(self.n // 2), self.n // 2 + 1)
+        rows = Es @ self._eval_spectrum
+        fs, ft = (((Es * k) @ self._eval_spectrum) * Et).sum(1), (rows * Et * k).sum(1)
+        return ((rows * Et).sum(1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
+
+    def _rows(self, s, t):
+        """Exponential rows at (s, t) for the extended centered spectrum,
+        which is computed on first use."""
         if self._eval_spectrum is None:
             self._eval_spectrum = _extended_centered_spectrum(self.values)
-        E = self._eval_spectrum
-        freqs = np.arange(-(n // 2), n // 2 + 1)
-        Es = np.exp(2j * np.pi * np.outer(s, freqs))
-        Et = np.exp(2j * np.pi * np.outer(t, freqs))
-        return ((Es @ E) * Et).sum(1)
+        freqs = np.arange(-(self.n // 2), self.n // 2 + 1)
+        return (np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), freqs))
+                for u in (s, t))
 
     def evaluate_at(self, z) -> np.ndarray:
         """Evaluate the interpolant at complex points (periodic in the lattice)."""
@@ -606,11 +616,7 @@ class ChartGrid(_SampledField):
         h = self.spacing
         fx = _fd_axis0(self.values, h)
         fy = _fd_axis0(self.values.T, h).T
-        if direction == "D":
-            out = 0.5 * (fx - 1j * fy)
-        else:
-            out = 0.5 * (fx + 1j * fy)
-        return self._like(out, False)
+        return self._like(_xy_wirtinger(fx, fy)[direction == "Dbar"], False)
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
         """Plain sample product on the intersection of validity masks."""
@@ -630,14 +636,27 @@ class ChartGrid(_SampledField):
     def evaluate_at(self, z) -> np.ndarray:
         """Bicubic interpolation at complex points inside the square."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        sre, sim = self._splines()
-        return sre.ev(z.real, z.imag) + 1j * sim.ev(z.real, z.imag)
+        return self._ev(z.real, z.imag)
 
     def evaluate_st(self, x, y) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return self._ev(np.atleast_1d(np.asarray(x, dtype=float)),
+                        np.atleast_1d(np.asarray(y, dtype=float)))
+
+    def jet_at(self, z):
+        """(f, D f, Dbar f) of the spline :meth:`evaluate_at` evaluates, from
+        its partial derivatives with D = (d/dx - i d/dy)/2."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        fx, fy = self._ev(z.real, z.imag, dx=1), self._ev(z.real, z.imag, dy=1)
+        return (self._ev(z.real, z.imag), *_xy_wirtinger(fx, fy))
+
+    def _ev(self, x, y, dx=0, dy=0):
         sre, sim = self._splines()
-        return sre.ev(x, y) + 1j * sim.ev(x, y)
+        return sre.ev(x, y, dx=dx, dy=dy) + 1j * sim.ev(x, y, dx=dx, dy=dy)
+
+
+def _xy_wirtinger(fx, fy):
+    """(D, Dbar) = ((d/dx - i d/dy) / 2, (d/dx + i d/dy) / 2)."""
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 def _and_valid(a, b):

@@ -28,6 +28,12 @@ edges of all flagged cells takes at most max_depth evaluation calls.  Edge
 endpoints are grid nodes, and their values are the samples themselves (the
 interpolant reproduces them to rounding), the same values the cell pass
 used to flag the edge.
+
+Point zeros are polished by one damped Newton iteration on (Re f, Im f)
+for all clusters of a field at once: each step is one call of the field's
+``jet_at(z) -> (f, D f, Dbar f)``, the derivatives of the interpolant that
+``evaluate_at`` evaluates.  Steps must lower |f| and stay within a fixed
+reach of their start, so a neighbouring zero cannot capture the iterate.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ __all__ = [
 
 _STEP_LIMIT = 0.5 * np.pi
 _CROSSING_STEP = 0.75 * np.pi
+_POLISHED = 1e-12
 DEFAULT_ZERO_FLOOR_REL = 1e-9
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
 
@@ -266,16 +273,17 @@ def _refine_edges(geom, keys, floor, max_depth):
     return {key: events.get(e, ("ok", totals[e])) for e, key in enumerate(keys)}
 
 
-def _edge_min_modulus(eval_line, lo=0.0, hi=1.0, iters=80):
+def _edge_min_modulus(eval_line, lo=0.0, hi=1.0):
     """Golden-section minimum of |f| along an edge segment (the modulus is
-    V-shaped near a simple crossing)."""
+    V-shaped near a simple crossing), until the bracket stops shrinking:
+    each step narrows it or leaves its inner points met, c >= d."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc = abs(complex(eval_line(np.array([c]))[0]))
     fd = abs(complex(eval_line(np.array([d]))[0]))
-    for _ in range(iters):
+    while c < d:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -645,17 +653,18 @@ def chart_transition_quadratic(alpha, transition: ChartTransition, *,
 def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     """Polished |f| at the cluster's zero, relative to sup|f|.
 
-    Point clusters are polished by the bounded pattern search; curve
-    clusters by golden-section along their best sign-crossing edge (the
-    modulus is V-shaped across a simple crossing).
+    Point clusters are polished by the damped Newton iteration on
+    ``f.jet_at`` (:func:`_polish`) within the cluster's extent plus 1.5
+    cells; curve clusters by golden-section along their best sign-crossing
+    edge (the modulus is V-shaped across a simple crossing).
     """
     geom = _Geometry(f)
     sup = f.sup_norm()
     if cluster.kind == "point" or not cluster.crossing_edges:
         cell = geom.h * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
-        _, best = _refine_zero(f, cluster.center, 0.5 * geom.h,
-                               max_move=_cluster_extent(cluster, cell) + 1.5 * cell)
-        return best / sup
+        _, best = _polish_clusters(f, [cluster], [_cluster_extent(cluster, cell) + 1.5 * cell],
+                                   sup)
+        return float(best[0]) / sup
     (kind, ei, ej), (p, _) = min(cluster.crossing_edges, key=lambda e: e[1][1])
     line = geom.edge_line(kind, *geom.wrap(ei, ej))
     lo = max(0.0, p - 2.0 ** -9)
@@ -664,29 +673,69 @@ def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     return best / sup
 
 
-_REFINE_OFFSETS = np.array([complex(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-
-
-def _refine_zero(f, z_start: complex, step: float, max_move: float):
-    """Polish a zero estimate by a bounded 3x3 pattern search on |f| of the
-    interpolant.  Deterministic, monotone in |f|, and confined to within
-    max_move of the start so neighboring zeros cannot capture it."""
-    z = complex(z_start)
-    best = float(np.abs(f.evaluate_at(np.array([z]))[0]))
+def _polish(f, starts, max_move):
+    """Damped Newton on (Re f, Im f) from all starts at once; returns the
+    iterates and their |f|.  Each step takes f, D f and Dbar f from one
+    ``f.jet_at`` call for all live starts and is the Levenberg-Marquardt
+    step of :func:`_lm_step`, defined also where the Jacobian is singular,
+    as on every zero curve of a constant-phase field.  A trial point is
+    taken when it lowers |f| and lies within max_move (scalar or per start)
+    of its start, else the step is halved; a start stops when its step falls
+    below rounding or is undefined.  Deterministic, monotone and confined.
+    """
+    z0 = np.atleast_1d(np.asarray(starts, dtype=complex))
+    reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape)
+    z = z0.copy()
+    v, a, b = f.jet_at(z)
+    best = np.abs(v)
+    dz = _lm_step(v, a, b)
+    live = np.arange(z.size)
     for _ in range(64):
-        pts = z + step * _REFINE_OFFSETS
-        mods = np.abs(f.evaluate_at(pts))
-        k = int(np.argmin(mods))
-        if float(mods[k]) < best and abs(pts[k] - z_start) <= max_move:
-            z = complex(pts[k])
-            best = float(mods[k])
-            if _REFINE_OFFSETS[k] == 0:
-                step *= 0.5
-        else:
-            step *= 0.5
-        if step < 1e-14 * max(1.0, abs(z_start)):
+        step = np.abs(dz[live])
+        live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]
+        if not live.size:
             break
+        trial = z[live] + dz[live]
+        v, a, b = f.jet_at(trial)
+        mod = np.abs(v)
+        take = (mod < best[live]) & (np.abs(trial - z0[live]) <= reach[live])
+        done = live[take]
+        z[done], best[done] = trial[take], mod[take]
+        dz[done] = _lm_step(v[take], a[take], b[take])
+        dz[live[~take]] *= 0.5
     return z, best
+
+
+def _polish_clusters(f, clusters, reach, sup):
+    """Polish every cluster in one batched call from its centre, confined
+    to its reach.  A start can stall where the Jacobian is singular, as at
+    the saddle of |f| between two zeros of one cluster; clusters left above
+    _POLISHED * sup are polished again from four starts around the centre,
+    and each cluster keeps its best iterate."""
+    centers = np.array([c.center for c in clusters], dtype=complex)
+    reach = np.asarray(reach, dtype=float)
+    z, mod = _polish(f, centers, reach)
+    owner = np.repeat(np.flatnonzero(mod > _POLISHED * sup), 4)
+    if owner.size:
+        starts = centers[owner] + 0.25 * reach[owner] * np.tile([1, 1j, -1, -1j], owner.size // 4)
+        for k, zk, mk in zip(owner, *_polish(f, starts, reach[owner])):
+            if mk < mod[k]:
+                z[k], mod[k] = zk, mk
+    return [complex(zk) for zk in z], mod
+
+
+def _lm_step(v, a, b):
+    """The step dz for f = v, D f = a, Dbar f = b.  Newton's step solving
+    v + a dz + b conj(dz) = 0 is (conj(v) b - v conj(a)) / det with
+    det = |a|^2 - |b|^2; this is the Levenberg-Marquardt step with damping
+    mu = |v|^2, written without cancellation, which is Newton's up to a
+    relative O(|dz|^2) near a simple zero."""
+    det = np.abs(a) ** 2 - np.abs(b) ** 2
+    mu = np.abs(v) ** 2
+    grad = -(np.conj(a) * v + b * np.conj(v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ((det * (np.conj(v) * b - v * np.conj(a)) + mu * grad)
+                / (det ** 2 + 2.0 * mu * (np.abs(a) ** 2 + np.abs(b) ** 2) + mu ** 2))
 
 
 def _cluster_extent(cluster: ZeroCluster, cell_dz: float) -> float:
@@ -714,65 +763,55 @@ def torus_umbilics(u: PeriodicField, *, form: str = "p_form",
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     r = cartan_r(u, form, check_resolution=check_resolution).r
     clusters = locate_zero_cells(r, zero_floor_rel=zero_floor_rel)
-    bad = [c for c in clusters if c.kind != "point"]
-    if bad:
-        raise TotallyDegenerate(
-            f"{len(bad)} zero cluster(s) are not isolated points; "
-            "the index audit requires isolated zeros")
     lattice = u.lattice
-    n = u.n
-    cell_dz = (1.0 + abs(lattice.omega)) / n
-    records = []
-    dropped = []
-    sup = r.sup_norm()
-    refined = [_refine_zero(r, c.center, 0.5 / n,
-                            max_move=0.75 * _cluster_extent(c, cell_dz) + 1.25 * cell_dz)
-               for c in clusters]
-    for idx, c in enumerate(clusters):
-        z0, resid = refined[idx]
-        # the cluster's boundary winding is the index (degree additivity);
-        # a circle contour cross-checks it whenever the zero is comfortably
-        # isolated from its neighbors
-        twice = -c.winding
-        if twice == 0:
-            dropped.append(_dropped_entry(c))
-            continue
-        base = max(2.5 * cell_dz, 1.25 * _cluster_extent(c, cell_dz))
-        sep = min((lattice.torus_distance(z0, refined[k][0])
-                   for k in range(len(clusters)) if k != idx), default=np.inf)
-        radius = min(base, 0.35 * sep) if np.isfinite(sep) else base
-        _cross_check_index(r, z0, radius, twice, zero_floor_rel, sup,
-                           isolated=(sep > 3.0 * base))
-        records.append(UmbilicRecord(z0=z0, twice_index=twice,
-                                     residual=resid / sup,
-                                     chart_id="torus", contour_radius=radius))
+    indexed, dropped = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
+                                       r.sup_norm(), zero_floor_rel,
+                                       lattice.torus_distance, 2.5, 0.35)
+    records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
+                             chart_id="torus", contour_radius=radius)
+               for z0, twice, resid, radius in indexed]
     audit = poincare_hopf_audit(records, SurfaceSpec.torus(lattice))
     audit.details["dropped_clusters"] = dropped
     return records, audit, clusters
 
 
-def _dropped_entry(c: ZeroCluster) -> dict:
-    """Audit entry for a cluster of winding 0, which gives no record: it may
-    be a merged pair of opposite-index zeros."""
-    return {"chart": c.chart_id, "center": [c.center.real, c.center.imag],
-            "cells": c.size}
-
-
-def _cross_check_index(r, z0, radius, twice, zero_floor_rel, sup, isolated):
-    """Circle-contour recomputation of an index; only attempted when the
-    zero is comfortably isolated, and loud when it disagrees."""
-    if not isolated:
-        return None
-    try:
-        circle = umbilic_index(r, z0, radius, zero_floor_rel=zero_floor_rel,
-                               sup_hint=sup)
-    except (ZeroOnContour, PhaseStepTooLarge):
-        return None
-    if circle != twice:
-        raise PhaseStepTooLarge(
-            f"index cross-check mismatch at {z0:.6f}: cells give {twice}, "
-            f"circle of radius {radius:.3e} gives {circle}")
-    return circle
+def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, sep_frac):
+    """Polish all point clusters of r at once, then index each by its
+    boundary winding (degree additivity).  A circle contour of radius at
+    most sep_frac times the distance to the nearest other polished zero
+    cross-checks the index whenever the zero is comfortably isolated, and
+    a disagreement raises.  Returns [(z0, twice_index, residual / sup,
+    radius)] and the audit entries of the winding-0 clusters, which give no
+    record: such a cluster may be a merged pair of opposite-index zeros."""
+    bad = [c for c in clusters if c.kind != "point"]
+    if bad:
+        raise TotallyDegenerate(
+            f"{len(bad)} zero cluster(s) on {bad[0].chart_id} are not isolated points "
+            f"(near {bad[0].center:.4f}); the index audit requires isolated zeros")
+    zs, resids = _polish_clusters(
+        r, clusters, [0.75 * _cluster_extent(c, cell) + 1.25 * cell for c in clusters], sup)
+    indexed, dropped = [], []
+    for idx, c in enumerate(clusters):
+        z0, twice = zs[idx], -c.winding
+        if twice == 0:
+            dropped.append({"chart": c.chart_id, "center": [c.center.real, c.center.imag],
+                            "cells": c.size})
+            continue
+        base = max(base_cells * cell, 1.25 * _cluster_extent(c, cell))
+        sep = min((dist(z0, zs[k]) for k in range(len(clusters)) if k != idx), default=np.inf)
+        radius = min(base, sep_frac * sep) if np.isfinite(sep) else base
+        if sep > 3.0 * base:
+            try:
+                circle = umbilic_index(r, z0, radius, zero_floor_rel=zero_floor_rel,
+                                       sup_hint=sup)
+            except (ZeroOnContour, PhaseStepTooLarge):
+                circle = twice
+            if circle != twice:
+                raise PhaseStepTooLarge(
+                    f"index cross-check mismatch at {z0:.6f}: cells give {twice}, "
+                    f"circle of radius {radius:.3e} gives {circle}")
+        indexed.append((z0, twice, float(resids[idx]) / sup, radius))
+    return indexed, dropped
 
 
 # --------------------------------------------------------------------------
@@ -864,29 +903,13 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
     entries = []
     dropped = []
     for cid, (r, clusters) in charts.items():
-        sup = r.sup_norm(locate_radius)
-        h = 2.0 * chart_radius / (chart_n - 1)
-        for c in clusters:
-            if c.kind != "point":
-                raise TotallyDegenerate(
-                    f"{cid}: zero cluster near {c.center:.4f} is not isolated")
-            z0, resid = _refine_zero(r, c.center, 0.5 * h,
-                                     max_move=0.75 * _cluster_extent(c, h) + 1.25 * h)
-            twice = -c.winding
-            if twice == 0:
-                dropped.append(_dropped_entry(c))
-                continue
-            others = [o for o in clusters if o is not c]
-            sep = min((abs(z0 - o.center) for o in others), default=np.inf)
-            base = max(3.0 * h, 1.25 * _cluster_extent(c, h))
-            radius = min(base, 0.3 * sep) if np.isfinite(sep) else base
-            _cross_check_index(r, z0, radius, twice, zero_floor_rel, sup,
-                               isolated=(sep > 3.0 * base))
-            entries.append({
-                "chart": cid, "z": z0, "twice": twice,
-                "residual": resid / sup, "radius": radius,
-                "sphere_point": _sphere_point(cid, z0),
-            })
+        indexed, chart_dropped = _index_clusters(
+            r, clusters, 2.0 * chart_radius / (chart_n - 1), r.sup_norm(locate_radius),
+            zero_floor_rel, lambda a, b: abs(a - b), 3.0, 0.3)
+        dropped += chart_dropped
+        entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,
+                     "radius": radius, "sphere_point": _sphere_point(cid, z0)}
+                    for z0, twice, resid, radius in indexed]
 
     # cross-chart merge
     merged = []

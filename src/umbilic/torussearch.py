@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from .cartan import cartan_r
 from .errors import SymmetryViolated, TotallyDegenerate
 from .field import DEFAULT_TAIL_TOL, PeriodicField, TorusLattice
-from .index import locate_zero_cells, refine_cluster_residual
+from .index import _polish, locate_zero_cells, refine_cluster_residual
 
 __all__ = [
     "TrigPotential",
@@ -141,9 +141,12 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
     The minimum is polished off-grid (the zero set of Pu need not meet the
-    sample grid), so potentials whose invariant genuinely vanishes report
-    exactly 0; a max below the degenerate floor also reports 0.  The score
-    is invariant under u -> u + C.
+    sample grid) by the damped Newton iteration of the zero polish, run
+    from the four lowest well-separated samples at once and kept within
+    2.5 cells of them, so potentials whose invariant genuinely vanishes
+    report exactly 0, on zero curves as well as at points; a max below the
+    degenerate floor also reports 0.  The score is invariant under
+    u -> u + C.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -158,8 +161,7 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     # search can slide past the global minimum of a multi-valley field
     starts = [field.lattice.st_to_z(i / grid_n, j / grid_n)
               for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
-    mn = min(float(A.min()),
-             _pattern_min_multi(r, starts, 0.5 * cell, 2.5 * cell))
+    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * cell)[1].min()))
     ratio = mn / mx
     return 0.0 if ratio < zero_ratio else float(ratio)
 
@@ -184,35 +186,6 @@ def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
             if len(picked) >= count:
                 break
     return picked
-
-
-_PATTERN_OFFSETS = np.array([complex(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)])
-
-
-def _pattern_min_multi(f, starts, step: float, max_move: float, iters: int = 48) -> float:
-    """Smallest |f| found by bounded 3x3 pattern searches run from several
-    starts at once (one batched interpolant evaluation per sweep)."""
-    z = np.asarray(starts, dtype=complex)
-    if z.size == 0:
-        return np.inf
-    m = z.size
-    anchors = z.copy()
-    steps = np.full(m, float(step))
-    best = np.abs(f.evaluate_at(z)).astype(float)
-    rows = np.arange(m)
-    for _ in range(iters):
-        pts = z[:, None] + steps[:, None] * _PATTERN_OFFSETS[None, :]
-        mods = np.abs(f.evaluate_at(pts.ravel())).reshape(m, 9)
-        k = np.argmin(mods, axis=1)
-        cand = pts[rows, k]
-        cm = mods[rows, k]
-        improve = (cm < best) & (np.abs(cand - anchors) <= max_move)
-        z = np.where(improve, cand, z)
-        best = np.where(improve, cm, best)
-        steps = np.where(improve, steps, 0.5 * steps)
-        if float(steps.max()) < 1e-15:
-            break
-    return float(best.min())
 
 
 # --------------------------------------------------------------------------

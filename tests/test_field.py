@@ -214,6 +214,19 @@ class TestEvaluation:
         assert np.max(np.abs(batch - direct)) <= 1e-14 * scale
         assert np.max(np.abs(batch - single)) <= 1e-14 * scale
 
+    def test_jet_matches_derivative_fields(self):
+        # the jet differentiates the interpolant evaluate_at uses; without
+        # Nyquist content that is the interpolant of the derivative fields
+        f = random_band_limited(5, LAT_GEN, n=64).add(
+            random_band_limited(6, LAT_GEN, n=64).scale(1j))
+        rng = np.random.default_rng(8)
+        z = rng.uniform(-1.0, 2.0, 25) + 1j * rng.uniform(-1.0, 2.0, 25)
+        value, d, dbar = f.jet_at(z)
+        assert np.array_equal(value, f.evaluate_at(z))
+        for direction, got in (("D", d), ("Dbar", dbar)):
+            g = f.derivative(direction)
+            assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-12 * g.sup_norm()
+
     def test_evaluate_at_is_periodic(self):
         f = random_band_limited(2, LAT_GEN, n=64)
         z = 0.3 + 0.2j
@@ -261,6 +274,21 @@ class TestChartGrid:
         pts = np.array([0.1 + 0.2j, -0.3 + 0.05j])
         vals = ch.evaluate_at(pts)
         assert np.max(np.abs(vals - np.exp(pts))) < 1e-7
+
+    def test_jet_matches_fd_derivatives_inside(self):
+        # spline partials against the 8th-order FD derivative fields, both
+        # evaluated by the spline, at interior points: a bicubic derivative
+        # is accurate to O(h^3), so agreement is 1e-6 of the derivative's
+        # size here (4.9e-8 seen)
+        ch = ChartGrid.from_function("c1", 1.0, 128,
+                                     lambda Z: np.exp(Z) + Z * np.conj(Z) ** 2)
+        rng = np.random.default_rng(9)
+        z = rng.uniform(-0.6, 0.6, 25) + 1j * rng.uniform(-0.6, 0.6, 25)
+        value, d, dbar = ch.jet_at(z)
+        assert np.array_equal(value, ch.evaluate_at(z))
+        for direction, got in (("D", d), ("Dbar", dbar)):
+            g = ch.derivative(direction)
+            assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-6 * g.sup_norm(0.6)
 
 
 def sampled(kind, value, n=10, real_tag=False, valid=None):

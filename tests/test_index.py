@@ -201,6 +201,64 @@ class TestEdgeRefinement:
         assert 0 < len(points) <= 12 + 1
 
 
+class TestPolish:
+    """The batched damped Newton polish shared by the torus and sphere
+    pipelines, refine_cluster_residual and the search objective."""
+
+    @pytest.mark.parametrize("omega", [0.3 + 1.1j, 1.3 + 1.1j])
+    def test_records_polished_to_rounding(self, omega):
+        # the 3x3 pattern search stalled on these fields at 2.3e-4 and 2.7e-3
+        u = random_band_limited(4, TorusLattice(omega), n=128, budget=2, amplitude=0.4)
+        records, audit, _ = torus_umbilics(u)
+        assert records and audit.passed
+        assert max(r.residual for r in records) <= 1e-12
+
+    def test_one_jet_call_per_step_for_all_clusters(self, monkeypatch):
+        u = random_band_limited(2, LAT, n=128, budget=3, amplitude=0.45)
+        sizes = []
+        jet = PeriodicField.jet_at
+
+        def counted(self, z):
+            sizes.append(np.size(z))
+            return jet(self, z)
+
+        monkeypatch.setattr(PeriodicField, "jet_at", counted)
+        records, _, clusters = torus_umbilics(u)
+        assert len(clusters) >= 40 and sizes[0] == len(clusters)
+        assert len(sizes) <= 50
+        assert max(r.residual for r in records) <= 1e-12
+
+    def test_monotone_and_confined(self):
+        f = ChartGrid.from_function("c1", 1.0, 64, lambda Z: Z - 0.5)
+        z, mod = index._polish(f, [0.0, 0.45 + 0.02j], [0.2, 0.2])
+        # the zero lies 0.5 from the first start: it stops short, inside its
+        # reach, having lowered |f|
+        assert abs(z[0]) <= 0.2 and 0.3 - 1e-12 <= mod[0] < 0.5
+        assert abs(z[1] - 0.5) <= 1e-14 and mod[1] <= 1e-14
+
+    def test_lands_on_zero_curve(self):
+        # constant phase: the Jacobian is singular along the whole zero
+        # curve, and the damped step still reaches it
+        f = ChartGrid.from_function(
+            "c1", 1.0, 64, lambda Z: (1 + 2j) * (Z.real - 0.3 + 0.2 * Z.imag ** 2))
+        _, mod = index._polish(f, [0.25 + 0.1j, 0.36 - 0.2j], 0.1)
+        assert np.all(mod <= 1e-14 * f.sup_norm())
+
+    def test_golden_section_stops_at_double_resolution(self):
+        # the bracket meets at double resolution after about 65 steps; the
+        # fixed 80 steps revisited the same points from there on
+        for x0 in (0.3, 0.7123456789):
+            calls = []
+
+            def line(p):
+                calls.append(float(p[0]))
+                return np.asarray(p - x0, dtype=complex)
+
+            p, m = index._edge_min_modulus(line, x0 - 2.0 ** -9, x0 + 2.0 ** -9)
+            assert p == x0 and m == 0.0
+            assert len(calls) - len(set(calls)) <= 2
+
+
 class TestUmbilicIndex:
     def test_simple_zero(self):
         ch = ChartGrid.from_function("c1", 1.0, 64, lambda Z: Z - 0.1)
@@ -386,6 +444,9 @@ class TestSpherePipeline:
         # umbilics to the fixed points z = +-1 of z -> 1/z
         for rec in records:
             assert abs(abs(rec.z0) - 1.0) < 0.05
+        # the cluster near z = 1 holds two zeros; Newton from its centre
+        # stalls at the saddle between them (3.2e-7) until restarted
+        assert max(rec.residual for rec in records) <= 1e-12
 
     def test_boundary_zeros_reported_once(self):
         records, audit = sphere_two_chart_umbilics(2, [("re_z", 0.05)])

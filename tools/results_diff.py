@@ -11,8 +11,10 @@ sorted-key JSON, every exit-status or error-code mismatch, every config
 whose echo differs, and the largest relative and the largest absolute
 drift over the numeric leaves of the ``results`` blocks that differ, each
 with its leaf (a rounding-level change on a tiny residual shows a large
-relative drift and a tiny absolute one).  The exit status is 0 when every
-config's results and echo are identical, else 1.
+relative drift and a tiny absolute one).  ``per_operation`` repeats the
+counts and drifts for each operation (the job-id prefix), so a change that
+moves every search result does not hide the drift of the others.  The exit
+status is 0 when every config's results and echo are identical, else 1.
 """
 
 from __future__ import annotations
@@ -103,32 +105,48 @@ def main(argv=None) -> int:
             return 2
         old, new = (json.loads(out.read_text()) for out in outs)
 
-    identical, mismatches, worst_rel, worst_abs = 0, [], (0.0, ""), (0.0, "")
+    mismatches = []
     echo_mismatches = [jid for jid in sorted(old) if json.dumps(old[jid]["config"], sort_keys=True)
                        != json.dumps(new[jid]["config"], sort_keys=True)]
+    # one tally for all configs, one per operation (the job-id prefix)
+    tallies = {"all": _tally()}
     for jid in sorted(old):
         a, b = old[jid], new[jid]
+        groups = (tallies["all"], tallies.setdefault(jid.split("/", 1)[0], _tally()))
+        for t in groups:
+            t["compared"] += 1
         if (a["status"], a["error"], a["escaped"]) != (b["status"], b["error"], b["escaped"]):
             mismatches.append(f"{jid}: exit {a['status']} {a['error'] or a['escaped']} "
                               f"-> exit {b['status']} {b['error'] or b['escaped']}")
         elif json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True):
-            identical += 1
+            for t in groups:
+                t["identical"] += 1
         else:
             (rel, rel_path), (dif, dif_path) = drift(a["results"], b["results"])
-            worst_rel = max(worst_rel, (rel, f"{jid} {rel_path}"))
-            worst_abs = max(worst_abs, (dif, f"{jid} {dif_path}"))
+            for t in groups:
+                t["rel"] = max(t["rel"], (rel, f"{jid} {rel_path}"))
+                t["abs"] = max(t["abs"], (dif, f"{jid} {dif_path}"))
     failed = {jid: f"exit {o['status']} {o['error']}" for jid, o in sorted(old.items())
               if o["status"] != 0}
-    print(json.dumps({"compared": len(old), "identical": identical,
+    total = _report(tallies.pop("all"))
+    print(json.dumps({**total,
                       "outcome_mismatches": mismatches,
                       "config_identical": len(old) - len(echo_mismatches),
                       "config_mismatches": echo_mismatches,
                       "nonzero_exits_old": failed,
-                      "largest_relative_drift": worst_rel[0],
-                      "largest_drift_at": worst_rel[1],
-                      "largest_absolute_drift": worst_abs[0],
-                      "largest_absolute_drift_at": worst_abs[1]}, indent=1))
-    return 0 if identical == len(old) and not echo_mismatches else 1
+                      "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}},
+                     indent=1))
+    return 0 if total["identical"] == len(old) and not echo_mismatches else 1
+
+
+def _tally():
+    return {"compared": 0, "identical": 0, "rel": (0.0, ""), "abs": (0.0, "")}
+
+
+def _report(t):
+    return {"compared": t["compared"], "identical": t["identical"],
+            "largest_relative_drift": t["rel"][0], "largest_drift_at": t["rel"][1],
+            "largest_absolute_drift": t["abs"][0], "largest_absolute_drift_at": t["abs"][1]}
 
 
 if __name__ == "__main__":
