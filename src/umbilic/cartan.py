@@ -19,10 +19,11 @@ e^{u} |dz|^2 (see :func:`kzz_identity_residual`); those two facts pin the
 mixed-derivative factor in the quadratic term, and the suite cross-checks
 the forms against each other on every run that asks for it.
 
-On sampled fields the q form and the P form run the same sequence of
-derivatives and products (q = Du is the first derivative the P form takes),
-so the two agree bitwise; the independent evidence of the cross-form check
-comes from the divergence form.
+On sampled fields the q form and the P form are one code block (q = Du is
+the first derivative the P form takes, and the rest is the same sequence of
+derivatives), with the three products summed by one dealiased polynomial
+product; the two forms agree bitwise, and the independent evidence of the
+cross-form check comes from the divergence form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossFormMismatch, NotPseudoconvex
-from .field import ChartGrid, DEFAULT_TAIL_TOL
+from .field import ChartGrid, DEFAULT_TAIL_TOL, product
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
@@ -106,26 +107,14 @@ def cartan_r(u, form: str, check_resolution: bool = True) -> InvariantField:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
     tol = DEFAULT_TAIL_TOL if check_resolution else None
 
-    if form == "p_form":
-        du = _d(u, tol)
+    if form in ("p_form", "q_form"):
+        du = _d(u, tol)  # q
         d2u = _d(du, tol)
         ddbu = _db(du, tol)
         d2dbu = _d(ddbu, tol)
-        d3dbu = _d(d2dbu, tol)
-        r = (d3dbu
-             - du.mul(d2dbu).scale(3.0)
-             + du.mul(du).mul(ddbu).scale(2.0)
-             - d2u.mul(ddbu))
-    elif form == "q_form":
-        q = _d(u, tol)
-        dq = _d(q, tol)
-        dbq = _db(q, tol)
-        ddbq = _d(dbq, tol)
-        d2dbq = _d(ddbq, tol)
-        r = (d2dbq
-             - q.mul(ddbq).scale(3.0)
-             + q.mul(q).mul(dbq).scale(2.0)
-             - dq.mul(dbq))
+        r = _d(d2dbu, tol) + product([(-3.0, (du, d2dbu)),
+                                      (2.0, (du, du, ddbu)),
+                                      (-1.0, (d2u, ddbu))])
     else:
         emu = u.scale(-1.0).exp()
         e2u = u.scale(2.0).exp()

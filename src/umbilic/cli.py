@@ -65,6 +65,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from .cartan import cartan_r, cartan_r_all_forms, spherical_test
@@ -261,7 +262,7 @@ def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> T
         _require(isinstance(metric["samples"], str), "metric samples must be a file path")
         # tabulated samples: recover band-limited modes from a dumped grid
         field = load_grid(metric["samples"], lattice)
-        C = np.fft.fft2(field.values) / field.n ** 2
+        C = scipy.fft.fft2(field.values) / field.n ** 2
         modes = {}
         n = field.n
         for j in range(-(n // 2) + 1, n // 2):

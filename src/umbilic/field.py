@@ -5,13 +5,18 @@ Two grid-backed representations live here:
 * :class:`PeriodicField` holds samples of a doubly periodic function on a
   torus lattice.  The samples are interpreted as a trigonometric
   interpolant, so differentiation (through the FFT) is exact for
-  band-limited data and products are dealiased on a doubled grid.
+  band-limited data and products are dealiased on a doubled grid.  A field
+  made by a derivative or a product keeps the spectrum it was built from,
+  so the next derivative or product starts from it without a transform.
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
 Both share their pointwise sample arithmetic (sums, scalings, exp, log,
 reciprocal, modulus, conjugation) through one private base class; they
 differ only in derivatives, products, evaluation and grid identity.
+:func:`product` forms a polynomial in fields at once; on a torus it lifts
+each operand once onto the doubled grid, sums the monomials there and
+truncates once.  Transforms go through ``scipy.fft``.
 
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
@@ -28,14 +33,16 @@ The formal power series representation lives in :mod:`umbilic.series`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import DomainError, UnderResolved
 
-__all__ = ["TorusLattice", "PeriodicField", "ChartGrid"]
+__all__ = ["TorusLattice", "PeriodicField", "ChartGrid", "product"]
 
 _REAL_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-6
@@ -92,11 +99,11 @@ class TorusLattice:
 
 
 # --------------------------------------------------------------------------
-# spectral helpers (FFT layout: numpy fft2 on an n x n sample grid)
+# spectral helpers (FFT layout: fft2 on an n x n sample grid)
 # --------------------------------------------------------------------------
 
 def _int_freqs(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n)
+    return fft.fftfreq(n, d=1.0 / n)
 
 
 def _extend_axis0(C: np.ndarray) -> np.ndarray:
@@ -133,41 +140,15 @@ def _fold_both(E: np.ndarray) -> np.ndarray:
 def _lattice_wirtinger(ds, dt, omega):
     """(D, Dbar) from d/ds and d/dt on the lattice of 1 and omega."""
     denom = np.conj(omega) - omega
-    return (np.conj(omega) * ds - dt) / denom, (dt - omega * ds) / denom
+    ds, dt = ds / denom, dt / denom
+    return np.conj(omega) * ds - dt, dt - omega * ds
 
 
-def _extended_centered_spectrum(values: np.ndarray) -> np.ndarray:
-    """(n+1) x (n+1) centered spectrum (divided by n^2) of the samples,
-    with frequencies -n/2 .. n/2 on both axes."""
-    n = values.shape[0]
-    return _extend_both(np.fft.fftshift(np.fft.fft2(values)) / (n * n))
-
-
-def trig_resample(values: np.ndarray, m: int) -> np.ndarray:
-    """Resample an n x n periodic grid to m x m through the trigonometric
-    interpolant.  Exact (up to rounding) whenever the retained band holds
-    the full spectrum."""
-    n = values.shape[0]
-    if m == n:
-        return np.array(values, dtype=complex)
-    C = np.fft.fftshift(np.fft.fft2(values))
-    if m > n:
-        P = np.zeros((m, m), dtype=complex)
-        off = m // 2 - n // 2
-        P[off:off + n + 1, off:off + n + 1] = _extend_both(C)
-    else:
-        off = n // 2 - m // 2
-        P = _fold_both(C[off:off + m + 1, off:off + m + 1])
-    return np.fft.ifft2(np.fft.ifftshift(P)) * (m * m) / (n * n)
-
-
-def _dealiased_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two periodic sample grids formed on a doubled grid and
-    truncated back, so that no retained mode is aliased."""
-    n = a.shape[0]
-    fa = trig_resample(a, 2 * n)
-    fb = trig_resample(b, 2 * n)
-    return trig_resample(fa * fb, n)
+def _extended_centered(C: np.ndarray) -> np.ndarray:
+    """(n+1) x (n+1) centered form (divided by n^2) of the fft2 spectrum C
+    of an n x n grid, with frequencies -n/2 .. n/2 on both axes."""
+    n = C.shape[0]
+    return _extend_both(fft.fftshift(C) / (n * n))
 
 
 def _tail_energy_fraction(spectrum: np.ndarray) -> float:
@@ -193,8 +174,9 @@ class _SampledField:
     Subclasses supply the grid: ``_check_n`` validates the resolution,
     ``_grid_key`` identifies the grid for binary operations, and ``_like``
     builds a field on the same grid from new samples (``other`` is the
-    second operand of a binary operation, if any).  Derivatives, products
-    and evaluation off the grid are theirs as well.
+    second operand of a binary operation, if any).  Derivatives, the
+    polynomial product ``_product`` (see :func:`product`) and evaluation
+    off the grid are theirs as well.
     """
 
     def __init__(self, values: np.ndarray, real_tag: bool = False):
@@ -291,6 +273,20 @@ class _SampledField:
             raise ValueError(f"{type(self).__name__} operands must share one sample grid")
 
 
+def product(terms):
+    """sum_k c_k * f_k1 * f_k2 * ... for terms [(c_k, (f_k1, f_k2, ...)), ...],
+    all fields on one grid.  A PeriodicField result is dealiased for
+    monomials up to cubic: its modes are those of the exact polynomial.  A
+    ChartGrid result is the sample polynomial, valid where every operand is."""
+    first = terms[0][1][0]
+    for _, fields in terms:
+        for f in fields:
+            first._check_same_grid(f)
+    real = all(complex(c).imag == 0.0 and all(f.real_tag for f in fields)
+               for c, fields in terms)
+    return first._product(terms, real)
+
+
 def _domain_check(values: np.ndarray, floor: float, opname: str):
     m = float(np.min(np.abs(values)))
     if m <= floor:
@@ -309,12 +305,17 @@ class PeriodicField(_SampledField):
     values[i, j] = f(s_i, t_j), s_i = i/n, t_j = j/n.  The samples carry a
     trigonometric-interpolant interpretation: every derivative is the exact
     derivative of the interpolant, and products of fields are formed on a
-    doubled grid and truncated back (see :func:`_dealiased_product`).
+    doubled grid and truncated back (see :meth:`_product`).
+
+    A field returned by :meth:`derivative` or :func:`product` keeps the
+    fft2 spectrum its samples came from (``_spectrum``), and the next
+    derivative, product or evaluation reads it instead of a new transform.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
         super().__init__(values, real_tag)
         self.lattice = lattice
+        self._spectrum = None  # fft2 of values, when known without a transform
         self._eval_spectrum = None  # lazy cache for off-grid evaluation
 
     @staticmethod
@@ -327,6 +328,19 @@ class PeriodicField(_SampledField):
 
     def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "PeriodicField":
         return PeriodicField(self.lattice, values, real_tag=real_tag)
+
+    def _from_spectrum(self, C: np.ndarray, real_tag: bool) -> "PeriodicField":
+        out = self._like(fft.ifft2(C), real_tag)
+        out._spectrum = C
+        return out
+
+    def _fft(self, values: np.ndarray | None = None) -> np.ndarray:
+        """fft2 of ``values``, by default the kept spectrum or else the
+        samples; real-tagged samples take the real-input transform."""
+        if values is None and self._spectrum is not None:
+            return self._spectrum
+        values = self.values if values is None else values
+        return fft.fft2(values.real if self.real_tag else values)
 
     # -- construction ------------------------------------------------------
 
@@ -380,16 +394,20 @@ class PeriodicField(_SampledField):
 
         The ambiguous Nyquist bin is annihilated, and bins below the sample
         rounding floor are zeroed (see _DENOISE_FACTOR); fields passing the
-        tail check carry no meaningful energy in either.
+        tail check carry no meaningful energy in either.  A kept spectrum is
+        read with its DC entry zeroed; the result keeps its own.
         """
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
-        # Centering before the transform is a mathematical no-op (the DC
-        # multiplier is zero) but keeps the FFT's internal rounding at the
-        # oscillation scale rather than the mean scale, so derivatives are
-        # invariant under constant shifts down to the denoise floor.
-        mean = complex(self.values.mean())
-        C = np.fft.fft2(self.values - mean)
+        if self._spectrum is None:
+            # Centering before the transform is a mathematical no-op (the DC
+            # multiplier is zero) but keeps the FFT's internal rounding at the
+            # oscillation scale rather than the mean scale, so derivatives are
+            # invariant under constant shifts down to the denoise floor.
+            C = self._fft(self.values - complex(self.values.mean()))
+        else:
+            C = self._spectrum.copy()
+            C[0, 0] = 0.0
         if tail_tol is not None:
             frac = _tail_energy_fraction(C)
             if frac > tail_tol:
@@ -404,13 +422,41 @@ class PeriodicField(_SampledField):
         mult = 2j * np.pi * k
         mult[n // 2] = 0.0
         M = _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)
-        return self._like(np.fft.ifft2(C * M[direction == "Dbar"]), False)
+        return self._from_spectrum(C * M[direction == "Dbar"], False)
 
     def mul(self, other: "PeriodicField") -> "PeriodicField":
-        """Dealiased product (see :func:`_dealiased_product`)."""
-        self._check_same_grid(other)
-        return self._like(_dealiased_product(self.values, other.values),
-                          self.real_tag and other.real_tag)
+        """Dealiased product: the one-monomial case of :func:`product`."""
+        return product([(1.0, (self, other))])
+
+    def _product(self, terms, real_tag: bool) -> "PeriodicField":
+        """Each operand's spectrum is lifted once onto the 2n grid (2n is the
+        dealiasing rule for cubic terms, Orszag 1971), the monomials are
+        summed there in place, and one fft2 and a fold to n modes give the
+        result's spectrum.  A lifted operand is freed after its last use and
+        a term takes the buffer of a factor it uses last, so the P form
+        holds at most three 2n arrays at once."""
+        n, m = self.n, 2 * self.n
+        ix = np.ix_(*2 * (np.arange(-(n // 2), n // 2 + 1) % m,))
+        last = {id(f): (i, j) for i, (_, fs) in enumerate(terms) for j, f in enumerate(fs)}
+        lifted, acc = {}, None
+        for i, (c, fs) in enumerate(terms):
+            term = None
+            for j, f in enumerate(fs):
+                if id(f) not in lifted:
+                    P = np.zeros((m, m), dtype=complex)
+                    P[ix] = _extended_centered(f._fft())
+                    lifted[id(f)] = fft.ifft2(P, norm="forward", overwrite_x=True)
+                    del P
+                own = last[id(f)] == (i, j)
+                x = lifted.pop(id(f)) if own else lifted[id(f)]
+                if term is None:
+                    term = np.multiply(x, c, out=x if own else None)
+                else:
+                    term *= x
+                del x
+            acc = term if acc is None else np.add(acc, term, out=acc)
+        F = fft.fft2(acc, norm="forward", overwrite_x=True)
+        return self._from_spectrum(fft.ifftshift(_fold_both(F[ix])) * (n * n), real_tag)
 
     # -- evaluation off the grid --------------------------------------------
 
@@ -439,7 +485,7 @@ class PeriodicField(_SampledField):
         """Exponential rows at (s, t) for the extended centered spectrum,
         which is computed on first use."""
         if self._eval_spectrum is None:
-            self._eval_spectrum = _extended_centered_spectrum(self.values)
+            self._eval_spectrum = _extended_centered(self._fft())
         freqs = np.arange(-(self.n // 2), self.n // 2 + 1)
         return (np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), freqs))
                 for u in (s, t))
@@ -619,10 +665,14 @@ class ChartGrid(_SampledField):
         return self._like(_xy_wirtinger(fx, fy)[direction == "Dbar"], False)
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
-        """Plain sample product on the intersection of validity masks."""
-        self._check_same_grid(other)
-        return self._like(self.values * other.values,
-                          self.real_tag and other.real_tag, other)
+        """Sample product: the one-monomial case of :func:`product`."""
+        return product([(1.0, (self, other))])
+
+    def _product(self, terms, real_tag: bool) -> "ChartGrid":
+        """Plain sample polynomial on the intersection of validity masks."""
+        values = sum(reduce(np.multiply, (f.values for f in fs), c) for c, fs in terms)
+        valid = reduce(_and_valid, (f.valid for _, fs in terms for f in fs))
+        return ChartGrid(self.chart_id, self.radius, values, real_tag=real_tag, valid=valid)
 
     # -- evaluation -------------------------------------------------------------
 

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.fft
 from scipy.optimize import minimize
 
 from .cartan import cartan_r
@@ -87,7 +88,7 @@ class TrigPotential:
             if abs(j) >= n // 2 or abs(k) >= n // 2:
                 raise ValueError(f"mode ({j},{k}) does not fit on an n={n} grid")
             C[j % n, k % n] += c * n * n
-        vals = np.fft.ifft2(C)
+        vals = scipy.fft.ifft2(C)
         return PeriodicField(self.lattice, vals, real_tag=True)
 
     def shifted(self, c: float) -> "TrigPotential":

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's spectral machinery:
 derivatives are 4th-order centered finite differences on the periodic grid,
-products are plain sample products.  These paths are inaccurate but
-independent, which is what makes them useful checks.  The depth-first edge
+products are plain sample products, and resampling places FFT coefficients
+by hand.  These paths are independent (the first two also inaccurate),
+which is what makes them useful checks.  The depth-first edge
 refinement is the reference for the library's level-synchronous one: the
 same bisection rule, one midpoint evaluation at a time.
 """
@@ -47,6 +48,23 @@ def fd_covariant_hessian(fv: np.ndarray, phiv: np.ndarray, omega: complex) -> np
     """e^{-2 phi}(D^2 f - 2 (D phi)(D f)) by finite differences."""
     D = lambda v: fd_wirtinger(v, omega, "D")
     return np.exp(-2.0 * phiv) * (D(D(fv)) - 2.0 * D(phiv) * D(fv))
+
+
+def trig_resample(values: np.ndarray, m: int) -> np.ndarray:
+    """Resample an n x n periodic grid to m x m through the trigonometric
+    interpolant by placing its fft2 coefficients directly: frequencies
+    -k..k with k = min(n, m) / 2 are kept, the Nyquist bin of a smaller
+    source split evenly between +-n/2 and a larger source's +-m/2 folded
+    onto the one Nyquist bin of the target.  Exact (up to rounding)
+    whenever the retained band holds the full spectrum."""
+    n = values.shape[0]
+    k = min(n, m) // 2
+    freqs = np.arange(-k, k + 1)
+    weight = np.where((np.abs(freqs) == k) & (m >= n), 0.5, 1.0)
+    C = np.fft.fft2(values)[np.ix_(freqs % n, freqs % n)] * np.outer(weight, weight)
+    P = np.zeros((m, m), dtype=complex)
+    np.add.at(P, np.ix_(freqs % m, freqs % m), C)
+    return np.fft.ifft2(P) * (m * m) / (n * n)
 
 
 def random_band_limited(seed: int, lattice: TorusLattice, n: int = 128,

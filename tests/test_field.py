@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from umbilic.errors import DomainError, UnderResolved
-from umbilic.field import ChartGrid, PeriodicField, TorusLattice, trig_resample
+from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
 
-from _oracles import random_band_limited
+from _oracles import random_band_limited, trig_resample
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -132,6 +134,90 @@ class TestDealiasedProducts:
         b = PeriodicField.from_modes(LAT, n, {(6, 0): 1.0})
         prod = a.mul(b)  # true mode 11 does not fit: projected away
         assert prod.sup_norm() < 1e-12
+
+
+def random_modes(seed, lattice, n, band):
+    """Complex field with random modes |j|, |k| <= band, scaled to sup 1."""
+    rng = np.random.default_rng(seed)
+    modes = {(j, k): rng.normal() + 1j * rng.normal()
+             for j in range(-band, band + 1) for k in range(-band, band + 1)}
+    f = PeriodicField.from_modes(lattice, n, modes)
+    return f.scale(1.0 / f.sup_norm())
+
+
+P_FORM_TERMS = lambda a, b, c, d: [(-3.0, (a, b)), (2.0, (a, a, c)), (-1.0, (d, c))]
+
+
+class TestPolynomialProduct:
+    """product(): each operand lifted once to 2n, one transform back."""
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    def test_fused_cubic_matches_4n_product(self, lattice):
+        # operands up to |k| = 12 on n = 32: the cubic reaches 36, past the
+        # grid, so truncating the pairwise product first would lose modes
+        n = 32
+        a, b, c, d = (random_modes(seed, lattice, n, 12) for seed in range(4))
+        fused = product(P_FORM_TERMS(a, b, c, d))
+        A, B, C, D = (trig_resample(f.values, 4 * n) for f in (a, b, c, d))
+        brute = trig_resample(-3.0 * A * B + 2.0 * A * A * C - D * C, n)
+        assert np.max(np.abs(fused.values - brute)) <= 1e-13 * np.max(np.abs(brute))
+        assert fused.lattice is lattice and not fused.real_tag
+
+    def test_mul_matches_pairwise_resampling(self):
+        n = 64
+        a, b = random_modes(5, LAT_GEN, n, 20), random_modes(6, LAT_GEN, n, 20)
+        ref = trig_resample(trig_resample(a.values, 2 * n) * trig_resample(b.values, 2 * n), n)
+        assert np.max(np.abs(a.mul(b).values - ref)) <= 1e-14
+
+    def test_kept_spectrum_chain_matches_samples(self):
+        # each derivative reads the spectrum its input kept; rebuilding the
+        # input from bare samples transforms them again
+        f = random_band_limited(7, LAT_GEN, n=64, budget=6)
+        kept, bare = f, f
+        for direction in ("D", "Dbar", "D", "D"):
+            kept = kept.derivative(direction)
+            bare = PeriodicField(LAT_GEN, bare.values).derivative(direction)
+            assert kept._spectrum is not None
+        assert np.max(np.abs(kept.values - bare.values)) <= 1e-12 * bare.sup_norm()
+
+    def test_under_resolved_raises_on_both_paths(self):
+        f = PeriodicField.from_modes(LAT, 64, {(30, 0): 1.0, (-30, 0): 1.0})
+        kept = f.mul(PeriodicField.constant(LAT, 64, 1.0))
+        assert f._spectrum is None and kept._spectrum is not None
+        for g in (f, kept):
+            with pytest.raises(UnderResolved):
+                g.derivative("D")
+
+    def test_p_form_holds_three_doubled_arrays(self):
+        # the lifted operands are freed after their last use; the rest of
+        # the peak is n-sized spectra
+        n = 64
+        u = random_band_limited(3, LAT_GEN, n=n, budget=6)
+        du = u.derivative("D")
+        fields = (du, du.derivative("Dbar").derivative("D"), du.derivative("Dbar"),
+                  du.derivative("D"))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            product(P_FORM_TERMS(*fields))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (2 * n) ** 2 * 16
+
+    def test_chart_product_is_sample_polynomial(self):
+        rng = np.random.default_rng(4)
+        n = 12
+        fields = [ChartGrid("c1", 1.0, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                            valid=rng.random((n, n)) > 0.2) for _ in range(4)]
+        a, b, c, d = fields
+        out = product(P_FORM_TERMS(a, b, c, d))
+        ref = -3.0 * a.values * b.values + 2.0 * a.values * a.values * c.values - d.values * c.values
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(out.valid, a.valid & b.valid & c.valid & d.valid)
+        pair = a.mul(b)
+        assert np.array_equal(pair.values, a.values * b.values)
+        assert np.array_equal(pair.valid, a.valid & b.valid)
 
 
 class TestPointwiseMaps:

@@ -409,6 +409,18 @@ class TestTorusPipeline:
         assert abs(complex(*dropped[0]["center"]) - (0.15 + 0.16j)) < 0.02
         assert len(records) == len(clusters) - 1
 
+    @pytest.mark.xfail(strict=True, raises=PhaseStepTooLarge, reason=(
+        "an edge phase step of about 2 rad (-2.018, 1.733, 1.914) stays "
+        "unresolved at bisection depth 12 on these generic, well-resolved "
+        "fields; n=256 fails the same way"))
+    @pytest.mark.parametrize("omega, seed", [(0.3 + 1.1j, 1), (0.3 + 1.1j, 6), (1.3 + 1.1j, 2)],
+                             ids=["oblique-seed1", "oblique-seed6", "sheared-seed2"])
+    def test_generic_budget3_field(self, omega, seed):
+        u = random_band_limited(seed, TorusLattice(omega), n=128, budget=3, amplitude=0.45)
+        records, audit, _ = torus_umbilics(u)
+        assert records and audit.passed
+        assert max(r.residual for r in records) <= 1e-12
+
     @pytest.mark.parametrize("lattice, seed", [
         (LAT, 2), (OBLIQUE, 2),
         pytest.param(LAT, 1, marks=pytest.mark.xfail(strict=True, reason=(
