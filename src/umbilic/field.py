@@ -5,9 +5,8 @@ Two grid-backed representations live here:
 * :class:`PeriodicField` holds samples of a doubly periodic function on a
   torus lattice.  The samples are interpreted as a trigonometric
   interpolant, so differentiation (through the FFT) is exact for
-  band-limited data and products are dealiased on a doubled grid.  A field
-  made by a derivative or a product keeps the spectrum it was built from,
-  so the next derivative or product starts from it without a transform.
+  band-limited data and products are dealiased on a doubled grid.  Fields
+  made by derivatives and products keep their spectrum for the next step.
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 

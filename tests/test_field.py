@@ -145,7 +145,9 @@ def random_modes(seed, lattice, n, band):
     return f.scale(1.0 / f.sup_norm())
 
 
-P_FORM_TERMS = lambda a, b, c, d: [(-3.0, (a, b)), (2.0, (a, a, c)), (-1.0, (d, c))]
+def p_form_terms(a, b, c, d):
+    """The products of the P form: -3 a b + 2 a a c - d c."""
+    return [(-3.0, (a, b)), (2.0, (a, a, c)), (-1.0, (d, c))]
 
 
 class TestPolynomialProduct:
@@ -157,7 +159,7 @@ class TestPolynomialProduct:
         # grid, so truncating the pairwise product first would lose modes
         n = 32
         a, b, c, d = (random_modes(seed, lattice, n, 12) for seed in range(4))
-        fused = product(P_FORM_TERMS(a, b, c, d))
+        fused = product(p_form_terms(a, b, c, d))
         A, B, C, D = (trig_resample(f.values, 4 * n) for f in (a, b, c, d))
         brute = trig_resample(-3.0 * A * B + 2.0 * A * A * C - D * C, n)
         assert np.max(np.abs(fused.values - brute)) <= 1e-13 * np.max(np.abs(brute))
@@ -199,7 +201,7 @@ class TestPolynomialProduct:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            product(P_FORM_TERMS(*fields))
+            product(p_form_terms(*fields))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -211,7 +213,7 @@ class TestPolynomialProduct:
         fields = [ChartGrid("c1", 1.0, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                             valid=rng.random((n, n)) > 0.2) for _ in range(4)]
         a, b, c, d = fields
-        out = product(P_FORM_TERMS(a, b, c, d))
+        out = product(p_form_terms(a, b, c, d))
         ref = -3.0 * a.values * b.values + 2.0 * a.values * a.values * c.values - d.values * c.values
         assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(out.valid, a.valid & b.valid & c.valid & d.valid)
