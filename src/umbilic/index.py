@@ -34,6 +34,9 @@ for all clusters of a field at once: each step is one call of the field's
 ``jet_at(z) -> (f, D f, Dbar f)``, the derivatives of the interpolant that
 ``evaluate_at`` evaluates.  Steps must lower |f| and stay within a fixed
 reach of their start, so a neighbouring zero cannot capture the iterate.
+A caller that only needs to know whether |f| falls below a threshold
+passes it as the polish's stop, and the iteration ends at the first step
+where some start is below it.
 """
 
 from __future__ import annotations
@@ -673,7 +676,7 @@ def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     return best / sup
 
 
-def _polish(f, starts, max_move):
+def _polish(f, starts, max_move, stop=0.0):
     """Damped Newton on (Re f, Im f) from all starts at once; returns the
     iterates and their |f|.  Each step takes f, D f and Dbar f from one
     ``f.jet_at`` call for all live starts and is the Levenberg-Marquardt
@@ -681,7 +684,10 @@ def _polish(f, starts, max_move):
     as on every zero curve of a constant-phase field.  A trial point is
     taken when it lowers |f| and lies within max_move (scalar or per start)
     of its start, else the step is halved; a start stops when its step falls
-    below rounding or is undefined.  Deterministic, monotone and confined.
+    below rounding or is undefined.  The whole polish returns as soon as
+    some start's |f| is below stop, for a caller that only asks whether any
+    start gets there; the default 0 never triggers.  Deterministic,
+    monotone and confined.
     """
     z0 = np.atleast_1d(np.asarray(starts, dtype=complex))
     reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape)
@@ -691,6 +697,8 @@ def _polish(f, starts, max_move):
     dz = _lm_step(v, a, b)
     live = np.arange(z.size)
     for _ in range(64):
+        if (best < stop).any():
+            break
         step = np.abs(dz[live])
         live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]
         if not live.size:

@@ -148,6 +148,11 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     report exactly 0, on zero curves as well as at points; a max below the
     degenerate floor also reports 0.  The score is invariant under
     u -> u + C.
+
+    A minimum below zero_ratio * max reports 0, and the polish stops at that
+    same threshold: each start's |Pu| only decreases, so once one start is
+    below it the score is 0 whatever the others do.  A nonzero score never
+    meets the stop, and its polish runs in full.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -162,16 +167,22 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     # search can slide past the global minimum of a multi-valley field
     starts = [field.lattice.st_to_z(i / grid_n, j / grid_n)
               for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
-    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * cell)[1].min()))
-    ratio = mn / mx
-    return 0.0 if ratio < zero_ratio else float(ratio)
+    stop = zero_ratio * mx
+    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * cell, stop)[1].min()))
+    return 0.0 if mn < stop else float(mn / mx)
 
 
 def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
     """Indices of up to `count` smallest samples, pairwise separated by at
-    least min_sep in periodic Chebyshev distance."""
+    least min_sep in periodic Chebyshev distance, walked in stable order of
+    value.  A pick rules out at most (2 min_sep - 1)^2 cells, so the
+    smallest K = count (2 min_sep - 1)^2 samples hold every pick: only
+    they are sorted, together with any sample tied with the K-th."""
     n = A.shape[0]
-    order = np.argsort(A, axis=None, kind="stable")
+    flat = A.ravel()
+    k = min(count * (2 * min_sep - 1) ** 2, flat.size) - 1
+    order = np.flatnonzero(flat <= np.partition(flat, k)[k])
+    order = order[np.argsort(flat[order], kind="stable")]
     picked = []
     for flat in order:
         i, j = int(flat) // n, int(flat) % n
@@ -309,9 +320,9 @@ class SearchConfig:
         if self.mode_filter not in ("all", "s_only"):
             raise ValueError(f"unknown mode filter {self.mode_filter!r}")
         if (min(self.trials, self.mode_budget, self.evaluations) < 1 or not self.coeff_bound > 0
-                or self.mode_budget >= self.grid_n // 2):
+                or self.mode_budget >= self.grid_n // 2 or self.seed < 0):
             raise ValueError("a search needs trials, mode_budget and evaluations >= 1, "
-                             "coeff_bound > 0 and mode_budget < grid_n / 2")
+                             "coeff_bound > 0, mode_budget < grid_n / 2 and seed >= 0")
 
     def mode_list(self):
         B = self.mode_budget

@@ -6,7 +6,9 @@ products are plain sample products, and resampling places FFT coefficients
 by hand.  These paths are independent (the first two also inaccurate),
 which is what makes them useful checks.  The depth-first edge
 refinement is the reference for the library's level-synchronous one: the
-same bisection rule, one midpoint evaluation at a time.
+same bisection rule, one midpoint evaluation at a time.  The full sorted
+walk over every sample is the reference for the search objective's start
+selection, which sorts only a prefix.
 """
 
 import numpy as np
@@ -152,3 +154,19 @@ def refine_edge_depth_first(eval_line, v0, v1, floor, max_depth=12):
     except EdgeCrossing as xc:
         return "crossing", (xc.p, xc.modulus)
     return "ok", total
+
+
+def lowest_separated_cells_full(A: np.ndarray, count: int, min_sep: int):
+    """Reference start selection: walk all samples in stable order of value
+    and keep each one at periodic Chebyshev distance >= min_sep from every
+    earlier pick, until count are picked."""
+    n = A.shape[0]
+    picked = []
+    for flat in np.argsort(A, axis=None, kind="stable"):
+        i, j = int(flat) // n, int(flat) % n
+        if all(max(min((i - pi) % n, (pi - i) % n), min((j - pj) % n, (pj - j) % n)) >= min_sep
+               for pi, pj in picked):
+            picked.append((i, j))
+            if len(picked) >= count:
+                break
+    return picked

@@ -249,6 +249,8 @@ class TestMainAndExitCodes:
                   search={"mode_budget": 1, "trials": 1, "evaluations": 2, "coeff_bound": -1}),
         torus_cfg(operation="search", numeric={"grid_n": 64},
                   search={"mode_budget": 40, "trials": 1, "evaluations": 2}),
+        torus_cfg(operation="search", numeric={"grid_n": 64, "seed": -1},
+                  search={"mode_budget": 1, "trials": 1, "evaluations": 2}),
         # relative to the test's working directory, where it does not exist
         torus_cfg(output={"report": "missing-directory/report.json"}),
         torus_cfg(output={"grid_dump": "missing-directory/r.csv"}),
@@ -261,7 +263,7 @@ class TestMainAndExitCodes:
             "loewner_coeff_short", "report_int", "grid_dump_int", "suppress_string",
             "grid_n_fraction", "loewner_order_fraction", "omega_huge",
             "search_evaluations_0", "search_coeff_bound_negative",
-            "search_mode_budget_too_high", "report_missing_directory",
+            "search_mode_budget_too_high", "seed_negative", "report_missing_directory",
             "grid_dump_missing_directory"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)

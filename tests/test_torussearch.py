@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from umbilic import torussearch
 from umbilic.cartan import cartan_r
 from umbilic.errors import SymmetryViolated, TotallyDegenerate
-from umbilic.field import TorusLattice
+from umbilic.field import PeriodicField, TorusLattice
+from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                                 chern_normalize, chern_number,
+                                 _lowest_separated_cells, chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
-from _oracles import one_directional, random_half_modes
+from _oracles import lowest_separated_cells_full, one_directional, random_half_modes
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -73,6 +75,79 @@ class TestObjective:
         o2 = min_modulus_objective(pot, 192)
         top = max(o1, o2)
         assert top == 0.0 or abs(o1 - o2) <= 0.1 * top
+
+
+def full_polish_objective(u, n, zero_ratio=1e-9):
+    """The objective recomputed with the reference start walk and a polish
+    that runs every start to its end."""
+    r = cartan_r(u.to_field(n), "p_form", check_resolution=False).r
+    A = np.abs(r.values)
+    starts = [u.lattice.st_to_z(i / n, j / n)
+              for i, j in lowest_separated_cells_full(A, count=4, min_sep=4)]
+    cell = (1.0 + abs(u.lattice.omega)) / n
+    ratio = min(float(A.min()), float(_polish(r, starts, 2.5 * cell)[1].min())) / r.sup_norm()
+    return 0.0 if ratio < zero_ratio else float(ratio)
+
+
+class TestObjectiveStop:
+    """The objective's polish ends once one start is below the zero
+    threshold; its value is that of the polish run to the end."""
+
+    def test_zero_decided_in_few_steps(self, monkeypatch):
+        # the full polish makes 65 jet_at calls here: the starts that sit
+        # near nonzero local minima creep until the step cap
+        sizes = []
+        jet = PeriodicField.jet_at
+
+        def counted(self, z):
+            sizes.append(np.size(z))
+            return jet(self, z)
+
+        monkeypatch.setattr(PeriodicField, "jet_at", counted)
+        pot = TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12))
+        assert min_modulus_objective(pot, 96) == 0.0
+        assert 1 <= len(sizes) <= 8
+
+    def test_same_value_as_full_polish(self, monkeypatch):
+        seen = []
+        objective = torussearch.min_modulus_objective
+
+        def recorded(u, grid_n, **kw):
+            seen.append(u)
+            return objective(u, grid_n, **kw)
+
+        monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
+        rep = torus_search(SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
+                                        grid_n=96, mode_budget=3))
+        values = [v for _, v in rep.history]
+        assert values[4] == 3.3797912795197413e-4 and values[:4] == [0.0] * 4
+        for u, v in zip(seen, values):
+            assert v == full_polish_objective(u, 96)
+        for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
+                    TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})):
+            assert min_modulus_objective(pot, 96) == full_polish_objective(pot, 96) == 0.0
+
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_start_picks_match_full_walk(self, n):
+        rng = np.random.default_rng(n)
+        i = np.arange(n)[:, None]
+        j = np.arange(n)[None, :]
+        for trial in range(20):
+            s0, t0 = rng.integers(n, size=2)
+            arrays = [
+                rng.random((n, n)),
+                # few distinct values: ties everywhere
+                rng.integers(0, 5, size=(n, n)).astype(float),
+                # s-only fields repeat each row value across a whole row
+                np.broadcast_to(np.abs(np.cos(2 * np.pi * (i + trial) / n * 3)), (n, n)),
+                # one valley: every low sample lies near one point
+                np.hypot(np.minimum((i - s0) % n, (s0 - i) % n),
+                         np.minimum((j - t0) % n, (t0 - j) % n)),
+            ]
+            for A in arrays:
+                for count, min_sep in ((4, 4), (3, 2), (6, 5)):
+                    assert (_lowest_separated_cells(A, count, min_sep)
+                            == lowest_separated_cells_full(A, count, min_sep))
 
 
 class TestObstruction:

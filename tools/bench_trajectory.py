@@ -11,8 +11,9 @@ the medians, the parent's interquartile range relative to its median, and
 the number of pairs the change won (ties count for neither side).  It also
 records the environment of the runs (nproc, CPU, caches, Python, numpy and
 scipy versions), both git revisions, the seeds, and each side's failure
-ratios and round counts.  The exit status is 0 when at least one pair was
-found, else 1.
+ratios and round counts.  An existing OUT_JSON is never replaced: the
+tool exits 1 without reading the checkouts.  Otherwise the exit status is
+0 when at least one pair was found, else 1.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv: list) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     parent_dir, change_dir, out = (Path(a) for a in argv)
+    if out.exists():
+        print(f"{out} exists; pick another name for this trajectory point", file=sys.stderr)
+        return 1
     parent, change = load_results(parent_dir), load_results(change_dir)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = summarise(parent, change, spec["end_to_end"])
