@@ -152,7 +152,8 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     A minimum below zero_ratio * max reports 0, and the polish stops at that
     same threshold: each start's |Pu| only decreases, so once one start is
     below it the score is 0 whatever the others do.  A nonzero score never
-    meets the stop, and its polish runs in full.
+    meets the stop, and its polish runs in full.  The starts come from the
+    smallest 4 * 7^2 samples only (the bound of _lowest_separated_cells).
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -179,21 +180,14 @@ def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
     smallest K = count (2 min_sep - 1)^2 samples hold every pick: only
     they are sorted, together with any sample tied with the K-th."""
     n = A.shape[0]
-    flat = A.ravel()
-    k = min(count * (2 * min_sep - 1) ** 2, flat.size) - 1
-    order = np.flatnonzero(flat <= np.partition(flat, k)[k])
-    order = order[np.argsort(flat[order], kind="stable")]
+    vals = A.ravel()
+    k = min(count * (2 * min_sep - 1) ** 2, vals.size) - 1
+    head = np.flatnonzero(vals <= np.partition(vals, k)[k])
     picked = []
-    for flat in order:
-        i, j = int(flat) // n, int(flat) % n
-        ok = True
-        for pi, pj in picked:
-            di = min((i - pi) % n, (pi - i) % n)
-            dj = min((j - pj) % n, (pj - j) % n)
-            if max(di, dj) < min_sep:
-                ok = False
-                break
-        if ok:
+    for flat in head[np.argsort(vals[head], kind="stable")].tolist():
+        i, j = divmod(flat, n)
+        if all(max(min((i - pi) % n, (pi - i) % n), min((j - pj) % n, (pj - j) % n)) >= min_sep
+               for pi, pj in picked):
             picked.append((i, j))
             if len(picked) >= count:
                 break

@@ -161,11 +161,18 @@ def lowest_separated_cells_full(A: np.ndarray, count: int, min_sep: int):
     and keep each one at periodic Chebyshev distance >= min_sep from every
     earlier pick, until count are picked."""
     n = A.shape[0]
+    order = np.argsort(A, axis=None, kind="stable")
     picked = []
-    for flat in np.argsort(A, axis=None, kind="stable"):
+    for flat in order:
         i, j = int(flat) // n, int(flat) % n
-        if all(max(min((i - pi) % n, (pi - i) % n), min((j - pj) % n, (pj - j) % n)) >= min_sep
-               for pi, pj in picked):
+        ok = True
+        for pi, pj in picked:
+            di = min((i - pi) % n, (pi - i) % n)
+            dj = min((j - pj) % n, (pj - j) % n)
+            if max(di, dj) < min_sep:
+                ok = False
+                break
+        if ok:
             picked.append((i, j))
             if len(picked) >= count:
                 break
