@@ -53,7 +53,8 @@ error object:
     exit 7  numerical fault (contour winding, cross-form disagreement,
             singular chart transition)
     exit 8  claimed symmetry does not annihilate the potential
-    exit 9  pointwise map applied outside its domain
+    exit 9  pointwise map applied outside its domain, or a result that is
+            not a finite number
 """
 
 from __future__ import annotations
@@ -445,6 +446,7 @@ def run(cfg: dict) -> dict:
     t0 = time.monotonic()
     echo, inputs = parse_config(cfg)
     out = _RUNNERS[echo["operation"]](inputs)
+    _require_finite(out["results"], "results")
     wall = time.monotonic() - t0
     report = {
         "version": __version__,
@@ -460,6 +462,19 @@ def run(cfg: dict) -> dict:
             raise ConfigError(f"cannot write grid dump: {exc}") from exc
         report["diagnostics"]["grid_dump"] = inputs["grid_dump"]
     return report
+
+
+def _require_finite(value, path: str):
+    """Raise DomainError at the first NaN or infinite number in a results
+    block: JSON has no such numbers, and a report never holds them."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise DomainError(f"{path} is {value}: the computation left the float range")
 
 
 # --------------------------------------------------------------------------

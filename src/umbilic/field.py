@@ -5,8 +5,11 @@ Two grid-backed representations live here:
 * :class:`PeriodicField` holds samples of a doubly periodic function on a
   torus lattice.  The samples are interpreted as a trigonometric
   interpolant, so differentiation (through the FFT) is exact for
-  band-limited data and products are dealiased on a doubled grid.  Fields
-  made by derivatives and products keep their spectrum for the next step.
+  band-limited data and products are dealiased on a padded grid.  Fields
+  made by derivatives, products, sums of those and trigonometric
+  potentials keep their spectrum for the next step.  The band of a field
+  is the largest |k| with a nonzero bin of that spectrum (n/2 without
+  one); products and off-grid evaluation are sized to it.
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
@@ -14,8 +17,11 @@ Both share their pointwise sample arithmetic (sums, scalings, exp, log,
 reciprocal, modulus, conjugation) through one private base class; they
 differ only in derivatives, products, evaluation and grid identity.
 :func:`product` forms a polynomial in fields at once; on a torus it lifts
-each operand once onto the doubled grid, sums the monomials there and
-truncates once.  Transforms go through ``scipy.fft``.
+each operand once onto an m x m grid, sums the monomials there and
+truncates once.  With S the largest sum of operand bands over the terms
+and K = min(S, n/2) the kept band, m = min(2n, next_fast_len(S + K + 1)):
+the padding rule m > S + K (Orszag 1971), which is 2n for cubic terms of
+full-band fields.  Transforms go through ``scipy.fft``.
 
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
@@ -143,11 +149,15 @@ def _lattice_wirtinger(ds, dt, omega):
     return np.conj(omega) * ds - dt, dt - omega * ds
 
 
-def _extended_centered(C: np.ndarray) -> np.ndarray:
-    """(n+1) x (n+1) centered form (divided by n^2) of the fft2 spectrum C
-    of an n x n grid, with frequencies -n/2 .. n/2 on both axes."""
+def _centered_block(C: np.ndarray, h: int) -> np.ndarray:
+    """(2h+1) x (2h+1) centered form (divided by n^2) of the fft2 spectrum C
+    of an n x n grid, with frequencies -h .. h on both axes.  At h = n/2
+    the Nyquist bins are split evenly between -n/2 and n/2."""
     n = C.shape[0]
-    return _extend_both(fft.fftshift(C) / (n * n))
+    if 2 * h == n:
+        return _extend_both(fft.fftshift(C) / (n * n))
+    g = np.arange(-h, h + 1) % n
+    return C[np.ix_(g, g)] / (n * n)
 
 
 def _tail_energy_fraction(spectrum: np.ndarray) -> float:
@@ -221,7 +231,12 @@ class _SampledField:
         return self._like(self.values + c, self.real_tag and c.imag == 0.0)
 
     def exp(self):
-        return self._like(np.exp(self.values), self.real_tag)
+        with np.errstate(over="ignore"):
+            values = np.exp(self.values)
+        if not np.all(np.isfinite(values)):
+            raise DomainError("exp overflows on these samples "
+                              f"(max real part {float(np.max(self.values.real)):.6g})")
+        return self._like(values, self.real_tag)
 
     def log(self, floor: float = 1e-300):
         _domain_check(self.values, floor, "log")
@@ -275,8 +290,11 @@ class _SampledField:
 def product(terms):
     """sum_k c_k * f_k1 * f_k2 * ... for terms [(c_k, (f_k1, f_k2, ...)), ...],
     all fields on one grid.  A PeriodicField result is dealiased for
-    monomials up to cubic: its modes are those of the exact polynomial.  A
-    ChartGrid result is the sample polynomial, valid where every operand is."""
+    monomials up to cubic: its modes are those of the exact polynomial.  It
+    is lifted to a grid sized to the operands' bands (the padding rule
+    m > S + K of :meth:`PeriodicField._product`) and keeps its spectrum,
+    whose band is at most min(S, n/2).  A ChartGrid result is the sample
+    polynomial, valid where every operand is."""
     first = terms[0][1][0]
     for _, fields in terms:
         for f in fields:
@@ -304,11 +322,14 @@ class PeriodicField(_SampledField):
     values[i, j] = f(s_i, t_j), s_i = i/n, t_j = j/n.  The samples carry a
     trigonometric-interpolant interpretation: every derivative is the exact
     derivative of the interpolant, and products of fields are formed on a
-    doubled grid and truncated back (see :meth:`_product`).
+    padded grid and truncated back (see :meth:`_product`).
 
-    A field returned by :meth:`derivative` or :func:`product` keeps the
-    fft2 spectrum its samples came from (``_spectrum``), and the next
+    A field returned by :meth:`derivative`, :func:`product` or
+    ``TrigPotential.to_field``, or by :meth:`add` of two such fields, keeps
+    the fft2 spectrum its samples came from (``_spectrum``), and the next
     derivative, product or evaluation reads it instead of a new transform.
+    Its band (:meth:`_band`) sizes the lift of a product and the rows of an
+    evaluation; a field without a kept spectrum counts as full band, n/2.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
@@ -331,6 +352,13 @@ class PeriodicField(_SampledField):
     def _from_spectrum(self, C: np.ndarray, real_tag: bool) -> "PeriodicField":
         out = self._like(fft.ifft2(C), real_tag)
         out._spectrum = C
+        return out
+
+    def add(self, other: "PeriodicField") -> "PeriodicField":
+        """Sample sum; when both operands keep a spectrum, so does the sum."""
+        out = super().add(other)
+        if self._spectrum is not None and other._spectrum is not None:
+            out._spectrum = self._spectrum + other._spectrum
         return out
 
     def _fft(self, values: np.ndarray | None = None) -> np.ndarray:
@@ -428,22 +456,38 @@ class PeriodicField(_SampledField):
         return product([(1.0, (self, other))])
 
     def _product(self, terms, real_tag: bool) -> "PeriodicField":
-        """Each operand's spectrum is lifted once onto the 2n grid (2n is the
-        dealiasing rule for cubic terms, Orszag 1971), the monomials are
-        summed there in place, and one fft2 and a fold to n modes give the
-        result's spectrum.  A lifted operand is freed after its last use and
-        a term takes the buffer of a factor it uses last, so the P form
-        holds at most three 2n arrays at once."""
-        n, m = self.n, 2 * self.n
-        ix = np.ix_(*2 * (np.arange(-(n // 2), n // 2 + 1) % m,))
+        """Each operand's spectrum is lifted once onto an m x m grid, the
+        monomials are summed there in place, and one fft2 and a truncation
+        give the result's spectrum.
+
+        The lift is sized to the bands (see :meth:`_band`).  With S the
+        largest sum of operand bands over the terms, the product carries
+        modes up to S, of which K = min(S, n/2) are kept, and
+        m = min(2n, next_fast_len(S + K + 1)): a mode up to S aliases past
+        every kept one once m > S + K (Orszag 1971).  Full-band cubic terms
+        lift to 2n, where only the Nyquist bins, which derivatives
+        annihilate, take aliased content; full-band quadratic ones lift by
+        about 3/2, and budget-3 potentials give the P form a 20 x 20 grid.
+        The Nyquist bins are folded back only when K = n/2.  A lifted
+        operand is freed after its last use and a term takes the buffer of
+        a factor it uses last, so the P form holds at most three lifted
+        arrays at once."""
+        n = self.n
+        operands = {id(f): f for _, fs in terms for f in fs}
+        bands = {key: f._band() for key, f in operands.items()}
+        S = max(sum(bands[id(f)] for f in fs) for _, fs in terms)
+        K = min(S, n // 2)
+        m = min(2 * n, fft.next_fast_len(S + K + 1))
         last = {id(f): (i, j) for i, (_, fs) in enumerate(terms) for j, f in enumerate(fs)}
         lifted, acc = {}, None
         for i, (c, fs) in enumerate(terms):
             term = None
             for j, f in enumerate(fs):
                 if id(f) not in lifted:
+                    h = bands[id(f)]
+                    g = np.arange(-h, h + 1) % m
                     P = np.zeros((m, m), dtype=complex)
-                    P[ix] = _extended_centered(f._fft())
+                    P[np.ix_(g, g)] = _centered_block(f._fft(), h)
                     lifted[id(f)] = fft.ifft2(P, norm="forward", overwrite_x=True)
                     del P
                 own = last[id(f)] == (i, j)
@@ -455,7 +499,22 @@ class PeriodicField(_SampledField):
                 del x
             acc = term if acc is None else np.add(acc, term, out=acc)
         F = fft.fft2(acc, norm="forward", overwrite_x=True)
-        return self._from_spectrum(fft.ifftshift(_fold_both(F[ix])) * (n * n), real_tag)
+        g = np.arange(-K, K + 1)
+        G = F[np.ix_(g % m, g % m)]
+        if 2 * K == n:
+            G, g = _fold_both(G), g[:-1]
+        C = np.zeros((n, n), dtype=complex)
+        C[np.ix_(g % n, g % n)] = G * (n * n)
+        return self._from_spectrum(C, real_tag)
+
+    def _band(self) -> int:
+        """The largest |k| on either axis with a nonzero bin of the kept
+        spectrum; a field without one counts as n/2 and is not scanned."""
+        if self._spectrum is None:
+            return self.n // 2
+        k = np.abs(_int_freqs(self.n)).astype(int)
+        nonzero = self._spectrum != 0
+        return int(max(k[nonzero.any(1)].max(initial=0), k[nonzero.any(0)].max(initial=0)))
 
     # -- evaluation off the grid --------------------------------------------
 
@@ -475,17 +534,20 @@ class PeriodicField(_SampledField):
         :meth:`evaluate_st`, one more matrix product for d/ds and a weighted
         row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`."""
         Es, Et = self._rows(*self.lattice.z_to_st(np.atleast_1d(np.asarray(z, dtype=complex))))
-        k = 2j * np.pi * np.arange(-(self.n // 2), self.n // 2 + 1)
+        h = Es.shape[1] // 2
+        k = 2j * np.pi * np.arange(-h, h + 1)
         rows = Es @ self._eval_spectrum
         fs, ft = (((Es * k) @ self._eval_spectrum) * Et).sum(1), (rows * Et * k).sum(1)
         return ((rows * Et).sum(1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
 
     def _rows(self, s, t):
-        """Exponential rows at (s, t) for the extended centered spectrum,
-        which is computed on first use."""
+        """Exponential rows at (s, t) for the centered spectrum on the
+        field's band, (2h+1) x (2h+1) with h = :meth:`_band`, which is
+        computed on first use."""
         if self._eval_spectrum is None:
-            self._eval_spectrum = _extended_centered(self._fft())
-        freqs = np.arange(-(self.n // 2), self.n // 2 + 1)
+            self._eval_spectrum = _centered_block(self._fft(), self._band())
+        h = self._eval_spectrum.shape[0] // 2
+        freqs = np.arange(-h, h + 1)
         return (np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), freqs))
                 for u in (s, t))
 

@@ -82,14 +82,19 @@ class TrigPotential:
         return max((max(abs(j), abs(k)) for (j, k) in self.modes), default=0)
 
     def to_field(self, n: int) -> PeriodicField:
-        """Exact band-limited samples through spectral placement."""
+        """Exact band-limited samples through spectral placement.  Each mode
+        is placed made Hermitian, (c_{jk} + conj(c_{-j,-k})) / 2, so the
+        spectrum matches the real samples, and the field keeps it:
+        derivatives read exact coefficients and every bin outside the band
+        is exactly 0."""
         C = np.zeros((n, n), dtype=complex)
         for (j, k), c in sorted(self.modes.items()):
             if abs(j) >= n // 2 or abs(k) >= n // 2:
                 raise ValueError(f"mode ({j},{k}) does not fit on an n={n} grid")
-            C[j % n, k % n] += c * n * n
-        vals = scipy.fft.ifft2(C)
-        return PeriodicField(self.lattice, vals, real_tag=True)
+            C[j % n, k % n] = (c + np.conj(self.modes[(-j, -k)])) / 2 * n * n
+        field = PeriodicField(self.lattice, scipy.fft.ifft2(C), real_tag=True)
+        field._spectrum = C
+        return field
 
     def shifted(self, c: float) -> "TrigPotential":
         modes = dict(self.modes)
@@ -216,13 +221,16 @@ class ObstructionReport:
 def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
                                 grid_n: int = 128,
                                 symmetry_tol: float = 1e-10,
-                                form: str = "divergence_form") -> ObstructionReport:
+                                form: str = "p_form") -> ObstructionReport:
     """Verify that a Y-invariant potential forces zeros of Pu.
 
     Checks Yu = 0, locates the zero set of Pu (curves as well as points),
     and audits the constructive reduction: psi = e^{-u} Y'v must attain its
     interior extrema where Y'psi changes sign, and e^{-2u} Pu must equal
-    b^2 Y'psi for the constant b with D = aY + bY'.
+    b^2 Y'psi for the constant b with D = aY + bY'.  Pu comes from the P
+    form by default, so that identity compares two independent code paths;
+    the divergence form multiplies by e^{2u}, and its under-resolved e^{-u}
+    products blow up on potentials of large amplitude.
     """
     field = u.to_field(grid_n)
     # fx and fy also set the scale of the symmetry test

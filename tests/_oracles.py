@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's spectral machinery:
 derivatives are 4th-order centered finite differences on the periodic grid,
 products are plain sample products, and resampling places FFT coefficients
 by hand.  These paths are independent (the first two also inaccurate),
-which is what makes them useful checks.  The depth-first edge
+which is what makes them useful checks.  The polynomial product on the
+doubled grid is the reference for the library's band-sized lifts: it lifts
+every operand to 2n whatever its band.  The depth-first edge
 refinement is the reference for the library's level-synchronous one: the
 same bisection rule, one midpoint evaluation at a time.  The full sorted
 walk over every sample is the reference for the search objective's start
@@ -12,6 +14,7 @@ selection, which sorts only a prefix.
 """
 
 import numpy as np
+from scipy import fft as sfft
 
 from umbilic.field import PeriodicField, TorusLattice
 
@@ -67,6 +70,47 @@ def trig_resample(values: np.ndarray, m: int) -> np.ndarray:
     P = np.zeros((m, m), dtype=complex)
     np.add.at(P, np.ix_(freqs % m, freqs % m), C)
     return np.fft.ifft2(P) * (m * m) / (n * n)
+
+
+def _split_nyquist(E: np.ndarray) -> np.ndarray:
+    """Centered n x n coefficients -> (n+1) x (n+1), the -n/2 row and column
+    split evenly between -n/2 and n/2 (axis 0 first)."""
+    for axis in (0, 1):
+        E = np.moveaxis(E, axis, 0)
+        E = np.moveaxis(np.concatenate([0.5 * E[:1], E[1:], 0.5 * E[:1]]), 0, axis)
+    return E
+
+
+def _fold_nyquist(E: np.ndarray) -> np.ndarray:
+    """Adjoint of _split_nyquist: (n+1) x (n+1) -> n x n, the n/2 row and
+    column added onto -n/2 (axis 0 first)."""
+    for axis in (0, 1):
+        E = np.moveaxis(E, axis, 0)
+        E = np.moveaxis(np.concatenate([E[:1] + E[-1:], E[1:-1]]), 0, axis)
+    return E
+
+
+def product_2n(terms) -> np.ndarray:
+    """Samples of sum_k c_k f_k1 f_k2 ... with every operand lifted onto the
+    2n grid, its Nyquist bins split, the monomials summed there, one
+    transform back and the +-n/2 bins folded: the doubled-grid product
+    whatever the operands' bands.  Operands are read through their spectra
+    (kept or transformed), in the same order of operations as the library's
+    full-band lift."""
+    n = terms[0][1][0].n
+    m = 2 * n
+    g = np.arange(-(n // 2), n // 2 + 1) % m
+    acc = None
+    for c, fs in terms:
+        term = None
+        for f in fs:
+            P = np.zeros((m, m), dtype=complex)
+            P[np.ix_(g, g)] = _split_nyquist(sfft.fftshift(f._fft()) / (n * n))
+            x = sfft.ifft2(P, norm="forward")
+            term = np.multiply(x, c) if term is None else term * x
+        acc = term if acc is None else acc + term
+    F = sfft.fft2(acc, norm="forward")
+    return sfft.ifft2(sfft.ifftshift(_fold_nyquist(F[np.ix_(g, g)])) * (n * n))
 
 
 def random_band_limited(seed: int, lattice: TorusLattice, n: int = 128,

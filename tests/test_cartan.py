@@ -8,6 +8,7 @@ from umbilic.cartan import (FORMS, cartan_r, cartan_r_all_forms,
 from umbilic.errors import NotPseudoconvex
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 from umbilic.series import PowerSeries2
+from umbilic.torussearch import TrigPotential, chern_normalize
 
 from _oracles import fd_cartan_r, fd_covariant_hessian, random_band_limited
 
@@ -92,6 +93,21 @@ class TestCartanR:
         rB = cartan_r(u + shift, form).r
         scale = 1.0 + rA.sup_norm()
         assert np.max(np.abs(rA.values - rB.values)) / scale <= 1e-10
+
+
+    @pytest.mark.parametrize("omega", [1j, 0.3 + 1.1j, 1.3 + 1.1j])
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_chern_normalize_leaves_trig_potential_r_bitwise(self, omega, n):
+        # a TrigPotential keeps its exact spectrum: the shift moves only the
+        # DC bin, which every derivative zeroes, and no rounding-level bin
+        # of u can fall on either side of the denoise floor
+        pot = TrigPotential.from_half_modes(
+            TorusLattice(omega), {(1, 0): 0.12, (0, 1): -0.07j, (1, 1): 0.05})
+        for c1 in (1, 2):
+            out = chern_normalize(pot, c1)
+            for form in ("q_form", "p_form"):
+                assert np.array_equal(cartan_r(pot.to_field(n), form).r.values,
+                                      cartan_r(out.to_field(n), form).r.values)
 
 
 class TestGaussCurvature:

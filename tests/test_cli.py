@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbilic import cli
 from umbilic.cli import dump_grid, load_grid, main, parse_config, run
 from umbilic.errors import ConfigError
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
@@ -285,6 +286,28 @@ class TestMainAndExitCodes:
             os.close(read_fd)
             os.close(write_fd)
         capsys.readouterr()
+
+    def test_overflow_exits_9(self, tmp_path, capsys):
+        # u = 1400 cos(2 pi s): e^{-u} overflows, and without the check the
+        # report held Infinity and NaN with exit 0
+        cfg = torus_cfg(operation="obstruction", metric={"modes": {"1,0": [700.0, 0.0]}},
+                        obstruction={"direction": [0.0, 1.0]})
+        assert main(["obstruction", "--config", write_cfg(tmp_path, cfg)]) == 9
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)  # exactly one JSON object
+        assert err["error"]["code"] == "DomainError" and err["error"]["exit_status"] == 9
+        assert captured.out == ""
+
+    def test_non_finite_result_exits_9(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.json"
+        monkeypatch.setitem(cli._RUNNERS, "invariant",
+                            lambda inputs: {"results": {"a": [1.0, {"b": float("nan")}]}})
+        cfg = torus_cfg(output={"report": str(out)})
+        assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 9
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "DomainError"
+        assert "results.a[1].b" in err["error"]["message"]
+        assert json.loads(out.read_text()) == err
 
     def test_numeric_string_tolerance(self):
         modes = {"modes": {"1,0": [0.15, 0.0], "0,1": [0.0, -0.1]}}

@@ -3,10 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from umbilic import field as field_module
+from umbilic.cartan import cartan_r
 from umbilic.errors import DomainError, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
+from umbilic.torussearch import TrigPotential
 
-from _oracles import random_band_limited, trig_resample
+from _oracles import product_2n, random_band_limited, random_half_modes, trig_resample
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -207,6 +210,58 @@ class TestPolynomialProduct:
             tracemalloc.stop()
         assert peak < 4 * (2 * n) ** 2 * 16
 
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    @pytest.mark.parametrize("budget", [3, 7])
+    def test_band_limited_operands_match_2n_product(self, lattice, budget):
+        du = TrigPotential.from_half_modes(
+            lattice, random_half_modes(budget, budget=budget, scale=0.1)).to_field(64).derivative("D")
+        ddbu = du.derivative("Dbar")
+        fields = (du, ddbu.derivative("D"), ddbu, du.derivative("D"))
+        assert [f._band() for f in fields] == [budget] * 4
+        out = product(p_form_terms(*fields))
+        assert out._band() == 3 * budget
+        ref = product_2n(p_form_terms(*fields))
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    def test_full_band_quadratic_matches_2n_product(self, lattice):
+        # sample-built operands count as band n/2: the lift is 3n/2 + 1
+        # rounded up to a fast size (49 here), not 2n
+        a, b, c, d = (random_modes(seed, lattice, 32, 15) for seed in range(4))
+        assert a._band() == 16
+        terms = [(-3.0, (a, b)), (0.5j, (c, d)), (1.0, (a, a))]
+        ref = product_2n(terms)
+        assert np.max(np.abs(product(terms).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(a.mul(b).values - product_2n([(1.0, (a, b))]))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_full_band_cubic_is_bitwise_2n_product(self, n):
+        fields = [random_modes(seed, LAT_GEN, n, n // 2 - 1) for seed in range(4)]
+        assert np.array_equal(product(p_form_terms(*fields)).values,
+                              product_2n(p_form_terms(*fields)))
+
+    def test_budget3_p_form_lifts_to_small_grid(self, monkeypatch):
+        # budget-3 operands: S = 9 and K = 9, so m = next_fast_len(19) = 20;
+        # kept spectra mean no transform of n x n samples either
+        shapes = []
+        fft2, ifft2 = field_module.fft.fft2, field_module.fft.ifft2
+
+        def lift(x, *args, **kw):
+            if kw.get("norm") == "forward":
+                shapes.append(x.shape)
+            return ifft2(x, *args, **kw)
+
+        def forward(x, *args, **kw):
+            shapes.append(x.shape)
+            return fft2(x, *args, **kw)
+
+        monkeypatch.setattr(field_module.fft, "ifft2", lift)
+        monkeypatch.setattr(field_module.fft, "fft2", forward)
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
+        r = cartan_r(u.to_field(96), "p_form").r
+        assert shapes and max(max(shape) for shape in shapes) <= 32
+        assert r._band() == 9
+
     def test_chart_product_is_sample_polynomial(self):
         rng = np.random.default_rng(4)
         n = 12
@@ -315,6 +370,27 @@ class TestEvaluation:
             g = f.derivative(direction)
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-12 * g.sup_norm()
 
+    def test_band_block_matches_full_rows(self):
+        # r keeps its spectrum (a sum of kept spectra) with band 9; the same
+        # spectrum on full-width rows, -n/2..n/2, is the reference
+        n = 64
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(2, budget=3, scale=0.1))
+        r = cartan_r(u.to_field(n), "p_form").r
+        full = PeriodicField(LAT_GEN, r.values)
+        full._eval_spectrum = np.pad(np.fft.fftshift(r._spectrum) / n ** 2, ((0, 1), (0, 1)))
+        S, T = grid_st(n)
+        rng = np.random.default_rng(3)
+        s = np.concatenate([S.ravel(), rng.uniform(-1.0, 2.0, 50)])
+        t = np.concatenate([T.ravel(), rng.uniform(-1.0, 2.0, 50)])
+        scale = r.sup_norm()
+        got = r.evaluate_st(s, t)
+        assert r._eval_spectrum.shape == (19, 19)
+        assert np.max(np.abs(got - full.evaluate_st(s, t))) <= 1e-14 * scale
+        assert np.max(np.abs(got[:n * n] - r.values.ravel())) <= 1e-14 * scale
+        z = LAT_GEN.st_to_z(s, t)
+        for part, ref in zip(r.jet_at(z), full.jet_at(z)):
+            assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_evaluate_at_is_periodic(self):
         f = random_band_limited(2, LAT_GEN, n=64)
         z = 0.3 + 0.2j
@@ -418,6 +494,8 @@ class TestSharedArithmetic:
             z.log()
         with pytest.raises(DomainError):
             z.reciprocal()
+        with pytest.raises(DomainError):
+            sampled(kind, 710.0, real_tag=True).exp()
 
     def test_mismatched_grids_rejected(self, kind):
         f = sampled(kind, 1.0)

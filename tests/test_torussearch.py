@@ -40,6 +40,19 @@ class TestTrigPotential:
         assert np.max(np.abs(f.values - direct)) < 1e-12
         assert f.real_tag
 
+    def test_field_keeps_exact_hermitian_spectrum(self):
+        pot = TrigPotential(LAT_GEN, {(2, 1): 0.3 + 0.1j, (-2, -1): 0.3 - 0.1j + 1e-14j,
+                                      (0, 0): 0.5})
+        n = 16
+        f = pot.to_field(n)
+        C = f._spectrum
+        assert np.array_equal(C, np.conj(np.roll(C[::-1, ::-1], 1, axis=(0, 1))))
+        assert np.max(np.abs(C - np.fft.fft2(f.values))) <= 1e-14 * n * n
+        outside = np.ones((n, n), dtype=bool)
+        for j, k in ((0, 0), (2, 1), (-2, -1)):
+            outside[j % n, k % n] = False
+        assert np.all(C[outside] == 0.0) and f._band() == 2
+
     def test_mode_budget(self):
         pot = TrigPotential.from_half_modes(LAT, {(2, 1): 0.1, (0, 3): 0.05})
         assert pot.mode_budget == 3
@@ -120,7 +133,7 @@ class TestObjectiveStop:
         rep = torus_search(SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
                                         grid_n=96, mode_budget=3))
         values = [v for _, v in rep.history]
-        assert values[4] == 3.3797912795197413e-4 and values[:4] == [0.0] * 4
+        assert values[4] == 3.37979127951963e-4 and values[:4] == [0.0] * 4
         for u, v in zip(seen, values):
             assert v == full_polish_objective(u, 96)
         for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
@@ -155,6 +168,20 @@ class TestObstruction:
         pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})
         rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0))
         assert rep.zeros_found and rep.zero_clusters
+        assert max(rep.residuals) <= 1e-6
+        assert rep.dpsi_sign_change
+        assert rep.proof_identity_residual <= 1e-7
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_large_amplitude_uses_p_form(self, n):
+        # 10 cos(2 pi s): the divergence form multiplies under-resolved e^{-u}
+        # products by e^{2u} (1 cluster and an identity residual of 1.0 at
+        # n = 64); the P form finds the four zero curves, and the identity
+        # then compares it with the independent psi path
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
+        rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=n)
+        assert len(rep.zero_clusters) == 4
+        assert {c.kind for c in rep.zero_clusters} == {"curve"}
         assert max(rep.residuals) <= 1e-6
         assert rep.dpsi_sign_change
         assert rep.proof_identity_residual <= 1e-7
