@@ -82,9 +82,9 @@ class TrigPotential:
         return max((max(abs(j), abs(k)) for (j, k) in self.modes), default=0)
 
     def to_field(self, n: int) -> PeriodicField:
-        """Exact band-limited samples through spectral placement.  Each mode
-        is placed made Hermitian, (c_{jk} + conj(c_{-j,-k})) / 2, so the
-        spectrum matches the real samples, and the field keeps it:
+        """Exact band-limited samples through spectral placement.  Mode
+        (j, k) is placed as (c_{jk} + conj(c_{-j,-k})) / 2, a Hermitian
+        spectrum that matches the real samples, and the field keeps it:
         derivatives read exact coefficients and every bin outside the band
         is exactly 0."""
         C = np.zeros((n, n), dtype=complex)
