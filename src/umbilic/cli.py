@@ -33,9 +33,11 @@ search and obstruction take a torus; invariant, umbilics and ph-audit a
 torus or a sphere (metric builtin fs); loewner any surface, which it
 ignores.  Integers (grid_n, seed, degree, order, mode_budget, trials,
 evaluations) are JSON integers, integral numbers (64.0) or integer strings
-("64"), never 64.9, "6.5" or true; other numbers are finite JSON numbers or
-numeric strings ("1e-7"); suppress_phi_harmonic is true or false; paths
-(metric.samples, output.report, output.grid_dump) are strings.
+("64"), never 64.9, "6.5" or true; the loewner order and the total degree
+k + l of each g coefficient "k,l" are at most MAX_LOEWNER_DEGREE (64), since
+a degree-d series is a dense (d+1) x (d+1) array; other numbers are finite
+JSON numbers or numeric strings ("1e-7"); suppress_phi_harmonic is true or
+false; paths (metric.samples, output.report, output.grid_dump) are strings.
 :func:`parse_config` parses each value once; runners read only its inputs.
 
 Reports are JSON with a config echo, a deterministic results block, and a
@@ -106,6 +108,9 @@ SURFACES = {
     "obstruction": ("torus",),
 }
 OPERATIONS = tuple(SURFACES)
+
+# largest loewner order and g coefficient degree a config may ask for
+MAX_LOEWNER_DEGREE = 64
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +237,8 @@ def _loewner_inputs(lw) -> tuple:
     _require(isinstance(lw, dict) and isinstance(lw.get("g"), dict) and "order" in lw,
              "loewner operation needs loewner: {g: {...}, order}")
     order, gspec = _int(lw["order"]), lw["g"]
-    _require(order >= 2, "loewner order must be >= 2")
+    _require(2 <= order <= MAX_LOEWNER_DEGREE,
+             f"loewner order must be between 2 and {MAX_LOEWNER_DEGREE}")
     if "builtin" in gspec:
         name = gspec["builtin"]
         _require(name in ("zbar", "zero"), f"unknown builtin loewner g {name!r}")
@@ -240,6 +246,8 @@ def _loewner_inputs(lw) -> tuple:
              else PowerSeries2.zero(max(order - 2, 0)))
     else:
         coeffs = _modes(_section(gspec, "coeffs"))
+        _require(all(k + l <= MAX_LOEWNER_DEGREE for k, l in coeffs),
+                 f"loewner g coefficients must have degree <= {MAX_LOEWNER_DEGREE}")
         g = PowerSeries2(max(order - 2, max((k + l for k, l in coeffs), default=0)), coeffs)
     ncfg = _section(lw, "normalization")
     diags = [ncfg.get("f_diag", []), ncfg.get("phi_diag", [])]

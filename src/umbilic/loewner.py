@@ -20,6 +20,15 @@ is prescribed.
 The base step m = 0 solves D^2 f_2 = g_0 directly, consuming a possible
 constant term of g, with the free real |z|^2 coefficient of f prescribed.
 
+The recursion works on homogeneous coefficient vectors: the degree-d part
+is the vector v with v[j] the coefficient of z^j zbar^{d-j}, i.e. the
+antidiagonal k + l = d of the dense series array.  D maps it to the
+degree-(d-1) vector j v[j] (the matrix D_d), the product of two homogeneous
+parts is the 1-D convolution of their vectors, and the complex matrix U_d
+takes real_basis(d) coordinates to a vector.  So T_m is given in closed
+form, [D_{m+1} D_{m+2} U_{m+2}, -2 D_{m+1} U_{m+1}] with the real and
+imaginary parts of each row interleaved, and the solved parts are U_d x.
+
 Everything is plain floating-point linear algebra with per-degree residual
 verification; a residual above tolerance is a numerical fault (SolveFailed),
 never an expected outcome, since the operators are surjective.
@@ -27,6 +36,7 @@ never an expected outcome, since the operators are surjective.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -86,8 +96,41 @@ class LoewnerSolution:
 
 
 # --------------------------------------------------------------------------
-# real homogeneous bases
+# homogeneous coefficient vectors
 # --------------------------------------------------------------------------
+
+def _antidiagonal(d: int):
+    """Index of the degree-d homogeneous part in a dense series array: entry
+    j of the coefficient vector is that of z^j zbar^{d-j}."""
+    j = np.arange(d + 1)
+    return j, d - j
+
+
+def _d_matrix(d: int) -> np.ndarray:
+    """D from degree-d to degree-(d-1) coefficient vectors: z^j zbar^{d-j}
+    goes to j z^{j-1} zbar^{d-j}."""
+    return np.eye(d, d + 1, 1) * np.arange(d + 1)
+
+
+@functools.lru_cache(maxsize=128)
+def _basis_matrix(d: int) -> np.ndarray:
+    """U_d: the complex (d+1) x (d+1) matrix whose column i is the
+    coefficient vector of real_basis(d)[i]; cached, so read-only."""
+    eye = np.eye(d + 1)
+    cols = []
+    for k in range((d + 1) // 2, d + 1):
+        e, e_bar = eye[k], eye[d - k]
+        cols += [e] if 2 * k == d else [e + e_bar, 1j * (e - e_bar)]
+    U = np.column_stack(cols).astype(complex)
+    U.flags.writeable = False
+    return U
+
+
+def _real_rows(a: np.ndarray) -> np.ndarray:
+    """Rows Re a[0], Im a[0], Re a[1], Im a[1], ...: the real coordinates of
+    a complex coefficient vector (or of each column of a matrix)."""
+    return np.stack((a.real, a.imag), axis=1).reshape(2 * len(a), *a.shape[1:])
+
 
 def real_basis(d: int):
     """Basis of the real vector space of real-valued homogeneous polynomials
@@ -99,59 +142,30 @@ def real_basis(d: int):
             z^k zbar^{d-k} + z^{d-k} zbar^k              (re direction)
             i (z^k zbar^{d-k} - z^{d-k} zbar^k)          (im direction)
 
-    Real dimension d + 1.
+    Real dimension d + 1.  These are the columns of :func:`_basis_matrix`.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     basis = []
-    for k in range((d + 1) // 2, d + 1):
-        l = d - k
-        if k == l:
-            basis.append(PowerSeries2(d, {(k, l): 1.0}, real_tag=True))
-        else:
-            basis.append(PowerSeries2(d, {(k, l): 1.0, (l, k): 1.0}, real_tag=True))
-            basis.append(PowerSeries2(d, {(k, l): 1.0j, (l, k): -1.0j}, real_tag=True))
+    for u in _basis_matrix(d).T:
+        c = np.zeros((d + 1, d + 1), complex)
+        c[_antidiagonal(d)] = u
+        basis.append(PowerSeries2(d, c, real_tag=True))
     return basis
-
-
-def _diag_param_index(d: int) -> int | None:
-    """Index of the z^{d/2} zbar^{d/2} direction inside real_basis(d)."""
-    if d % 2 != 0:
-        return None
-    return 0  # k starts at d/2, and the diagonal direction comes first
-
-
-def _top_harmonic_indices(d: int):
-    """Indices of the z^d + zbar^d (re and im) directions inside real_basis(d)."""
-    dim = d + 1
-    return [dim - 2, dim - 1]
-
-
-def _homogeneous_coords(series: PowerSeries2, m: int) -> np.ndarray:
-    """Real coordinates (Re c_0, Im c_0, ..., Re c_m, Im c_m) of the
-    degree-m homogeneous part, c_j the coefficient of z^j zbar^{m-j}."""
-    out = np.zeros(2 * (m + 1))
-    for j in range(m + 1):
-        c = series.coeff(j, m - j)
-        out[2 * j] = c.real
-        out[2 * j + 1] = c.imag
-    return out
 
 
 def tm_matrix(m: int) -> np.ndarray:
     """Matrix of T_m(f, phi) = D^2 f - 2 D phi on
-    real_basis(m+2) x real_basis(m+1), in the coordinates of
-    :func:`_homogeneous_coords`; shape (2m+2) x (2m+5)."""
+    real_basis(m+2) x real_basis(m+1), with the real and imaginary parts of
+    the degree-m image coefficients as interleaved rows (see
+    :func:`_real_rows`); shape (2m+2) x (2m+5).  Its entries are integers,
+    and adding 0.0 makes every zero entry +0.0."""
     if m < 1:
         raise ValueError("tm_matrix requires m >= 1")
-    cols = []
-    for b in real_basis(m + 2):
-        img = b.derivative("D").derivative("D")
-        cols.append(_homogeneous_coords(img, m))
-    for b in real_basis(m + 1):
-        img = b.derivative("D").scale(-2.0)
-        cols.append(_homogeneous_coords(img, m))
-    return np.column_stack(cols)
+    d1 = _d_matrix(m + 1)
+    T = np.hstack([d1 @ _d_matrix(m + 2) @ _basis_matrix(m + 2),
+                   -2.0 * d1 @ _basis_matrix(m + 1)])
+    return _real_rows(T) + 0.0
 
 
 def tm_rank_report(m: int):
@@ -180,43 +194,34 @@ def loewner_solve(g: PowerSeries2, N: int,
     if norm is None:
         norm = LoewnerNormalization()
 
-    f_coeffs: dict = {(1, 0): 1.0 + 0.0j, (0, 1): 1.0 + 0.0j}
-    f_parts: dict[int, PowerSeries2] = {}
-    phi_parts: dict[int, PowerSeries2] = {}
-
     gscale = 1.0 + g.max_coeff()
+    f = np.zeros((N + 1, N + 1), complex)
+    phi = np.zeros((max(N - 1, 2) + 1,) * 2, complex)
+    f[1, 0] = f[0, 1] = 1.0
 
     # m = 0: D^2 f_2 = g_0, with the real |z|^2 coefficient pinned
-    g0 = g.coeff(0, 0)
-    a = g0 / 2.0
-    f2 = PowerSeries2(2, {(2, 0): a, (0, 2): np.conj(a),
-                          (1, 1): norm.alpha(1)}, real_tag=True)
-    f_parts[2] = f2
+    a = g.coeff(0, 0) / 2.0
+    f[2, 0], f[0, 2], f[1, 1] = a, np.conj(a), norm.alpha(1)
+    # D of the homogeneous parts solved so far, keyed by the part's degree
+    df = {2: _d_matrix(2) @ f[_antidiagonal(2)]}
+    dphi: dict[int, np.ndarray] = {}
 
     for m in range(1, N - 1):
-        rhs_series = g.homogeneous_part(m)
+        rhs = g.c[_antidiagonal(m)]
         for k in range(2, m + 1):
-            phi_k = phi_parts.get(k)
-            f_j = f_parts.get(m + 2 - k)
-            if phi_k is None or f_j is None:
-                continue
-            prod = phi_k.derivative("D").mul(f_j.derivative("D"), out_degree=m)
-            rhs_series = rhs_series.add(prod.scale(2.0))
-        rhs = _homogeneous_coords(rhs_series, m)
+            rhs = rhs + 2.0 * np.convolve(dphi[k], df[m + 2 - k])
+        rhs = _real_rows(rhs)
 
         M = tm_matrix(m)
         dim_f = m + 3
-        dim_phi = m + 2
         pinned: dict[int, float] = {}
         if norm.suppress_phi_harmonic:
-            for idx in _top_harmonic_indices(m + 1):
-                pinned[dim_f + idx] = 0.0
+            # z^{m+1} + zbar^{m+1}: the last two (re, im) directions of phi
+            pinned[dim_f + m] = pinned[dim_f + m + 1] = 0.0
         if m % 2 == 0:
-            n_diag = (m + 2) // 2
-            pinned[_diag_param_index(m + 2)] = norm.alpha(n_diag)
+            pinned[0] = norm.alpha((m + 2) // 2)  # |z|^{m+2}: f's first direction
         else:
-            n_diag = (m + 1) // 2
-            pinned[dim_f + _diag_param_index(m + 1)] = norm.beta(n_diag)
+            pinned[dim_f] = norm.beta((m + 1) // 2)  # |z|^{m+1}: phi's first
 
         free = [i for i in range(M.shape[1]) if i not in pinned]
         rhs_eff = rhs.copy()
@@ -234,29 +239,15 @@ def loewner_solve(g: PowerSeries2, N: int,
                 f"degree-{m} solve residual {resid:.3e} exceeds tolerance; "
                 "this contradicts surjectivity and signals a numerical fault")
 
-        fb = real_basis(m + 2)
-        pb = real_basis(m + 1)
-        f_part = PowerSeries2.zero(m + 2)
-        for i, b in enumerate(fb):
-            if x[i] != 0.0:
-                f_part = f_part.add(b.scale(x[i]))
-        phi_part = PowerSeries2.zero(m + 1)
-        for i, b in enumerate(pb):
-            if x[dim_f + i] != 0.0:
-                phi_part = phi_part.add(b.scale(x[dim_f + i]))
-        f_parts[m + 2] = f_part
-        phi_parts[m + 1] = phi_part
+        f_part = _basis_matrix(m + 2) @ x[:dim_f]
+        phi_part = _basis_matrix(m + 1) @ x[dim_f:]
+        f[_antidiagonal(m + 2)] = f_part
+        phi[_antidiagonal(m + 1)] = phi_part
+        df[m + 2] = _d_matrix(m + 2) @ f_part
+        dphi[m + 1] = _d_matrix(m + 1) @ phi_part
 
-    for part in f_parts.values():
-        for kl, c in part.coeffs.items():
-            f_coeffs[kl] = f_coeffs.get(kl, 0.0) + c
-    phi_coeffs: dict = {}
-    for part in phi_parts.values():
-        for kl, c in part.coeffs.items():
-            phi_coeffs[kl] = phi_coeffs.get(kl, 0.0) + c
-
-    f = PowerSeries2(N, f_coeffs, real_tag=True)
-    phi = PowerSeries2(max(N - 1, 2), phi_coeffs, real_tag=True)
+    f = PowerSeries2(N, f, real_tag=True)
+    phi = PowerSeries2(len(phi) - 1, phi, real_tag=True)
     resid = curved_hessian_residual(f, phi, g, N)
     solution = LoewnerSolution(f=f, phi=phi, order=N,
                                residual_norm=resid / gscale)

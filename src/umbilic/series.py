@@ -1,54 +1,87 @@
 """Truncated bivariate formal power series in (z, zbar).
 
-A :class:`PowerSeries2` stores complex coefficients c[(k, l)] of the
-monomials z^k zbar^l for k + l <= max_degree.  ``max_degree`` means
-"coefficients are complete through this total degree": arithmetic keeps
-the minimum of the operands' degrees, formal differentiation lowers it by
-one.  A series known to be an exact polynomial can be lifted to a higher
-degree with :meth:`PowerSeries2.lift` (the missing coefficients are zero
-by assumption, not by truncation).
+A :class:`PowerSeries2` of degree d stores one dense (d+1) x (d+1)
+complex array ``c``: entry ``c[k, l]`` is the coefficient of the monomial
+z^k zbar^l, and every entry with k + l > d is zero, so the coefficients
+fill the upper-left triangle and the degree-m homogeneous part is the
+antidiagonal k + l = m.  ``max_degree`` means "coefficients are complete
+through this total degree": arithmetic keeps the minimum of the operands'
+degrees, formal differentiation lowers it by one.  A series known to be an
+exact polynomial can be lifted to a higher degree with
+:meth:`PowerSeries2.lift` (the missing coefficients are zero by
+assumption, not by truncation).
 
-The reality tag asserts the Hermitian symmetry c[(l, k)] = conj(c[(k, l)]),
-i.e. the series takes real values.
+The reality tag asserts the Hermitian symmetry c[l, k] = conj(c[k, l]),
+i.e. c equals its conjugate transpose and the series takes real values.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 __all__ = ["PowerSeries2", "geometric_inverse"]
 
 _SYM_TOL = 1e-12
 
 
+def _beyond(d: int) -> np.ndarray:
+    """Mask of the entries k + l > d of a (d+1) x (d+1) array."""
+    r = np.arange(d + 1)
+    return np.add.outer(r, r) > d
+
+
+def _fit(c: np.ndarray, d: int) -> np.ndarray:
+    """c cropped or zero-padded to (d+1) x (d+1), with the entries of total
+    degree above d set to zero."""
+    out = np.zeros((d + 1, d + 1), complex)
+    n = min(len(c), d + 1)
+    out[:n, :n] = c[:n, :n]
+    out[_beyond(d)] = 0.0
+    return out
+
+
+def _dense(coeffs: dict, d: int) -> np.ndarray:
+    """The (d+1) x (d+1) array of a {(k, l): coefficient} dict."""
+    c = np.zeros((d + 1, d + 1), complex)
+    if not coeffs:
+        return c
+    k, l = np.array(list(coeffs)).reshape(-1, 2).T
+    bad = (k < 0) | (l < 0) | (k + l > d)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"coefficient ({k[i]},{l[i]}) lies outside total degrees 0..{d}")
+    c[k.astype(int), l.astype(int)] = list(coeffs.values())
+    return c
+
+
 class PowerSeries2:
-    def __init__(self, max_degree: int, coeffs: dict | None = None, real_tag: bool = False):
+    def __init__(self, max_degree: int, coeffs: dict | np.ndarray | None = None,
+                 real_tag: bool = False):
+        """coeffs is a {(k, l): coefficient} dict or the dense array itself."""
         max_degree = int(max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        clean: dict[tuple[int, int], complex] = {}
-        for (k, l), c in (coeffs or {}).items():
-            k, l = int(k), int(l)
-            if k < 0 or l < 0:
-                raise ValueError(f"negative exponent in coefficient ({k},{l})")
-            if k + l > max_degree:
-                raise ValueError(f"coefficient ({k},{l}) exceeds max_degree {max_degree}")
-            c = complex(c)
-            if c != 0:
-                clean[(k, l)] = clean.get((k, l), 0) + c
+        if isinstance(coeffs, np.ndarray):
+            c = coeffs.astype(complex, copy=False)
+            if c.shape != (max_degree + 1,) * 2 or np.any(c[_beyond(max_degree)]):
+                raise ValueError(f"coefficient array must be {max_degree + 1} x "
+                                 f"{max_degree + 1} and vanish beyond degree {max_degree}")
+        else:
+            c = _dense(coeffs or {}, max_degree)
         self.max_degree = max_degree
-        self.coeffs = {kl: c for kl, c in clean.items() if c != 0}
+        self.c = c
         self.real_tag = bool(real_tag)
         if self.real_tag:
             self._check_hermitian()
 
     def _check_hermitian(self):
         scale = max(1.0, self.max_coeff())
-        for (k, l), c in self.coeffs.items():
-            cc = self.coeffs.get((l, k), 0.0)
-            if abs(np.conj(cc) - c) > _SYM_TOL * scale:
-                raise ValueError(
-                    f"real_tag series violates Hermitian symmetry at ({k},{l})")
+        bad = np.abs(self.c - self.c.T.conj()) > _SYM_TOL * scale
+        if bad.any():
+            k, l = np.argwhere(bad)[0]
+            raise ValueError(
+                f"real_tag series violates Hermitian symmetry at ({k},{l})")
 
     # -- construction --------------------------------------------------------
 
@@ -63,110 +96,83 @@ class PowerSeries2:
 
     # -- access ---------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as a {(k, l): complex} dict (a copy)."""
+        k, l = np.nonzero(self.c)
+        return {(int(a), int(b)): complex(self.c[a, b]) for a, b in zip(k, l)}
+
     def coeff(self, k: int, l: int) -> complex:
-        return self.coeffs.get((k, l), 0.0 + 0.0j)
+        if 0 <= k <= self.max_degree and 0 <= l <= self.max_degree:
+            return complex(self.c[k, l])
+        return 0.0 + 0.0j
 
     def max_coeff(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        return float(np.max(np.abs(self.c)))
 
     def valuation(self) -> int:
         """Smallest total degree with a nonzero coefficient; max_degree + 1
         for the zero series."""
-        if not self.coeffs:
-            return self.max_degree + 1
-        return min(k + l for (k, l) in self.coeffs)
+        k, l = np.nonzero(self.c)
+        return int(np.min(k + l)) if k.size else self.max_degree + 1
 
-    def homogeneous_part(self, m: int) -> "PowerSeries2":
-        part = {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] == m}
-        return PowerSeries2(max(m, 0), part, real_tag=False)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self) -> bool:
+        return not self.c.any()
 
     # -- degree bookkeeping ------------------------------------------------------
 
     def truncate(self, max_degree: int) -> "PowerSeries2":
-        if max_degree >= self.max_degree:
-            return PowerSeries2(self.max_degree, self.coeffs, real_tag=self.real_tag)
-        kept = {kl: c for kl, c in self.coeffs.items() if kl[0] + kl[1] <= max_degree}
-        return PowerSeries2(max_degree, kept, real_tag=self.real_tag)
+        max_degree = min(max_degree, self.max_degree)
+        return PowerSeries2(max_degree, _fit(self.c, max_degree), real_tag=self.real_tag)
 
     def lift(self, max_degree: int) -> "PowerSeries2":
         """Declare the series exact through a higher degree (i.e. an exact
         polynomial whose missing coefficients are genuinely zero)."""
         if max_degree < self.max_degree:
             raise ValueError("lift cannot lower the degree; use truncate")
-        return PowerSeries2(max_degree, self.coeffs, real_tag=self.real_tag)
+        return PowerSeries2(max_degree, _fit(self.c, max_degree), real_tag=self.real_tag)
 
     # -- arithmetic ----------------------------------------------------------------
 
     def add(self, other: "PowerSeries2") -> "PowerSeries2":
-        out_deg = min(self.max_degree, other.max_degree)
-        coeffs = dict(self.coeffs)
-        for kl, c in other.coeffs.items():
-            coeffs[kl] = coeffs.get(kl, 0.0) + c
-        coeffs = {kl: c for kl, c in coeffs.items() if kl[0] + kl[1] <= out_deg}
-        return PowerSeries2(out_deg, coeffs, real_tag=self.real_tag and other.real_tag)
+        d = min(self.max_degree, other.max_degree)
+        return PowerSeries2(d, _fit(self.c, d) + _fit(other.c, d),
+                            real_tag=self.real_tag and other.real_tag)
 
     def scale(self, c: complex) -> "PowerSeries2":
         c = complex(c)
-        return PowerSeries2(self.max_degree,
-                            {kl: v * c for kl, v in self.coeffs.items()},
+        return PowerSeries2(self.max_degree, self.c * c,
                             real_tag=self.real_tag and c.imag == 0.0)
 
     def mul(self, other: "PowerSeries2", out_degree: int | None = None) -> "PowerSeries2":
-        if out_degree is None:
-            out_degree = min(self.max_degree, other.max_degree)
-        coeffs: dict[tuple[int, int], complex] = {}
-        for (k1, l1), c1 in self.coeffs.items():
-            for (k2, l2), c2 in other.coeffs.items():
-                k, l = k1 + k2, l1 + l2
-                if k + l <= out_degree:
-                    coeffs[(k, l)] = coeffs.get((k, l), 0.0) + c1 * c2
-        return PowerSeries2(out_degree, coeffs, real_tag=self.real_tag and other.real_tag)
-
-    def conj(self) -> "PowerSeries2":
-        return PowerSeries2(self.max_degree,
-                            {(l, k): np.conj(c) for (k, l), c in self.coeffs.items()},
-                            real_tag=self.real_tag)
+        """Truncated 2-D convolution, computed as one 1-D convolution: with
+        the rows padded to width w = 2d + 1, z^k zbar^l sits at k w + l, and
+        a product's zbar power (at most 2d) never spills into the next row."""
+        d = min(self.max_degree, other.max_degree) if out_degree is None else out_degree
+        w = 2 * d + 1
+        a, b = (np.pad(_fit(s.c, d), ((0, 0), (0, d))).ravel() for s in (self, other))
+        prod = np.convolve(a, b)[:(d + 1) * w].reshape(d + 1, w)
+        return PowerSeries2(d, _fit(prod, d), real_tag=self.real_tag and other.real_tag)
 
     def derivative(self, direction: str) -> "PowerSeries2":
         """Exact formal D or Dbar; max_degree drops by one and the reality
         tag is dropped (the derivative of a real series is not real)."""
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
-        out_deg = max(self.max_degree - 1, 0)
-        coeffs: dict[tuple[int, int], complex] = {}
-        for (k, l), c in self.coeffs.items():
-            if direction == "D":
-                if k >= 1 and (k - 1) + l <= out_deg:
-                    coeffs[(k - 1, l)] = coeffs.get((k - 1, l), 0.0) + k * c
-            else:
-                if l >= 1 and k + (l - 1) <= out_deg:
-                    coeffs[(k, l - 1)] = coeffs.get((k, l - 1), 0.0) + l * c
-        return PowerSeries2(out_deg, coeffs, real_tag=False)
+        d = self.max_degree
+        if d == 0:
+            return PowerSeries2(0)
+        powers = np.arange(1, d + 1)
+        if direction == "D":
+            out = powers[:, None] * self.c[1:, :d]
+        else:
+            out = self.c[:d, 1:] * powers
+        return PowerSeries2(d - 1, out)
 
     def eval(self, z: complex) -> complex:
-        """Horner evaluation at (z, conj(z)): inner Horner in zbar for each
-        power of z, outer Horner in z."""
+        """The polynomial at (z, conj(z))."""
         z = complex(z)
-        zb = np.conj(z)
-        if not self.coeffs:
-            return 0.0 + 0.0j
-        by_k: dict[int, dict[int, complex]] = {}
-        for (k, l), c in self.coeffs.items():
-            by_k.setdefault(k, {})[l] = c
-        total = 0.0 + 0.0j
-        for k in range(max(by_k), -1, -1):
-            row = by_k.get(k)
-            inner = 0.0 + 0.0j
-            if row:
-                for l in range(max(row), -1, -1):
-                    inner = inner * zb + row.get(l, 0.0)
-            total = total * z + inner
-        return complex(total)
+        return complex(polyval2d(z, np.conj(z), self.c))
 
     # -- operators ------------------------------------------------------------------
 
@@ -175,24 +181,10 @@ class PowerSeries2:
             return self.add(other)
         return self.add(PowerSeries2.constant(other, self.max_degree))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         if isinstance(other, PowerSeries2):
             return self.add(other.scale(-1.0))
         return self.add(PowerSeries2.constant(-complex(other), self.max_degree))
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries2):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __repr__(self):
         terms = ", ".join(f"({k},{l}): {c:.6g}" for (k, l), c in sorted(self.coeffs.items()))

@@ -10,7 +10,8 @@ every operand to 2n whatever its band.  The depth-first edge
 refinement is the reference for the library's level-synchronous one: the
 same bisection rule, one midpoint evaluation at a time.  The full sorted
 walk over every sample is the reference for the search objective's start
-selection, which sorts only a prefix.
+selection, which sorts only a prefix.  The term-by-term product of
+coefficient dicts is the reference for the dense series convolution.
 """
 
 import numpy as np
@@ -221,3 +222,15 @@ def lowest_separated_cells_full(A: np.ndarray, count: int, min_sep: int):
             if len(picked) >= count:
                 break
     return picked
+
+
+def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:
+    """The truncated product of two {(k, l): coefficient} series, one term
+    pair at a time: the reference for the dense 2-D convolution."""
+    out: dict = {}
+    for (k1, l1), c1 in a.items():
+        for (k2, l2), c2 in b.items():
+            k, l = k1 + k2, l1 + l2
+            if k + l <= out_degree:
+                out[(k, l)] = out.get((k, l), 0.0) + c1 * c2
+    return {kl: c for kl, c in out.items() if c != 0}

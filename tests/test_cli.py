@@ -255,6 +255,10 @@ class TestMainAndExitCodes:
         # relative to the test's working directory, where it does not exist
         torus_cfg(output={"report": "missing-directory/report.json"}),
         torus_cfg(output={"grid_dump": "missing-directory/r.csv"}),
+        # rejected before any series array is sized from them
+        torus_cfg(operation="loewner", loewner={"g": {"builtin": "zbar"}, "order": 65}),
+        torus_cfg(operation="loewner",
+                  loewner={"g": {"coeffs": {"60,5": [1.0, 0.0]}}, "order": 8}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
@@ -265,7 +269,8 @@ class TestMainAndExitCodes:
             "grid_n_fraction", "loewner_order_fraction", "omega_huge",
             "search_evaluations_0", "search_coeff_bound_negative",
             "search_mode_budget_too_high", "seed_negative", "report_missing_directory",
-            "grid_dump_missing_directory"])
+            "grid_dump_missing_directory", "loewner_order_too_high",
+            "loewner_coeff_degree_too_high"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from _oracles import dict_series_mul
 from umbilic.series import PowerSeries2, geometric_inverse
+
+
+def random_triangular(rng, degree, density=0.6):
+    """A series with random complex coefficients on a random subset of the
+    monomials of total degree <= degree."""
+    return PowerSeries2(degree, {(k, l): rng.normal() + 1j * rng.normal()
+                                 for k in range(degree + 1) for l in range(degree + 1 - k)
+                                 if rng.random() < density})
 
 
 def test_monomial_derivative_rules():
@@ -42,6 +51,27 @@ def test_mul_with_explicit_out_degree():
     a = PowerSeries2(2, {(2, 0): 1.0})
     p = a.mul(a, out_degree=4)
     assert p.coeffs == {(4, 0): 1.0}
+
+
+@pytest.mark.parametrize("out_degree", [None, 2, 5, 7, 9, 12, 16])
+def test_mul_matches_dict_convolution(out_degree):
+    # operand degrees 5 and 9: out_degree below both, equal to each, between
+    # and above them
+    rng = np.random.default_rng(out_degree or 0)
+    a, b = random_triangular(rng, 5), random_triangular(rng, 9)
+    p = a.mul(b, out_degree=out_degree)
+    assert p.max_degree == (5 if out_degree is None else out_degree)
+    want = dict_series_mul(a.coeffs, b.coeffs, p.max_degree)
+    assert set(p.coeffs) == set(want)
+    for kl, c in want.items():
+        assert abs(p.coeff(*kl) - c) <= 1e-13 * (1.0 + abs(c))
+
+
+def test_coeffs_lists_the_nonzero_entries():
+    f = PowerSeries2(3, {(2, 1): 1 + 2j, (0, 0): 0.0, (1, 1): -0.5})
+    assert f.coeffs == {(2, 1): 1 + 2j, (1, 1): -0.5}
+    assert f.c.shape == (4, 4)
+    assert f.coeffs == PowerSeries2(3, f.c).coeffs
 
 
 def test_real_tag_requires_hermitian_coefficients():
@@ -85,17 +115,10 @@ def test_lift_and_truncate_semantics():
     assert cut.max_degree == 1 and cut.coeffs == {}
 
 
-def test_valuation_and_homogeneous_part():
+def test_valuation():
     f = PowerSeries2(4, {(1, 1): 2.0, (3, 0): 1.0})
     assert f.valuation() == 2
-    part = f.homogeneous_part(3)
-    assert part.coeffs == {(3, 0): 1.0}
     assert PowerSeries2.zero(3).valuation() == 4
-
-
-def test_conj_swaps_indices():
-    f = PowerSeries2(3, {(2, 1): 1 + 2j})
-    assert f.conj().coeffs == {(1, 2): 1 - 2j}
 
 
 def test_rejects_bad_indices():
@@ -103,3 +126,9 @@ def test_rejects_bad_indices():
         PowerSeries2(3, {(2, 2): 1.0})
     with pytest.raises(ValueError):
         PowerSeries2(3, {(-1, 0): 1.0})
+    with pytest.raises(ValueError):
+        PowerSeries2(3, {(10 ** 400, -10 ** 400): 1.0})
+    with pytest.raises(ValueError):
+        PowerSeries2(1, np.ones((2, 2)))  # (1, 1) lies beyond degree 1
+    with pytest.raises(ValueError):
+        PowerSeries2(1, np.zeros((3, 3)))
