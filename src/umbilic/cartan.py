@@ -214,11 +214,10 @@ def rigid_r_from_F(F: PowerSeries2) -> PowerSeries2:
     if not F.real_tag:
         raise ValueError("F must carry the reality tag")
     N = F.max_degree
-    if abs(F.coeff(1, 1) - 1.0) > 1e-12:
-        raise ValueError("normal form requires coefficient (1,1) == 1")
-    for (k, l), c in F.coeffs.items():
-        if k + l <= 3 and (k, l) != (1, 1) and abs(c) > 1e-12:
-            raise ValueError(f"normal form forbids low-order term ({k},{l})")
+    low = np.abs(F.truncate(3).add(PowerSeries2(3, {(1, 1): -1.0})).c)  # F - |z|^2
+    if np.max(low) > 1e-12:
+        k, l = np.unravel_index(np.argmax(low), low.shape)
+        raise ValueError(f"normal form F = |z|^2 + O(|z|^4) fails at ({k},{l})")
 
     out_degree = max(N - 4, 0)
     work = N  # q is needed complete through degree N - 1

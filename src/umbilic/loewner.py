@@ -223,17 +223,12 @@ def loewner_solve(g: PowerSeries2, N: int,
         else:
             pinned[dim_f] = norm.beta((m + 1) // 2)  # |z|^{m+1}: phi's first
 
-        free = [i for i in range(M.shape[1]) if i not in pinned]
-        rhs_eff = rhs.copy()
-        for i, val in pinned.items():
-            rhs_eff -= M[:, i] * val
-        sol, *_ = np.linalg.lstsq(M[:, free], rhs_eff, rcond=None)
         x = np.zeros(M.shape[1])
-        x[free] = sol
-        for i, val in pinned.items():
-            x[i] = val
+        x[list(pinned)] = list(pinned.values())
+        free = [i for i in range(M.shape[1]) if i not in pinned]
+        x[free] = np.linalg.lstsq(M[:, free], rhs - M @ x, rcond=None)[0]
 
-        resid = float(np.max(np.abs(M @ x - rhs))) if rhs.size else 0.0
+        resid = float(np.max(np.abs(M @ x - rhs)))
         if resid > _RESIDUAL_TOL * (1.0 + float(np.max(np.abs(rhs)))):
             raise SolveFailed(
                 f"degree-{m} solve residual {resid:.3e} exceeds tolerance; "

@@ -44,8 +44,6 @@ def _fit(c: np.ndarray, d: int) -> np.ndarray:
 def _dense(coeffs: dict, d: int) -> np.ndarray:
     """The (d+1) x (d+1) array of a {(k, l): coefficient} dict."""
     c = np.zeros((d + 1, d + 1), complex)
-    if not coeffs:
-        return c
     k, l = np.array(list(coeffs)).reshape(-1, 2).T
     bad = (k < 0) | (l < 0) | (k + l > d)
     if bad.any():
