@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from umbilic import loewner
-
 from umbilic.loewner import (LoewnerNormalization, curved_hessian_residual,
                              loewner_solve, real_basis, tm_matrix,
                              tm_rank_report)
