@@ -185,7 +185,7 @@ class PowerSeries2:
         return self.add(PowerSeries2.constant(-complex(other), self.max_degree))
 
     def __repr__(self):
-        terms = ", ".join(f"({k},{l}): {c:.6g}" for (k, l), c in sorted(self.coeffs.items()))
+        terms = ", ".join(f"({k},{l}): {self.c[k, l]:.6g}" for k, l in zip(*np.nonzero(self.c)))
         return f"PowerSeries2(deg<={self.max_degree}, {{{terms}}})"
 
 
