@@ -11,7 +11,9 @@ The three equivalent forms of r = Pu:
                    with q = Du;
   P form           r = D^3 Dbar u - 3 (Du) D^2 Dbar u + 2 (Du)^2 D Dbar u
                        - (D^2 u)(D Dbar u);
-  divergence form  r = e^{2u} D( e^{-u} D( e^{-u} D Dbar u ) ).
+  divergence form  r = e^{2u} D( e^{-u} D( e^{-u} D Dbar u ) )
+                     = (D - 2q)(D - q) D Dbar u,
+                   by e^{ku} D e^{-ku} = D - k q.
 
 All three annihilate constant-curvature potentials and satisfy the
 curvature identity Pu = -(e^{2u}/2) K_{;zz} with K the Gauss curvature of
@@ -23,7 +25,11 @@ On sampled fields the q form and the P form are one code block (q = Du is
 the first derivative the P form takes, and the rest is the same sequence of
 derivatives), with the three products summed by one dealiased polynomial
 product; the two forms agree bitwise, and the independent evidence of the
-cross-form check comes from the divergence form.
+cross-form check comes from the divergence form.  It is computed as
+X = D w - q w and r = D X - 2 q X with w = D Dbar u, so no exponential is
+sampled: it differentiates products (D(q w), D(q X)) where the P form
+multiplies derivatives, and its accuracy does not depend on the amplitude
+of u.
 """
 
 from __future__ import annotations
@@ -116,13 +122,18 @@ def cartan_r(u, form: str, check_resolution: bool = True) -> InvariantField:
                                       (2.0, (du, du, ddbu)),
                                       (-1.0, (d2u, ddbu))])
     else:
-        emu = u.scale(-1.0).exp()
-        e2u = u.scale(2.0).exp()
-        ddbu = _db(_d(u, tol), tol)
-        inner = _d(emu.mul(ddbu), tol)
-        mid = _d(emu.mul(inner), tol)
-        r = e2u.mul(mid)
+        du = _d(u, tol)
+        _, r = _conjugated_chain(lambda f: _d(f, tol), du, _db(du, tol))
     return InvariantField(r=r, u_used=u, form_used=form)
+
+
+def _conjugated_chain(d, du, w):
+    """(X, (d - 2 du) X) with X = (d - du) w, for a first-order operator d
+    applied to fields and du = d u.  By e^{ku} d e^{-ku} = d - k du this is
+    e^{u} d(e^{-u} w) and e^{2u} d(e^{-u} d(e^{-u} w)) with no exponential
+    sampled; the second step differentiates the product du w inside X."""
+    X = d(w) + product([(-1.0, (du, w))])
+    return X, d(X) + product([(-2.0, (du, X))])
 
 
 def cartan_r_all_forms(u, tol: float = 1e-7, check_resolution: bool = True) -> dict:
@@ -181,22 +192,27 @@ def kzz_identity_residual(u, check_resolution: bool = True,
     return resid.sup_norm()
 
 
-def spherical_test(u, tol: float = 1e-6, region_radius: float | None = None,
+def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None,
                    check_resolution: bool = True) -> bool:
     """Locally spherical / totally umbilical test: true iff the covariant
     Hessian of the Gauss curvature vanishes, i.e.
     sup |K_{;zz}| <= tol * (1 + sup |K|).  Constant-curvature metrics are
     exactly the metrics passing this test, and they are the inputs on which
-    zero location downstream would be meaningless."""
+    zero location downstream would be meaningless.
+
+    r is the invariant Pu of u, which the caller has computed already; the
+    test reads K = -2 e^{-u} D Dbar u and K_{;zz} = -2 e^{-2u} r pointwise
+    (criterion 2's identity), so no exponential is differentiated or enters
+    a product.  On charts each sup is taken over the samples
+    ``sup_norm(region_radius)`` reads."""
     _require_real(u, "spherical_test")
-    K = gauss_curvature(u, check_resolution=check_resolution)
-    kzz = covariant_hessian_zz(K, u.scale(0.5), check_resolution=check_resolution)
-    if isinstance(u, ChartGrid) and region_radius is not None:
-        ksup = K.sup_norm(region_radius)
-        hsup = kzz.sup_norm(region_radius)
-    else:
-        ksup = K.sup_norm()
-        hsup = kzz.sup_norm()
+    tail = DEFAULT_TAIL_TOL if check_resolution else None
+    w = _db(_d(u, tail), tail)
+    K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)
+    kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
+    region = u.mask(region_radius) if isinstance(u, ChartGrid) else slice(None)
+    ksup = float(np.max(K[region], initial=0.0))
+    hsup = float(np.max(kzz[region], initial=0.0))
     return bool(hsup <= tol * (1.0 + ksup))
 
 

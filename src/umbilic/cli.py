@@ -77,7 +77,9 @@ from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      SymmetryViolated, TotallyDegenerate, TransitionSingular,
                      UmbilicError, UnderResolved, ZeroOnContour)
 from .field import ChartGrid, PeriodicField, TorusLattice
-from .index import (SPHERE_HARMONICS, sphere_two_chart_umbilics, torus_umbilics)
+from .index import (SPHERE_CHART_RADIUS, SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL,
+                    TORUS_SPHERICAL_TOL, sphere_metric_potentials,
+                    sphere_two_chart_umbilics, torus_umbilics)
 from .loewner import LoewnerNormalization, loewner_solve
 from .series import PowerSeries2
 from .torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
@@ -370,12 +372,13 @@ def run_invariant(inp: dict) -> dict:
     if "potential" in inp:
         u = inp["potential"].to_field(inp["grid_n"])
         r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"].r
-        spherical = spherical_test(u, tol.get("spherical", 1e-9))
+        spherical = spherical_test(u, r, tol.get("spherical", TORUS_SPHERICAL_TOL))
     else:
-        from .index import sphere_metric_potentials
-        u, _ = sphere_metric_potentials(*inp["sphere"], chart_radius=1.6, chart_n=inp["grid_n"])
+        u, _ = sphere_metric_potentials(*inp["sphere"], chart_radius=SPHERE_CHART_RADIUS,
+                                        chart_n=inp["grid_n"])
         r = cartan_r(u, "p_form").r
-        spherical = spherical_test(u, tol.get("spherical", 1e-6), region_radius=1.0)
+        spherical = spherical_test(u, r, tol.get("spherical", SPHERE_SPHERICAL_TOL),
+                                   region_radius=1.0)
     result = {
         "form": "p_form",
         "r_sup_norm": r.sup_norm(),

@@ -41,7 +41,6 @@ where some start is below it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -73,6 +72,16 @@ _CROSSING_STEP = 0.75 * np.pi
 _POLISHED = 1e-12
 DEFAULT_ZERO_FLOOR_REL = 1e-9
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
+# spherical screens: sup|K_{;zz}| <= tol (1 + sup|K|) on the torus, and on
+# the unit disk of sphere chart 1, whose finite differences are coarser
+TORUS_SPHERICAL_TOL = 1e-9
+SPHERE_SPHERICAL_TOL = 1e-6
+# sphere charts: the sampled square's half-width, the disk zeros are
+# located in, and the chord distance on S^2 within which the zeros of two
+# charts are one zero
+SPHERE_CHART_RADIUS = 1.6
+_LOCATE_RADIUS = 1.25
+_MATCH_DISTANCE = 0.08
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +146,6 @@ class ZeroCluster:
     center: complex
     center_st: tuple
     min_modulus: float
-    crossing_edges: list = dataclass_field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -274,29 +282,6 @@ def _refine_edges(geom, keys, floor, max_depth):
     for k in np.lexsort((p_ok, e_ok)):
         totals[e_ok[k]] += float(s_ok[k])
     return {key: events.get(e, ("ok", totals[e])) for e, key in enumerate(keys)}
-
-
-def _edge_min_modulus(eval_line, lo=0.0, hi=1.0):
-    """Golden-section minimum of |f| along an edge segment (the modulus is
-    V-shaped near a simple crossing), until the bracket stops shrinking:
-    each step narrows it or leaves its inner points met, c >= d."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc = abs(complex(eval_line(np.array([c]))[0]))
-    fd = abs(complex(eval_line(np.array([d]))[0]))
-    while c < d:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = abs(complex(eval_line(np.array([c]))[0]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = abs(complex(eval_line(np.array([d]))[0]))
-    p = 0.5 * (a + b)
-    return p, abs(complex(eval_line(np.array([p]))[0]))
 
 
 # --------------------------------------------------------------------------
@@ -439,26 +424,19 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
 
     bad_cells = [tuple(c) for c in np.argwhere(cell_bad)]
     refine(e for i, j in bad_cells for e in _box_edges(i, i, j, j))
-    crossing_cells: dict = {}
+    crossing_cells = set()
     for i, j in bad_cells:
-        total = 0.0
-        crossing = []
-        for edge, sign in _box_edges(i, i, j, j):
-            status, payload = refined_edge(*edge)
-            if status == "crossing":
-                crossing.append((edge, payload))
-            else:
-                total += sign * payload
-        if crossing:
-            crossing_cells[(i, j)] = crossing
+        edges = [(sign, *refined_edge(*edge)) for edge, sign in _box_edges(i, i, j, j)]
+        if any(status == "crossing" for _, status, _ in edges):
+            crossing_cells.add((i, j))
             windings[i, j] = 0
         else:
-            windings[i, j] = int(round(total / (2.0 * np.pi)))
+            windings[i, j] = int(round(sum(s * p for s, _, p in edges) / (2.0 * np.pi)))
 
     windings *= geom.orientation
 
     flagged = {(int(i), int(j)) for i, j in np.argwhere(windings != 0)}
-    flagged |= set(crossing_cells)
+    flagged |= crossing_cells
     if not flagged:
         return []
 
@@ -513,13 +491,9 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
             center = complex(f.lattice.st_to_z(a, b))
         else:
             center = complex(a + 1j * b)
-        xing = []
-        for i, j in group:
-            xing.extend(crossing_cells.get(geom.wrap(i, j), []))
         clusters.append(ZeroCluster(
             chart_id=geom.chart_id, cells=cells, winding=winding, kind=kind,
-            center=center, center_st=(a, b), min_modulus=m,
-            crossing_edges=xing))
+            center=center, center_st=(a, b), min_modulus=m))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
 
@@ -656,24 +630,16 @@ def chart_transition_quadratic(alpha, transition: ChartTransition, *,
 def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     """Polished |f| at the cluster's zero, relative to sup|f|.
 
-    Point clusters are polished by the damped Newton iteration on
+    Clusters of both kinds are polished by the damped Newton iteration on
     ``f.jet_at`` (:func:`_polish`) within the cluster's extent plus 1.5
-    cells; curve clusters by golden-section along their best sign-crossing
-    edge (the modulus is V-shaped across a simple crossing).
+    cells: its step is defined where the Jacobian is singular, so it lands
+    on a zero curve as well as on a point zero.
     """
     geom = _Geometry(f)
     sup = f.sup_norm()
-    if cluster.kind == "point" or not cluster.crossing_edges:
-        cell = geom.h * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
-        _, best = _polish_clusters(f, [cluster], [_cluster_extent(cluster, cell) + 1.5 * cell],
-                                   sup)
-        return float(best[0]) / sup
-    (kind, ei, ej), (p, _) = min(cluster.crossing_edges, key=lambda e: e[1][1])
-    line = geom.edge_line(kind, *geom.wrap(ei, ej))
-    lo = max(0.0, p - 2.0 ** -9)
-    hi = min(1.0, p + 2.0 ** -9)
-    _, best = _edge_min_modulus(line, lo, hi)
-    return best / sup
+    cell = geom.h * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
+    _, best = _polish_clusters(f, [cluster], [_cluster_extent(cluster, cell) + 1.5 * cell], sup)
+    return float(best[0]) / sup
 
 
 def _polish(f, starts, max_move, stop=0.0):
@@ -757,23 +723,21 @@ def _cluster_extent(cluster: ZeroCluster, cell_dz: float) -> float:
 # torus pipeline
 # --------------------------------------------------------------------------
 
-def torus_umbilics(u: PeriodicField, *, form: str = "p_form",
-                   zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
-                   spherical_tol: float = 1e-9,
-                   check_resolution: bool = True):
+def torus_umbilics(u: PeriodicField):
     """Locate the umbilical circles of the circle bundle with potential u
-    over the torus: compute r, find zero clusters, refine and index each,
-    and audit the index sum against 2 chi = 0.
+    over the torus: compute r by the P form, screen out constant curvature
+    with it, find zero clusters, refine and index each, and audit the index
+    sum against 2 chi = 0.
 
     Returns (records, audit, clusters).
     """
-    if spherical_test(u, spherical_tol, check_resolution=check_resolution):
+    r = cartan_r(u, "p_form").r
+    if spherical_test(u, r, TORUS_SPHERICAL_TOL):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
-    r = cartan_r(u, form, check_resolution=check_resolution).r
-    clusters = locate_zero_cells(r, zero_floor_rel=zero_floor_rel)
+    clusters = locate_zero_cells(r)
     lattice = u.lattice
     indexed, dropped = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
-                                       r.sup_norm(), zero_floor_rel,
+                                       r.sup_norm(), DEFAULT_ZERO_FLOOR_REL,
                                        lattice.torus_distance, 2.5, 0.35)
     records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
                              chart_id="torus", contour_radius=radius)
@@ -877,16 +841,10 @@ def sphere_metric_potentials(degree: int, perturbations, *,
     return build(0, "chart1"), build(1, "chart2")
 
 
-def sphere_two_chart_umbilics(degree: int, perturbations, *,
-                              chart_n: int = 256, chart_radius: float = 1.6,
-                              locate_radius: float = 1.25,
-                              form: str = "p_form",
-                              spherical_tol: float = 1e-6,
-                              zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
-                              match_distance: float = 0.08):
-    """Two-chart sphere pipeline: invariant per chart, zero clusters and
-    indices per chart, cross-chart deduplication, and the index audit
-    against 2 chi = 4.
+def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256):
+    """Two-chart sphere pipeline: invariant per chart (the P form), the
+    spherical screen on chart 1, zero clusters and indices per chart,
+    cross-chart deduplication, and the index audit against 2 chi = 4.
 
     Ownership convention: a zero with |z| <= 1 belongs to chart 1 and one
     with |w| < 1 to chart 2.  A zero seen by both charts (including zeros
@@ -895,25 +853,23 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
     kept as a stability check.
     """
     u1, u2 = sphere_metric_potentials(degree, perturbations,
-                                      chart_radius=chart_radius, chart_n=chart_n)
-    if spherical_test(u1, spherical_tol, region_radius=1.0):
-        raise TotallyDegenerate(
-            "constant-curvature sphere metric: r vanishes identically, "
-            "no isolated umbilical circles")
+                                      chart_radius=SPHERE_CHART_RADIUS, chart_n=chart_n)
     charts = {}
     for cid, u in (("chart1", u1), ("chart2", u2)):
-        r = cartan_r(u, form).r
-        clusters = locate_zero_cells(r, zero_floor_rel=zero_floor_rel,
-                                     region_radius=locate_radius)
-        charts[cid] = (r, clusters)
+        r = cartan_r(u, "p_form").r
+        if cid == "chart1" and spherical_test(u, r, SPHERE_SPHERICAL_TOL, region_radius=1.0):
+            raise TotallyDegenerate(
+                "constant-curvature sphere metric: r vanishes identically, "
+                "no isolated umbilical circles")
+        charts[cid] = (r, locate_zero_cells(r, region_radius=_LOCATE_RADIUS))
 
     # refine and index every cluster in its own chart
     entries = []
     dropped = []
     for cid, (r, clusters) in charts.items():
         indexed, chart_dropped = _index_clusters(
-            r, clusters, 2.0 * chart_radius / (chart_n - 1), r.sup_norm(locate_radius),
-            zero_floor_rel, lambda a, b: abs(a - b), 3.0, 0.3)
+            r, clusters, 2.0 * SPHERE_CHART_RADIUS / (chart_n - 1), r.sup_norm(_LOCATE_RADIUS),
+            DEFAULT_ZERO_FLOOR_REL, lambda a, b: abs(a - b), 3.0, 0.3)
         dropped += chart_dropped
         entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,
                      "radius": radius, "sphere_point": _sphere_point(cid, z0)}
@@ -934,7 +890,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *,
             if used[b]:
                 continue
             d = float(np.linalg.norm(entries[a]["sphere_point"] - entries[b]["sphere_point"]))
-            if d <= match_distance:
+            if d <= _MATCH_DISTANCE:
                 group.append(entries[b])
                 used[b] = True
         merged.append(group)

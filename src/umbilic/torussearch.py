@@ -8,7 +8,11 @@ constant symmetry direction Y with Yu = 0 (and Y has compact leaves), then
 Pu must vanish somewhere.  The proof is constructive enough to audit
 numerically: with v = e^{-u} D Dbar u, a transverse constant direction Y'
 and psi = e^{-u} Y'v, one has e^{-2u} Pu = b^2 Y'psi for a constant b, and
-the periodic function psi attains extrema where Y'psi changes sign.
+the periodic function psi attains extrema where Y'psi changes sign.  By
+e^{ku} Y' e^{-ku} = Y' - k Y'u the audit computes the same chain as the
+divergence form of r, along Y' and with no exponential sampled:
+X = (Y' - Y'u) D Dbar u = e^{2u} psi and Z = (Y' - 2 Y'u) X = e^{2u} Y'psi,
+so Pu = b^2 Z.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 import scipy.fft
 from scipy.optimize import minimize
 
-from .cartan import cartan_r
+from .cartan import _conjugated_chain, cartan_r
 from .errors import SymmetryViolated, TotallyDegenerate
 from .field import DEFAULT_TAIL_TOL, PeriodicField, TorusLattice
 from .index import _polish, locate_zero_cells, refine_cluster_residual
@@ -39,6 +43,13 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+# min_modulus_objective: sup|Pu| below which the score is 0, and the ratio
+# min|Pu| / sup|Pu| below which it reports 0
+_DEGENERATE_FLOOR = 1e-12
+_ZERO_RATIO = 1e-9
+# symmetric_obstruction_check: sup|Yu| allowed, relative to
+# 1 + sup|u_x| + sup|u_y|
+_SYMMETRY_TOL = 1e-10
 
 
 @dataclass
@@ -140,10 +151,7 @@ def directional_derivative(f: PeriodicField, alpha: float, beta: float,
 # objective
 # --------------------------------------------------------------------------
 
-def min_modulus_objective(u: TrigPotential, grid_n: int, *,
-                          degenerate_floor: float = 1e-12,
-                          zero_ratio: float = 1e-9,
-                          form: str = "p_form") -> float:
+def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
     The minimum is polished off-grid (the zero set of Pu need not meet the
@@ -151,10 +159,10 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     from the four lowest well-separated samples at once and kept within
     2.5 cells of them, so potentials whose invariant genuinely vanishes
     report exactly 0, on zero curves as well as at points; a max below the
-    degenerate floor also reports 0.  The score is invariant under
-    u -> u + C.
+    degenerate floor (_DEGENERATE_FLOOR) also reports 0.  The score is
+    invariant under u -> u + C.
 
-    A minimum below zero_ratio * max reports 0, and the polish stops at that
+    A minimum below _ZERO_RATIO * max reports 0, and the polish stops at that
     same threshold: each start's |Pu| only decreases, so once one start is
     below it the score is 0 whatever the others do.  A nonzero score never
     meets the stop, and its polish runs in full.  The starts come from the
@@ -163,9 +171,9 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
     field = u.to_field(grid_n)
-    r = cartan_r(field, form, check_resolution=False).r
+    r = cartan_r(field, "p_form", check_resolution=False).r
     mx = r.sup_norm()
-    if mx < degenerate_floor:
+    if mx < _DEGENERATE_FLOOR:
         return 0.0
     A = np.abs(r.values)
     cell = (1.0 + abs(field.lattice.omega)) / grid_n
@@ -173,7 +181,7 @@ def min_modulus_objective(u: TrigPotential, grid_n: int, *,
     # search can slide past the global minimum of a multi-valley field
     starts = [field.lattice.st_to_z(i / grid_n, j / grid_n)
               for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
-    stop = zero_ratio * mx
+    stop = _ZERO_RATIO * mx
     mn = min(float(A.min()), float(_polish(r, starts, 2.5 * cell, stop)[1].min()))
     return 0.0 if mn < stop else float(mn / mx)
 
@@ -219,29 +227,28 @@ class ObstructionReport:
 
 
 def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
-                                grid_n: int = 128,
-                                symmetry_tol: float = 1e-10,
-                                form: str = "p_form") -> ObstructionReport:
+                                grid_n: int = 128) -> ObstructionReport:
     """Verify that a Y-invariant potential forces zeros of Pu.
 
     Checks Yu = 0, locates the zero set of Pu (curves as well as points),
     and audits the constructive reduction: psi = e^{-u} Y'v must attain its
     interior extrema where Y'psi changes sign, and e^{-2u} Pu must equal
     b^2 Y'psi for the constant b with D = aY + bY'.  Pu comes from the P
-    form by default, so that identity compares two independent code paths;
-    the divergence form multiplies by e^{2u}, and its under-resolved e^{-u}
-    products blow up on potentials of large amplitude.
+    form and the proof path from the chain X, Z of the module docstring
+    along Y', so the identity Pu = b^2 Z compares two independent code
+    paths.  Only psi = e^{-2u} X is formed with an exponential, pointwise,
+    for its extrema; the sign of Y'psi is the sign of Z.
     """
     field = u.to_field(grid_n)
     # fx and fy also set the scale of the symmetry test
     fx, fy = _xy_derivatives(field, DEFAULT_TAIL_TOL)
     yu = fx.scale(Y.alpha).add(fy.scale(Y.beta))
     scale = 1.0 + fx.sup_norm() + fy.sup_norm()
-    if yu.sup_norm() > symmetry_tol * scale:
+    if yu.sup_norm() > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
-            f"sup|Yu| = {yu.sup_norm():.3e} exceeds {symmetry_tol:.1e} x scale")
+            f"sup|Yu| = {yu.sup_norm():.3e} exceeds {_SYMMETRY_TOL:.1e} x scale")
 
-    r = cartan_r(field, form, check_resolution=False).r
+    r = cartan_r(field, "p_form", check_resolution=False).r
     if r.sup_norm() < 1e-12:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
@@ -250,32 +257,30 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
 
     # constructive proof path
     Yp = Y.perpendicular()
-    emu = field.scale(-1.0).exp()
-    v = emu.mul(field.derivative("Dbar").derivative("D")).real_part(validate=True, tol=1e-7)
-    ypv = directional_derivative(v, Yp.alpha, Yp.beta).real_part(validate=True, tol=1e-7)
-    psi = emu.mul(ypv).real_part(validate=True, tol=1e-7)
-    P = psi.values.real
-    imax = np.unravel_index(int(np.argmax(P)), P.shape)
-    imin = np.unravel_index(int(np.argmin(P)), P.shape)
+    ypu = fx.scale(Yp.alpha).add(fy.scale(Yp.beta))
+    X, Z = _conjugated_chain(lambda f: directional_derivative(f, Yp.alpha, Yp.beta),
+                             ypu, field.derivative("Dbar").derivative("D"))
+    X = X.real_part(validate=True, tol=1e-7)
+    Z = Z.real_part(validate=True, tol=1e-7)
+    psi = field.scale(-2.0).exp().values.real * X.values.real
+    imax = np.unravel_index(int(np.argmax(psi)), psi.shape)
+    imin = np.unravel_index(int(np.argmin(psi)), psi.shape)
     n = field.n
     z_max = field.lattice.st_to_z(imax[0] / n, imax[1] / n)
     z_min = field.lattice.st_to_z(imin[0] / n, imin[1] / n)
-    dpsi = directional_derivative(psi, Yp.alpha, Yp.beta).real_part(validate=True, tol=1e-7)
-    dscale = dpsi.sup_norm()
-    sign_change = bool(np.min(dpsi.values.real) < -1e-9 * dscale
-                       and np.max(dpsi.values.real) > 1e-9 * dscale)
+    zscale = Z.sup_norm()
+    sign_change = bool(np.min(Z.values.real) < -1e-9 * zscale
+                       and np.max(Z.values.real) > 1e-9 * zscale)
 
-    # e^{-2u} Pu = b^2 Y'psi with D = a Y + b Y'
+    # Pu = b^2 Z with D = a Y + b Y'
     A = np.array([[Y.alpha, Yp.alpha], [Y.beta, Yp.beta]], dtype=float)
     ab = np.linalg.solve(A, np.array([0.5, -0.5j]))
     b = complex(ab[1])
-    lhs = field.scale(-2.0).exp().mul(r)
-    rhs = dpsi.scale(b * b)
-    ident = float(np.max(np.abs(lhs.values - rhs.values))) / (1.0 + lhs.sup_norm())
+    ident = float(np.max(np.abs(r.values - b * b * Z.values))) / (1.0 + r.sup_norm())
 
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),
-        residuals=residuals, psi_min=float(np.min(P)), psi_max=float(np.max(P)),
+        residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
         psi_argmin=complex(z_min), psi_argmax=complex(z_max),
         dpsi_sign_change=sign_change, proof_identity_residual=ident,
         grid_n=grid_n)

@@ -75,6 +75,16 @@ class TestCartanR:
         oracle = fd_cartan_r(u.values, LAT.omega)
         assert np.max(np.abs(rs[1].values - oracle)) / scale < 1e-5
 
+    @pytest.mark.parametrize("omega", [1j, 0.3 + 1.1j])
+    @pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_forms_agree_at_large_amplitude(self, omega, a, n):
+        # u = 2a cos(2 pi s): sampling e^{-u} and e^{2u} lost the divergence
+        # form 5e-4 (a = 3) to 1.0 (a = 5) of sup|r|; the conjugated chain
+        # samples no exponential
+        pot = TrigPotential.from_half_modes(TorusLattice(omega), {(1, 0): a})
+        cartan_r_all_forms(pot.to_field(n), tol=1e-7)
+
     def test_invalid_form(self):
         u = PeriodicField.constant(LAT, 16, 0.0)
         with pytest.raises(ValueError):
@@ -173,17 +183,45 @@ class TestKzzIdentity:
         assert kzz_identity_residual(fs_chart(1), region_radius=1.0) <= 1e-8
 
 
+def curvature_screen(u, tol, region_radius=None):
+    """The spherical decision through the curvature path of criterion 2:
+    sup|K_{;zz}| <= tol (1 + sup|K|) with K and its covariant Hessian."""
+    K = gauss_curvature(u)
+    kzz = covariant_hessian_zz(K, u.scale(0.5))
+    if isinstance(u, ChartGrid):
+        return kzz.sup_norm(region_radius) <= tol * (1.0 + K.sup_norm(region_radius))
+    return kzz.sup_norm() <= tol * (1.0 + K.sup_norm())
+
+
+def screen(u, tol=1e-6, region_radius=None):
+    return spherical_test(u, cartan_r(u, "p_form").r, tol, region_radius=region_radius)
+
+
+def generic_torus_potential():
+    return PeriodicField.from_function(
+        LAT, 128, lambda S, T: 0.1 + 0.3 * np.cos(2 * np.pi * S), real_tag=True)
+
+
 class TestSphericalTest:
     def test_fubini_study_is_spherical(self):
-        assert spherical_test(fs_chart(2), 1e-6, region_radius=1.0)
+        assert screen(fs_chart(2), region_radius=1.0)
 
     def test_constant_torus_is_spherical(self):
-        assert spherical_test(PeriodicField.constant(LAT, 64, 0.2), 1e-6)
+        assert screen(PeriodicField.constant(LAT, 64, 0.2))
 
     def test_generic_potential_is_not(self):
-        u = PeriodicField.from_function(
-            LAT, 128, lambda S, T: 0.1 + 0.3 * np.cos(2 * np.pi * S), real_tag=True)
-        assert not spherical_test(u, 1e-6)
+        assert not screen(generic_torus_potential())
+
+    @pytest.mark.parametrize("make, radius", [
+        (lambda: fs_chart(2), 1.0),
+        (lambda: PeriodicField.constant(LAT, 64, 0.2), None),
+        (generic_torus_potential, None),
+    ], ids=["fubini-study", "constant-torus", "generic"])
+    def test_matches_curvature_path(self, make, radius):
+        # K_{;zz} = -2 e^{-2u} r: the screen read from r decides as the
+        # covariant Hessian of the curvature does
+        u = make()
+        assert screen(u, region_radius=radius) == curvature_screen(u, 1e-6, radius)
 
 
 class TestRigidFrontEnd:

@@ -157,6 +157,14 @@ class TestMainAndExitCodes:
         assert report["results"]["spherical"] is True
         capsys.readouterr()
 
+    def test_large_amplitude_invariant_exit_zero(self, tmp_path, capsys):
+        # u = 10 cos(2 pi s) at n = 64: the cross-form check passes at 1e-7
+        # (it exited 7 while the divergence form sampled exponentials)
+        cfg = torus_cfg(metric={"modes": {"1,0": [5.0, 0.0]}}, numeric={"grid_n": 64})
+        assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["spherical"] is False
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         code = main(["invariant", "--config",
                      write_cfg(tmp_path, {"surface": {"kind": "cube"}})])

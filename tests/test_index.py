@@ -244,20 +244,6 @@ class TestPolish:
         _, mod = index._polish(f, [0.25 + 0.1j, 0.36 - 0.2j], 0.1)
         assert np.all(mod <= 1e-14 * f.sup_norm())
 
-    def test_golden_section_stops_at_double_resolution(self):
-        # the bracket meets at double resolution after about 65 steps; the
-        # fixed 80 steps revisited the same points from there on
-        for x0 in (0.3, 0.7123456789):
-            calls = []
-
-            def line(p):
-                calls.append(float(p[0]))
-                return np.asarray(p - x0, dtype=complex)
-
-            p, m = index._edge_min_modulus(line, x0 - 2.0 ** -9, x0 + 2.0 ** -9)
-            assert p == x0 and m == 0.0
-            assert len(calls) - len(set(calls)) <= 2
-
 
 class TestUmbilicIndex:
     def test_simple_zero(self):

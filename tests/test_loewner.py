@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umbilic import loewner
+from umbilic import cli, loewner
 from umbilic.loewner import (LoewnerNormalization, curved_hessian_residual,
                              loewner_solve, real_basis, tm_matrix,
                              tm_rank_report)
@@ -168,13 +168,18 @@ class TestCurvedHessianResidual:
                                     PowerSeries2.zero(3), 8)
 
 
-def test_perfbench_tracer_records_the_loewner_layers():
-    # perfbench wraps these callables by name; a rename must fail here, not
-    # only in a traced benchmark run
+def load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_records_the_loewner_layers():
+    # perfbench wraps these callables by name; a rename must fail here, not
+    # only in a traced benchmark run
+    tracing = load_tracing()
     solve = loewner.loewner_solve
     tracer = tracing.Tracer()
     tracer.install()
@@ -188,3 +193,21 @@ def test_perfbench_tracer_records_the_loewner_layers():
         assert stats.get(name, {}).get("calls", 0) >= 1, name
     assert stats["loewner.tm_matrix"]["calls"] == 4
     assert stats["series.mul"]["work"] > 0  # term pairs, from .coeffs
+
+
+def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
+    # the cross-form check, the spherical screen and the cluster polish are
+    # wrapped by name as well
+    tracing = load_tracing()
+    torus = {"surface": {"kind": "torus", "omega": [0.0, 1.0]},
+             "metric": {"modes": {"1,0": [0.2, 0.0]}}, "numeric": {"grid_n": 64}}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli.run(dict(torus, operation="invariant"))
+        cli.run(dict(torus, operation="obstruction", obstruction={"direction": [0.0, 1.0]}))
+    finally:
+        tracer.uninstall()
+    stats = tracing.span_stats(tracer.spans)
+    for name in ("cartan.cross_form", "cartan.spherical_test", "index.refine_cluster_residual"):
+        assert stats.get(name, {}).get("calls", 0) >= 1, name

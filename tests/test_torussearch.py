@@ -174,10 +174,9 @@ class TestObstruction:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_large_amplitude_uses_p_form(self, n):
-        # 10 cos(2 pi s): the divergence form multiplies under-resolved e^{-u}
-        # products by e^{2u} (1 cluster and an identity residual of 1.0 at
-        # n = 64); the P form finds the four zero curves, and the identity
-        # then compares it with the independent psi path
+        # 10 cos(2 pi s): the P form finds the four zero curves, and the
+        # identity compares it with the proof path, the conjugated chain
+        # along Y'; neither samples an exponential, whose range here is e^{20}
         pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
         rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=n)
         assert len(rep.zero_clusters) == 4
@@ -185,6 +184,13 @@ class TestObstruction:
         assert max(rep.residuals) <= 1e-6
         assert rep.dpsi_sign_change
         assert rep.proof_identity_residual <= 1e-7
+
+    def test_proof_identity_to_rounding(self):
+        # both sides of Pu = b^2 (Y' - 2 Y'u)(Y' - Y'u) D Dbar u sample no
+        # exponential, so at 10 cos(2 pi s) they agree to rounding
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
+        rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=64)
+        assert rep.proof_identity_residual <= 1e-13
 
     def test_constant_is_degenerate(self):
         with pytest.raises(TotallyDegenerate):
