@@ -29,14 +29,14 @@ endpoints are grid nodes, and their values are the samples themselves (the
 interpolant reproduces them to rounding), the same values the cell pass
 used to flag the edge.
 
-Point zeros are polished by one damped Newton iteration on (Re f, Im f)
-for all clusters of a field at once: each step is one call of the field's
-``jet_at(z) -> (f, D f, Dbar f)``, the derivatives of the interpolant that
-``evaluate_at`` evaluates.  Steps must lower |f| and stay within a fixed
-reach of their start, so a neighbouring zero cannot capture the iterate.
-A caller that only needs to know whether |f| falls below a threshold
-passes it as the polish's stop, and the iteration ends at the first step
-where some start is below it.
+Zero clusters, point and curve alike, are polished by one damped Newton
+iteration on (Re f, Im f) for all clusters of a field at once: each step
+is one call of the field's ``jet_at(z) -> (f, D f, Dbar f)``, the
+derivatives of the interpolant that ``evaluate_at`` evaluates.  Steps
+must lower |f| and stay within a fixed reach of their start, so a
+neighbouring zero cannot capture the iterate.  A caller that only needs to
+know whether |f| falls below a threshold passes it as the polish's stop,
+and the iteration ends at the first step where some start is below it.
 """
 
 from __future__ import annotations

@@ -79,9 +79,9 @@ class TestCartanR:
     @pytest.mark.parametrize("a", [2.0, 3.0, 5.0])
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_forms_agree_at_large_amplitude(self, omega, a, n):
-        # u = 2a cos(2 pi s): sampling e^{-u} and e^{2u} lost the divergence
-        # form 5e-4 (a = 3) to 1.0 (a = 5) of sup|r|; the conjugated chain
-        # samples no exponential
+        # u = 2a cos(2 pi s), whose e^{2u} spans up to e^{20}: the divergence
+        # form samples no exponential, so it agrees with the P form to
+        # rounding at any amplitude
         pot = TrigPotential.from_half_modes(TorusLattice(omega), {(1, 0): a})
         cartan_r_all_forms(pot.to_field(n), tol=1e-7)
 

@@ -158,8 +158,7 @@ class TestMainAndExitCodes:
         capsys.readouterr()
 
     def test_large_amplitude_invariant_exit_zero(self, tmp_path, capsys):
-        # u = 10 cos(2 pi s) at n = 64: the cross-form check passes at 1e-7
-        # (it exited 7 while the divergence form sampled exponentials)
+        # u = 10 cos(2 pi s) at n = 64: the cross-form check holds at 1e-7
         cfg = torus_cfg(metric={"modes": {"1,0": [5.0, 0.0]}}, numeric={"grid_n": 64})
         assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
