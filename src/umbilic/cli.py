@@ -42,7 +42,8 @@ false; paths (metric.samples, output.report, output.grid_dump) are strings.
 
 Reports are JSON with a config echo, a deterministic results block, and a
 diagnostics block (wall time, resolution checks, clusters of winding 0 that
-umbilics and ph-audit dropped).  A failed index audit is
+umbilics and ph-audit dropped, and how many of their index cross-checks ran
+or were skipped, by reason).  A failed index audit is
 still a completed computation (exit 0, failure recorded in the report);
 configuration and numerical faults exit nonzero with a machine-readable
 error object:
@@ -399,6 +400,7 @@ def run_umbilics(inp: dict) -> dict:
         records, audit = sphere_two_chart_umbilics(*inp["sphere"], chart_n=extra["chart_n"])
     # clusters of winding 0 give no record; they may be merged zero pairs
     extra["dropped_clusters"] = audit.details["dropped_clusters"]
+    extra["index_cross_checks"] = audit.details["index_cross_checks"]
     return {"results": {
         "records": [_record_dict(r) for r in records],
         "audit": _audit_dict(audit),

@@ -9,7 +9,10 @@ Two grid-backed representations live here:
   made by derivatives, products, sums of those and trigonometric
   potentials keep their spectrum for the next step.  The band of a field
   is the largest |k| with a nonzero bin of that spectrum (n/2 without
-  one); products and off-grid evaluation are sized to it.
+  one); derivatives, products and off-grid evaluation are sized to it.
+  Such a field is spectrum first: unless it is real-tagged, its samples
+  are computed on first read (see :class:`PeriodicField`), so a chain of
+  derivatives and products transforms back only the samples someone reads.
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
@@ -58,6 +61,9 @@ DEFAULT_TAIL_TOL = 1e-6
 # this, the fourth-order operator amplifies the rounding floor by ~1e10 and
 # exact identities such as constant-shift invariance drown in noise.
 _DENOISE_FACTOR = 16.0
+# sup|f| <= sum|C| / n^2 for the fft2 spectrum C of f; computed samples may
+# exceed it by a few rounding units, which this relative margin covers
+_FLOOR_MARGIN = 1.0 + 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -158,6 +164,13 @@ def _centered_block(C: np.ndarray, h: int) -> np.ndarray:
         return _extend_both(fft.fftshift(C) / (n * n))
     g = np.arange(-h, h + 1) % n
     return C[np.ix_(g, g)] / (n * n)
+
+
+def _band_of(B: np.ndarray, k: np.ndarray) -> int:
+    """Largest |k| on either axis with a nonzero bin of the square spectrum
+    block B, whose rows and columns carry the frequencies k."""
+    nonzero = B != 0
+    return int(np.abs(k)[nonzero.any(1) | nonzero.any(0)].max(initial=0))
 
 
 def _tail_energy_fraction(spectrum: np.ndarray) -> float:
@@ -326,17 +339,44 @@ class PeriodicField(_SampledField):
 
     A field returned by :meth:`derivative`, :func:`product` or
     ``TrigPotential.to_field``, or by :meth:`add` of two such fields, keeps
-    the fft2 spectrum its samples came from (``_spectrum``), and the next
+    the fft2 spectrum its samples come from (``_spectrum``), and the next
     derivative, product or evaluation reads it instead of a new transform.
-    Its band (:meth:`_band`) sizes the lift of a product and the rows of an
-    evaluation; a field without a kept spectrum counts as full band, n/2.
+    Its band (:meth:`_band`, computed once) sizes the derivative's
+    arithmetic, the lift of a product and the rows of an evaluation; a
+    field without a kept spectrum counts as full band, n/2.
+
+    When samples exist: fields built from samples, and real-tagged ones
+    (``to_field``, products of real fields), have them at once, so the
+    imaginary-drift check of the reality tag runs on construction.  Complex
+    results of :meth:`derivative` and :func:`product` compute ``ifft2`` of
+    their spectrum on the first read of ``values``, and a sum of two kept
+    spectra computes ``a.values + b.values``: the samples are those of the
+    eager computation, bit for bit, and are never formed if nobody reads
+    them.  The denoise floor of :meth:`derivative` is the one exception
+    that may read them; see there.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
         super().__init__(values, real_tag)
         self.lattice = lattice
+        self._fill = None  # computes the samples of a field built without them
         self._spectrum = None  # fft2 of values, when known without a transform
+        self._band_h = None  # _band(), once known
         self._eval_spectrum = None  # lazy cache for off-grid evaluation
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values, self._fill = self._fill(), None
+        return self._values
+
+    @values.setter
+    def values(self, values: np.ndarray):
+        self._values = values
+
+    @property
+    def n(self) -> int:
+        return (self._spectrum if self._values is None else self._values).shape[0]
 
     @staticmethod
     def _check_n(n: int):
@@ -349,17 +389,34 @@ class PeriodicField(_SampledField):
     def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "PeriodicField":
         return PeriodicField(self.lattice, values, real_tag=real_tag)
 
-    def _from_spectrum(self, C: np.ndarray, real_tag: bool) -> "PeriodicField":
-        out = self._like(fft.ifft2(C), real_tag)
-        out._spectrum = C
+    def _from_spectrum(self, C: np.ndarray, real_tag: bool, band: int, fill=None) -> "PeriodicField":
+        """Field on this grid with spectrum C of band ``band``.  A
+        real-tagged one gets the samples ``ifft2(C)`` at once; a complex
+        one gets them from ``fill`` (by default ``ifft2(C)``) on first read."""
+        if real_tag:
+            out = self._like(fft.ifft2(C), True)
+        else:
+            out = PeriodicField.__new__(PeriodicField)
+            out.lattice, out.real_tag, out._values, out._eval_spectrum = self.lattice, False, None, None
+            out._fill = fill or (lambda: fft.ifft2(C))
+        out._spectrum, out._band_h = C, band
         return out
 
     def add(self, other: "PeriodicField") -> "PeriodicField":
-        """Sample sum; when both operands keep a spectrum, so does the sum."""
-        out = super().add(other)
-        if self._spectrum is not None and other._spectrum is not None:
-            out._spectrum = self._spectrum + other._spectrum
-        return out
+        """Sample sum; when both operands keep a spectrum, so does the sum,
+        and its samples, if complex, wait for their first read."""
+        self._check_same_grid(other)
+        if self._spectrum is None or other._spectrum is None:
+            return super().add(other)
+        C = self._spectrum + other._spectrum
+        h = max(self._band(), other._band())
+        g = np.arange(-h, h + 1) % self.n
+        band = _band_of(C[g[:, None], g], np.arange(-h, h + 1))
+        if self.real_tag and other.real_tag:
+            out = super().add(other)
+            out._spectrum, out._band_h = C, band
+            return out
+        return self._from_spectrum(C, False, band, lambda: self.values + other.values)
 
     def _fft(self, values: np.ndarray | None = None) -> np.ndarray:
         """fft2 of ``values``, by default the kept spectrum or else the
@@ -420,36 +477,65 @@ class PeriodicField(_SampledField):
         """Exact Wirtinger derivative of the trigonometric interpolant.
 
         The ambiguous Nyquist bin is annihilated, and bins below the sample
-        rounding floor are zeroed (see _DENOISE_FACTOR); fields passing the
-        tail check carry no meaningful energy in either.  A kept spectrum is
-        read with its DC entry zeroed; the result keeps its own.
+        rounding floor 16 n eps sup|f| are zeroed (see _DENOISE_FACTOR);
+        fields passing the tail check carry no meaningful energy in either.
+        A kept spectrum is read with its DC entry zeroed; the result keeps
+        its own.  On a band h below n/3 the tail check has nothing to see
+        and the multipliers are applied to the (2h+1) x (2h+1) block of
+        frequencies -h .. h only.  The floor needs sup|f|, and a field
+        without samples builds them only when some nonzero bin lies below
+        the bound 16 n eps sum|C| / n^2 >= 16 n eps sup|f| (with a rounding
+        margin): otherwise no bin can fall below the floor.
         """
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
+        n = self.n
         if self._spectrum is None:
             # Centering before the transform is a mathematical no-op (the DC
             # multiplier is zero) but keeps the FFT's internal rounding at the
             # oscillation scale rather than the mean scale, so derivatives are
             # invariant under constant shifts down to the denoise floor.
-            C = self._fft(self.values - complex(self.values.mean()))
+            C, h = self._fft(self.values - complex(self.values.mean())), n // 2
         else:
-            C = self._spectrum.copy()
-            C[0, 0] = 0.0
+            C, h = self._spectrum, self._band()
+        if 3 * h < n:
+            k = np.arange(-h, h + 1)
+            g = k % n
+        else:
+            k, g = _int_freqs(n), np.arange(n)
+        B = C[g[:, None], g]
+        if self._spectrum is not None:
+            B[k == 0, k == 0] = 0.0
         if tail_tol is not None:
-            frac = _tail_energy_fraction(C)
+            frac = _tail_energy_fraction(B) if 3 * h >= n else 0.0
             if frac > tail_tol:
                 raise UnderResolved(
                     f"spectral tail carries {frac:.3e} of total energy "
-                    f"(tolerance {tail_tol:.1e}) on an n={self.n} grid")
-        n = self.n
-        floor = _DENOISE_FACTOR * n * np.finfo(float).eps * self.sup_norm()
+                    f"(tolerance {tail_tol:.1e}) on an n={n} grid")
+        floor = self._denoise_floor(B)
         if floor > 0.0:
-            C[np.abs(C) < floor] = 0.0
-        k = _int_freqs(n)
+            B[np.abs(B) < floor] = 0.0
         mult = 2j * np.pi * k
-        mult[n // 2] = 0.0
-        M = _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)
-        return self._from_spectrum(C * M[direction == "Dbar"], False)
+        mult[g == n // 2] = 0.0
+        B *= _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)[direction == "Dbar"]
+        out = np.zeros((n, n), dtype=complex)
+        out[g[:, None], g] = B
+        return self._from_spectrum(out, False, _band_of(B, k))
+
+    def _denoise_floor(self, B: np.ndarray) -> float:
+        """16 n eps sup|f| for the bins B about to be differentiated (the
+        spectrum but its DC entry), or 0 when that floor would zero none of
+        them: a field without samples reads them only when a nonzero bin of
+        B lies below the bound sum|C| / n^2 of sup|f|."""
+        n = self.n
+        scale = _DENOISE_FACTOR * n * np.finfo(float).eps
+        if self._values is None:
+            mags = np.abs(B)
+            bound = scale * (mags.sum() + abs(self._spectrum[0, 0])) / (n * n) * _FLOOR_MARGIN
+            # every zero bin lies below a positive bound: any other one there?
+            if np.count_nonzero(mags < bound) == np.count_nonzero(mags == 0.0):
+                return 0.0
+        return scale * self.sup_norm()
 
     def mul(self, other: "PeriodicField") -> "PeriodicField":
         """Dealiased product: the one-monomial case of :func:`product`."""
@@ -505,16 +591,15 @@ class PeriodicField(_SampledField):
             G, g = _fold_both(G), g[:-1]
         C = np.zeros((n, n), dtype=complex)
         C[np.ix_(g % n, g % n)] = G * (n * n)
-        return self._from_spectrum(C, real_tag)
+        return self._from_spectrum(C, real_tag, _band_of(G, g))
 
     def _band(self) -> int:
         """The largest |k| on either axis with a nonzero bin of the kept
         spectrum; a field without one counts as n/2 and is not scanned."""
-        if self._spectrum is None:
-            return self.n // 2
-        k = np.abs(_int_freqs(self.n)).astype(int)
-        nonzero = self._spectrum != 0
-        return int(max(k[nonzero.any(1)].max(initial=0), k[nonzero.any(0)].max(initial=0)))
+        if self._band_h is None:
+            n = self.n
+            self._band_h = n // 2 if self._spectrum is None else _band_of(self._spectrum, _int_freqs(n))
+        return self._band_h
 
     # -- evaluation off the grid --------------------------------------------
 

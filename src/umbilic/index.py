@@ -82,6 +82,9 @@ SPHERE_SPHERICAL_TOL = 1e-6
 SPHERE_CHART_RADIUS = 1.6
 _LOCATE_RADIUS = 1.25
 _MATCH_DISTANCE = 0.08
+# _index_clusters' circle cross-check: ran, or skipped because the zero is
+# not isolated or the circle raised ZeroOnContour or PhaseStepTooLarge
+_CROSS_CHECKS = ("ran", "not_isolated", "zero_on_contour", "phase_step")
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +235,7 @@ def _refine_edges(geom, keys, floor, max_depth):
     segment counts (segments starting right of it are no longer split),
     and the phase steps of an edge without one are summed left to right.
 
-    Returns {key: ("ok", total) | ("crossing", (p, modulus)) |
+    Returns {key: ("ok", total) | ("crossing", None) |
     ("step", PhaseStepTooLarge message)}.
     """
     corners = ([(i, j) for _, i, j in keys], [_far_corner(*key) for key in keys])
@@ -247,8 +250,7 @@ def _refine_edges(geom, keys, floor, max_depth):
     events = {}
     leaves = []
     for depth in range(max_depth + 1):
-        ma, mb = np.abs(va), np.abs(vb)
-        low = np.minimum(ma, mb)
+        low = np.minimum(np.abs(va), np.abs(vb))
         step = _wrap(np.angle(vb) - np.angle(va))
         at_floor = low <= floor
         ok = ~at_floor & (np.abs(step) < _STEP_LIMIT)
@@ -260,11 +262,8 @@ def _refine_edges(geom, keys, floor, max_depth):
             if pa[k] >= event_start[e]:
                 continue
             event_start[e] = pa[k]
-            if at_floor[k]:
-                events[e] = ("crossing", (float(pa[k] if ma[k] <= mb[k] else pb[k]),
-                                          float(low[k])))
-            elif abs(step[k]) >= _CROSSING_STEP:
-                events[e] = ("crossing", (float(0.5 * (pa[k] + pb[k])), float(low[k])))
+            if at_floor[k] or abs(step[k]) >= _CROSSING_STEP:
+                events[e] = ("crossing", None)
             else:
                 events[e] = ("step", f"edge phase step {step[k]:.3f} unresolved "
                                      f"at depth {max_depth}")
@@ -736,14 +735,15 @@ def torus_umbilics(u: PeriodicField):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
     lattice = u.lattice
-    indexed, dropped = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
-                                       r.sup_norm(), DEFAULT_ZERO_FLOOR_REL,
-                                       lattice.torus_distance, 2.5, 0.35)
+    indexed, dropped, checks = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
+                                               r.sup_norm(), DEFAULT_ZERO_FLOOR_REL,
+                                               lattice.torus_distance, 2.5, 0.35)
     records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
                              chart_id="torus", contour_radius=radius)
                for z0, twice, resid, radius in indexed]
     audit = poincare_hopf_audit(records, SurfaceSpec.torus(lattice))
     audit.details["dropped_clusters"] = dropped
+    audit.details["index_cross_checks"] = checks
     return records, audit, clusters
 
 
@@ -753,8 +753,11 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
     most sep_frac times the distance to the nearest other polished zero
     cross-checks the index whenever the zero is comfortably isolated, and
     a disagreement raises.  Returns [(z0, twice_index, residual / sup,
-    radius)] and the audit entries of the winding-0 clusters, which give no
-    record: such a cluster may be a merged pair of opposite-index zeros."""
+    radius)], the audit entries of the winding-0 clusters, which give no
+    record (such a cluster may be a merged pair of opposite-index zeros),
+    and the cross-check counts: how many ran, and how many were skipped
+    because the zero was not isolated (sep <= 3 base) or because the circle
+    raised ZeroOnContour or PhaseStepTooLarge."""
     bad = [c for c in clusters if c.kind != "point"]
     if bad:
         raise TotallyDegenerate(
@@ -763,6 +766,7 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
     zs, resids = _polish_clusters(
         r, clusters, [0.75 * _cluster_extent(c, cell) + 1.25 * cell for c in clusters], sup)
     indexed, dropped = [], []
+    checks = dict.fromkeys(_CROSS_CHECKS, 0)
     for idx, c in enumerate(clusters):
         z0, twice = zs[idx], -c.winding
         if twice == 0:
@@ -772,18 +776,24 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
         base = max(base_cells * cell, 1.25 * _cluster_extent(c, cell))
         sep = min((dist(z0, zs[k]) for k in range(len(clusters)) if k != idx), default=np.inf)
         radius = min(base, sep_frac * sep) if np.isfinite(sep) else base
-        if sep > 3.0 * base:
+        if sep <= 3.0 * base:
+            checks["not_isolated"] += 1
+        else:
             try:
                 circle = umbilic_index(r, z0, radius, zero_floor_rel=zero_floor_rel,
                                        sup_hint=sup)
-            except (ZeroOnContour, PhaseStepTooLarge):
-                circle = twice
-            if circle != twice:
-                raise PhaseStepTooLarge(
-                    f"index cross-check mismatch at {z0:.6f}: cells give {twice}, "
-                    f"circle of radius {radius:.3e} gives {circle}")
+            except ZeroOnContour:
+                checks["zero_on_contour"] += 1
+            except PhaseStepTooLarge:
+                checks["phase_step"] += 1
+            else:
+                checks["ran"] += 1
+                if circle != twice:
+                    raise PhaseStepTooLarge(
+                        f"index cross-check mismatch at {z0:.6f}: cells give {twice}, "
+                        f"circle of radius {radius:.3e} gives {circle}")
         indexed.append((z0, twice, float(resids[idx]) / sup, radius))
-    return indexed, dropped
+    return indexed, dropped, checks
 
 
 # --------------------------------------------------------------------------
@@ -866,11 +876,13 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     # refine and index every cluster in its own chart
     entries = []
     dropped = []
+    checks = dict.fromkeys(_CROSS_CHECKS, 0)
     for cid, (r, clusters) in charts.items():
-        indexed, chart_dropped = _index_clusters(
+        indexed, chart_dropped, chart_checks = _index_clusters(
             r, clusters, 2.0 * SPHERE_CHART_RADIUS / (chart_n - 1), r.sup_norm(_LOCATE_RADIUS),
             DEFAULT_ZERO_FLOOR_REL, lambda a, b: abs(a - b), 3.0, 0.3)
         dropped += chart_dropped
+        checks = {key: checks[key] + chart_checks[key] for key in _CROSS_CHECKS}
         entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,
                      "radius": radius, "sphere_point": _sphere_point(cid, z0)}
                     for z0, twice, resid, radius in indexed]
@@ -922,4 +934,5 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     audit.details["all_chart_entries"] = [
         {"chart": e["chart"], "z": e["z"], "twice": e["twice"]} for e in entries]
     audit.details["dropped_clusters"] = dropped
+    audit.details["index_cross_checks"] = checks
     return records, audit

@@ -112,11 +112,6 @@ class TrigPotential:
         modes[(0, 0)] = modes.get((0, 0), 0.0) + float(c)
         return TrigPotential(self.lattice, modes)
 
-    def sup_norm(self, n: int = 64) -> float:
-        need = 2 * self.mode_budget + 2
-        n = max(n, need + need % 2, 8)
-        return self.to_field(n).sup_norm()
-
 
 @dataclass(frozen=True)
 class SymmetryDirection:

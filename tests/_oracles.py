@@ -11,13 +11,16 @@ refinement is the reference for the library's level-synchronous one: the
 same bisection rule, one midpoint evaluation at a time.  The full sorted
 walk over every sample is the reference for the search objective's start
 selection, which sorts only a prefix.  The term-by-term product of
-coefficient dicts is the reference for the dense series convolution.
+coefficient dicts is the reference for the dense series convolution.  The
+eager spectral chain (full-grid derivative multipliers, samples formed at
+every step, bands found by scanning the whole spectrum) is the bitwise
+reference for the library's spectrum-first fields.
 """
 
 import numpy as np
 from scipy import fft as sfft
 
-from umbilic.field import PeriodicField, TorusLattice
+from umbilic.field import PeriodicField, TorusLattice, _centered_block, _fold_both
 
 
 def fd_wirtinger(values: np.ndarray, omega: complex, direction: str) -> np.ndarray:
@@ -159,45 +162,31 @@ def one_directional(lattice: TorusLattice, jk, profile):
     return pot, Y
 
 
-class EdgeCrossing(Exception):
-    """An edge runs through (or indistinguishably close to) the zero set;
-    carries the parameter of the closest approach."""
-
-    def __init__(self, p, modulus):
-        self.p = float(p)
-        self.modulus = float(modulus)
-        super().__init__(f"crossing near p={p:.6f}, |f|={modulus:.3e}")
-
-
 def refine_edge_depth_first(eval_line, v0, v1, floor, max_depth=12):
     """Depth-first reference for the library's level-synchronous edge
     refinement: one midpoint evaluation at a time, walking the edge left to
-    right.  Returns ("ok", total phase increment), ("crossing", (p,
-    modulus)) or ("step", message)."""
+    right.  Returns ("ok", total phase increment), ("crossing", None) or
+    ("step", message)."""
     step_limit, crossing_step = 0.5 * np.pi, 0.75 * np.pi
     min_len = 0.5 ** max_depth
     total = 0.0
     stack = [(0.0, 1.0, v0, v1)]
-    try:
-        while stack:
-            pa, pb, va, vb = stack.pop()
-            ma, mb = abs(va), abs(vb)
-            if min(ma, mb) <= floor:
-                raise EdgeCrossing(pa if ma <= mb else pb, min(ma, mb))
-            step = float(np.pi - np.mod(np.pi - (np.angle(vb) - np.angle(va)), 2.0 * np.pi))
-            if abs(step) < step_limit:
-                total += step
-                continue
-            if pb - pa <= min_len:
-                if abs(step) >= crossing_step:
-                    raise EdgeCrossing(0.5 * (pa + pb), min(ma, mb))
-                return "step", f"edge phase step {step:.3f} unresolved at depth {max_depth}"
-            pm = 0.5 * (pa + pb)
-            vm = complex(eval_line(np.array([pm]))[0])
-            stack.append((pm, pb, vm, vb))
-            stack.append((pa, pm, va, vm))
-    except EdgeCrossing as xc:
-        return "crossing", (xc.p, xc.modulus)
+    while stack:
+        pa, pb, va, vb = stack.pop()
+        if min(abs(va), abs(vb)) <= floor:
+            return "crossing", None
+        step = float(np.pi - np.mod(np.pi - (np.angle(vb) - np.angle(va)), 2.0 * np.pi))
+        if abs(step) < step_limit:
+            total += step
+            continue
+        if pb - pa <= min_len:
+            if abs(step) >= crossing_step:
+                return "crossing", None
+            return "step", f"edge phase step {step:.3f} unresolved at depth {max_depth}"
+        pm = 0.5 * (pa + pb)
+        vm = complex(eval_line(np.array([pm]))[0])
+        stack.append((pm, pb, vm, vb))
+        stack.append((pa, pm, va, vm))
     return "ok", total
 
 
@@ -234,3 +223,106 @@ def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:
             if k + l <= out_degree:
                 out[(k, l)] = out.get((k, l), 0.0) + c1 * c2
     return {kl: c for kl, c in out.items() if c != 0}
+
+
+def eager_field(lattice, C, real_tag=False) -> PeriodicField:
+    """A field with spectrum C whose samples ifft2(C) exist at once."""
+    f = PeriodicField(lattice, sfft.ifft2(C), real_tag=real_tag)
+    f._spectrum = C
+    return f
+
+
+def eager_band(f) -> int:
+    """Largest |k| with a nonzero bin of the kept spectrum, scanning all of
+    it (n/2 without one)."""
+    n = f.n
+    if f._spectrum is None:
+        return n // 2
+    k = np.abs(sfft.fftfreq(n, d=1.0 / n)).astype(int)
+    nonzero = f._spectrum != 0
+    return int(max(k[nonzero.any(1)].max(initial=0), k[nonzero.any(0)].max(initial=0)))
+
+
+def eager_derivative(f, direction: str, tail_tol=1e-6) -> PeriodicField:
+    """Wirtinger derivative with both full n x n multipliers and the
+    denoise floor 16 n eps sup|f| read from the samples, every time."""
+    n = f.n
+    if f._spectrum is None:
+        C = f._fft(f.values - complex(f.values.mean()))
+    else:
+        C = f._spectrum.copy()
+        C[0, 0] = 0.0
+    if tail_tol is not None:
+        k = np.abs(sfft.fftfreq(n, d=1.0 / n))
+        tail = np.maximum(k[:, None], k[None, :]) >= int(np.ceil(n / 3.0))
+        power = np.abs(C) ** 2
+        if power.sum() > 0.0 and power[tail].sum() / power.sum() > tail_tol:
+            raise ValueError("under-resolved")
+    floor = 16.0 * n * np.finfo(float).eps * f.sup_norm()
+    if floor > 0.0:
+        C[np.abs(C) < floor] = 0.0
+    mult = 2j * np.pi * sfft.fftfreq(n, d=1.0 / n)
+    mult[n // 2] = 0.0
+    omega = f.lattice.omega
+    denom = np.conj(omega) - omega
+    ds, dt = mult[:, None] / denom, mult[None, :] / denom
+    M = (np.conj(omega) * ds - dt) if direction == "D" else (dt - omega * ds)
+    return eager_field(f.lattice, C * M)
+
+
+def eager_add(a, b) -> PeriodicField:
+    out = PeriodicField(a.lattice, a.values + b.values, a.real_tag and b.real_tag)
+    if a._spectrum is not None and b._spectrum is not None:
+        out._spectrum = a._spectrum + b._spectrum
+    return out
+
+
+def eager_product(terms) -> PeriodicField:
+    """The band-sized lift of the library's product, one operand at a time
+    and with the samples formed at once."""
+    first = terms[0][1][0]
+    n = first.n
+    S = max(sum(eager_band(f) for f in fs) for _, fs in terms)
+    K = min(S, n // 2)
+    m = min(2 * n, sfft.next_fast_len(S + K + 1))
+    acc = None
+    for c, fs in terms:
+        term = None
+        for f in fs:
+            h = eager_band(f)
+            g = np.arange(-h, h + 1) % m
+            P = np.zeros((m, m), dtype=complex)
+            P[np.ix_(g, g)] = _centered_block(f._fft(), h)
+            x = sfft.ifft2(P, norm="forward")
+            term = np.multiply(x, c) if term is None else term * x
+        acc = term if acc is None else acc + term
+    F = sfft.fft2(acc, norm="forward")
+    g = np.arange(-K, K + 1)
+    G = F[np.ix_(g % m, g % m)]
+    if 2 * K == n:
+        G, g = _fold_both(G), g[:-1]
+    C = np.zeros((n, n), dtype=complex)
+    C[np.ix_(g % n, g % n)] = G * (n * n)
+    real = all(complex(c).imag == 0.0 and all(f.real_tag for f in fs) for c, fs in terms)
+    return eager_field(first.lattice, C, real)
+
+
+def eager_p_form(u) -> PeriodicField:
+    """r = D^3 Dbar u - 3 (Du) D^2 Dbar u + 2 (Du)^2 D Dbar u - (D^2 u)(D Dbar u)
+    on the eager chain, in the library's order of operations."""
+    D = lambda f: eager_derivative(f, "D")
+    du = D(u)
+    d2u = D(du)
+    ddbu = eager_derivative(du, "Dbar")
+    d2dbu = D(ddbu)
+    return eager_add(D(d2dbu), eager_product([(-3.0, (du, d2dbu)), (2.0, (du, du, ddbu)),
+                                              (-1.0, (d2u, ddbu))]))
+
+
+def eager_divergence_form(u) -> PeriodicField:
+    """r = (D - 2 Du)(D - Du) D Dbar u on the eager chain."""
+    D = lambda f: eager_derivative(f, "D")
+    du = D(u)
+    w = eager_derivative(du, "Dbar")
+    X = eager_add(D(w), eager_product([(-1.0, (du, w))]))
+    return eager_add(D(X), eager_product([(-2.0, (du, X))]))

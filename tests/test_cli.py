@@ -102,6 +102,10 @@ class TestRunners:
         assert report["diagnostics"]["chart_n"] == 256
         assert "chart_n" not in report["results"]
         assert report["diagnostics"]["dropped_clusters"] == []
+        # circle cross-checks are counted per run, outside results
+        checks = report["diagnostics"]["index_cross_checks"]
+        assert sum(checks.values()) >= len(report["results"]["records"])
+        assert "index_cross_checks" not in report["results"]["audit"]
 
     def test_loewner_runner(self):
         cfg = {

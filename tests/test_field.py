@@ -7,9 +7,10 @@ from umbilic import field as field_module
 from umbilic.cartan import cartan_r
 from umbilic.errors import DomainError, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
-from umbilic.torussearch import TrigPotential
+from umbilic.torussearch import TrigPotential, min_modulus_objective
 
-from _oracles import product_2n, random_band_limited, random_half_modes, trig_resample
+from _oracles import (eager_derivative, eager_divergence_form, eager_field, eager_p_form,
+                      product_2n, random_band_limited, random_half_modes, trig_resample)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -319,6 +320,103 @@ class TestPointwiseMaps:
         g = PeriodicField.constant(LAT, 32, 1.0)
         with pytest.raises(ValueError):
             f.add(g)
+
+
+class TestSpectrumFirst:
+    """Samples of derivative and product results exist only once read, and
+    are those of the eager chain bit for bit."""
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_chains_match_eager_bitwise(self, lattice, n):
+        for seed, budget in ((n, 2), (n + 1, 3), (n + 2, 6)):
+            u = TrigPotential.from_half_modes(
+                lattice, random_half_modes(seed, budget=budget, scale=0.3)).to_field(n)
+            p, div = cartan_r(u, "p_form").r, cartan_r(u, "divergence_form").r
+            assert p._values is None and div._values is None
+            assert np.array_equal(p.values, eager_p_form(u).values)
+            assert np.array_equal(div.values, eager_divergence_form(u).values)
+
+    def test_samples_wait_for_first_read(self):
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(4, budget=3)).to_field(64)
+        du = u.derivative("D")
+        total = du + du.derivative("Dbar")
+        assert du._values is None and total._values is None
+        ref = eager_derivative(u, "D")
+        assert np.array_equal(total.values, ref.values + eager_derivative(ref, "Dbar").values)
+        assert du._values is not None  # read by the sum
+
+    @staticmethod
+    def _field_with_bin(factor, mean=0.0):
+        """A complex field without samples: a budget-3 derivative plus a
+        mean and a (5, 7) bin of factor times the exact denoise floor
+        16 n eps sup|f|, and that floor."""
+        n = 64
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, budget=3, scale=0.2))
+        C = u.to_field(n).derivative("D")._spectrum.copy()
+        C[0, 0] = mean * n * n
+        sup = lambda: np.max(np.abs(field_module.fft.ifft2(C)))
+        C[5, 7] = factor * 16.0 * n * np.finfo(float).eps * sup()
+        floor = 16.0 * n * np.finfo(float).eps * sup()
+        f = PeriodicField.constant(LAT_GEN, n, 0.0)._from_spectrum(C, False, 7)
+        assert f._values is None
+        return f, floor
+
+    def test_bin_just_below_exact_floor_is_zeroed(self):
+        f, floor = self._field_with_bin(1.0 - 1e-9)
+        assert abs(f._spectrum[5, 7]) < floor
+        d = f.derivative("D")
+        assert d._spectrum[5, 7] == 0.0 and f._values is not None
+        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, f._spectrum), "D").values)
+
+    def test_mean_counts_toward_the_floor(self):
+        # the DC entry is not differentiated, but sup|f| and so the floor
+        # include it: a floor set by the mean still zeroes the bin
+        f, floor = self._field_with_bin(1.0 - 1e-9, mean=1e3)
+        assert f.derivative("D")._spectrum[5, 7] == 0.0
+
+    def test_bin_just_above_exact_floor_is_kept(self):
+        f, floor = self._field_with_bin(1.0 + 1e-9)
+        assert abs(f._spectrum[5, 7]) >= floor
+        d = f.derivative("D")
+        assert d._spectrum[5, 7] != 0.0 and d._band() == 7
+        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, f._spectrum), "D").values)
+
+    def test_floor_skips_samples_when_no_bin_is_near_it(self):
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(6, budget=3, scale=0.2))
+        du = u.to_field(64).derivative("D")
+        du.derivative("Dbar")
+        assert du._values is None
+
+    def test_real_product_with_imaginary_drift_raises(self):
+        # real-tagged operands whose spectrum is not Hermitian: the real
+        # product's samples are built at once and fail the reality check
+        n = 64
+        u = TrigPotential.from_half_modes(LAT, random_half_modes(7, budget=3)).to_field(n)
+        bad = PeriodicField(LAT, u.values, real_tag=True)
+        bad._spectrum = u._spectrum.copy()
+        bad._spectrum[1, 2] += 1e-6 * n * n
+        with pytest.raises(ValueError, match="imaginary"):
+            product([(1.0, (bad, u))])
+        assert product([(1j, (bad, u))])._values is None
+
+    def test_objective_transforms_three_grids(self, monkeypatch):
+        # the to_field samples and the two terms of r; derivative results
+        # and the product of the P form are never transformed back
+        n = 96
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
+        expected = min_modulus_objective(u, n)
+        grids = []
+        ifft2 = field_module.fft.ifft2
+
+        def counted(x, *args, **kw):
+            if x.shape == (n, n):
+                grids.append(x.shape)
+            return ifft2(x, *args, **kw)
+
+        monkeypatch.setattr(field_module.fft, "ifft2", counted)
+        assert min_modulus_objective(u, n) == expected
+        assert 0 < len(grids) <= 3
 
 
 class TestEvaluation:
