@@ -7,11 +7,11 @@ Two grid-backed representations live here:
   interpolant, so differentiation (through the FFT) is exact for
   band-limited data and products are dealiased on a padded grid.  Fields
   made by derivatives, products, sums of those and trigonometric
-  potentials keep their spectrum for the next step.  The band of a field
-  is the largest |k| with a nonzero bin of that spectrum (n/2 without
-  one); derivatives, products and off-grid evaluation are sized to it.
-  Such a field is spectrum first: unless it is real-tagged, its samples
-  are computed on first read (see :class:`PeriodicField`), so a chain of
+  potentials keep their spectrum for the next step, cut to its band: the
+  largest |k| with a nonzero bin (n/2 for a field built from samples).
+  Derivatives, products and off-grid evaluation are sized to it.  Such a
+  field is spectrum first: unless it is real-tagged, its samples are
+  computed on first read (see :class:`PeriodicField`), so a chain of
   derivatives and products transforms back only the samples someone reads.
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
@@ -102,50 +102,66 @@ class TorusLattice:
         s = z.real - t * self.omega.real
         return s, t
 
-    def torus_distance(self, z0: complex, z1: complex) -> float:
-        """Distance between two points of C modulo the lattice."""
-        d = z1 - z0
+    def torus_distance(self, z0: complex, z1):
+        """Distance between points of C modulo the lattice, from z0 to each
+        of z1 (a point or an array)."""
+        d = np.asarray(z1) - z0
         shifts = [m + n * self.omega for m in (-1, 0, 1) for n in (-1, 0, 1)]
-        return min(abs(d - sh) for sh in shifts)
+        return np.min([np.hypot((d - sh).real, (d - sh).imag) for sh in shifts], axis=0)
 
 
 # --------------------------------------------------------------------------
-# spectral helpers (FFT layout: fft2 on an n x n sample grid)
+# spectral helpers (centred blocks of the fft2 spectrum of an n x n grid)
 # --------------------------------------------------------------------------
+#
+# A block B holds fft2 bins in fft2 scale, frequency 0 at the centre index
+# h = len(B) // 2: (2h+1) x (2h+1) for frequencies -h .. h with h < n/2,
+# or at full band n x n for -n/2 .. n/2 - 1, the Nyquist bins whole.
 
-def _int_freqs(n: int) -> np.ndarray:
-    return fft.fftfreq(n, d=1.0 / n)
-
-
-def _extend_axis0(C: np.ndarray) -> np.ndarray:
-    """Centered spectrum of even length n -> length n+1, splitting the
-    Nyquist bin symmetrically into the +-n/2 entries."""
-    n = C.shape[0]
-    E = np.empty((n + 1,) + C.shape[1:], dtype=complex)
-    E[0] = 0.5 * C[0]
-    E[1:n] = C[1:n]
-    E[n] = 0.5 * C[0]
-    return E
+def _freqs(B: np.ndarray) -> np.ndarray:
+    """Frequencies of the rows (and columns) of the block B."""
+    h = len(B) // 2
+    return np.arange(-h, len(B) - h)
 
 
-def _fold_axis0(E: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_extend_axis0`: length n+1 -> n, folding the
-    +n/2 content back onto the single Nyquist bin."""
-    n = E.shape[0] - 1
-    C = np.empty((n,) + E.shape[1:], dtype=complex)
-    C[0] = E[0] + E[n]
-    C[1:n] = E[1:n]
+def _cut_to_band(B: np.ndarray) -> np.ndarray:
+    """B cut to its band h, the largest |k| on either axis with a nonzero
+    bin: (2h+1) x (2h+1), or B itself when h = n/2."""
+    nonzero = B != 0
+    h = int(np.abs(_freqs(B))[nonzero.any(1) | nonzero.any(0)].max(initial=0))
+    c = len(B) // 2
+    return B if 2 * h == len(B) else B[c - h:c + h + 1, c - h:c + h + 1]
+
+
+def _embed(B: np.ndarray, m: int) -> np.ndarray:
+    """The m x m fft2 layout of the block B, zero off its frequencies."""
+    g = _freqs(B) % m
+    C = np.zeros((m, m), dtype=complex)
+    C[np.ix_(g, g)] = B
     return C
 
 
-def _extend_both(C: np.ndarray) -> np.ndarray:
-    """:func:`_extend_axis0` along both axes: n x n -> (n+1) x (n+1)."""
-    return _extend_axis0(_extend_axis0(C).swapaxes(0, 1)).swapaxes(0, 1)
+def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of the trigonometric interpolant on the frequencies of
+    the block B: B / n^2, at full band on -n/2 .. n/2 with the Nyquist row
+    and column split evenly between -n/2 and n/2 (axis 0 first).  The
+    product with 1 / n^2 is bit for bit numpy's complex division by n^2, at
+    a fraction of its cost."""
+    if len(B) < n:
+        return B * (1.0 / (n * n))
+    E = np.empty((n + 1, n + 1), dtype=complex)
+    np.multiply(B, 1.0 / (n * n), out=E[:n, :n])
+    E[0, :n] *= 0.5
+    E[n, :n] = E[0, :n]
+    E[:, 0] *= 0.5
+    E[:, n] = E[:, 0]
+    return E
 
 
-def _fold_both(E: np.ndarray) -> np.ndarray:
-    """:func:`_fold_axis0` along both axes: (n+1) x (n+1) -> n x n."""
-    return _fold_axis0(_fold_axis0(E).swapaxes(0, 1)).swapaxes(0, 1)
+def _centred_fft2(values: np.ndarray, real: bool) -> np.ndarray:
+    """The fft2 of n x n samples as a full-band block; real samples take the
+    real-input transform."""
+    return fft.fftshift(fft.fft2(values.real if real else values))
 
 
 def _lattice_wirtinger(ds, dt, omega):
@@ -155,34 +171,18 @@ def _lattice_wirtinger(ds, dt, omega):
     return np.conj(omega) * ds - dt, dt - omega * ds
 
 
-def _centered_block(C: np.ndarray, h: int) -> np.ndarray:
-    """(2h+1) x (2h+1) centered form (divided by n^2) of the fft2 spectrum C
-    of an n x n grid, with frequencies -h .. h on both axes.  At h = n/2
-    the Nyquist bins are split evenly between -n/2 and n/2."""
-    n = C.shape[0]
-    if 2 * h == n:
-        return _extend_both(fft.fftshift(C) / (n * n))
-    g = np.arange(-h, h + 1) % n
-    return C[np.ix_(g, g)] / (n * n)
-
-
-def _band_of(B: np.ndarray, k: np.ndarray) -> int:
-    """Largest |k| on either axis with a nonzero bin of the square spectrum
-    block B, whose rows and columns carry the frequencies k."""
-    nonzero = B != 0
-    return int(np.abs(k)[nonzero.any(1) | nonzero.any(0)].max(initial=0))
-
-
-def _tail_energy_fraction(spectrum: np.ndarray) -> float:
-    """Energy fraction carried by modes with max(|j|, |k|) >= ceil(n/3)."""
-    n = spectrum.shape[0]
-    k = np.abs(_int_freqs(n))
-    band = np.maximum(k[:, None], k[None, :]) >= int(np.ceil(n / 3.0))
-    power = np.abs(spectrum) ** 2
+def _tail_energy_fraction(B: np.ndarray, n: int) -> float:
+    """Energy fraction of the block B carried by modes with
+    max(|j|, |k|) >= n/3, of which a band below n/3 has none."""
+    if 3 * (len(B) // 2) < n:
+        return 0.0
+    k = np.abs(_freqs(B))
+    tail = 3 * np.maximum(k[:, None], k[None, :]) >= n
+    power = np.abs(B) ** 2
     total = power.sum()
     if total == 0.0:
         return 0.0
-    return float(power[band].sum() / total)
+    return float(power[tail].sum() / total)
 
 
 # --------------------------------------------------------------------------
@@ -212,11 +212,8 @@ class _SampledField:
                 raise ValueError("real_tag field has non-negligible imaginary part")
             values = values.real.astype(complex)
         self.values = values
+        self.n = values.shape[0]
         self.real_tag = bool(real_tag)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
     def real_part(self, validate: bool = True, tol: float = 1e-9):
         """Project onto the real part.  With validate=True the imaginary
@@ -339,30 +336,35 @@ class PeriodicField(_SampledField):
 
     A field returned by :meth:`derivative`, :func:`product` or
     ``TrigPotential.to_field``, or by :meth:`add` of two such fields, keeps
-    the fft2 spectrum its samples come from (``_spectrum``), and the next
-    derivative, product or evaluation reads it instead of a new transform.
-    Its band (:meth:`_band`, computed once) sizes the derivative's
-    arithmetic, the lift of a product and the rows of an evaluation; a
-    field without a kept spectrum counts as full band, n/2.
+    the spectrum its samples come from (``_block``, built by
+    :meth:`_from_block`): the fft2 bins of frequencies -h .. h, centred and
+    cut to the band h, the largest |k| on either axis with a nonzero bin.
+    At h = n/2 the block is n x n, frequencies -n/2 .. n/2 - 1 with the
+    Nyquist bins whole; the product lift and evaluation split them where
+    they form the interpolant's coefficients.  The block sizes the
+    derivative's arithmetic, the lift of a product and the rows of an
+    evaluation.  A field built from samples counts as band n/2; the first
+    product or evaluation that needs its spectrum stores the fft2 of the
+    samples as its block, and its derivatives transform the centred samples
+    (see :meth:`derivative`).
 
     When samples exist: fields built from samples, and real-tagged ones
     (``to_field``, products of real fields), have them at once, so the
     imaginary-drift check of the reality tag runs on construction.  Complex
     results of :meth:`derivative` and :func:`product` compute ``ifft2`` of
-    their spectrum on the first read of ``values``, and a sum of two kept
-    spectra computes ``a.values + b.values``: the samples are those of the
-    eager computation, bit for bit, and are never formed if nobody reads
-    them.  The denoise floor of :meth:`derivative` is the one exception
-    that may read them; see there.
+    their block, zero-filled to n x n, on the first read of ``values``, and
+    a sum of two kept spectra computes ``a.values + b.values``: the samples
+    are those of the eager computation, bit for bit, and are never formed if
+    nobody reads them.  The denoise floor of :meth:`derivative` is the one
+    exception that may read them; see there.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
         super().__init__(values, real_tag)
         self.lattice = lattice
         self._fill = None  # computes the samples of a field built without them
-        self._spectrum = None  # fft2 of values, when known without a transform
-        self._band_h = None  # _band(), once known
-        self._eval_spectrum = None  # lazy cache for off-grid evaluation
+        self._block = None  # the centred spectrum (see the class docstring)
+        self._kept = False  # the samples come from _block (else _block, once set, is their fft2)
 
     @property
     def values(self) -> np.ndarray:
@@ -373,10 +375,6 @@ class PeriodicField(_SampledField):
     @values.setter
     def values(self, values: np.ndarray):
         self._values = values
-
-    @property
-    def n(self) -> int:
-        return (self._spectrum if self._values is None else self._values).shape[0]
 
     @staticmethod
     def _check_n(n: int):
@@ -389,42 +387,46 @@ class PeriodicField(_SampledField):
     def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "PeriodicField":
         return PeriodicField(self.lattice, values, real_tag=real_tag)
 
-    def _from_spectrum(self, C: np.ndarray, real_tag: bool, band: int, fill=None) -> "PeriodicField":
-        """Field on this grid with spectrum C of band ``band``.  A
-        real-tagged one gets the samples ``ifft2(C)`` at once; a complex
-        one gets them from ``fill`` (by default ``ifft2(C)``) on first read."""
+    @classmethod
+    def _from_block(cls, lattice: TorusLattice, n: int, B: np.ndarray, real_tag: bool,
+                    fill=None) -> "PeriodicField":
+        """Field on the n x n grid that keeps the centred block B, cut to its
+        band.  Its samples are ``fill()``, by default ``ifft2`` of the block:
+        a real-tagged field gets them at once, a complex one on first read."""
+        B = _cut_to_band(B)
+        fill = fill or (lambda: fft.ifft2(_embed(B, n)))
         if real_tag:
-            out = self._like(fft.ifft2(C), True)
+            out = cls(lattice, fill(), True)
         else:
-            out = PeriodicField.__new__(PeriodicField)
-            out.lattice, out.real_tag, out._values, out._eval_spectrum = self.lattice, False, None, None
-            out._fill = fill or (lambda: fft.ifft2(C))
-        out._spectrum, out._band_h = C, band
+            out = cls.__new__(cls)
+            out.lattice, out.n, out.real_tag = lattice, n, False
+            out._values, out._fill = None, fill
+        out._block, out._kept = B, True
         return out
+
+    def _spectral_block(self) -> np.ndarray:
+        """The block; a field built from samples stores the fft2 of its
+        samples (real-tagged ones take the real-input transform) on first use."""
+        if self._block is None:
+            self._block = _centred_fft2(self.values, self.real_tag)
+        return self._block
+
+    def _band(self) -> int:
+        """The largest |k| on either axis with a nonzero bin of the kept
+        spectrum; a field built from samples counts as n/2."""
+        return self.n // 2 if self._block is None else len(self._block) // 2
 
     def add(self, other: "PeriodicField") -> "PeriodicField":
         """Sample sum; when both operands keep a spectrum, so does the sum,
         and its samples, if complex, wait for their first read."""
         self._check_same_grid(other)
-        if self._spectrum is None or other._spectrum is None:
+        if not (self._kept and other._kept):
             return super().add(other)
-        C = self._spectrum + other._spectrum
-        h = max(self._band(), other._band())
-        g = np.arange(-h, h + 1) % self.n
-        band = _band_of(C[g[:, None], g], np.arange(-h, h + 1))
-        if self.real_tag and other.real_tag:
-            out = super().add(other)
-            out._spectrum, out._band_h = C, band
-            return out
-        return self._from_spectrum(C, False, band, lambda: self.values + other.values)
-
-    def _fft(self, values: np.ndarray | None = None) -> np.ndarray:
-        """fft2 of ``values``, by default the kept spectrum or else the
-        samples; real-tagged samples take the real-input transform."""
-        if values is None and self._spectrum is not None:
-            return self._spectrum
-        values = self.values if values is None else values
-        return fft.fft2(values.real if self.real_tag else values)
+        A, B = sorted((self._block, other._block), key=len, reverse=True)
+        A, d = A.copy(), len(A) // 2 - len(B) // 2
+        A[d:d + len(B), d:d + len(B)] += B
+        return self._from_block(self.lattice, self.n, A, self.real_tag and other.real_tag,
+                                lambda: self.values + other.values)
 
     # -- construction ------------------------------------------------------
 
@@ -479,35 +481,28 @@ class PeriodicField(_SampledField):
         The ambiguous Nyquist bin is annihilated, and bins below the sample
         rounding floor 16 n eps sup|f| are zeroed (see _DENOISE_FACTOR);
         fields passing the tail check carry no meaningful energy in either.
-        A kept spectrum is read with its DC entry zeroed; the result keeps
-        its own.  On a band h below n/3 the tail check has nothing to see
-        and the multipliers are applied to the (2h+1) x (2h+1) block of
-        frequencies -h .. h only.  The floor needs sup|f|, and a field
-        without samples builds them only when some nonzero bin lies below
-        the bound 16 n eps sum|C| / n^2 >= 16 n eps sup|f| (with a rounding
-        margin): otherwise no bin can fall below the floor.
+        The multipliers act on the block of the field's band: a kept
+        spectrum is read with its DC entry zeroed, a field built from
+        samples transforms them, and the result keeps its own block.  The
+        floor needs sup|f|, and a field without samples builds them only
+        when some nonzero bin lies below the bound
+        16 n eps sum|C| / n^2 >= 16 n eps sup|f| (with a rounding margin):
+        otherwise no bin can fall below the floor.
         """
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
         n = self.n
-        if self._spectrum is None:
+        if self._kept:
+            B = self._block.copy()
+            B[len(B) // 2, len(B) // 2] = 0.0
+        else:
             # Centering before the transform is a mathematical no-op (the DC
             # multiplier is zero) but keeps the FFT's internal rounding at the
             # oscillation scale rather than the mean scale, so derivatives are
             # invariant under constant shifts down to the denoise floor.
-            C, h = self._fft(self.values - complex(self.values.mean())), n // 2
-        else:
-            C, h = self._spectrum, self._band()
-        if 3 * h < n:
-            k = np.arange(-h, h + 1)
-            g = k % n
-        else:
-            k, g = _int_freqs(n), np.arange(n)
-        B = C[g[:, None], g]
-        if self._spectrum is not None:
-            B[k == 0, k == 0] = 0.0
+            B = _centred_fft2(self.values - complex(self.values.mean()), self.real_tag)
         if tail_tol is not None:
-            frac = _tail_energy_fraction(B) if 3 * h >= n else 0.0
+            frac = _tail_energy_fraction(B, n)
             if frac > tail_tol:
                 raise UnderResolved(
                     f"spectral tail carries {frac:.3e} of total energy "
@@ -515,12 +510,11 @@ class PeriodicField(_SampledField):
         floor = self._denoise_floor(B)
         if floor > 0.0:
             B[np.abs(B) < floor] = 0.0
+        k = _freqs(B)
         mult = 2j * np.pi * k
-        mult[g == n // 2] = 0.0
+        mult[k == -(n // 2)] = 0.0
         B *= _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)[direction == "Dbar"]
-        out = np.zeros((n, n), dtype=complex)
-        out[g[:, None], g] = B
-        return self._from_spectrum(out, False, _band_of(B, k))
+        return self._from_block(self.lattice, n, B, False)
 
     def _denoise_floor(self, B: np.ndarray) -> float:
         """16 n eps sup|f| for the bins B about to be differentiated (the
@@ -531,7 +525,8 @@ class PeriodicField(_SampledField):
         scale = _DENOISE_FACTOR * n * np.finfo(float).eps
         if self._values is None:
             mags = np.abs(B)
-            bound = scale * (mags.sum() + abs(self._spectrum[0, 0])) / (n * n) * _FLOOR_MARGIN
+            h = len(B) // 2
+            bound = scale * (mags.sum() + abs(self._block[h, h])) / (n * n) * _FLOOR_MARGIN
             # every zero bin lies below a positive bound: any other one there?
             if np.count_nonzero(mags < bound) == np.count_nonzero(mags == 0.0):
                 return 0.0
@@ -544,7 +539,7 @@ class PeriodicField(_SampledField):
     def _product(self, terms, real_tag: bool) -> "PeriodicField":
         """Each operand's spectrum is lifted once onto an m x m grid, the
         monomials are summed there in place, and one fft2 and a truncation
-        give the result's spectrum.
+        give the result's block.
 
         The lift is sized to the bands (see :meth:`_band`).  With S the
         largest sum of operand bands over the terms, the product carries
@@ -570,10 +565,7 @@ class PeriodicField(_SampledField):
             term = None
             for j, f in enumerate(fs):
                 if id(f) not in lifted:
-                    h = bands[id(f)]
-                    g = np.arange(-h, h + 1) % m
-                    P = np.zeros((m, m), dtype=complex)
-                    P[np.ix_(g, g)] = _centered_block(f._fft(), h)
+                    P = _embed(_interpolant(f._spectral_block(), n), m)
                     lifted[id(f)] = fft.ifft2(P, norm="forward", overwrite_x=True)
                     del P
                 own = last[id(f)] == (i, j)
@@ -585,21 +577,13 @@ class PeriodicField(_SampledField):
                 del x
             acc = term if acc is None else np.add(acc, term, out=acc)
         F = fft.fft2(acc, norm="forward", overwrite_x=True)
-        g = np.arange(-K, K + 1)
-        G = F[np.ix_(g % m, g % m)]
-        if 2 * K == n:
-            G, g = _fold_both(G), g[:-1]
-        C = np.zeros((n, n), dtype=complex)
-        C[np.ix_(g % n, g % n)] = G * (n * n)
-        return self._from_spectrum(C, real_tag, _band_of(G, g))
-
-    def _band(self) -> int:
-        """The largest |k| on either axis with a nonzero bin of the kept
-        spectrum; a field without one counts as n/2 and is not scanned."""
-        if self._band_h is None:
-            n = self.n
-            self._band_h = n // 2 if self._spectrum is None else _band_of(self._spectrum, _int_freqs(n))
-        return self._band_h
+        g = np.arange(-K, K + 1) % m
+        G = F[np.ix_(g, g)]
+        if 2 * K == n:  # the n/2 row and column fold onto -n/2 (axis 0 first)
+            G[0] += G[n]
+            G[:, 0] += G[:, n]
+            G = G[:n, :n]
+        return self._from_block(self.lattice, n, G * (n * n), real_tag)
 
     # -- evaluation off the grid --------------------------------------------
 
@@ -611,30 +595,27 @@ class PeriodicField(_SampledField):
         more than a short batch.  At grid nodes the result equals ``values``
         to rounding, which is why zero-curve refinement takes the endpoint
         values of grid edges from the samples."""
-        Es, Et = self._rows(s, t)
-        return ((Es @ self._eval_spectrum) * Et).sum(1)
+        E, Es, Et = self._rows(s, t)
+        return ((Es @ E) * Et).sum(1)
 
     def jet_at(self, z):
         """(f, D f, Dbar f) of the interpolant at complex points: the rows of
         :meth:`evaluate_st`, one more matrix product for d/ds and a weighted
         row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`."""
-        Es, Et = self._rows(*self.lattice.z_to_st(np.atleast_1d(np.asarray(z, dtype=complex))))
-        h = Es.shape[1] // 2
-        k = 2j * np.pi * np.arange(-h, h + 1)
-        rows = Es @ self._eval_spectrum
-        fs, ft = (((Es * k) @ self._eval_spectrum) * Et).sum(1), (rows * Et * k).sum(1)
+        E, Es, Et = self._rows(*self.lattice.z_to_st(np.atleast_1d(np.asarray(z, dtype=complex))))
+        k = 2j * np.pi * _freqs(E)
+        rows = Es @ E
+        fs, ft = (((Es * k) @ E) * Et).sum(1), (rows * Et * k).sum(1)
         return ((rows * Et).sum(1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
 
     def _rows(self, s, t):
-        """Exponential rows at (s, t) for the centered spectrum on the
-        field's band, (2h+1) x (2h+1) with h = :meth:`_band`, which is
-        computed on first use."""
-        if self._eval_spectrum is None:
-            self._eval_spectrum = _centered_block(self._fft(), self._band())
-        h = self._eval_spectrum.shape[0] // 2
-        freqs = np.arange(-h, h + 1)
-        return (np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), freqs))
-                for u in (s, t))
+        """The interpolant's coefficients E on the field's band (see
+        :func:`_interpolant`) and the exponential rows at s and at t for
+        the frequencies of E."""
+        E = _interpolant(self._spectral_block(), self.n)
+        k = _freqs(E)
+        return (E, *(np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), k))
+                     for u in (s, t)))
 
     def evaluate_at(self, z) -> np.ndarray:
         """Evaluate the interpolant at complex points (periodic in the lattice)."""

@@ -224,8 +224,8 @@ def winding_degree(loop_values, zero_floor: float | None = None) -> int:
 def _refine_edges(geom, keys, floor, max_depth):
     """Accumulate wrapped phase increments along grid edges, all edges at once.
 
-    keys are edges ``(kind, i, j)`` in grid indices (see
-    :meth:`_Geometry.edge_line`).  Endpoint values are the grid samples the
+    keys are edges ``(kind, i, j)`` in grid indices, from corner (i, j)
+    along axis 0 ('h') or 1 ('v').  Endpoint values are the grid samples the
     cell pass classified.  Segments whose phase step is pi/2 or larger are
     bisected level by level, and the midpoints of one level, over all
     edges, go to the field in one ``evaluate_st`` call.  A sample at the
@@ -321,20 +321,6 @@ class _Geometry:
         if self.periodic:
             return i / self.n, j / self.n
         return self.axis[i], self.axis[j]
-
-    def edge_line(self, kind, i, j):
-        """Callable p in [0,1] -> field values along the edge starting at
-        corner (i, j) toward +axis0 (kind 'h') or +axis1 (kind 'v')."""
-        a0, b0 = self.corner_st(i, j)
-        a1, b1 = self.corner_st(*_far_corner(kind, i, j))
-        da, db = a1 - a0, b1 - b0
-        f = self.field
-
-        def line(p):
-            p = np.asarray(p, dtype=float)
-            return f.evaluate_st(a0 + p * da, b0 + p * db)
-
-        return line
 
 
 def _far_corner(kind, i, j):
@@ -751,6 +737,7 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
     """Polish all point clusters of r at once, then index each by its
     boundary winding (degree additivity).  A circle contour of radius at
     most sep_frac times the distance to the nearest other polished zero
+    (``dist(z, zs)`` gives the distance from z to each point of zs)
     cross-checks the index whenever the zero is comfortably isolated, and
     a disagreement raises.  Returns [(z0, twice_index, residual / sup,
     radius)], the audit entries of the winding-0 clusters, which give no
@@ -774,7 +761,7 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
                             "cells": c.size})
             continue
         base = max(base_cells * cell, 1.25 * _cluster_extent(c, cell))
-        sep = min((dist(z0, zs[k]) for k in range(len(clusters)) if k != idx), default=np.inf)
+        sep = float(np.min(dist(z0, np.delete(zs, idx)), initial=np.inf))
         radius = min(base, sep_frac * sep) if np.isfinite(sep) else base
         if sep <= 3.0 * base:
             checks["not_isolated"] += 1
@@ -880,7 +867,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     for cid, (r, clusters) in charts.items():
         indexed, chart_dropped, chart_checks = _index_clusters(
             r, clusters, 2.0 * SPHERE_CHART_RADIUS / (chart_n - 1), r.sup_norm(_LOCATE_RADIUS),
-            DEFAULT_ZERO_FLOOR_REL, lambda a, b: abs(a - b), 3.0, 0.3)
+            DEFAULT_ZERO_FLOOR_REL, lambda a, b: np.hypot((b - a).real, (b - a).imag), 3.0, 0.3)
         dropped += chart_dropped
         checks = {key: checks[key] + chart_checks[key] for key in _CROSS_CHECKS}
         entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.fft
 from scipy.optimize import minimize
 
 from .cartan import _conjugated_chain, cartan_r
@@ -98,14 +97,14 @@ class TrigPotential:
         spectrum that matches the real samples, and the field keeps it:
         derivatives read exact coefficients and every bin outside the band
         is exactly 0."""
-        C = np.zeros((n, n), dtype=complex)
-        for (j, k), c in sorted(self.modes.items()):
-            if abs(j) >= n // 2 or abs(k) >= n // 2:
-                raise ValueError(f"mode ({j},{k}) does not fit on an n={n} grid")
-            C[j % n, k % n] = (c + np.conj(self.modes[(-j, -k)])) / 2 * n * n
-        field = PeriodicField(self.lattice, scipy.fft.ifft2(C), real_tag=True)
-        field._spectrum = C
-        return field
+        jk = np.array(list(self.modes), dtype=int).reshape(-1, 2)
+        h = int(np.abs(jk).max(initial=0))  # the mode budget
+        if 2 * h >= n:
+            raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
+        B = np.zeros((2 * h + 1, 2 * h + 1), dtype=complex)
+        B[jk[:, 0] + h, jk[:, 1] + h] = list(self.modes.values())
+        B = (B + np.conj(B[::-1, ::-1])) / 2 * n * n
+        return PeriodicField._from_block(self.lattice, n, B, True)
 
     def shifted(self, c: float) -> "TrigPotential":
         modes = dict(self.modes)

@@ -12,15 +12,16 @@ same bisection rule, one midpoint evaluation at a time.  The full sorted
 walk over every sample is the reference for the search objective's start
 selection, which sorts only a prefix.  The term-by-term product of
 coefficient dicts is the reference for the dense series convolution.  The
-eager spectral chain (full-grid derivative multipliers, samples formed at
-every step, bands found by scanning the whole spectrum) is the bitwise
-reference for the library's spectrum-first fields.
+eager spectral chain (:class:`EagerField`: full n x n spectra, full-grid
+derivative multipliers, samples formed at every step, bands found by
+scanning the whole spectrum) is the bitwise reference for the library's
+spectrum-first fields and their centred band blocks.
 """
 
 import numpy as np
 from scipy import fft as sfft
 
-from umbilic.field import PeriodicField, TorusLattice, _centered_block, _fold_both
+from umbilic.field import PeriodicField, TorusLattice
 
 
 def fd_wirtinger(values: np.ndarray, omega: complex, direction: str) -> np.ndarray:
@@ -98,8 +99,8 @@ def product_2n(terms) -> np.ndarray:
     """Samples of sum_k c_k f_k1 f_k2 ... with every operand lifted onto the
     2n grid, its Nyquist bins split, the monomials summed there, one
     transform back and the +-n/2 bins folded: the doubled-grid product
-    whatever the operands' bands.  Operands are read through their spectra
-    (kept or transformed), in the same order of operations as the library's
+    whatever the operands' bands.  Operands are read through the fft2 of
+    their samples, in the same order of operations as the library's
     full-band lift."""
     n = terms[0][1][0].n
     m = 2 * n
@@ -109,7 +110,7 @@ def product_2n(terms) -> np.ndarray:
         term = None
         for f in fs:
             P = np.zeros((m, m), dtype=complex)
-            P[np.ix_(g, g)] = _split_nyquist(sfft.fftshift(f._fft()) / (n * n))
+            P[np.ix_(g, g)] = _split_nyquist(sfft.fftshift(_sample_fft(f)) / (n * n))
             x = sfft.ifft2(P, norm="forward")
             term = np.multiply(x, c) if term is None else term * x
         acc = term if acc is None else acc + term
@@ -225,32 +226,70 @@ def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:
     return {kl: c for kl, c in out.items() if c != 0}
 
 
-def eager_field(lattice, C, real_tag=False) -> PeriodicField:
+def _sample_fft(f) -> np.ndarray:
+    """fft2 of the samples of f; real-tagged ones take the real-input transform."""
+    return sfft.fft2(f.values.real if f.real_tag else f.values)
+
+
+class EagerField:
+    """A field of the eager chain: samples formed at once (projected and
+    checked like the library's for a real tag) and the full n x n fft2
+    spectrum C the chain keeps, or None for a field built from samples."""
+
+    def __init__(self, lattice, values, C=None, real_tag=False):
+        self.values = PeriodicField(lattice, values, real_tag=real_tag).values
+        self.lattice, self.C, self.real_tag, self.n = lattice, C, real_tag, self.values.shape[0]
+
+    def sup_norm(self) -> float:
+        return float(np.max(np.abs(self.values)))
+
+
+def eager_field(lattice, C, real_tag=False) -> EagerField:
     """A field with spectrum C whose samples ifft2(C) exist at once."""
-    f = PeriodicField(lattice, sfft.ifft2(C), real_tag=real_tag)
-    f._spectrum = C
-    return f
+    return EagerField(lattice, sfft.ifft2(C), C, real_tag)
+
+
+def eager_samples(f) -> EagerField:
+    """The eager twin of a library field built from samples."""
+    return EagerField(f.lattice, f.values, None, f.real_tag)
+
+
+def eager_potential(pot, n: int) -> EagerField:
+    """The spectrum a trigonometric potential places, mode by mode on the
+    n x n grid, each made Hermitian as (c_jk + conj(c_-j,-k)) / 2."""
+    C = np.zeros((n, n), dtype=complex)
+    for (j, k), c in sorted(pot.modes.items()):
+        C[j % n, k % n] = (c + np.conj(pot.modes[(-j, -k)])) / 2 * n * n
+    return eager_field(pot.lattice, C, True)
+
+
+def eager_pointwise(f, op) -> EagerField:
+    """A sample-built eager field: the library's sample arithmetic op
+    (scale, exp, real_part, ...) applied to the samples of f."""
+    g = op(PeriodicField(f.lattice, f.values, real_tag=f.real_tag))
+    return EagerField(g.lattice, g.values, None, g.real_tag)
 
 
 def eager_band(f) -> int:
     """Largest |k| with a nonzero bin of the kept spectrum, scanning all of
     it (n/2 without one)."""
     n = f.n
-    if f._spectrum is None:
+    if f.C is None:
         return n // 2
     k = np.abs(sfft.fftfreq(n, d=1.0 / n)).astype(int)
-    nonzero = f._spectrum != 0
+    nonzero = f.C != 0
     return int(max(k[nonzero.any(1)].max(initial=0), k[nonzero.any(0)].max(initial=0)))
 
 
-def eager_derivative(f, direction: str, tail_tol=1e-6) -> PeriodicField:
+def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
     """Wirtinger derivative with both full n x n multipliers and the
     denoise floor 16 n eps sup|f| read from the samples, every time."""
     n = f.n
-    if f._spectrum is None:
-        C = f._fft(f.values - complex(f.values.mean()))
+    if f.C is None:
+        v = f.values - complex(f.values.mean())
+        C = sfft.fft2(v.real if f.real_tag else v)
     else:
-        C = f._spectrum.copy()
+        C = f.C.copy()
         C[0, 0] = 0.0
     if tail_tol is not None:
         k = np.abs(sfft.fftfreq(n, d=1.0 / n))
@@ -270,14 +309,12 @@ def eager_derivative(f, direction: str, tail_tol=1e-6) -> PeriodicField:
     return eager_field(f.lattice, C * M)
 
 
-def eager_add(a, b) -> PeriodicField:
-    out = PeriodicField(a.lattice, a.values + b.values, a.real_tag and b.real_tag)
-    if a._spectrum is not None and b._spectrum is not None:
-        out._spectrum = a._spectrum + b._spectrum
-    return out
+def eager_add(a, b) -> EagerField:
+    C = a.C + b.C if a.C is not None and b.C is not None else None
+    return EagerField(a.lattice, a.values + b.values, C, a.real_tag and b.real_tag)
 
 
-def eager_product(terms) -> PeriodicField:
+def eager_product(terms) -> EagerField:
     """The band-sized lift of the library's product, one operand at a time
     and with the samples formed at once."""
     first = terms[0][1][0]
@@ -290,9 +327,14 @@ def eager_product(terms) -> PeriodicField:
         term = None
         for f in fs:
             h = eager_band(f)
-            g = np.arange(-h, h + 1) % m
+            C = _sample_fft(f) if f.C is None else f.C
+            g = np.arange(-h, h + 1)
+            if 2 * h == n:
+                block = _split_nyquist(sfft.fftshift(C) / (n * n))
+            else:
+                block = C[np.ix_(g % n, g % n)] / (n * n)
             P = np.zeros((m, m), dtype=complex)
-            P[np.ix_(g, g)] = _centered_block(f._fft(), h)
+            P[np.ix_(g % m, g % m)] = block
             x = sfft.ifft2(P, norm="forward")
             term = np.multiply(x, c) if term is None else term * x
         acc = term if acc is None else acc + term
@@ -300,14 +342,14 @@ def eager_product(terms) -> PeriodicField:
     g = np.arange(-K, K + 1)
     G = F[np.ix_(g % m, g % m)]
     if 2 * K == n:
-        G, g = _fold_both(G), g[:-1]
+        G, g = _fold_nyquist(G), g[:-1]
     C = np.zeros((n, n), dtype=complex)
     C[np.ix_(g % n, g % n)] = G * (n * n)
     real = all(complex(c).imag == 0.0 and all(f.real_tag for f in fs) for c, fs in terms)
     return eager_field(first.lattice, C, real)
 
 
-def eager_p_form(u) -> PeriodicField:
+def eager_p_form(u) -> EagerField:
     """r = D^3 Dbar u - 3 (Du) D^2 Dbar u + 2 (Du)^2 D Dbar u - (D^2 u)(D Dbar u)
     on the eager chain, in the library's order of operations."""
     D = lambda f: eager_derivative(f, "D")
@@ -319,10 +361,30 @@ def eager_p_form(u) -> PeriodicField:
                                               (-1.0, (d2u, ddbu))]))
 
 
-def eager_divergence_form(u) -> PeriodicField:
+def eager_divergence_form(u) -> EagerField:
     """r = (D - 2 Du)(D - Du) D Dbar u on the eager chain."""
     D = lambda f: eager_derivative(f, "D")
     du = D(u)
     w = eager_derivative(du, "Dbar")
     X = eager_add(D(w), eager_product([(-1.0, (du, w))]))
     return eager_add(D(X), eager_product([(-2.0, (du, X))]))
+
+
+def eager_gauss_curvature(u) -> EagerField:
+    """K = -2 e^{-u} D Dbar u on the eager chain, in the library's order of
+    operations."""
+    ddbu = eager_derivative(eager_derivative(u, "D"), "Dbar")
+    K = eager_product([(1.0, (eager_pointwise(u, lambda f: f.scale(-1.0).exp()), ddbu))])
+    return eager_pointwise(K, lambda f: f.scale(-2.0).real_part(validate=True, tol=1e-7))
+
+
+def eager_covariant_hessian(f, phi) -> EagerField:
+    """e^{-2 phi}(D^2 f - 2 (D phi)(D f)) on the eager chain, in the
+    library's order of operations."""
+    df = eager_derivative(f, "D")
+    d2f = eager_derivative(df, "D")
+    dphi = eager_derivative(phi, "D")
+    twice = eager_pointwise(eager_product([(1.0, (dphi, df))]),
+                            lambda g: g.scale(2.0).scale(-1.0))
+    em2phi = eager_pointwise(phi, lambda g: g.scale(-2.0).exp())
+    return eager_product([(1.0, (em2phi, eager_add(d2f, twice)))])

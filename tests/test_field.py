@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from umbilic import field as field_module
-from umbilic.cartan import cartan_r
+from umbilic.cartan import cartan_r, covariant_hessian_zz, gauss_curvature
 from umbilic.errors import DomainError, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
 from umbilic.torussearch import TrigPotential, min_modulus_objective
 
-from _oracles import (eager_derivative, eager_divergence_form, eager_field, eager_p_form,
-                      product_2n, random_band_limited, random_half_modes, trig_resample)
+from _oracles import (eager_covariant_hessian, eager_derivative, eager_divergence_form,
+                      eager_field, eager_gauss_curvature, eager_p_form, eager_pointwise,
+                      eager_potential, eager_product, eager_samples, product_2n,
+                      random_band_limited, random_half_modes, trig_resample)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -33,6 +35,11 @@ class TestTorusLattice:
 
     def test_torus_distance_wraps(self):
         assert LAT.torus_distance(0.05, 0.95) == pytest.approx(0.1)
+        # an array of points gives the distance to each, equal to one call per point
+        z1 = np.array([0.95, 0.3 + 0.9j, -0.7 + 0.45 * LAT_GEN.omega, 0.05])
+        for lat in (LAT, LAT_GEN):
+            single = [lat.torus_distance(0.05, z) for z in z1]
+            assert np.all(lat.torus_distance(0.05, z1) == single)
 
 
 class TestPeriodicFieldValidation:
@@ -183,13 +190,15 @@ class TestPolynomialProduct:
         for direction in ("D", "Dbar", "D", "D"):
             kept = kept.derivative(direction)
             bare = PeriodicField(LAT_GEN, bare.values).derivative(direction)
-            assert kept._spectrum is not None
+            assert kept._values is None
         assert np.max(np.abs(kept.values - bare.values)) <= 1e-12 * bare.sup_norm()
 
     def test_under_resolved_raises_on_both_paths(self):
+        # a field built from samples, and a complex product, which keeps its
+        # spectrum and has no samples yet
         f = PeriodicField.from_modes(LAT, 64, {(30, 0): 1.0, (-30, 0): 1.0})
-        kept = f.mul(PeriodicField.constant(LAT, 64, 1.0))
-        assert f._spectrum is None and kept._spectrum is not None
+        kept = f.mul(PeriodicField.constant(LAT, 64, 1j))
+        assert f._values is not None and kept._values is None
         for g in (f, kept):
             with pytest.raises(UnderResolved):
                 g.derivative("D")
@@ -330,19 +339,20 @@ class TestSpectrumFirst:
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_chains_match_eager_bitwise(self, lattice, n):
         for seed, budget in ((n, 2), (n + 1, 3), (n + 2, 6)):
-            u = TrigPotential.from_half_modes(
-                lattice, random_half_modes(seed, budget=budget, scale=0.3)).to_field(n)
+            pot = TrigPotential.from_half_modes(
+                lattice, random_half_modes(seed, budget=budget, scale=0.3))
+            u, ref = pot.to_field(n), eager_potential(pot, n)
             p, div = cartan_r(u, "p_form").r, cartan_r(u, "divergence_form").r
             assert p._values is None and div._values is None
-            assert np.array_equal(p.values, eager_p_form(u).values)
-            assert np.array_equal(div.values, eager_divergence_form(u).values)
+            assert np.array_equal(p.values, eager_p_form(ref).values)
+            assert np.array_equal(div.values, eager_divergence_form(ref).values)
 
     def test_samples_wait_for_first_read(self):
-        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(4, budget=3)).to_field(64)
-        du = u.derivative("D")
+        pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(4, budget=3))
+        du = pot.to_field(64).derivative("D")
         total = du + du.derivative("Dbar")
         assert du._values is None and total._values is None
-        ref = eager_derivative(u, "D")
+        ref = eager_derivative(eager_potential(pot, 64), "D")
         assert np.array_equal(total.values, ref.values + eager_derivative(ref, "Dbar").values)
         assert du._values is not None  # read by the sum
 
@@ -350,37 +360,39 @@ class TestSpectrumFirst:
     def _field_with_bin(factor, mean=0.0):
         """A complex field without samples: a budget-3 derivative plus a
         mean and a (5, 7) bin of factor times the exact denoise floor
-        16 n eps sup|f|, and that floor."""
+        16 n eps sup|f|; its fft2 spectrum C; and that floor.  Without
+        the bin the field has band 3, so a derivative of band 3 has
+        zeroed it."""
         n = 64
-        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, budget=3, scale=0.2))
-        C = u.to_field(n).derivative("D")._spectrum.copy()
+        pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, budget=3, scale=0.2))
+        C = eager_derivative(eager_potential(pot, n), "D").C.copy()
         C[0, 0] = mean * n * n
         sup = lambda: np.max(np.abs(field_module.fft.ifft2(C)))
         C[5, 7] = factor * 16.0 * n * np.finfo(float).eps * sup()
         floor = 16.0 * n * np.finfo(float).eps * sup()
-        f = PeriodicField.constant(LAT_GEN, n, 0.0)._from_spectrum(C, False, 7)
-        assert f._values is None
-        return f, floor
+        f = PeriodicField._from_block(LAT_GEN, n, np.fft.fftshift(C), False)
+        assert f._values is None and f._band() == 7
+        return f, C, floor
 
     def test_bin_just_below_exact_floor_is_zeroed(self):
-        f, floor = self._field_with_bin(1.0 - 1e-9)
-        assert abs(f._spectrum[5, 7]) < floor
+        f, C, floor = self._field_with_bin(1.0 - 1e-9)
+        assert abs(C[5, 7]) < floor
         d = f.derivative("D")
-        assert d._spectrum[5, 7] == 0.0 and f._values is not None
-        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, f._spectrum), "D").values)
+        assert d._band() == 3 and f._values is not None
+        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, C), "D").values)
 
     def test_mean_counts_toward_the_floor(self):
         # the DC entry is not differentiated, but sup|f| and so the floor
         # include it: a floor set by the mean still zeroes the bin
-        f, floor = self._field_with_bin(1.0 - 1e-9, mean=1e3)
-        assert f.derivative("D")._spectrum[5, 7] == 0.0
+        f, C, floor = self._field_with_bin(1.0 - 1e-9, mean=1e3)
+        assert f.derivative("D")._band() == 3
 
     def test_bin_just_above_exact_floor_is_kept(self):
-        f, floor = self._field_with_bin(1.0 + 1e-9)
-        assert abs(f._spectrum[5, 7]) >= floor
+        f, C, floor = self._field_with_bin(1.0 + 1e-9)
+        assert abs(C[5, 7]) >= floor
         d = f.derivative("D")
-        assert d._spectrum[5, 7] != 0.0 and d._band() == 7
-        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, f._spectrum), "D").values)
+        assert d._band() == 7
+        assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, C), "D").values)
 
     def test_floor_skips_samples_when_no_bin_is_near_it(self):
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(6, budget=3, scale=0.2))
@@ -392,10 +404,11 @@ class TestSpectrumFirst:
         # real-tagged operands whose spectrum is not Hermitian: the real
         # product's samples are built at once and fail the reality check
         n = 64
-        u = TrigPotential.from_half_modes(LAT, random_half_modes(7, budget=3)).to_field(n)
-        bad = PeriodicField(LAT, u.values, real_tag=True)
-        bad._spectrum = u._spectrum.copy()
-        bad._spectrum[1, 2] += 1e-6 * n * n
+        pot = TrigPotential.from_half_modes(LAT, random_half_modes(7, budget=3))
+        u = pot.to_field(n)
+        C = eager_potential(pot, n).C
+        C[1, 2] += 1e-6 * n * n
+        bad = PeriodicField._from_block(LAT, n, np.fft.fftshift(C), True, lambda: u.values)
         with pytest.raises(ValueError, match="imaginary"):
             product([(1.0, (bad, u))])
         assert product([(1j, (bad, u))])._values is None
@@ -417,6 +430,35 @@ class TestSpectrumFirst:
         monkeypatch.setattr(field_module.fft, "ifft2", counted)
         assert min_modulus_objective(u, n) == expected
         assert 0 < len(grids) <= 3
+
+
+class TestFullBandBlock:
+    """Fields built from samples count as band n/2 and products of them keep
+    K = n/2: the n x n block, its Nyquist bins whole.  Their chains are
+    those of the eager chain bit for bit."""
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_sample_built_chains_match_eager_bitwise(self, lattice, n):
+        u = random_band_limited(n + 3, lattice, n=n)
+        ref = eager_samples(u)
+        for form, eager in (("p_form", eager_p_form), ("divergence_form", eager_divergence_form)):
+            assert np.array_equal(cartan_r(u, form).r.values, eager(ref).values)
+        K, ref_K = gauss_curvature(u), eager_gauss_curvature(ref)
+        assert np.array_equal(K.values, ref_K.values)
+        half = eager_pointwise(ref, lambda f: f.scale(0.5))
+        assert np.array_equal(covariant_hessian_zz(K, u.scale(0.5)).values,
+                              eager_covariant_hessian(ref_K, half).values)
+        # a product of exp fields, lifted with K = n/2 and differentiated
+        a, b = u.exp(), u.scale(-0.5).exp()
+        prod = a.mul(b)
+        assert a._band() == n // 2 and prod._band() == n // 2
+        ref_prod = eager_product([(1.0, (eager_pointwise(ref, lambda f: f.exp()),
+                                         eager_pointwise(ref, lambda f: f.scale(-0.5).exp())))])
+        assert np.array_equal(prod.values, ref_prod.values)
+        for direction in ("D", "Dbar"):
+            assert np.array_equal(prod.derivative(direction).values,
+                                  eager_derivative(ref_prod, direction).values)
 
 
 class TestEvaluation:
@@ -470,20 +512,20 @@ class TestEvaluation:
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-12 * g.sup_norm()
 
     def test_band_block_matches_full_rows(self):
-        # r keeps its spectrum (a sum of kept spectra) with band 9; the same
-        # spectrum on full-width rows, -n/2..n/2, is the reference
+        # r keeps its spectrum (a sum of kept spectra) with band 9; its
+        # samples, which a field built from them evaluates on full-width
+        # rows, -n/2..n/2, are the reference
         n = 64
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(2, budget=3, scale=0.1))
         r = cartan_r(u.to_field(n), "p_form").r
         full = PeriodicField(LAT_GEN, r.values)
-        full._eval_spectrum = np.pad(np.fft.fftshift(r._spectrum) / n ** 2, ((0, 1), (0, 1)))
         S, T = grid_st(n)
         rng = np.random.default_rng(3)
         s = np.concatenate([S.ravel(), rng.uniform(-1.0, 2.0, 50)])
         t = np.concatenate([T.ravel(), rng.uniform(-1.0, 2.0, 50)])
         scale = r.sup_norm()
         got = r.evaluate_st(s, t)
-        assert r._eval_spectrum.shape == (19, 19)
+        assert r._band() == 9 and full._band() == n // 2
         assert np.max(np.abs(got - full.evaluate_st(s, t))) <= 1e-14 * scale
         assert np.max(np.abs(got[:n * n] - r.values.ravel())) <= 1e-14 * scale
         z = LAT_GEN.st_to_z(s, t)

@@ -138,6 +138,13 @@ def chart_point_and_line():
                                    lambda Z: (Z - (0.2 + 0.1j)) * (Z.real - 0.5))
 
 
+def edge_line(geom, kind, i, j):
+    """p in [0, 1] -> the field along the edge (kind, i, j) of the cell pass,
+    from corner (i, j) toward +axis0 (kind 'h') or +axis1 (kind 'v')."""
+    (a0, b0), (a1, b1) = geom.corner_st(i, j), geom.corner_st(*index._far_corner(kind, i, j))
+    return lambda p: geom.field.evaluate_st(a0 + p * (a1 - a0), b0 + p * (b1 - b0))
+
+
 class TestEdgeRefinement:
     """Level-synchronous edge refinement against the depth-first reference,
     which evaluates the interpolant one midpoint at a time."""
@@ -162,7 +169,7 @@ class TestEdgeRefinement:
         seen = set()
         for geom, floor, max_depth, out in batches:
             for key, (kind, payload) in out.items():
-                line = geom.edge_line(*key)
+                line = edge_line(geom, *key)
                 v0, v1 = (complex(line(np.array([p]))[0]) for p in (0.0, 1.0))
                 ref_kind, ref = refine_edge_depth_first(line, v0, v1, floor, max_depth)
                 assert kind == ref_kind, key

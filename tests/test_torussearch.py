@@ -11,7 +11,8 @@ from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
-from _oracles import lowest_separated_cells_full, one_directional, random_half_modes
+from _oracles import (eager_derivative, eager_potential, lowest_separated_cells_full,
+                      one_directional, random_half_modes)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -45,13 +46,20 @@ class TestTrigPotential:
                                       (0, 0): 0.5})
         n = 16
         f = pot.to_field(n)
-        C = f._spectrum
+        # the exact Hermitian placement, zero off its three bins; the
+        # derivatives read exactly it, not a transform of the samples
+        ref = eager_potential(pot, n)
+        C = ref.C
         assert np.array_equal(C, np.conj(np.roll(C[::-1, ::-1], 1, axis=(0, 1))))
         assert np.max(np.abs(C - np.fft.fft2(f.values))) <= 1e-14 * n * n
         outside = np.ones((n, n), dtype=bool)
         for j, k in ((0, 0), (2, 1), (-2, -1)):
             outside[j % n, k % n] = False
         assert np.all(C[outside] == 0.0) and f._band() == 2
+        assert np.array_equal(f.values, ref.values)
+        for direction in ("D", "Dbar"):
+            assert np.array_equal(f.derivative(direction).values,
+                                  eager_derivative(ref, direction).values)
 
     def test_mode_budget(self):
         pot = TrigPotential.from_half_modes(LAT, {(2, 1): 0.1, (0, 3): 0.05})
