@@ -35,9 +35,11 @@ ignores.  Integers (grid_n, seed, degree, order, mode_budget, trials,
 evaluations) are JSON integers, integral numbers (64.0) or integer strings
 ("64"), never 64.9, "6.5" or true; the loewner order and the total degree
 k + l of each g coefficient "k,l" are at most MAX_LOEWNER_DEGREE (64), since
-a degree-d series is a dense (d+1) x (d+1) array; other numbers are finite
-JSON numbers or numeric strings ("1e-7"); suppress_phi_harmonic is true or
-false; paths (metric.samples, output.report, output.grid_dump) are strings.
+a degree-d series is a dense (d+1) x (d+1) array; the sphere degree is at
+most the largest float, since the metric takes its logarithm; other numbers
+are finite JSON numbers or numeric strings ("1e-7"); suppress_phi_harmonic
+is true or false; paths (metric.samples, output.report, output.grid_dump)
+are strings.
 :func:`parse_config` parses each value once; runners read only its inputs.
 
 Reports are JSON with a config echo, a deterministic results block, and a
@@ -210,6 +212,8 @@ def parse_config(cfg: dict) -> tuple:
     elif kind == "sphere":
         degree, perts = _int(surface.get("degree", 0)), surface.get("perturbations", [])
         _require(degree >= 1, "sphere surface needs degree >= 1")
+        # the metric takes log(degree) in floating point
+        _require(degree <= sys.float_info.max, "sphere degree overflows a float")
         _require(isinstance(perts, list) and all(
             isinstance(p, dict) and p.get("harmonic") in SPHERE_HARMONICS for p in perts),
             f"sphere perturbations must be objects with a harmonic in {sorted(SPHERE_HARMONICS)}")
@@ -540,7 +544,10 @@ def main(argv=None) -> int:
         return 2
     cfg["operation"] = args.operation
     try:
-        report = run(cfg)
+        # run rejects non-finite results, so numpy's floating-point warnings
+        # would only add lines to stderr, which holds one JSON error object
+        with np.errstate(all="ignore"):
+            report = run(cfg)
     except UmbilicError as exc:
         _emit_error(exc, cfg)
         return EXIT_CODES.get(type(exc), 1)

@@ -21,13 +21,19 @@ runs into an unresolvable phase jump of ~pi (a sign crossing) or into the
 zero floor.  Clusters of the second kind are reported with kind "curve" and
 winding None.
 
-Edge refinement is level-synchronous: every segment of every edge that
-still needs bisection is split at the same level, and the midpoints of one
-level go to the interpolant in one batched evaluation, so refining the
-edges of all flagged cells takes at most max_depth evaluation calls.  Edge
-endpoints are grid nodes, and their values are the samples themselves (the
-interpolant reproduces them to rounding), the same values the cell pass
-used to flag the edge.
+Every grid edge has one entry in an edge table T[axis, i, j], indexed by
+its first corner (mod n on a torus): the wrapped phase increment of the
+samples, or, for the bad edges (a step of pi/2 or more, or an endpoint at
+the zero floor) of the cells that own them, the increment refined through
+the field's interpolant, NaN where the edge crosses the zero set.  Cell
+windings and crossing cells are then one array expression over T.
+Refinement is level-synchronous: every segment of every edge that still
+needs bisection is split at the same level, and the midpoints of one
+level go to the interpolant in one batched evaluation, so refining all
+bad edges takes at most max_depth evaluation calls.  Edge endpoints are
+grid nodes, and their values are the samples themselves (the interpolant
+reproduces them to rounding), the same values the cell pass used to flag
+the edge.
 
 Zero clusters, point and curve alike, are polished by one damped Newton
 iteration on (Re f, Im f) for all clusters of a field at once: each step
@@ -221,33 +227,34 @@ def winding_degree(loop_values, zero_floor: float | None = None) -> int:
 # edge refinement
 # --------------------------------------------------------------------------
 
-def _refine_edges(geom, keys, floor, max_depth):
-    """Accumulate wrapped phase increments along grid edges, all edges at once.
+def _refine_edges(geom, axis, i, j, floor, max_depth):
+    """Phase increments along grid edges through the interpolant, all edges
+    at once.
 
-    keys are edges ``(kind, i, j)`` in grid indices, from corner (i, j)
-    along axis 0 ('h') or 1 ('v').  Endpoint values are the grid samples the
-    cell pass classified.  Segments whose phase step is pi/2 or larger are
-    bisected level by level, and the midpoints of one level, over all
-    edges, go to the field in one ``evaluate_st`` call.  A sample at the
-    zero floor, or a near-pi jump left on a segment of length
-    2^-max_depth, is a crossing; a smaller unresolved jump is a phase-step
-    failure.  Of several such events on one edge the one on the leftmost
-    segment counts (segments starting right of it are no longer split),
-    and the phase steps of an edge without one are summed left to right.
+    Edge k runs from corner (i[k], j[k]) one grid step along axis[k].
+    Endpoint values are the grid samples the cell pass classified.  Segments
+    whose phase step is pi/2 or larger are bisected level by level, and the
+    midpoints of one level, over all edges, go to the field in one
+    ``evaluate_st`` call.  A sample at the zero floor, or a near-pi jump
+    left on a segment of length 2^-max_depth, is a crossing; a smaller
+    unresolved jump is a phase-step failure.  Of several such events on one
+    edge the one on the leftmost segment counts (segments starting right of
+    it are no longer split), and the phase steps of an edge without one are
+    summed left to right.
 
-    Returns {key: ("ok", total) | ("crossing", None) |
-    ("step", PhaseStepTooLarge message)}.
+    Returns the increments, NaN on a crossing edge; raises
+    PhaseStepTooLarge when some edge ends in a phase-step failure.
     """
-    corners = ([(i, j) for _, i, j in keys], [_far_corner(*key) for key in keys])
-    st0, st1 = (np.array([geom.corner_st(*c) for c in cs], dtype=float).reshape(-1, 2)
-                for cs in corners)
-    dst = st1 - st0
-    va, vb = (np.array([geom.field.values[geom.wrap(*c)] for c in cs], dtype=complex)
-              for cs in corners)
-    edge = np.arange(len(keys))
-    pa, pb = np.zeros(len(keys)), np.ones(len(keys))
-    event_start = np.full(len(keys), np.inf)
-    events = {}
+    i1, j1 = i + (axis == 0), j + (axis == 1)
+    st0 = np.column_stack(geom.corner_st(i, j))
+    dst = np.column_stack(geom.corner_st(i1, j1)) - st0
+    V = geom.field.values
+    va, vb = V[i, j], V[i1 % geom.n, j1 % geom.n]
+    edge = np.arange(len(i))
+    pa, pb = np.zeros(len(i)), np.ones(len(i))
+    event_start = np.full(len(i), np.inf)
+    event_step = np.zeros(len(i))
+    crossing = np.zeros(len(i), dtype=bool)
     leaves = []
     for depth in range(max_depth + 1):
         low = np.minimum(np.abs(va), np.abs(vb))
@@ -257,16 +264,11 @@ def _refine_edges(geom, keys, floor, max_depth):
         big = ~at_floor & ~ok
         leaves.append((edge[ok], pa[ok], step[ok]))
         last = depth == max_depth
-        for k in np.flatnonzero(at_floor | big if last else at_floor):
-            e = int(edge[k])
-            if pa[k] >= event_start[e]:
-                continue
-            event_start[e] = pa[k]
-            if at_floor[k] or abs(step[k]) >= _CROSSING_STEP:
-                events[e] = ("crossing", None)
-            else:
-                events[e] = ("step", f"edge phase step {step[k]:.3f} unresolved "
-                                     f"at depth {max_depth}")
+        ev = np.flatnonzero(at_floor | big if last else at_floor)
+        np.minimum.at(event_start, edge[ev], pa[ev])
+        ev = ev[pa[ev] == event_start[edge[ev]]]  # leftmost on its edge
+        crossing[edge[ev]] = at_floor[ev] | (np.abs(step[ev]) >= _CROSSING_STEP)
+        event_step[edge[ev]] = step[ev]
         split = big & (pa < event_start[edge])
         if last or not split.any():
             break
@@ -276,11 +278,16 @@ def _refine_edges(geom, keys, floor, max_depth):
                                     st0[edge, 1] + pm * dst[edge, 1])
         edge, pa, pb = (np.concatenate(pair) for pair in ((edge, edge), (pa, pm), (pm, pb)))
         va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
-    totals = [0.0] * len(keys)
+    stuck = np.flatnonzero(np.isfinite(event_start) & ~crossing)
+    if stuck.size:
+        raise PhaseStepTooLarge(f"edge phase step {event_step[stuck[0]]:.3f} unresolved "
+                                f"at depth {max_depth}")
+    totals = np.zeros(len(i))
     e_ok, p_ok, s_ok = (np.concatenate(parts) for parts in zip(*leaves))
-    for k in np.lexsort((p_ok, e_ok)):
-        totals[e_ok[k]] += float(s_ok[k])
-    return {key: events.get(e, ("ok", totals[e])) for e, key in enumerate(keys)}
+    order = np.lexsort((p_ok, e_ok))
+    np.add.at(totals, e_ok[order], s_ok[order])
+    totals[crossing] = np.nan
+    return totals
 
 
 # --------------------------------------------------------------------------
@@ -289,8 +296,7 @@ def _refine_edges(geom, keys, floor, max_depth):
 
 class _Geometry:
     """Uniform view of a sampled field for the cell-winding pass.  Cells and
-    corners carry grid indices; torus indices may run past the grid and are
-    reduced by :meth:`wrap`."""
+    corners carry grid indices; a torus has n cells per axis, a chart n - 1."""
 
     def __init__(self, f):
         self.field = f
@@ -311,44 +317,24 @@ class _Geometry:
         else:
             raise TypeError(f"cannot locate zeros on {type(f).__name__}")
 
-    def wrap(self, i, j):
-        """Grid indices of a torus cell or corner; chart indices never wrap."""
-        if self.periodic:
-            return i % self.n, j % self.n
-        return i, j
-
     def corner_st(self, i, j):
         if self.periodic:
             return i / self.n, j / self.n
         return self.axis[i], self.axis[j]
 
 
-def _far_corner(kind, i, j):
-    """End corner of the edge of the given kind starting at corner (i, j)."""
-    return (i + 1, j) if kind == "h" else (i, j + 1)
-
-
-def _box_edges(i0, i1, j0, j1):
-    """Edges of the boundary of the cell box [i0, i1] x [j0, j1] with the
-    sign of their phase increment in a positive walk: bottom, right, top,
-    left.  A one-cell box yields h(i,j), v(i+1,j), h(i,j+1), v(i,j)."""
-    for i in range(i0, i1 + 1):
-        yield ("h", i, j0), 1.0
-    for j in range(j0, j1 + 1):
-        yield ("v", i1 + 1, j), 1.0
-    for i in range(i0, i1 + 1):
-        yield ("h", i, j1 + 1), -1.0
-    for j in range(j0, j1 + 1):
-        yield ("v", i0, j), -1.0
+def _cell_sides(A):
+    """A's entries on the bottom, right, top and left edge of every cell
+    (i, j): A[0, i, j], A[1, i + 1, j], A[0, i, j + 1], A[1, i, j], with
+    indices mod n."""
+    return A[0], np.roll(A[1], -1, 0), np.roll(A[0], -1, 1), A[1]
 
 
 # --------------------------------------------------------------------------
 # cell winding localization
 # --------------------------------------------------------------------------
 
-def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
-                      region_radius: float | None = None,
-                      max_depth: int = 12):
+def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int = 12):
     """Flag grid cells whose boundary winds around a zero (or crosses the
     zero set), merge neighbors, and return the clusters.
 
@@ -359,6 +345,7 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
     """
     geom = _Geometry(f)
     V = f.values
+    n = geom.n
 
     if geom.periodic:
         consider = np.ones(V.shape, dtype=bool)
@@ -367,65 +354,43 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
     sup = float(np.max(np.abs(V[consider]))) if consider.any() else 0.0
     if sup == 0.0:
         raise TotallyDegenerate("field vanishes identically on the region")
-    floor = zero_floor_rel * sup
-    below = np.abs(V) <= floor
+    floor = DEFAULT_ZERO_FLOOR_REL * sup
+    M = np.abs(V)
+    below = M <= floor
     if float(below[consider].mean()) > 0.25:
         raise TotallyDegenerate(
             f"{float(below[consider].mean()):.0%} of samples below the zero floor")
 
+    # the edge table: T[a, i, j] is the phase increment from corner (i, j)
+    # one step along axis a, indices mod n; on a chart the last row and
+    # column of edges and cells lead off the grid and are never considered
     P = np.angle(V)
-    M = np.abs(V)
-    if geom.periodic:
-        # wrap-pad the torus so both grid kinds have ncells + 1 corners per axis
-        P, M, consider = (np.pad(a, ((0, 1), (0, 1)), mode="wrap")
-                          for a in (P, M, consider))
-    dH = _wrap(P[1:, :] - P[:-1, :])
-    dV = _wrap(P[:, 1:] - P[:, :-1])
-    badH = (np.abs(dH) >= _STEP_LIMIT) | (M[1:, :] <= floor) | (M[:-1, :] <= floor)
-    badV = (np.abs(dV) >= _STEP_LIMIT) | (M[:, 1:] <= floor) | (M[:, :-1] <= floor)
+    T = np.stack([_wrap(np.roll(P, -1, a) - P) for a in (0, 1)])
+    bad = np.stack([(np.abs(T[a]) >= _STEP_LIMIT) | below | np.roll(below, -1, a)
+                    for a in (0, 1)])
+    cell_ok = np.logical_and.reduce([np.roll(consider, (-di, -dj), (0, 1))
+                                     for di in (0, 1) for dj in (0, 1)])
+    if not geom.periodic:
+        cell_ok[-1, :] = cell_ok[:, -1] = False
+    cell_bad = cell_ok & np.logical_or.reduce(_cell_sides(bad))
+    # the bad edges of bad cells, refined in one batch; on a torus these are
+    # all bad edges, on a chart ring_winding refines the others on demand
+    refined = bad & np.stack([cell_bad | np.roll(cell_bad, 1, 1),
+                              cell_bad | np.roll(cell_bad, 1, 0)])
+    T[refined] = _refine_edges(geom, *np.nonzero(refined), floor, max_depth)
+    bottom, right, top, left = _cell_sides(T)
+    wsum = bottom + right - top - left
+    crossing = cell_ok & np.isnan(wsum)
+    windings = geom.orientation * np.where(cell_ok & ~crossing,
+                                           np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
 
-    nc = geom.ncells
-    cell_ok = (consider[:-1, :-1] & consider[1:, :-1]
-               & consider[:-1, 1:] & consider[1:, 1:])
-    wsum = dH[:, :-1] + dV[1:, :] - dH[:, 1:] - dV[:-1, :]
-    cell_bad = (badH[:, :-1] | badH[:, 1:] | badV[:-1, :] | badV[1:, :]) & cell_ok
-    windings = np.where(cell_ok, np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
-    windings[cell_bad] = 0
-
-    # refine edges of bad cells, all of them at once; adjacent cells share
-    # results through the cache
-    edge_cache: dict = {}
-
-    def refine(edges):
-        keys = dict.fromkeys((kind, *geom.wrap(i, j)) for (kind, i, j), _ in edges)
-        edge_cache.update(_refine_edges(
-            geom, [key for key in keys if key not in edge_cache], floor, max_depth))
-
-    def refined_edge(kind, i, j):
-        status, payload = edge_cache[(kind, *geom.wrap(i, j))]
-        if status == "step":
-            raise PhaseStepTooLarge(payload)
-        return status, payload
-
-    bad_cells = [tuple(c) for c in np.argwhere(cell_bad)]
-    refine(e for i, j in bad_cells for e in _box_edges(i, i, j, j))
-    crossing_cells = set()
-    for i, j in bad_cells:
-        edges = [(sign, *refined_edge(*edge)) for edge, sign in _box_edges(i, i, j, j)]
-        if any(status == "crossing" for _, status, _ in edges):
-            crossing_cells.add((i, j))
-            windings[i, j] = 0
-        else:
-            windings[i, j] = int(round(sum(s * p for s, _, p in edges) / (2.0 * np.pi)))
-
-    windings *= geom.orientation
-
-    flagged = {(int(i), int(j)) for i, j in np.argwhere(windings != 0)}
-    flagged |= crossing_cells
-    if not flagged:
+    flagged = (windings != 0) | crossing
+    if not flagged.any():
         return []
 
-    clusters_cells = _label_clusters(sorted(flagged), nc, geom.periodic)
+    nc = geom.ncells
+    clusters_cells = _label_clusters([tuple(c) for c in np.argwhere(flagged).tolist()],
+                                     nc, geom.periodic)
 
     def ring_winding(group):
         """Winding around the one-cell-expanded bounding box of a cluster,
@@ -437,26 +402,31 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
         j1 = max(j for _, j in group) + 1
         if not geom.periodic and (i0 < 0 or j0 < 0 or i1 + 1 > nc or j1 + 1 > nc):
             return None
-        own = {geom.wrap(i, j) for i, j in group}
-        if any(geom.wrap(i, j) in flagged and geom.wrap(i, j) not in own
-               for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)):
+        ii, jj = np.arange(i0, i1 + 1), np.arange(j0, j1 + 1)
+        if flagged[np.ix_(ii % n, jj % n)].sum() > len(group):
             return None
-        refine(_box_edges(i0, i1, j0, j1))
-        total = 0.0
-        try:
-            for edge, sign in _box_edges(i0, i1, j0, j1):
-                status, payload = refined_edge(*edge)
-                if status == "crossing":
-                    return None
-                total += sign * payload
-        except PhaseStepTooLarge:
+        # the box boundary in a positive walk: bottom, right, top, left
+        sizes = (ii.size, jj.size, ii.size, jj.size)
+        a = np.repeat([0, 1, 0, 1], sizes)
+        ei = np.concatenate([ii, np.full(jj.size, i1 + 1), ii, np.full(jj.size, i0)]) % n
+        ej = np.concatenate([np.full(ii.size, j0), jj, np.full(ii.size, j1 + 1), jj]) % n
+        todo = bad[a, ei, ej] & ~refined[a, ei, ej]
+        if todo.any():
+            try:
+                T[a[todo], ei[todo], ej[todo]] = _refine_edges(
+                    geom, a[todo], ei[todo], ej[todo], floor, max_depth)
+            except PhaseStepTooLarge:
+                return None
+        steps = np.repeat([1.0, 1.0, -1.0, -1.0], sizes) * T[a, ei, ej]
+        if np.isnan(steps).any():
             return None
-        return geom.orientation * int(round(total / (2.0 * np.pi)))
+        # summed in walk order, one step at a time
+        return geom.orientation * int(round(np.cumsum(steps)[-1] / (2.0 * np.pi)))
 
     clusters = []
     for group in clusters_cells:
-        cells = [(i, j, (None if geom.wrap(i, j) in crossing_cells
-                         else int(windings[geom.wrap(i, j)]))) for i, j in group]
+        cells = [(i, j, (None if crossing[i % n, j % n] else int(windings[i % n, j % n])))
+                 for i, j in group]
         has_crossing = any(w is None for _, _, w in cells)
         wrapping = _cluster_wraps(group, nc) if geom.periodic else False
         winding = None
@@ -466,7 +436,7 @@ def locate_zero_cells(f, *, zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
             winding = ring_winding(group)
         kind = "point" if winding is not None else "curve"
         # representative corner: first minimum modulus over member cell corners
-        m, bi, bj = min(((float(M[geom.wrap(ci, cj)]), ci, cj)
+        m, bi, bj = min(((float(M[ci % n, cj % n]), ci, cj)
                          for i, j in group
                          for ci, cj in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))),
                         key=lambda c: c[0])
@@ -528,16 +498,15 @@ def _cluster_wraps(group, nc):
 # --------------------------------------------------------------------------
 
 def umbilic_index(f, z0: complex, radius: float, *,
-                  n0: int = 64, budget: int = DEFAULT_CONTOUR_BUDGET,
-                  zero_floor_rel: float = DEFAULT_ZERO_FLOOR_REL,
-                  sup_hint: float | None = None) -> int:
+                  n0: int = 64, sup_hint: float | None = None) -> int:
     """twice_index = -(degree of f/|f|) on the positively oriented circle
     of the given radius about z0, doubling the number of contour points
-    until every wrapped phase step is below pi/2 (budget 2^14 points)."""
+    until every wrapped phase step is below pi/2 (at most
+    DEFAULT_CONTOUR_BUDGET points)."""
     if radius <= 0.0:
         raise ValueError("contour radius must be positive")
     sup = float(sup_hint) if sup_hint is not None else f.sup_norm()
-    floor = zero_floor_rel * sup
+    floor = DEFAULT_ZERO_FLOOR_REL * sup
     m = int(n0)
     while True:
         theta = 2.0 * np.pi * np.arange(m) / m
@@ -545,9 +514,9 @@ def umbilic_index(f, z0: complex, radius: float, *,
         try:
             return -winding_degree(f.evaluate_at(pts), zero_floor=floor)
         except PhaseStepTooLarge:
-            if 2 * m > budget:
-                raise PhaseStepTooLarge(
-                    f"contour about {z0:.6f} not resolved within {budget} points") from None
+            if 2 * m > DEFAULT_CONTOUR_BUDGET:
+                raise PhaseStepTooLarge(f"contour about {z0:.6f} not resolved within "
+                                        f"{DEFAULT_CONTOUR_BUDGET} points") from None
             m *= 2
 
 
@@ -722,8 +691,7 @@ def torus_umbilics(u: PeriodicField):
     clusters = locate_zero_cells(r)
     lattice = u.lattice
     indexed, dropped, checks = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
-                                               r.sup_norm(), DEFAULT_ZERO_FLOOR_REL,
-                                               lattice.torus_distance, 2.5, 0.35)
+                                               r.sup_norm(), lattice.torus_distance, 2.5, 0.35)
     records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
                              chart_id="torus", contour_radius=radius)
                for z0, twice, resid, radius in indexed]
@@ -733,7 +701,7 @@ def torus_umbilics(u: PeriodicField):
     return records, audit, clusters
 
 
-def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, sep_frac):
+def _index_clusters(r, clusters, cell, sup, dist, base_cells, sep_frac):
     """Polish all point clusters of r at once, then index each by its
     boundary winding (degree additivity).  A circle contour of radius at
     most sep_frac times the distance to the nearest other polished zero
@@ -767,8 +735,7 @@ def _index_clusters(r, clusters, cell, sup, zero_floor_rel, dist, base_cells, se
             checks["not_isolated"] += 1
         else:
             try:
-                circle = umbilic_index(r, z0, radius, zero_floor_rel=zero_floor_rel,
-                                       sup_hint=sup)
+                circle = umbilic_index(r, z0, radius, sup_hint=sup)
             except ZeroOnContour:
                 checks["zero_on_contour"] += 1
             except PhaseStepTooLarge:
@@ -832,7 +799,7 @@ def sphere_metric_potentials(degree: int, perturbations, *,
                 p = p + e * SPHERE_HARMONICS[h][chart_idx](Z)
             if np.min(1.0 + p) <= 0.0:
                 raise NotPseudoconvex("perturbation makes the metric density nonpositive")
-            return np.log(degree) - 2.0 * np.log1p(np.abs(Z) ** 2) + np.log1p(p)
+            return np.log(float(degree)) - 2.0 * np.log1p(np.abs(Z) ** 2) + np.log1p(p)
         return ChartGrid.from_function(chart_id, chart_radius, chart_n, u_fn, real_tag=True)
 
     return build(0, "chart1"), build(1, "chart2")
@@ -867,7 +834,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     for cid, (r, clusters) in charts.items():
         indexed, chart_dropped, chart_checks = _index_clusters(
             r, clusters, 2.0 * SPHERE_CHART_RADIUS / (chart_n - 1), r.sup_norm(_LOCATE_RADIUS),
-            DEFAULT_ZERO_FLOOR_REL, lambda a, b: np.hypot((b - a).real, (b - a).imag), 3.0, 0.3)
+            lambda a, b: np.hypot((b - a).real, (b - a).imag), 3.0, 0.3)
         dropped += chart_dropped
         checks = {key: checks[key] + chart_checks[key] for key in _CROSS_CHECKS}
         entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,

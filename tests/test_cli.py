@@ -1,6 +1,9 @@
 import copy
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +273,8 @@ class TestMainAndExitCodes:
         torus_cfg(operation="loewner", loewner={"g": {"builtin": "zbar"}, "order": 65}),
         torus_cfg(operation="loewner",
                   loewner={"g": {"coeffs": {"60,5": [1.0, 0.0]}}, "order": 8}),
+        {"surface": {"kind": "sphere", "degree": 10 ** 400}, "metric": {"builtin": "fs"},
+         "operation": "umbilics", "numeric": {"grid_n": 128}},
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
@@ -281,7 +286,7 @@ class TestMainAndExitCodes:
             "search_evaluations_0", "search_coeff_bound_negative",
             "search_mode_budget_too_high", "seed_negative", "report_missing_directory",
             "grid_dump_missing_directory", "loewner_order_too_high",
-            "loewner_coeff_degree_too_high"])
+            "loewner_coeff_degree_too_high", "sphere_degree_overflows_float"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
@@ -313,6 +318,28 @@ class TestMainAndExitCodes:
         err = json.loads(captured.err)  # exactly one JSON object
         assert err["error"]["code"] == "DomainError" and err["error"]["exit_status"] == 9
         assert captured.out == ""
+
+    @pytest.mark.parametrize("cfg, status", [
+        (torus_cfg(surface={"kind": "torus", "omega": [0.0, 1e-320]}), 9),
+        (torus_cfg(metric={"modes": {"1,0": [1e300, 0.0]}}), 9),
+        (torus_cfg(metric={"builtin": "constant", "params": {"value": 1e308}}), 9),
+        # log(degree) of an integer past int64
+        ({"surface": {"kind": "sphere", "degree": 10 ** 30}, "metric": {"builtin": "fs"},
+          "operation": "umbilics", "numeric": {"grid_n": 64}}, 4),
+    ], ids=["omega_subnormal", "mode_huge", "constant_huge", "sphere_degree_past_int64"])
+    def test_float_faults_leave_one_error_object(self, tmp_path, cfg, status):
+        # in a child process: pytest's warning capture would hide numpy's
+        # RuntimeWarning lines from capsys
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "umbilic.cli", cfg["operation"],
+             "--config", write_cfg(tmp_path, cfg)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == status
+        err = json.loads(proc.stderr)  # exactly one JSON object
+        assert err["error"]["exit_status"] == status
+        assert proc.stdout == ""
 
     def test_non_finite_result_exits_9(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "r.json"
