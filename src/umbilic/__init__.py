@@ -8,18 +8,16 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
-                     SymmetryViolated, TotallyDegenerate, TransitionSingular,
-                     UmbilicError, UnderResolved, ZeroOnContour)
+                     SymmetryViolated, TotallyDegenerate, UmbilicError,
+                     UnderResolved, ZeroOnContour)
 from .field import ChartGrid, PeriodicField, TorusLattice
 from .series import PowerSeries2, geometric_inverse
 from .cartan import (FORMS, InvariantField, cartan_r, cartan_r_all_forms,
                      covariant_hessian_zz, gauss_curvature,
                      kzz_identity_residual, potential_from_metric,
                      rigid_r_from_F, spherical_test)
-from .index import (AuditReport, ChartTransition, SurfaceSpec,
-                    UmbilicRecord, ZeroCluster,
-                    chart_transition_quadratic, locate_zero_cells,
-                    poincare_hopf_audit, refine_cluster_residual,
+from .index import (AuditReport, SurfaceSpec, UmbilicRecord, ZeroCluster,
+                    locate_zero_cells, poincare_hopf_audit, refine_cluster_residual,
                     sphere_two_chart_umbilics, torus_umbilics, umbilic_index,
                     winding_degree)
 from .loewner import (LoewnerNormalization, LoewnerSolution,

@@ -1,9 +1,9 @@
 """Configuration-driven command line front end.
 
-Subcommands (each takes --config plus the overrides --grid-n, --seed,
---out): invariant, umbilics, ph-audit, loewner, search, obstruction.
-ph-audit runs the same pipeline as umbilics, whose report already holds
-the index-sum audit.
+The first argument names the operation: invariant, umbilics, ph-audit,
+loewner, search or obstruction.  Every run takes --config and the
+overrides --grid-n, --seed and --out.  ph-audit runs the same pipeline
+as umbilics, whose report already holds the index-sum audit.
 
 A run configuration is a JSON document:
 
@@ -55,8 +55,7 @@ error object:
     exit 4  totally degenerate input (locally spherical)
     exit 5  linear solve failed
     exit 6  under-resolved field
-    exit 7  numerical fault (contour winding, cross-form disagreement,
-            singular chart transition)
+    exit 7  numerical fault (contour winding, cross-form disagreement)
     exit 8  claimed symmetry does not annihilate the potential
     exit 9  pointwise map applied outside its domain, or a result that is
             not a finite number
@@ -77,12 +76,12 @@ from . import __version__
 from .cartan import cartan_r, cartan_r_all_forms, spherical_test
 from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
-                     SymmetryViolated, TotallyDegenerate, TransitionSingular,
-                     UmbilicError, UnderResolved, ZeroOnContour)
+                     SymmetryViolated, TotallyDegenerate, UmbilicError,
+                     UnderResolved, ZeroOnContour)
 from .field import ChartGrid, PeriodicField, TorusLattice
-from .index import (SPHERE_CHART_RADIUS, SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL,
-                    TORUS_SPHERICAL_TOL, sphere_metric_potentials,
-                    sphere_two_chart_umbilics, torus_umbilics)
+from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, TORUS_SPHERICAL_TOL,
+                    sphere_metric_potentials, sphere_two_chart_umbilics,
+                    torus_umbilics)
 from .loewner import LoewnerNormalization, loewner_solve
 from .series import PowerSeries2
 from .torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
@@ -98,7 +97,6 @@ EXIT_CODES = {
     PhaseStepTooLarge: 7,
     ZeroOnContour: 7,
     CrossFormMismatch: 7,
-    TransitionSingular: 7,
     SymmetryViolated: 8,
     DomainError: 9,
 }
@@ -379,8 +377,7 @@ def run_invariant(inp: dict) -> dict:
         r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"].r
         spherical = spherical_test(u, r, tol.get("spherical", TORUS_SPHERICAL_TOL))
     else:
-        u, _ = sphere_metric_potentials(*inp["sphere"], chart_radius=SPHERE_CHART_RADIUS,
-                                        chart_n=inp["grid_n"])
+        u, _ = sphere_metric_potentials(*inp["sphere"], chart_n=inp["grid_n"])
         r = cartan_r(u, "p_form").r
         spherical = spherical_test(u, r, tol.get("spherical", SPHERE_SPHERICAL_TOL),
                                    region_radius=1.0)
@@ -505,13 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "invariant fields, winding indices, index-sum audits, "
                     "curved-Hessian prescription, torus search.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="operation", required=True)
-    for op in OPERATIONS:
-        p = sub.add_parser(op)
-        p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--grid-n", type=int, default=None, help="override numeric.grid_n")
-        p.add_argument("--seed", type=int, default=None, help="override numeric.seed")
-        p.add_argument("--out", default=None, help="override output.report path")
+    parser.add_argument("operation", choices=OPERATIONS)
+    parser.add_argument("--config", required=True, help="path to a JSON run config")
+    parser.add_argument("--grid-n", type=int, default=None, help="override numeric.grid_n")
+    parser.add_argument("--seed", type=int, default=None, help="override numeric.seed")
+    parser.add_argument("--out", default=None, help="override output.report path")
     return parser
 
 
@@ -540,7 +535,7 @@ def main(argv=None) -> int:
     if cfg.get("operation") not in (None, args.operation):
         _emit_error(ConfigError(
             f"config operation {cfg.get('operation')!r} does not match "
-            f"subcommand {args.operation!r}"), cfg)
+            f"operation {args.operation!r} on the command line"), cfg)
         return 2
     cfg["operation"] = args.operation
     try:

@@ -2,8 +2,8 @@
 
 Every class below maps to a nonzero exit status in the command line front
 end (see :mod:`umbilic.cli`); exit 7 is shared by PhaseStepTooLarge,
-ZeroOnContour, CrossFormMismatch and TransitionSingular, every other class
-has its own.  Keep the hierarchy flat and the names stable.
+ZeroOnContour and CrossFormMismatch, every other class has its own.
+Keep the hierarchy flat and the names stable.
 """
 
 
@@ -57,7 +57,3 @@ class ZeroOnContour(UmbilicError):
 
 class SymmetryViolated(UmbilicError):
     """The potential is not annihilated by the claimed symmetry direction."""
-
-
-class TransitionSingular(UmbilicError):
-    """The derivative of a chart transition vanishes on the target region."""

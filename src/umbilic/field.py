@@ -72,15 +72,19 @@ _FLOOR_MARGIN = 1.0 + 1e-6
 
 @dataclass(frozen=True)
 class TorusLattice:
-    """Lattice generated by 1 and omega (Im omega != 0)."""
+    """Lattice generated by 1 and omega (Im omega != 0).  The Wirtinger
+    operators divide by conj(omega) - omega, so its reciprocal must be
+    finite as well."""
 
     omega: complex
 
     def __post_init__(self):
         omega = complex(self.omega)
         object.__setattr__(self, "omega", omega)
-        if omega.imag == 0.0 or not np.isfinite(omega.imag) or not np.isfinite(omega.real):
-            raise ValueError(f"second lattice period must have Im(omega) != 0, got {omega}")
+        if (omega.imag == 0.0 or not np.isfinite(omega)
+                or not np.isfinite(1.0 / (omega.conjugate() - omega))):
+            raise ValueError("second lattice period must have Im(omega) != 0 and "
+                             f"a finite 1 / (conj(omega) - omega), got {omega}")
 
     @property
     def orientation(self) -> int:
@@ -195,8 +199,7 @@ class _SampledField:
 
     Subclasses supply the grid: ``_check_n`` validates the resolution,
     ``_grid_key`` identifies the grid for binary operations, and ``_like``
-    builds a field on the same grid from new samples (``other`` is the
-    second operand of a binary operation, if any).  Derivatives, the
+    builds a field on the same grid from new samples.  Derivatives, the
     polynomial product ``_product`` (see :func:`product`) and evaluation
     off the grid are theirs as well.
     """
@@ -229,8 +232,7 @@ class _SampledField:
 
     def add(self, other):
         self._check_same_grid(other)
-        return self._like(self.values + other.values,
-                          self.real_tag and other.real_tag, other)
+        return self._like(self.values + other.values, self.real_tag and other.real_tag)
 
     def scale(self, c: complex):
         c = complex(c)
@@ -304,7 +306,7 @@ def product(terms):
     is lifted to a grid sized to the operands' bands (the padding rule
     m > S + K of :meth:`PeriodicField._product`) and keeps its spectrum,
     whose band is at most min(S, n/2).  A ChartGrid result is the sample
-    polynomial, valid where every operand is."""
+    polynomial."""
     first = terms[0][1][0]
     for _, fields in terms:
         for f in fields:
@@ -384,7 +386,7 @@ class PeriodicField(_SampledField):
     def _grid_key(self):
         return self.n, self.lattice.omega
 
-    def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "PeriodicField":
+    def _like(self, values: np.ndarray, real_tag: bool) -> "PeriodicField":
         return PeriodicField(self.lattice, values, real_tag=real_tag)
 
     @classmethod
@@ -693,24 +695,21 @@ def _fd_axis0(values: np.ndarray, h: float) -> np.ndarray:
 class ChartGrid(_SampledField):
     """Field sampled on the square [-R, R]^2 of a coordinate chart.
 
-    values[i, j] = f(x_i + i*y_j) with x, y = linspace(-R, R, n).  The mask
-    marks the disk |z| <= R; an optional validity mask can exclude points
-    (e.g. targets of a partial chart transition).  Binary operations AND
-    the operands' validity masks; unary ones carry the mask along.
-    Derivatives are 8th-order finite differences, one-sided within four
-    layers of the square edge, so quantitative claims should be restricted
-    to an interior region.
+    values[i, j] = f(x_i + i*y_j) with x, y = linspace(-R, R, n), a sample
+    at every grid point; the mask marks the disk |z| <= R.  Derivatives are
+    8th-order finite differences, one-sided within four layers of the
+    square edge, so quantitative claims should be restricted to an
+    interior region.
     """
 
     def __init__(self, chart_id: str, radius: float, values: np.ndarray,
-                 real_tag: bool = False, valid: np.ndarray | None = None):
+                 real_tag: bool = False):
         super().__init__(values, real_tag)
         radius = float(radius)
         if radius <= 0.0:
             raise ValueError("chart radius must be positive")
         self.chart_id = str(chart_id)
         self.radius = radius
-        self.valid = None if valid is None else np.asarray(valid, dtype=bool)
         self._spline_re = None
         self._spline_im = None
 
@@ -722,28 +721,17 @@ class ChartGrid(_SampledField):
     def _grid_key(self):
         return self.n, self.radius
 
-    def _like(self, values: np.ndarray, real_tag: bool, other=None) -> "ChartGrid":
-        valid = self.valid if other is None else _and_valid(self.valid, other.valid)
-        return ChartGrid(self.chart_id, self.radius, values, real_tag=real_tag, valid=valid)
+    def _like(self, values: np.ndarray, real_tag: bool) -> "ChartGrid":
+        return ChartGrid(self.chart_id, self.radius, values, real_tag=real_tag)
 
     @classmethod
     def from_function(cls, chart_id: str, radius: float, n: int,
                       fn: Callable[[np.ndarray], np.ndarray],
-                      real_tag: bool = False,
-                      clamp_radius: float | None = None) -> "ChartGrid":
-        """Sample fn(z) on the chart square.  With clamp_radius set, samples
-        with |z| > clamp_radius are taken at the radially clamped point,
-        which keeps functions singular just outside the disk usable; the
-        clamped band then only pollutes derivatives within a few stencil
-        widths of |z| = clamp_radius."""
+                      real_tag: bool = False) -> "ChartGrid":
+        """Sample fn(z) on the whole chart square."""
         x = np.linspace(-radius, radius, n)
         X, Y = np.meshgrid(x, x, indexing="ij")
-        Z = X + 1j * Y
-        if clamp_radius is not None:
-            r = np.abs(Z)
-            scal = np.where(r > clamp_radius, clamp_radius / np.maximum(r, 1e-300), 1.0)
-            Z = Z * scal
-        return cls(chart_id, radius, np.asarray(fn(Z), dtype=complex), real_tag=real_tag)
+        return cls(chart_id, radius, np.asarray(fn(X + 1j * Y), dtype=complex), real_tag=real_tag)
 
     # -- basic data ----------------------------------------------------------
 
@@ -761,10 +749,7 @@ class ChartGrid(_SampledField):
 
     def mask(self, region_radius: float | None = None) -> np.ndarray:
         r = self.radius if region_radius is None else float(region_radius)
-        m = np.abs(self.z_grid()) <= r
-        if self.valid is not None:
-            m &= self.valid
-        return m
+        return np.abs(self.z_grid()) <= r
 
     def sup_norm(self, region_radius: float | None = None) -> float:
         m = self.mask(region_radius)
@@ -796,10 +781,9 @@ class ChartGrid(_SampledField):
         return product([(1.0, (self, other))])
 
     def _product(self, terms, real_tag: bool) -> "ChartGrid":
-        """Plain sample polynomial on the intersection of validity masks."""
+        """Plain sample polynomial."""
         values = sum(reduce(np.multiply, (f.values for f in fs), c) for c, fs in terms)
-        valid = reduce(_and_valid, (f.valid for _, fs in terms for f in fs))
-        return ChartGrid(self.chart_id, self.radius, values, real_tag=real_tag, valid=valid)
+        return self._like(values, real_tag)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -834,11 +818,3 @@ class ChartGrid(_SampledField):
 def _xy_wirtinger(fx, fy):
     """(D, Dbar) = ((d/dx - i d/dy) / 2, (d/dx + i d/dy) / 2)."""
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def _and_valid(a, b):
-    if a is None:
-        return None if b is None else b.copy()
-    if b is None:
-        return a.copy()
-    return a & b

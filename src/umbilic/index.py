@@ -52,21 +52,18 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .cartan import cartan_r, spherical_test
-from .errors import (NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate,
-                     TransitionSingular, ZeroOnContour)
+from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
 from .field import ChartGrid, PeriodicField, TorusLattice
 
 __all__ = [
     "SurfaceSpec",
     "UmbilicRecord",
     "ZeroCluster",
-    "ChartTransition",
     "AuditReport",
     "winding_degree",
     "locate_zero_cells",
     "umbilic_index",
     "poincare_hopf_audit",
-    "chart_transition_quadratic",
     "refine_cluster_residual",
     "torus_umbilics",
     "sphere_two_chart_umbilics",
@@ -77,6 +74,8 @@ _STEP_LIMIT = 0.5 * np.pi
 _CROSSING_STEP = 0.75 * np.pi
 _POLISHED = 1e-12
 DEFAULT_ZERO_FLOOR_REL = 1e-9
+# umbilic_index: points on the first contour, doubled up to the budget
+_CONTOUR_START = 64
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
 # spherical screens: sup|K_{;zz}| <= tol (1 + sup|K|) on the torus, and on
 # the unit disk of sphere chart 1, whose finite differences are coarser
@@ -153,21 +152,11 @@ class ZeroCluster:
     winding: int | None
     kind: str  # "point" | "curve"
     center: complex
-    center_st: tuple
     min_modulus: float
 
     @property
     def size(self) -> int:
         return len(self.cells)
-
-
-@dataclass
-class ChartTransition:
-    """Holomorphic coordinate change w -> z(w) with its derivative."""
-
-    map: object
-    derivative: object
-    name: str = "transition"
 
 
 @dataclass
@@ -442,13 +431,12 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
                         key=lambda c: c[0])
         a, b = geom.corner_st(bi, bj)
         if geom.periodic:
-            a, b = a % 1.0, b % 1.0
-            center = complex(f.lattice.st_to_z(a, b))
+            center = complex(f.lattice.st_to_z(a % 1.0, b % 1.0))
         else:
             center = complex(a + 1j * b)
         clusters.append(ZeroCluster(
             chart_id=geom.chart_id, cells=cells, winding=winding, kind=kind,
-            center=center, center_st=(a, b), min_modulus=m))
+            center=center, min_modulus=m))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
 
@@ -497,17 +485,16 @@ def _cluster_wraps(group, nc):
 # index of an isolated zero
 # --------------------------------------------------------------------------
 
-def umbilic_index(f, z0: complex, radius: float, *,
-                  n0: int = 64, sup_hint: float | None = None) -> int:
+def umbilic_index(f, z0: complex, radius: float, *, sup_hint: float | None = None) -> int:
     """twice_index = -(degree of f/|f|) on the positively oriented circle
     of the given radius about z0, doubling the number of contour points
-    until every wrapped phase step is below pi/2 (at most
-    DEFAULT_CONTOUR_BUDGET points)."""
+    from _CONTOUR_START until every wrapped phase step is below pi/2 (at
+    most DEFAULT_CONTOUR_BUDGET points)."""
     if radius <= 0.0:
         raise ValueError("contour radius must be positive")
     sup = float(sup_hint) if sup_hint is not None else f.sup_norm()
     floor = DEFAULT_ZERO_FLOOR_REL * sup
-    m = int(n0)
+    m = _CONTOUR_START
     while True:
         theta = 2.0 * np.pi * np.arange(m) / m
         pts = z0 + radius * np.exp(1j * theta)
@@ -521,7 +508,7 @@ def umbilic_index(f, z0: complex, radius: float, *,
 
 
 # --------------------------------------------------------------------------
-# audits and transitions
+# index-sum audit
 # --------------------------------------------------------------------------
 
 def poincare_hopf_audit(records, surface: SurfaceSpec) -> AuditReport:
@@ -537,44 +524,6 @@ def poincare_hopf_audit(records, surface: SurfaceSpec) -> AuditReport:
         passed=(total == expected),
         discrepancy=total - expected,
     )
-
-
-def chart_transition_quadratic(alpha, transition: ChartTransition, *,
-                               target_chart_id: str, target_radius: float,
-                               target_n: int) -> ChartGrid:
-    """Pull a quadratic-differential coefficient back through w -> z(w):
-    alpha_tilde(w) = alpha(z(w)) * (dz/dw)^2, resampled on the target grid.
-
-    alpha may be a callable (evaluated exactly) or a sampled ChartGrid
-    (bicubic interpolation inside its square; targets mapping outside are
-    masked invalid).
-    """
-    x = np.linspace(-target_radius, target_radius, target_n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    W = X + 1j * Y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Z = np.asarray(transition.map(W), dtype=complex)
-        DZ = np.asarray(transition.derivative(W), dtype=complex)
-    finite = np.isfinite(Z) & np.isfinite(DZ)
-    inside = np.abs(W) <= target_radius
-    dzmax = float(np.max(np.abs(DZ[finite]))) if finite.any() else 0.0
-    singular = finite & inside & (np.abs(DZ) <= 1e-13 * max(dzmax, 1.0))
-    if singular.any():
-        raise TransitionSingular(
-            f"dz/dw vanishes at {int(singular.sum())} target point(s)")
-    valid = finite.copy()
-    out = np.zeros_like(W, dtype=complex)
-    if callable(alpha):
-        out[valid] = np.asarray(alpha(Z[valid]), dtype=complex)
-    elif isinstance(alpha, ChartGrid):
-        r = alpha.radius
-        valid &= (np.abs(Z.real) <= r) & (np.abs(Z.imag) <= r)
-        if valid.any():
-            out[valid] = alpha.evaluate_at(Z[valid])
-    else:
-        raise TypeError("alpha must be callable or a ChartGrid")
-    out[valid] *= DZ[valid] ** 2
-    return ChartGrid(target_chart_id, target_radius, out, valid=valid)
 
 
 # --------------------------------------------------------------------------
@@ -780,9 +729,9 @@ def _sphere_point(chart_id: str, c: complex) -> np.ndarray:
     return np.array([2.0 * c.real / d, 2.0 * c.imag / d, (abs(c) ** 2 - 1.0) / d])
 
 
-def sphere_metric_potentials(degree: int, perturbations, *,
-                             chart_radius: float, chart_n: int):
-    """Potentials u on both charts for
+def sphere_metric_potentials(degree: int, perturbations, *, chart_n: int):
+    """Potentials u on both charts, sampled on the squares of half-width
+    SPHERE_CHART_RADIUS, for
     e^{u} = degree * (1+|z|^2)^{-2} * (1 + sum eps * p); the chart-2 density
     picks up the |dz/dw|^2 factor, which reproduces the same functional form."""
     if degree < 1:
@@ -800,7 +749,8 @@ def sphere_metric_potentials(degree: int, perturbations, *,
             if np.min(1.0 + p) <= 0.0:
                 raise NotPseudoconvex("perturbation makes the metric density nonpositive")
             return np.log(float(degree)) - 2.0 * np.log1p(np.abs(Z) ** 2) + np.log1p(p)
-        return ChartGrid.from_function(chart_id, chart_radius, chart_n, u_fn, real_tag=True)
+        return ChartGrid.from_function(chart_id, SPHERE_CHART_RADIUS, chart_n, u_fn,
+                                       real_tag=True)
 
     return build(0, "chart1"), build(1, "chart2")
 
@@ -816,8 +766,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     owner of its best coordinate estimate, with the other chart's winding
     kept as a stability check.
     """
-    u1, u2 = sphere_metric_potentials(degree, perturbations,
-                                      chart_radius=SPHERE_CHART_RADIUS, chart_n=chart_n)
+    u1, u2 = sphere_metric_potentials(degree, perturbations, chart_n=chart_n)
     charts = {}
     for cid, u in (("chart1", u1), ("chart2", u2)):
         r = cartan_r(u, "p_form").r

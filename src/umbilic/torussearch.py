@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cartan import _conjugated_chain, cartan_r
-from .errors import SymmetryViolated, TotallyDegenerate
+from .errors import DomainError, SymmetryViolated, TotallyDegenerate
 from .field import DEFAULT_TAIL_TOL, PeriodicField, TorusLattice
 from .index import _polish, locate_zero_cells, refine_cluster_residual
 
@@ -96,14 +96,21 @@ class TrigPotential:
         (j, k) is placed as (c_{jk} + conj(c_{-j,-k})) / 2, a Hermitian
         spectrum that matches the real samples, and the field keeps it:
         derivatives read exact coefficients and every bin outside the band
-        is exactly 0."""
+        is exactly 0.  Coefficients whose placed bins leave the float range
+        raise DomainError."""
         jk = np.array(list(self.modes), dtype=int).reshape(-1, 2)
         h = int(np.abs(jk).max(initial=0))  # the mode budget
         if 2 * h >= n:
             raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
         B = np.zeros((2 * h + 1, 2 * h + 1), dtype=complex)
         B[jk[:, 0] + h, jk[:, 1] + h] = list(self.modes.values())
-        B = (B + np.conj(B[::-1, ::-1])) / 2 * n * n
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = (B + np.conj(B[::-1, ::-1])) / 2 * n * n
+        if not np.isfinite(B).all():
+            bad = {(j, k): self.modes[j, k]
+                   for j, k in (np.argwhere(~np.isfinite(B)) - h).tolist()}
+            raise DomainError(f"potential coefficients {bad} leave the float range "
+                              f"when placed on an n={n} grid")
         return PeriodicField._from_block(self.lattice, n, B, True)
 
     def shifted(self, c: float) -> "TrigPotential":
@@ -213,8 +220,6 @@ class ObstructionReport:
     residuals: list
     psi_min: float
     psi_max: float
-    psi_argmin: complex
-    psi_argmax: complex
     dpsi_sign_change: bool
     proof_identity_residual: float
     grid_n: int
@@ -257,11 +262,6 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     X = X.real_part(validate=True, tol=1e-7)
     Z = Z.real_part(validate=True, tol=1e-7)
     psi = field.scale(-2.0).exp().values.real * X.values.real
-    imax = np.unravel_index(int(np.argmax(psi)), psi.shape)
-    imin = np.unravel_index(int(np.argmin(psi)), psi.shape)
-    n = field.n
-    z_max = field.lattice.st_to_z(imax[0] / n, imax[1] / n)
-    z_min = field.lattice.st_to_z(imin[0] / n, imin[1] / n)
     zscale = Z.sup_norm()
     sign_change = bool(np.min(Z.values.real) < -1e-9 * zscale
                        and np.max(Z.values.real) > 1e-9 * zscale)
@@ -275,7 +275,6 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),
         residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
-        psi_argmin=complex(z_min), psi_argmax=complex(z_max),
         dpsi_sign_change=sign_change, proof_identity_residual=ident,
         grid_n=grid_n)
 

@@ -275,6 +275,8 @@ class TestMainAndExitCodes:
                   loewner={"g": {"coeffs": {"60,5": [1.0, 0.0]}}, "order": 8}),
         {"surface": {"kind": "sphere", "degree": 10 ** 400}, "metric": {"builtin": "fs"},
          "operation": "umbilics", "numeric": {"grid_n": 128}},
+        # 1 / (conj(omega) - omega) overflows
+        torus_cfg(surface={"kind": "torus", "omega": [0.0, 1e-320]}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
@@ -286,7 +288,8 @@ class TestMainAndExitCodes:
             "search_evaluations_0", "search_coeff_bound_negative",
             "search_mode_budget_too_high", "seed_negative", "report_missing_directory",
             "grid_dump_missing_directory", "loewner_order_too_high",
-            "loewner_coeff_degree_too_high", "sphere_degree_overflows_float"])
+            "loewner_coeff_degree_too_high", "sphere_degree_overflows_float",
+            "omega_subnormal"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
@@ -319,15 +322,17 @@ class TestMainAndExitCodes:
         assert err["error"]["code"] == "DomainError" and err["error"]["exit_status"] == 9
         assert captured.out == ""
 
-    @pytest.mark.parametrize("cfg, status", [
-        (torus_cfg(surface={"kind": "torus", "omega": [0.0, 1e-320]}), 9),
-        (torus_cfg(metric={"modes": {"1,0": [1e300, 0.0]}}), 9),
-        (torus_cfg(metric={"builtin": "constant", "params": {"value": 1e308}}), 9),
+    @pytest.mark.parametrize("cfg, status, message", [
+        (torus_cfg(metric={"modes": {"1,0": [1e300, 0.0]}}), 9, ""),
+        # the placed spectrum overflows: the message names the input
+        (torus_cfg(metric={"builtin": "constant", "params": {"value": 1e308}}), 9,
+         "potential coefficients {(0, 0): (1e+308+0j)} leave the float range "
+         "when placed on an n=128 grid"),
         # log(degree) of an integer past int64
         ({"surface": {"kind": "sphere", "degree": 10 ** 30}, "metric": {"builtin": "fs"},
-          "operation": "umbilics", "numeric": {"grid_n": 64}}, 4),
-    ], ids=["omega_subnormal", "mode_huge", "constant_huge", "sphere_degree_past_int64"])
-    def test_float_faults_leave_one_error_object(self, tmp_path, cfg, status):
+          "operation": "umbilics", "numeric": {"grid_n": 64}}, 4, ""),
+    ], ids=["mode_huge", "constant_huge", "sphere_degree_past_int64"])
+    def test_float_faults_leave_one_error_object(self, tmp_path, cfg, status, message):
         # in a child process: pytest's warning capture would hide numpy's
         # RuntimeWarning lines from capsys
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -339,6 +344,7 @@ class TestMainAndExitCodes:
         assert proc.returncode == status
         err = json.loads(proc.stderr)  # exactly one JSON object
         assert err["error"]["exit_status"] == status
+        assert message in err["error"]["message"]
         assert proc.stdout == ""
 
     def test_non_finite_result_exits_9(self, tmp_path, capsys, monkeypatch):
@@ -369,6 +375,18 @@ class TestMainAndExitCodes:
         report = json.loads(out.read_text())
         assert report["config"]["numeric"]["grid_n"] == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, status, stream, text", [
+        (["bogus", "--config", "cfg.json"], 2, "err",
+         "argument operation: invalid choice: 'bogus'"),
+        (["invariant"], 2, "err", "the following arguments are required: --config"),
+        (["--version"], 0, "out", cli.__version__),
+    ], ids=["unknown_operation", "missing_config", "version"])
+    def test_command_line(self, capsys, argv, status, stream, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        assert text in getattr(capsys.readouterr(), stream)
 
 
 class TestGridDump:

@@ -276,16 +276,15 @@ class TestPolynomialProduct:
     def test_chart_product_is_sample_polynomial(self):
         rng = np.random.default_rng(4)
         n = 12
-        fields = [ChartGrid("c1", 1.0, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                            valid=rng.random((n, n)) > 0.2) for _ in range(4)]
+        fields = [ChartGrid("c1", 1.0,
+                            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                  for _ in range(4)]
         a, b, c, d = fields
         out = product(p_form_terms(a, b, c, d))
         ref = -3.0 * a.values * b.values + 2.0 * a.values * a.values * c.values - d.values * c.values
         assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(out.valid, a.valid & b.valid & c.valid & d.valid)
         pair = a.mul(b)
         assert np.array_equal(pair.values, a.values * b.values)
-        assert np.array_equal(pair.valid, a.valid & b.valid)
 
 
 class TestPointwiseMaps:
@@ -567,13 +566,6 @@ class TestChartGrid:
         assert ch.sup_norm(0.5) == pytest.approx(0.25, abs=0.01)
         assert ch.sup_norm() == pytest.approx(1.0, abs=0.01)
 
-    def test_clamped_sampling(self):
-        # singular just outside the disk; clamped samples keep the interior clean
-        ch = ChartGrid.from_function("c1", 0.95, 256,
-                                     lambda Z: -2 * np.log(1 - np.abs(Z) ** 2),
-                                     real_tag=True, clamp_radius=0.949)
-        assert np.all(np.isfinite(ch.values))
-
     def test_spline_evaluation(self):
         ch = ChartGrid.from_function("c1", 1.0, 128, lambda Z: np.exp(Z))
         pts = np.array([0.1 + 0.2j, -0.3 + 0.05j])
@@ -596,12 +588,12 @@ class TestChartGrid:
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-6 * g.sup_norm(0.6)
 
 
-def sampled(kind, value, n=10, real_tag=False, valid=None):
+def sampled(kind, value, n=10, real_tag=False):
     """A constant field of the given representation on an n x n grid."""
     values = np.full((n, n), value, dtype=complex)
     if kind == "periodic":
         return PeriodicField(LAT, values, real_tag=real_tag)
-    return ChartGrid("c1", 1.0, values, real_tag=real_tag, valid=valid)
+    return ChartGrid("c1", 1.0, values, real_tag=real_tag)
 
 
 @pytest.mark.parametrize("kind", ["periodic", "chart"])
@@ -657,22 +649,3 @@ class TestSharedArithmetic:
         for op in (f.add, f.mul, f.__add__, f.__sub__, f.__mul__):
             with pytest.raises(TypeError):
                 op(other)
-
-
-class TestChartValidity:
-    def test_valid_masks_anded_and_carried(self):
-        rng = np.random.default_rng(3)
-        A = rng.random((10, 10)) > 0.3
-        B = rng.random((10, 10)) > 0.3
-        a = sampled("chart", 2.0, real_tag=True, valid=A)
-        b = sampled("chart", 3.0, real_tag=True, valid=B)
-        plain = sampled("chart", 4.0, real_tag=True)
-        for out in (a.add(b), a.mul(b), a + b, a - b, a * b):
-            assert np.array_equal(out.valid, A & B)
-        for out in (a.add(plain), plain.mul(a)):
-            assert np.array_equal(out.valid, A) and out.valid is not A
-        assert plain.add(plain).valid is None
-        for out in (a.scale(2.0), a.shift(1.0), a.exp(), a.log(), a.reciprocal(),
-                    a.modulus(), a.conj(), a.real_part(), -a, a.derivative("D")):
-            assert np.array_equal(out.valid, A)
-        assert not a.mul(b).mask()[~(A & B)].any()

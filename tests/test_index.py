@@ -4,10 +4,9 @@ import pytest
 from umbilic import index
 from umbilic.cartan import cartan_r
 from umbilic.errors import (NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate,
-                            TransitionSingular, ZeroOnContour)
+                            ZeroOnContour)
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
-from umbilic.index import (AuditReport, ChartTransition, SurfaceSpec,
-                           UmbilicRecord, chart_transition_quadratic,
+from umbilic.index import (AuditReport, SurfaceSpec, UmbilicRecord,
                            locate_zero_cells, poincare_hopf_audit,
                            refine_cluster_residual, sphere_metric_potentials,
                            sphere_two_chart_umbilics, torus_umbilics,
@@ -282,7 +281,13 @@ class TestUmbilicIndex:
     def test_zero_on_contour(self):
         ch = ChartGrid.from_function("c1", 1.0, 64, lambda Z: Z - 0.3)
         with pytest.raises(ZeroOnContour):
-            umbilic_index(ch, 0.0, 0.3, n0=4096)
+            umbilic_index(ch, 0.0, 0.3)
+
+    def test_quadratic_rep_sign(self):
+        u = random_band_limited(3, LAT, n=64)
+        inv = cartan_r(u, "p_form", check_resolution=False)
+        alpha = inv.r.scale(-1.0)  # chart representative of the quadratic differential
+        assert np.max(np.abs(alpha.values + inv.r.values)) == 0.0
 
 
 class TestAudit:
@@ -314,66 +319,6 @@ class TestAudit:
     def test_index_string(self):
         assert UmbilicRecord(0, -1, 0, "t", 0.1).index_str == "-1/2"
         assert UmbilicRecord(0, 2, 0, "t", 0.1).index_str == "1"
-
-
-class TestChartTransition:
-    def test_inversion_of_constant(self):
-        tr = ChartTransition(map=lambda w: 1.0 / w,
-                             derivative=lambda w: -1.0 / w ** 2, name="inversion")
-        out = chart_transition_quadratic(lambda z: np.ones_like(z), tr,
-                                         target_chart_id="c2", target_radius=1.2,
-                                         target_n=41)
-        W = out.z_grid()
-        sel = (np.abs(W) > 0.4) & out.valid
-        assert np.max(np.abs(out.values[sel] - W[sel] ** -4.0)) < 1e-10
-
-    def test_linear_rescale(self):
-        tr = ChartTransition(map=lambda w: 2.0 * w,
-                             derivative=lambda w: 2.0 * np.ones_like(w), name="x2")
-        out = chart_transition_quadratic(lambda z: z, tr, target_chart_id="c2",
-                                         target_radius=0.5, target_n=33)
-        W = out.z_grid()
-        assert np.max(np.abs(out.values - 8.0 * W)) < 1e-12
-
-    def test_identity_on_sampled_field(self):
-        alpha = ChartGrid.from_function("c1", 1.0, 64, lambda Z: np.exp(Z))
-        tr = ChartTransition(map=lambda w: w,
-                             derivative=lambda w: np.ones_like(w), name="id")
-        out = chart_transition_quadratic(alpha, tr, target_chart_id="c2",
-                                         target_radius=1.0, target_n=64)
-        assert np.max(np.abs(out.values - alpha.values)) < 1e-9
-
-    def test_singular_transition_rejected(self):
-        tr = ChartTransition(map=lambda w: w ** 2,
-                             derivative=lambda w: 2.0 * w, name="square")
-        with pytest.raises(TransitionSingular):
-            chart_transition_quadratic(lambda z: np.ones_like(z), tr,
-                                       target_chart_id="c2", target_radius=1.0,
-                                       target_n=33)
-
-    def test_winding_is_chart_invariant(self):
-        # a zero at z0 in chart 1 seen through w = 1/z keeps its index:
-        # the (dz/dw)^2 factor has zero winding away from w = 0
-        z0 = 1.25
-        alpha = lambda z: (z - z0) + 0.3 * np.conj(z - z0)
-        ch1 = ChartGrid.from_function("c1", 2.0, 96, alpha)
-        tw1 = umbilic_index(ch1, z0, 0.2)
-        tr = ChartTransition(map=lambda w: 1.0 / w,
-                             derivative=lambda w: -1.0 / w ** 2, name="inversion")
-        ch2 = chart_transition_quadratic(alpha, tr, target_chart_id="c2",
-                                         target_radius=1.2, target_n=96)
-        # the pulled-back field blows up like w^-5 toward w = 0, so the zero
-        # floor needs a contour-local scale, not the global sup
-        probe = 1.0 / z0 + 0.1 * np.exp(2j * np.pi * np.arange(8) / 8)
-        local = float(np.max(np.abs(ch2.evaluate_at(probe))))
-        tw2 = umbilic_index(ch2, 1.0 / z0, 0.1, sup_hint=local)
-        assert tw1 == tw2 == -1
-
-    def test_quadratic_rep_sign(self):
-        u = random_band_limited(3, LAT, n=64)
-        inv = cartan_r(u, "p_form", check_resolution=False)
-        alpha = inv.r.scale(-1.0)  # chart representative of the quadratic differential
-        assert np.max(np.abs(alpha.values + inv.r.values)) == 0.0
 
 
 class TestTorusPipeline:
@@ -482,4 +427,4 @@ class TestSpherePipeline:
 
     def test_oversized_perturbation_rejected(self):
         with pytest.raises(NotPseudoconvex):
-            sphere_metric_potentials(2, [("re_z", 3.0)], chart_radius=1.6, chart_n=64)
+            sphere_metric_potentials(2, [("re_z", 3.0)], chart_n=64)
