@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossFormMismatch, NotPseudoconvex
-from .field import ChartGrid, DEFAULT_TAIL_TOL, product
+from .field import DEFAULT_TAIL_TOL, product
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
@@ -179,17 +179,15 @@ def kzz_identity_residual(u, check_resolution: bool = True,
                           region_radius: float | None = None) -> float:
     """Sup-norm of Pu + (e^{2u}/2) K_{;zz}, the two sides computed through
     independent code paths (P form versus curvature and covariant Hessian
-    with 2 phi = u).  Identically zero in exact arithmetic.  On charts an
-    optional region radius restricts the sup to the trusted interior."""
+    with 2 phi = u).  Identically zero in exact arithmetic.  The sup is
+    ``sup_norm(region_radius)``, on a chart its trusted interior."""
     _require_real(u, "kzz_identity_residual")
     P = cartan_r(u, "p_form", check_resolution=check_resolution).r
     K = gauss_curvature(u, check_resolution=check_resolution)
     kzz = covariant_hessian_zz(K, u.scale(0.5), check_resolution=check_resolution)
     e2u = u.scale(2.0).exp()
     resid = P + e2u.mul(kzz).scale(0.5)
-    if isinstance(u, ChartGrid) and region_radius is not None:
-        return resid.sup_norm(region_radius)
-    return resid.sup_norm()
+    return resid.sup_norm(region_radius)
 
 
 def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None,
@@ -203,14 +201,14 @@ def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None,
     r is the invariant Pu of u, which the caller has computed already; the
     test reads K = -2 e^{-u} D Dbar u and K_{;zz} = -2 e^{-2u} r pointwise
     (criterion 2's identity), so no exponential is differentiated or enters
-    a product.  On charts each sup is taken over the samples
-    ``sup_norm(region_radius)`` reads."""
+    a product.  Each sup is taken over ``u.mask(region_radius)``: the whole
+    grid on a torus, a disk on a chart."""
     _require_real(u, "spherical_test")
     tail = DEFAULT_TAIL_TOL if check_resolution else None
     w = _db(_d(u, tail), tail)
     K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)
     kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
-    region = u.mask(region_radius) if isinstance(u, ChartGrid) else slice(None)
+    region = u.mask(region_radius)
     ksup = float(np.max(K[region], initial=0.0))
     hsup = float(np.max(kzz[region], initial=0.0))
     return bool(hsup <= tol * (1.0 + ksup))

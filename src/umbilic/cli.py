@@ -78,7 +78,7 @@ from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
                      SymmetryViolated, TotallyDegenerate, UmbilicError,
                      UnderResolved, ZeroOnContour)
-from .field import ChartGrid, PeriodicField, TorusLattice
+from .field import PeriodicField, TorusLattice
 from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, TORUS_SPHERICAL_TOL,
                     sphere_metric_potentials, sphere_two_chart_umbilics,
                     torus_umbilics)
@@ -114,6 +114,8 @@ OPERATIONS = tuple(SURFACES)
 
 # largest loewner order and g coefficient degree a config may ask for
 MAX_LOEWNER_DEGREE = 64
+# largest distance of a samples file's s,t entries from the grid (i/n, j/n)
+_GRID_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -297,17 +299,9 @@ def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> T
 def dump_grid(field, path: str):
     """Delimited text table (s,t,re,im on the torus; x,y,re,im on a chart),
     row major, 17 significant digits."""
-    if isinstance(field, PeriodicField):
-        header = "s,t,re,im"
-        a = np.arange(field.n) / field.n
-        ax0, ax1 = a, a
-    elif isinstance(field, ChartGrid):
-        header = "x,y,re,im"
-        ax0 = ax1 = field.axis()
-    else:
-        raise TypeError("dump_grid expects a sampled field")
+    ax0, ax1 = field.corner_st(np.arange(field.n), np.arange(field.n))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        fh.write("s,t,re,im\n" if field.periodic else "x,y,re,im\n")
         V = field.values
         for i, a0 in enumerate(ax0):
             for j, a1 in enumerate(ax1):
@@ -317,7 +311,8 @@ def dump_grid(field, path: str):
 
 @_parsing()
 def load_grid(path: str, lattice: TorusLattice) -> PeriodicField:
-    """Reload a torus grid dump written by :func:`dump_grid`."""
+    """Reload a torus grid dump written by :func:`dump_grid`: finite samples
+    whose s,t columns are the row-major grid (i/n, j/n) to _GRID_TOL."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -332,10 +327,14 @@ def load_grid(path: str, lattice: TorusLattice) -> PeriodicField:
     n = int(round(count ** 0.5))
     if n * n != count:
         raise ConfigError(f"samples file has {count} rows, not a square grid")
+    table = np.array([[float(x) for x in row] for row in rows]).reshape(n, n, 4)
+    if not np.isfinite(table[..., 2:]).all():
+        raise ConfigError("samples must be finite numbers")
+    grid = np.stack(np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij"), -1)
+    if not (np.abs(table[..., :2] - grid) <= _GRID_TOL).all():  # NaN fails too
+        raise ConfigError("samples s,t columns must be the row-major grid (i/n, j/n)")
     vals = np.empty((n, n), dtype=complex)
-    for idx, row in enumerate(rows):
-        i, j = divmod(idx, n)
-        vals[i, j] = complex(float(row[2]), float(row[3]))
+    vals.real, vals.imag = table[..., 2], table[..., 3]
     real = bool(np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals))))
     return PeriodicField(lattice, vals, real_tag=real)
 

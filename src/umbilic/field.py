@@ -18,7 +18,15 @@ Two grid-backed representations live here:
 
 Both share their pointwise sample arithmetic (sums, scalings, exp, log,
 reciprocal, modulus, conjugation) through one private base class; they
-differ only in derivatives, products, evaluation and grid identity.
+differ only in derivatives, products, evaluation and grid identity.  Zero
+location reads both through the same grid facts: ``periodic``,
+``chart_id`` ("torus" on a torus), ``orientation``, ``cell_size``
+((1 + |omega|) / n on a torus, which bounds a cell's sides and diagonals;
+the spacing on a chart), the corners ``corner_st(i, j)`` and
+``corner_z(i, j)``, ``distance(z0, zs)`` on the surface, and ``mask``,
+``sup_norm`` and ``min_modulus`` over a region: the whole torus, or the
+disk |z| <= region_radius of a chart.
+
 :func:`product` forms a polynomial in fields at once; on a torus it lifts
 each operand once onto an m x m grid, sums the monomials there and
 truncates once.  With S the largest sum of operand bands over the terms
@@ -367,6 +375,7 @@ class PeriodicField(_SampledField):
         self._fill = None  # computes the samples of a field built without them
         self._block = None  # the centred spectrum (see the class docstring)
         self._kept = False  # the samples come from _block (else _block, once set, is their fft2)
+        self._coeffs = None  # the interpolant's coefficients, formed by the first evaluation
 
     @property
     def values(self) -> np.ndarray:
@@ -402,7 +411,7 @@ class PeriodicField(_SampledField):
         else:
             out = cls.__new__(cls)
             out.lattice, out.n, out.real_tag = lattice, n, False
-            out._values, out._fill = None, fill
+            out._values, out._fill, out._coeffs = None, fill, None
         out._block, out._kept = B, True
         return out
 
@@ -438,41 +447,36 @@ class PeriodicField(_SampledField):
         return cls(lattice, np.full((n, n), value, dtype=complex),
                    real_tag=(value.imag == 0.0))
 
-    @classmethod
-    def from_function(cls, lattice: TorusLattice, n: int,
-                      fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      real_tag: bool = False) -> "PeriodicField":
-        """Sample fn(s, t) on the grid; fn receives meshgrid arrays."""
-        s = np.arange(n) / n
-        S, T = np.meshgrid(s, s, indexing="ij")
-        return cls(lattice, np.asarray(fn(S, T), dtype=complex), real_tag=real_tag)
+    # -- grid facts (see the module docstring); a region is the whole grid --
 
-    @classmethod
-    def from_modes(cls, lattice: TorusLattice, n: int,
-                   modes: dict, real_tag: bool | None = None) -> "PeriodicField":
-        """Build sum_{(j,k)} c_{jk} exp(2 pi i (j s + k t)) exactly."""
-        s = np.arange(n) / n
-        S, T = np.meshgrid(s, s, indexing="ij")
-        vals = np.zeros((n, n), dtype=complex)
-        for (j, k), c in sorted(modes.items()):
-            if abs(j) >= n // 2 or abs(k) >= n // 2:
-                raise ValueError(f"mode ({j},{k}) does not fit on an n={n} grid")
-            vals += complex(c) * np.exp(2j * np.pi * (j * S + k * T))
-        if real_tag is None:
-            real_tag = _modes_are_hermitian(modes)
-        return cls(lattice, vals, real_tag=real_tag)
+    periodic = True
+    chart_id = "torus"
 
-    # -- basic data --------------------------------------------------------
+    @property
+    def orientation(self) -> int:
+        return self.lattice.orientation
 
-    def z_grid(self) -> np.ndarray:
-        s = np.arange(self.n) / self.n
-        S, T = np.meshgrid(s, s, indexing="ij")
-        return self.lattice.st_to_z(S, T)
+    @property
+    def cell_size(self) -> float:
+        return (1.0 + abs(self.lattice.omega)) / self.n
 
-    def sup_norm(self) -> float:
+    def corner_st(self, i, j):
+        return i / self.n, j / self.n
+
+    def corner_z(self, i, j):
+        """The point of corner (i, j) in the fundamental domain."""
+        return self.lattice.st_to_z(i / self.n % 1.0, j / self.n % 1.0)
+
+    def distance(self, z0: complex, zs):
+        return self.lattice.torus_distance(z0, zs)
+
+    def mask(self, region_radius: float | None = None) -> np.ndarray:
+        return np.ones((self.n, self.n), dtype=bool)
+
+    def sup_norm(self, region_radius: float | None = None) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def min_modulus(self) -> float:
+    def min_modulus(self, region_radius: float | None = None) -> float:
         return float(np.min(np.abs(self.values)))
 
     # -- calculus ----------------------------------------------------------
@@ -612,9 +616,11 @@ class PeriodicField(_SampledField):
 
     def _rows(self, s, t):
         """The interpolant's coefficients E on the field's band (see
-        :func:`_interpolant`) and the exponential rows at s and at t for
-        the frequencies of E."""
-        E = _interpolant(self._spectral_block(), self.n)
+        :func:`_interpolant`), formed on the first evaluation and kept, and
+        the exponential rows at s and at t for the frequencies of E."""
+        if self._coeffs is None:
+            self._coeffs = _interpolant(self._spectral_block(), self.n)
+        E = self._coeffs
         k = _freqs(E)
         return (E, *(np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), k))
                      for u in (s, t)))
@@ -624,14 +630,6 @@ class PeriodicField(_SampledField):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         s, t = self.lattice.z_to_st(z)
         return self.evaluate_st(s, t)
-
-
-def _modes_are_hermitian(modes: dict, tol: float = 1e-12) -> bool:
-    for (j, k), c in modes.items():
-        cc = modes.get((-j, -k))
-        if cc is None or abs(np.conj(complex(cc)) - complex(c)) > tol * max(1.0, abs(c)):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -733,14 +731,30 @@ class ChartGrid(_SampledField):
         X, Y = np.meshgrid(x, x, indexing="ij")
         return cls(chart_id, radius, np.asarray(fn(X + 1j * Y), dtype=complex), real_tag=real_tag)
 
-    # -- basic data ----------------------------------------------------------
+    # -- grid facts (see the module docstring) -------------------------------
+
+    periodic = False
+    orientation = 1
 
     @property
-    def spacing(self) -> float:
+    def cell_size(self) -> float:
+        """The grid spacing 2R / (n - 1): a cell's side (its diagonal is
+        sqrt(2) times that)."""
         return 2.0 * self.radius / (self.n - 1)
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.radius, self.radius, self.n)
+
+    def corner_st(self, i, j):
+        return self.axis()[i], self.axis()[j]
+
+    def corner_z(self, i, j):
+        return self.axis()[i] + 1j * self.axis()[j]
+
+    @staticmethod
+    def distance(z0: complex, zs):
+        d = np.asarray(zs) - z0
+        return np.hypot(d.real, d.imag)
 
     def z_grid(self) -> np.ndarray:
         x = self.axis()
@@ -752,16 +766,11 @@ class ChartGrid(_SampledField):
         return np.abs(self.z_grid()) <= r
 
     def sup_norm(self, region_radius: float | None = None) -> float:
-        m = self.mask(region_radius)
-        if not m.any():
-            return 0.0
-        return float(np.max(np.abs(self.values[m])))
+        return float(np.max(np.abs(self.values[self.mask(region_radius)]), initial=0.0))
 
     def min_modulus(self, region_radius: float | None = None) -> float:
         m = self.mask(region_radius)
-        if not m.any():
-            return 0.0
-        return float(np.min(np.abs(self.values[m])))
+        return float(np.min(np.abs(self.values[m]))) if m.any() else 0.0
 
     # -- calculus -------------------------------------------------------------
 
@@ -771,7 +780,7 @@ class ChartGrid(_SampledField):
         ignored: resolution control on charts is the caller's margin."""
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
-        h = self.spacing
+        h = self.cell_size
         fx = _fd_axis0(self.values, h)
         fy = _fd_axis0(self.values.T, h).T
         return self._like(_xy_wirtinger(fx, fy)[direction == "Dbar"], False)

@@ -35,6 +35,11 @@ grid nodes, and their values are the samples themselves (the interpolant
 reproduces them to rounding), the same values the cell pass used to flag
 the edge.
 
+A torus field and a sphere chart take one winding, polish and index path:
+every stage reads the grid facts both state under the same names (see
+:mod:`umbilic.field`), and only the index cross-check's contour constants
+depend on ``periodic``.
+
 Zero clusters, point and curve alike, are polished by one damped Newton
 iteration on (Re f, Im f) for all clusters of a field at once: each step
 is one call of the field's ``jet_at(z) -> (f, D f, Dbar f)``, the
@@ -87,6 +92,10 @@ SPHERE_SPHERICAL_TOL = 1e-6
 SPHERE_CHART_RADIUS = 1.6
 _LOCATE_RADIUS = 1.25
 _MATCH_DISTANCE = 0.08
+# _index_clusters' circle contour on a torus and on a chart: base_cells cells
+# (more for a large cluster), capped at sep_frac times the nearest zero's distance
+_TORUS_CONTOUR = (2.5, 0.35)
+_CHART_CONTOUR = (3.0, 0.3)
 # _index_clusters' circle cross-check: ran, or skipped because the zero is
 # not isolated or the circle raised ZeroOnContour or PhaseStepTooLarge
 _CROSS_CHECKS = ("ran", "not_isolated", "zero_on_contour", "phase_step")
@@ -216,7 +225,7 @@ def winding_degree(loop_values, zero_floor: float | None = None) -> int:
 # edge refinement
 # --------------------------------------------------------------------------
 
-def _refine_edges(geom, axis, i, j, floor, max_depth):
+def _refine_edges(f, axis, i, j, floor, max_depth):
     """Phase increments along grid edges through the interpolant, all edges
     at once.
 
@@ -235,10 +244,10 @@ def _refine_edges(geom, axis, i, j, floor, max_depth):
     PhaseStepTooLarge when some edge ends in a phase-step failure.
     """
     i1, j1 = i + (axis == 0), j + (axis == 1)
-    st0 = np.column_stack(geom.corner_st(i, j))
-    dst = np.column_stack(geom.corner_st(i1, j1)) - st0
-    V = geom.field.values
-    va, vb = V[i, j], V[i1 % geom.n, j1 % geom.n]
+    st0 = np.column_stack(f.corner_st(i, j))
+    dst = np.column_stack(f.corner_st(i1, j1)) - st0
+    V = f.values
+    va, vb = V[i, j], V[i1 % f.n, j1 % f.n]
     edge = np.arange(len(i))
     pa, pb = np.zeros(len(i)), np.ones(len(i))
     event_start = np.full(len(i), np.inf)
@@ -263,8 +272,8 @@ def _refine_edges(geom, axis, i, j, floor, max_depth):
             break
         edge, pa, pb, va, vb = edge[split], pa[split], pb[split], va[split], vb[split]
         pm = 0.5 * (pa + pb)
-        vm = geom.field.evaluate_st(st0[edge, 0] + pm * dst[edge, 0],
-                                    st0[edge, 1] + pm * dst[edge, 1])
+        vm = f.evaluate_st(st0[edge, 0] + pm * dst[edge, 0],
+                           st0[edge, 1] + pm * dst[edge, 1])
         edge, pa, pb = (np.concatenate(pair) for pair in ((edge, edge), (pa, pm), (pm, pb)))
         va, vb = np.concatenate((va, vm)), np.concatenate((vm, vb))
     stuck = np.flatnonzero(np.isfinite(event_start) & ~crossing)
@@ -277,39 +286,6 @@ def _refine_edges(geom, axis, i, j, floor, max_depth):
     np.add.at(totals, e_ok[order], s_ok[order])
     totals[crossing] = np.nan
     return totals
-
-
-# --------------------------------------------------------------------------
-# grid geometry adapters
-# --------------------------------------------------------------------------
-
-class _Geometry:
-    """Uniform view of a sampled field for the cell-winding pass.  Cells and
-    corners carry grid indices; a torus has n cells per axis, a chart n - 1."""
-
-    def __init__(self, f):
-        self.field = f
-        self.n = f.n
-        if isinstance(f, PeriodicField):
-            self.periodic = True
-            self.ncells = f.n
-            self.h = 1.0 / f.n
-            self.orientation = f.lattice.orientation
-            self.chart_id = "torus"
-        elif isinstance(f, ChartGrid):
-            self.periodic = False
-            self.ncells = f.n - 1
-            self.axis = f.axis()
-            self.h = f.spacing
-            self.orientation = 1
-            self.chart_id = f.chart_id
-        else:
-            raise TypeError(f"cannot locate zeros on {type(f).__name__}")
-
-    def corner_st(self, i, j):
-        if self.periodic:
-            return i / self.n, j / self.n
-        return self.axis[i], self.axis[j]
 
 
 def _cell_sides(A):
@@ -327,24 +303,18 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
     """Flag grid cells whose boundary winds around a zero (or crosses the
     zero set), merge neighbors, and return the clusters.
 
-    TotallyDegenerate is raised when the field vanishes identically or more
-    than a quarter of the considered samples sit below the zero floor; such
-    inputs are locally spherical and should be screened with
-    :func:`umbilic.cartan.spherical_test` instead.
+    TotallyDegenerate is raised when the field vanishes identically on the
+    region ``f.mask(region_radius)`` or more than a quarter of its samples
+    sit below the zero floor; such inputs are locally spherical and should
+    be screened with :func:`umbilic.cartan.spherical_test` instead.
     """
-    geom = _Geometry(f)
-    V = f.values
-    n = geom.n
-
-    if geom.periodic:
-        consider = np.ones(V.shape, dtype=bool)
-    else:
-        consider = f.mask(region_radius)
-    sup = float(np.max(np.abs(V[consider]))) if consider.any() else 0.0
+    V, n = f.values, f.n
+    consider = f.mask(region_radius)
+    M = np.abs(V)
+    sup = float(np.max(M[consider], initial=0.0))
     if sup == 0.0:
         raise TotallyDegenerate("field vanishes identically on the region")
     floor = DEFAULT_ZERO_FLOOR_REL * sup
-    M = np.abs(V)
     below = M <= floor
     if float(below[consider].mean()) > 0.25:
         raise TotallyDegenerate(
@@ -359,27 +329,27 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
                     for a in (0, 1)])
     cell_ok = np.logical_and.reduce([np.roll(consider, (-di, -dj), (0, 1))
                                      for di in (0, 1) for dj in (0, 1)])
-    if not geom.periodic:
+    if not f.periodic:
         cell_ok[-1, :] = cell_ok[:, -1] = False
     cell_bad = cell_ok & np.logical_or.reduce(_cell_sides(bad))
     # the bad edges of bad cells, refined in one batch; on a torus these are
     # all bad edges, on a chart ring_winding refines the others on demand
     refined = bad & np.stack([cell_bad | np.roll(cell_bad, 1, 1),
                               cell_bad | np.roll(cell_bad, 1, 0)])
-    T[refined] = _refine_edges(geom, *np.nonzero(refined), floor, max_depth)
+    T[refined] = _refine_edges(f, *np.nonzero(refined), floor, max_depth)
     bottom, right, top, left = _cell_sides(T)
     wsum = bottom + right - top - left
     crossing = cell_ok & np.isnan(wsum)
-    windings = geom.orientation * np.where(cell_ok & ~crossing,
-                                           np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
+    windings = f.orientation * np.where(cell_ok & ~crossing,
+                                        np.round(wsum / (2.0 * np.pi)), 0.0).astype(int)
 
     flagged = (windings != 0) | crossing
     if not flagged.any():
         return []
 
-    nc = geom.ncells
+    nc = n if f.periodic else n - 1  # cells per axis
     clusters_cells = _label_clusters([tuple(c) for c in np.argwhere(flagged).tolist()],
-                                     nc, geom.periodic)
+                                     nc, f.periodic)
 
     def ring_winding(group):
         """Winding around the one-cell-expanded bounding box of a cluster,
@@ -389,7 +359,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
         i1 = max(i for i, _ in group) + 1
         j0 = min(j for _, j in group) - 1
         j1 = max(j for _, j in group) + 1
-        if not geom.periodic and (i0 < 0 or j0 < 0 or i1 + 1 > nc or j1 + 1 > nc):
+        if not f.periodic and (i0 < 0 or j0 < 0 or i1 + 1 > nc or j1 + 1 > nc):
             return None
         ii, jj = np.arange(i0, i1 + 1), np.arange(j0, j1 + 1)
         if flagged[np.ix_(ii % n, jj % n)].sum() > len(group):
@@ -403,21 +373,21 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
         if todo.any():
             try:
                 T[a[todo], ei[todo], ej[todo]] = _refine_edges(
-                    geom, a[todo], ei[todo], ej[todo], floor, max_depth)
+                    f, a[todo], ei[todo], ej[todo], floor, max_depth)
             except PhaseStepTooLarge:
                 return None
         steps = np.repeat([1.0, 1.0, -1.0, -1.0], sizes) * T[a, ei, ej]
         if np.isnan(steps).any():
             return None
         # summed in walk order, one step at a time
-        return geom.orientation * int(round(np.cumsum(steps)[-1] / (2.0 * np.pi)))
+        return f.orientation * int(round(np.cumsum(steps)[-1] / (2.0 * np.pi)))
 
     clusters = []
     for group in clusters_cells:
         cells = [(i, j, (None if crossing[i % n, j % n] else int(windings[i % n, j % n])))
                  for i, j in group]
         has_crossing = any(w is None for _, _, w in cells)
-        wrapping = _cluster_wraps(group, nc) if geom.periodic else False
+        wrapping = f.periodic and _cluster_wraps(group, nc)
         winding = None
         if not has_crossing and not wrapping:
             winding = int(sum(w for _, _, w in cells))
@@ -429,14 +399,9 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
                          for i, j in group
                          for ci, cj in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))),
                         key=lambda c: c[0])
-        a, b = geom.corner_st(bi, bj)
-        if geom.periodic:
-            center = complex(f.lattice.st_to_z(a % 1.0, b % 1.0))
-        else:
-            center = complex(a + 1j * b)
         clusters.append(ZeroCluster(
-            chart_id=geom.chart_id, cells=cells, winding=winding, kind=kind,
-            center=center, min_modulus=m))
+            chart_id=f.chart_id, cells=cells, winding=winding, kind=kind,
+            center=complex(f.corner_z(bi, bj)), min_modulus=m))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
 
@@ -538,9 +503,7 @@ def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
     cells: its step is defined where the Jacobian is singular, so it lands
     on a zero curve as well as on a point zero.
     """
-    geom = _Geometry(f)
-    sup = f.sup_norm()
-    cell = geom.h * (1.0 + (abs(f.lattice.omega) if geom.periodic else 0.0))
+    sup, cell = f.sup_norm(), f.cell_size
     _, best = _polish_clusters(f, [cluster], [_cluster_extent(cluster, cell) + 1.5 * cell], sup)
     return float(best[0]) / sup
 
@@ -638,35 +601,34 @@ def torus_umbilics(u: PeriodicField):
     if spherical_test(u, r, TORUS_SPHERICAL_TOL):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
-    lattice = u.lattice
-    indexed, dropped, checks = _index_clusters(r, clusters, (1.0 + abs(lattice.omega)) / u.n,
-                                               r.sup_norm(), lattice.torus_distance, 2.5, 0.35)
+    indexed, dropped, checks = _index_clusters(r, clusters)
     records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
                              chart_id="torus", contour_radius=radius)
                for z0, twice, resid, radius in indexed]
-    audit = poincare_hopf_audit(records, SurfaceSpec.torus(lattice))
+    audit = poincare_hopf_audit(records, SurfaceSpec.torus(u.lattice))
     audit.details["dropped_clusters"] = dropped
     audit.details["index_cross_checks"] = checks
     return records, audit, clusters
 
 
-def _index_clusters(r, clusters, cell, sup, dist, base_cells, sep_frac):
+def _index_clusters(r, clusters, region_radius=None):
     """Polish all point clusters of r at once, then index each by its
-    boundary winding (degree additivity).  A circle contour of radius at
-    most sep_frac times the distance to the nearest other polished zero
-    (``dist(z, zs)`` gives the distance from z to each point of zs)
-    cross-checks the index whenever the zero is comfortably isolated, and
-    a disagreement raises.  Returns [(z0, twice_index, residual / sup,
-    radius)], the audit entries of the winding-0 clusters, which give no
-    record (such a cluster may be a merged pair of opposite-index zeros),
-    and the cross-check counts: how many ran, and how many were skipped
-    because the zero was not isolated (sep <= 3 base) or because the circle
-    raised ZeroOnContour or PhaseStepTooLarge."""
+    boundary winding (degree additivity).  A circle contour (see
+    _TORUS_CONTOUR) cross-checks the index whenever the zero is comfortably
+    isolated, and a disagreement raises.  Returns [(z0, twice_index,
+    residual / r.sup_norm(region_radius), radius)], the audit entries of
+    the winding-0 clusters, which give no record (such a cluster may be a
+    merged pair of opposite-index zeros), and the cross-check counts: how
+    many ran, and how many were skipped because the zero was not isolated
+    (sep <= 3 base) or because the circle raised ZeroOnContour or
+    PhaseStepTooLarge."""
     bad = [c for c in clusters if c.kind != "point"]
     if bad:
         raise TotallyDegenerate(
             f"{len(bad)} zero cluster(s) on {bad[0].chart_id} are not isolated points "
             f"(near {bad[0].center:.4f}); the index audit requires isolated zeros")
+    cell, sup = r.cell_size, r.sup_norm(region_radius)
+    base_cells, sep_frac = _TORUS_CONTOUR if r.periodic else _CHART_CONTOUR
     zs, resids = _polish_clusters(
         r, clusters, [0.75 * _cluster_extent(c, cell) + 1.25 * cell for c in clusters], sup)
     indexed, dropped = [], []
@@ -678,7 +640,7 @@ def _index_clusters(r, clusters, cell, sup, dist, base_cells, sep_frac):
                             "cells": c.size})
             continue
         base = max(base_cells * cell, 1.25 * _cluster_extent(c, cell))
-        sep = float(np.min(dist(z0, np.delete(zs, idx)), initial=np.inf))
+        sep = float(np.min(r.distance(z0, np.delete(zs, idx)), initial=np.inf))
         radius = min(base, sep_frac * sep) if np.isfinite(sep) else base
         if sep <= 3.0 * base:
             checks["not_isolated"] += 1
@@ -781,9 +743,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     dropped = []
     checks = dict.fromkeys(_CROSS_CHECKS, 0)
     for cid, (r, clusters) in charts.items():
-        indexed, chart_dropped, chart_checks = _index_clusters(
-            r, clusters, 2.0 * SPHERE_CHART_RADIUS / (chart_n - 1), r.sup_norm(_LOCATE_RADIUS),
-            lambda a, b: np.hypot((b - a).real, (b - a).imag), 3.0, 0.3)
+        indexed, chart_dropped, chart_checks = _index_clusters(r, clusters, _LOCATE_RADIUS)
         dropped += chart_dropped
         checks = {key: checks[key] + chart_checks[key] for key in _CROSS_CHECKS}
         entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,

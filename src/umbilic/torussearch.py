@@ -177,13 +177,11 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     if mx < _DEGENERATE_FLOOR:
         return 0.0
     A = np.abs(r.values)
-    cell = (1.0 + abs(field.lattice.omega)) / grid_n
     # polish from the few lowest well-separated grid samples: a single local
     # search can slide past the global minimum of a multi-valley field
-    starts = [field.lattice.st_to_z(i / grid_n, j / grid_n)
-              for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
+    starts = [r.corner_z(i, j) for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
     stop = _ZERO_RATIO * mx
-    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * cell, stop)[1].min()))
+    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * r.cell_size, stop)[1].min()))
     return 0.0 if mn < stop else float(mn / mx)
 
 

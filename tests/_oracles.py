@@ -15,13 +15,48 @@ coefficient dicts is the reference for the dense series convolution.  The
 eager spectral chain (:class:`EagerField`: full n x n spectra, full-grid
 derivative multipliers, samples formed at every step, bands found by
 scanning the whole spectrum) is the bitwise reference for the library's
-spectrum-first fields and their centred band blocks.
+spectrum-first fields and their centred band blocks.  Periodic fields
+from a function or from a mode dictionary are sampled directly, the latter
+by summing exponentials, so they are independent of the library's
+transforms.
 """
 
 import numpy as np
 from scipy import fft as sfft
 
 from umbilic.field import PeriodicField, TorusLattice
+
+
+def periodic_from_function(lattice: TorusLattice, n: int, fn,
+                           real_tag: bool = False) -> PeriodicField:
+    """Sample fn(s, t) on the n x n lattice grid; fn receives meshgrid arrays."""
+    s = np.arange(n) / n
+    S, T = np.meshgrid(s, s, indexing="ij")
+    return PeriodicField(lattice, np.asarray(fn(S, T), dtype=complex), real_tag=real_tag)
+
+
+def periodic_from_modes(lattice: TorusLattice, n: int, modes: dict,
+                        real_tag: bool | None = None) -> PeriodicField:
+    """sum_{(j,k)} c_{jk} exp(2 pi i (j s + k t)) on the n x n grid, summed
+    as exponentials; real-tagged by default when the modes are Hermitian."""
+    s = np.arange(n) / n
+    S, T = np.meshgrid(s, s, indexing="ij")
+    vals = np.zeros((n, n), dtype=complex)
+    for (j, k), c in sorted(modes.items()):
+        if abs(j) >= n // 2 or abs(k) >= n // 2:
+            raise ValueError(f"mode ({j},{k}) does not fit on an n={n} grid")
+        vals += complex(c) * np.exp(2j * np.pi * (j * S + k * T))
+    if real_tag is None:
+        real_tag = modes_are_hermitian(modes)
+    return PeriodicField(lattice, vals, real_tag=real_tag)
+
+
+def modes_are_hermitian(modes: dict, tol: float = 1e-12) -> bool:
+    for (j, k), c in modes.items():
+        cc = modes.get((-j, -k))
+        if cc is None or abs(np.conj(complex(cc)) - complex(c)) > tol * max(1.0, abs(c)):
+            return False
+    return True
 
 
 def fd_wirtinger(values: np.ndarray, omega: complex, direction: str) -> np.ndarray:
@@ -130,7 +165,7 @@ def random_band_limited(seed: int, lattice: TorusLattice, n: int = 128,
             c = rng.normal() + 1j * rng.normal()
             modes[(j, k)] = c
             modes[(-j, -k)] = np.conj(c)
-    f = PeriodicField.from_modes(lattice, n, modes)
+    f = periodic_from_modes(lattice, n, modes)
     return f.scale(amplitude / f.sup_norm()).real_part()
 
 

@@ -10,7 +10,8 @@ from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 from umbilic.series import PowerSeries2
 from umbilic.torussearch import TrigPotential, chern_normalize
 
-from _oracles import fd_cartan_r, fd_covariant_hessian, random_band_limited
+from _oracles import (fd_cartan_r, fd_covariant_hessian, periodic_from_function,
+                      random_band_limited)
 
 LAT = TorusLattice(1j)
 
@@ -62,7 +63,7 @@ class TestCartanR:
         assert r.sup_norm(1.0) <= 1e-8
 
     def test_three_forms_agree_and_match_fd_oracle(self):
-        u = PeriodicField.from_function(
+        u = periodic_from_function(
             LAT, 128,
             lambda S, T: 0.3 * np.cos(2 * np.pi * S) + 0.2 * np.sin(2 * np.pi * T),
             real_tag=True)
@@ -173,7 +174,7 @@ class TestKzzIdentity:
         assert kzz_identity_residual(u) == 0.0
 
     def test_trig_potential(self):
-        u = PeriodicField.from_function(
+        u = periodic_from_function(
             LAT, 128,
             lambda S, T: 0.25 * np.cos(2 * np.pi * S) + 0.15 * np.cos(2 * np.pi * T),
             real_tag=True)
@@ -199,7 +200,7 @@ def screen(u, tol=1e-6, region_radius=None):
 
 
 def generic_torus_potential():
-    return PeriodicField.from_function(
+    return periodic_from_function(
         LAT, 128, lambda S, T: 0.1 + 0.3 * np.cos(2 * np.pi * S), real_tag=True)
 
 

@@ -437,6 +437,24 @@ class TestGridDump:
         assert report["results"]["r_sup_norm"] == pytest.approx(
             direct["results"]["r_sup_norm"], rel=1e-9)
 
+    @pytest.mark.parametrize("fault", ["nan", "inf", "permuted_st"])
+    def test_bad_samples_exit_2(self, tmp_path, capsys, fault):
+        # a non-finite sample, or s,t columns off the row-major grid
+        pot_cfg = torus_cfg(metric={"modes": {"1,0": [0.15, 0.0]}}, numeric={"grid_n": 64})
+        path = tmp_path / "u.csv"
+        dump_grid(parse_config(pot_cfg)[1]["potential"].to_field(64), str(path))
+        lines = path.read_text().split("\n")
+        if fault == "permuted_st":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            s, t, _, im = lines[100].split(",")
+            lines[100] = ",".join((s, t, fault, im))
+        path.write_text("\n".join(lines))
+        cfg = torus_cfg(metric={"samples": str(path)}, numeric={"grid_n": 64})
+        assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["code"] == "ConfigError" and error["exit_status"] == 2
+
 
 # one valid config per operation and surface kind; parse_config never runs them
 FUZZ_BASES = [

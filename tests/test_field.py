@@ -12,7 +12,8 @@ from umbilic.torussearch import TrigPotential, min_modulus_objective
 from _oracles import (eager_covariant_hessian, eager_derivative, eager_divergence_form,
                       eager_field, eager_gauss_curvature, eager_p_form, eager_pointwise,
                       eager_potential, eager_product, eager_samples, product_2n,
-                      random_band_limited, random_half_modes, trig_resample)
+                      periodic_from_function, periodic_from_modes, random_band_limited,
+                      random_half_modes, trig_resample)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -60,8 +61,8 @@ class TestPeriodicFieldValidation:
 class TestPeriodicDerivative:
     def test_d_of_sin_s(self):
         n = 64
-        f = PeriodicField.from_function(LAT, n, lambda S, T: np.sin(2 * np.pi * S),
-                                        real_tag=True)
+        f = periodic_from_function(LAT, n, lambda S, T: np.sin(2 * np.pi * S),
+                                   real_tag=True)
         S, _ = grid_st(n)
         df = f.derivative("D")
         assert np.max(np.abs(df.values - np.pi * np.cos(2 * np.pi * S))) < 1e-10
@@ -73,7 +74,7 @@ class TestPeriodicDerivative:
 
     def test_laplacian_eigenfunction(self):
         n = 64
-        f = PeriodicField.from_function(
+        f = periodic_from_function(
             LAT, n, lambda S, T: np.sin(2 * np.pi * S) * np.sin(2 * np.pi * T),
             real_tag=True)
         ddb = f.derivative("D").derivative("Dbar")
@@ -84,7 +85,7 @@ class TestPeriodicDerivative:
     def test_single_mode_exactness(self, lattice, mode):
         n = 32
         j, k = mode
-        f = PeriodicField.from_modes(lattice, n, {(j, k): 1.0})
+        f = periodic_from_modes(lattice, n, {(j, k): 1.0})
         om = lattice.omega
         mult = (np.conj(om) * 2j * np.pi * j - 2j * np.pi * k) / (np.conj(om) - om)
         df = f.derivative("D")
@@ -114,7 +115,7 @@ class TestPeriodicDerivative:
 
     def test_tail_rejection(self):
         n = 64
-        f = PeriodicField.from_modes(LAT, n, {(30, 0): 1.0, (-30, 0): 1.0})
+        f = periodic_from_modes(LAT, n, {(30, 0): 1.0, (-30, 0): 1.0})
         with pytest.raises(UnderResolved):
             f.derivative("D")
         # disabling the check allows the (still exact) derivative
@@ -134,15 +135,15 @@ class TestDealiasedProducts:
         assert np.max(np.abs(back - v)) < 1e-13
 
     def test_band_limited_product_is_plain_product(self):
-        a = PeriodicField.from_modes(LAT, 64, {(3, 0): 1.0, (-3, 0): 1.0})
-        b = PeriodicField.from_modes(LAT, 64, {(2, 1): 0.5, (-2, -1): 0.5})
+        a = periodic_from_modes(LAT, 64, {(3, 0): 1.0, (-3, 0): 1.0})
+        b = periodic_from_modes(LAT, 64, {(2, 1): 0.5, (-2, -1): 0.5})
         prod = a.mul(b)
         assert np.max(np.abs(prod.values - a.values * b.values)) < 1e-13
 
     def test_aliasing_mode_is_projected_out(self):
         n = 16
-        a = PeriodicField.from_modes(LAT, n, {(5, 0): 1.0})
-        b = PeriodicField.from_modes(LAT, n, {(6, 0): 1.0})
+        a = periodic_from_modes(LAT, n, {(5, 0): 1.0})
+        b = periodic_from_modes(LAT, n, {(6, 0): 1.0})
         prod = a.mul(b)  # true mode 11 does not fit: projected away
         assert prod.sup_norm() < 1e-12
 
@@ -152,7 +153,7 @@ def random_modes(seed, lattice, n, band):
     rng = np.random.default_rng(seed)
     modes = {(j, k): rng.normal() + 1j * rng.normal()
              for j in range(-band, band + 1) for k in range(-band, band + 1)}
-    f = PeriodicField.from_modes(lattice, n, modes)
+    f = periodic_from_modes(lattice, n, modes)
     return f.scale(1.0 / f.sup_norm())
 
 
@@ -196,7 +197,7 @@ class TestPolynomialProduct:
     def test_under_resolved_raises_on_both_paths(self):
         # a field built from samples, and a complex product, which keeps its
         # spectrum and has no samples yet
-        f = PeriodicField.from_modes(LAT, 64, {(30, 0): 1.0, (-30, 0): 1.0})
+        f = periodic_from_modes(LAT, 64, {(30, 0): 1.0, (-30, 0): 1.0})
         kept = f.mul(PeriodicField.constant(LAT, 64, 1j))
         assert f._values is not None and kept._values is None
         for g in (f, kept):
@@ -305,8 +306,8 @@ class TestPointwiseMaps:
         assert np.max(np.abs(out.values - f.values)) < 1e-12
 
     def test_log_domain_violation(self):
-        f = PeriodicField.from_function(LAT, 32, lambda S, T: np.sin(2 * np.pi * S),
-                                        real_tag=True)
+        f = periodic_from_function(LAT, 32, lambda S, T: np.sin(2 * np.pi * S),
+                                   real_tag=True)
         with pytest.raises(DomainError):
             f.log()
 
@@ -471,7 +472,7 @@ class TestEvaluation:
 
     def test_off_grid_closed_form(self):
         n = 64
-        f = PeriodicField.from_function(
+        f = periodic_from_function(
             LAT, n, lambda S, T: np.sin(2 * np.pi * S) * np.cos(2 * np.pi * T),
             real_tag=True)
         v = f.evaluate_st([0.123], [0.456])[0]
@@ -537,11 +538,89 @@ class TestEvaluation:
         z_shift = z + 1.0 + LAT_GEN.omega
         assert abs(f.evaluate_at(z)[0] - f.evaluate_at(z_shift)[0]) < 1e-12
 
+    def test_interpolant_formed_once_per_field(self, monkeypatch):
+        # a full-band field forms its interpolant on the first evaluation and
+        # keeps it; later evaluations give the same bits as a fresh field
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        f = PeriodicField(LAT_GEN, values)
+        formed = []
+        interpolant = field_module._interpolant
+        monkeypatch.setattr(field_module, "_interpolant",
+                            lambda B, n: formed.append(n) or interpolant(B, n))
+        s, t = rng.uniform(-1.0, 2.0, 7), rng.uniform(-1.0, 2.0, 7)
+        first = f.evaluate_st(s, t)
+        second = f.evaluate_st(s, t)
+        f.jet_at(LAT_GEN.st_to_z(s, t))
+        assert formed == [32]
+        assert first.tobytes() == second.tobytes()
+        assert PeriodicField(LAT_GEN, values).evaluate_st(s, t).tobytes() == first.tobytes()
+
+
+def grid_field(kind):
+    """A complex field on an oblique torus or on a chart, for the grid facts."""
+    if kind == "torus":
+        return random_band_limited(5, LAT_GEN, n=32).add(
+            random_band_limited(6, LAT_GEN, n=32).scale(1j))
+    return ChartGrid.from_function("c1", 1.2, 33, lambda Z: np.exp(Z) * (Z - 0.2j))
+
+
+@pytest.mark.parametrize("kind", ["torus", "chart"])
+class TestGridFacts:
+    """The grid facts zero location reads, under the same names on both
+    field types."""
+
+    def test_corners_evaluate_to_samples(self, kind):
+        f = grid_field(kind)
+        ij = [(0, 0), (3, 7), (f.n - 1, 5), (f.n - 2, f.n - 1)]
+        for i, j in ij:
+            got = f.evaluate_st(*f.corner_st(i, j))[0]
+            assert abs(got - f.values[i, j]) <= 1e-13 * f.sup_norm()
+            assert abs(f.evaluate_at(f.corner_z(i, j))[0] - got) <= 1e-13 * f.sup_norm()
+        assert f.chart_id == ("torus" if f.periodic else "c1")
+        assert f.orientation == 1
+
+    def test_cell_size_bounds_cells(self, kind):
+        f = grid_field(kind)
+        nc = f.n if f.periodic else f.n - 1
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij"))
+
+        def gap(a, b):
+            return np.max(f.distance(f.corner_z(i + a[0], j + a[1]),
+                                     f.corner_z(i + b[0], j + b[1])))
+
+        bound = f.cell_size * (1.0 + 1e-12)
+        assert max(gap((0, 0), (1, 0)), gap((0, 0), (0, 1))) <= bound
+        diagonal = max(gap((0, 0), (1, 1)), gap((1, 0), (0, 1)))
+        if f.periodic:
+            assert diagonal <= bound
+        else:  # a chart's cell size is its side
+            assert diagonal == pytest.approx(np.sqrt(2.0) * f.cell_size, rel=1e-12)
+
+    def test_distance(self, kind):
+        f = grid_field(kind)
+        z = complex(f.corner_z(3, 5))
+        assert f.distance(z, z) == 0.0
+        near = f.distance(z, np.array([z + f.cell_size, z - 1j * f.cell_size]))
+        assert near == pytest.approx([f.cell_size] * 2, rel=1e-12)
+        if f.periodic:
+            assert f.distance(z, z + 1.0 + f.lattice.omega) <= 1e-15
+
+    def test_region(self, kind):
+        f = grid_field(kind)
+        m = f.mask(None)
+        if f.periodic:
+            assert m.shape == (f.n, f.n) and m.all()
+        else:
+            assert np.array_equal(m, np.abs(f.z_grid()) <= f.radius) and not m.all()
+        assert f.sup_norm(None) == np.max(np.abs(f.values[m]))
+        assert f.min_modulus(None) == np.min(np.abs(f.values[m]))
+
 
 class TestChartGrid:
     def test_spacing(self):
         ch = ChartGrid("c1", 1.5, np.zeros((61, 61)), real_tag=True)
-        assert ch.spacing == pytest.approx(3.0 / 60)
+        assert ch.cell_size == pytest.approx(3.0 / 60)
 
     def test_polynomial_derivatives_exact(self):
         ch = ChartGrid.from_function("c1", 1.2, 64, lambda Z: Z ** 2)

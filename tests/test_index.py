@@ -12,7 +12,8 @@ from umbilic.index import (AuditReport, SurfaceSpec, UmbilicRecord,
                            sphere_two_chart_umbilics, torus_umbilics,
                            umbilic_index, winding_degree)
 
-from _oracles import one_directional, random_band_limited, refine_edge_depth_first
+from _oracles import (one_directional, periodic_from_function, random_band_limited,
+                      refine_edge_depth_first)
 
 LAT = TorusLattice(1j)
 OBLIQUE = TorusLattice(0.3 + 1.1j)
@@ -71,12 +72,11 @@ class TestLocateZeroCells:
             assert abs(c.center - z0) < 0.05
 
     def test_nonvanishing_field_empty(self):
-        f = PeriodicField.from_function(LAT, 64,
-                                        lambda S, T: 1 + 0.1 * np.sin(2 * np.pi * S))
+        f = periodic_from_function(LAT, 64, lambda S, T: 1 + 0.1 * np.sin(2 * np.pi * S))
         assert locate_zero_cells(f) == []
 
     def test_four_corner_zeros_sum_to_zero(self):
-        f = PeriodicField.from_function(
+        f = periodic_from_function(
             LAT, 64, lambda S, T: np.sin(2 * np.pi * S) + 1j * np.sin(2 * np.pi * T))
         clusters = locate_zero_cells(f)
         assert len(clusters) == 4
@@ -98,7 +98,7 @@ class TestLocateZeroCells:
         assert sum(c.winding for c in clusters) == 0
 
     def test_real_phase_field_gives_curve_clusters(self):
-        f = PeriodicField.from_function(
+        f = periodic_from_function(
             LAT, 64, lambda S, T: (np.sin(2 * np.pi * S) + 0.2) * (1 + 0j))
         clusters = locate_zero_cells(f)
         assert len(clusters) == 2
@@ -137,11 +137,11 @@ def chart_point_and_line():
                                    lambda Z: (Z - (0.2 + 0.1j)) * (Z.real - 0.5))
 
 
-def edge_line(geom, axis, i, j):
-    """p in [0, 1] -> the field along the edge (axis, i, j) of the edge
+def edge_line(f, axis, i, j):
+    """p in [0, 1] -> the field f along the edge (axis, i, j) of the edge
     table, from corner (i, j) one grid step along the axis."""
-    (a0, b0), (a1, b1) = geom.corner_st(i, j), geom.corner_st(i + (axis == 0), j + (axis == 1))
-    return lambda p: geom.field.evaluate_st(a0 + p * (a1 - a0), b0 + p * (b1 - b0))
+    (a0, b0), (a1, b1) = f.corner_st(i, j), f.corner_st(i + (axis == 0), j + (axis == 1))
+    return lambda p: f.evaluate_st(a0 + p * (a1 - a0), b0 + p * (b1 - b0))
 
 
 class TestEdgeRefinement:
@@ -159,18 +159,18 @@ class TestEdgeRefinement:
         batches = []
         batched = index._refine_edges
 
-        def record(geom, axis, i, j, floor, max_depth):
-            out = batched(geom, axis, i, j, floor, max_depth)
-            batches.append((geom, floor, max_depth,
+        def record(field, axis, i, j, floor, max_depth):
+            out = batched(field, axis, i, j, floor, max_depth)
+            batches.append((field, floor, max_depth,
                             zip(axis.tolist(), i.tolist(), j.tolist(), out.tolist())))
             return out
 
         monkeypatch.setattr(index, "_refine_edges", record)
         assert locate_zero_cells(f)
         seen = set()
-        for geom, floor, max_depth, edges in batches:
+        for field, floor, max_depth, edges in batches:
             for *key, total in edges:
-                line = edge_line(geom, *key)
+                line = edge_line(field, *key)
                 v0, v1 = (complex(line(np.array([p]))[0]) for p in (0.0, 1.0))
                 ref_kind, ref = refine_edge_depth_first(line, v0, v1, floor, max_depth)
                 kind = "crossing" if np.isnan(total) else "ok"

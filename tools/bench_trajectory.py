@@ -11,7 +11,9 @@ the medians, the parent's interquartile range relative to its median, and
 the number of pairs the change won (ties count for neither side).  It also
 records the environment of the runs (nproc, CPU, caches, Python, numpy and
 scipy versions), both git revisions, the seeds, and each side's failure
-ratios and round counts.  An existing OUT_JSON is never replaced: the
+ratios and round counts.  Its "scope" entry says that these medians compare
+only within the file: the same source has measured 1.5x apart in two
+sessions, so medians from different files are never chained.  An existing OUT_JSON is never replaced: the
 tool exits 1 without reading the checkouts.  Otherwise the exit status is
 0 when at least one pair was found, else 1.
 """
@@ -27,6 +29,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULT = re.compile(r"result-(?P<workload>[a-z]+)-seed(?P<seed>\d+)-trace0\.json")
+SCOPE = ("medians compare the parent and change runs of this file only; runs in "
+         "other files come from other sessions, whose medians on the same source "
+         "have differed by 1.5x, so never chain or compare medians across files")
 ENV_KEYS = ("nproc", "cpu", "cache_per_core", "platform", "python", "numpy", "scipy", "threads")
 
 
@@ -94,6 +99,7 @@ def main(argv: list) -> int:
     first_change = next(iter(change.values()))
     doc = {
         "date": datetime.date.today().isoformat(),
+        "scope": SCOPE,
         "env": {k: first_change["env"].get(k) for k in ENV_KEYS},
         "revisions": {"parent": sorted({r["env"]["revision"] for r in parent.values()}),
                       "change": sorted({r["env"]["revision"] for r in change.values()})},
