@@ -16,8 +16,8 @@ from .cartan import (FORMS, InvariantField, cartan_r, cartan_r_all_forms,
                      covariant_hessian_zz, gauss_curvature,
                      kzz_identity_residual, potential_from_metric,
                      rigid_r_from_F, spherical_test)
-from .index import (AuditReport, SurfaceSpec, UmbilicRecord, ZeroCluster,
-                    locate_zero_cells, poincare_hopf_audit, refine_cluster_residual,
+from .index import (AuditReport, UmbilicRecord, ZeroCluster, locate_zero_cells,
+                    poincare_hopf_audit, refine_cluster_residual,
                     sphere_two_chart_umbilics, torus_umbilics, umbilic_index,
                     winding_degree)
 from .loewner import (LoewnerNormalization, LoewnerSolution,

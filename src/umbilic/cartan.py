@@ -67,11 +67,11 @@ class InvariantField:
     form_used: str
 
 
-def _d(f, tail_tol):
+def _d(f, tail_tol=DEFAULT_TAIL_TOL):
     return f.derivative("D", tail_tol=tail_tol)
 
 
-def _db(f, tail_tol):
+def _db(f, tail_tol=DEFAULT_TAIL_TOL):
     return f.derivative("Dbar", tail_tol=tail_tol)
 
 
@@ -80,7 +80,7 @@ def _require_real(u, who: str):
         raise ValueError(f"{who} requires a real-tagged potential field")
 
 
-def potential_from_metric(h, tail_tol: float | None = DEFAULT_TAIL_TOL):
+def potential_from_metric(h):
     """u = log(-D Dbar log h) for a strictly positive bundle metric h.
 
     Raises NotPseudoconvex when the curvature density -D Dbar log h fails
@@ -94,8 +94,7 @@ def potential_from_metric(h, tail_tol: float | None = DEFAULT_TAIL_TOL):
     if float(np.min(h.values.real)) <= 0.0:
         raise NotPseudoconvex("metric h must be strictly positive")
     lh = h.log()
-    curv = _db(_d(lh, tail_tol), tail_tol).scale(-1.0)
-    curv = curv.real_part(validate=True, tol=1e-8)
+    curv = _db(_d(lh)).scale(-1.0).real_part(tol=1e-8)
     if float(np.min(curv.values.real)) <= 0.0:
         raise NotPseudoconvex(
             f"-D Dbar log h has minimum {float(np.min(curv.values.real)):.6g} <= 0")
@@ -136,12 +135,12 @@ def _conjugated_chain(d, du, w):
     return X, d(X) + product([(-2.0, (du, X))])
 
 
-def cartan_r_all_forms(u, tol: float = 1e-7, check_resolution: bool = True) -> dict:
+def cartan_r_all_forms(u, tol: float = 1e-7) -> dict:
     """All three forms, raising CrossFormMismatch when the P form and the
     divergence form disagree beyond tol relative to the field scale.  The q
     and P forms run one block, so the P form's field serves both keys."""
-    p = cartan_r(u, "p_form", check_resolution=check_resolution)
-    div = cartan_r(u, "divergence_form", check_resolution=check_resolution)
+    p = cartan_r(u, "p_form")
+    div = cartan_r(u, "divergence_form")
     out = {"q_form": InvariantField(r=p.r, u_used=u, form_used="q_form"),
            "p_form": p, "divergence_form": div}
     scale = 1.0 + max(p.r.sup_norm(), div.r.sup_norm())
@@ -152,46 +151,42 @@ def cartan_r_all_forms(u, tol: float = 1e-7, check_resolution: bool = True) -> d
     return out
 
 
-def gauss_curvature(u, check_resolution: bool = True):
+def gauss_curvature(u):
     """Gauss curvature K = -2 e^{-u} D Dbar u of the metric e^{u} |dz|^2."""
     _require_real(u, "gauss_curvature")
-    tol = DEFAULT_TAIL_TOL if check_resolution else None
-    ddbu = _db(_d(u, tol), tol)
+    ddbu = _db(_d(u))
     K = u.scale(-1.0).exp().mul(ddbu).scale(-2.0)
-    return K.real_part(validate=True, tol=1e-7)
+    return K.real_part(tol=1e-7)
 
 
-def covariant_hessian_zz(f, phi, check_resolution: bool = True):
+def covariant_hessian_zz(f, phi):
     """Second covariant z-derivative f_{;zz} = e^{-2 phi}(D^2 f - 2 (D phi)(D f))
     in the metric e^{2 phi} |dz|^2.  With phi = 0 this is plain D^2 f, one
     quarter of (f_11 - f_22 - 2 i f_12)."""
     _require_real(f, "covariant_hessian_zz")
     _require_real(phi, "covariant_hessian_zz")
-    tol = DEFAULT_TAIL_TOL if check_resolution else None
-    df = _d(f, tol)
-    d2f = _d(df, tol)
-    dphi = _d(phi, tol)
+    df = _d(f)
+    d2f = _d(df)
+    dphi = _d(phi)
     em2phi = phi.scale(-2.0).exp()
     return em2phi.mul(d2f - dphi.mul(df).scale(2.0))
 
 
-def kzz_identity_residual(u, check_resolution: bool = True,
-                          region_radius: float | None = None) -> float:
+def kzz_identity_residual(u, region_radius: float | None = None) -> float:
     """Sup-norm of Pu + (e^{2u}/2) K_{;zz}, the two sides computed through
     independent code paths (P form versus curvature and covariant Hessian
     with 2 phi = u).  Identically zero in exact arithmetic.  The sup is
     ``sup_norm(region_radius)``, on a chart its trusted interior."""
     _require_real(u, "kzz_identity_residual")
-    P = cartan_r(u, "p_form", check_resolution=check_resolution).r
-    K = gauss_curvature(u, check_resolution=check_resolution)
-    kzz = covariant_hessian_zz(K, u.scale(0.5), check_resolution=check_resolution)
+    P = cartan_r(u, "p_form").r
+    K = gauss_curvature(u)
+    kzz = covariant_hessian_zz(K, u.scale(0.5))
     e2u = u.scale(2.0).exp()
     resid = P + e2u.mul(kzz).scale(0.5)
     return resid.sup_norm(region_radius)
 
 
-def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None,
-                   check_resolution: bool = True) -> bool:
+def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None) -> bool:
     """Locally spherical / totally umbilical test: true iff the covariant
     Hessian of the Gauss curvature vanishes, i.e.
     sup |K_{;zz}| <= tol * (1 + sup |K|).  Constant-curvature metrics are
@@ -204,8 +199,7 @@ def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None,
     a product.  Each sup is taken over ``u.mask(region_radius)``: the whole
     grid on a torus, a disk on a chart."""
     _require_real(u, "spherical_test")
-    tail = DEFAULT_TAIL_TOL if check_resolution else None
-    w = _db(_d(u, tail), tail)
+    w = _db(_d(u))
     K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)
     kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
     region = u.mask(region_radius)

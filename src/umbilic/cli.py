@@ -31,21 +31,28 @@ A run configuration is a JSON document:
 
 search and obstruction take a torus; invariant, umbilics and ph-audit a
 torus or a sphere (metric builtin fs); loewner any surface, which it
-ignores.  Integers (grid_n, seed, degree, order, mode_budget, trials,
-evaluations) are JSON integers, integral numbers (64.0) or integer strings
-("64"), never 64.9, "6.5" or true; the loewner order and the total degree
-k + l of each g coefficient "k,l" are at most MAX_LOEWNER_DEGREE (64), since
-a degree-d series is a dense (d+1) x (d+1) array; the sphere degree is at
-most the largest float, since the metric takes its logarithm; other numbers
-are finite JSON numbers or numeric strings ("1e-7"); suppress_phi_harmonic
-is true or false; paths (metric.samples, output.report, output.grid_dump)
-are strings.
+ignores.  grid_n is even and between 64 and MAX_GRID_N (2048), also when
+--grid-n sets it.  Only invariant reads numeric.tolerances (cross_form and
+spherical on a torus, spherical on a sphere, which runs the P form alone)
+and writes output.grid_dump; any other tolerance name, and a grid_dump
+entry on another operation, is rejected.  Integers (grid_n, seed, degree,
+order, mode_budget, trials, evaluations) are JSON integers, integral
+numbers (64.0) or integer strings ("64"), never 64.9, "6.5" or true; the
+loewner order and the total degree k + l of each g coefficient "k,l" are
+at most MAX_LOEWNER_DEGREE (64), since a degree-d series is a dense
+(d+1) x (d+1) array; the sphere degree is at most the largest float,
+since the metric takes its logarithm; other numbers are finite JSON
+numbers or numeric strings ("1e-7"); suppress_phi_harmonic is true or
+false; paths (metric.samples, output.report, output.grid_dump) are
+strings.
 :func:`parse_config` parses each value once; runners read only its inputs.
 
 Reports are JSON with a config echo, a deterministic results block, and a
-diagnostics block (wall time, resolution checks, clusters of winding 0 that
-umbilics and ph-audit dropped, and how many of their index cross-checks ran
-or were skipped, by reason).  A failed index audit is
+diagnostics block: wall_time_s, the time of the whole run from parsing the
+config to the checked results block, for every operation; the sphere chart
+resolution used; the clusters of winding 0 that umbilics and ph-audit
+dropped, and how many of their index cross-checks ran or were skipped, by
+reason.  A failed index audit is
 still a completed computation (exit 0, failure recorded in the report);
 configuration and numerical faults exit nonzero with a machine-readable
 error object:
@@ -114,6 +121,13 @@ OPERATIONS = tuple(SURFACES)
 
 # largest loewner order and g coefficient degree a config may ask for
 MAX_LOEWNER_DEGREE = 64
+# largest grid_n: a torus field holds n^2 complex samples (64 MiB at 2048), a
+# product of full-band fields lifts them to 2n x 2n, and search also runs its
+# best potential at 2 * grid_n (objective_2x)
+MAX_GRID_N = 2048
+# the numeric.tolerances names each operation reads, by surface kind
+TOLERANCES = {("invariant", "torus"): ("cross_form", "spherical"),
+              ("invariant", "sphere"): ("spherical",)}
 # largest distance of a samples file's s,t entries from the grid (i/n, j/n)
 _GRID_TOL = 1e-9
 
@@ -189,7 +203,8 @@ def parse_config(cfg: dict) -> tuple:
 
     numeric = _section(cfg, "numeric")
     grid_n, seed = _int(numeric.get("grid_n", 128)), _int(numeric.get("seed", 0))
-    _require(grid_n >= 64 and grid_n % 2 == 0, "grid_n must be even and >= 64")
+    _require(64 <= grid_n <= MAX_GRID_N and grid_n % 2 == 0,
+             f"grid_n must be even and between 64 and {MAX_GRID_N}")
     tol = _section(numeric, "tolerances")
     tolerances = {name: _float(val) for name, val in tol.items()}
     _require(all(val > 0.0 for val in tolerances.values()), "tolerances must be positive")
@@ -197,6 +212,8 @@ def parse_config(cfg: dict) -> tuple:
     output = _section(cfg, "output")
     for key in ("report", "grid_dump"):
         _require(isinstance(output.get(key, ""), str), f"output.{key} must be a file path")
+    _require(op == "invariant" or "grid_dump" not in output,
+             "output.grid_dump is written by invariant only")
     inputs = {"grid_n": grid_n, "tolerances": tolerances,
               "grid_dump": output.get("grid_dump", "")}
 
@@ -204,6 +221,10 @@ def parse_config(cfg: dict) -> tuple:
     kind = surface.get("kind")
     _require(kind in SURFACES[op],
              f"{op} runs on a {' or '.join(SURFACES[op])} surface, not {kind!r}")
+    reads = TOLERANCES.get((op, kind), ())
+    unread = sorted(set(tolerances) - set(reads))
+    _require(not unread, f"{op} on a {kind} reads the tolerances {list(reads)}, "
+                         f"not {unread}")
     _require(isinstance(metric, dict) and
              sum(k in metric for k in ("builtin", "modes", "samples")) == 1,
              "metric needs exactly one of builtin | modes | samples")
@@ -356,8 +377,8 @@ def _record_dict(rec) -> dict:
 
 def _audit_dict(audit) -> dict:
     out = {
-        "surface": audit.surface.kind,
-        "euler_characteristic": audit.surface.euler,
+        "surface": audit.surface,
+        "euler_characteristic": audit.euler,
         "sum_twice_index": audit.sum_twice_index,
         "expected_twice_index": audit.expected_twice_index,
         "passed": audit.passed,
@@ -421,9 +442,7 @@ def run_loewner(inp: dict) -> dict:
 
 
 def run_search(inp: dict) -> dict:
-    report = torus_search(inp["search"])
-    return {"results": report.results_payload(),
-            "diagnostics_extra": {"wall_time_s": report.wall_time}}
+    return {"results": torus_search(inp["search"]).results_payload()}
 
 
 def run_obstruction(inp: dict) -> dict:
@@ -468,7 +487,7 @@ def run(cfg: dict) -> dict:
         "diagnostics": {"wall_time_s": wall},
     }
     report["diagnostics"].update(out.get("diagnostics_extra", {}))
-    if inputs["grid_dump"] and "dump_field" in out:
+    if inputs["grid_dump"]:  # parse_config allows it on invariant only
         try:
             dump_grid(out["dump_field"], inputs["grid_dump"])
         except OSError as exc:

@@ -41,9 +41,8 @@ class CrossFormMismatch(UmbilicError):
 
 
 class DomainError(UmbilicError):
-    """A pointwise map (log, reciprocal) was applied to samples that are
-    not bounded away from zero, exp overflowed, or a result is not a finite
-    number."""
+    """log was applied to samples that are not bounded away from zero, exp
+    overflowed, or a result is not a finite number."""
 
 
 class PhaseStepTooLarge(UmbilicError):

@@ -16,16 +16,15 @@ Two grid-backed representations live here:
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
-Both share their pointwise sample arithmetic (sums, scalings, exp, log,
-reciprocal, modulus, conjugation) through one private base class; they
-differ only in derivatives, products, evaluation and grid identity.  Zero
-location reads both through the same grid facts: ``periodic``,
-``chart_id`` ("torus" on a torus), ``orientation``, ``cell_size``
-((1 + |omega|) / n on a torus, which bounds a cell's sides and diagonals;
-the spacing on a chart), the corners ``corner_st(i, j)`` and
-``corner_z(i, j)``, ``distance(z0, zs)`` on the surface, and ``mask``,
-``sup_norm`` and ``min_modulus`` over a region: the whole torus, or the
-disk |z| <= region_radius of a chart.
+Both share their pointwise sample arithmetic (sums, scalings, exp, log)
+through one private base class; they differ only in derivatives,
+products, evaluation and grid identity.  Zero location reads both
+through the same grid facts: ``periodic``, ``chart_id`` ("torus" on a
+torus), ``orientation``, ``cell_size`` ((1 + |omega|) / n on a torus,
+which bounds a cell's sides and diagonals; the spacing on a chart), the
+corners ``corner_st(i, j)`` and ``corner_z(i, j)``, ``distance(z0, zs)``
+on the surface, and ``mask``, ``sup_norm`` and ``min_modulus`` over a
+region: the whole torus, or the disk |z| <= region_radius of a chart.
 
 :func:`product` forms a polynomial in fields at once; on a torus it lifts
 each operand once onto an m x m grid, sums the monomials there and
@@ -61,6 +60,7 @@ from .errors import DomainError, UnderResolved
 __all__ = ["TorusLattice", "PeriodicField", "ChartGrid", "product"]
 
 _REAL_TOL = 1e-12
+_LOG_FLOOR = 1e-300
 DEFAULT_TAIL_TOL = 1e-6
 
 # Spectral bins below _DENOISE_FACTOR * n * eps * sup|f| are indistinguishable
@@ -226,14 +226,13 @@ class _SampledField:
         self.n = values.shape[0]
         self.real_tag = bool(real_tag)
 
-    def real_part(self, validate: bool = True, tol: float = 1e-9):
-        """Project onto the real part.  With validate=True the imaginary
-        drift must be below tol relative to the largest sample modulus."""
-        if validate:
-            scale = max(1.0, float(np.max(np.abs(self.values))))
-            drift = float(np.max(np.abs(self.values.imag)))
-            if drift > tol * scale:
-                raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
+    def real_part(self, tol: float = 1e-9):
+        """Project onto the real part; the imaginary drift must be below tol
+        relative to the largest sample modulus."""
+        scale = max(1.0, float(np.max(np.abs(self.values))))
+        drift = float(np.max(np.abs(self.values.imag)))
+        if drift > tol * scale:
+            raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
         return self._like(self.values.real.astype(complex), True)
 
     # -- pointwise arithmetic -------------------------------------------------
@@ -258,21 +257,15 @@ class _SampledField:
                               f"(max real part {float(np.max(self.values.real)):.6g})")
         return self._like(values, self.real_tag)
 
-    def log(self, floor: float = 1e-300):
-        _domain_check(self.values, floor, "log")
+    def log(self):
+        """Pointwise logarithm; every sample's modulus must exceed _LOG_FLOOR."""
+        m = float(np.min(np.abs(self.values)))
+        if m <= _LOG_FLOOR:
+            raise DomainError(f"log requires samples bounded away from 0 "
+                              f"(min modulus {m:.3e}, floor {_LOG_FLOOR:.3e})")
         if self.real_tag and np.all(self.values.real > 0.0):
             return self._like(np.log(self.values.real).astype(complex), True)
         return self._like(np.log(self.values), False)
-
-    def reciprocal(self, floor: float = 1e-300):
-        _domain_check(self.values, floor, "reciprocal")
-        return self._like(1.0 / self.values, self.real_tag)
-
-    def modulus(self):
-        return self._like(np.abs(self.values).astype(complex), True)
-
-    def conj(self):
-        return self._like(np.conj(self.values), self.real_tag)
 
     # -- operators ------------------------------------------------------------
 
@@ -322,13 +315,6 @@ def product(terms):
     real = all(complex(c).imag == 0.0 and all(f.real_tag for f in fields)
                for c, fields in terms)
     return first._product(terms, real)
-
-
-def _domain_check(values: np.ndarray, floor: float, opname: str):
-    m = float(np.min(np.abs(values)))
-    if m <= floor:
-        raise DomainError(f"{opname} requires samples bounded away from 0 "
-                          f"(min modulus {m:.3e}, floor {floor:.3e})")
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ windings and crossing cells are then one array expression over T.
 Refinement is level-synchronous: every segment of every edge that still
 needs bisection is split at the same level, and the midpoints of one
 level go to the interpolant in one batched evaluation, so refining all
-bad edges takes at most max_depth evaluation calls.  Edge endpoints are
+bad edges takes at most _MAX_DEPTH evaluation calls.  Edge endpoints are
 grid nodes, and their values are the samples themselves (the interpolant
 reproduces them to rounding), the same values the cell pass used to flag
 the edge.
@@ -58,10 +58,9 @@ import numpy as np
 
 from .cartan import cartan_r, spherical_test
 from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
-from .field import ChartGrid, PeriodicField, TorusLattice
+from .field import ChartGrid, PeriodicField
 
 __all__ = [
-    "SurfaceSpec",
     "UmbilicRecord",
     "ZeroCluster",
     "AuditReport",
@@ -79,6 +78,8 @@ _STEP_LIMIT = 0.5 * np.pi
 _CROSSING_STEP = 0.75 * np.pi
 _POLISHED = 1e-12
 DEFAULT_ZERO_FLOOR_REL = 1e-9
+# edge refinement: bisection levels, down to segments of 2^-_MAX_DEPTH of an edge
+_MAX_DEPTH = 12
 # umbilic_index: points on the first contour, doubled up to the budget
 _CONTOUR_START = 64
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
@@ -99,40 +100,13 @@ _CHART_CONTOUR = (3.0, 0.3)
 # _index_clusters' circle cross-check: ran, or skipped because the zero is
 # not isolated or the circle raised ZeroOnContour or PhaseStepTooLarge
 _CROSS_CHECKS = ("ran", "not_isolated", "zero_on_contour", "phase_step")
+# Euler characteristic of each surface the index audit knows
+_EULER = {"torus": 0, "sphere": 2}
 
 
 # --------------------------------------------------------------------------
 # basic records
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    kind: str
-    genus: int
-    lattice: TorusLattice | None = None
-
-    def __post_init__(self):
-        if self.kind == "torus":
-            if self.genus != 1:
-                raise ValueError("a torus has genus 1")
-        elif self.kind == "sphere":
-            if self.genus != 0:
-                raise ValueError("a sphere has genus 0")
-        else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-
-    @property
-    def euler(self) -> int:
-        return 2 - 2 * self.genus
-
-    @classmethod
-    def torus(cls, lattice: TorusLattice) -> "SurfaceSpec":
-        return cls("torus", 1, lattice)
-
-    @classmethod
-    def sphere(cls) -> "SurfaceSpec":
-        return cls("sphere", 0, None)
-
 
 @dataclass
 class UmbilicRecord:
@@ -170,13 +144,27 @@ class ZeroCluster:
 
 @dataclass
 class AuditReport:
-    surface: SurfaceSpec
-    records: list
+    """The index sum of a surface's records; the rest follows from chi."""
+
+    surface: str  # a key of _EULER
     sum_twice_index: int
-    expected_twice_index: int
-    passed: bool
-    discrepancy: int
     details: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def euler(self) -> int:
+        return _EULER[self.surface]
+
+    @property
+    def expected_twice_index(self) -> int:
+        return 2 * self.euler
+
+    @property
+    def passed(self) -> bool:
+        return self.sum_twice_index == self.expected_twice_index
+
+    @property
+    def discrepancy(self) -> int:
+        return self.sum_twice_index - self.expected_twice_index
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +287,7 @@ def _cell_sides(A):
 # cell winding localization
 # --------------------------------------------------------------------------
 
-def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int = 12):
+def locate_zero_cells(f, *, region_radius: float | None = None):
     """Flag grid cells whose boundary winds around a zero (or crosses the
     zero set), merge neighbors, and return the clusters.
 
@@ -336,7 +324,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
     # all bad edges, on a chart ring_winding refines the others on demand
     refined = bad & np.stack([cell_bad | np.roll(cell_bad, 1, 1),
                               cell_bad | np.roll(cell_bad, 1, 0)])
-    T[refined] = _refine_edges(f, *np.nonzero(refined), floor, max_depth)
+    T[refined] = _refine_edges(f, *np.nonzero(refined), floor, _MAX_DEPTH)
     bottom, right, top, left = _cell_sides(T)
     wsum = bottom + right - top - left
     crossing = cell_ok & np.isnan(wsum)
@@ -373,7 +361,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None, max_depth: int =
         if todo.any():
             try:
                 T[a[todo], ei[todo], ej[todo]] = _refine_edges(
-                    f, a[todo], ei[todo], ej[todo], floor, max_depth)
+                    f, a[todo], ei[todo], ej[todo], floor, _MAX_DEPTH)
             except PhaseStepTooLarge:
                 return None
         steps = np.repeat([1.0, 1.0, -1.0, -1.0], sizes) * T[a, ei, ej]
@@ -476,19 +464,12 @@ def umbilic_index(f, z0: complex, radius: float, *, sup_hint: float | None = Non
 # index-sum audit
 # --------------------------------------------------------------------------
 
-def poincare_hopf_audit(records, surface: SurfaceSpec) -> AuditReport:
-    """Exact integer audit of sum(2 iota) against 2 chi(X)."""
-    records = list(records)
-    total = int(sum(r.twice_index for r in records))
-    expected = 2 * surface.euler
-    return AuditReport(
-        surface=surface,
-        records=records,
-        sum_twice_index=total,
-        expected_twice_index=expected,
-        passed=(total == expected),
-        discrepancy=total - expected,
-    )
+def poincare_hopf_audit(records, surface: str) -> AuditReport:
+    """Exact integer audit of sum(2 iota) against 2 chi(X) on a "torus"
+    (chi = 0) or a "sphere" (chi = 2)."""
+    if surface not in _EULER:
+        raise ValueError(f"unknown surface kind {surface!r}; expected one of {sorted(_EULER)}")
+    return AuditReport(surface, int(sum(r.twice_index for r in records)))
 
 
 # --------------------------------------------------------------------------
@@ -601,11 +582,8 @@ def torus_umbilics(u: PeriodicField):
     if spherical_test(u, r, TORUS_SPHERICAL_TOL):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
-    indexed, dropped, checks = _index_clusters(r, clusters)
-    records = [UmbilicRecord(z0=z0, twice_index=twice, residual=resid,
-                             chart_id="torus", contour_radius=radius)
-               for z0, twice, resid, radius in indexed]
-    audit = poincare_hopf_audit(records, SurfaceSpec.torus(u.lattice))
+    records, dropped, checks = _index_clusters(r, clusters)
+    audit = poincare_hopf_audit(records, "torus")
     audit.details["dropped_clusters"] = dropped
     audit.details["index_cross_checks"] = checks
     return records, audit, clusters
@@ -615,11 +593,11 @@ def _index_clusters(r, clusters, region_radius=None):
     """Polish all point clusters of r at once, then index each by its
     boundary winding (degree additivity).  A circle contour (see
     _TORUS_CONTOUR) cross-checks the index whenever the zero is comfortably
-    isolated, and a disagreement raises.  Returns [(z0, twice_index,
-    residual / r.sup_norm(region_radius), radius)], the audit entries of
-    the winding-0 clusters, which give no record (such a cluster may be a
-    merged pair of opposite-index zeros), and the cross-check counts: how
-    many ran, and how many were skipped because the zero was not isolated
+    isolated, and a disagreement raises.  Returns an UmbilicRecord per
+    indexed cluster (chart r.chart_id, residual relative to
+    r.sup_norm(region_radius)), the audit entries of the winding-0
+    clusters, which give no record (such a cluster may be a merged pair of
+    opposite-index zeros), and the cross-check counts: how many ran, and how many were skipped because the zero was not isolated
     (sep <= 3 base) or because the circle raised ZeroOnContour or
     PhaseStepTooLarge."""
     bad = [c for c in clusters if c.kind != "point"]
@@ -631,7 +609,7 @@ def _index_clusters(r, clusters, region_radius=None):
     base_cells, sep_frac = _TORUS_CONTOUR if r.periodic else _CHART_CONTOUR
     zs, resids = _polish_clusters(
         r, clusters, [0.75 * _cluster_extent(c, cell) + 1.25 * cell for c in clusters], sup)
-    indexed, dropped = [], []
+    records, dropped = [], []
     checks = dict.fromkeys(_CROSS_CHECKS, 0)
     for idx, c in enumerate(clusters):
         z0, twice = zs[idx], -c.winding
@@ -657,8 +635,10 @@ def _index_clusters(r, clusters, region_radius=None):
                     raise PhaseStepTooLarge(
                         f"index cross-check mismatch at {z0:.6f}: cells give {twice}, "
                         f"circle of radius {radius:.3e} gives {circle}")
-        indexed.append((z0, twice, float(resids[idx]) / sup, radius))
-    return indexed, dropped, checks
+        records.append(UmbilicRecord(z0=z0, twice_index=twice,
+                                     residual=float(resids[idx]) / sup,
+                                     chart_id=r.chart_id, contour_radius=radius))
+    return records, dropped, checks
 
 
 # --------------------------------------------------------------------------
@@ -739,63 +719,49 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
         charts[cid] = (r, locate_zero_cells(r, region_radius=_LOCATE_RADIUS))
 
     # refine and index every cluster in its own chart
-    entries = []
-    dropped = []
+    entries, dropped = [], []
     checks = dict.fromkeys(_CROSS_CHECKS, 0)
-    for cid, (r, clusters) in charts.items():
-        indexed, chart_dropped, chart_checks = _index_clusters(r, clusters, _LOCATE_RADIUS)
+    for r, clusters in charts.values():
+        chart_records, chart_dropped, chart_checks = _index_clusters(r, clusters, _LOCATE_RADIUS)
+        entries += chart_records
         dropped += chart_dropped
         checks = {key: checks[key] + chart_checks[key] for key in _CROSS_CHECKS}
-        entries += [{"chart": cid, "z": z0, "twice": twice, "residual": resid,
-                     "radius": radius, "sphere_point": _sphere_point(cid, z0)}
-                    for z0, twice, resid, radius in indexed]
 
-    # cross-chart merge
-    merged = []
+    # cross-chart merge: greedy in (chart, z) order, one group per unused entry
+    points = [_sphere_point(e.chart_id, e.z0) for e in entries]
     used = [False] * len(entries)
-    order = sorted(range(len(entries)), key=lambda k: (entries[k]["chart"],
-                                                       entries[k]["z"].real,
-                                                       entries[k]["z"].imag))
+    order = sorted(range(len(entries)),
+                   key=lambda k: (entries[k].chart_id, entries[k].z0.real, entries[k].z0.imag))
+    records, stability = [], []
     for a in order:
         if used[a]:
             continue
         group = [entries[a]]
         used[a] = True
         for b in order:
-            if used[b]:
-                continue
-            d = float(np.linalg.norm(entries[a]["sphere_point"] - entries[b]["sphere_point"]))
-            if d <= _MATCH_DISTANCE:
+            if not used[b] and float(np.linalg.norm(points[a] - points[b])) <= _MATCH_DISTANCE:
                 group.append(entries[b])
                 used[b] = True
-        merged.append(group)
-
-    records = []
-    stability = []
-    for group in merged:
         # best-conditioned estimate: smallest chart coordinate modulus
-        best = min(group, key=lambda e: abs(e["z"]))
-        if best["chart"] == "chart1":
-            z_est = best["z"]
+        best = min(group, key=lambda e: abs(e.z0))
+        if best.chart_id == "chart1":
+            z_est = best.z0
         else:
-            z_est = np.inf if best["z"] == 0 else 1.0 / best["z"]
+            z_est = np.inf if best.z0 == 0 else 1.0 / best.z0
         owner_id = "chart1" if (np.isfinite(z_est) and abs(z_est) <= 1.0) else "chart2"
-        owner = next((e for e in group if e["chart"] == owner_id), best)
-        twices = {e["twice"] for e in group}
+        records.append(next((e for e in group if e.chart_id == owner_id), best))
+        twices = sorted(e.twice_index for e in group)
         stability.append({
-            "charts": sorted(e["chart"] for e in group),
-            "twice_indices": sorted(e["twice"] for e in group),
-            "stable": len(twices) == 1,
+            "charts": sorted(e.chart_id for e in group),
+            "twice_indices": twices,
+            "stable": len(set(twices)) == 1,
         })
-        records.append(UmbilicRecord(
-            z0=owner["z"], twice_index=owner["twice"], residual=owner["residual"],
-            chart_id=owner["chart"], contour_radius=owner["radius"]))
 
     records.sort(key=lambda rec: (rec.chart_id, rec.z0.real, rec.z0.imag))
-    audit = poincare_hopf_audit(records, SurfaceSpec.sphere())
+    audit = poincare_hopf_audit(records, "sphere")
     audit.details["chart_stability"] = stability
     audit.details["all_chart_entries"] = [
-        {"chart": e["chart"], "z": e["z"], "twice": e["twice"]} for e in entries]
+        {"chart": e.chart_id, "z": e.z0, "twice": e.twice_index} for e in entries]
     audit.details["dropped_clusters"] = dropped
     audit.details["index_cross_checks"] = checks
     return records, audit

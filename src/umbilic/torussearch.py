@@ -17,8 +17,7 @@ so Pu = b^2 Z.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -49,6 +48,8 @@ _ZERO_RATIO = 1e-9
 # symmetric_obstruction_check: sup|Yu| allowed, relative to
 # 1 + sup|u_x| + sup|u_y|
 _SYMMETRY_TOL = 1e-10
+# chern_number's quadrature grid
+_CHERN_GRID_N = 256
 
 
 @dataclass
@@ -141,10 +142,9 @@ def _xy_derivatives(f: PeriodicField, tail_tol=None):
     return df.add(dbf), df.add(dbf.scale(-1.0)).scale(1j)
 
 
-def directional_derivative(f: PeriodicField, alpha: float, beta: float,
-                           tail_tol=None) -> PeriodicField:
-    """(alpha d/dx + beta d/dy) f."""
-    fx, fy = _xy_derivatives(f, tail_tol)
+def directional_derivative(f: PeriodicField, alpha: float, beta: float) -> PeriodicField:
+    """(alpha d/dx + beta d/dy) f, without the spectral-tail guard."""
+    fx, fy = _xy_derivatives(f)
     return fx.scale(alpha).add(fy.scale(beta))
 
 
@@ -220,7 +220,6 @@ class ObstructionReport:
     psi_max: float
     dpsi_sign_change: bool
     proof_identity_residual: float
-    grid_n: int
 
 
 def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
@@ -257,8 +256,8 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     ypu = fx.scale(Yp.alpha).add(fy.scale(Yp.beta))
     X, Z = _conjugated_chain(lambda f: directional_derivative(f, Yp.alpha, Yp.beta),
                              ypu, field.derivative("Dbar").derivative("D"))
-    X = X.real_part(validate=True, tol=1e-7)
-    Z = Z.real_part(validate=True, tol=1e-7)
+    X = X.real_part(tol=1e-7)
+    Z = Z.real_part(tol=1e-7)
     psi = field.scale(-2.0).exp().values.real * X.values.real
     zscale = Z.sup_norm()
     sign_change = bool(np.min(Z.values.real) < -1e-9 * zscale
@@ -273,28 +272,27 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),
         residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
-        dpsi_sign_change=sign_change, proof_identity_residual=ident,
-        grid_n=grid_n)
+        dpsi_sign_change=sign_change, proof_identity_residual=ident)
 
 
 # --------------------------------------------------------------------------
 # Chern normalization
 # --------------------------------------------------------------------------
 
-def chern_number(u: TrigPotential, grid_n: int = 256) -> float:
+def chern_number(u: TrigPotential) -> float:
     """(i / 2 pi) integral of e^u dz /\\ dzbar over the fundamental domain,
     i.e. (1/pi) * |Im omega| * mean(e^u); spectrally accurate quadrature for
-    smooth u."""
-    field = u.to_field(grid_n)
+    smooth u on the _CHERN_GRID_N grid."""
+    field = u.to_field(_CHERN_GRID_N)
     return float(field.lattice.cell_area * np.mean(np.exp(field.values.real)) / np.pi)
 
 
-def chern_normalize(u: TrigPotential, c1: int, grid_n: int = 256) -> TrigPotential:
+def chern_normalize(u: TrigPotential, c1: int) -> TrigPotential:
     """Shift u by the constant making the curvature integrate to the first
     Chern number c1.  The shift changes none of the umbilical data."""
     if int(c1) != c1 or c1 < 1:
         raise ValueError("c1 must be a positive integer")
-    current = chern_number(u, grid_n)
+    current = chern_number(u)
     C = float(np.log(float(c1)) - np.log(current))
     return u.shifted(C)
 
@@ -346,11 +344,10 @@ class SearchReport:
     history: list
     trials: int
     evaluations: int
-    wall_time: float
 
     def results_payload(self) -> dict:
         """Deterministic results block: identical configs reproduce it
-        bit-for-bit.  Wall time lives outside (diagnostics)."""
+        bit-for-bit."""
         return {
             "seed": self.seed,
             "grid_n": self.grid_n,
@@ -392,7 +389,6 @@ def torus_search(config: SearchConfig) -> SearchReport:
         counter[0] += 1
         return -val
 
-    t0 = time.monotonic()
     best = None
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
@@ -410,10 +406,8 @@ def torus_search(config: SearchConfig) -> SearchReport:
     obj2 = min_modulus_objective(best_pot, 2 * config.grid_n)
     top = max(objective, obj2)
     resolution_ok = bool(top == 0.0 or abs(objective - obj2) <= 0.1 * top)
-    wall = time.monotonic() - t0
     return SearchReport(
         seed=config.seed, grid_n=config.grid_n, best_modes=best_pot,
         objective=float(objective), objective_2x=float(obj2),
         resolution_ok=resolution_ok, history=history,
-        trials=config.trials, evaluations=config.evaluations,
-        wall_time=wall)
+        trials=config.trials, evaluations=config.evaluations)

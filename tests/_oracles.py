@@ -410,7 +410,7 @@ def eager_gauss_curvature(u) -> EagerField:
     operations."""
     ddbu = eager_derivative(eager_derivative(u, "D"), "Dbar")
     K = eager_product([(1.0, (eager_pointwise(u, lambda f: f.scale(-1.0).exp()), ddbu))])
-    return eager_pointwise(K, lambda f: f.scale(-2.0).real_part(validate=True, tol=1e-7))
+    return eager_pointwise(K, lambda f: f.scale(-2.0).real_part(tol=1e-7))
 
 
 def eager_covariant_hessian(f, phi) -> EagerField:

@@ -277,6 +277,17 @@ class TestMainAndExitCodes:
          "operation": "umbilics", "numeric": {"grid_n": 128}},
         # 1 / (conj(omega) - omega) overflows
         torus_cfg(surface={"kind": "torus", "omega": [0.0, 1e-320]}),
+        # rejected before a 262144^2 grid is allocated
+        torus_cfg(numeric={"grid_n": 262144}),
+        torus_cfg(numeric={"grid_n": cli.MAX_GRID_N + 2}),
+        # tolerances and grid dumps the operation never reads
+        torus_cfg(numeric={"grid_n": 128, "tolerances": {"crossform": 1e-30}}),
+        torus_cfg(operation="umbilics", numeric={"grid_n": 128,
+                                                 "tolerances": {"spherical": 0.5}}),
+        {"surface": {"kind": "sphere", "degree": 2}, "metric": {"builtin": "fs"},
+         "operation": "invariant", "numeric": {"grid_n": 128,
+                                               "tolerances": {"cross_form": 1e-7}}},
+        torus_cfg(operation="umbilics", output={"grid_dump": "r.csv"}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
             "loewner_coeff_key", "tolerances_list", "loewner_coeffs_list",
@@ -289,7 +300,9 @@ class TestMainAndExitCodes:
             "search_mode_budget_too_high", "seed_negative", "report_missing_directory",
             "grid_dump_missing_directory", "loewner_order_too_high",
             "loewner_coeff_degree_too_high", "sphere_degree_overflows_float",
-            "omega_subnormal"])
+            "omega_subnormal", "grid_n_huge", "grid_n_above_limit",
+            "tolerance_unknown_name", "tolerances_on_umbilics",
+            "cross_form_on_sphere_invariant", "grid_dump_on_umbilics"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
@@ -297,6 +310,12 @@ class TestMainAndExitCodes:
         err = json.loads(capsys.readouterr().err)  # exactly one JSON object
         assert err["error"]["code"] == "ConfigError"
         assert err["error"]["exit_status"] == 2
+
+    def test_grid_n_flag_above_limit_exit_2(self, tmp_path, capsys):
+        code = main(["invariant", "--config", write_cfg(tmp_path, torus_cfg()),
+                     "--grid-n", str(cli.MAX_GRID_N + 2)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "ConfigError"
 
     def test_error_not_written_to_integer_report(self, tmp_path, capsys):
         read_fd, write_fd = os.pipe()

@@ -6,8 +6,7 @@ from umbilic.cartan import cartan_r
 from umbilic.errors import (NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate,
                             ZeroOnContour)
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
-from umbilic.index import (AuditReport, SurfaceSpec, UmbilicRecord,
-                           locate_zero_cells, poincare_hopf_audit,
+from umbilic.index import (UmbilicRecord, locate_zero_cells, poincare_hopf_audit,
                            refine_cluster_residual, sphere_metric_potentials,
                            sphere_two_chart_umbilics, torus_umbilics,
                            umbilic_index, winding_degree)
@@ -180,15 +179,16 @@ class TestEdgeRefinement:
                 seen.add(kind)
         assert seen == kinds
 
-    def test_unresolved_step_raises_where_used(self):
+    def test_unresolved_step_raises_where_used(self, monkeypatch):
         # a phase ramp of 0.6 pi per grid step has no zero: bisection
         # resolves it, and without bisection the unresolved step raises
         h = 2.0 / 63
         f = ChartGrid.from_function("c1", 1.0, 64,
                                     lambda Z: np.exp(0.6j * np.pi * Z.real / h))
         assert locate_zero_cells(f) == []
+        monkeypatch.setattr(index, "_MAX_DEPTH", 0)
         with pytest.raises(PhaseStepTooLarge, match="unresolved at depth 0"):
-            locate_zero_cells(f, max_depth=0)
+            locate_zero_cells(f)
 
     def test_one_evaluation_call_per_level(self, monkeypatch):
         f = criterion9_r()
@@ -200,7 +200,8 @@ class TestEdgeRefinement:
             return evaluate(self, s, t)
 
         monkeypatch.setattr(PeriodicField, "evaluate_st", counted)
-        clusters = locate_zero_cells(f, max_depth=12)
+        monkeypatch.setattr(index, "_MAX_DEPTH", 12)
+        clusters = locate_zero_cells(f)
         assert clusters and all(c.kind == "curve" for c in clusters)
         assert 0 < len(points) <= 12 + 1
 
@@ -296,25 +297,25 @@ class TestAudit:
                 UmbilicRecord(0.3, -1, 0, "torus", 0.1),
                 UmbilicRecord(0.5 + 0.5j, 1, 0, "torus", 0.1),
                 UmbilicRecord(0.7j, -1, 0, "torus", 0.1)]
-        audit = poincare_hopf_audit(recs, SurfaceSpec.torus(LAT))
+        audit = poincare_hopf_audit(recs, "torus")
         assert audit.passed and audit.sum_twice_index == 0
 
     def test_sphere_four(self):
         recs = [UmbilicRecord(z, 1, 0, "chart1", 0.1) for z in (0.1, 0.2, 0.3, 0.4)]
-        audit = poincare_hopf_audit(recs, SurfaceSpec.sphere())
+        audit = poincare_hopf_audit(recs, "sphere")
         assert audit.passed and audit.expected_twice_index == 4
 
     def test_sphere_deficit(self):
         recs = [UmbilicRecord(0.1, 1, 0, "chart1", 0.1),
                 UmbilicRecord(0.2, 1, 0, "chart1", 0.1)]
-        audit = poincare_hopf_audit(recs, SurfaceSpec.sphere())
+        audit = poincare_hopf_audit(recs, "sphere")
         assert not audit.passed and audit.discrepancy == -2
 
-    def test_surface_spec_validation(self):
+    def test_surface_euler(self):
+        assert poincare_hopf_audit([], "torus").euler == 0
+        assert poincare_hopf_audit([], "sphere").euler == 2
         with pytest.raises(ValueError):
-            SurfaceSpec("torus", 0)
-        assert SurfaceSpec.sphere().euler == 2
-        assert SurfaceSpec.torus(LAT).euler == 0
+            poincare_hopf_audit([], "cube")
 
     def test_index_string(self):
         assert UmbilicRecord(0, -1, 0, "t", 0.1).index_str == "-1/2"

@@ -6,15 +6,17 @@ OLD_SRC and NEW_SRC are directories holding an ``umbilic`` package (the
 ``src/`` of two checkouts).  Every config of ``perfbench.workloads.pool(w)``,
 for each workload, goes through ``umbilic.cli.main`` once per tree, each tree
 in its own interpreter.  The report gives the number of configs compared,
-how many have byte-identical ``results`` blocks and ``config`` echoes as
-sorted-key JSON, every exit-status or error-code mismatch, every config
-whose echo differs, and the largest relative and the largest absolute
+how many have byte-identical ``results`` blocks, ``config`` echoes and
+``diagnostics`` blocks (every entry but ``wall_time_s``) as sorted-key
+JSON, every exit-status or error-code mismatch, every config whose echo or
+diagnostics differ, and the largest relative and the largest absolute
 drift over the numeric leaves of the ``results`` blocks that differ, each
 with its leaf (a rounding-level change on a tiny residual shows a large
 relative drift and a tiny absolute one).  ``per_operation`` repeats the
 counts and drifts for each operation (the job-id prefix), so a change that
 moves every search result does not hide the drift of the others.  The exit
-status is 0 when every config's results and echo are identical, else 1.
+status is 0 when every config's results, echo and diagnostics are
+identical, else 1.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ def run_tree(src: Path, out: Path):
                 cfg_path.write_text(json.dumps(cfg))
                 status, report, _, escaped = run_job(cli, cfg["operation"],
                                                      cfg_path, report_path)
+                diagnostics = report.get("diagnostics", {})
+                diagnostics.pop("wall_time_s", None)  # the one entry that is not deterministic
                 outcomes[jid] = {"status": status, "escaped": escaped,
                                  "results": report.get("results"),
                                  "config": report.get("config"),
+                                 "diagnostics": diagnostics,
                                  "error": report.get("error", {}).get("code")}
     out.write_text(json.dumps(outcomes))
 
@@ -106,8 +111,10 @@ def main(argv=None) -> int:
         old, new = (json.loads(out.read_text()) for out in outs)
 
     mismatches = []
-    echo_mismatches = [jid for jid in sorted(old) if json.dumps(old[jid]["config"], sort_keys=True)
-                       != json.dumps(new[jid]["config"], sort_keys=True)]
+    echo_mismatches, diagnostics_mismatches = (
+        [jid for jid in sorted(old) if json.dumps(old[jid][key], sort_keys=True)
+         != json.dumps(new[jid][key], sort_keys=True)]
+        for key in ("config", "diagnostics"))
     # one tally for all configs, one per operation (the job-id prefix)
     tallies = {"all": _tally()}
     for jid in sorted(old):
@@ -133,10 +140,13 @@ def main(argv=None) -> int:
                       "outcome_mismatches": mismatches,
                       "config_identical": len(old) - len(echo_mismatches),
                       "config_mismatches": echo_mismatches,
+                      "diagnostics_identical": len(old) - len(diagnostics_mismatches),
+                      "diagnostics_mismatches": diagnostics_mismatches,
                       "nonzero_exits_old": failed,
                       "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}},
                      indent=1))
-    return 0 if total["identical"] == len(old) and not echo_mismatches else 1
+    return 0 if (total["identical"] == len(old)
+                 and not echo_mismatches and not diagnostics_mismatches) else 1
 
 
 def _tally():
