@@ -12,10 +12,9 @@ from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      UnderResolved, ZeroOnContour)
 from .field import ChartGrid, PeriodicField, TorusLattice
 from .series import PowerSeries2, geometric_inverse
-from .cartan import (FORMS, InvariantField, cartan_r, cartan_r_all_forms,
-                     covariant_hessian_zz, gauss_curvature,
-                     kzz_identity_residual, potential_from_metric,
-                     rigid_r_from_F, spherical_test)
+from .cartan import (FORMS, cartan_r, cartan_r_all_forms, covariant_hessian_zz,
+                     gauss_curvature, kzz_identity_residual,
+                     potential_from_metric, rigid_r_from_F, spherical_test)
 from .index import (AuditReport, UmbilicRecord, ZeroCluster, locate_zero_cells,
                     poincare_hopf_audit, refine_cluster_residual,
                     sphere_two_chart_umbilics, torus_umbilics, umbilic_index,

@@ -30,21 +30,23 @@ X = D w - q w and r = D X - 2 q X with w = D Dbar u, so no exponential is
 sampled: it differentiates products (D(q w), D(q X)) where the P form
 multiplies derivatives, and its accuracy does not depend on the amplitude
 of u.
+
+Resolution follows the one rule of :mod:`umbilic.field`: on a torus every
+derivative taken here checks the spectral tail of the field it
+differentiates and raises UnderResolved, on a chart none does, and the
+products of the P form are not checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CrossFormMismatch, NotPseudoconvex
-from .field import DEFAULT_TAIL_TOL, product
+from .field import product
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
     "FORMS",
-    "InvariantField",
     "potential_from_metric",
     "cartan_r",
     "cartan_r_all_forms",
@@ -58,21 +60,12 @@ __all__ = [
 FORMS = ("q_form", "p_form", "divergence_form")
 
 
-@dataclass
-class InvariantField:
-    """Output of one formula for r, together with the potential used."""
-
-    r: object
-    u_used: object
-    form_used: str
+def _d(f):
+    return f.derivative("D")
 
 
-def _d(f, tail_tol=DEFAULT_TAIL_TOL):
-    return f.derivative("D", tail_tol=tail_tol)
-
-
-def _db(f, tail_tol=DEFAULT_TAIL_TOL):
-    return f.derivative("Dbar", tail_tol=tail_tol)
+def _db(f):
+    return f.derivative("Dbar")
 
 
 def _require_real(u, who: str):
@@ -101,29 +94,22 @@ def potential_from_metric(h):
     return curv.log()
 
 
-def cartan_r(u, form: str, check_resolution: bool = True) -> InvariantField:
-    """The invariant r = Pu in the requested form (see module docstring).
-
-    check_resolution applies the spectral-tail guard to every derivative
-    taken on periodic fields; chart fields rely on the caller's margins.
-    """
+def cartan_r(u, form: str):
+    """The field r = Pu in the requested form (see module docstring).  On
+    a torus every derivative checks its spectral tail (UnderResolved)."""
     _require_real(u, "cartan_r")
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
-    tol = DEFAULT_TAIL_TOL if check_resolution else None
 
-    if form in ("p_form", "q_form"):
-        du = _d(u, tol)  # q
-        d2u = _d(du, tol)
-        ddbu = _db(du, tol)
-        d2dbu = _d(ddbu, tol)
-        r = _d(d2dbu, tol) + product([(-3.0, (du, d2dbu)),
-                                      (2.0, (du, du, ddbu)),
-                                      (-1.0, (d2u, ddbu))])
-    else:
-        du = _d(u, tol)
-        _, r = _conjugated_chain(lambda f: _d(f, tol), du, _db(du, tol))
-    return InvariantField(r=r, u_used=u, form_used=form)
+    du = _d(u)  # q
+    if form == "divergence_form":
+        return _conjugated_chain(_d, du, _db(du))[1]
+    d2u = _d(du)
+    ddbu = _db(du)
+    d2dbu = _d(ddbu)
+    return _d(d2dbu) + product([(-3.0, (du, d2dbu)),
+                                (2.0, (du, du, ddbu)),
+                                (-1.0, (d2u, ddbu))])
 
 
 def _conjugated_chain(d, du, w):
@@ -141,14 +127,12 @@ def cartan_r_all_forms(u, tol: float = 1e-7) -> dict:
     and P forms run one block, so the P form's field serves both keys."""
     p = cartan_r(u, "p_form")
     div = cartan_r(u, "divergence_form")
-    out = {"q_form": InvariantField(r=p.r, u_used=u, form_used="q_form"),
-           "p_form": p, "divergence_form": div}
-    scale = 1.0 + max(p.r.sup_norm(), div.r.sup_norm())
-    worst = float(np.max(np.abs(p.r.values - div.r.values))) / scale
+    scale = 1.0 + max(p.sup_norm(), div.sup_norm())
+    worst = float(np.max(np.abs(p.values - div.values))) / scale
     if worst > tol:
         raise CrossFormMismatch(
             f"forms of r disagree with relative sup-error {worst:.3e} > {tol:.1e}")
-    return out
+    return {"q_form": p, "p_form": p, "divergence_form": div}
 
 
 def gauss_curvature(u):
@@ -178,7 +162,7 @@ def kzz_identity_residual(u, region_radius: float | None = None) -> float:
     with 2 phi = u).  Identically zero in exact arithmetic.  The sup is
     ``sup_norm(region_radius)``, on a chart its trusted interior."""
     _require_real(u, "kzz_identity_residual")
-    P = cartan_r(u, "p_form").r
+    P = cartan_r(u, "p_form")
     K = gauss_curvature(u)
     kzz = covariant_hessian_zz(K, u.scale(0.5))
     e2u = u.scale(2.0).exp()

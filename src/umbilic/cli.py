@@ -394,11 +394,11 @@ def run_invariant(inp: dict) -> dict:
     tol = inp["tolerances"]
     if "potential" in inp:
         u = inp["potential"].to_field(inp["grid_n"])
-        r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"].r
+        r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"]
         spherical = spherical_test(u, r, tol.get("spherical", TORUS_SPHERICAL_TOL))
     else:
         u, _ = sphere_metric_potentials(*inp["sphere"], chart_n=inp["grid_n"])
-        r = cartan_r(u, "p_form").r
+        r = cartan_r(u, "p_form")
         spherical = spherical_test(u, r, tol.get("spherical", SPHERE_SPHERICAL_TOL),
                                    region_radius=1.0)
     result = {

@@ -16,6 +16,13 @@ Two grid-backed representations live here:
 * :class:`ChartGrid` holds samples on a square coordinate chart and is
   differentiated with 8th-order finite differences.
 
+Resolution has one rule.  Every derivative of a periodic field checks its
+spectral tail and raises UnderResolved when the modes with
+max(|j|, |k|) >= n/3 carry more than 1e-6 of its energy.  Chart
+derivatives run no check.  Products are not checked: a field of band b
+with n/6 < b < n/3 passes every derivative check, yet the cubic products
+of the P form have band 3b > n/2 and are truncated to n/2 silently.
+
 Both share their pointwise sample arithmetic (sums, scalings, exp, log)
 through one private base class; they differ only in derivatives,
 products, evaluation and grid identity.  Zero location reads both
@@ -61,7 +68,7 @@ __all__ = ["TorusLattice", "PeriodicField", "ChartGrid", "product"]
 
 _REAL_TOL = 1e-12
 _LOG_FLOOR = 1e-300
-DEFAULT_TAIL_TOL = 1e-6
+_TAIL_TOL = 1e-6  # see PeriodicField.derivative
 
 # Spectral bins below _DENOISE_FACTOR * n * eps * sup|f| are indistinguishable
 # from sample rounding (an FFT spreads per-sample noise of size eps * sup into
@@ -467,8 +474,10 @@ class PeriodicField(_SampledField):
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self, direction: str, tail_tol: float | None = DEFAULT_TAIL_TOL) -> "PeriodicField":
-        """Exact Wirtinger derivative of the trigonometric interpolant.
+    def derivative(self, direction: str) -> "PeriodicField":
+        """Exact Wirtinger derivative of the trigonometric interpolant;
+        raises UnderResolved when the modes with max(|j|, |k|) >= n/3 carry
+        more than _TAIL_TOL of the energy (a band below n/3 carries none).
 
         The ambiguous Nyquist bin is annihilated, and bins below the sample
         rounding floor 16 n eps sup|f| are zeroed (see _DENOISE_FACTOR);
@@ -493,12 +502,11 @@ class PeriodicField(_SampledField):
             # oscillation scale rather than the mean scale, so derivatives are
             # invariant under constant shifts down to the denoise floor.
             B = _centred_fft2(self.values - complex(self.values.mean()), self.real_tag)
-        if tail_tol is not None:
-            frac = _tail_energy_fraction(B, n)
-            if frac > tail_tol:
-                raise UnderResolved(
-                    f"spectral tail carries {frac:.3e} of total energy "
-                    f"(tolerance {tail_tol:.1e}) on an n={n} grid")
+        frac = _tail_energy_fraction(B, n)
+        if frac > _TAIL_TOL:
+            raise UnderResolved(
+                f"spectral tail carries {frac:.3e} of total energy "
+                f"(tolerance {_TAIL_TOL:.1e}) on an n={n} grid")
         floor = self._denoise_floor(B)
         if floor > 0.0:
             B[np.abs(B) < floor] = 0.0
@@ -760,10 +768,10 @@ class ChartGrid(_SampledField):
 
     # -- calculus -------------------------------------------------------------
 
-    def derivative(self, direction: str, tail_tol: float | None = None) -> "ChartGrid":
-        """Wirtinger derivative via D = (d/dx - i d/dy)/2.  The tail_tol
-        argument is accepted for signature parity with PeriodicField and
-        ignored: resolution control on charts is the caller's margin."""
+    def derivative(self, direction: str) -> "ChartGrid":
+        """Wirtinger derivative via D = (d/dx - i d/dy)/2.  Charts run no
+        resolution check: their margin is the caller's choice of n and of
+        the trusted region."""
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
         h = self.cell_size

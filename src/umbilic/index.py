@@ -135,7 +135,6 @@ class ZeroCluster:
     winding: int | None
     kind: str  # "point" | "curve"
     center: complex
-    min_modulus: float
 
     @property
     def size(self) -> int:
@@ -383,13 +382,13 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
             winding = ring_winding(group)
         kind = "point" if winding is not None else "curve"
         # representative corner: first minimum modulus over member cell corners
-        m, bi, bj = min(((float(M[ci % n, cj % n]), ci, cj)
+        _, bi, bj = min(((float(M[ci % n, cj % n]), ci, cj)
                          for i, j in group
                          for ci, cj in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))),
                         key=lambda c: c[0])
         clusters.append(ZeroCluster(
             chart_id=f.chart_id, cells=cells, winding=winding, kind=kind,
-            center=complex(f.corner_z(bi, bj)), min_modulus=m))
+            center=complex(f.corner_z(bi, bj))))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
 
@@ -578,7 +577,7 @@ def torus_umbilics(u: PeriodicField):
 
     Returns (records, audit, clusters).
     """
-    r = cartan_r(u, "p_form").r
+    r = cartan_r(u, "p_form")
     if spherical_test(u, r, TORUS_SPHERICAL_TOL):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
@@ -711,7 +710,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     u1, u2 = sphere_metric_potentials(degree, perturbations, chart_n=chart_n)
     charts = {}
     for cid, u in (("chart1", u1), ("chart2", u2)):
-        r = cartan_r(u, "p_form").r
+        r = cartan_r(u, "p_form")
         if cid == "chart1" and spherical_test(u, r, SPHERE_SPHERICAL_TOL, region_radius=1.0):
             raise TotallyDegenerate(
                 "constant-curvature sphere metric: r vanishes identically, "
@@ -760,8 +759,6 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     records.sort(key=lambda rec: (rec.chart_id, rec.z0.real, rec.z0.imag))
     audit = poincare_hopf_audit(records, "sphere")
     audit.details["chart_stability"] = stability
-    audit.details["all_chart_entries"] = [
-        {"chart": e.chart_id, "z": e.z0, "twice": e.twice_index} for e in entries]
     audit.details["dropped_clusters"] = dropped
     audit.details["index_cross_checks"] = checks
     return records, audit

@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from .cartan import _conjugated_chain, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import DEFAULT_TAIL_TOL, PeriodicField, TorusLattice
+from .field import PeriodicField, TorusLattice
 from .index import _polish, locate_zero_cells, refine_cluster_residual
 
 __all__ = [
@@ -135,15 +135,16 @@ class SymmetryDirection:
         return SymmetryDirection(-self.beta, self.alpha)
 
 
-def _xy_derivatives(f: PeriodicField, tail_tol=None):
+def _xy_derivatives(f: PeriodicField):
     """(d/dx f, d/dy f) via d/dx = D + Dbar, d/dy = i (D - Dbar)."""
-    df = f.derivative("D", tail_tol=tail_tol)
-    dbf = f.derivative("Dbar", tail_tol=tail_tol)
+    df = f.derivative("D")
+    dbf = f.derivative("Dbar")
     return df.add(dbf), df.add(dbf.scale(-1.0)).scale(1j)
 
 
 def directional_derivative(f: PeriodicField, alpha: float, beta: float) -> PeriodicField:
-    """(alpha d/dx + beta d/dy) f, without the spectral-tail guard."""
+    """(alpha d/dx + beta d/dy) f; like every periodic derivative, it
+    checks the spectral tail of f."""
     fx, fy = _xy_derivatives(f)
     return fx.scale(alpha).add(fy.scale(beta))
 
@@ -172,7 +173,7 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
     field = u.to_field(grid_n)
-    r = cartan_r(field, "p_form", check_resolution=False).r
+    r = cartan_r(field, "p_form")
     mx = r.sup_norm()
     if mx < _DEGENERATE_FLOOR:
         return 0.0
@@ -237,14 +238,14 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     """
     field = u.to_field(grid_n)
     # fx and fy also set the scale of the symmetry test
-    fx, fy = _xy_derivatives(field, DEFAULT_TAIL_TOL)
+    fx, fy = _xy_derivatives(field)
     yu = fx.scale(Y.alpha).add(fy.scale(Y.beta))
     scale = 1.0 + fx.sup_norm() + fy.sup_norm()
     if yu.sup_norm() > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
             f"sup|Yu| = {yu.sup_norm():.3e} exceeds {_SYMMETRY_TOL:.1e} x scale")
 
-    r = cartan_r(field, "p_form", check_resolution=False).r
+    r = cartan_r(field, "p_form")
     if r.sup_norm() < 1e-12:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 

@@ -58,7 +58,7 @@ def test_criterion_1_three_form_equivalence(suite):
         worst = 0.0
         for u in suite:
             forms = cartan_r_all_forms(u, tol=1e-7)
-            rs = [forms[f].r for f in FORMS]
+            rs = [forms[f] for f in FORMS]
             scale = 1.0 + max(r.sup_norm() for r in rs)
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -73,7 +73,7 @@ def test_criterion_2_curvature_identity(suite):
     with criterion(2, "Pu + (e^{2u}/2) K_zz identity holds to 1e-7 relative"):
         worst = 0.0
         for u in suite:
-            P = cartan_r(u, "p_form").r
+            P = cartan_r(u, "p_form")
             worst = max(worst, kzz_identity_residual(u) / (1.0 + P.sup_norm()))
         assert worst <= 1e-7, f"worst identity residual {worst:.3e}"
 
@@ -83,10 +83,10 @@ def test_criterion_3_constant_shift_invariance(suite):
         worst = 0.0
         for u in (suite[0], suite[7]):
             for form in FORMS:
-                rA = cartan_r(u, form).r
+                rA = cartan_r(u, form)
                 scale = 1.0 + rA.sup_norm()
                 for C in (-3.0, 1.0, 10.0):
-                    rB = cartan_r(u + C, form).r
+                    rB = cartan_r(u + C, form)
                     diff = float(np.max(np.abs(rA.values - rB.values))) / scale
                     worst = max(worst, diff)
         assert worst <= 1e-10, f"worst shift deviation {worst:.3e}"
@@ -96,12 +96,12 @@ def test_criterion_4_constant_curvature_kill():
     with criterion(4, "constant-curvature inputs give r = 0 and K = 4/d"):
         u0 = PeriodicField.constant(TorusLattice(1j), 128, 0.4)
         for form in FORMS:
-            assert cartan_r(u0, form).r.sup_norm() <= 1e-8
+            assert cartan_r(u0, form).sup_norm() <= 1e-8
         for d in (1, 2, 3):
             ch = ChartGrid.from_function(
                 "c1", 1.5, 192,
                 lambda Z: np.log(d) - 2 * np.log1p(np.abs(Z) ** 2), real_tag=True)
-            assert cartan_r(ch, "p_form").r.sup_norm(1.0) <= 1e-8
+            assert cartan_r(ch, "p_form").sup_norm(1.0) <= 1e-8
             K = gauss_curvature(ch)
             assert np.max(np.abs(K.values - 4.0 / d)[K.mask(1.0)]) <= 1e-8
 
@@ -210,7 +210,7 @@ def test_criterion_11_chern_normalization():
             for c1 in (1, 2):
                 out = chern_normalize(pot, c1)
                 assert abs(chern_number(out) - c1) <= 1e-10 * c1
-                rA = cartan_r(pot.to_field(128), "p_form").r
-                rB = cartan_r(out.to_field(128), "p_form").r
+                rA = cartan_r(pot.to_field(128), "p_form")
+                rB = cartan_r(out.to_field(128), "p_form")
                 diff = float(np.max(np.abs(rA.values - rB.values)))
                 assert diff <= 1e-10 * (1.0 + rA.sup_norm())

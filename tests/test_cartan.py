@@ -5,7 +5,7 @@ from umbilic.cartan import (FORMS, cartan_r, cartan_r_all_forms,
                             covariant_hessian_zz, gauss_curvature,
                             kzz_identity_residual, potential_from_metric,
                             rigid_r_from_F, spherical_test)
-from umbilic.errors import NotPseudoconvex
+from umbilic.errors import NotPseudoconvex, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 from umbilic.series import PowerSeries2
 from umbilic.torussearch import TrigPotential, chern_normalize
@@ -55,11 +55,11 @@ class TestCartanR:
     def test_constant_potential_killed(self):
         u = PeriodicField.constant(LAT, 64, 1.3)
         for form in FORMS:
-            assert cartan_r(u, form).r.sup_norm() <= 1e-10
+            assert cartan_r(u, form).sup_norm() <= 1e-10
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_fubini_study_killed_on_chart(self, d):
-        r = cartan_r(fs_chart(d), "p_form").r
+        r = cartan_r(fs_chart(d), "p_form")
         assert r.sup_norm(1.0) <= 1e-8
 
     def test_three_forms_agree_and_match_fd_oracle(self):
@@ -68,7 +68,7 @@ class TestCartanR:
             lambda S, T: 0.3 * np.cos(2 * np.pi * S) + 0.2 * np.sin(2 * np.pi * T),
             real_tag=True)
         forms = cartan_r_all_forms(u, tol=1e-7)
-        rs = [forms[f].r for f in FORMS]
+        rs = [forms[f] for f in FORMS]
         scale = 1.0 + max(r.sup_norm() for r in rs)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -100,8 +100,8 @@ class TestCartanR:
     @pytest.mark.parametrize("shift", [-3.0, 1.0, 10.0])
     def test_constant_shift_invariance(self, form, shift):
         u = random_band_limited(21, LAT, n=128)
-        rA = cartan_r(u, form).r
-        rB = cartan_r(u + shift, form).r
+        rA = cartan_r(u, form)
+        rB = cartan_r(u + shift, form)
         scale = 1.0 + rA.sup_norm()
         assert np.max(np.abs(rA.values - rB.values)) / scale <= 1e-10
 
@@ -117,8 +117,19 @@ class TestCartanR:
         for c1 in (1, 2):
             out = chern_normalize(pot, c1)
             for form in ("q_form", "p_form"):
-                assert np.array_equal(cartan_r(pot.to_field(n), form).r.values,
-                                      cartan_r(out.to_field(n), form).r.values)
+                assert np.array_equal(cartan_r(pot.to_field(n), form).values,
+                                      cartan_r(out.to_field(n), form).values)
+
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "products are not checked: band 11 passes every derivative check at "
+        "n=64, while the P form's cubic products (band 33 > 32) are truncated; "
+        "r then differs from r at n=256 by 4.2e-3 relative (2.5e-16 at band 10)"))
+    def test_truncated_products_raise_under_resolved(self):
+        pot = TrigPotential.from_half_modes(
+            LAT, {(11, 0): 0.05, (5, 1): 0.05 + 0.02j, (1, 1): 0.1})
+        with pytest.raises(UnderResolved):
+            cartan_r(pot.to_field(64), "p_form")
 
 
 class TestGaussCurvature:
@@ -178,7 +189,7 @@ class TestKzzIdentity:
             LAT, 128,
             lambda S, T: 0.25 * np.cos(2 * np.pi * S) + 0.15 * np.cos(2 * np.pi * T),
             real_tag=True)
-        P = cartan_r(u, "p_form").r
+        P = cartan_r(u, "p_form")
         assert kzz_identity_residual(u) / (1.0 + P.sup_norm()) <= 1e-7
 
     def test_fubini_study(self):
@@ -196,7 +207,7 @@ def curvature_screen(u, tol, region_radius=None):
 
 
 def screen(u, tol=1e-6, region_radius=None):
-    return spherical_test(u, cartan_r(u, "p_form").r, tol, region_radius=region_radius)
+    return spherical_test(u, cartan_r(u, "p_form"), tol, region_radius=region_radius)
 
 
 def generic_torus_potential():
@@ -273,7 +284,7 @@ class TestRigidFrontEnd:
         # so a moderate h beats a fine one here
         h = ChartGrid.from_function("c1", 1.0, 96, h_fn, real_tag=True)
         u = potential_from_metric(h)
-        r_chart = cartan_r(u, "p_form").r
+        r_chart = cartan_r(u, "p_form")
         pts = np.array([0.0, 0.08, 0.05 + 0.06j, -0.09j, 0.07 - 0.02j])
         got = r_chart.evaluate_at(pts)
         want = np.array([r_series.eval(z) for z in pts])
@@ -286,4 +297,4 @@ class TestConstantCurvatureKill:
         K = gauss_curvature(u)
         km = K.values[K.mask(1.0)]
         assert np.max(np.abs(km - km.mean())) < 1e-9
-        assert cartan_r(u, "p_form").r.sup_norm(1.0) <= 1e-8
+        assert cartan_r(u, "p_form").sup_norm(1.0) <= 1e-8

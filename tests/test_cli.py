@@ -212,11 +212,21 @@ class TestMainAndExitCodes:
         assert code == 2
         capsys.readouterr()
 
-    def test_under_resolved_exit_6(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cfg", [
         # a mode in the top third of the frequency grid trips the tail check
-        cfg = torus_cfg(metric={"modes": {"50,0": [1.0, 0.0]}})
-        code = main(["invariant", "--config", write_cfg(tmp_path, cfg)])
+        torus_cfg(metric={"modes": {"50,0": [1.0, 0.0]}}),
+        # the search objective differentiates the candidate potential
+        torus_cfg(operation="search", numeric={"grid_n": 64},
+                  search={"mode_budget": 25, "trials": 1, "evaluations": 2}),
+        # the proof path differentiates X, of band 24 >= n/3
+        torus_cfg(operation="obstruction", numeric={"grid_n": 64},
+                  metric={"modes": {"12,0": [0.05, 0.0], "6,0": [0.05, 0.0]}},
+                  obstruction={"direction": [0.0, 1.0]}),
+    ], ids=["invariant", "search", "obstruction"])
+    def test_under_resolved_exit_6(self, tmp_path, capsys, cfg):
+        code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
         assert code == 6
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "UnderResolved"
         capsys.readouterr()
 
     @pytest.mark.parametrize("cfg", [

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,3 +212,31 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
     stats = tracing.span_stats(tracer.spans)
     for name in ("cartan.cross_form", "cartan.spherical_test", "index.refine_cluster_residual"):
         assert stats.get(name, {}).get("calls", 0) >= 1, name
+
+
+def test_perfbench_tracer_restores_every_wrapped_name(monkeypatch):
+    # install() looks every traced name up (one deleted or moved out of its
+    # class body raises here) and uninstall() must put each original back
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    mods = {m: importlib.import_module(f"umbilic.{m}") for m in tracing.PACKAGE_MODULES}
+    owners = list(mods.values()) + [getattr(mods[mod], cls)
+                                    for _, mod, cls, _, _ in tracing.METHODS]
+    before = [dict(vars(owner)) for owner in owners]
+    runners = dict(cli._RUNNERS)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for mod, attr in tracing.FUNCTIONS.values():
+            assert hasattr(getattr(mods[mod], attr), "__wrapped__"), (mod, attr)
+        for _, mod, cls, meth, _ in tracing.METHODS:
+            assert hasattr(vars(getattr(mods[mod], cls))[meth], "__wrapped__"), (cls, meth)
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == names.keys(), owner
+        assert [k for k, v in names.items() if now[k] is not v] == [], owner
+    assert cli._RUNNERS.keys() == runners.keys()
+    assert all(cli._RUNNERS[op] is fn for op, fn in runners.items())

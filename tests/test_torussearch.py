@@ -101,7 +101,7 @@ class TestObjective:
 def full_polish_objective(u, n, zero_ratio=1e-9):
     """The objective recomputed with the reference start walk and a polish
     that runs every start to its end."""
-    r = cartan_r(u.to_field(n), "p_form", check_resolution=False).r
+    r = cartan_r(u.to_field(n), "p_form")
     A = np.abs(r.values)
     starts = [u.lattice.st_to_z(i / n, j / n)
               for i, j in lowest_separated_cells_full(A, count=4, min_sep=4)]
@@ -253,8 +253,8 @@ class TestChern:
         pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, scale=0.08))
         out = chern_normalize(pot, 2)
         assert abs(chern_number(out) - 2.0) <= 1e-10 * 2.0
-        rA = cartan_r(pot.to_field(128), "p_form").r
-        rB = cartan_r(out.to_field(128), "p_form").r
+        rA = cartan_r(pot.to_field(128), "p_form")
+        rB = cartan_r(out.to_field(128), "p_form")
         assert np.max(np.abs(rA.values - rB.values)) <= 1e-10 * (1 + rA.sup_norm())
 
     def test_rejects_nonpositive_chern(self):
