@@ -33,16 +33,17 @@ of u.
 
 Resolution follows the one rule of :mod:`umbilic.field`: on a torus every
 derivative taken here checks the spectral tail of the field it
-differentiates and raises UnderResolved, on a chart none does, and the
-products of the P form are not checked.
+differentiates and raises UnderResolved, and on a chart none does.  The
+P and divergence forms take cubic products of band 3b, kept below n/2, so
+:func:`cartan_r` checks the modes of u with max(|j|, |k|) >= n/6 too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossFormMismatch, NotPseudoconvex
-from .field import product
+from .errors import CrossFormMismatch, NotPseudoconvex, UnderResolved
+from .field import _TAIL_TOL, _tail_energy_fraction, product
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
@@ -96,10 +97,16 @@ def potential_from_metric(h):
 
 def cartan_r(u, form: str):
     """The field r = Pu in the requested form (see module docstring).  On
-    a torus every derivative checks its spectral tail (UnderResolved)."""
+    a torus u's modes >= n/6 and every derivative check their spectral
+    tail (UnderResolved)."""
     _require_real(u, "cartan_r")
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")
+    if u.periodic:  # the modes >= (n/2)/3 = n/6, constant aside, as r ignores it
+        frac = _tail_energy_fraction(u._spectral_block(), u.n // 2)
+        if frac > _TAIL_TOL:
+            raise UnderResolved(f"modes >= n/6 carry {frac:.3e} of the potential's energy "
+                                f"(tolerance {_TAIL_TOL:.1e}): r's products would be truncated")
 
     du = _d(u)  # q
     if form == "divergence_form":

@@ -71,6 +71,7 @@ error object:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -299,15 +300,12 @@ def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> T
         _require(isinstance(metric["samples"], str), "metric samples must be a file path")
         # tabulated samples: recover band-limited modes from a dumped grid
         field = load_grid(metric["samples"], lattice)
-        C = scipy.fft.fft2(field.values) / field.n ** 2
-        modes = {}
         n = field.n
-        for j in range(-(n // 2) + 1, n // 2):
-            for k in range(-(n // 2) + 1, n // 2):
-                c = C[j % n, k % n]
-                if abs(c) > 1e-12:
-                    modes[(j, k)] = complex(c)
-        pot = TrigPotential(lattice, modes)
+        f = np.arange(-(n // 2) + 1, n // 2)
+        C = (scipy.fft.fft2(field.values) / n ** 2)[np.ix_(f % n, f % n)]
+        jj, kk = np.nonzero(np.abs(C) > 1e-12)  # row major: j, then k
+        pot = TrigPotential(lattice, {(int(f[j]), int(f[k])): complex(C[j, k])
+                                      for j, k in zip(jj, kk)})
     _require(pot.mode_budget < grid_n // 2,
              f"mode budget {pot.mode_budget} does not fit on an n={grid_n} grid")
     return pot
@@ -337,18 +335,20 @@ def load_grid(path: str, lattice: TorusLattice) -> PeriodicField:
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            body = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read samples: {exc}") from exc
     if header != "s,t,re,im":
         raise ConfigError(f"unsupported samples header {header!r}")
-    if any(len(row) != 4 for row in rows):
+    _require(body.strip(), "samples file has no rows")
+    table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != 4:
         raise ConfigError("samples rows must have four fields s,t,re,im")
-    count = len(rows)
+    count = len(table)
     n = int(round(count ** 0.5))
     if n * n != count:
         raise ConfigError(f"samples file has {count} rows, not a square grid")
-    table = np.array([[float(x) for x in row] for row in rows]).reshape(n, n, 4)
+    table = table.reshape(n, n, 4)
     if not np.isfinite(table[..., 2:]).all():
         raise ConfigError("samples must be finite numbers")
     grid = np.stack(np.meshgrid(np.arange(n) / n, np.arange(n) / n, indexing="ij"), -1)

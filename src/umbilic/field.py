@@ -19,9 +19,9 @@ Two grid-backed representations live here:
 Resolution has one rule.  Every derivative of a periodic field checks its
 spectral tail and raises UnderResolved when the modes with
 max(|j|, |k|) >= n/3 carry more than 1e-6 of its energy.  Chart
-derivatives run no check.  Products are not checked: a field of band b
-with n/6 < b < n/3 passes every derivative check, yet the cubic products
-of the P form have band 3b > n/2 and are truncated to n/2 silently.
+derivatives run no check.  Products are truncated to n/2 unchecked, so
+:func:`umbilic.cartan.cartan_r`, whose cubic products have band 3b for a
+potential of band b, checks the potential's modes >= n/6 the same way.
 
 Both share their pointwise sample arithmetic (sums, scalings, exp, log)
 through one private base class; they differ only in derivatives,
@@ -191,13 +191,14 @@ def _lattice_wirtinger(ds, dt, omega):
 
 
 def _tail_energy_fraction(B: np.ndarray, n: int) -> float:
-    """Energy fraction of the block B carried by modes with
-    max(|j|, |k|) >= n/3, of which a band below n/3 has none."""
+    """Energy fraction of the block B but its constant carried by modes
+    with max(|j|, |k|) >= n/3, of which a band below n/3 has none."""
     if 3 * (len(B) // 2) < n:
         return 0.0
     k = np.abs(_freqs(B))
     tail = 3 * np.maximum(k[:, None], k[None, :]) >= n
     power = np.abs(B) ** 2
+    power[len(B) // 2, len(B) // 2] = 0.0
     total = power.sum()
     if total == 0.0:
         return 0.0

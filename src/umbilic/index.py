@@ -475,17 +475,18 @@ def poincare_hopf_audit(records, surface: str) -> AuditReport:
 # zero refinement helpers
 # --------------------------------------------------------------------------
 
-def refine_cluster_residual(f, cluster: ZeroCluster) -> float:
-    """Polished |f| at the cluster's zero, relative to sup|f|.
+def refine_cluster_residual(f, clusters) -> list:
+    """Polished |f| at each cluster's zero, relative to sup|f|.
 
-    Clusters of both kinds are polished by the damped Newton iteration on
-    ``f.jet_at`` (:func:`_polish`) within the cluster's extent plus 1.5
-    cells: its step is defined where the Jacobian is singular, so it lands
-    on a zero curve as well as on a point zero.
+    All clusters, of both kinds, are polished at once by the damped Newton
+    iteration on ``f.jet_at`` (:func:`_polish_clusters`), each within its
+    extent plus 1.5 cells: the step is defined where the Jacobian is
+    singular, so it lands on a zero curve as well as on a point zero.
     """
     sup, cell = f.sup_norm(), f.cell_size
-    _, best = _polish_clusters(f, [cluster], [_cluster_extent(cluster, cell) + 1.5 * cell], sup)
-    return float(best[0]) / sup
+    _, best = _polish_clusters(f, clusters,
+                               [_cluster_extent(c, cell) + 1.5 * cell for c in clusters], sup)
+    return [float(m) / sup for m in best]
 
 
 def _polish(f, starts, max_move, stop=0.0):

@@ -13,6 +13,10 @@ e^{ku} Y' e^{-ku} = Y' - k Y'u the audit computes the same chain as the
 divergence form of r, along Y' and with no exponential sampled:
 X = (Y' - Y'u) D Dbar u = e^{2u} psi and Z = (Y' - 2 Y'u) X = e^{2u} Y'psi,
 so Pu = b^2 Z.
+
+In Wirtinger form Y = alpha d/dx + beta d/dy is Y = c D + conj(c) Dbar with
+c = alpha + i beta, Y' = i (c D - conj(c) Dbar), and D = a Y + b Y' gives
+a = i b and b^2 = -1 / (4 c^2).
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ _HERM_TOL = 1e-12
 # min|Pu| / sup|Pu| below which it reports 0
 _DEGENERATE_FLOOR = 1e-12
 _ZERO_RATIO = 1e-9
-# symmetric_obstruction_check: sup|Yu| allowed, relative to
-# 1 + sup|u_x| + sup|u_y|
+# symmetric_obstruction_check: sup|Yu| allowed, relative to 1 + sup|grad u|
+# = 1 + 2 sup|Du|
 _SYMMETRY_TOL = 1e-10
 # chern_number's quadrature grid
 _CHERN_GRID_N = 256
@@ -122,7 +126,8 @@ class TrigPotential:
 
 @dataclass(frozen=True)
 class SymmetryDirection:
-    """Constant direction Y = alpha d/dx + beta d/dy on the plane."""
+    """Constant direction Y = alpha d/dx + beta d/dy on the plane, which is
+    c D + conj(c) Dbar with c = alpha + i beta."""
 
     alpha: float
     beta: float
@@ -130,23 +135,6 @@ class SymmetryDirection:
     def __post_init__(self):
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("symmetry direction must be nonzero")
-
-    def perpendicular(self) -> "SymmetryDirection":
-        return SymmetryDirection(-self.beta, self.alpha)
-
-
-def _xy_derivatives(f: PeriodicField):
-    """(d/dx f, d/dy f) via d/dx = D + Dbar, d/dy = i (D - Dbar)."""
-    df = f.derivative("D")
-    dbf = f.derivative("Dbar")
-    return df.add(dbf), df.add(dbf.scale(-1.0)).scale(1j)
-
-
-def directional_derivative(f: PeriodicField, alpha: float, beta: float) -> PeriodicField:
-    """(alpha d/dx + beta d/dy) f; like every periodic derivative, it
-    checks the spectral tail of f."""
-    fx, fy = _xy_derivatives(f)
-    return fx.scale(alpha).add(fy.scale(beta))
 
 
 # --------------------------------------------------------------------------
@@ -230,45 +218,45 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     Checks Yu = 0, locates the zero set of Pu (curves as well as points),
     and audits the constructive reduction: psi = e^{-u} Y'v must attain its
     interior extrema where Y'psi changes sign, and e^{-2u} Pu must equal
-    b^2 Y'psi for the constant b with D = aY + bY'.  Pu comes from the P
-    form and the proof path from the chain X, Z of the module docstring
-    along Y', so the identity Pu = b^2 Z compares two independent code
-    paths.  Only psi = e^{-2u} X is formed with an exponential, pointwise,
-    for its extrema; the sign of Y'psi is the sign of Z.
+    b^2 Y'psi for the constant b with D = aY + bY'.  Yu = 0 is checked to
+    _SYMMETRY_TOL of 1 + sup|grad u|.  Pu comes from the P form and the
+    proof path from the chain X, Z of the module docstring along Y', so the
+    identity Pu = b^2 Z compares two independent code paths.  Only
+    psi = e^{-2u} X is formed with an exponential, pointwise, for its
+    extrema; the sign of Y'psi is the sign of Z.
     """
+    c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
+
+    def along(k, d, db):  # k D + conj(k) Dbar, given the D and Dbar derivatives
+        return d.scale(k).add(db.scale(k.conjugate()))
+
     field = u.to_field(grid_n)
-    # fx and fy also set the scale of the symmetry test
-    fx, fy = _xy_derivatives(field)
-    yu = fx.scale(Y.alpha).add(fy.scale(Y.beta))
-    scale = 1.0 + fx.sup_norm() + fy.sup_norm()
+    q, qb = field.derivative("D"), field.derivative("Dbar")
+    yu = along(c, q, qb)
+    scale = 1.0 + 2.0 * q.sup_norm()  # 1 + sup|grad u|
     if yu.sup_norm() > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
             f"sup|Yu| = {yu.sup_norm():.3e} exceeds {_SYMMETRY_TOL:.1e} x scale")
 
     r = cartan_r(field, "p_form")
-    if r.sup_norm() < 1e-12:
+    if r.sup_norm() < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
     clusters = locate_zero_cells(r)
-    residuals = [refine_cluster_residual(r, c) for c in clusters]
+    residuals = refine_cluster_residual(r, clusters)
 
     # constructive proof path
-    Yp = Y.perpendicular()
-    ypu = fx.scale(Yp.alpha).add(fy.scale(Yp.beta))
-    X, Z = _conjugated_chain(lambda f: directional_derivative(f, Yp.alpha, Yp.beta),
-                             ypu, field.derivative("Dbar").derivative("D"))
-    X = X.real_part(tol=1e-7)
-    Z = Z.real_part(tol=1e-7)
+    X, Z = _conjugated_chain(lambda f: along(1j * c, f.derivative("D"), f.derivative("Dbar")),
+                             along(1j * c, q, qb), qb.derivative("D"))
+    X, Z = X.real_part(tol=1e-7), Z.real_part(tol=1e-7)
     psi = field.scale(-2.0).exp().values.real * X.values.real
     zscale = Z.sup_norm()
     sign_change = bool(np.min(Z.values.real) < -1e-9 * zscale
                        and np.max(Z.values.real) > 1e-9 * zscale)
 
-    # Pu = b^2 Z with D = a Y + b Y'
-    A = np.array([[Y.alpha, Yp.alpha], [Y.beta, Yp.beta]], dtype=float)
-    ab = np.linalg.solve(A, np.array([0.5, -0.5j]))
-    b = complex(ab[1])
-    ident = float(np.max(np.abs(r.values - b * b * Z.values))) / (1.0 + r.sup_norm())
+    # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c)
+    b2 = -0.25 / (c * c)
+    ident = float(np.max(np.abs(r.values - b2 * Z.values))) / (1.0 + r.sup_norm())
 
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),

@@ -121,15 +121,17 @@ class TestCartanR:
                                       cartan_r(out.to_field(n), form).values)
 
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
-        "products are not checked: band 11 passes every derivative check at "
-        "n=64, while the P form's cubic products (band 33 > 32) are truncated; "
-        "r then differs from r at n=256 by 4.2e-3 relative (2.5e-16 at band 10)"))
     def test_truncated_products_raise_under_resolved(self):
+        # band 11 passes every derivative check at n=64, but the P form's
+        # cubic products (band 33 > 32) would be truncated: r would differ
+        # from r at n=256 by 4.2e-3 relative (2.5e-16 at band 10)
         pot = TrigPotential.from_half_modes(
             LAT, {(11, 0): 0.05, (5, 1): 0.05 + 0.02j, (1, 1): 0.1})
         with pytest.raises(UnderResolved):
             cartan_r(pot.to_field(64), "p_form")
+        # r ignores constants, and so does the bound: a shift cannot dilute it
+        with pytest.raises(UnderResolved):
+            cartan_r(pot.shifted(1e3).to_field(64), "divergence_form")
 
 
 class TestGaussCurvature:

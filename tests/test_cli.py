@@ -218,11 +218,17 @@ class TestMainAndExitCodes:
         # the search objective differentiates the candidate potential
         torus_cfg(operation="search", numeric={"grid_n": 64},
                   search={"mode_budget": 25, "trials": 1, "evaluations": 2}),
-        # the proof path differentiates X, of band 24 >= n/3
+        # band 12 >= n/6 trips the potential's bound in cartan_r before the
+        # proof path, which would differentiate X of band 24 >= n/3, runs
         torus_cfg(operation="obstruction", numeric={"grid_n": 64},
                   metric={"modes": {"12,0": [0.05, 0.0], "6,0": [0.05, 0.0]}},
                   obstruction={"direction": [0.0, 1.0]}),
-    ], ids=["invariant", "search", "obstruction"])
+        # band 11 passes every derivative check at n=64, but the cubic
+        # products of r (band 33 > n/2) would be truncated
+        torus_cfg(numeric={"grid_n": 64},
+                  metric={"modes": {"11,0": [0.05, 0], "5,1": [0.05, 0.02],
+                                    "1,1": [0.1, 0]}}),
+    ], ids=["invariant", "search", "obstruction", "invariant-band"])
     def test_under_resolved_exit_6(self, tmp_path, capsys, cfg):
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
         assert code == 6

@@ -102,8 +102,9 @@ class TestLocateZeroCells:
         clusters = locate_zero_cells(f)
         assert len(clusters) == 2
         assert all(c.kind == "curve" and c.winding is None for c in clusters)
-        for c in clusters:
-            assert refine_cluster_residual(f, c) < 1e-9
+        residuals = refine_cluster_residual(f, clusters)
+        assert len(residuals) == 2 and max(residuals) < 1e-9
+        assert refine_cluster_residual(f, []) == []
 
     def test_totally_degenerate(self):
         f = PeriodicField.constant(LAT, 32, 0.0)

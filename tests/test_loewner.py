@@ -212,6 +212,8 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
     stats = tracing.span_stats(tracer.spans)
     for name in ("cartan.cross_form", "cartan.spherical_test", "index.refine_cluster_residual"):
         assert stats.get(name, {}).get("calls", 0) >= 1, name
+    # the obstruction polishes its two curve clusters in one call
+    assert stats["index.refine_cluster_residual"]["calls"] == 1
 
 
 def test_perfbench_tracer_restores_every_wrapped_name(monkeypatch):

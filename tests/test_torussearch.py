@@ -193,11 +193,15 @@ class TestObstruction:
         assert rep.dpsi_sign_change
         assert rep.proof_identity_residual <= 1e-7
 
-    def test_proof_identity_to_rounding(self):
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
+                             ids=["1,0", "0,1", "1,1", "1,-1"])
+    def test_proof_identity_to_rounding(self, lattice, jk):
         # both sides of Pu = b^2 (Y' - 2 Y'u)(Y' - Y'u) D Dbar u sample no
-        # exponential, so at 10 cos(2 pi s) they agree to rounding
-        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
-        rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=64)
+        # exponential, so at 10 cos(2 pi xi) they agree to rounding along
+        # every direction, b^2 = -1 / (4 c^2) included
+        pot, Y = one_directional(lattice, jk, {1: 5.0})
+        rep = symmetric_obstruction_check(pot, Y, grid_n=64)
         assert rep.proof_identity_residual <= 1e-13
 
     def test_constant_is_degenerate(self):
