@@ -52,7 +52,12 @@ diagnostics block: wall_time_s, the time of the whole run from parsing the
 config to the checked results block, for every operation; the sphere chart
 resolution used; the clusters of winding 0 that umbilics and ph-audit
 dropped, and how many of their index cross-checks ran or were skipped, by
-reason.  A failed index audit is
+reason; the profile roots that obstruction could not certify as zero
+curves (uncertified_roots).  An obstruction's results give the line of its
+zero curves, curve_line [j0, k0], and their sorted offsets theta_i in
+[0, 1) (curve_offsets): curve i is j0 s + k0 t = theta_i.  Both come from
+the potential's modes alone, so they do not depend on grid_n; the
+residuals and identity checks are sampled on the grid.  A failed index audit is
 still a completed computation (exit 0, failure recorded in the report);
 configuration and numerical faults exit nonzero with a machine-readable
 error object:
@@ -453,14 +458,16 @@ def run_obstruction(inp: dict) -> dict:
         "zeros_found": rep.zeros_found,
         "n_zero_clusters": len(rep.zero_clusters),
         "cluster_kinds": sorted({c.kind for c in rep.zero_clusters}),
-        "cluster_centers": [[c.center.real, c.center.imag] for c in rep.zero_clusters],
+        "curve_line": list(rep.curve_line),
+        "curve_offsets": rep.curve_offsets,
         "refined_residuals": rep.residuals,
         "psi_min": rep.psi_min,
         "psi_max": rep.psi_max,
         "dpsi_sign_change": rep.dpsi_sign_change,
         "proof_identity_residual": rep.proof_identity_residual,
+        "profile_identity_residual": rep.profile_identity_residual,
         "chern_number_of_input": chern_number(pot),
-    }}
+    }, "diagnostics_extra": {"uncertified_roots": rep.uncertified_roots}}
 
 
 _RUNNERS = {

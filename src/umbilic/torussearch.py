@@ -14,6 +14,18 @@ divergence form of r, along Y' and with no exponential sampled:
 X = (Y' - Y'u) D Dbar u = e^{2u} psi and Z = (Y' - 2 Y'u) X = e^{2u} Y'psi,
 so Pu = b^2 Z.
 
+The zero set is found in one dimension.  Yu = 0 puts every mode of u on
+one line through 0, so u = f(theta) with theta = j0 s + k0 t and (j0, k0)
+primitive.  With kappa = D theta every derivative D^m Dbar^l u is
+kappa^m conj(kappa)^l f^(m+l), hence r = Pu = kappa^3 conj(kappa) p(theta)
+with p = f'''' - 3 f' f''' + 2 f'^2 f'' - f''^2, a real trigonometric
+polynomial of band 3b for a potential of band b along the line.  p's
+coefficients are exact convolutions of u's.  Its roots come from the
+companion matrix of z^{3b} p(z) (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002)
+1666-1682), and a root across which p changes sign, held against a
+rounding bound on evaluating p, is one certified closed zero curve
+theta = const of r.
+
 In Wirtinger form Y = alpha d/dx + beta d/dy is Y = c D + conj(c) Dbar with
 c = alpha + i beta, Y' = i (c D - conj(c) Dbar), and D = a Y + b Y' gives
 a = i b and b^2 = -1 / (4 c^2).
@@ -29,7 +41,8 @@ from scipy.optimize import minimize
 from .cartan import _conjugated_chain, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
 from .field import PeriodicField, TorusLattice
-from .index import _polish, locate_zero_cells, refine_cluster_residual
+from .index import ZeroCluster, _polish
+from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
 __all__ = [
     "TrigPotential",
@@ -52,6 +65,9 @@ _ZERO_RATIO = 1e-9
 # symmetric_obstruction_check: sup|Yu| allowed, relative to 1 + sup|grad u|
 # = 1 + 2 sup|Du|
 _SYMMETRY_TOL = 1e-10
+# symmetric_obstruction_check: companion-matrix roots with ||z| - 1| at most
+# this are candidate zero curves
+_RING_TOL = 1e-3
 # chern_number's quadrature grid
 _CHERN_GRID_N = 256
 
@@ -209,21 +225,109 @@ class ObstructionReport:
     psi_max: float
     dpsi_sign_change: bool
     proof_identity_residual: float
+    curve_line: tuple
+    curve_offsets: list
+    profile_identity_residual: float
+    uncertified_roots: list
+
+
+def _profile(u: TrigPotential):
+    """((j0, k0), P, tol) for u = f(j0 s + k0 t): (j0, k0) is the primitive
+    vector of u's largest nonconstant mode, taken in the half plane k0 > 0
+    or (k0 = 0, j0 > 0); P holds the coefficients of p (module docstring) in
+    theta, P[m + 3b] for |m| <= 3b, from f's Hermitian part as to_field
+    places it; tol bounds the rounding of p's value computed from P, by the
+    l1 norms of the derivative coefficient vectors."""
+    j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
+    g = int(np.gcd(j, k))
+    j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
+    b = u.mode_budget // max(abs(j0), abs(k0))
+    m = np.arange(-b, b + 1)
+    c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in m.tolist()], dtype=complex)
+    c = (c + np.conj(c[::-1])) / 2
+    d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
+    P = (np.pad(d4, 2 * b) - 3 * np.pad(np.convolve(d1, d3), b)
+         + 2 * np.convolve(np.convolve(d1, d1), d2) - np.pad(np.convolve(d2, d2), b))
+    n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
+    # the convolutions' sums round by at most (6b + 1) eps times this l1
+    # bound, and evaluating p at a theta (phases of up to 2 pi 3b) by
+    # (6 pi b + 6b + 1) eps ||P||_1 <= the same factor times it
+    tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
+    return (j0, k0), P, tol
+
+
+def _profile_values(P: np.ndarray, theta) -> np.ndarray:
+    """p(theta) = sum_m P_m e^{2 pi i m theta}, real."""
+    M = len(P) // 2
+    return (np.exp(2j * np.pi * np.outer(theta, np.arange(-M, M + 1))) @ P).real
+
+
+def _certified_roots(P: np.ndarray, tol: float):
+    """(certified, uncertified) roots in [0, 1) of the real trigonometric
+    polynomial p with coefficients P, whose values are known to tol.
+
+    The candidates are the angles of the roots of z^M p(z) within _RING_TOL
+    of the unit circle.  The midpoints between circular neighbours where
+    |p| > tol split them into groups.  A group of one candidate whose two
+    bounding midpoints carry opposite signs of p holds a zero by the
+    intermediate value theorem; its bracket is bisected to rounding and
+    gives one certified root.  Every other group (an even multiplicity, a
+    near-root off the circle, roots closer than rounding) gives one
+    uncertified root, the middle of its candidates; with no midpoint above
+    tol, every candidate is uncertified."""
+    z = np.roots(P[::-1])
+    theta = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _RING_TOL]) / (2 * np.pi) % 1.0)
+    K = theta.size
+    mids = theta + np.diff(theta, append=theta[:1] + 1.0) / 2  # mids[i] follows theta[i]
+    pm = _profile_values(P, mids)
+    sep = np.flatnonzero(np.abs(pm) > tol).tolist()
+    if not sep:
+        return [], sorted(_turns(theta).tolist())
+    lo, hi, uncertified = [], [], []
+    for a, b in zip(sep, sep[1:] + sep[:1]):  # the group of candidates a+1 .. b
+        if (b - a) % K == 1 and pm[a] * pm[b] < 0:
+            lo.append(mids[a])
+            hi.append(mids[b] + (b < a))
+        else:
+            first = theta[(a + 1) % K]
+            uncertified.append(first + (theta[b] - first) % 1.0 / 2)
+    lo, hi = np.array(lo), np.array(hi)
+    sign = np.sign(_profile_values(P, lo))
+    mid = (lo + hi) / 2
+    while np.any((lo < mid) & (mid < hi)):
+        left = np.sign(_profile_values(P, mid)) == sign
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        mid = (lo + hi) / 2
+    return sorted(_turns(mid).tolist()), sorted(_turns(np.array(uncertified)).tolist())
+
+
+def _turns(x: np.ndarray) -> np.ndarray:
+    """x mod 1 in [0, 1): a float just below an integer rounds to 1.0."""
+    x = x % 1.0
+    return np.where(x < 1.0, x, 0.0)
 
 
 def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
                                 grid_n: int = 128) -> ObstructionReport:
     """Verify that a Y-invariant potential forces zeros of Pu.
 
-    Checks Yu = 0, locates the zero set of Pu (curves as well as points),
-    and audits the constructive reduction: psi = e^{-u} Y'v must attain its
-    interior extrema where Y'psi changes sign, and e^{-2u} Pu must equal
-    b^2 Y'psi for the constant b with D = aY + bY'.  Yu = 0 is checked to
+    Checks Yu = 0, finds the zero curves of Pu in one dimension, and audits
+    the constructive reduction: psi = e^{-u} Y'v must attain its interior
+    extrema where Y'psi changes sign, and e^{-2u} Pu must equal b^2 Y'psi
+    for the constant b with D = aY + bY'.  Yu = 0 is checked to
     _SYMMETRY_TOL of 1 + sup|grad u|.  Pu comes from the P form and the
     proof path from the chain X, Z of the module docstring along Y', so the
     identity Pu = b^2 Z compares two independent code paths.  Only
     psi = e^{-2u} X is formed with an exponential, pointwise, for its
     extrema; the sign of Y'psi is the sign of Z.
+
+    The zero curves are the certified roots theta_i of the profile p
+    (_certified_roots): one curve cluster each, centred at
+    (s, t) = theta_i (j0, k0) / (j0^2 + k0^2), with residual |r| there over
+    sup|r| from one batched evaluation of the 2-D r.  The profile identity
+    r = kappa^3 conj(kappa) p(theta) is checked at every grid node, relative
+    to 1 + sup|r|.  Roots that fail the certificate are reported in
+    uncertified_roots, never dropped.
     """
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
 
@@ -242,8 +346,20 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     if r.sup_norm() < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
-    clusters = locate_zero_cells(r)
-    residuals = refine_cluster_residual(r, clusters)
+    (j0, k0), P, tol = _profile(u)
+    offsets, uncertified = _certified_roots(P, tol)
+    w = np.array(offsets) / (j0 * j0 + k0 * k0)
+    s, t = w * j0, w * k0
+    clusters = [ZeroCluster(chart_id=r.chart_id, cells=[], winding=None, kind="curve",
+                            center=complex(u.lattice.st_to_z(si % 1.0, ti % 1.0)))
+                for si, ti in zip(s.tolist(), t.tolist())]
+    residuals = (np.abs(r.evaluate_st(s, t)) / r.sup_norm()).tolist()
+    om = u.lattice.omega
+    kappa = (j0 * om.conjugate() - k0) / (om.conjugate() - om)  # D theta
+    nodes = np.arange(grid_n)
+    on_grid = _profile_values(P, nodes / grid_n)[(j0 * nodes[:, None] + k0 * nodes) % grid_n]
+    profile_ident = (float(np.max(np.abs(r.values - kappa ** 3 * kappa.conjugate() * on_grid)))
+                     / (1.0 + r.sup_norm()))
 
     # constructive proof path
     X, Z = _conjugated_chain(lambda f: along(1j * c, f.derivative("D"), f.derivative("Dbar")),
@@ -261,7 +377,9 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),
         residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
-        dpsi_sign_change=sign_change, proof_identity_residual=ident)
+        dpsi_sign_change=sign_change, proof_identity_residual=ident,
+        curve_line=(j0, k0), curve_offsets=offsets, profile_identity_residual=profile_ident,
+        uncertified_roots=uncertified)
 
 
 # --------------------------------------------------------------------------

@@ -143,6 +143,11 @@ class TestRunners:
         res = report["results"]
         assert res["zeros_found"] and res["n_zero_clusters"] >= 1
         assert max(res["refined_residuals"]) <= 1e-6
+        # the zero curves s = theta_i, one offset per curve cluster
+        assert res["curve_line"] == [1, 0]
+        assert len(res["curve_offsets"]) == res["n_zero_clusters"]
+        assert res["profile_identity_residual"] <= 1e-13
+        assert report["diagnostics"]["uncertified_roots"] == []
 
     def test_search_runner_reproducible(self):
         cfg = torus_cfg(operation="search",

@@ -197,8 +197,8 @@ def test_perfbench_tracer_records_the_loewner_layers():
 
 
 def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
-    # the cross-form check, the spherical screen and the cluster polish are
-    # wrapped by name as well
+    # the cross-form check and the spherical screen are wrapped by name as
+    # well, and so are the zero-location layers the obstruction no longer calls
     tracing = load_tracing()
     torus = {"surface": {"kind": "torus", "omega": [0.0, 1.0]},
              "metric": {"modes": {"1,0": [0.2, 0.0]}}, "numeric": {"grid_n": 64}}
@@ -210,10 +210,12 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
     finally:
         tracer.uninstall()
     stats = tracing.span_stats(tracer.spans)
-    for name in ("cartan.cross_form", "cartan.spherical_test", "index.refine_cluster_residual"):
+    for name in ("cartan.cross_form", "cartan.spherical_test"):
         assert stats.get(name, {}).get("calls", 0) >= 1, name
-    # the obstruction polishes its two curve clusters in one call
-    assert stats["index.refine_cluster_residual"]["calls"] == 1
+    # the obstruction finds its zero curves from the one-dimensional profile:
+    # no 2-D cell pass and no polish
+    for name in ("index.locate_zero_cells", "index.refine_cluster_residual"):
+        assert stats.get(name, {}).get("calls", 0) == 0, name
 
 
 def test_perfbench_tracer_restores_every_wrapped_name(monkeypatch):

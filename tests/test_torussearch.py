@@ -7,7 +7,8 @@ from umbilic.errors import SymmetryViolated, TotallyDegenerate
 from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                                 _lowest_separated_cells, chern_normalize, chern_number,
+                                 _certified_roots, _lowest_separated_cells,
+                                 chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
@@ -203,6 +204,34 @@ class TestObstruction:
         pot, Y = one_directional(lattice, jk, {1: 5.0})
         rep = symmetric_obstruction_check(pot, Y, grid_n=64)
         assert rep.proof_identity_residual <= 1e-13
+        # and the 2-D P form agrees with kappa^3 conj(kappa) p(theta)
+        assert rep.profile_identity_residual <= 1e-13
+
+    def test_root_certificate_on_synthetic_profiles(self):
+        # p = cos 2 pi theta: two sign changes, at 1/4 and 3/4
+        roots, open_roots = _certified_roots(np.array([0.5, 0.0, 0.5]), 1e-15)
+        assert open_roots == []
+        assert np.allclose(roots, [0.25, 0.75], rtol=0.0, atol=1e-15)
+        # p = 1 - cos 2 pi theta >= 0: a double root at 0, no sign change, so
+        # no curve is certified and the root is reported, not dropped
+        roots, open_roots = _certified_roots(np.array([-0.5, 1.0, -0.5]), 1e-15)
+        assert roots == []
+        assert len(open_roots) == 1 and min(open_roots[0], 1.0 - open_roots[0]) <= 1e-6
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
+                             ids=["1,0", "0,1", "1,1", "1,-1"])
+    def test_curves_do_not_depend_on_the_grid(self, lattice, jk):
+        # the offsets come from u's modes alone, so every grid reports the
+        # same curves bit for bit, and every sampled check holds on each
+        pot, Y = one_directional(lattice, jk, {1: 0.12 - 0.05j, 2: 0.03 + 0.02j})
+        reps = [symmetric_obstruction_check(pot, Y, grid_n=n) for n in (64, 96, 128, 256)]
+        for rep in reps:
+            assert rep.curve_offsets == reps[0].curve_offsets
+            assert len(rep.zero_clusters) == len(reps[0].zero_clusters) == 4
+            assert rep.uncertified_roots == []
+            assert max(rep.residuals) <= 1e-14
+            assert rep.profile_identity_residual <= 1e-13
 
     def test_constant_is_degenerate(self):
         with pytest.raises(TotallyDegenerate):
@@ -231,8 +260,11 @@ class TestObstruction:
         der = lambda v, p: np.fft.ifft(np.fft.fft(v) * (2j * np.pi * freq) ** p).real
         prof = (der(U, 4) - 3 * der(U, 1) * der(U, 3)
                 + 2 * der(U, 1) ** 2 * der(U, 2) - der(U, 2) ** 2)
-        crossings = int(np.sum(np.sign(prof) != np.sign(np.roll(prof, -1))))
-        assert crossings == len(rep.zero_clusters)
+        change = np.flatnonzero(np.sign(prof) != np.sign(np.roll(prof, -1)))
+        assert change.size == len(rep.zero_clusters)
+        # each curve's offset lies in the sampling interval of one sign change
+        assert rep.curve_line == (1, 1)
+        assert np.allclose(rep.curve_offsets, (change + 0.5) / m, rtol=0.0, atol=0.5 / m)
 
     def test_general_lattice(self):
         pot, Y = one_directional(LAT_GEN, (0, 1), {1: 0.18})
