@@ -249,9 +249,9 @@ def _profile(u: TrigPotential):
     P = (np.pad(d4, 2 * b) - 3 * np.pad(np.convolve(d1, d3), b)
          + 2 * np.convolve(np.convolve(d1, d1), d2) - np.pad(np.convolve(d2, d2), b))
     n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
-    # the convolutions' sums round by at most (6b + 1) eps times this l1
-    # bound, and evaluating p at a theta (phases of up to 2 pi 3b) by
-    # (6 pi b + 6b + 1) eps ||P||_1 <= the same factor times it
+    # with L the l1 bound below (||P||_1 <= L): each coefficient of P sums at
+    # most 6b + 1 products, and p(theta) sums 6b + 1 terms whose phases reach
+    # 6 pi b, so the computed value is off by at most (30.9 b + 2) eps L
     tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
     return (j0, k0), P, tol
 
@@ -283,19 +283,19 @@ def _certified_roots(P: np.ndarray, tol: float):
     sep = np.flatnonzero(np.abs(pm) > tol).tolist()
     if not sep:
         return [], sorted(_turns(theta).tolist())
-    lo, hi, uncertified = [], [], []
+    lo, hi, positive, uncertified = [], [], [], []
     for a, b in zip(sep, sep[1:] + sep[:1]):  # the group of candidates a+1 .. b
         if (b - a) % K == 1 and pm[a] * pm[b] < 0:
             lo.append(mids[a])
             hi.append(mids[b] + (b < a))
+            positive.append(pm[a] > 0)
         else:
             first = theta[(a + 1) % K]
             uncertified.append(first + (theta[b] - first) % 1.0 / 2)
-    lo, hi = np.array(lo), np.array(hi)
-    sign = np.sign(_profile_values(P, lo))
+    lo, hi, positive = np.array(lo), np.array(hi), np.array(positive, dtype=bool)
     mid = (lo + hi) / 2
     while np.any((lo < mid) & (mid < hi)):
-        left = np.sign(_profile_values(P, mid)) == sign
+        left = (_profile_values(P, mid) > 0) == positive
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         mid = (lo + hi) / 2
     return sorted(_turns(mid).tolist()), sorted(_turns(np.array(uncertified)).tolist())
