@@ -110,22 +110,15 @@ def cartan_r(u, form: str):
 
     du = _d(u)  # q
     if form == "divergence_form":
-        return _conjugated_chain(_d, du, _db(du))[1]
+        w = _db(du)
+        X = _d(w) + product([(-1.0, (du, w))])
+        return _d(X) + product([(-2.0, (du, X))])
     d2u = _d(du)
     ddbu = _db(du)
     d2dbu = _d(ddbu)
     return _d(d2dbu) + product([(-3.0, (du, d2dbu)),
                                 (2.0, (du, du, ddbu)),
                                 (-1.0, (d2u, ddbu))])
-
-
-def _conjugated_chain(d, du, w):
-    """(X, (d - 2 du) X) with X = (d - du) w, for a first-order operator d
-    applied to fields and du = d u.  By e^{ku} d e^{-ku} = d - k du this is
-    e^{u} d(e^{-u} w) and e^{2u} d(e^{-u} d(e^{-u} w)) with no exponential
-    sampled; the second step differentiates the product du w inside X."""
-    X = d(w) + product([(-1.0, (du, w))])
-    return X, d(X) + product([(-2.0, (du, X))])
 
 
 def cartan_r_all_forms(u, tol: float = 1e-7) -> dict:

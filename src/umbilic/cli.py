@@ -324,13 +324,14 @@ def dump_grid(field, path: str):
     """Delimited text table (s,t,re,im on the torus; x,y,re,im on a chart),
     row major, 17 significant digits."""
     ax0, ax1 = field.corner_st(np.arange(field.n), np.arange(field.n))
+    V = field.values
+    # one formatting per grid row i: its n lines s_i, t_j, re, im as 4n numbers
+    table = np.stack(np.broadcast_arrays(ax0[:, None], ax1, V.real, V.imag), -1)
+    rows = "%.17g,%.17g,%.17g,%.17g\n" * field.n
     with open(path, "w") as fh:
         fh.write("s,t,re,im\n" if field.periodic else "x,y,re,im\n")
-        V = field.values
-        for i, a0 in enumerate(ax0):
-            for j, a1 in enumerate(ax1):
-                v = V[i, j]
-                fh.write(f"{a0:.17g},{a1:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        for row in table.reshape(field.n, -1).tolist():
+            fh.write(rows % tuple(row))
 
 
 @_parsing()

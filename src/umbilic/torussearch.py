@@ -8,11 +8,7 @@ constant symmetry direction Y with Yu = 0 (and Y has compact leaves), then
 Pu must vanish somewhere.  The proof is constructive enough to audit
 numerically: with v = e^{-u} D Dbar u, a transverse constant direction Y'
 and psi = e^{-u} Y'v, one has e^{-2u} Pu = b^2 Y'psi for a constant b, and
-the periodic function psi attains extrema where Y'psi changes sign.  By
-e^{ku} Y' e^{-ku} = Y' - k Y'u the audit computes the same chain as the
-divergence form of r, along Y' and with no exponential sampled:
-X = (Y' - Y'u) D Dbar u = e^{2u} psi and Z = (Y' - 2 Y'u) X = e^{2u} Y'psi,
-so Pu = b^2 Z.
+the periodic function psi attains extrema where Y'psi changes sign.
 
 The zero set is found in one dimension.  Yu = 0 puts every mode of u on
 one line through 0, so u = f(theta) with theta = j0 s + k0 t and (j0, k0)
@@ -26,9 +22,16 @@ companion matrix of z^{3b} p(z) (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002)
 rounding bound on evaluating p, is one certified closed zero curve
 theta = const of r.
 
+The audit is one-dimensional too: Y' acts on f(theta) as lam d/dtheta,
+lam = Y'theta, so X = (Y' - Y'u) D Dbar u = e^{2u} psi and
+Z = (Y' - 2 Y'u) X = e^{2u} Y'psi (by e^{ku} Y' e^{-ku} = Y' - k Y'u) are
+lam |kappa|^2 X1 and lam^2 |kappa|^2 Z1, X1 = (d - f') f'' and
+Z1 = (d - 2 f') X1 with d = d/dtheta, exact convolutions of u's
+coefficients.  Z1 = p in exact arithmetic, reached by another formula.
+
 In Wirtinger form Y = alpha d/dx + beta d/dy is Y = c D + conj(c) Dbar with
 c = alpha + i beta, Y' = i (c D - conj(c) Dbar), and D = a Y + b Y' gives
-a = i b and b^2 = -1 / (4 c^2).
+a = i b and b^2 = -1 / (4 c^2); lam = -2 Im(c kappa).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .cartan import _conjugated_chain, cartan_r
+from .cartan import cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
 from .field import PeriodicField, TorusLattice
 from .index import ZeroCluster, _polish
@@ -232,12 +235,12 @@ class ObstructionReport:
 
 
 def _profile(u: TrigPotential):
-    """((j0, k0), P, tol) for u = f(j0 s + k0 t): (j0, k0) is the primitive
+    """((j0, k0), F, tol) for u = f(j0 s + k0 t): (j0, k0) is the primitive
     vector of u's largest nonconstant mode, taken in the half plane k0 > 0
-    or (k0 = 0, j0 > 0); P holds the coefficients of p (module docstring) in
-    theta, P[m + 3b] for |m| <= 3b, from f's Hermitian part as to_field
-    places it; tol bounds the rounding of p's value computed from P, by the
-    l1 norms of the derivative coefficient vectors."""
+    or (k0 = 0, j0 > 0); the rows of F are f, X1, Z1 and p (module
+    docstring) in theta, F[:, m + 3b] for |m| <= 3b, from f's Hermitian
+    part as to_field places it; tol bounds the rounding of p's value from
+    F[3], by the l1 norms of the derivative coefficient vectors."""
     j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
     g = int(np.gcd(j, k))
     j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
@@ -248,18 +251,20 @@ def _profile(u: TrigPotential):
     d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
     P = (np.pad(d4, 2 * b) - 3 * np.pad(np.convolve(d1, d3), b)
          + 2 * np.convolve(np.convolve(d1, d1), d2) - np.pad(np.convolve(d2, d2), b))
+    X1 = np.pad(d3, b) - np.convolve(d1, d2)
+    Z1 = np.pad(X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1)), b) - 2 * np.convolve(d1, X1)
     n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
     # with L the l1 bound below (||P||_1 <= L): each coefficient of P sums at
     # most 6b + 1 products, and p(theta) sums 6b + 1 terms whose phases reach
     # 6 pi b, so the computed value is off by at most (30.9 b + 2) eps L
     tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
-    return (j0, k0), P, tol
+    return (j0, k0), np.stack([np.pad(c, 2 * b), np.pad(X1, b), Z1, P]), tol
 
 
 def _profile_values(P: np.ndarray, theta) -> np.ndarray:
-    """p(theta) = sum_m P_m e^{2 pi i m theta}, real."""
-    M = len(P) // 2
-    return (np.exp(2j * np.pi * np.outer(theta, np.arange(-M, M + 1))) @ P).real
+    """p(theta) = sum_m P_m e^{2 pi i m theta}, real; one column per row of P."""
+    M = P.shape[-1] // 2
+    return (np.exp(2j * np.pi * np.outer(theta, np.arange(-M, M + 1))) @ P.T).real
 
 
 def _certified_roots(P: np.ndarray, tol: float):
@@ -315,11 +320,11 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     the constructive reduction: psi = e^{-u} Y'v must attain its interior
     extrema where Y'psi changes sign, and e^{-2u} Pu must equal b^2 Y'psi
     for the constant b with D = aY + bY'.  Yu = 0 is checked to
-    _SYMMETRY_TOL of 1 + sup|grad u|.  Pu comes from the P form and the
-    proof path from the chain X, Z of the module docstring along Y', so the
-    identity Pu = b^2 Z compares two independent code paths.  Only
-    psi = e^{-2u} X is formed with an exponential, pointwise, for its
-    extrema; the sign of Y'psi is the sign of Z.
+    _SYMMETRY_TOL of 1 + sup|grad u|.  Pu comes from the 2-D P form and the
+    proof path from the 1-D chain X1, Z1 of the module docstring, so the
+    identity Pu = b^2 Z compares two independent computations at every grid
+    node.  psi = e^{-2f} X is formed, at the n values of theta on the grid,
+    for its extrema (DomainError on overflow); the sign of Y'psi is Z1's.
 
     The zero curves are the certified roots theta_i of the profile p
     (_certified_roots): one curve cluster each, centred at
@@ -330,13 +335,9 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     uncertified_roots, never dropped.
     """
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
-
-    def along(k, d, db):  # k D + conj(k) Dbar, given the D and Dbar derivatives
-        return d.scale(k).add(db.scale(k.conjugate()))
-
     field = u.to_field(grid_n)
-    q, qb = field.derivative("D"), field.derivative("Dbar")
-    yu = along(c, q, qb)
+    q = field.derivative("D")
+    yu = q.scale(c).add(field.derivative("Dbar").scale(c.conjugate()))
     scale = 1.0 + 2.0 * q.sup_norm()  # 1 + sup|grad u|
     if yu.sup_norm() > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
@@ -346,8 +347,8 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     if r.sup_norm() < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
-    (j0, k0), P, tol = _profile(u)
-    offsets, uncertified = _certified_roots(P, tol)
+    (j0, k0), F, tol = _profile(u)
+    offsets, uncertified = _certified_roots(F[3], tol)
     w = np.array(offsets) / (j0 * j0 + k0 * k0)
     s, t = w * j0, w * k0
     clusters = [ZeroCluster(chart_id=r.chart_id, cells=[], winding=None, kind="curve",
@@ -357,22 +358,26 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     om = u.lattice.omega
     kappa = (j0 * om.conjugate() - k0) / (om.conjugate() - om)  # D theta
     nodes = np.arange(grid_n)
-    on_grid = _profile_values(P, nodes / grid_n)[(j0 * nodes[:, None] + k0 * nodes) % grid_n]
-    profile_ident = (float(np.max(np.abs(r.values - kappa ** 3 * kappa.conjugate() * on_grid)))
+    f, X1, Z1, p = _profile_values(F, nodes / grid_n).T  # at theta = i / n
+    on_grid = (j0 * nodes[:, None] + k0 * nodes) % grid_n  # node (i, j) has theta = on_grid / n
+    profile_ident = (float(np.max(np.abs(r.values - kappa ** 3 * kappa.conjugate() * p[on_grid])))
                      / (1.0 + r.sup_norm()))
 
-    # constructive proof path
-    X, Z = _conjugated_chain(lambda f: along(1j * c, f.derivative("D"), f.derivative("Dbar")),
-                             along(1j * c, q, qb), qb.derivative("D"))
-    X, Z = X.real_part(tol=1e-7), Z.real_part(tol=1e-7)
-    psi = field.scale(-2.0).exp().values.real * X.values.real
-    zscale = Z.sup_norm()
-    sign_change = bool(np.min(Z.values.real) < -1e-9 * zscale
-                       and np.max(Z.values.real) > 1e-9 * zscale)
+    # constructive proof path: X = lam |kappa|^2 X1 and Z = lam^2 |kappa|^2 Z1
+    lam = -2.0 * (c * kappa).imag  # Y'theta
+    k2 = abs(kappa) ** 2
+    with np.errstate(over="ignore"):
+        e2f = np.exp(-2.0 * f)
+    if not np.all(np.isfinite(e2f)):
+        raise DomainError(f"e^(-2u) overflows on these samples (max -2u {-2.0 * f.min():.6g})")
+    psi = lam * k2 * e2f * X1
+    zscale = float(np.max(np.abs(Z1)))
+    sign_change = bool(np.min(Z1) < -1e-9 * zscale and np.max(Z1) > 1e-9 * zscale)
 
     # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c)
     b2 = -0.25 / (c * c)
-    ident = float(np.max(np.abs(r.values - b2 * Z.values))) / (1.0 + r.sup_norm())
+    ident = (float(np.max(np.abs(r.values - b2 * lam * lam * k2 * Z1[on_grid])))
+             / (1.0 + r.sup_norm()))
 
     return ObstructionReport(
         direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),

@@ -18,13 +18,16 @@ scanning the whole spectrum) is the bitwise reference for the library's
 spectrum-first fields and their centred band blocks.  Periodic fields
 from a function or from a mode dictionary are sampled directly, the latter
 by summing exponentials, so they are independent of the library's
-transforms.
+transforms.  The 2-D obstruction chain is the reference for the
+symmetry audit's one-dimensional psi: the same reduction taken on the
+sampled field along the transverse direction, with the library's
+derivatives and products.
 """
 
 import numpy as np
 from scipy import fft as sfft
 
-from umbilic.field import PeriodicField, TorusLattice
+from umbilic.field import PeriodicField, TorusLattice, product
 
 
 def periodic_from_function(lattice: TorusLattice, n: int, fn,
@@ -196,6 +199,27 @@ def one_directional(lattice: TorusLattice, jk, profile):
     else:
         Y = SymmetryDirection(-xi_y / j0, 1.0)
     return pot, Y
+
+
+def obstruction_chain_2d(pot, Y, n: int):
+    """(psi, Z) samples of the symmetry audit's chain on the n x n grid of
+    pot: with Y' = i(c D - conj(c) Dbar), c = alpha + i beta, and
+    w = D Dbar u, X = (Y' - Y'u) w and Z = (Y' - 2 Y'u) X, psi = e^{-2u} X."""
+    c = complex(Y.alpha, Y.beta)
+
+    def along(k, d, db):  # k D + conj(k) Dbar, given the D and Dbar derivatives
+        return d.scale(k).add(db.scale(k.conjugate()))
+
+    def yp(f):
+        return along(1j * c, f.derivative("D"), f.derivative("Dbar"))
+
+    field = pot.to_field(n)
+    q, qb = field.derivative("D"), field.derivative("Dbar")
+    ypu, w = along(1j * c, q, qb), qb.derivative("D")
+    X = yp(w) + product([(-1.0, (ypu, w))])
+    Z = yp(X) + product([(-2.0, (ypu, X))])
+    X, Z = X.real_part(tol=1e-7), Z.real_part(tol=1e-7)
+    return field.scale(-2.0).exp().values.real * X.values.real, Z.values.real
 
 
 def refine_edge_depth_first(eval_line, v0, v1, floor, max_depth=12):

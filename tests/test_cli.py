@@ -445,7 +445,13 @@ class TestGridDump:
         ch = ChartGrid.from_function("c1", 1.0, 16, lambda Z: Z)
         path = tmp_path / "chart.csv"
         dump_grid(ch, str(path))
-        assert path.read_text().startswith("x,y,re,im")
+        text = path.read_text()
+        assert text.startswith("x,y,re,im\n")
+        # the body: one row per sample, row major, each number as f"{x:.17g}"
+        x, y = ch.corner_st(np.arange(16), np.arange(16))
+        rows = [f"{a:.17g},{b:.17g},{v.real:.17g},{v.imag:.17g}\n"
+                for a, row in zip(x, ch.values) for b, v in zip(y, row)]
+        assert text[len("x,y,re,im\n"):] == "".join(rows)
 
     def test_roundtrip_full_precision(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -202,20 +202,27 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
     tracing = load_tracing()
     torus = {"surface": {"kind": "torus", "omega": [0.0, 1.0]},
              "metric": {"modes": {"1,0": [0.2, 0.0]}}, "numeric": {"grid_n": 64}}
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        cli.run(dict(torus, operation="invariant"))
-        cli.run(dict(torus, operation="obstruction", obstruction={"direction": [0.0, 1.0]}))
-    finally:
-        tracer.uninstall()
-    stats = tracing.span_stats(tracer.spans)
+
+    def traced(cfg):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            cli.run(cfg)
+        finally:
+            tracer.uninstall()
+        return tracing.span_stats(tracer.spans)
+
+    stats = traced(dict(torus, operation="invariant"))
     for name in ("cartan.cross_form", "cartan.spherical_test"):
         assert stats.get(name, {}).get("calls", 0) >= 1, name
+    stats = traced(dict(torus, operation="obstruction", obstruction={"direction": [0.0, 1.0]}))
     # the obstruction finds its zero curves from the one-dimensional profile:
     # no 2-D cell pass and no polish
     for name in ("index.locate_zero_cells", "index.refine_cluster_residual"):
         assert stats.get(name, {}).get("calls", 0) == 0, name
+    # and audits the proof in 1-D: Du and Dbar u for Yu, five for the P form
+    assert stats["field.derivative"]["calls"] == 7
+    assert stats["cartan.cartan_r"]["calls"] == 1
 
 
 def test_perfbench_tracer_restores_every_wrapped_name(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from umbilic import torussearch
 from umbilic.cartan import cartan_r
-from umbilic.errors import SymmetryViolated, TotallyDegenerate
+from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate
 from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
@@ -13,7 +13,7 @@ from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
                                  symmetric_obstruction_check, torus_search)
 
 from _oracles import (eager_derivative, eager_potential, lowest_separated_cells_full,
-                      one_directional, random_half_modes)
+                      obstruction_chain_2d, one_directional, random_half_modes)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -183,9 +183,10 @@ class TestObstruction:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_large_amplitude_uses_p_form(self, n):
-        # 10 cos(2 pi s): the P form finds the four zero curves, and the
-        # identity compares it with the proof path, the conjugated chain
-        # along Y'; neither samples an exponential, whose range here is e^{20}
+        # 10 cos(2 pi s): the profile gives the four zero curves, and the
+        # identity compares the 2-D P form with the proof path, the 1-D
+        # chain in theta; neither samples an exponential, whose range here
+        # is e^{20}
         pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
         rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=n)
         assert len(rep.zero_clusters) == 4
@@ -198,14 +199,40 @@ class TestObstruction:
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
                              ids=["1,0", "0,1", "1,1", "1,-1"])
     def test_proof_identity_to_rounding(self, lattice, jk):
-        # both sides of Pu = b^2 (Y' - 2 Y'u)(Y' - Y'u) D Dbar u sample no
-        # exponential, so at 10 cos(2 pi xi) they agree to rounding along
-        # every direction, b^2 = -1 / (4 c^2) included
+        # Pu = b^2 (Y' - 2 Y'u)(Y' - Y'u) D Dbar u: the 2-D P form against
+        # b^2 lam^2 |kappa|^2 Z1(theta) from u's coefficients; neither side
+        # samples an exponential, so at 10 cos(2 pi xi) they agree to
+        # rounding along every direction, b^2 = -1 / (4 c^2) included
         pot, Y = one_directional(lattice, jk, {1: 5.0})
         rep = symmetric_obstruction_check(pot, Y, grid_n=64)
         assert rep.proof_identity_residual <= 1e-13
         # and the 2-D P form agrees with kappa^3 conj(kappa) p(theta)
         assert rep.profile_identity_residual <= 1e-13
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
+                             ids=["1,0", "0,1", "1,1", "1,-1"])
+    @pytest.mark.parametrize("profile, n", [({1: 5.0}, 64),
+                                            ({1: 0.12 - 0.05j, 2: 0.03 + 0.02j}, 128)],
+                             ids=["amplitude5", "two-mode"])
+    def test_psi_matches_the_2d_chain(self, lattice, jk, profile, n):
+        # psi and the sign of Y'psi from the 1-D chain equal those of the
+        # same chain taken on the 2-D field along Y'
+        pot, Y = one_directional(lattice, jk, profile)
+        rep = symmetric_obstruction_check(pot, Y, grid_n=n)
+        psi, Z = obstruction_chain_2d(pot, Y, n)
+        bound = 1e-12 * np.max(np.abs(psi))
+        assert abs(rep.psi_min - np.min(psi)) <= bound
+        assert abs(rep.psi_max - np.max(psi)) <= bound
+        zscale = np.max(np.abs(Z))
+        assert rep.dpsi_sign_change == bool(np.min(Z) < -1e-9 * zscale
+                                            and np.max(Z) > 1e-9 * zscale)
+
+    def test_overflowing_exponential_raises(self):
+        # u = 1400 cos(2 pi s): e^{-2u} leaves the float range on the profile
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 700.0})
+        with pytest.raises(DomainError):
+            symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0))
 
     def test_root_certificate_on_synthetic_profiles(self):
         # p = cos 2 pi theta: two sign changes, at 1/4 and 3/4
