@@ -23,13 +23,14 @@ the forms against each other on every run that asks for it.
 
 On sampled fields the q form and the P form are one code block (q = Du is
 the first derivative the P form takes, and the rest is the same sequence of
-derivatives), with the three products summed by one dealiased polynomial
-product; the two forms agree bitwise, and the independent evidence of the
-cross-form check comes from the divergence form.  It is computed as
-X = D w - q w and r = D X - 2 q X with w = D Dbar u, so no exponential is
-sampled: it differentiates products (D(q w), D(q X)) where the P form
-multiplies derivatives, and its accuracy does not depend on the amplitude
-of u.
+derivatives): r is one dealiased polynomial product in those derivatives,
+the linear term D^3 Dbar u a one-factor monomial placed last.  The two
+forms agree bitwise, and the independent evidence of the cross-form check
+comes from the divergence form.  It is computed as X = D w - q w and
+r = D X - 2 q X with w = D Dbar u, each one product with its linear term
+last, so no exponential is sampled: it differentiates products (D(q w),
+D(q X)) where the P form multiplies derivatives, and its accuracy does not
+depend on the amplitude of u.
 
 Resolution follows the one rule of :mod:`umbilic.field`: on a torus every
 derivative taken here checks the spectral tail of the field it
@@ -111,14 +112,15 @@ def cartan_r(u, form: str):
     du = _d(u)  # q
     if form == "divergence_form":
         w = _db(du)
-        X = _d(w) + product([(-1.0, (du, w))])
-        return _d(X) + product([(-2.0, (du, X))])
+        X = product([(-1.0, (du, w)), (1.0, (_d(w),))])
+        return product([(-2.0, (du, X)), (1.0, (_d(X),))])
     d2u = _d(du)
     ddbu = _db(du)
     d2dbu = _d(ddbu)
-    return _d(d2dbu) + product([(-3.0, (du, d2dbu)),
-                                (2.0, (du, du, ddbu)),
-                                (-1.0, (d2u, ddbu))])
+    return product([(-3.0, (du, d2dbu)),
+                    (2.0, (du, du, ddbu)),
+                    (-1.0, (d2u, ddbu)),
+                    (1.0, (_d(d2dbu),))])
 
 
 def cartan_r_all_forms(u, tol: float = 1e-7) -> dict:

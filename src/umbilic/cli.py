@@ -457,8 +457,8 @@ def run_obstruction(inp: dict) -> dict:
     return {"results": {
         "direction": [rep.direction.alpha, rep.direction.beta],
         "zeros_found": rep.zeros_found,
-        "n_zero_clusters": len(rep.zero_clusters),
-        "cluster_kinds": sorted({c.kind for c in rep.zero_clusters}),
+        "n_zero_clusters": len(rep.curve_offsets),
+        "cluster_kinds": ["curve"] if rep.curve_offsets else [],
         "curve_line": list(rep.curve_line),
         "curve_offsets": rep.curve_offsets,
         "refined_residuals": rep.residuals,

@@ -6,9 +6,9 @@ Two grid-backed representations live here:
   torus lattice.  The samples are interpreted as a trigonometric
   interpolant, so differentiation (through the FFT) is exact for
   band-limited data and products are dealiased on a padded grid.  Fields
-  made by derivatives, products, sums of those and trigonometric
-  potentials keep their spectrum for the next step, cut to its band: the
-  largest |k| with a nonzero bin (n/2 for a field built from samples).
+  made by derivatives, products and trigonometric potentials keep their
+  spectrum for the next step, cut to its band: the largest |k| with a
+  nonzero bin (n/2 for a field built from samples).
   Derivatives, products and off-grid evaluation are sized to it.  Such a
   field is spectrum first: unless it is real-tagged, its samples are
   computed on first read (see :class:`PeriodicField`), so a chain of
@@ -339,10 +339,10 @@ class PeriodicField(_SampledField):
     padded grid and truncated back (see :meth:`_product`).
 
     A field returned by :meth:`derivative`, :func:`product` or
-    ``TrigPotential.to_field``, or by :meth:`add` of two such fields, keeps
-    the spectrum its samples come from (``_block``, built by
-    :meth:`_from_block`): the fft2 bins of frequencies -h .. h, centred and
-    cut to the band h, the largest |k| on either axis with a nonzero bin.
+    ``TrigPotential.to_field`` keeps the spectrum its samples come from
+    (``_block``, built by :meth:`_from_block`): the fft2 bins of
+    frequencies -h .. h, centred and cut to the band h, the largest |k| on
+    either axis with a nonzero bin.
     At h = n/2 the block is n x n, frequencies -n/2 .. n/2 - 1 with the
     Nyquist bins whole; the product lift and evaluation split them where
     they form the interpolant's coefficients.  The block sizes the
@@ -356,25 +356,24 @@ class PeriodicField(_SampledField):
     (``to_field``, products of real fields), have them at once, so the
     imaginary-drift check of the reality tag runs on construction.  Complex
     results of :meth:`derivative` and :func:`product` compute ``ifft2`` of
-    their block, zero-filled to n x n, on the first read of ``values``, and
-    a sum of two kept spectra computes ``a.values + b.values``: the samples
-    are those of the eager computation, bit for bit, and are never formed if
-    nobody reads them.  The denoise floor of :meth:`derivative` is the one
+    their block, zero-filled to n x n, on the first read of ``values``: the
+    samples are those of the eager computation, bit for bit, and are never
+    formed if nobody reads them.  A sum of fields is a sample sum and keeps
+    no spectrum; a polynomial in fields is one :func:`product`.  The denoise floor of :meth:`derivative` is the one
     exception that may read them; see there.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
         super().__init__(values, real_tag)
         self.lattice = lattice
-        self._fill = None  # computes the samples of a field built without them
         self._block = None  # the centred spectrum (see the class docstring)
         self._kept = False  # the samples come from _block (else _block, once set, is their fft2)
         self._coeffs = None  # the interpolant's coefficients, formed by the first evaluation
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values, self._fill = self._fill(), None
+        if self._values is None:  # a complex field kept as its spectrum
+            self._values = fft.ifft2(_embed(self._block, self.n))
         return self._values
 
     @values.setter
@@ -393,19 +392,18 @@ class PeriodicField(_SampledField):
         return PeriodicField(self.lattice, values, real_tag=real_tag)
 
     @classmethod
-    def _from_block(cls, lattice: TorusLattice, n: int, B: np.ndarray, real_tag: bool,
-                    fill=None) -> "PeriodicField":
+    def _from_block(cls, lattice: TorusLattice, n: int, B: np.ndarray,
+                    real_tag: bool) -> "PeriodicField":
         """Field on the n x n grid that keeps the centred block B, cut to its
-        band.  Its samples are ``fill()``, by default ``ifft2`` of the block:
-        a real-tagged field gets them at once, a complex one on first read."""
+        band.  Its samples are ``ifft2`` of the block: a real-tagged field
+        gets them at once, a complex one on first read."""
         B = _cut_to_band(B)
-        fill = fill or (lambda: fft.ifft2(_embed(B, n)))
         if real_tag:
-            out = cls(lattice, fill(), True)
+            out = cls(lattice, fft.ifft2(_embed(B, n)), True)
         else:
             out = cls.__new__(cls)
             out.lattice, out.n, out.real_tag = lattice, n, False
-            out._values, out._fill, out._coeffs = None, fill, None
+            out._values, out._coeffs = None, None
         out._block, out._kept = B, True
         return out
 
@@ -420,18 +418,6 @@ class PeriodicField(_SampledField):
         """The largest |k| on either axis with a nonzero bin of the kept
         spectrum; a field built from samples counts as n/2."""
         return self.n // 2 if self._block is None else len(self._block) // 2
-
-    def add(self, other: "PeriodicField") -> "PeriodicField":
-        """Sample sum; when both operands keep a spectrum, so does the sum,
-        and its samples, if complex, wait for their first read."""
-        self._check_same_grid(other)
-        if not (self._kept and other._kept):
-            return super().add(other)
-        A, B = sorted((self._block, other._block), key=len, reverse=True)
-        A, d = A.copy(), len(A) // 2 - len(B) // 2
-        A[d:d + len(B), d:d + len(B)] += B
-        return self._from_block(self.lattice, self.n, A, self.real_tag and other.real_tag,
-                                lambda: self.values + other.values)
 
     # -- construction ------------------------------------------------------
 

@@ -44,7 +44,7 @@ from scipy.optimize import minimize
 from .cartan import cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
 from .field import PeriodicField, TorusLattice
-from .index import ZeroCluster, _polish
+from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
 __all__ = [
@@ -221,7 +221,6 @@ def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
 @dataclass
 class ObstructionReport:
     direction: SymmetryDirection
-    zero_clusters: list
     zeros_found: bool
     residuals: list
     psi_min: float
@@ -327,12 +326,12 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     for its extrema (DomainError on overflow); the sign of Y'psi is Z1's.
 
     The zero curves are the certified roots theta_i of the profile p
-    (_certified_roots): one curve cluster each, centred at
-    (s, t) = theta_i (j0, k0) / (j0^2 + k0^2), with residual |r| there over
-    sup|r| from one batched evaluation of the 2-D r.  The profile identity
-    r = kappa^3 conj(kappa) p(theta) is checked at every grid node, relative
-    to 1 + sup|r|.  Roots that fail the certificate are reported in
-    uncertified_roots, never dropped.
+    (_certified_roots), reported as curve_line (j0, k0) and curve_offsets
+    theta_i; each has the residual |r| over sup|r| at
+    (s, t) = theta_i (j0, k0) / (j0^2 + k0^2), from one batched evaluation
+    of the 2-D r.  The profile identity r = kappa^3 conj(kappa) p(theta) is
+    checked at every grid node, relative to 1 + sup|r|.  Roots that fail
+    the certificate are reported in uncertified_roots, never dropped.
     """
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
     field = u.to_field(grid_n)
@@ -351,9 +350,6 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     offsets, uncertified = _certified_roots(F[3], tol)
     w = np.array(offsets) / (j0 * j0 + k0 * k0)
     s, t = w * j0, w * k0
-    clusters = [ZeroCluster(chart_id=r.chart_id, cells=[], winding=None, kind="curve",
-                            center=complex(u.lattice.st_to_z(si % 1.0, ti % 1.0)))
-                for si, ti in zip(s.tolist(), t.tolist())]
     residuals = (np.abs(r.evaluate_st(s, t)) / r.sup_norm()).tolist()
     om = u.lattice.omega
     kappa = (j0 * om.conjugate() - k0) / (om.conjugate() - om)  # D theta
@@ -380,7 +376,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
              / (1.0 + r.sup_norm()))
 
     return ObstructionReport(
-        direction=Y, zero_clusters=clusters, zeros_found=bool(clusters),
+        direction=Y, zeros_found=bool(offsets),
         residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
         dpsi_sign_change=sign_change, proof_identity_residual=ident,
         curve_line=(j0, k0), curve_offsets=offsets, profile_identity_residual=profile_ident,

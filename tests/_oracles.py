@@ -416,17 +416,18 @@ def eager_p_form(u) -> EagerField:
     d2u = D(du)
     ddbu = eager_derivative(du, "Dbar")
     d2dbu = D(ddbu)
-    return eager_add(D(d2dbu), eager_product([(-3.0, (du, d2dbu)), (2.0, (du, du, ddbu)),
-                                              (-1.0, (d2u, ddbu))]))
+    return eager_product([(-3.0, (du, d2dbu)), (2.0, (du, du, ddbu)),
+                          (-1.0, (d2u, ddbu)), (1.0, (D(d2dbu),))])
 
 
 def eager_divergence_form(u) -> EagerField:
-    """r = (D - 2 Du)(D - Du) D Dbar u on the eager chain."""
+    """r = (D - 2 Du)(D - Du) D Dbar u on the eager chain, in the library's
+    order of operations."""
     D = lambda f: eager_derivative(f, "D")
     du = D(u)
     w = eager_derivative(du, "Dbar")
-    X = eager_add(D(w), eager_product([(-1.0, (du, w))]))
-    return eager_add(D(X), eager_product([(-2.0, (du, X))]))
+    X = eager_product([(-1.0, (du, w)), (1.0, (D(w),))])
+    return eager_product([(-2.0, (du, X)), (1.0, (D(X),))])
 
 
 def eager_gauss_curvature(u) -> EagerField:

@@ -176,7 +176,7 @@ def test_criterion_9_symmetry_obstruction():
         assert len(cases) >= 20
         for pot, Y in cases:
             rep = symmetric_obstruction_check(pot, Y)
-            assert rep.zeros_found and rep.zero_clusters
+            assert rep.zeros_found and rep.curve_offsets
             assert max(rep.residuals) <= 1e-6
             assert rep.dpsi_sign_change
 

@@ -142,6 +142,7 @@ class TestRunners:
         report = run(cfg)
         res = report["results"]
         assert res["zeros_found"] and res["n_zero_clusters"] >= 1
+        assert res["cluster_kinds"] == ["curve"]
         assert max(res["refined_residuals"]) <= 1e-6
         # the zero curves s = theta_i, one offset per curve cluster
         assert res["curve_line"] == [1, 0]
@@ -175,6 +176,17 @@ class TestMainAndExitCodes:
         assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["spherical"] is False
+
+    @pytest.mark.parametrize("perturbations, spherical", [
+        ([{"harmonic": "re_z", "epsilon": 0.05}], False), ([], True)])
+    def test_sphere_invariant_exit_zero(self, tmp_path, capsys, perturbations, spherical):
+        # the sphere branch of the invariant runner: the P form on a chart
+        cfg = {"surface": {"kind": "sphere", "degree": 2, "perturbations": perturbations},
+               "metric": {"builtin": "fs"}, "operation": "invariant",
+               "numeric": {"grid_n": 128}}
+        assert main(["invariant", "--config", write_cfg(tmp_path, cfg)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["form"] == "p_form" and res["spherical"] is spherical
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         code = main(["invariant", "--config",

@@ -335,15 +335,6 @@ class TestSpectrumFirst:
             assert np.array_equal(p.values, eager_p_form(ref).values)
             assert np.array_equal(div.values, eager_divergence_form(ref).values)
 
-    def test_samples_wait_for_first_read(self):
-        pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(4, budget=3))
-        du = pot.to_field(64).derivative("D")
-        total = du + du.derivative("Dbar")
-        assert du._values is None and total._values is None
-        ref = eager_derivative(eager_potential(pot, 64), "D")
-        assert np.array_equal(total.values, ref.values + eager_derivative(ref, "Dbar").values)
-        assert du._values is not None  # read by the sum
-
     @staticmethod
     def _field_with_bin(factor, mean=0.0):
         """A complex field without samples: a budget-3 derivative plus a
@@ -393,20 +384,17 @@ class TestSpectrumFirst:
         # product's samples are built at once and fail the reality check
         n = 64
         pot = TrigPotential.from_half_modes(LAT, random_half_modes(7, budget=3))
-        u = pot.to_field(n)
+        u, bad = pot.to_field(n), pot.to_field(n)
         C = eager_potential(pot, n).C
         C[1, 2] += 1e-6 * n * n
-        bad = PeriodicField._from_block(LAT, n, np.fft.fftshift(C), True, lambda: u.values)
+        bad._block = field_module._cut_to_band(np.fft.fftshift(C))
         with pytest.raises(ValueError, match="imaginary"):
             product([(1.0, (bad, u))])
         assert product([(1j, (bad, u))])._values is None
 
-    def test_objective_transforms_three_grids(self, monkeypatch):
-        # the to_field samples and the two terms of r; derivative results
-        # and the product of the P form are never transformed back
-        n = 96
-        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
-        expected = min_modulus_objective(u, n)
+    @staticmethod
+    def _count_full_inverse_transforms(monkeypatch, n):
+        """The list that collects one entry per n x n ifft2 from now on."""
         grids = []
         ifft2 = field_module.fft.ifft2
 
@@ -416,8 +404,26 @@ class TestSpectrumFirst:
             return ifft2(x, *args, **kw)
 
         monkeypatch.setattr(field_module.fft, "ifft2", counted)
+        return grids
+
+    def test_objective_transforms_two_grids(self, monkeypatch):
+        # the to_field samples and r, one polynomial; derivative results are
+        # never transformed back
+        n = 96
+        u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
+        expected = min_modulus_objective(u, n)
+        grids = self._count_full_inverse_transforms(monkeypatch, n)
         assert min_modulus_objective(u, n) == expected
-        assert 0 < len(grids) <= 3
+        assert len(grids) == 2
+
+    @pytest.mark.parametrize("form", ["p_form", "divergence_form"])
+    def test_reading_r_transforms_one_grid(self, monkeypatch, form):
+        n = 96
+        u = TrigPotential.from_half_modes(
+            LAT_GEN, random_half_modes(2, budget=3, scale=0.1)).to_field(n)
+        grids = self._count_full_inverse_transforms(monkeypatch, n)
+        cartan_r(u, form).values
+        assert len(grids) == 1
 
 
 class TestFullBandBlock:
@@ -500,7 +506,7 @@ class TestEvaluation:
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-12 * g.sup_norm()
 
     def test_band_block_matches_full_rows(self):
-        # r keeps its spectrum (a sum of kept spectra) with band 9; its
+        # r keeps its spectrum (one product) with band 9; its
         # samples, which a field built from them evaluates on full-width
         # rows, -n/2..n/2, are the reference
         n = 64

@@ -7,7 +7,7 @@ from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate
 from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                                 _certified_roots, _lowest_separated_cells,
+                                 _certified_roots, _decode_modes, _lowest_separated_cells,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
@@ -142,7 +142,7 @@ class TestObjectiveStop:
         rep = torus_search(SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
                                         grid_n=96, mode_budget=3))
         values = [v for _, v in rep.history]
-        assert values[4] == 3.37979127951963e-4 and values[:4] == [0.0] * 4
+        assert values[4] == 3.3797912795192946e-4 and values[:4] == [0.0] * 4
         for u, v in zip(seen, values):
             assert v == full_polish_objective(u, 96)
         for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
@@ -176,7 +176,7 @@ class TestObstruction:
     def test_cosine_potential_has_zero_curves(self):
         pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})
         rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0))
-        assert rep.zeros_found and rep.zero_clusters
+        assert rep.zeros_found and rep.curve_offsets
         assert max(rep.residuals) <= 1e-6
         assert rep.dpsi_sign_change
         assert rep.proof_identity_residual <= 1e-7
@@ -189,8 +189,7 @@ class TestObstruction:
         # is e^{20}
         pot = TrigPotential.from_half_modes(LAT, {(1, 0): 5.0})
         rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0), grid_n=n)
-        assert len(rep.zero_clusters) == 4
-        assert {c.kind for c in rep.zero_clusters} == {"curve"}
+        assert len(rep.curve_offsets) == 4
         assert max(rep.residuals) <= 1e-6
         assert rep.dpsi_sign_change
         assert rep.proof_identity_residual <= 1e-7
@@ -255,7 +254,7 @@ class TestObstruction:
         reps = [symmetric_obstruction_check(pot, Y, grid_n=n) for n in (64, 96, 128, 256)]
         for rep in reps:
             assert rep.curve_offsets == reps[0].curve_offsets
-            assert len(rep.zero_clusters) == len(reps[0].zero_clusters) == 4
+            assert len(rep.curve_offsets) == len(reps[0].curve_offsets) == 4
             assert rep.uncertified_roots == []
             assert max(rep.residuals) <= 1e-14
             assert rep.profile_identity_residual <= 1e-13
@@ -288,7 +287,7 @@ class TestObstruction:
         prof = (der(U, 4) - 3 * der(U, 1) * der(U, 3)
                 + 2 * der(U, 1) ** 2 * der(U, 2) - der(U, 2) ** 2)
         change = np.flatnonzero(np.sign(prof) != np.sign(np.roll(prof, -1)))
-        assert change.size == len(rep.zero_clusters)
+        assert change.size == len(rep.curve_offsets)
         # each curve's offset lies in the sampling interval of one sign change
         assert rep.curve_line == (1, 1)
         assert np.allclose(rep.curve_offsets, (change + 0.5) / m, rtol=0.0, atol=0.5 / m)
@@ -345,3 +344,17 @@ class TestSearch:
                            seed=0, grid_n=64)
         rep = torus_search(cfg)
         assert "wall_time" not in rep.results_payload()
+
+    def test_coefficient_bound_keeps_the_phase(self):
+        pot = _decode_modes(np.array([1.2, -1.6, 0.1, 0.2]), [(1, 0), (0, 1)], 0.5, LAT)
+        c = pot.modes[(1, 0)]
+        assert abs(abs(c) - 0.5) <= 1e-15
+        assert abs(np.angle(c) - np.angle(1.2 - 1.6j)) <= 1e-15
+        assert pot.modes[(0, 1)] == 0.1 + 0.2j  # within the bound: untouched
+
+    def test_search_stays_within_the_coefficient_bound(self):
+        # the starts lie in +-0.25 per component, far outside the bound
+        rep = torus_search(SearchConfig(lattice=LAT, mode_budget=1, trials=1, evaluations=10,
+                                        seed=3, grid_n=64, coeff_bound=0.01))
+        assert rep.best_modes.modes
+        assert all(abs(c) <= 0.01 * (1 + 1e-15) for c in rep.best_modes.modes.values())

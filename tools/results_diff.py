@@ -12,11 +12,12 @@ JSON, every exit-status or error-code mismatch, every config whose echo or
 diagnostics differ, and the largest relative and the largest absolute
 drift over the numeric leaves of the ``results`` blocks that differ, each
 with its leaf (a rounding-level change on a tiny residual shows a large
-relative drift and a tiny absolute one).  ``per_operation`` repeats the
-counts and drifts for each operation (the job-id prefix), so a change that
-moves every search result does not hide the drift of the others.  The exit
-status is 0 when every config's results, echo and diagnostics are
-identical, else 1.
+relative drift and a tiny absolute one), and ``differ``, the sorted job
+ids whose results are not byte-identical (an outcome mismatch included).
+``per_operation`` repeats the counts, drifts and ``differ`` for each
+operation (the job-id prefix), so a change that moves every search result
+does not hide the drift of the others.  The exit status is 0 when every
+config's results, echo and diagnostics are identical, else 1.
 """
 
 from __future__ import annotations
@@ -128,11 +129,14 @@ def main(argv=None) -> int:
         elif json.dumps(a["results"], sort_keys=True) == json.dumps(b["results"], sort_keys=True):
             for t in groups:
                 t["identical"] += 1
+            continue
         else:
             (rel, rel_path), (dif, dif_path) = drift(a["results"], b["results"])
             for t in groups:
                 t["rel"] = max(t["rel"], (rel, f"{jid} {rel_path}"))
                 t["abs"] = max(t["abs"], (dif, f"{jid} {dif_path}"))
+        for t in groups:
+            t["differ"].append(jid)
     failed = {jid: f"exit {o['status']} {o['error']}" for jid, o in sorted(old.items())
               if o["status"] != 0}
     total = _report(tallies.pop("all"))
@@ -150,13 +154,14 @@ def main(argv=None) -> int:
 
 
 def _tally():
-    return {"compared": 0, "identical": 0, "rel": (0.0, ""), "abs": (0.0, "")}
+    return {"compared": 0, "identical": 0, "rel": (0.0, ""), "abs": (0.0, ""), "differ": []}
 
 
 def _report(t):
     return {"compared": t["compared"], "identical": t["identical"],
             "largest_relative_drift": t["rel"][0], "largest_drift_at": t["rel"][1],
-            "largest_absolute_drift": t["abs"][0], "largest_absolute_drift_at": t["abs"][1]}
+            "largest_absolute_drift": t["abs"][0], "largest_absolute_drift_at": t["abs"][1],
+            "differ": sorted(t["differ"])}
 
 
 if __name__ == "__main__":
