@@ -155,7 +155,7 @@ def covariant_hessian_zz(f, phi):
     d2f = _d(df)
     dphi = _d(phi)
     em2phi = phi.scale(-2.0).exp()
-    return em2phi.mul(d2f - dphi.mul(df).scale(2.0))
+    return em2phi.mul(d2f.add(dphi.mul(df).scale(-2.0)))
 
 
 def kzz_identity_residual(u, region_radius: float | None = None) -> float:
@@ -168,7 +168,7 @@ def kzz_identity_residual(u, region_radius: float | None = None) -> float:
     K = gauss_curvature(u)
     kzz = covariant_hessian_zz(K, u.scale(0.5))
     e2u = u.scale(2.0).exp()
-    resid = P + e2u.mul(kzz).scale(0.5)
+    resid = P.add(e2u.mul(kzz).scale(0.5))
     return resid.sup_norm(region_radius)
 
 
@@ -219,7 +219,7 @@ def rigid_r_from_F(F: PowerSeries2) -> PowerSeries2:
     Fz = Fx.derivative("D")
     Fzzb = Fz.derivative("Dbar")            # complete through N
     Fzzzb = Fz.derivative("D").derivative("Dbar")  # complete through N - 1
-    e = Fzzb - 1.0
+    e = Fzzb.add(PowerSeries2.constant(-1.0, Fzzb.max_degree))
     inv = geometric_inverse(e, work)
     q = Fzzzb.mul(inv)                       # complete through N - 1
 
@@ -227,8 +227,7 @@ def rigid_r_from_F(F: PowerSeries2) -> PowerSeries2:
     dbq = q.derivative("Dbar")
     ddbq = dbq.derivative("D")
     d2dbq = ddbq.derivative("D")
-    r = (d2dbq
-         - q.mul(ddbq).scale(3.0)
-         + q.mul(q).mul(dbq).scale(2.0)
-         - dq.mul(dbq))
+    r = (d2dbq.add(q.mul(ddbq).scale(-3.0))
+         .add(q.mul(q).mul(dbq).scale(2.0))
+         .add(dq.mul(dbq).scale(-1.0)))
     return r.truncate(out_degree)

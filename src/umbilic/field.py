@@ -275,32 +275,6 @@ class _SampledField:
             return self._like(np.log(self.values.real).astype(complex), True)
         return self._like(np.log(self.values), False)
 
-    # -- operators ------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, _SampledField):
-            return self.add(other)
-        return self.shift(other)
-
-    def __radd__(self, other):
-        return self.shift(other)
-
-    def __sub__(self, other):
-        if isinstance(other, _SampledField):
-            return self.add(other.scale(-1.0))
-        return self.shift(-other)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, _SampledField):
-            return self.mul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def _check_same_grid(self, other):
         if not isinstance(other, type(self)):
             raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")

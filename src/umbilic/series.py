@@ -172,18 +172,6 @@ class PowerSeries2:
         z = complex(z)
         return complex(polyval2d(z, np.conj(z), self.c))
 
-    # -- operators ------------------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, PowerSeries2):
-            return self.add(other)
-        return self.add(PowerSeries2.constant(other, self.max_degree))
-
-    def __sub__(self, other):
-        if isinstance(other, PowerSeries2):
-            return self.add(other.scale(-1.0))
-        return self.add(PowerSeries2.constant(-complex(other), self.max_degree))
-
     def __repr__(self):
         terms = ", ".join(f"({k},{l}): {self.c[k, l]:.6g}" for k, l in zip(*np.nonzero(self.c)))
         return f"PowerSeries2(deg<={self.max_degree}, {{{terms}}})"

@@ -182,6 +182,8 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     field = u.to_field(grid_n)
     r = cartan_r(field, "p_form")
     mx = r.sup_norm()
+    if not np.isfinite(mx):
+        raise DomainError(f"Pu leaves the float range (sup|Pu| = {mx})")
     if mx < _DEGENERATE_FLOOR:
         return 0.0
     A = np.abs(r.values)
@@ -274,12 +276,18 @@ def _certified_roots(P: np.ndarray, tol: float):
     of the unit circle.  The midpoints between circular neighbours where
     |p| > tol split them into groups.  A group of one candidate whose two
     bounding midpoints carry opposite signs of p holds a zero by the
-    intermediate value theorem; its bracket is bisected to rounding and
-    gives one certified root.  Every other group (an even multiplicity, a
-    near-root off the circle, roots closer than rounding) gives one
-    uncertified root, the middle of its candidates; with no midpoint above
-    tol, every candidate is uncertified."""
-    z = np.roots(P[::-1])
+    intermediate value theorem.  np.roots places the candidate to about
+    1e-14, so the bracket takes a sign step at the candidate's angle minus
+    and plus 2^-40 first, and is then bisected to rounding; it gives one
+    certified root.  Every other group (an even multiplicity, a near-root
+    off the circle, roots closer than rounding) gives one uncertified root,
+    the middle of its candidates; with no midpoint above tol, every
+    candidate is uncertified.
+
+    Outer coefficients below eps max|P_m| are rounding noise of P and are
+    dropped in pairs before np.roots, which divides by the leading one."""
+    cut = int(np.argmax(np.abs(P) > np.finfo(float).eps * np.max(np.abs(P))))
+    z = np.roots(P[cut:P.size - cut][::-1])
     theta = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _RING_TOL]) / (2 * np.pi) % 1.0)
     K = theta.size
     mids = theta + np.diff(theta, append=theta[:1] + 1.0) / 2  # mids[i] follows theta[i]
@@ -287,16 +295,22 @@ def _certified_roots(P: np.ndarray, tol: float):
     sep = np.flatnonzero(np.abs(pm) > tol).tolist()
     if not sep:
         return [], sorted(_turns(theta).tolist())
-    lo, hi, positive, uncertified = [], [], [], []
+    lo, hi, root, positive, uncertified = [], [], [], [], []
     for a, b in zip(sep, sep[1:] + sep[:1]):  # the group of candidates a+1 .. b
-        if (b - a) % K == 1 and pm[a] * pm[b] < 0:
+        if (b - a) % K == 1 and pm[a] * pm[b] < 0:  # the one candidate theta[b]
             lo.append(mids[a])
             hi.append(mids[b] + (b < a))
+            root.append(theta[b] + (b < a))
             positive.append(pm[a] > 0)
         else:
             first = theta[(a + 1) % K]
             uncertified.append(first + (theta[b] - first) % 1.0 / 2)
-    lo, hi, positive = np.array(lo), np.array(hi), np.array(positive, dtype=bool)
+    lo, hi, root = np.array(lo), np.array(hi), np.array(root)
+    positive = np.array(positive, dtype=bool)
+    for probe in (root - 2.0 ** -40, root + 2.0 ** -40):
+        left = (_profile_values(P, probe) > 0) == positive
+        inside = (lo < probe) & (probe < hi)
+        lo, hi = np.where(inside & left, probe, lo), np.where(inside & ~left, probe, hi)
     mid = (lo + hi) / 2
     while np.any((lo < mid) & (mid < hi)):
         left = (_profile_values(P, mid) > 0) == positive
@@ -336,28 +350,36 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
     field = u.to_field(grid_n)
     q = field.derivative("D")
-    yu = q.scale(c).add(field.derivative("Dbar").scale(c.conjugate()))
+    # u is real, so Dbar u = conj(Du) and Yu = 2 Re(c Du); Yu / |Y| is taken
+    # along the unit direction c / |c|
+    yu = 2.0 * float(np.max(np.abs((q.values * (c / abs(c))).real)))
     scale = 1.0 + 2.0 * q.sup_norm()  # 1 + sup|grad u|
-    if yu.sup_norm() > _SYMMETRY_TOL * scale:
+    if yu > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
-            f"sup|Yu| = {yu.sup_norm():.3e} exceeds {_SYMMETRY_TOL:.1e} x scale")
+            f"sup|Yu| / |Y| = {yu:.3e} exceeds {_SYMMETRY_TOL:.1e} x scale")
 
     r = cartan_r(field, "p_form")
-    if r.sup_norm() < _DEGENERATE_FLOOR:
+    r_sup = r.sup_norm()
+    if not np.isfinite(r_sup):
+        raise DomainError(f"Pu leaves the float range (sup|Pu| = {r_sup})")
+    if r_sup < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
     (j0, k0), F, tol = _profile(u)
+    if not np.all(np.isfinite(F)):
+        raise DomainError("the profile's coefficients leave the float range")
     offsets, uncertified = _certified_roots(F[3], tol)
     w = np.array(offsets) / (j0 * j0 + k0 * k0)
     s, t = w * j0, w * k0
-    residuals = (np.abs(r.evaluate_st(s, t)) / r.sup_norm()).tolist()
+    residuals = (np.abs(r.evaluate_st(s, t)) / r_sup).tolist()
     om = u.lattice.omega
-    kappa = (j0 * om.conjugate() - k0) / (om.conjugate() - om)  # D theta
+    # D theta; a numpy scalar, so that kappa ** 3 overflows to inf, not OverflowError
+    kappa = np.complex128((j0 * om.conjugate() - k0) / (om.conjugate() - om))
     nodes = np.arange(grid_n)
     f, X1, Z1, p = _profile_values(F, nodes / grid_n).T  # at theta = i / n
     on_grid = (j0 * nodes[:, None] + k0 * nodes) % grid_n  # node (i, j) has theta = on_grid / n
     profile_ident = (float(np.max(np.abs(r.values - kappa ** 3 * kappa.conjugate() * p[on_grid])))
-                     / (1.0 + r.sup_norm()))
+                     / (1.0 + r_sup))
 
     # constructive proof path: X = lam |kappa|^2 X1 and Z = lam^2 |kappa|^2 Z1
     lam = -2.0 * (c * kappa).imag  # Y'theta
@@ -370,10 +392,11 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     zscale = float(np.max(np.abs(Z1)))
     sign_change = bool(np.min(Z1) < -1e-9 * zscale and np.max(Z1) > 1e-9 * zscale)
 
-    # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c)
-    b2 = -0.25 / (c * c)
-    ident = (float(np.max(np.abs(r.values - b2 * lam * lam * k2 * Z1[on_grid])))
-             / (1.0 + r.sup_norm()))
+    # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c); b lam is
+    # one ratio, free of |Y|
+    blam = -0.5j * lam / c
+    ident = (float(np.max(np.abs(r.values - blam * blam * k2 * Z1[on_grid])))
+             / (1.0 + r_sup))
 
     return ObstructionReport(
         direction=Y, zeros_found=bool(offsets),

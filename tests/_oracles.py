@@ -216,8 +216,8 @@ def obstruction_chain_2d(pot, Y, n: int):
     field = pot.to_field(n)
     q, qb = field.derivative("D"), field.derivative("Dbar")
     ypu, w = along(1j * c, q, qb), qb.derivative("D")
-    X = yp(w) + product([(-1.0, (ypu, w))])
-    Z = yp(X) + product([(-2.0, (ypu, X))])
+    X = yp(w).add(product([(-1.0, (ypu, w))]))
+    Z = yp(X).add(product([(-2.0, (ypu, X))]))
     X, Z = X.real_part(tol=1e-7), Z.real_part(tol=1e-7)
     return field.scale(-2.0).exp().values.real * X.values.real, Z.values.real
 

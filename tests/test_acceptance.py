@@ -86,7 +86,7 @@ def test_criterion_3_constant_shift_invariance(suite):
                 rA = cartan_r(u, form)
                 scale = 1.0 + rA.sup_norm()
                 for C in (-3.0, 1.0, 10.0):
-                    rB = cartan_r(u + C, form)
+                    rB = cartan_r(u.shift(C), form)
                     diff = float(np.max(np.abs(rA.values - rB.values))) / scale
                     worst = max(worst, diff)
         assert worst <= 1e-10, f"worst shift deviation {worst:.3e}"

@@ -572,3 +572,56 @@ class TestParseFuzz:
             parse_config(cfg)
         except ConfigError:
             pass
+
+
+# entries of the numerical fuzz: zero, subnormal, tiny, moderate and
+# near-overflow magnitudes of both signs
+FUZZ_NUMBERS = [0.0] + [sign * v for v in (1e-320, 1e-300, 1e-160, 1e-12, 0.5, 1.0, 3.0, 30.0,
+                                           300.0, 1e8, 1e150, 1e300) for sign in (1.0, -1.0)]
+FUZZ_OPERATIONS = ("obstruction", "search", "invariant", "umbilics", "loewner")
+
+
+def numeric_fuzz_config(rng, op):
+    """A config of operation op that parses but whose numbers come from
+    FUZZ_NUMBERS, on a 64 x 64 torus grid."""
+    def x():
+        return FUZZ_NUMBERS[rng.integers(len(FUZZ_NUMBERS))]
+
+    def pair():
+        return [x(), x()]
+
+    cfg = {"surface": {"kind": "torus", "omega": pair()}, "metric": {"builtin": "constant"},
+           "numeric": {"grid_n": 64}}
+    if op == "obstruction":
+        # modes on the line (0, k), which d/dx annihilates on every lattice
+        cfg["metric"] = {"modes": {"0,1": pair(), "0,2": pair()}}
+        cfg["obstruction"] = {"direction": [x(), 0.0] if rng.random() < 0.75 else pair()}
+    elif op == "search":
+        cfg["search"] = {"mode_budget": 1, "trials": 1, "evaluations": 3,
+                         "coeff_bound": abs(x()) or 1.0}
+    elif op == "loewner":
+        cfg["loewner"] = {"g": {"coeffs": {"0,1": pair(), "2,1": pair(), "1,2": pair()}},
+                          "order": 6, "normalization": {"f_diag": [x()], "phi_diag": [x()]}}
+    else:
+        cfg["metric"] = {"modes": {"1,0": pair(), "0,1": pair(), "1,1": pair()}}
+    return cfg
+
+
+class TestNumericFuzz:
+    def test_main_keeps_the_exit_contract(self, tmp_path, capsys):
+        # the numerical stages on inputs that parse: main returns 0 or a
+        # documented status 2-9, and a failure leaves one JSON error object
+        rng = np.random.default_rng(0)
+        path = tmp_path / "cfg.json"
+        for i in range(200):
+            op = FUZZ_OPERATIONS[i % len(FUZZ_OPERATIONS)]
+            cfg = numeric_fuzz_config(rng, op)
+            path.write_text(json.dumps(cfg))
+            try:
+                status = main([op, "--config", str(path)])
+            except Exception as exc:
+                pytest.fail(f"{op} config {cfg} escapes the exit contract: {exc!r}")
+            err = capsys.readouterr().err
+            assert status == 0 or 2 <= status <= 9, (op, cfg, status)
+            if status:
+                assert set(json.loads(err)) == {"error"}, (op, cfg, err)

@@ -682,7 +682,6 @@ class TestSharedArithmetic:
             (f.exp(), True, np.exp(2.0)), (c.exp(), False, np.exp(1.0 + 1.0j)),
             (f.log(), True, np.log(2.0)), (c.log(), False, np.log(1.0 + 1.0j)),
             (f.scale(-1.0).log(), False, np.log(-2.0 + 0j)),
-            (f - g, True, -1.0), (-c, False, -1.0 - 1.0j),
         ]
         for out, tag, value in cases:
             assert type(out) is type(f)
@@ -701,7 +700,7 @@ class TestSharedArithmetic:
     def test_mismatched_grids_rejected(self, kind):
         f = sampled(kind, 1.0)
         g = sampled(kind, 1.0, n=12)
-        for op in (f.add, f.mul, f.__add__, f.__sub__, f.__mul__):
+        for op in (f.add, f.mul):
             with pytest.raises(ValueError):
                 op(g)
         if kind == "periodic":
@@ -714,6 +713,6 @@ class TestSharedArithmetic:
     def test_mixed_representations_rejected(self, kind):
         f = sampled(kind, 1.0)
         other = sampled("chart" if kind == "periodic" else "periodic", 1.0)
-        for op in (f.add, f.mul, f.__add__, f.__sub__, f.__mul__):
+        for op in (f.add, f.mul):
             with pytest.raises(TypeError):
                 op(other)

@@ -10,6 +10,7 @@ from umbilic.index import (UmbilicRecord, locate_zero_cells, poincare_hopf_audit
                            refine_cluster_residual, sphere_metric_potentials,
                            sphere_two_chart_umbilics, torus_umbilics,
                            umbilic_index, winding_degree)
+from umbilic.torussearch import TrigPotential
 
 from _oracles import (one_directional, periodic_from_function, random_band_limited,
                       refine_edge_depth_first)
@@ -400,6 +401,23 @@ class TestTorusPipeline:
             match = min(new, key=lambda q: lattice.torus_distance(r.z0, q.z0))
             assert lattice.torus_distance(r.z0, match.z0) < 1e-9
             assert match.twice_index == r.twice_index
+
+    @pytest.mark.parametrize("C", [
+        -30.0, -10.0, 5.0, 10.0, 13.0,
+        *(pytest.param(C, marks=pytest.mark.xfail(strict=True, raises=TotallyDegenerate, reason=(
+            "the spherical screen bounds sup|K_zz| ~ e^{-2C} by tol (1 + sup|K|) "
+            "with sup|K| ~ e^{-C}, so a large enough shift passes it")))
+          for C in (14.0, 20.0)),
+    ])
+    def test_constant_shift(self, C):
+        # u -> u + C leaves r = Pu unchanged, and with it every umbilic:
+        # the records match the unshifted ones bit for bit
+        pot = TrigPotential.from_half_modes(
+            LAT, {(1, 0): 0.2, (0, 1): 0.1 + 0.1j, (1, 1): 0.05 + 0.02j})
+        ref, _, _ = torus_umbilics(pot.to_field(64))
+        records, _, _ = torus_umbilics(pot.shifted(C).to_field(64))
+        assert len(ref) == 12
+        assert records == ref
 
 
 class TestSpherePipeline:

@@ -220,8 +220,8 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
     # no 2-D cell pass and no polish
     for name in ("index.locate_zero_cells", "index.refine_cluster_residual"):
         assert stats.get(name, {}).get("calls", 0) == 0, name
-    # and audits the proof in 1-D: Du and Dbar u for Yu, five for the P form
-    assert stats["field.derivative"]["calls"] == 7
+    # and audits the proof in 1-D: Du for Yu, five for the P form
+    assert stats["field.derivative"]["calls"] == 6
     assert stats["cartan.cartan_r"]["calls"] == 1
 
 

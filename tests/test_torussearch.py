@@ -243,6 +243,11 @@ class TestObstruction:
         roots, open_roots = _certified_roots(np.array([-0.5, 1.0, -0.5]), 1e-15)
         assert roots == []
         assert len(open_roots) == 1 and min(open_roots[0], 1.0 - open_roots[0]) <= 1e-6
+        # no midpoint clears tol: nothing separates the candidates, so both
+        # sign changes of cos 2 pi theta are reported uncertified
+        roots, open_roots = _certified_roots(np.array([0.5, 0.0, 0.5]), 2.0)
+        assert roots == []
+        assert np.allclose(open_roots, [0.25, 0.75], rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
@@ -258,6 +263,23 @@ class TestObstruction:
             assert rep.uncertified_roots == []
             assert max(rep.residuals) <= 1e-14
             assert rep.profile_identity_residual <= 1e-13
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)],
+                             ids=["1,0", "0,1", "1,1", "1,-1"])
+    @pytest.mark.parametrize("length", [1e-200, 1e-100, 1e10, 1e100, 1e200])
+    def test_report_does_not_depend_on_the_length_of_Y(self, lattice, jk, length):
+        # Yu = 0 and the zero curves are statements about the line of Y, and
+        # psi = e^{-u} Y'v is linear in Y: the check at length * Y reports
+        # the same curves and identity, and psi scaled by the length
+        pot, Y = one_directional(lattice, jk, {1: 0.12 - 0.05j, 2: 0.03 + 0.02j})
+        ref = symmetric_obstruction_check(pot, Y)
+        rep = symmetric_obstruction_check(
+            pot, SymmetryDirection(Y.alpha * length, Y.beta * length))
+        assert rep.curve_offsets == ref.curve_offsets
+        assert rep.proof_identity_residual <= 1e-13
+        for got, want in ((rep.psi_min, ref.psi_min), (rep.psi_max, ref.psi_max)):
+            assert abs(got / length - want) <= 1e-12 * abs(want)
 
     def test_constant_is_degenerate(self):
         with pytest.raises(TotallyDegenerate):
