@@ -332,11 +332,14 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     Checks Yu = 0, finds the zero curves of Pu in one dimension, and audits
     the constructive reduction: psi = e^{-u} Y'v must attain its interior
     extrema where Y'psi changes sign, and e^{-2u} Pu must equal b^2 Y'psi
-    for the constant b with D = aY + bY'.  Yu = 0 is checked to
-    _SYMMETRY_TOL of 1 + sup|grad u|.  Pu comes from the 2-D P form and the
-    proof path from the 1-D chain X1, Z1 of the module docstring, so the
-    identity Pu = b^2 Z compares two independent computations at every grid
-    node.  psi = e^{-2f} X is formed, at the n values of theta on the grid,
+    for the constant b with D = aY + bY'.  u is real, so Yu = 2 Re(c Du)
+    comes from q = Du alone; Yu = 0 is checked to _SYMMETRY_TOL |c| of
+    1 + sup|grad u|, and b lam is formed as one ratio, so only psi, which
+    is linear in Y, depends on the length of Y.  DomainError when Pu or the
+    profile's coefficients leave the float range.  Pu comes from the 2-D P
+    form and the proof path from the 1-D chain X1, Z1 of the module
+    docstring, so the identity Pu = b^2 Z compares two independent
+    computations at every grid node.  psi = e^{-2f} X is formed, at the n values of theta on the grid,
     for its extrema (DomainError on overflow); the sign of Y'psi is Z1's.
 
     The zero curves are the certified roots theta_i of the profile p
@@ -350,8 +353,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
     field = u.to_field(grid_n)
     q = field.derivative("D")
-    # u is real, so Dbar u = conj(Du) and Yu = 2 Re(c Du); Yu / |Y| is taken
-    # along the unit direction c / |c|
+    # Yu / |Y| = 2 Re(Du c / |c|)
     yu = 2.0 * float(np.max(np.abs((q.values * (c / abs(c))).real)))
     scale = 1.0 + 2.0 * q.sup_norm()  # 1 + sup|grad u|
     if yu > _SYMMETRY_TOL * scale:
