@@ -334,8 +334,9 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     extrema where Y'psi changes sign, and e^{-2u} Pu must equal b^2 Y'psi
     for the constant b with D = aY + bY'.  u is real, so Yu = 2 Re(c Du)
     comes from q = Du alone; Yu = 0 is checked to _SYMMETRY_TOL |c| of
-    1 + sup|grad u|, and b lam is formed as one ratio, so only psi, which
-    is linear in Y, depends on the length of Y.  DomainError when Pu or the
+    1 + sup|grad u|.  Yu, lam and b lam are formed along c / |c| and psi
+    is scaled by |c|, so only psi, which is linear in Y, depends on the
+    length of Y, and c^2 is never formed.  DomainError when Pu or the
     profile's coefficients leave the float range.  Pu comes from the 2-D P
     form and the proof path from the 1-D chain X1, Z1 of the module
     docstring, so the identity Pu = b^2 Z compares two independent
@@ -351,10 +352,10 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     the certificate are reported in uncertified_roots, never dropped.
     """
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
+    e = c / abs(c)  # everything but psi is formed along the unit direction
     field = u.to_field(grid_n)
     q = field.derivative("D")
-    # Yu / |Y| = 2 Re(Du c / |c|)
-    yu = 2.0 * float(np.max(np.abs((q.values * (c / abs(c))).real)))
+    yu = 2.0 * float(np.max(np.abs((q.values * e).real)))  # Yu / |Y| = 2 Re(e Du)
     scale = 1.0 + 2.0 * q.sup_norm()  # 1 + sup|grad u|
     if yu > _SYMMETRY_TOL * scale:
         raise SymmetryViolated(
@@ -383,20 +384,21 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     profile_ident = (float(np.max(np.abs(r.values - kappa ** 3 * kappa.conjugate() * p[on_grid])))
                      / (1.0 + r_sup))
 
-    # constructive proof path: X = lam |kappa|^2 X1 and Z = lam^2 |kappa|^2 Z1
-    lam = -2.0 * (c * kappa).imag  # Y'theta
+    # constructive proof path: X = |Y| lam |kappa|^2 X1 and
+    # Z = |Y|^2 lam^2 |kappa|^2 Z1
+    lam = -2.0 * (e * kappa).imag  # Y'theta / |Y|
     k2 = abs(kappa) ** 2
     with np.errstate(over="ignore"):
         e2f = np.exp(-2.0 * f)
     if not np.all(np.isfinite(e2f)):
         raise DomainError(f"e^(-2u) overflows on these samples (max -2u {-2.0 * f.min():.6g})")
-    psi = lam * k2 * e2f * X1
+    psi = abs(c) * lam * k2 * e2f * X1
     zscale = float(np.max(np.abs(Z1)))
     sign_change = bool(np.min(Z1) < -1e-9 * zscale and np.max(Z1) > 1e-9 * zscale)
 
-    # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c); b lam is
-    # one ratio, free of |Y|
-    blam = -0.5j * lam / c
+    # Pu = b^2 Z with D = a Y + b Y', so a = i b and b = -i / (2c); then
+    # b Y'theta = -i lam / (2e), free of |Y|
+    blam = -0.5j * lam / e
     ident = (float(np.max(np.abs(r.values - blam * blam * k2 * Z1[on_grid])))
              / (1.0 + r_sup))
 
