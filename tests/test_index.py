@@ -402,13 +402,11 @@ class TestTorusPipeline:
             assert lattice.torus_distance(r.z0, match.z0) < 1e-9
             assert match.twice_index == r.twice_index
 
-    @pytest.mark.parametrize("C", [
-        -30.0, -10.0, 5.0, 10.0, 13.0,
-        *(pytest.param(C, marks=pytest.mark.xfail(strict=True, raises=TotallyDegenerate, reason=(
+    @pytest.mark.parametrize("C", [-30.0, -10.0, 5.0, 10.0, 13.0] + [
+        pytest.param(C, marks=pytest.mark.xfail(strict=True, raises=TotallyDegenerate, reason=(
             "the spherical screen bounds sup|K_zz| ~ e^{-2C} by tol (1 + sup|K|) "
             "with sup|K| ~ e^{-C}, so a large enough shift passes it")))
-          for C in (14.0, 20.0)),
-    ])
+        for C in (14.0, 20.0)])
     def test_constant_shift(self, C):
         # u -> u + C leaves r = Pu unchanged, and with it every umbilic:
         # the records match the unshifted ones bit for bit
