@@ -83,7 +83,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.fft
 
 from . import __version__
 from .cartan import cartan_r, cartan_r_all_forms, spherical_test
@@ -307,7 +306,7 @@ def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> T
         field = load_grid(metric["samples"], lattice)
         n = field.n
         f = np.arange(-(n // 2) + 1, n // 2)
-        C = (scipy.fft.fft2(field.values) / n ** 2)[np.ix_(f % n, f % n)]
+        C = (np.fft.fft2(field.values) / n ** 2)[np.ix_(f % n, f % n)]
         jj, kk = np.nonzero(np.abs(C) > 1e-12)  # row major: j, then k
         pot = TrigPotential(lattice, {(int(f[j]), int(f[k])): complex(C[j, k])
                                       for j, k in zip(jj, kk)})

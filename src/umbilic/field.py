@@ -13,8 +13,9 @@ Two grid-backed representations live here:
   field is spectrum first: unless it is real-tagged, its samples are
   computed on first read (see :class:`PeriodicField`), so a chain of
   derivatives and products transforms back only the samples someone reads.
-* :class:`ChartGrid` holds samples on a square coordinate chart and is
-  differentiated with 8th-order finite differences.
+* :class:`ChartGrid` holds samples on a square coordinate chart, is
+  differentiated with 8th-order finite differences and is evaluated off
+  the grid through its not-a-knot bicubic spline.
 
 Resolution has one rule.  Every derivative of a periodic field checks its
 spectral tail and raises UnderResolved when the modes with
@@ -34,11 +35,13 @@ on the surface, and ``mask``, ``sup_norm`` and ``min_modulus`` over a
 region: the whole torus, or the disk |z| <= region_radius of a chart.
 
 :func:`product` forms a polynomial in fields at once; on a torus it lifts
-each operand once onto an m x m grid, sums the monomials there and
-truncates once.  With S the largest sum of operand bands over the terms
-and K = min(S, n/2) the kept band, m = min(2n, next_fast_len(S + K + 1)):
-the padding rule m > S + K (Orszag 1971), which is 2n for cubic terms of
-full-band fields.  Transforms go through ``scipy.fft``.
+every operand onto an m x m grid in one stacked transform, sums the
+monomials there and truncates once.  With S the largest sum of operand
+bands over the terms and K = min(S, n/2) the kept band,
+m = min(2n, _next_fast_len(S + K + 1)): the padding rule m > S + K
+(Orszag 1971), which is 2n for cubic terms of full-band fields.
+Transforms go through ``numpy.fft``, and the chart spline is numpy as
+well: importing this module loads no scipy.
 
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
@@ -55,12 +58,11 @@ The formal power series representation lives in :mod:`umbilic.series`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import fft
-from scipy.interpolate import RectBivariateSpline
+from numpy import fft
 
 from .errors import DomainError, UnderResolved
 
@@ -177,10 +179,26 @@ def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     return E
 
 
-def _centred_fft2(values: np.ndarray, real: bool) -> np.ndarray:
-    """The fft2 of n x n samples as a full-band block; real samples take the
-    real-input transform."""
-    return fft.fftshift(fft.fft2(values.real if real else values))
+def _centred_fft2(values: np.ndarray) -> np.ndarray:
+    """The fft2 of n x n samples as a full-band block.  It is the complex
+    transform for real-tagged samples too: their imaginary parts are exact
+    zeros, and numpy's fft2 of the real parts alone is the same bit for bit."""
+    return fft.fftshift(fft.fft2(values))
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest m >= target with no prime factor above 11: the lengths
+    pocketfft transforms fastest, as ``scipy.fft.next_fast_len`` gives them
+    for complex input."""
+    m = target
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _lattice_wirtinger(ds, dt, omega):
@@ -383,9 +401,9 @@ class PeriodicField(_SampledField):
 
     def _spectral_block(self) -> np.ndarray:
         """The block; a field built from samples stores the fft2 of its
-        samples (real-tagged ones take the real-input transform) on first use."""
+        samples on first use."""
         if self._block is None:
-            self._block = _centred_fft2(self.values, self.real_tag)
+            self._block = _centred_fft2(self.values)
         return self._block
 
     def _band(self) -> int:
@@ -462,7 +480,7 @@ class PeriodicField(_SampledField):
             # multiplier is zero) but keeps the FFT's internal rounding at the
             # oscillation scale rather than the mean scale, so derivatives are
             # invariant under constant shifts down to the denoise floor.
-            B = _centred_fft2(self.values - complex(self.values.mean()), self.real_tag)
+            B = _centred_fft2(self.values - complex(self.values.mean()))
         frac = _tail_energy_fraction(B, n)
         if frac > _TAIL_TOL:
             raise UnderResolved(
@@ -498,46 +516,39 @@ class PeriodicField(_SampledField):
         return product([(1.0, (self, other))])
 
     def _product(self, terms, real_tag: bool) -> "PeriodicField":
-        """Each operand's spectrum is lifted once onto an m x m grid, the
-        monomials are summed there in place, and one fft2 and a truncation
-        give the result's block.
+        """The distinct operands' spectra are lifted onto an m x m grid by
+        one stacked ifft2, the monomials are summed there in place, and one
+        fft2 and a truncation give the result's block.
 
         The lift is sized to the bands (see :meth:`_band`).  With S the
         largest sum of operand bands over the terms, the product carries
         modes up to S, of which K = min(S, n/2) are kept, and
-        m = min(2n, next_fast_len(S + K + 1)): a mode up to S aliases past
+        m = min(2n, _next_fast_len(S + K + 1)): a mode up to S aliases past
         every kept one once m > S + K (Orszag 1971).  Full-band cubic terms
         lift to 2n, where only the Nyquist bins, which derivatives
         annihilate, take aliased content; full-band quadratic ones lift by
         about 3/2, and budget-3 potentials give the P form a 20 x 20 grid.
-        The Nyquist bins are folded back only when K = n/2.  A lifted
-        operand is freed after its last use and a term takes the buffer of
-        a factor it uses last, so the P form holds at most three lifted
-        arrays at once."""
+        The Nyquist bins are folded back only when K = n/2.  The k distinct
+        operands form one k x m x m stack: the lift holds it and its
+        transform (or, while stacking, the k embedded blocks), and the
+        monomials then take one m x m term and the m x m sum beside the
+        transform."""
         n = self.n
         operands = {id(f): f for _, fs in terms for f in fs}
-        bands = {key: f._band() for key, f in operands.items()}
-        S = max(sum(bands[id(f)] for f in fs) for _, fs in terms)
+        S = max(sum(f._band() for f in fs) for _, fs in terms)
         K = min(S, n // 2)
-        m = min(2 * n, fft.next_fast_len(S + K + 1))
-        last = {id(f): (i, j) for i, (_, fs) in enumerate(terms) for j, f in enumerate(fs)}
-        lifted, acc = {}, None
-        for i, (c, fs) in enumerate(terms):
-            term = None
-            for j, f in enumerate(fs):
-                if id(f) not in lifted:
-                    P = _embed(_interpolant(f._spectral_block(), n), m)
-                    lifted[id(f)] = fft.ifft2(P, norm="forward", overwrite_x=True)
-                    del P
-                own = last[id(f)] == (i, j)
-                x = lifted.pop(id(f)) if own else lifted[id(f)]
-                if term is None:
-                    term = np.multiply(x, c, out=x if own else None)
-                else:
-                    term *= x
-                del x
+        m = min(2 * n, _next_fast_len(S + K + 1))
+        stack = np.stack([_embed(_interpolant(f._spectral_block(), n), m)
+                          for f in operands.values()])
+        lifted = dict(zip(operands, fft.ifft2(stack, norm="forward")))
+        del stack
+        acc = None
+        for c, fs in terms:
+            term = np.multiply(lifted[id(fs[0])], c)
+            for f in fs[1:]:
+                term *= lifted[id(f)]
             acc = term if acc is None else np.add(acc, term, out=acc)
-        F = fft.fft2(acc, norm="forward", overwrite_x=True)
+        F = fft.fft2(acc, norm="forward")
         g = np.arange(-K, K + 1) % m
         G = F[np.ix_(g, g)]
         if 2 * K == n:  # the n/2 row and column fold onto -n/2 (axis 0 first)
@@ -663,8 +674,7 @@ class ChartGrid(_SampledField):
             raise ValueError("chart radius must be positive")
         self.chart_id = str(chart_id)
         self.radius = radius
-        self._spline_re = None
-        self._spline_im = None
+        self._nodal = None  # the spline's Hermite nodal data, formed by the first evaluation
 
     @staticmethod
     def _check_n(n: int):
@@ -751,32 +761,81 @@ class ChartGrid(_SampledField):
 
     # -- evaluation -------------------------------------------------------------
 
-    def _splines(self):
-        if self._spline_re is None:
-            x = self.axis()
-            self._spline_re = RectBivariateSpline(x, x, self.values.real, kx=3, ky=3, s=0)
-            self._spline_im = RectBivariateSpline(x, x, self.values.imag, kx=3, ky=3, s=0)
-        return self._spline_re, self._spline_im
-
     def evaluate_at(self, z) -> np.ndarray:
-        """Bicubic interpolation at complex points inside the square."""
+        """The bicubic spline at complex points; points off the square are
+        clamped to it, as FITPACK's ``ev`` does."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return self._ev(z.real, z.imag)
+        return self._spline(z.real, z.imag)[0]
 
     def evaluate_st(self, x, y) -> np.ndarray:
-        return self._ev(np.atleast_1d(np.asarray(x, dtype=float)),
-                        np.atleast_1d(np.asarray(y, dtype=float)))
+        return self._spline(np.atleast_1d(np.asarray(x, dtype=float)),
+                            np.atleast_1d(np.asarray(y, dtype=float)))[0]
 
     def jet_at(self, z):
         """(f, D f, Dbar f) of the spline :meth:`evaluate_at` evaluates, from
         its partial derivatives with D = (d/dx - i d/dy)/2."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        fx, fy = self._ev(z.real, z.imag, dx=1), self._ev(z.real, z.imag, dy=1)
-        return (self._ev(z.real, z.imag), *_xy_wirtinger(fx, fy))
+        f, fx, fy = self._spline(z.real, z.imag, jet=True)
+        return (f, *_xy_wirtinger(fx, fy))
 
-    def _ev(self, x, y, dx=0, dy=0):
-        sre, sim = self._splines()
-        return sre.ev(x, y, dx=dx, dy=dy) + 1j * sim.ev(x, y, dx=dx, dy=dy)
+    def _spline(self, x, y, jet=False):
+        """(f,) or, with jet, (f, df/dx, df/dy) of the not-a-knot bicubic
+        spline through the samples (``RectBivariateSpline`` with kx = ky = 3
+        and s = 0) at the points (x, y), clamped to the square.
+
+        In unit cell coordinates the spline is cubic Hermite on each cell;
+        its nodal data Q = [[V, V M^T], [M V, M V M^T]] stacks the samples V,
+        their slopes along y and x, and the mixed slopes, with M the slope
+        matrix of :func:`_spline_slopes`.  A point reads the 4 x 4 block of Q
+        at its cell's corners and contracts it with the Hermite basis at its
+        offsets (tx, ty) in the cell: f = wx^T G wy."""
+        n, R = self.n, self.radius
+        if self._nodal is None:
+            M = _spline_slopes(n)
+            V = self.values
+            MV = M @ V
+            self._nodal = np.block([[V, V @ M.T], [MV, MV @ M.T]])
+        u = (np.minimum(np.maximum(np.array((x, y)), -R), R) + R) / self.cell_size
+        i = np.minimum(np.maximum(u.astype(np.intp), 0), n - 2)
+        powers = (u - i)[..., None] ** _CUBIC_POWERS
+        wx, wy = powers @ _HERMITE
+        corners = i[..., None] + np.array([0, 1, n, n + 1])
+        G = self._nodal[corners[0][:, :, None], corners[1][:, None, :]]
+        Gy = (G * wy[:, None, :]).sum(2)
+        f = (Gy * wx).sum(1)
+        if not jet:
+            return (f,)
+        dwx, dwy = powers[..., :3] @ _HERMITE_SLOPES / self.cell_size
+        return f, (Gy * dwx).sum(1), ((G * dwy[:, None, :]).sum(2) * wx).sum(1)
+
+
+# The cubic Hermite basis on a unit cell, rows the coefficients of 1, t, t^2
+# and t^3, columns the value at either end and the slope at either end; and
+# the coefficients of its derivative in 1, t, t^2
+_CUBIC_POWERS = np.arange(4)
+_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0],
+                     [-3.0, 3.0, -2.0, -1.0],
+                     [2.0, -2.0, 1.0, 1.0]])
+_HERMITE_SLOPES = _HERMITE[1:] * np.arange(1, 4)[:, None]
+
+
+@cache
+def _spline_slopes(n: int) -> np.ndarray:
+    """The n x n matrix M for which M y are the slopes, per unit spacing, of
+    the not-a-knot cubic spline through samples y on n equispaced nodes:
+    the interpolant FITPACK's ``regrid`` builds for k = 3 and s = 0, with a
+    knot at every node but the second and the second to last.  Interior
+    rows are the spline's C2 condition d[i-1] + 4 d[i] + d[i+1] =
+    3 (y[i+1] - y[i-1]); each end row makes the third derivative of the
+    first two (last two) cells equal."""
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = 1.0, 4.0, 1.0
+    B[i, i - 1], B[i, i + 1] = -3.0, 3.0
+    A[0, [0, 2]], B[0, :3] = (1.0, -1.0), (-2.0, 4.0, -2.0)
+    A[-1, [-3, -1]], B[-1, -3:] = (-1.0, 1.0), (2.0, -4.0, 2.0)
+    return np.linalg.solve(A, B)
 
 
 def _xy_wirtinger(fx, fy):

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cartan import cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
@@ -511,7 +510,10 @@ def _decode_modes(x: np.ndarray, mode_list, bound: float, lattice) -> TrigPotent
 def torus_search(config: SearchConfig) -> SearchReport:
     """Multistart simplex maximization of the nonvanishing score over
     bounded Fourier coefficients.  Deterministic for a fixed config; a best
-    objective of zero is a valid (and, so far, the expected) finding."""
+    objective of zero is a valid (and, so far, the expected) finding.
+    Only this operation needs scipy, so it imports the optimizer here."""
+    from scipy.optimize import minimize
+
     mode_list = config.mode_list()
     dim = 2 * len(mode_list)
     history = []

@@ -21,11 +21,14 @@ by summing exponentials, so they are independent of the library's
 transforms.  The 2-D obstruction chain is the reference for the
 symmetry audit's one-dimensional psi: the same reduction taken on the
 sampled field along the transverse direction, with the library's
-derivatives and products.
+derivatives and products.  FITPACK's interpolating bicubic spline
+(``RectBivariateSpline``, s = 0) is the reference for the chart grid's
+numpy spline.
 """
 
 import numpy as np
-from scipy import fft as sfft
+from scipy.fft import next_fast_len
+from scipy.interpolate import RectBivariateSpline
 
 from umbilic.field import PeriodicField, TorusLattice, product
 
@@ -148,12 +151,12 @@ def product_2n(terms) -> np.ndarray:
         term = None
         for f in fs:
             P = np.zeros((m, m), dtype=complex)
-            P[np.ix_(g, g)] = _split_nyquist(sfft.fftshift(_sample_fft(f)) / (n * n))
-            x = sfft.ifft2(P, norm="forward")
+            P[np.ix_(g, g)] = _split_nyquist(np.fft.fftshift(_sample_fft(f)) / (n * n))
+            x = np.fft.ifft2(P, norm="forward")
             term = np.multiply(x, c) if term is None else term * x
         acc = term if acc is None else acc + term
-    F = sfft.fft2(acc, norm="forward")
-    return sfft.ifft2(sfft.ifftshift(_fold_nyquist(F[np.ix_(g, g)])) * (n * n))
+    F = np.fft.fft2(acc, norm="forward")
+    return np.fft.ifft2(np.fft.ifftshift(_fold_nyquist(F[np.ix_(g, g)])) * (n * n))
 
 
 def random_band_limited(seed: int, lattice: TorusLattice, n: int = 128,
@@ -286,8 +289,8 @@ def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:
 
 
 def _sample_fft(f) -> np.ndarray:
-    """fft2 of the samples of f; real-tagged ones take the real-input transform."""
-    return sfft.fft2(f.values.real if f.real_tag else f.values)
+    """fft2 of the samples of f; real-tagged ones transform their real parts."""
+    return np.fft.fft2(f.values.real if f.real_tag else f.values)
 
 
 class EagerField:
@@ -305,7 +308,7 @@ class EagerField:
 
 def eager_field(lattice, C, real_tag=False) -> EagerField:
     """A field with spectrum C whose samples ifft2(C) exist at once."""
-    return EagerField(lattice, sfft.ifft2(C), C, real_tag)
+    return EagerField(lattice, np.fft.ifft2(C), C, real_tag)
 
 
 def eager_samples(f) -> EagerField:
@@ -335,7 +338,7 @@ def eager_band(f) -> int:
     n = f.n
     if f.C is None:
         return n // 2
-    k = np.abs(sfft.fftfreq(n, d=1.0 / n)).astype(int)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(int)
     nonzero = f.C != 0
     return int(max(k[nonzero.any(1)].max(initial=0), k[nonzero.any(0)].max(initial=0)))
 
@@ -346,12 +349,12 @@ def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
     n = f.n
     if f.C is None:
         v = f.values - complex(f.values.mean())
-        C = sfft.fft2(v.real if f.real_tag else v)
+        C = np.fft.fft2(v.real if f.real_tag else v)
     else:
         C = f.C.copy()
         C[0, 0] = 0.0
     if tail_tol is not None:
-        k = np.abs(sfft.fftfreq(n, d=1.0 / n))
+        k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
         tail = np.maximum(k[:, None], k[None, :]) >= int(np.ceil(n / 3.0))
         power = np.abs(C) ** 2
         if power.sum() > 0.0 and power[tail].sum() / power.sum() > tail_tol:
@@ -359,7 +362,7 @@ def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
     floor = 16.0 * n * np.finfo(float).eps * f.sup_norm()
     if floor > 0.0:
         C[np.abs(C) < floor] = 0.0
-    mult = 2j * np.pi * sfft.fftfreq(n, d=1.0 / n)
+    mult = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     mult[n // 2] = 0.0
     omega = f.lattice.omega
     denom = np.conj(omega) - omega
@@ -380,7 +383,7 @@ def eager_product(terms) -> EagerField:
     n = first.n
     S = max(sum(eager_band(f) for f in fs) for _, fs in terms)
     K = min(S, n // 2)
-    m = min(2 * n, sfft.next_fast_len(S + K + 1))
+    m = min(2 * n, next_fast_len(S + K + 1))
     acc = None
     for c, fs in terms:
         term = None
@@ -389,15 +392,15 @@ def eager_product(terms) -> EagerField:
             C = _sample_fft(f) if f.C is None else f.C
             g = np.arange(-h, h + 1)
             if 2 * h == n:
-                block = _split_nyquist(sfft.fftshift(C) / (n * n))
+                block = _split_nyquist(np.fft.fftshift(C) / (n * n))
             else:
                 block = C[np.ix_(g % n, g % n)] / (n * n)
             P = np.zeros((m, m), dtype=complex)
             P[np.ix_(g % m, g % m)] = block
-            x = sfft.ifft2(P, norm="forward")
+            x = np.fft.ifft2(P, norm="forward")
             term = np.multiply(x, c) if term is None else term * x
         acc = term if acc is None else acc + term
-    F = sfft.fft2(acc, norm="forward")
+    F = np.fft.fft2(acc, norm="forward")
     g = np.arange(-K, K + 1)
     G = F[np.ix_(g % m, g % m)]
     if 2 * K == n:
@@ -448,3 +451,14 @@ def eager_covariant_hessian(f, phi) -> EagerField:
                             lambda g: g.scale(2.0).scale(-1.0))
     em2phi = eager_pointwise(phi, lambda g: g.scale(-2.0).exp())
     return eager_product([(1.0, (em2phi, eager_add(d2f, twice)))])
+
+
+def fitpack_chart_spline(chart, x, y):
+    """(f, df/dx, df/dy) at the points (x, y) of FITPACK's interpolating
+    bicubic spline through the chart's samples, one spline per real and
+    imaginary part: the reference for :meth:`ChartGrid.jet_at`'s spline."""
+    axis = chart.axis()
+    parts = [RectBivariateSpline(axis, axis, v, kx=3, ky=3, s=0)
+             for v in (chart.values.real, chart.values.imag)]
+    return tuple(parts[0].ev(x, y, dx=dx, dy=dy) + 1j * parts[1].ev(x, y, dx=dx, dy=dy)
+                 for dx, dy in ((0, 0), (1, 0), (0, 1)))

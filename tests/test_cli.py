@@ -441,6 +441,46 @@ class TestMainAndExitCodes:
         assert text in getattr(capsys.readouterr(), stream)
 
 
+# one config per operation that must run without scipy; only search's
+# Nelder-Mead needs it
+SCIPY_FREE_CONFIGS = {
+    "obstruction": torus_cfg(metric={"modes": {"1,0": [0.2, 0.0]}}, operation="obstruction",
+                             numeric={"grid_n": 64}, obstruction={"direction": [0.0, 1.0]}),
+    "invariant": torus_cfg(metric={"modes": {"1,0": [0.2, 0.0], "1,1": [0.05, 0.1]}}),
+    "ph-audit": {"surface": {"kind": "sphere", "degree": 1,
+                             "perturbations": [{"harmonic": "re_z", "epsilon": 0.05}]},
+                 "metric": {"builtin": "fs"}, "operation": "ph-audit",
+                 "numeric": {"grid_n": 128}},
+    "loewner": {"surface": {"kind": "chart", "radius": 1.0}, "metric": {"builtin": "constant"},
+                "operation": "loewner", "loewner": {"g": {"builtin": "zbar"}, "order": 8}},
+}
+
+_SCIPY_PROBE = """
+import json, sys
+import umbilic.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {"import": loaded()}
+for op, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    status = cli.main([op, "--config", path, "--out", path + ".out"])
+    seen[op] = [status, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_no_scipy_but_for_search(tmp_path):
+    # in a child process: this interpreter has imported scipy already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    args = [a for op, cfg in SCIPY_FREE_CONFIGS.items()
+            for a in (op, write_cfg(tmp_path, cfg, f"{op}.json"))]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], **{op: [0, []] for op in SCIPY_FREE_CONFIGS}}
+
+
 class TestGridDump:
     def test_constant_field_rows(self, tmp_path):
         f = PeriodicField.constant(LAT, 8, 1.0)

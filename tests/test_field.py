@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from umbilic import field as field_module
 from umbilic.cartan import cartan_r, covariant_hessian_zz, gauss_curvature
@@ -10,7 +11,7 @@ from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
 from umbilic.torussearch import TrigPotential, min_modulus_objective
 
 from _oracles import (eager_covariant_hessian, eager_derivative, eager_divergence_form,
-                      eager_field, eager_gauss_curvature, eager_p_form, eager_pointwise,
+                      eager_field, fitpack_chart_spline, eager_gauss_curvature, eager_p_form, eager_pointwise,
                       eager_potential, eager_product, eager_samples, product_2n,
                       periodic_from_function, periodic_from_modes, random_band_limited,
                       random_half_modes, trig_resample)
@@ -22,6 +23,12 @@ LAT_GEN = TorusLattice(0.3 + 1.1j)
 def grid_st(n):
     s = np.arange(n) / n
     return np.meshgrid(s, s, indexing="ij")
+
+
+def test_next_fast_len_matches_scipy():
+    # product grids m keep the sizes scipy's complex next_fast_len gave them
+    assert [field_module._next_fast_len(i) for i in range(1, 3000)] == \
+        [next_fast_len(i) for i in range(1, 3000)]
 
 
 class TestTorusLattice:
@@ -203,8 +210,9 @@ class TestPolynomialProduct:
                 g.derivative("D")
 
     def test_p_form_holds_three_doubled_arrays(self):
-        # the lifted operands are freed after their last use; the rest of
-        # the peak is n-sized spectra
+        # band-6 operands lift to m = 40, so the stack of the four lifted
+        # operands and its transform stay far below one doubled array; the
+        # rest of the peak is n-sized spectra
         n = 64
         u = random_band_limited(3, LAT_GEN, n=n, budget=6)
         du = u.derivative("D")
@@ -659,6 +667,34 @@ class TestChartGrid:
         for direction, got in (("D", d), ("Dbar", dbar)):
             g = ch.derivative(direction)
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-6 * g.sup_norm(0.6)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_spline_matches_fitpack(self, n):
+        # the numpy spline is FITPACK's interpolating bicubic spline: values
+        # agree to 1e-13 of the largest value, x and y partials to 3e-12 of
+        # the largest partial (7e-16 and 2e-13 seen), at nodes and inside
+        ch = ChartGrid.from_function(
+            "c1", 1.5, n, lambda Z: np.log1p(np.abs(Z) ** 2) + 0.3 * np.sin(3 * Z.real)
+            * np.cos(2 * Z.imag) + 1j * np.cos(Z.real * Z.imag))
+        rng = np.random.default_rng(n)
+        nodes = rng.integers(n, size=(2, 200))
+        x = np.concatenate([ch.axis()[nodes[0]], rng.uniform(-1.5, 1.5, 300)])
+        y = np.concatenate([ch.axis()[nodes[1]], rng.uniform(-1.5, 1.5, 300)])
+        value, fx, fy = fitpack_chart_spline(ch, x, y)
+        assert np.max(np.abs(ch.evaluate_st(x, y) - value)) <= 1e-13 * np.max(np.abs(value))
+        f, d, dbar = ch.jet_at(x + 1j * y)
+        assert np.array_equal(f, ch.evaluate_st(x, y))
+        for got, ref in ((d + dbar, fx), (1j * (d - dbar), fy)):
+            assert np.max(np.abs(got - ref)) <= 3e-12 * np.max(np.abs(ref))
+
+    def test_spline_clamps_to_the_square(self):
+        # FITPACK's ev clamps points to the square: (1.2, y) reads (1, y)
+        ch = ChartGrid.from_function("c1", 1.0, 32, lambda Z: np.exp(Z) + Z.imag)
+        x, y = np.array([1.2, -3.0, 0.4, 2.0]), np.array([0.3, -0.5, -1.7, 2.0])
+        clamped = np.clip(x, -1, 1), np.clip(y, -1, 1)
+        assert np.array_equal(ch.evaluate_st(x, y), ch.evaluate_st(*clamped))
+        ref = fitpack_chart_spline(ch, x, y)[0]
+        assert np.max(np.abs(ch.evaluate_st(x, y) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def sampled(kind, value, n=10, real_tag=False):

@@ -142,7 +142,7 @@ class TestObjectiveStop:
         rep = torus_search(SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
                                         grid_n=96, mode_budget=3))
         values = [v for _, v in rep.history]
-        assert values[4] == 3.3797912795192946e-4 and values[:4] == [0.0] * 4
+        assert values[4] == 3.3797912795189796e-4 and values[:4] == [0.0] * 4
         for u, v in zip(seen, values):
             assert v == full_polish_objective(u, 96)
         for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
