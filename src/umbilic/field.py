@@ -162,6 +162,18 @@ def _embed(B: np.ndarray, m: int) -> np.ndarray:
     return C
 
 
+def _samples(B: np.ndarray, n: int) -> np.ndarray:
+    """ifft2 of the block B zero-filled to n x n, bit for bit.  numpy's
+    ifft2 transforms along the last axis first, and only the rows of B's
+    frequencies are nonzero there, so only they take that pass."""
+    g = _freqs(B) % n
+    rows = np.zeros((len(B), n), dtype=complex)
+    rows[:, g] = B
+    C = np.zeros((n, n), dtype=complex)
+    C[g] = fft.ifft(rows, axis=1)
+    return fft.ifft(C, axis=0)
+
+
 def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of the trigonometric interpolant on the frequencies of
     the block B: B / n^2, at full band on -n/2 .. n/2 with the Nyquist row
@@ -365,7 +377,7 @@ class PeriodicField(_SampledField):
     @property
     def values(self) -> np.ndarray:
         if self._values is None:  # a complex field kept as its spectrum
-            self._values = fft.ifft2(_embed(self._block, self.n))
+            self._values = _samples(self._block, self.n)
         return self._values
 
     @values.setter
@@ -391,7 +403,7 @@ class PeriodicField(_SampledField):
         gets them at once, a complex one on first read."""
         B = _cut_to_band(B)
         if real_tag:
-            out = cls(lattice, fft.ifft2(_embed(B, n)), True)
+            out = cls(lattice, _samples(B, n), True)
         else:
             out = cls.__new__(cls)
             out.lattice, out.n, out.real_tag = lattice, n, False

@@ -402,16 +402,24 @@ class TestSpectrumFirst:
 
     @staticmethod
     def _count_full_inverse_transforms(monkeypatch, n):
-        """The list that collects one entry per n x n ifft2 from now on."""
+        """The list that collects one entry per n x n inverse transform from
+        now on: an ifft2 of an n x n array, or the closing axis-0 pass of
+        one that field._samples runs axis by axis."""
         grids = []
-        ifft2 = field_module.fft.ifft2
+        ifft, ifft2 = field_module.fft.ifft, field_module.fft.ifft2
 
-        def counted(x, *args, **kw):
+        def counted2(x, *args, **kw):
             if x.shape == (n, n):
                 grids.append(x.shape)
             return ifft2(x, *args, **kw)
 
-        monkeypatch.setattr(field_module.fft, "ifft2", counted)
+        def counted(x, *args, axis=-1, **kw):
+            if x.shape == (n, n) and axis == 0:
+                grids.append(x.shape)
+            return ifft(x, *args, axis=axis, **kw)
+
+        monkeypatch.setattr(field_module.fft, "ifft2", counted2)
+        monkeypatch.setattr(field_module.fft, "ifft", counted)
         return grids
 
     def test_objective_transforms_two_grids(self, monkeypatch):
