@@ -847,7 +847,9 @@ def _spline_slopes(n: int) -> np.ndarray:
     B[i, i - 1], B[i, i + 1] = -3.0, 3.0
     A[0, [0, 2]], B[0, :3] = (1.0, -1.0), (-2.0, 4.0, -2.0)
     A[-1, [-3, -1]], B[-1, -3:] = (-1.0, 1.0), (2.0, -4.0, 2.0)
-    return np.linalg.solve(A, B)
+    M = np.linalg.solve(A, B)
+    M.flags.writeable = False  # one cached matrix serves every chart of n nodes
+    return M
 
 
 def _xy_wirtinger(fx, fy):
