@@ -58,7 +58,7 @@ The formal power series representation lives in :mod:`umbilic.series`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -154,12 +154,15 @@ def _cut_to_band(B: np.ndarray) -> np.ndarray:
     return B if 2 * h == len(B) else B[c - h:c + h + 1, c - h:c + h + 1]
 
 
-def _embed(B: np.ndarray, m: int) -> np.ndarray:
-    """The m x m fft2 layout of the block B, zero off its frequencies."""
-    g = _freqs(B) % m
-    C = np.zeros((m, m), dtype=complex)
-    C[np.ix_(g, g)] = B
-    return C
+def _transform2_in_place(transform, a: np.ndarray) -> np.ndarray:
+    """numpy's fft2 or ifft2 (``transform`` is fft or ifft) with norm
+    "forward" over the last two axes of a, written into a: the same 1-D
+    passes in the same order, last axis first, so bit for bit the same.
+    numpy's fft2 and ifft2 ignore their ``out`` argument and hold a
+    transformed copy of a; the 1-D passes honour it."""
+    for axis in (-1, -2):
+        transform(a, axis=axis, norm="forward", out=a)
+    return a
 
 
 def _samples(B: np.ndarray, n: int) -> np.ndarray:
@@ -541,26 +544,28 @@ class PeriodicField(_SampledField):
         annihilate, take aliased content; full-band quadratic ones lift by
         about 3/2, and budget-3 potentials give the P form a 20 x 20 grid.
         The Nyquist bins are folded back only when K = n/2.  The k distinct
-        operands form one k x m x m stack: the lift holds it and its
-        transform (or, while stacking, the k embedded blocks), and the
-        monomials then take one m x m term and the m x m sum beside the
-        transform."""
+        operands are embedded into one k x m x m stack, which is lifted in
+        place; the monomials then take one m x m term and the m x m sum,
+        which is transformed in place: k + 2 arrays of m x m at most."""
         n = self.n
         operands = {id(f): f for _, fs in terms for f in fs}
         S = max(sum(f._band() for f in fs) for _, fs in terms)
         K = min(S, n // 2)
         m = min(2 * n, _next_fast_len(S + K + 1))
-        stack = np.stack([_embed(_interpolant(f._spectral_block(), n), m)
-                          for f in operands.values()])
-        lifted = dict(zip(operands, fft.ifft2(stack, norm="forward")))
-        del stack
+        stack = np.zeros((len(operands), m, m), dtype=complex)
+        for f, C in zip(operands.values(), stack):  # each block in fft2 layout
+            B = _interpolant(f._spectral_block(), n)
+            g = _freqs(B) % m
+            C[np.ix_(g, g)] = B
+        lifted = dict(zip(operands, _transform2_in_place(fft.ifft, stack)))
         acc = None
         for c, fs in terms:
             term = np.multiply(lifted[id(fs[0])], c)
             for f in fs[1:]:
                 term *= lifted[id(f)]
             acc = term if acc is None else np.add(acc, term, out=acc)
-        F = fft.fft2(acc, norm="forward")
+        del lifted, stack
+        F = _transform2_in_place(fft.fft, acc)
         g = np.arange(-K, K + 1) % m
         G = F[np.ix_(g, g)]
         if 2 * K == n:  # the n/2 row and column fold onto -n/2 (axis 0 first)
@@ -686,7 +691,7 @@ class ChartGrid(_SampledField):
             raise ValueError("chart radius must be positive")
         self.chart_id = str(chart_id)
         self.radius = radius
-        self._nodal = None  # the spline's Hermite nodal data, formed by the first evaluation
+        self._bspline = None  # the spline's coefficients, formed by the first evaluation
 
     @staticmethod
     def _check_n(n: int):
@@ -795,61 +800,77 @@ class ChartGrid(_SampledField):
         spline through the samples (``RectBivariateSpline`` with kx = ky = 3
         and s = 0) at the points (x, y), clamped to the square.
 
-        In unit cell coordinates the spline is cubic Hermite on each cell;
-        its nodal data Q = [[V, V M^T], [M V, M V M^T]] stacks the samples V,
-        their slopes along y and x, and the mixed slopes, with M the slope
-        matrix of :func:`_spline_slopes`.  A point reads the 4 x 4 block of Q
-        at its cell's corners and contracts it with the Hermite basis at its
+        The spline is written in the uniform cubic B-spline basis of the
+        nodes: its (n + 2) x (n + 2) coefficients C, which
+        :func:`_spline_coefficients` solves for along y and then along x
+        on the first evaluation, are all it keeps.  A point reads the 4 x 4
+        block of C over its cell and contracts it with the basis at its
         offsets (tx, ty) in the cell: f = wx^T G wy."""
         n, R = self.n, self.radius
-        if self._nodal is None:
-            M = _spline_slopes(n)
-            V = self.values
-            MV = M @ V
-            self._nodal = np.block([[V, V @ M.T], [MV, MV @ M.T]])
+        if self._bspline is None:
+            self._bspline = _spline_coefficients(_spline_coefficients(self.values.T).T)
         u = (np.minimum(np.maximum(np.array((x, y)), -R), R) + R) / self.cell_size
         i = np.minimum(np.maximum(u.astype(np.intp), 0), n - 2)
         powers = (u - i)[..., None] ** _CUBIC_POWERS
-        wx, wy = powers @ _HERMITE
-        corners = i[..., None] + np.array([0, 1, n, n + 1])
-        G = self._nodal[corners[0][:, :, None], corners[1][:, None, :]]
+        wx, wy = powers @ _BSPLINE
+        corners = i[..., None] + _CUBIC_POWERS
+        G = self._bspline[corners[0][:, :, None], corners[1][:, None, :]]
         Gy = (G * wy[:, None, :]).sum(2)
         f = (Gy * wx).sum(1)
         if not jet:
             return (f,)
-        dwx, dwy = powers[..., :3] @ _HERMITE_SLOPES / self.cell_size
+        dwx, dwy = powers[..., :3] @ _BSPLINE_SLOPES / self.cell_size
         return f, (Gy * dwx).sum(1), ((G * dwy[:, None, :]).sum(2) * wx).sum(1)
 
 
-# The cubic Hermite basis on a unit cell, rows the coefficients of 1, t, t^2
-# and t^3, columns the value at either end and the slope at either end; and
-# the coefficients of its derivative in 1, t, t^2
+# The uniform cubic B-splines over a unit cell, rows the coefficients of 1,
+# t, t^2 and t^3, columns the four B-splines that are nonzero on it (from
+# the one centred a node left of the cell); and the coefficients of their
+# derivatives in 1, t, t^2
 _CUBIC_POWERS = np.arange(4)
-_HERMITE = np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0, 0.0],
-                     [-3.0, 3.0, -2.0, -1.0],
-                     [2.0, -2.0, 1.0, 1.0]])
-_HERMITE_SLOPES = _HERMITE[1:] * np.arange(1, 4)[:, None]
+_BSPLINE = np.array([[1.0, 4.0, 1.0, 0.0],
+                     [-3.0, 0.0, 3.0, 0.0],
+                     [3.0, -6.0, 3.0, 0.0],
+                     [-1.0, 3.0, -3.0, 1.0]]) / 6.0
+_BSPLINE_SLOPES = _BSPLINE[1:] * np.arange(1, 4)[:, None]
 
 
-@cache
-def _spline_slopes(n: int) -> np.ndarray:
-    """The n x n matrix M for which M y are the slopes, per unit spacing, of
-    the not-a-knot cubic spline through samples y on n equispaced nodes:
-    the interpolant FITPACK's ``regrid`` builds for k = 3 and s = 0, with a
-    knot at every node but the second and the second to last.  Interior
-    rows are the spline's C2 condition d[i-1] + 4 d[i] + d[i+1] =
-    3 (y[i+1] - y[i-1]); each end row makes the third derivative of the
-    first two (last two) cells equal."""
-    A, B = np.zeros((n, n)), np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    A[i, i - 1], A[i, i], A[i, i + 1] = 1.0, 4.0, 1.0
-    B[i, i - 1], B[i, i + 1] = -3.0, 3.0
-    A[0, [0, 2]], B[0, :3] = (1.0, -1.0), (-2.0, 4.0, -2.0)
-    A[-1, [-3, -1]], B[-1, -3:] = (-1.0, 1.0), (2.0, -4.0, 2.0)
-    M = np.linalg.solve(A, B)
-    M.flags.writeable = False  # one cached matrix serves every chart of n nodes
-    return M
+def _spline_coefficients(y: np.ndarray) -> np.ndarray:
+    """The coefficients c[-1], ..., c[n] (rows 0 to n + 1) in the uniform
+    cubic B-spline basis of the not-a-knot cubic splines through the columns
+    of y, n samples per column on equispaced nodes: the interpolant
+    FITPACK's ``regrid`` builds for k = 3 and s = 0, with a knot at every
+    node but the second and the second to last.  The spline is
+    sum_k c[k] B((x - x[0]) / h - k), with B the centred cubic B-spline.
+
+    It interpolates, c[i-1] + 4 c[i] + c[i+1] = 6 y[i], and has no knot at
+    node 1, which with the interpolation rows 0, 1 and 2 reads
+    c[1] = (8 y[1] - y[0] - y[2]) / 6; node n - 2 mirrors it.  c[2], ...,
+    c[n-3] then solve a tridiagonal system with diagonal 4 and off-diagonals
+    1, one elimination sweep down the rows and one back up: O(n) row
+    operations.  The interpolation rows 1, 0, n - 2 and n - 1 give the
+    four end coefficients."""
+    n = len(y)
+    c = np.empty((n + 2,) + y.shape[1:], dtype=complex)
+    np.multiply(y[1:-1], 6.0, out=c[2:-2])
+    c[2] = (8.0 * y[1] - y[0] - y[2]) / 6.0
+    c[-3] = (8.0 * y[-2] - y[-1] - y[-3]) / 6.0
+    rows = list(c[3:-3])
+    rows[0] -= c[2]
+    rows[-1] -= c[-3]
+    piv = [4.0]
+    for k in range(1, len(rows)):
+        rows[k] -= rows[k - 1] * (1.0 / piv[-1])
+        piv.append(4.0 - 1.0 / piv[-1])
+    rows[-1] *= 1.0 / piv[-1]
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] -= rows[k + 1]
+        rows[k] *= 1.0 / piv[k]
+    c[1] = 6.0 * y[1] - 4.0 * c[2] - c[3]
+    c[0] = 6.0 * y[0] - 4.0 * c[1] - c[2]
+    c[-2] = 6.0 * y[-2] - 4.0 * c[-3] - c[-4]
+    c[-1] = 6.0 * y[-1] - 4.0 * c[-2] - c[-3]
+    return c
 
 
 def _xy_wirtinger(fx, fy):

@@ -227,6 +227,26 @@ class TestPolynomialProduct:
             tracemalloc.stop()
         assert peak < 4 * (2 * n) ** 2 * 16
 
+    def test_full_band_cubic_holds_the_stack_and_two_arrays(self):
+        # sample-built operands lift to m = 2n: the stack of the four lifted
+        # operands, one term and the sum, with room for n x n spectra (a
+        # stack formed from separately embedded blocks and transformed out
+        # of place took 12 doubled arrays)
+        n = 64
+        rng = np.random.default_rng(2)
+        fields = [PeriodicField(LAT_GEN, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                  for _ in range(4)]
+        for f in fields:
+            f._spectral_block()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            product(p_form_terms(*fields))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + 2) * (2 * n) ** 2 * 16 + 8 * n * n * 16
+
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
     @pytest.mark.parametrize("budget", [3, 7])
     def test_band_limited_operands_match_2n_product(self, lattice, budget):
@@ -261,20 +281,27 @@ class TestPolynomialProduct:
     def test_budget3_p_form_lifts_to_small_grid(self, monkeypatch):
         # budget-3 operands: S = 9 and K = 9, so m = next_fast_len(19) = 20;
         # kept spectra mean no transform of n x n samples either
+        # the lift and the way back run 1-D passes with norm "forward"
         shapes = []
-        fft2, ifft2 = field_module.fft.fft2, field_module.fft.ifft2
+        fft, ifft, fft2 = field_module.fft.fft, field_module.fft.ifft, field_module.fft.fft2
 
         def lift(x, *args, **kw):
             if kw.get("norm") == "forward":
-                shapes.append(x.shape)
-            return ifft2(x, *args, **kw)
+                shapes.append(x.shape[-2:])
+            return ifft(x, *args, **kw)
 
         def forward(x, *args, **kw):
+            if kw.get("norm") == "forward":
+                shapes.append(x.shape[-2:])
+            return fft(x, *args, **kw)
+
+        def samples(x, *args, **kw):
             shapes.append(x.shape)
             return fft2(x, *args, **kw)
 
-        monkeypatch.setattr(field_module.fft, "ifft2", lift)
-        monkeypatch.setattr(field_module.fft, "fft2", forward)
+        monkeypatch.setattr(field_module.fft, "ifft", lift)
+        monkeypatch.setattr(field_module.fft, "fft", forward)
+        monkeypatch.setattr(field_module.fft, "fft2", samples)
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
         r = cartan_r(u.to_field(96), "p_form")
         assert shapes and max(max(shape) for shape in shapes) <= 32
@@ -676,11 +703,11 @@ class TestChartGrid:
             g = ch.derivative(direction)
             assert np.max(np.abs(got - g.evaluate_at(z))) <= 1e-6 * g.sup_norm(0.6)
 
-    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n", [9, 64, 128, 256, 1024])
     def test_spline_matches_fitpack(self, n):
         # the numpy spline is FITPACK's interpolating bicubic spline: values
         # agree to 1e-13 of the largest value, x and y partials to 3e-12 of
-        # the largest partial (7e-16 and 2e-13 seen), at nodes and inside
+        # the largest partial (1e-15 and 5.3e-13 seen), at nodes and inside
         ch = ChartGrid.from_function(
             "c1", 1.5, n, lambda Z: np.log1p(np.abs(Z) ** 2) + 0.3 * np.sin(3 * Z.real)
             * np.cos(2 * Z.imag) + 1j * np.cos(Z.real * Z.imag))
@@ -694,6 +721,22 @@ class TestChartGrid:
         assert np.array_equal(f, ch.evaluate_st(x, y))
         for got, ref in ((d + dbar, fx), (1j * (d - dbar), fy)):
             assert np.max(np.abs(got - ref)) <= 3e-12 * np.max(np.abs(ref))
+
+    def test_spline_holds_only_its_coefficients(self):
+        # the first evaluation keeps the (n + 2) x (n + 2) coefficients and
+        # holds one (n + 2) x n array beside them while solving (a dense
+        # slope matrix and Hermite nodal data took 11.5 n^2)
+        n = 256
+        rng = np.random.default_rng(5)
+        ch = ChartGrid("c1", 1.0, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ch.evaluate_at(0.1 + 0.2j)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 16
 
     def test_spline_clamps_to_the_square(self):
         # FITPACK's ev clamps points to the square: (1.2, y) reads (1, y)

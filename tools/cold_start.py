@@ -1,15 +1,16 @@
 """Fresh-process latency of the CLI, one canonical config per operation.
 
-    python3 tools/cold_start.py [SRC] [--repeats N]
+    python3 tools/cold_start.py [SRC]
 
 SRC is a directory holding an ``umbilic`` package (default: this
 checkout's ``src/``).  For every CLI operation the tool takes the first
 config, in sorted job-id order, of the benchmark pools
-(``perfbench.workloads.pool``) whose operation it is, and runs it N times
-(default 5), each time in a new interpreter that imports ``umbilic.cli``
-from SRC and makes one ``main([op, "--config", cfg, "--out", report])``
-call.  A run's latency is the wall time from launching the interpreter to
-its exit, so it holds the interpreter's start, every import and the job.
+(``perfbench.workloads.pool``) whose operation it is, and runs it
+REPEATS = 5 times, each time in a new interpreter that imports
+``umbilic.cli`` from SRC and makes one ``main([op, "--config", cfg,
+"--out", report])`` call.  A run's latency is the wall time from launching
+the interpreter to its exit, so it holds the interpreter's start, every
+import and the job.
 The report, JSON on stdout, gives per operation the job id, the exit
 status, the median and every run's latency in seconds, and the scipy
 modules the run had loaded when ``main`` returned: their number and the
@@ -34,6 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 OPERATIONS = ("invariant", "umbilics", "ph-audit", "loewner", "obstruction", "search")
+REPEATS = 5
 
 # the child: one main call, then its exit status and the scipy modules loaded
 CHILD = """
@@ -69,23 +71,18 @@ def cold_run(src: Path, op: str, cfg_path: Path, report_path: Path):
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    repeats = 5
-    if "--repeats" in args:
-        k = args.index("--repeats")
-        repeats = int(args[k + 1])
-        del args[k:k + 2]
-    if len(args) > 1 or repeats < 1:
+    if len(args) > 1 or any(a.startswith("-") for a in args):
         print(__doc__, file=sys.stderr)
         return 2
     src = Path(args[0]) if args else ROOT / "src"
     report = {"src": str(src.resolve()), "python": sys.version.split()[0],
-              "repeats": repeats, "operations": {}}
+              "repeats": REPEATS, "operations": {}}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for op, (jid, cfg) in canonical_configs().items():
             cfg_path, report_path = Path(tmp) / "cfg.json", Path(tmp) / "report.json"
             cfg_path.write_text(json.dumps(cfg))
-            runs = [cold_run(src, op, cfg_path, report_path) for _ in range(repeats)]
+            runs = [cold_run(src, op, cfg_path, report_path) for _ in range(REPEATS)]
             statuses = sorted({status for _, status, _ in runs}, key=str)
             modules = runs[-1][2]
             ok = ok and statuses == [0]
