@@ -229,9 +229,9 @@ class TestPolynomialProduct:
 
     def test_full_band_cubic_holds_the_stack_and_two_arrays(self):
         # sample-built operands lift to m = 2n: the stack of the four lifted
-        # operands, one term and the sum, with room for n x n spectra (a
-        # stack formed from separately embedded blocks and transformed out
-        # of place took 12 doubled arrays)
+        # operands, one term and the sum, with room for n x n spectra; a
+        # stack built from separate arrays and transformed out of place
+        # would take about 12 doubled arrays
         n = 64
         rng = np.random.default_rng(2)
         fields = [PeriodicField(LAT_GEN, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -724,8 +724,8 @@ class TestChartGrid:
 
     def test_spline_holds_only_its_coefficients(self):
         # the first evaluation keeps the (n + 2) x (n + 2) coefficients and
-        # holds one (n + 2) x n array beside them while solving (a dense
-        # slope matrix and Hermite nodal data took 11.5 n^2)
+        # holds one (n + 2) x n array beside them while solving; a dense
+        # slope matrix and 2n x 2n nodal data would take about 11.5 n^2
         n = 256
         rng = np.random.default_rng(5)
         ch = ChartGrid("c1", 1.0, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
