@@ -507,13 +507,95 @@ def _decode_modes(x: np.ndarray, mode_list, bound: float, lattice) -> TrigPotent
     return TrigPotential.from_half_modes(lattice, half)
 
 
+class _BudgetSpent(Exception):
+    """An evaluation past the budget of :func:`_nelder_mead`."""
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(func, x0: np.ndarray, maxfev: int, xatol: float = 1e-6,
+                 fatol: float = 1e-12):
+    """(min f, best x) of the Nelder-Mead simplex method with the adaptive
+    coefficients of F. Gao and L. Han, Comput. Optim. Appl. 51 (2012)
+    259-277: reflection 1, expansion 1 + 2/N, contraction 3/4 - 1/(2N),
+    shrink 1 - 1/N.  Step for step this is scipy.optimize's
+    ``_minimize_neldermead`` with ``adaptive=True``, no bounds, no callback
+    and no iteration limit (scipy 1.17): the same initial simplex, centroid,
+    trial points, evaluation order and numpy sorts, whose order among equal
+    values decides the path when the objective ties.  An evaluation past
+    ``maxfev`` ends the step it belongs to, even inside the initial simplex
+    or a shrink; the simplex is sorted once more and the search stops.
+    func gets a copy of each point."""
+    N = len(x0)
+    chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(np.copy(x))
+
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: the sort is not stable, so the second
+    # sort may still reorder tied vertices
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + chi) * xbar - chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + psi) * xbar - psi * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _sorted(sim, fsim)
+    return np.min(fsim), sim[0]
+
+
 def torus_search(config: SearchConfig) -> SearchReport:
     """Multistart simplex maximization of the nonvanishing score over
-    bounded Fourier coefficients.  Deterministic for a fixed config; a best
-    objective of zero is a valid (and, so far, the expected) finding.
-    Only this operation needs scipy, so it imports the optimizer here."""
-    from scipy.optimize import minimize
-
+    bounded Fourier coefficients, one :func:`_nelder_mead` run per trial.
+    Deterministic for a fixed config; a best objective of zero is a valid
+    (and, so far, the expected) finding."""
     mode_list = config.mode_list()
     dim = 2 * len(mode_list)
     history = []
@@ -530,12 +612,8 @@ def torus_search(config: SearchConfig) -> SearchReport:
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
         x0 = rng.uniform(-0.25, 0.25, dim)
-        res = minimize(neg_objective, x0, method="Nelder-Mead",
-                       options={"maxfev": config.evaluations,
-                                "maxiter": 10 ** 9,
-                                "xatol": 1e-6, "fatol": 1e-12,
-                                "adaptive": True})
-        cand = (-float(res.fun), -trial, res.x.copy())
+        fun, x = _nelder_mead(neg_objective, x0, config.evaluations)
+        cand = (-float(fun), -trial, x)
         if best is None or cand[:2] > best[:2]:
             best = cand
     objective, neg_trial, x_best = best

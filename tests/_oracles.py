@@ -23,12 +23,14 @@ symmetry audit's one-dimensional psi: the same reduction taken on the
 sampled field along the transverse direction, with the library's
 derivatives and products.  FITPACK's interpolating bicubic spline
 (``RectBivariateSpline``, s = 0) is the reference for the chart grid's
-numpy spline.
+numpy spline, and scipy's adaptive Nelder-Mead (``minimize``) the one for
+the search's own.
 """
 
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.interpolate import RectBivariateSpline
+from scipy.optimize import minimize
 
 from umbilic.field import PeriodicField, TorusLattice, product
 
@@ -462,3 +464,12 @@ def fitpack_chart_spline(chart, x, y):
              for v in (chart.values.real, chart.values.imag)]
     return tuple(parts[0].ev(x, y, dx=dx, dy=dy) + 1j * parts[1].ev(x, y, dx=dx, dy=dy)
                  for dx, dy in ((0, 0), (1, 0), (0, 1)))
+
+
+def scipy_nelder_mead(func, x0, maxfev, xatol=1e-6, fatol=1e-12):
+    """(min f, best x) of scipy's adaptive Nelder-Mead with the options the
+    search uses: the reference for :func:`torussearch._nelder_mead`."""
+    res = minimize(func, x0, method="Nelder-Mead",
+                   options={"maxfev": maxfev, "maxiter": 10 ** 9, "xatol": xatol,
+                            "fatol": fatol, "adaptive": True})
+    return res.fun, res.x

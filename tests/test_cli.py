@@ -441,8 +441,7 @@ class TestMainAndExitCodes:
         assert text in getattr(capsys.readouterr(), stream)
 
 
-# one config per operation that must run without scipy; only search's
-# Nelder-Mead needs it
+# one config per operation: none of them may load scipy
 SCIPY_FREE_CONFIGS = {
     "obstruction": torus_cfg(metric={"modes": {"1,0": [0.2, 0.0]}}, operation="obstruction",
                              numeric={"grid_n": 64}, obstruction={"direction": [0.0, 1.0]}),
@@ -453,6 +452,10 @@ SCIPY_FREE_CONFIGS = {
                  "numeric": {"grid_n": 128}},
     "loewner": {"surface": {"kind": "chart", "radius": 1.0}, "metric": {"builtin": "constant"},
                 "operation": "loewner", "loewner": {"g": {"builtin": "zbar"}, "order": 8}},
+    "umbilics": torus_cfg(metric={"modes": {"1,0": [0.2, 0.0], "1,1": [0.05, 0.1]}},
+                          operation="umbilics", numeric={"grid_n": 64}),
+    "search": torus_cfg(operation="search", numeric={"grid_n": 64},
+                        search={"mode_budget": 1, "trials": 1, "evaluations": 5}),
 }
 
 _SCIPY_PROBE = """
@@ -468,7 +471,7 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_loads_no_scipy_but_for_search(tmp_path):
+def test_cli_loads_no_scipy(tmp_path):
     # in a child process: this interpreter has imported scipy already
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))

@@ -1,0 +1,74 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_trajectory", Path(__file__).resolve().parents[1] / "tools" / "bench_trajectory.py")
+bench_trajectory = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_trajectory)
+
+METRICS = ("wall_s", "job_p50_s", "job_tail_s", "setup_s", "peak_rss_mb")
+
+
+def write_result(checkout: Path, workload: str, seed: int, revision: str, value: float,
+                 python: str = "3.11.7"):
+    """A ``perfbench/run.py --trace 0`` result file holding what the summary
+    reads: every end-to-end metric at ``value``."""
+    (checkout / ".perfbench").mkdir(parents=True, exist_ok=True)
+    result = {"env": {"revision": revision, "python": python, "nproc": 2},
+              "metrics": {name: value for name in METRICS},
+              "fail_ratio": [0, 10], "rounds": 3}
+    path = checkout / ".perfbench" / f"result-{workload}-seed{seed}-trace0.json"
+    path.write_text(json.dumps(result))
+
+
+def test_only_paired_files_are_summarised(tmp_path, capsys):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "point.json"
+    for seed, (old, new) in enumerate([(1.0, 0.5), (1.2, 0.6), (0.9, 1.1)], start=1):
+        write_result(parent, "search", seed, "p" * 40, old)
+        write_result(change, "search", seed, "c" * 40, new)
+    # unpaired: a stale parent seed and a change seed run elsewhere
+    write_result(parent, "search", 9, "0" * 40, 5.0)
+    write_result(change, "search", 4, "1" * 40, 0.1, python="3.12.0")
+    write_result(change, "catalogue", 1, "1" * 40, 0.1)
+
+    assert bench_trajectory.main([str(parent), str(change), str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["revisions"] == {"parent": ["p" * 40], "change": ["c" * 40]}
+    assert doc["env"]["python"] == "3.11.7"
+    assert list(doc["workloads"]) == ["search"]
+    search = doc["workloads"]["search"]
+    assert search["pairs"] == 3 and search["seeds"] == [1, 2, 3]
+    wall = search["metrics"]["wall_s"]
+    assert wall["change_won"] == 2
+    assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 0.6
+
+
+@pytest.mark.parametrize("stale_side", ["parent", "change"])
+def test_a_stale_paired_seed_is_refused(tmp_path, capsys, stale_side):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "point.json"
+    for seed in (1, 2):
+        write_result(parent, "search", seed, "p" * 40, 1.0)
+        write_result(change, "search", seed, "c" * 40, 0.5)
+    # seed 0 left in both .perfbench/ directories by an earlier session
+    write_result(parent, "search", 0, "0" * 40 if stale_side == "parent" else "p" * 40, 1.0)
+    write_result(change, "search", 0, "0" * 40 if stale_side == "change" else "c" * 40, 0.5)
+
+    assert bench_trajectory.main([str(parent), str(change), str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"paired {stale_side} results carry revisions" in err and "0" * 40 in err
+
+
+def test_no_pair_or_an_existing_point_exits_1(tmp_path):
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "point.json"
+    write_result(parent, "search", 1, "p" * 40, 1.0)
+    write_result(change, "search", 2, "c" * 40, 0.5)
+    assert bench_trajectory.main([str(parent), str(change), str(out)]) == 1
+    assert not out.exists()
+    write_result(change, "search", 1, "c" * 40, 0.5)
+    out.write_text("{}")
+    assert bench_trajectory.main([str(parent), str(change), str(out)]) == 1
+    assert out.read_text() == "{}"

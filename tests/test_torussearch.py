@@ -8,12 +8,14 @@ from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
                                  _certified_roots, _decode_modes, _lowest_separated_cells,
+                                 _nelder_mead,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
 from _oracles import (eager_derivative, eager_potential, lowest_separated_cells_full,
-                      obstruction_chain_2d, one_directional, random_half_modes)
+                      obstruction_chain_2d, one_directional, random_half_modes,
+                      scipy_nelder_mead)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -380,3 +382,49 @@ class TestSearch:
                                         seed=3, grid_n=64, coeff_bound=0.01))
         assert rep.best_modes.modes
         assert all(abs(c) <= 0.01 * (1 + 1e-15) for c in rep.best_modes.modes.values())
+
+
+def _staircase(x):
+    return float(np.floor(8 * x).sum() + (x ** 2).sum())
+
+
+# (objective, x0, maxfev); every case was checked to reach the path it names
+NELDER_MEAD_CASES = {
+    # 199 of the 200 values are 0, as in the search: ties decide the sorts
+    "flat": (lambda x: -max(0.0, 1e-4 - abs(float(x[0]) - 0.2625)),
+             np.linspace(0.25, -0.25, 6), 200),
+    "budget_in_initial_simplex": (_staircase, np.linspace(-0.2, 0.2, 8), 5),
+    # the 47th evaluation is the third of a four-point shrink
+    "budget_in_shrink": (_staircase, np.linspace(-0.2, 0.2, 4), 47),
+    "zero_entries": (_staircase, np.array([0.0, 0.1, 0.0, -0.2, 0.0]), 120),
+    "converges": (lambda x: float(((x - 0.1) ** 2).sum()), np.array([0.2, -0.1]), 2000),
+    "N1": (lambda x: float(np.cos(9 * x[0])), np.array([0.05]), 25),
+    # the search's dimension at mode budget 3
+    "N48": (lambda x: -float(np.sin(3 * x).sum() - 9), np.random.default_rng(5).uniform(
+        -0.25, 0.25, 48), 400),
+}
+
+
+@pytest.mark.parametrize("case", NELDER_MEAD_CASES)
+def test_nelder_mead_matches_scipy(case):
+    func, x0, maxfev = NELDER_MEAD_CASES[case]
+    calls = []
+
+    def counted(x):
+        calls.append(None)
+        return func(x)
+
+    fun, x = _nelder_mead(counted, x0, maxfev)
+    ref_fun, ref_x = scipy_nelder_mead(func, x0, maxfev)
+    assert fun == ref_fun
+    assert np.array_equal(x, ref_x)
+    # the tolerance stop ends "converges" before the budget; the rest spend it
+    assert (len(calls) < maxfev) == (case == "converges")
+
+
+@pytest.mark.parametrize("lattice, seed", [(LAT, 0), (LAT_GEN, 1)], ids=["square", "oblique"])
+def test_search_matches_the_scipy_driven_search(monkeypatch, lattice, seed):
+    cfg = SearchConfig(lattice=lattice, trials=1, evaluations=100, seed=seed, grid_n=96)
+    own = torus_search(cfg).results_payload()
+    monkeypatch.setattr(torussearch, "_nelder_mead", scipy_nelder_mead)
+    assert torus_search(cfg).results_payload() == own

@@ -4,18 +4,22 @@
 
 Each checkout holds the untraced result files that ``perfbench/run.py
 --trace 0`` wrote to its ``.perfbench/`` directory.  Files are paired by
-workload and seed; a seed present on one side only is ignored.  For every
-workload and every end-to-end metric that ``BENCHMARK.json`` declares,
-OUT_JSON records each side's median and quartiles, the relative change of
-the medians, the parent's interquartile range relative to its median, and
-the number of pairs the change won (ties count for neither side).  It also
-records the environment of the runs (nproc, CPU, caches, Python, numpy and
-scipy versions), both git revisions, the seeds, and each side's failure
-ratios and round counts.  Its "scope" entry says that these medians compare
-only within the file: the same source has measured 1.5x apart in two
-sessions, so medians from different files are never chained.  An existing OUT_JSON is never replaced: the
-tool exits 1 without reading the checkouts.  Otherwise the exit status is
-0 when at least one pair was found, else 1.
+workload and seed; a seed present on one side only is ignored.  Only the
+paired files count: the environment and the revisions come from them, and
+when one side's paired files carry more than one git revision (a stale
+result left in ``.perfbench/`` from another revision) the tool exits 1
+without writing.  For every workload and every end-to-end metric that
+``BENCHMARK.json`` declares, OUT_JSON records each side's median and
+quartiles, the relative change of the medians, the parent's interquartile
+range relative to its median, and the number of pairs the change won (ties
+count for neither side).  It also records the environment of the runs
+(nproc, CPU, caches, Python, numpy and scipy versions), both git revisions,
+the seeds, and each side's failure ratios and round counts.  Its "scope"
+entry says that these medians compare only within the file: the same source
+has measured 1.5x apart in two sessions, so medians from different files are
+never chained.  An existing OUT_JSON is never replaced: the tool exits 1
+without reading the checkouts.  Otherwise the exit status is 0 when at least
+one pair was found and each side has one revision, else 1.
 """
 
 from __future__ import annotations
@@ -91,19 +95,26 @@ def main(argv: list) -> int:
         print(f"{out} exists; pick another name for this trajectory point", file=sys.stderr)
         return 1
     parent, change = load_results(parent_dir), load_results(change_dir)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = summarise(parent, change, spec["end_to_end"])
-    if not workloads:
+    paired = sorted(parent.keys() & change.keys())
+    if not paired:
         print("no workload and seed has a result on both sides", file=sys.stderr)
         return 1
-    first_change = next(iter(change.values()))
+    parent = {key: parent[key] for key in paired}
+    change = {key: change[key] for key in paired}
+    revisions = {}
+    for side, results in (("parent", parent), ("change", change)):
+        revisions[side] = sorted({r["env"]["revision"] for r in results.values()})
+        if len(revisions[side]) > 1:
+            print(f"the paired {side} results carry revisions {', '.join(revisions[side])}; "
+                  "remove the stale files from its .perfbench/", file=sys.stderr)
+            return 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = {
         "date": datetime.date.today().isoformat(),
         "scope": SCOPE,
-        "env": {k: first_change["env"].get(k) for k in ENV_KEYS},
-        "revisions": {"parent": sorted({r["env"]["revision"] for r in parent.values()}),
-                      "change": sorted({r["env"]["revision"] for r in change.values()})},
-        "workloads": workloads,
+        "env": {k: change[paired[0]]["env"].get(k) for k in ENV_KEYS},
+        "revisions": revisions,
+        "workloads": summarise(parent, change, spec["end_to_end"]),
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
