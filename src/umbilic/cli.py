@@ -97,8 +97,7 @@ from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, TORUS_SPHERICAL_TOL,
 from .loewner import LoewnerNormalization, loewner_solve
 from .series import PowerSeries2
 from .torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                          chern_number, symmetric_obstruction_check,
-                          torus_search)
+                          symmetric_obstruction_check, torus_search)
 
 EXIT_CODES = {
     ConfigError: 2,
@@ -451,8 +450,7 @@ def run_search(inp: dict) -> dict:
 
 
 def run_obstruction(inp: dict) -> dict:
-    pot = inp["potential"]
-    rep = symmetric_obstruction_check(pot, inp["direction"], grid_n=inp["grid_n"])
+    rep = symmetric_obstruction_check(inp["potential"], inp["direction"], grid_n=inp["grid_n"])
     return {"results": {
         "direction": [rep.direction.alpha, rep.direction.beta],
         "zeros_found": rep.zeros_found,
@@ -466,7 +464,7 @@ def run_obstruction(inp: dict) -> dict:
         "dpsi_sign_change": rep.dpsi_sign_change,
         "proof_identity_residual": rep.proof_identity_residual,
         "profile_identity_residual": rep.profile_identity_residual,
-        "chern_number_of_input": chern_number(pot),
+        "chern_number_of_input": rep.chern_number,
     }, "diagnostics_extra": {"uncertified_roots": rep.uncertified_roots}}
 
 

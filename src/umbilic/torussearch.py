@@ -32,6 +32,16 @@ coefficients.  Z1 = p in exact arithmetic, reached by another formula.
 In Wirtinger form Y = alpha d/dx + beta d/dy is Y = c D + conj(c) Dbar with
 c = alpha + i beta, Y' = i (c D - conj(c) Dbar), and D = a Y + b Y' gives
 a = i b and b^2 = -1 / (4 c^2); lam = -2 Im(c kappa).
+
+The Chern number is the periodic trapezoid rule for the mean of e^u on
+n x n nodes, n = max(256, 2h + 2) for a potential of mode budget h, so
+the band always fits.  When every mode key of u lies on one line, an
+exact integer test, u = f(theta) and the n^2 nodes take each of the n
+values theta = i / n exactly n times, (j0, k0) being primitive: the same
+rule is the mean of e^f over n nodes, from one 1-D inverse FFT of f's
+2b + 1 coefficients (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56
+(2014) 385-458).  The obstruction check reads it from the coefficients of
+its own profile.  Every other potential is sampled on the 2-D grid.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import numpy as np
 
 from .cartan import cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import PeriodicField, TorusLattice
+from .field import _REAL_TOL, PeriodicField, TorusLattice
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -70,7 +80,7 @@ _SYMMETRY_TOL = 1e-10
 # symmetric_obstruction_check: companion-matrix roots with ||z| - 1| at most
 # this are candidate zero curves
 _RING_TOL = 1e-3
-# chern_number's quadrature grid
+# chern_number's quadrature nodes per axis, at the least
 _CHERN_GRID_N = 256
 
 
@@ -232,33 +242,56 @@ class ObstructionReport:
     curve_offsets: list
     profile_identity_residual: float
     uncertified_roots: list
+    chern_number: float
 
 
-def _profile(u: TrigPotential):
-    """((j0, k0), F, tol) for u = f(j0 s + k0 t): (j0, k0) is the primitive
-    vector of u's largest nonconstant mode, taken in the half plane k0 > 0
-    or (k0 = 0, j0 > 0); the rows of F are f, X1, Z1 and p (module
-    docstring) in theta, F[:, m + 3b] for |m| <= 3b, from f's Hermitian
-    part as to_field places it; tol bounds the rounding of p's value from
-    F[3], by the l1 norms of the derivative coefficient vectors."""
+def _line(u: TrigPotential):
+    """((j0, k0), c, on_line) for u, which has a nonconstant mode: (j0, k0)
+    is the primitive vector of u's largest nonconstant mode, taken in the
+    half plane k0 > 0 or (k0 = 0, j0 > 0); c holds the coefficients of the
+    modes m (j0, k0), c[m + b] for |m| <= b, as the Hermitian part
+    to_field places; on_line says whether every mode key (j, k) of u lies
+    on that line, j k0 - k j0 == 0 in integers, so that u = f(j0 s + k0 t)
+    exactly and c holds all of u."""
     j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
     g = int(np.gcd(j, k))
     j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
     b = u.mode_budget // max(abs(j0), abs(k0))
+    c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in range(-b, b + 1)], dtype=complex)
+    on_line = all(jj * k0 - kk * j0 == 0 for jj, kk in u.modes)
+    return (j0, k0), (c + np.conj(c[::-1])) / 2, on_line
+
+
+def _profile(c: np.ndarray):
+    """(F, tol) for f(theta) = sum_m c[m + b] e^{2 pi i m theta}, |m| <= b:
+    the rows of F are f, X1, Z1 and p (module docstring) in theta,
+    F[:, m + 3b] for |m| <= 3b; tol bounds the rounding of p's value from
+    F[3], by the l1 norms of the derivative coefficient vectors.  The rows
+    are summed into zeroed arrays in the order of the formulas, and
+    x - 0 and 0 - y are exact, so F is bit for bit the sum of the
+    zero-padded terms."""
+    b = len(c) // 2
     m = np.arange(-b, b + 1)
-    c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in m.tolist()], dtype=complex)
-    c = (c + np.conj(c[::-1])) / 2
     d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
-    P = (np.pad(d4, 2 * b) - 3 * np.pad(np.convolve(d1, d3), b)
-         + 2 * np.convolve(np.convolve(d1, d1), d2) - np.pad(np.convolve(d2, d2), b))
-    X1 = np.pad(d3, b) - np.convolve(d1, d2)
-    Z1 = np.pad(X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1)), b) - 2 * np.convolve(d1, X1)
+    F = np.zeros((4, 6 * b + 1), dtype=complex)
+    F[0, 2 * b:4 * b + 1] = c
+    X1 = np.zeros(4 * b + 1, dtype=complex)
+    X1[b:3 * b + 1] = d3
+    X1 -= np.convolve(d1, d2)
+    F[1, b:5 * b + 1] = X1
+    F[2, b:5 * b + 1] = X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1))
+    F[2] -= 2 * np.convolve(d1, X1)
+    P = F[3]  # ((d4 - 3 d1*d3) + 2 d1*d1*d2) - d2*d2
+    P[2 * b:4 * b + 1] = d4
+    P[b:5 * b + 1] -= 3 * np.convolve(d1, d3)
+    P += 2 * np.convolve(np.convolve(d1, d1), d2)
+    P[b:5 * b + 1] -= np.convolve(d2, d2)
     n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
     # with L the l1 bound below (||P||_1 <= L): each coefficient of P sums at
     # most 6b + 1 products, and p(theta) sums 6b + 1 terms whose phases reach
     # 6 pi b, so the computed value is off by at most (30.9 b + 2) eps L
     tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
-    return (j0, k0), np.stack([np.pad(c, 2 * b), np.pad(X1, b), Z1, P]), tol
+    return F, tol
 
 
 def _profile_values(P: np.ndarray, theta) -> np.ndarray:
@@ -349,6 +382,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     of the 2-D r.  The profile identity r = kappa^3 conj(kappa) p(theta) is
     checked at every grid node, relative to 1 + sup|r|.  Roots that fail
     the certificate are reported in uncertified_roots, never dropped.
+    chern_number is chern_number(u), from the same line coefficients.
     """
     c = complex(Y.alpha, Y.beta)  # Y = c D + conj(c) Dbar, Y' = i c D - i conj(c) Dbar
     e = c / abs(c)  # everything but psi is formed along the unit direction
@@ -367,7 +401,9 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     if r_sup < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
-    (j0, k0), F, tol = _profile(u)
+    line = _line(u)
+    j0, k0 = line[0]
+    F, tol = _profile(line[1])
     if not np.all(np.isfinite(F)):
         raise DomainError("the profile's coefficients leave the float range")
     offsets, uncertified = _certified_roots(F[3], tol)
@@ -406,7 +442,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
         residuals=residuals, psi_min=float(np.min(psi)), psi_max=float(np.max(psi)),
         dpsi_sign_change=sign_change, proof_identity_residual=ident,
         curve_line=(j0, k0), curve_offsets=offsets, profile_identity_residual=profile_ident,
-        uncertified_roots=uncertified)
+        uncertified_roots=uncertified, chern_number=_chern(u, line))
 
 
 # --------------------------------------------------------------------------
@@ -415,10 +451,41 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
 
 def chern_number(u: TrigPotential) -> float:
     """(i / 2 pi) integral of e^u dz /\\ dzbar over the fundamental domain,
-    i.e. (1/pi) * |Im omega| * mean(e^u); spectrally accurate quadrature for
-    smooth u on the _CHERN_GRID_N grid."""
-    field = u.to_field(_CHERN_GRID_N)
-    return float(field.lattice.cell_area * np.mean(np.exp(field.values.real)) / np.pi)
+    i.e. (1/pi) * |Im omega| * mean(e^u): the periodic trapezoid rule on
+    the n x n grid, n = max(_CHERN_GRID_N, 2h + 2) for a potential of mode
+    budget h, spectrally accurate for smooth u.  When every mode of u lies
+    on one line through 0 (_line), u = f(theta) and the n^2 nodes take each
+    of the n values theta = i / n exactly n times, so the rule is the mean
+    of e^f over those n values, in exact arithmetic the same quadrature."""
+    return _chern(u, _line(u) if u.modes.keys() - {(0, 0)} else None)
+
+
+def _chern(u: TrigPotential, line) -> float:
+    """chern_number(u), given _line(u) for a u with a nonconstant mode and
+    None for a constant one.  The one-line route places the 2b + 1 line
+    coefficients c as to_field places the modes, takes one 1-D inverse
+    FFT and runs to_field's checks on its n samples: ValueError when the
+    band does not fit, DomainError when the placed coefficients leave the
+    float range, ValueError when the samples are not real to _REAL_TOL.
+    Every other u is sampled by to_field on the n x n grid."""
+    n = max(_CHERN_GRID_N, 2 * u.mode_budget + 2)
+    if line is None or not line[2]:
+        f = u.to_field(n).values
+    else:
+        c = line[1]
+        b = len(c) // 2
+        if 2 * b >= n:
+            raise ValueError(f"line band {b} does not fit on {n} nodes")
+        row = np.zeros(n, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            row[np.arange(-b, b + 1) % n] = c * n
+        if not np.isfinite(row).all():
+            raise DomainError(f"potential coefficients leave the float range "
+                              f"when placed on {n} nodes")
+        f = np.fft.ifft(row)
+        if float(np.max(np.abs(f.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(f)))):
+            raise ValueError("potential samples have a non-negligible imaginary part")
+    return float(u.lattice.cell_area * np.mean(np.exp(f.real)) / np.pi)
 
 
 def chern_normalize(u: TrigPotential, c1: int) -> TrigPotential:

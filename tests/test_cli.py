@@ -374,6 +374,19 @@ class TestMainAndExitCodes:
         assert err["error"]["code"] == "DomainError" and err["error"]["exit_status"] == 9
         assert captured.out == ""
 
+    def test_obstruction_past_mode_budget_128_exits_0(self, tmp_path, capsys):
+        # mode budget 130 does not fit on 256 nodes: the Chern number takes
+        # the smallest even count above twice the budget, 262
+        cfg = torus_cfg(operation="obstruction", numeric={"grid_n": 392},
+                        metric={"modes": {"1,0": [0.1, 0.05], "130,0": [1e-5, 0.0]}},
+                        obstruction={"direction": [0.0, 1.0]})
+        assert main(["obstruction", "--config", write_cfg(tmp_path, cfg)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["n_zero_clusters"] == 260
+        field = parse_config(cfg)[1]["potential"].to_field(262)
+        ref = field.lattice.cell_area * np.mean(np.exp(field.values.real)) / np.pi
+        assert abs(res["chern_number_of_input"] - ref) <= 1e-15 * ref
+
     @pytest.mark.parametrize("cfg, status, message", [
         (torus_cfg(metric={"modes": {"1,0": [1e300, 0.0]}}), 9, ""),
         # the placed spectrum overflows: the message names the input

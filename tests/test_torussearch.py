@@ -1,24 +1,72 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbilic import torussearch
 from umbilic.cartan import cartan_r
+from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate
 from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                                 _certified_roots, _decode_modes, _lowest_separated_cells,
-                                 _nelder_mead,
+                                 _certified_roots, _decode_modes, _line,
+                                 _lowest_separated_cells, _nelder_mead, _profile,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
 from _oracles import (eager_derivative, eager_potential, lowest_separated_cells_full,
-                      obstruction_chain_2d, one_directional, random_half_modes,
-                      scipy_nelder_mead)
+                      obstruction_chain_2d, one_directional, profile_padded,
+                      random_half_modes, scipy_nelder_mead)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
+
+
+def obstruction_pool() -> dict:
+    """{job id: config} of the obstruction benchmark's pool, 8 configs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return dict(sorted(workloads.pool("obstruction").items()))
+
+
+OBSTRUCTION_POOL = obstruction_pool()
+
+
+def pool_potential(cfg) -> TrigPotential:
+    return parse_config(cfg)[1]["potential"]
+
+
+def grid_chern(u: TrigPotential, n: int = 256) -> float:
+    """The trapezoid rule for the Chern number on to_field's n x n grid."""
+    return float(u.lattice.cell_area * np.mean(np.exp(u.to_field(n).values.real)) / np.pi)
+
+
+# one-line potentials of the Chern agreement tests: each line on each
+# lattice, a profile with modes 1..3 along it and a constant mode
+LINE_LATTICES = {"square": 1j, "oblique": 0.3 + 1.1j, "hexagonal": 0.5 + 0.866j,
+                 "skew": 1.3 + 1.1j}
+LINES = [(1, 0), (0, 1), (1, -1), (2, 1), (3, -2)]
+LINE_PROFILE = {1: 0.21 - 0.08j, 2: -0.05 + 0.04j, 3: 0.012j}
+
+
+def line_potential(omega, jk, profile=LINE_PROFILE, constant=0.3) -> TrigPotential:
+    return one_directional(TorusLattice(omega), jk, profile)[0].shifted(constant)
+
+
+# the one-line potentials of the agreement tests, with the line (j0, k0)
+# of each: the non-primitive mode set {(2, 0), (4, 0)} lies on (1, 0)
+AGREEMENT = {f"{name}-{j},{k}": (line_potential(om, (j, k)), (j, k))
+             for name, om in LINE_LATTICES.items() for j, k in LINES}
+AGREEMENT["non-primitive"] = (TrigPotential.from_half_modes(
+    LAT_GEN, {(2, 0): 0.15 + 0.1j, (4, 0): -0.04}), (1, 0))
+AGREEMENT["no-constant"] = (line_potential(1j, (2, 1), {1: 0.3}, constant=0.0), (2, 1))
 
 
 class TestTrigPotential:
@@ -321,8 +369,85 @@ class TestObstruction:
         rep = symmetric_obstruction_check(pot, Y)
         assert rep.zeros_found and max(rep.residuals) <= 1e-6
 
+    @pytest.mark.parametrize("pot", [pool_potential(cfg) for cfg in OBSTRUCTION_POOL.values()]
+                             + [pot for pot, _ in AGREEMENT.values()],
+                             ids=[*OBSTRUCTION_POOL, *AGREEMENT])
+    def test_profile_matches_the_padded_profile(self, pot):
+        # summed into zeroed arrays in the order of the formulas, the
+        # profile is bit for bit the one assembled from np.pad terms
+        line, c, on_line = _line(pot)
+        F, tol = _profile(c)
+        ref_line, ref_F, ref_tol = profile_padded(pot)
+        assert on_line and line == ref_line
+        assert np.array_equal(F, ref_F) and tol == ref_tol
+
+    def test_report_chern_is_chern_number(self):
+        # one definition: the report takes its Chern number from the line
+        # coefficients of its own profile, bit for bit chern_number's
+        for cfg in OBSTRUCTION_POOL.values():
+            report = run(cfg)
+            assert report["results"]["chern_number_of_input"] == chern_number(
+                pool_potential(cfg))
+
+    def test_mode_off_the_line_keeps_the_grid(self):
+        # a mode key off the line, small enough to pass the symmetry check,
+        # sends the Chern number through the 2-D grid, in the report too
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.2, (0, 1): 1e-15})
+        assert not _line(pot)[2]
+        rep = symmetric_obstruction_check(pot, SymmetryDirection(0.0, 1.0))
+        assert rep.chern_number == chern_number(pot) == grid_chern(pot)
+
 
 class TestChern:
+    @pytest.mark.parametrize("case", AGREEMENT)
+    def test_one_line_route_agrees_with_the_grid(self, case):
+        # the 256^2 grid takes each of the 256 values of theta 256 times, so
+        # the mean of e^f over those values is the same quadrature
+        pot, (j, k) = AGREEMENT[case]
+        assert _line(pot)[0] in ((j, k), (-j, -k)) and _line(pot)[2]
+        ref = grid_chern(pot)
+        assert abs(chern_number(pot) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("pot", [
+        TrigPotential.from_half_modes(LAT_GEN, {(1, 0): 0.12, (0, 1): -0.07j, (1, 1): 0.05}),
+        TrigPotential.from_half_modes(LAT, {(1, 0): 0.2, (2, 1): 0.05 - 0.02j}),
+        TrigPotential(LAT_GEN, {(0, 0): 0.7}),
+        TrigPotential(LAT, {}),
+    ], ids=["criterion-11", "two-line", "constant", "zero"])
+    def test_other_potentials_keep_the_grid(self, pot):
+        assert chern_number(pot) == grid_chern(pot)
+
+    def test_nodes_grow_with_the_mode_budget(self):
+        # a mode budget h >= 128 does not fit on 256 nodes: the rule takes
+        # the smallest even count above 2h, on the line and on the grid
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.1 + 0.05j, (130, 0): 1e-5})
+        assert _line(pot)[2]
+        ref = grid_chern(pot, 262)
+        assert abs(chern_number(pot) - ref) <= 1e-15 * ref
+        pot = TrigPotential.from_half_modes(LAT_GEN, {(1, 0): 0.1, (128, 1): 1e-5j})
+        assert chern_number(pot) == grid_chern(pot, 258)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shift=st.floats(-5.0, 5.0), two_line=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_shift_scales_the_chern_number(self, shift, two_line, seed):
+        # u -> u + C multiplies the curvature integral by e^C, on either route
+        rng = np.random.default_rng(seed)
+        jk = LINES[rng.integers(len(LINES))]
+        profile = {m: 0.1 * complex(*rng.normal(size=2)) for m in (1, 2)}
+        pot = line_potential(list(LINE_LATTICES.values())[rng.integers(4)], jk, profile)
+        if two_line:
+            pot = TrigPotential(pot.lattice, {**pot.modes, (1, 1): 0.03, (-1, -1): 0.03})
+        assert _line(pot)[2] != two_line
+        got, want = chern_number(pot.shifted(shift)), np.exp(shift) * chern_number(pot)
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("c1", [1, 2, 3])
+    def test_normalizes_a_one_line_potential(self, c1):
+        # criterion 11's tolerance, on the one-line route
+        for pot, _ in AGREEMENT.values():
+            assert abs(chern_number(chern_normalize(pot, c1)) - c1) <= 1e-10 * c1
+
     def test_flat_potential_closed_form(self):
         u0 = TrigPotential(LAT, {})
         out = chern_normalize(u0, 1)
