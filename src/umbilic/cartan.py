@@ -61,6 +61,8 @@ __all__ = [
 
 FORMS = ("q_form", "p_form", "divergence_form")
 
+_DEGENERATE_FLOOR = 1e-12  # sup|r| below which r vanishes: a torus's degeneracy rule
+
 
 def _d(f):
     return f.derivative("D")
@@ -183,7 +185,10 @@ def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None) 
     test reads K = -2 e^{-u} D Dbar u and K_{;zz} = -2 e^{-2u} r pointwise
     (criterion 2's identity), so no exponential is differentiated or enters
     a product.  Each sup is taken over ``u.mask(region_radius)``: the whole
-    grid on a torus, a disk on a chart."""
+    grid on a torus, a disk on a chart.  The pipelines screen sphere charts
+    with it; on a torus r = 0 makes K constant, so 0 (Gauss-Bonnet) and u
+    constant, whose exact r is 0 bit for bit: sup|r| < _DEGENERATE_FLOOR
+    is the torus's rule, invariant under u -> u + C as r is."""
     _require_real(u, "spherical_test")
     w = _db(_d(u))
     K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)

@@ -32,11 +32,13 @@ A run configuration is a JSON document:
 search and obstruction take a torus; invariant, umbilics and ph-audit a
 torus or a sphere (metric builtin fs); loewner any surface, which it
 ignores.  grid_n is even and between 64 and MAX_GRID_N (2048), also when
---grid-n sets it.  Only invariant reads numeric.tolerances (cross_form and
-spherical on a torus, spherical on a sphere, which runs the P form alone)
-and writes output.grid_dump; any other tolerance name, and a grid_dump
-entry on another operation, is rejected.  Integers (grid_n, seed, degree,
-order, mode_budget, trials, evaluations) are JSON integers, integral
+--grid-n sets it.  Only invariant reads numeric.tolerances (cross_form on
+a torus, spherical on a sphere, which runs the P form alone) and writes
+output.grid_dump; any other tolerance name, and a grid_dump entry on
+another operation, is rejected.  A torus is spherical (umbilics exits 4)
+iff sup|r| < 1e-12, a shift-invariant rule; a sphere iff sup|K_zz| <=
+spherical (1 + sup|K|) on chart 1, 1e-6 by default.  Integers (grid_n,
+seed, degree, order, mode_budget, trials, evaluations) are JSON integers, integral
 numbers (64.0) or integer strings ("64"), never 64.9, "6.5" or true; the
 loewner order and the total degree k + l of each g coefficient "k,l" are
 at most MAX_LOEWNER_DEGREE (64), since a degree-d series is a dense
@@ -64,7 +66,8 @@ error object:
 
     exit 2  configuration invalid, or an output path cannot be written
     exit 3  metric not strictly pseudoconvex
-    exit 4  totally degenerate input (locally spherical)
+    exit 4  totally degenerate input: locally spherical (on a torus,
+            sup|r| < 1e-12), or zeros of r that are not isolated points
     exit 5  linear solve failed
     exit 6  under-resolved field
     exit 7  numerical fault (contour winding, cross-form disagreement)
@@ -85,15 +88,14 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .cartan import cartan_r, cartan_r_all_forms, spherical_test
+from .cartan import _DEGENERATE_FLOOR, cartan_r, cartan_r_all_forms, spherical_test
 from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
                      SymmetryViolated, TotallyDegenerate, UmbilicError,
                      UnderResolved, ZeroOnContour)
 from .field import PeriodicField, TorusLattice
-from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, TORUS_SPHERICAL_TOL,
-                    sphere_metric_potentials, sphere_two_chart_umbilics,
-                    torus_umbilics)
+from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, sphere_metric_potentials,
+                    sphere_two_chart_umbilics, torus_umbilics)
 from .loewner import LoewnerNormalization, loewner_solve
 from .series import PowerSeries2
 from .torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
@@ -130,7 +132,7 @@ MAX_LOEWNER_DEGREE = 64
 # best potential at 2 * grid_n (objective_2x)
 MAX_GRID_N = 2048
 # the numeric.tolerances names each operation reads, by surface kind
-TOLERANCES = {("invariant", "torus"): ("cross_form", "spherical"),
+TOLERANCES = {("invariant", "torus"): ("cross_form",),
               ("invariant", "sphere"): ("spherical",)}
 # largest distance of a samples file's s,t entries from the grid (i/n, j/n)
 _GRID_TOL = 1e-9
@@ -399,7 +401,7 @@ def run_invariant(inp: dict) -> dict:
     if "potential" in inp:
         u = inp["potential"].to_field(inp["grid_n"])
         r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"]
-        spherical = spherical_test(u, r, tol.get("spherical", TORUS_SPHERICAL_TOL))
+        spherical = r.sup_norm() < _DEGENERATE_FLOOR
     else:
         u, _ = sphere_metric_potentials(*inp["sphere"], chart_n=inp["grid_n"])
         r = cartan_r(u, "p_form")

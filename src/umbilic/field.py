@@ -23,6 +23,8 @@ max(|j|, |k|) >= n/3 carry more than 1e-6 of its energy.  Chart
 derivatives run no check.  Products are truncated to n/2 unchecked, so
 :func:`umbilic.cartan.cartan_r`, whose cubic products have band 3b for a
 potential of band b, checks the potential's modes >= n/6 the same way.
+Only samples are denoised (see _DENOISE_FACTOR): a potential's chain of
+kept spectra is exact, and invariant under u -> u + C bit for bit.
 
 Both share their pointwise sample arithmetic (sums, scalings, exp, log)
 through one private base class; they differ only in derivatives,
@@ -72,15 +74,14 @@ _REAL_TOL = 1e-12
 _LOG_FLOOR = 1e-300
 _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 
-# Spectral bins below _DENOISE_FACTOR * n * eps * sup|f| are indistinguishable
-# from sample rounding (an FFT spreads per-sample noise of size eps * sup into
-# bins of size ~ n * eps * sup) and are zeroed before differentiation.  Without
-# this, the fourth-order operator amplifies the rounding floor by ~1e10 and
-# exact identities such as constant-shift invariance drown in noise.
+# The fft2 bins of a field's own samples below _DENOISE_FACTOR * n * eps * sup|f|
+# are indistinguishable from sample rounding (an FFT spreads per-sample noise of
+# size eps * sup into bins of size ~ n * eps * sup) and are zeroed before the
+# samples are differentiated.  Without this, the fourth-order operator
+# amplifies the rounding floor by ~1e10 and exact identities such as
+# constant-shift invariance drown in noise.  A kept spectrum carries no sample
+# rounding and is differentiated as it is.
 _DENOISE_FACTOR = 16.0
-# sup|f| <= sum|C| / n^2 for the fft2 spectrum C of f; computed samples may
-# exceed it by a few rounding units, which this relative margin covers
-_FLOOR_MARGIN = 1.0 + 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -366,8 +367,7 @@ class PeriodicField(_SampledField):
     their block, zero-filled to n x n, on the first read of ``values``: the
     samples are those of the eager computation, bit for bit, and are never
     formed if nobody reads them.  A sum of fields is a sample sum and keeps
-    no spectrum; a polynomial in fields is one :func:`product`.  The denoise floor of :meth:`derivative` is the one
-    exception that may read them; see there.
+    no spectrum; a polynomial in fields is one :func:`product`.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
@@ -473,16 +473,14 @@ class PeriodicField(_SampledField):
         raises UnderResolved when the modes with max(|j|, |k|) >= n/3 carry
         more than _TAIL_TOL of the energy (a band below n/3 carries none).
 
-        The ambiguous Nyquist bin is annihilated, and bins below the sample
-        rounding floor 16 n eps sup|f| are zeroed (see _DENOISE_FACTOR);
-        fields passing the tail check carry no meaningful energy in either.
-        The multipliers act on the block of the field's band: a kept
-        spectrum is read with its DC entry zeroed, a field built from
-        samples transforms them, and the result keeps its own block.  The
-        floor needs sup|f|, and a field without samples builds them only
-        when some nonzero bin lies below the bound
-        16 n eps sum|C| / n^2 >= 16 n eps sup|f| (with a rounding margin):
-        otherwise no bin can fall below the floor.
+        The ambiguous Nyquist bin is annihilated; fields passing the tail
+        check carry no meaningful energy in it.  The multipliers act on the
+        block of the field's band, and the result keeps its own block.  A
+        kept spectrum (from ``to_field``, a derivative or a product) is read
+        as it is, with its DC entry zeroed, and its samples are never read.
+        A field built from samples transforms them, and after the tail
+        check the bins below the sample rounding floor 16 n eps sup|f| are
+        zeroed (see _DENOISE_FACTOR).
         """
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
@@ -501,30 +499,13 @@ class PeriodicField(_SampledField):
             raise UnderResolved(
                 f"spectral tail carries {frac:.3e} of total energy "
                 f"(tolerance {_TAIL_TOL:.1e}) on an n={n} grid")
-        floor = self._denoise_floor(B)
-        if floor > 0.0:
-            B[np.abs(B) < floor] = 0.0
+        if not self._kept:
+            B[np.abs(B) < _DENOISE_FACTOR * n * np.finfo(float).eps * self.sup_norm()] = 0.0
         k = _freqs(B)
         mult = 2j * np.pi * k
         mult[k == -(n // 2)] = 0.0
         B *= _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)[direction == "Dbar"]
         return self._from_block(self.lattice, n, B, False)
-
-    def _denoise_floor(self, B: np.ndarray) -> float:
-        """16 n eps sup|f| for the bins B about to be differentiated (the
-        spectrum but its DC entry), or 0 when that floor would zero none of
-        them: a field without samples reads them only when a nonzero bin of
-        B lies below the bound sum|C| / n^2 of sup|f|."""
-        n = self.n
-        scale = _DENOISE_FACTOR * n * np.finfo(float).eps
-        if self._values is None:
-            mags = np.abs(B)
-            h = len(B) // 2
-            bound = scale * (mags.sum() + abs(self._block[h, h])) / (n * n) * _FLOOR_MARGIN
-            # every zero bin lies below a positive bound: any other one there?
-            if np.count_nonzero(mags < bound) == np.count_nonzero(mags == 0.0):
-                return 0.0
-        return scale * self.sup_norm()
 
     def mul(self, other: "PeriodicField") -> "PeriodicField":
         """Dealiased product: the one-monomial case of :func:`product`."""

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cartan import cartan_r, spherical_test
+from .cartan import _DEGENERATE_FLOOR, cartan_r, spherical_test
 from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
 from .field import ChartGrid, PeriodicField
 
@@ -83,9 +83,8 @@ _MAX_DEPTH = 12
 # umbilic_index: points on the first contour, doubled up to the budget
 _CONTOUR_START = 64
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
-# spherical screens: sup|K_{;zz}| <= tol (1 + sup|K|) on the torus, and on
-# the unit disk of sphere chart 1, whose finite differences are coarser
-TORUS_SPHERICAL_TOL = 1e-9
+# the spherical screen of sphere chart 1: sup|K_{;zz}| <= tol (1 + sup|K|) on
+# its unit disk; a torus is degenerate when sup|r| < cartan._DEGENERATE_FLOOR
 SPHERE_SPHERICAL_TOL = 1e-6
 # sphere charts: the sampled square's half-width, the disk zeros are
 # located in, and the chord distance on S^2 within which the zeros of two
@@ -212,7 +211,7 @@ def winding_degree(loop_values, zero_floor: float | None = None) -> int:
 # edge refinement
 # --------------------------------------------------------------------------
 
-def _refine_edges(f, axis, i, j, floor, max_depth):
+def _refine_edges(f, axis, i, j, floor):
     """Phase increments along grid edges through the interpolant, all edges
     at once.
 
@@ -221,7 +220,7 @@ def _refine_edges(f, axis, i, j, floor, max_depth):
     whose phase step is pi/2 or larger are bisected level by level, and the
     midpoints of one level, over all edges, go to the field in one
     ``evaluate_st`` call.  A sample at the zero floor, or a near-pi jump
-    left on a segment of length 2^-max_depth, is a crossing; a smaller
+    left on a segment of length 2^-_MAX_DEPTH, is a crossing; a smaller
     unresolved jump is a phase-step failure.  Of several such events on one
     edge the one on the leftmost segment counts (segments starting right of
     it are no longer split), and the phase steps of an edge without one are
@@ -241,14 +240,14 @@ def _refine_edges(f, axis, i, j, floor, max_depth):
     event_step = np.zeros(len(i))
     crossing = np.zeros(len(i), dtype=bool)
     leaves = []
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         low = np.minimum(np.abs(va), np.abs(vb))
         step = _wrap(np.angle(vb) - np.angle(va))
         at_floor = low <= floor
         ok = ~at_floor & (np.abs(step) < _STEP_LIMIT)
         big = ~at_floor & ~ok
         leaves.append((edge[ok], pa[ok], step[ok]))
-        last = depth == max_depth
+        last = depth == _MAX_DEPTH
         ev = np.flatnonzero(at_floor | big if last else at_floor)
         np.minimum.at(event_start, edge[ev], pa[ev])
         ev = ev[pa[ev] == event_start[edge[ev]]]  # leftmost on its edge
@@ -266,7 +265,7 @@ def _refine_edges(f, axis, i, j, floor, max_depth):
     stuck = np.flatnonzero(np.isfinite(event_start) & ~crossing)
     if stuck.size:
         raise PhaseStepTooLarge(f"edge phase step {event_step[stuck[0]]:.3f} unresolved "
-                                f"at depth {max_depth}")
+                                f"at depth {_MAX_DEPTH}")
     totals = np.zeros(len(i))
     e_ok, p_ok, s_ok = (np.concatenate(parts) for parts in zip(*leaves))
     order = np.lexsort((p_ok, e_ok))
@@ -293,7 +292,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
     TotallyDegenerate is raised when the field vanishes identically on the
     region ``f.mask(region_radius)`` or more than a quarter of its samples
     sit below the zero floor; such inputs are locally spherical and should
-    be screened with :func:`umbilic.cartan.spherical_test` instead.
+    be screened first (see :func:`torus_umbilics` and :func:`spherical_test`).
     """
     V, n = f.values, f.n
     consider = f.mask(region_radius)
@@ -323,7 +322,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
     # all bad edges, on a chart ring_winding refines the others on demand
     refined = bad & np.stack([cell_bad | np.roll(cell_bad, 1, 1),
                               cell_bad | np.roll(cell_bad, 1, 0)])
-    T[refined] = _refine_edges(f, *np.nonzero(refined), floor, _MAX_DEPTH)
+    T[refined] = _refine_edges(f, *np.nonzero(refined), floor)
     bottom, right, top, left = _cell_sides(T)
     wsum = bottom + right - top - left
     crossing = cell_ok & np.isnan(wsum)
@@ -360,7 +359,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
         if todo.any():
             try:
                 T[a[todo], ei[todo], ej[todo]] = _refine_edges(
-                    f, a[todo], ei[todo], ej[todo], floor, _MAX_DEPTH)
+                    f, a[todo], ei[todo], ej[todo], floor)
             except PhaseStepTooLarge:
                 return None
         steps = np.repeat([1.0, 1.0, -1.0, -1.0], sizes) * T[a, ei, ej]
@@ -573,13 +572,13 @@ def _cluster_extent(cluster: ZeroCluster, cell_dz: float) -> float:
 def torus_umbilics(u: PeriodicField):
     """Locate the umbilical circles of the circle bundle with potential u
     over the torus: compute r by the P form, screen out constant curvature
-    with it, find zero clusters, refine and index each, and audit the index
-    sum against 2 chi = 0.
+    by sup|r| < _DEGENERATE_FLOOR, find zero clusters, refine and index
+    each, and audit the index sum against 2 chi = 0.
 
     Returns (records, audit, clusters).
     """
     r = cartan_r(u, "p_form")
-    if spherical_test(u, r, TORUS_SPHERICAL_TOL):
+    if r.sup_norm() < _DEGENERATE_FLOOR:
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
     records, dropped, checks = _index_clusters(r, clusters)

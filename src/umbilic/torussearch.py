@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import cartan_r
+from .cartan import _DEGENERATE_FLOOR, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
 from .field import _REAL_TOL, PeriodicField, TorusLattice
 from .index import _polish
@@ -70,9 +70,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
-# min_modulus_objective: sup|Pu| below which the score is 0, and the ratio
-# min|Pu| / sup|Pu| below which it reports 0
-_DEGENERATE_FLOOR = 1e-12
+# min_modulus_objective: the ratio min|Pu| / sup|Pu| below which it reports 0
 _ZERO_RATIO = 1e-9
 # symmetric_obstruction_check: sup|Yu| allowed, relative to 1 + sup|grad u|
 # = 1 + 2 sup|Du|
@@ -82,6 +80,8 @@ _SYMMETRY_TOL = 1e-10
 _RING_TOL = 1e-3
 # chern_number's quadrature nodes per axis, at the least
 _CHERN_GRID_N = 256
+# _nelder_mead's stop, simplex extent and value spread: scipy's xatol, fatol
+_XATOL, _FATOL = 1e-6, 1e-12
 
 
 @dataclass
@@ -177,7 +177,7 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     from the four lowest well-separated samples at once and kept within
     2.5 cells of them, so potentials whose invariant genuinely vanishes
     report exactly 0, on zero curves as well as at points; a max below the
-    degenerate floor (_DEGENERATE_FLOOR) also reports 0.  The score is
+    degenerate floor (cartan._DEGENERATE_FLOOR) also reports 0.  The score is
     invariant under u -> u + C.
 
     A minimum below _ZERO_RATIO * max reports 0, and the polish stops at that
@@ -467,7 +467,8 @@ def _chern(u: TrigPotential, line) -> float:
     FFT and runs to_field's checks on its n samples: ValueError when the
     band does not fit, DomainError when the placed coefficients leave the
     float range, ValueError when the samples are not real to _REAL_TOL.
-    Every other u is sampled by to_field on the n x n grid."""
+    Every other u is sampled by to_field on the n x n grid.  On both routes
+    a mean of e^u that is inf or 0 raises DomainError."""
     n = max(_CHERN_GRID_N, 2 * u.mode_budget + 2)
     if line is None or not line[2]:
         f = u.to_field(n).values
@@ -485,7 +486,11 @@ def _chern(u: TrigPotential, line) -> float:
         f = np.fft.ifft(row)
         if float(np.max(np.abs(f.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(f)))):
             raise ValueError("potential samples have a non-negligible imaginary part")
-    return float(u.lattice.cell_area * np.mean(np.exp(f.real)) / np.pi)
+    with np.errstate(over="ignore", under="ignore"):
+        mean = float(np.mean(np.exp(f.real)))
+    if not 0.0 < mean < np.inf:
+        raise DomainError(f"e^u leaves the float range (mean of e^u on {n} nodes: {mean})")
+    return float(u.lattice.cell_area * mean / np.pi)
 
 
 def chern_normalize(u: TrigPotential, c1: int) -> TrigPotential:
@@ -583,8 +588,7 @@ def _sorted(sim: np.ndarray, fsim: np.ndarray):
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _nelder_mead(func, x0: np.ndarray, maxfev: int, xatol: float = 1e-6,
-                 fatol: float = 1e-12):
+def _nelder_mead(func, x0: np.ndarray, maxfev: int):
     """(min f, best x) of the Nelder-Mead simplex method with the adaptive
     coefficients of F. Gao and L. Han, Comput. Optim. Appl. 51 (2012)
     259-277: reflection 1, expansion 1 + 2/N, contraction 3/4 - 1/(2N),
@@ -625,8 +629,8 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int, xatol: float = 1e-6,
 
     while calls < maxfev:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = 2 * xbar - sim[-1]

@@ -368,8 +368,9 @@ def eager_band(f) -> int:
 
 
 def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
-    """Wirtinger derivative with both full n x n multipliers and the
-    denoise floor 16 n eps sup|f| read from the samples, every time."""
+    """Wirtinger derivative with both full n x n multipliers; a field built
+    from samples (C is None) has the bins of their transform below the
+    denoise floor 16 n eps sup|f| zeroed, a kept spectrum is taken as it is."""
     n = f.n
     if f.C is None:
         v = f.values - complex(f.values.mean())
@@ -383,9 +384,8 @@ def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
         power = np.abs(C) ** 2
         if power.sum() > 0.0 and power[tail].sum() / power.sum() > tail_tol:
             raise ValueError("under-resolved")
-    floor = 16.0 * n * np.finfo(float).eps * f.sup_norm()
-    if floor > 0.0:
-        C[np.abs(C) < floor] = 0.0
+    if f.C is None:
+        C[np.abs(C) < 16.0 * n * np.finfo(float).eps * f.sup_norm()] = 0.0
     mult = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     mult[n // 2] = 0.0
     omega = f.lattice.omega

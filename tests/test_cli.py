@@ -66,7 +66,7 @@ class TestConfigValidation:
     def test_nonpositive_tolerance(self):
         with pytest.raises(ConfigError):
             parse_config(torus_cfg(numeric={"grid_n": 128,
-                                            "tolerances": {"spherical": -1.0}}))
+                                            "tolerances": {"cross_form": -1.0}}))
 
     def test_real_omega_rejected(self):
         with pytest.raises(ConfigError):
@@ -320,6 +320,8 @@ class TestMainAndExitCodes:
         {"surface": {"kind": "sphere", "degree": 2}, "metric": {"builtin": "fs"},
          "operation": "invariant", "numeric": {"grid_n": 128,
                                                "tolerances": {"cross_form": 1e-7}}},
+        # a torus is degenerate by sup|r| alone, which takes no tolerance
+        torus_cfg(numeric={"grid_n": 128, "tolerances": {"spherical": 1e-9}}),
         torus_cfg(operation="umbilics", output={"grid_dump": "r.csv"}),
     ], ids=["omega", "mode_too_high", "grid_n", "tolerance", "degree",
             "mode_filter", "direction", "modes_list", "loewner_g",
@@ -335,7 +337,8 @@ class TestMainAndExitCodes:
             "loewner_coeff_degree_too_high", "sphere_degree_overflows_float",
             "omega_subnormal", "grid_n_huge", "grid_n_above_limit",
             "tolerance_unknown_name", "tolerances_on_umbilics",
-            "cross_form_on_sphere_invariant", "grid_dump_on_umbilics"])
+            "cross_form_on_sphere_invariant", "spherical_on_torus_invariant",
+            "grid_dump_on_umbilics"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, monkeypatch, cfg):
         monkeypatch.chdir(tmp_path)
         code = main([cfg["operation"], "--config", write_cfg(tmp_path, cfg)])
@@ -426,10 +429,31 @@ class TestMainAndExitCodes:
     def test_numeric_string_tolerance(self):
         modes = {"modes": {"1,0": [0.15, 0.0], "0,1": [0.0, -0.1]}}
         as_text = torus_cfg(metric=modes, numeric={
-            "grid_n": 128, "tolerances": {"cross_form": "1e-7", "spherical": "1e-9"}})
+            "grid_n": 128, "tolerances": {"cross_form": "1e-7"}})
         as_number = torus_cfg(metric=modes, numeric={
-            "grid_n": 128, "tolerances": {"cross_form": 1e-7, "spherical": 1e-9}})
+            "grid_n": 128, "tolerances": {"cross_form": 1e-7}})
         assert run(as_text)["results"] == run(as_number)["results"]
+
+    @pytest.mark.parametrize("operation", ["invariant", "umbilics"])
+    @pytest.mark.parametrize("omega", [[0.0, 1.0], [0.3, 1.1]], ids=["square", "oblique"])
+    def test_constant_shift(self, tmp_path, capsys, operation, omega):
+        # u -> u + C leaves r = Pu unchanged, and the torus degeneracy rule
+        # reads r alone: every results block matches the unshifted one
+        # byte for byte, far past the range where e^{+-u} is a float
+        def results(C):
+            modes = {"1,0": [0.2, 0.0], "0,1": [0.1, 0.1], "1,1": [0.05, 0.02], "0,0": [C, 0.0]}
+            cfg = torus_cfg(surface={"kind": "torus", "omega": omega}, operation=operation,
+                            metric={"modes": modes}, numeric={"grid_n": 64})
+            assert main([operation, "--config", write_cfg(tmp_path, cfg)]) == 0
+            return json.dumps(json.loads(capsys.readouterr().out)["results"], sort_keys=True)
+
+        ref = results(0.0)
+        if operation == "invariant":
+            assert json.loads(ref)["spherical"] is False
+        elif omega == [0.0, 1.0]:
+            assert len(json.loads(ref)["records"]) == 12
+        for C in (-400.0, -30.0, 14.0, 15.0, 20.0, 400.0):
+            assert results(C) == ref, C
 
     def test_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -373,10 +373,10 @@ class TestSpectrumFirst:
     @staticmethod
     def _field_with_bin(factor, mean=0.0):
         """A complex field without samples: a budget-3 derivative plus a
-        mean and a (5, 7) bin of factor times the exact denoise floor
-        16 n eps sup|f|; its fft2 spectrum C; and that floor.  Without
-        the bin the field has band 3, so a derivative of band 3 has
-        zeroed it."""
+        mean and a (5, 7) bin of factor times the denoise floor
+        16 n eps sup|f| of a field built from samples; its fft2 spectrum
+        C; and that floor.  Without the bin the field has band 3, so a
+        derivative of band 3 has zeroed it."""
         n = 64
         pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, budget=3, scale=0.2))
         C = eager_derivative(eager_potential(pot, n), "D").C.copy()
@@ -388,18 +388,63 @@ class TestSpectrumFirst:
         assert f._values is None and f._band() == 7
         return f, C, floor
 
-    def test_bin_just_below_exact_floor_is_zeroed(self):
-        f, C, floor = self._field_with_bin(1.0 - 1e-9)
+    def test_kept_bin_below_the_sample_floor_survives(self):
+        # the floor is for sample rounding, which a kept spectrum does not
+        # carry: a bin below 16 n eps sup|f|, with a mean raising sup|f|,
+        # survives D, and no samples are formed to find sup|f|
+        f, C, floor = self._field_with_bin(1.0 - 1e-9, mean=1e3)
         assert abs(C[5, 7]) < floor
         d = f.derivative("D")
-        assert d._band() == 3 and f._values is not None
+        assert d._band() == 7 and f._values is None
         assert np.array_equal(d.values, eager_derivative(eager_field(LAT_GEN, C), "D").values)
 
+    @staticmethod
+    def _sampled_field_with_bin(target, mean=0.0):
+        """A complex field built from samples: a budget-3 derivative plus a
+        mean and a (5, 7) bin whose transform, as D reads it from the
+        centred samples, is the largest found below target times the floor
+        16 n eps sup|f|; that bin's magnitude over the floor."""
+        n = 64
+        pot = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(5, budget=3, scale=0.2))
+        C = eager_derivative(eager_potential(pot, n), "D").C.copy()
+        C[0, 0] = mean * n * n
+        scale = 16.0 * n * np.finfo(float).eps
+
+        def ratio(t):
+            C[5, 7] = t * scale * np.max(np.abs(np.fft.ifft2(C)))
+            v = np.fft.ifft2(C)
+            B = np.fft.fft2(v - complex(v.mean()))
+            return v, abs(B[5, 7]) / (scale * np.max(np.abs(v)))
+
+        lo, hi = 0.5, 1.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if ratio(mid)[1] < target else (lo, mid)
+        v, r = ratio(lo)
+        f = PeriodicField(LAT_GEN, v)
+        assert f._values is not None and not f._kept
+        return f, r
+
+    def test_bin_just_below_exact_floor_is_zeroed(self):
+        # the floor applies to samples: their transform's bin just below
+        # 16 n eps sup|f| is zeroed with the rounding noise around it (the
+        # round trip through samples moves the bin by a few parts in 1e3)
+        f, r = self._sampled_field_with_bin(1.0)
+        assert 0.99 < r < 1.0
+        d = f.derivative("D")
+        assert d._band() == 3
+        assert np.array_equal(d.values, eager_derivative(eager_samples(f), "D").values)
+
     def test_mean_counts_toward_the_floor(self):
-        # the DC entry is not differentiated, but sup|f| and so the floor
-        # include it: a floor set by the mean still zeroes the bin
-        f, C, floor = self._field_with_bin(1.0 - 1e-9, mean=1e3)
-        assert f.derivative("D")._band() == 3
+        # the mean is subtracted before the transform, but sup|f| and so
+        # the floor include it: a floor set by the mean still zeroes a bin
+        # a thousand times the mean-free floor
+        f, r = self._sampled_field_with_bin(0.5, mean=1e3)
+        assert r < 0.5
+        assert abs(f.values.mean()) > 999.0
+        d = f.derivative("D")
+        assert d._band() == 3
+        assert np.array_equal(d.values, eager_derivative(eager_samples(f), "D").values)
 
     def test_bin_just_above_exact_floor_is_kept(self):
         f, C, floor = self._field_with_bin(1.0 + 1e-9)

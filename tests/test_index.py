@@ -160,20 +160,21 @@ class TestEdgeRefinement:
         batches = []
         batched = index._refine_edges
 
-        def record(field, axis, i, j, floor, max_depth):
-            out = batched(field, axis, i, j, floor, max_depth)
-            batches.append((field, floor, max_depth,
+        def record(field, axis, i, j, floor):
+            out = batched(field, axis, i, j, floor)
+            batches.append((field, floor,
                             zip(axis.tolist(), i.tolist(), j.tolist(), out.tolist())))
             return out
 
         monkeypatch.setattr(index, "_refine_edges", record)
         assert locate_zero_cells(f)
         seen = set()
-        for field, floor, max_depth, edges in batches:
+        for field, floor, edges in batches:
             for *key, total in edges:
                 line = edge_line(field, *key)
                 v0, v1 = (complex(line(np.array([p]))[0]) for p in (0.0, 1.0))
-                ref_kind, ref = refine_edge_depth_first(line, v0, v1, floor, max_depth)
+                ref_kind, ref = refine_edge_depth_first(line, v0, v1, floor,
+                                                        index._MAX_DEPTH)
                 kind = "crossing" if np.isnan(total) else "ok"
                 assert kind == ref_kind, key
                 if kind == "ok":
@@ -402,11 +403,7 @@ class TestTorusPipeline:
             assert lattice.torus_distance(r.z0, match.z0) < 1e-9
             assert match.twice_index == r.twice_index
 
-    @pytest.mark.parametrize("C", [-30.0, -10.0, 5.0, 10.0, 13.0] + [
-        pytest.param(C, marks=pytest.mark.xfail(strict=True, raises=TotallyDegenerate, reason=(
-            "the spherical screen bounds sup|K_zz| ~ e^{-2C} by tol (1 + sup|K|) "
-            "with sup|K| ~ e^{-C}, so a large enough shift passes it")))
-        for C in (14.0, 20.0)])
+    @pytest.mark.parametrize("C", [-30.0, -10.0, 5.0, 10.0, 13.0, 14.0, 20.0])
     def test_constant_shift(self, C):
         # u -> u + C leaves r = Pu unchanged, and with it every umbilic:
         # the records match the unshifted ones bit for bit

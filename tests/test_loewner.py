@@ -213,8 +213,14 @@ def test_perfbench_tracer_records_the_invariant_and_obstruction_layers():
         return tracing.span_stats(tracer.spans)
 
     stats = traced(dict(torus, operation="invariant"))
-    for name in ("cartan.cross_form", "cartan.spherical_test"):
-        assert stats.get(name, {}).get("calls", 0) >= 1, name
+    assert stats.get("cartan.cross_form", {}).get("calls", 0) >= 1
+    # a torus is screened by sup|r| alone; a sphere chart keeps spherical_test
+    assert stats.get("cartan.spherical_test", {}).get("calls", 0) == 0
+    stats = traced({"surface": {"kind": "sphere", "degree": 2,
+                                "perturbations": [{"harmonic": "re_z", "epsilon": 0.05}]},
+                    "metric": {"builtin": "fs"}, "operation": "invariant",
+                    "numeric": {"grid_n": 64}})
+    assert stats.get("cartan.spherical_test", {}).get("calls", 0) >= 1
     stats = traced(dict(torus, operation="obstruction", obstruction={"direction": [0.0, 1.0]}))
     # the obstruction finds its zero curves from the one-dimensional profile:
     # no 2-D cell pass and no polish

@@ -472,6 +472,21 @@ class TestChern:
         with pytest.raises(ValueError):
             chern_normalize(TrigPotential(LAT, {}), 0)
 
+    @pytest.mark.parametrize("two_line", [False, True], ids=["one-line", "grid"])
+    @pytest.mark.parametrize("half", [{(1, 0): 400.0}, {(0, 0): -750.0, (1, 0): 1.0}],
+                             ids=["overflow", "underflow"])
+    def test_e_u_past_the_float_range_raises(self, two_line, half):
+        # e^u reaches e^800, or stays below e^-748 (every sample 0): either would
+        # make chern_normalize shift u by -inf or inf
+        if two_line:
+            half = {**half, (0, 1): 1.0}
+        pot = TrigPotential.from_half_modes(LAT, half)
+        assert _line(pot)[2] != two_line
+        with pytest.raises(DomainError):
+            chern_number(pot)
+        with pytest.raises(DomainError):
+            chern_normalize(pot, 1)
+
 
 class TestSearch:
     def test_deterministic_and_budgeted(self):
