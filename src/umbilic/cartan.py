@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CrossFormMismatch, NotPseudoconvex, UnderResolved
+from .errors import CrossFormMismatch, DomainError, NotPseudoconvex, UnderResolved
 from .field import _TAIL_TOL, _tail_energy_fraction, product
 from .series import PowerSeries2, geometric_inverse
 
@@ -139,6 +139,15 @@ def cartan_r_all_forms(u, tol: float = 1e-7) -> dict:
     return {"q_form": p, "p_form": p, "divergence_form": div}
 
 
+def _is_degenerate(r_sup: float) -> bool:
+    """The torus's rule sup|r| < _DEGENERATE_FLOOR, invariant under u -> u + C:
+    r = 0 makes K constant, so 0 (Gauss-Bonnet) and u constant, whose r is 0
+    bit for bit.  DomainError when sup|r| is not finite (NaN is no zero)."""
+    if not np.isfinite(r_sup):
+        raise DomainError(f"Pu leaves the float range (sup|Pu| = {r_sup})")
+    return r_sup < _DEGENERATE_FLOOR
+
+
 def gauss_curvature(u):
     """Gauss curvature K = -2 e^{-u} D Dbar u of the metric e^{u} |dz|^2."""
     _require_real(u, "gauss_curvature")
@@ -186,9 +195,7 @@ def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None) 
     (criterion 2's identity), so no exponential is differentiated or enters
     a product.  Each sup is taken over ``u.mask(region_radius)``: the whole
     grid on a torus, a disk on a chart.  The pipelines screen sphere charts
-    with it; on a torus r = 0 makes K constant, so 0 (Gauss-Bonnet) and u
-    constant, whose exact r is 0 bit for bit: sup|r| < _DEGENERATE_FLOOR
-    is the torus's rule, invariant under u -> u + C as r is."""
+    with it; a torus has :func:`_is_degenerate`."""
     _require_real(u, "spherical_test")
     w = _db(_d(u))
     K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)

@@ -88,12 +88,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .cartan import _DEGENERATE_FLOOR, cartan_r, cartan_r_all_forms, spherical_test
+from .cartan import _is_degenerate, cartan_r, cartan_r_all_forms, spherical_test
 from .errors import (ConfigError, CrossFormMismatch, DomainError,
                      NotPseudoconvex, PhaseStepTooLarge, SolveFailed,
                      SymmetryViolated, TotallyDegenerate, UmbilicError,
                      UnderResolved, ZeroOnContour)
-from .field import PeriodicField, TorusLattice
+from .field import PeriodicField, TorusLattice, _is_real
 from .index import (SPHERE_HARMONICS, SPHERE_SPHERICAL_TOL, sphere_metric_potentials,
                     sphere_two_chart_umbilics, torus_umbilics)
 from .loewner import LoewnerNormalization, loewner_solve
@@ -362,8 +362,7 @@ def load_grid(path: str, lattice: TorusLattice) -> PeriodicField:
         raise ConfigError("samples s,t columns must be the row-major grid (i/n, j/n)")
     vals = np.empty((n, n), dtype=complex)
     vals.real, vals.imag = table[..., 2], table[..., 3]
-    real = bool(np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals))))
-    return PeriodicField(lattice, vals, real_tag=real)
+    return PeriodicField(lattice, vals, real_tag=_is_real(vals))
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +400,7 @@ def run_invariant(inp: dict) -> dict:
     if "potential" in inp:
         u = inp["potential"].to_field(inp["grid_n"])
         r = cartan_r_all_forms(u, tol=tol.get("cross_form", 1e-7))["p_form"]
-        spherical = r.sup_norm() < _DEGENERATE_FLOOR
+        spherical = _is_degenerate(r.sup_norm())
     else:
         u, _ = sphere_metric_potentials(*inp["sphere"], chart_n=inp["grid_n"])
         r = cartan_r(u, "p_form")

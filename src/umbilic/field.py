@@ -10,8 +10,7 @@ Two grid-backed representations live here:
   spectrum for the next step, cut to its band: the largest |k| with a
   nonzero bin (n/2 for a field built from samples).
   Derivatives, products and off-grid evaluation are sized to it.  Such a
-  field is spectrum first: unless it is real-tagged, its samples are
-  computed on first read (see :class:`PeriodicField`), so a chain of
+  field is spectrum first: its samples form on first read, so a chain of
   derivatives and products transforms back only the samples someone reads.
 * :class:`ChartGrid` holds samples on a square coordinate chart, is
   differentiated with 8th-order finite differences and is evaluated off
@@ -202,6 +201,19 @@ def _centred_fft2(values: np.ndarray) -> np.ndarray:
     return fft.fftshift(fft.fft2(values))
 
 
+def _is_real(values: np.ndarray, tol: float = _REAL_TOL) -> bool:
+    """The reality rule, max|Im v| <= tol max(1, max|v|); a NaN passes."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return not float(np.max(np.abs(values.imag))) > tol * scale
+
+
+def _real(values: np.ndarray, tol: float = _REAL_TOL) -> np.ndarray:
+    """values projected onto the real axis; ValueError unless _is_real."""
+    if not _is_real(values, tol):
+        raise ValueError(f"samples are not real: imaginary part {np.max(np.abs(values.imag)):.3e}")
+    return values.real.astype(complex)
+
+
 def _next_fast_len(target: int) -> int:
     """The smallest m >= target with no prime factor above 11: the lengths
     pocketfft transforms fastest, as ``scipy.fft.next_fast_len`` gives them
@@ -259,23 +271,13 @@ class _SampledField:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("values must be a square n x n array")
         self._check_n(values.shape[0])
-        if real_tag:
-            scale = max(1.0, float(np.max(np.abs(values))))
-            if float(np.max(np.abs(values.imag))) > _REAL_TOL * scale:
-                raise ValueError("real_tag field has non-negligible imaginary part")
-            values = values.real.astype(complex)
-        self.values = values
+        self.values = _real(values) if real_tag else values
         self.n = values.shape[0]
         self.real_tag = bool(real_tag)
 
     def real_part(self, tol: float = 1e-9):
-        """Project onto the real part; the imaginary drift must be below tol
-        relative to the largest sample modulus."""
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        drift = float(np.max(np.abs(self.values.imag)))
-        if drift > tol * scale:
-            raise ValueError(f"field is not real: imaginary drift {drift:.3e}")
-        return self._like(self.values.real.astype(complex), True)
+        """Project onto the real part under the reality rule at tol."""
+        return self._like(_real(self.values, tol), True)
 
     # -- pointwise arithmetic -------------------------------------------------
 
@@ -360,14 +362,14 @@ class PeriodicField(_SampledField):
     samples as its block, and its derivatives transform the centred samples
     (see :meth:`derivative`).
 
-    When samples exist: fields built from samples, and real-tagged ones
-    (``to_field``, products of real fields), have them at once, so the
-    imaginary-drift check of the reality tag runs on construction.  Complex
-    results of :meth:`derivative` and :func:`product` compute ``ifft2`` of
-    their block, zero-filled to n x n, on the first read of ``values``: the
-    samples are those of the eager computation, bit for bit, and are never
-    formed if nobody reads them.  A sum of fields is a sample sum and keeps
-    no spectrum; a polynomial in fields is one :func:`product`.
+    When samples exist: a field built from samples has them at once; one
+    that keeps its spectrum computes ``ifft2`` of its block, zero-filled to
+    n x n, on the first read of ``values``, where a real-tagged one passes
+    the reality rule (:func:`_is_real`) and is projected.  The samples are
+    those of the eager computation, bit for bit, and are never formed if
+    nobody reads them; calculus reads the block, never the projection.  A
+    sum of fields is a sample sum and keeps no spectrum; a polynomial in
+    fields is one :func:`product`.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
@@ -379,8 +381,9 @@ class PeriodicField(_SampledField):
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:  # a complex field kept as its spectrum
-            self._values = _samples(self._block, self.n)
+        if self._values is None:  # a field kept as its spectrum
+            values = _samples(self._block, self.n)
+            self._values = _real(values) if self.real_tag else values
         return self._values
 
     @values.setter
@@ -401,17 +404,13 @@ class PeriodicField(_SampledField):
     @classmethod
     def _from_block(cls, lattice: TorusLattice, n: int, B: np.ndarray,
                     real_tag: bool) -> "PeriodicField":
-        """Field on the n x n grid that keeps the centred block B, cut to its
-        band.  Its samples are ``ifft2`` of the block: a real-tagged field
-        gets them at once, a complex one on first read."""
-        B = _cut_to_band(B)
-        if real_tag:
-            out = cls(lattice, _samples(B, n), True)
-        else:
-            out = cls.__new__(cls)
-            out.lattice, out.n, out.real_tag = lattice, n, False
-            out._values, out._coeffs = None, None
-        out._block, out._kept = B, True
+        """Field on the n x n grid (``_check_n``) that keeps the centred
+        block B, cut to its band; its samples form on first read."""
+        cls._check_n(n)
+        out = cls.__new__(cls)
+        out.lattice, out.n, out.real_tag = lattice, n, bool(real_tag)
+        out._values, out._coeffs = None, None
+        out._block, out._kept = _cut_to_band(B), True
         return out
 
     def _spectral_block(self) -> np.ndarray:

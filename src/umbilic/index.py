@@ -56,7 +56,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .cartan import _DEGENERATE_FLOOR, cartan_r, spherical_test
+from .cartan import _is_degenerate, cartan_r, spherical_test
 from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
 from .field import ChartGrid, PeriodicField
 
@@ -84,7 +84,7 @@ _MAX_DEPTH = 12
 _CONTOUR_START = 64
 DEFAULT_CONTOUR_BUDGET = 2 ** 14
 # the spherical screen of sphere chart 1: sup|K_{;zz}| <= tol (1 + sup|K|) on
-# its unit disk; a torus is degenerate when sup|r| < cartan._DEGENERATE_FLOOR
+# its unit disk; a torus's screen is cartan._is_degenerate, on sup|r|
 SPHERE_SPHERICAL_TOL = 1e-6
 # sphere charts: the sampled square's half-width, the disk zeros are
 # located in, and the chord distance on S^2 within which the zeros of two
@@ -572,13 +572,13 @@ def _cluster_extent(cluster: ZeroCluster, cell_dz: float) -> float:
 def torus_umbilics(u: PeriodicField):
     """Locate the umbilical circles of the circle bundle with potential u
     over the torus: compute r by the P form, screen out constant curvature
-    by sup|r| < _DEGENERATE_FLOOR, find zero clusters, refine and index
+    (``cartan._is_degenerate``), find zero clusters, refine and index
     each, and audit the index sum against 2 chi = 0.
 
     Returns (records, audit, clusters).
     """
     r = cartan_r(u, "p_form")
-    if r.sup_norm() < _DEGENERATE_FLOOR:
+    if _is_degenerate(r.sup_norm()):
         raise TotallyDegenerate("potential has constant curvature; r vanishes identically")
     clusters = locate_zero_cells(r)
     records, dropped, checks = _index_clusters(r, clusters)
@@ -596,9 +596,9 @@ def _index_clusters(r, clusters, region_radius=None):
     indexed cluster (chart r.chart_id, residual relative to
     r.sup_norm(region_radius)), the audit entries of the winding-0
     clusters, which give no record (such a cluster may be a merged pair of
-    opposite-index zeros), and the cross-check counts: how many ran, and how many were skipped because the zero was not isolated
-    (sep <= 3 base) or because the circle raised ZeroOnContour or
-    PhaseStepTooLarge."""
+    opposite-index zeros), and the cross-check counts: how many ran, and
+    how many were skipped because the zero was not isolated (sep <= 3 base)
+    or because the circle raised ZeroOnContour or PhaseStepTooLarge."""
     bad = [c for c in clusters if c.kind != "point"]
     if bad:
         raise TotallyDegenerate(

@@ -50,9 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import _DEGENERATE_FLOOR, cartan_r
+from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import _REAL_TOL, PeriodicField, TorusLattice
+from .field import PeriodicField, TorusLattice, _real
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -125,12 +125,12 @@ class TrigPotential:
         return max((max(abs(j), abs(k)) for (j, k) in self.modes), default=0)
 
     def to_field(self, n: int) -> PeriodicField:
-        """Exact band-limited samples through spectral placement.  Mode
-        (j, k) is placed as (c_{jk} + conj(c_{-j,-k})) / 2, a Hermitian
-        spectrum that matches the real samples, and the field keeps it:
-        derivatives read exact coefficients and every bin outside the band
-        is exactly 0.  Coefficients whose placed bins leave the float range
-        raise DomainError."""
+        """The field kept as its placed spectrum: mode (j, k) is placed as
+        (c_{jk} + conj(c_{-j,-k})) / 2, a Hermitian spectrum, so derivatives
+        read exact coefficients, every bin outside the band is exactly 0 and
+        the real samples form on first read.  Coefficients whose placed bins
+        leave the float range raise DomainError; n must hold the band and be
+        even and >= 8 (ValueError)."""
         jk = np.array(list(self.modes), dtype=int).reshape(-1, 2)
         h = int(np.abs(jk).max(initial=0))  # the mode budget
         if 2 * h >= n:
@@ -176,9 +176,9 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     sample grid) by the damped Newton iteration of the zero polish, run
     from the four lowest well-separated samples at once and kept within
     2.5 cells of them, so potentials whose invariant genuinely vanishes
-    report exactly 0, on zero curves as well as at points; a max below the
-    degenerate floor (cartan._DEGENERATE_FLOOR) also reports 0.  The score is
-    invariant under u -> u + C.
+    report exactly 0, on zero curves as well as at points; a degenerate max
+    (``cartan._is_degenerate``) also reports 0, and one that is not finite
+    raises DomainError.  The score is invariant under u -> u + C.
 
     A minimum below _ZERO_RATIO * max reports 0, and the polish stops at that
     same threshold: each start's |Pu| only decreases, so once one start is
@@ -188,14 +188,11 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
-    field = u.to_field(grid_n)
-    r = cartan_r(field, "p_form")
-    mx = r.sup_norm()
-    if not np.isfinite(mx):
-        raise DomainError(f"Pu leaves the float range (sup|Pu| = {mx})")
-    if mx < _DEGENERATE_FLOOR:
-        return 0.0
+    r = cartan_r(u.to_field(grid_n), "p_form")
     A = np.abs(r.values)
+    mx = float(A.max())
+    if _is_degenerate(mx):
+        return 0.0
     # polish from the few lowest well-separated grid samples: a single local
     # search can slide past the global minimum of a multi-valley field
     starts = [r.corner_z(i, j) for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
@@ -372,8 +369,9 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
     profile's coefficients leave the float range.  Pu comes from the 2-D P
     form and the proof path from the 1-D chain X1, Z1 of the module
     docstring, so the identity Pu = b^2 Z compares two independent
-    computations at every grid node.  psi = e^{-2f} X is formed, at the n values of theta on the grid,
-    for its extrema (DomainError on overflow); the sign of Y'psi is Z1's.
+    computations at every grid node.  psi = e^{-2f} X is formed, at the n
+    values of theta on the grid, for its extrema (DomainError on overflow);
+    the sign of Y'psi is Z1's.
 
     The zero curves are the certified roots theta_i of the profile p
     (_certified_roots), reported as curve_line (j0, k0) and curve_offsets
@@ -396,9 +394,7 @@ def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
 
     r = cartan_r(field, "p_form")
     r_sup = r.sup_norm()
-    if not np.isfinite(r_sup):
-        raise DomainError(f"Pu leaves the float range (sup|Pu| = {r_sup})")
-    if r_sup < _DEGENERATE_FLOOR:
+    if _is_degenerate(r_sup):
         raise TotallyDegenerate("Pu vanishes identically (constant curvature)")
 
     line = _line(u)
@@ -466,7 +462,7 @@ def _chern(u: TrigPotential, line) -> float:
     coefficients c as to_field places the modes, takes one 1-D inverse
     FFT and runs to_field's checks on its n samples: ValueError when the
     band does not fit, DomainError when the placed coefficients leave the
-    float range, ValueError when the samples are not real to _REAL_TOL.
+    float range, ValueError when the samples break the reality rule.
     Every other u is sampled by to_field on the n x n grid.  On both routes
     a mean of e^u that is inf or 0 raises DomainError."""
     n = max(_CHERN_GRID_N, 2 * u.mode_budget + 2)
@@ -483,9 +479,7 @@ def _chern(u: TrigPotential, line) -> float:
         if not np.isfinite(row).all():
             raise DomainError(f"potential coefficients leave the float range "
                               f"when placed on {n} nodes")
-        f = np.fft.ifft(row)
-        if float(np.max(np.abs(f.imag))) > _REAL_TOL * max(1.0, float(np.max(np.abs(f)))):
-            raise ValueError("potential samples have a non-negligible imaginary part")
+        f = _real(np.fft.ifft(row))
     with np.errstate(over="ignore", under="ignore"):
         mean = float(np.mean(np.exp(f.real)))
     if not 0.0 < mean < np.inf:

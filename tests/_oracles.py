@@ -25,7 +25,9 @@ derivatives and products.  The profile assembled from zero-padded terms is
 the bitwise reference for the obstruction's, which sums into zeroed arrays.  FITPACK's interpolating bicubic spline
 (``RectBivariateSpline``, s = 0) is the reference for the chart grid's
 numpy spline, and scipy's adaptive Nelder-Mead (``minimize``) the one for
-the search's own.
+the search's own.  :func:`direct_r` is the referee for r = Pu itself: the
+P form of a trigonometric potential at any point by direct mode sums, with
+no grid, transform or field class.
 """
 
 import numpy as np
@@ -188,6 +190,25 @@ def random_half_modes(seed: int, budget: int = 2, scale: float = 1.0) -> dict:
                 continue
             half[(j, k)] = scale * (rng.normal() + 1j * rng.normal())
     return half
+
+
+def direct_r(modes: dict, omega: complex, z) -> np.ndarray:
+    """r = Pu at the points z, for u = sum c_jk e^{2 pi i (j s + k t)} with
+    z = s + t omega: each derivative D^m Dbar^l u is a direct sum over the
+    modes with the symbols D -> 2 pi i (j conj(omega) - k) / (conj(omega)
+    - omega) and Dbar -> 2 pi i (k - omega j) / (conj(omega) - omega), and
+    r = D^3 Dbar u - 3 (Du) D^2 Dbar u + 2 (Du)^2 D Dbar u - (D^2 u) D Dbar u."""
+    (j, k), c = np.array(list(modes), dtype=float).T, np.array(list(modes.values()), dtype=complex)
+    den = np.conj(omega) - omega
+    d, db = 2j * np.pi * (j * np.conj(omega) - k) / den, 2j * np.pi * (k - omega * j) / den
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    t = z.imag / omega.imag
+    terms = c * np.exp(2j * np.pi * (np.outer(z.real - t * omega.real, j) + np.outer(t, k)))
+
+    def u(m, l):
+        return terms @ (d ** m * db ** l)
+
+    return u(3, 1) - 3 * u(1, 0) * u(2, 1) + 2 * u(1, 0) ** 2 * u(1, 1) - u(2, 0) * u(1, 1)
 
 
 def one_directional(lattice: TorusLattice, jk, profile):

@@ -14,6 +14,8 @@ from umbilic import cli
 from umbilic.cli import dump_grid, load_grid, main, parse_config, run
 from umbilic.errors import ConfigError
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
+from umbilic.index import SPHERE_HARMONICS
+from umbilic.torussearch import TrigPotential
 
 LAT = TorusLattice(1j)
 
@@ -377,6 +379,40 @@ class TestMainAndExitCodes:
         assert err["error"]["code"] == "DomainError" and err["error"]["exit_status"] == 9
         assert captured.out == ""
 
+    def test_overflowing_r_exits_9_on_umbilics_as_on_invariant(self, tmp_path, capsys):
+        # r overflows to NaN: sup|r| used to pass umbilics' degeneracy floor,
+        # and the cell pass flagged every cell (exit 4, "not isolated points")
+        modes = {"1,0": [1e150, 0.0], "0,1": [3e149, 1e149], "1,1": [2e149, 0.0]}
+        for op in ("invariant", "umbilics"):
+            cfg = torus_cfg(operation=op, metric={"modes": modes}, numeric={"grid_n": 64})
+            assert main([op, "--config", write_cfg(tmp_path, cfg)]) == 9, op
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["code"] == "DomainError", op
+
+    @pytest.mark.parametrize("operation, modes, extra", [
+        ("invariant", {"1,0": [0.2, 0.0], "0,1": [0.1, 0.1], "1,1": [0.05, 0.02]}, {}),
+        ("umbilics", {"1,0": [0.2, 0.0], "0,1": [0.1, 0.1], "1,1": [0.05, 0.02]}, {}),
+        ("obstruction", {"1,0": [0.2, 0.05], "2,0": [0.03, 0.0]},
+         {"obstruction": {"direction": [0.0, 1.0]}}),
+    ])
+    def test_torus_runs_form_no_potential_samples(self, tmp_path, capsys, monkeypatch,
+                                                  operation, modes, extra):
+        # every torus operation reads the potential's kept spectrum, never
+        # its n x n samples
+        fields = []
+
+        def to_field(pot, n, _to_field=TrigPotential.to_field):
+            fields.append(_to_field(pot, n))
+            return fields[-1]
+
+        monkeypatch.setattr(TrigPotential, "to_field", to_field)
+        cfg = torus_cfg(operation=operation, metric={"modes": modes}, numeric={"grid_n": 64},
+                        **extra)
+        assert main([operation, "--config", write_cfg(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        assert [f.n for f in fields] == [64]
+        assert fields[0]._values is None
+
     def test_obstruction_past_mode_budget_128_exits_0(self, tmp_path, capsys):
         # mode budget 130 does not fit on 256 nodes: the Chern number takes
         # the smallest even count above twice the budget, 262
@@ -687,21 +723,46 @@ def numeric_fuzz_config(rng, op):
     return cfg
 
 
+def sphere_fuzz_config(rng):
+    """A sphere config that parses but whose numbers come from FUZZ_NUMBERS:
+    the degree is the integer part of one's magnitude (at least 1), and 0-3
+    harmonics take their epsilons from it; grid_n 64."""
+    def x():
+        return FUZZ_NUMBERS[rng.integers(len(FUZZ_NUMBERS))]
+
+    names = sorted(SPHERE_HARMONICS)
+    perts = [{"harmonic": names[rng.integers(len(names))], "epsilon": x()}
+             for _ in range(rng.integers(4))]
+    return {"surface": {"kind": "sphere", "degree": int(abs(x())) or 1, "perturbations": perts},
+            "metric": {"builtin": "fs"}, "numeric": {"grid_n": 64}}
+
+
 class TestNumericFuzz:
+    # the numerical stages on inputs that parse: main returns 0 or a
+    # documented status 2-9, and a failure leaves one JSON error object
+
+    @staticmethod
+    def _keeps_the_exit_contract(op, cfg, path, capsys):
+        path.write_text(json.dumps(cfg))
+        try:
+            status = main([op, "--config", str(path)])
+        except Exception as exc:
+            pytest.fail(f"{op} config {cfg} escapes the exit contract: {exc!r}")
+        err = capsys.readouterr().err
+        assert status == 0 or 2 <= status <= 9, (op, cfg, status)
+        if status:
+            assert set(json.loads(err)) == {"error"}, (op, cfg, err)
+
     def test_main_keeps_the_exit_contract(self, tmp_path, capsys):
-        # the numerical stages on inputs that parse: main returns 0 or a
-        # documented status 2-9, and a failure leaves one JSON error object
         rng = np.random.default_rng(0)
-        path = tmp_path / "cfg.json"
         for i in range(200):
             op = FUZZ_OPERATIONS[i % len(FUZZ_OPERATIONS)]
-            cfg = numeric_fuzz_config(rng, op)
-            path.write_text(json.dumps(cfg))
-            try:
-                status = main([op, "--config", str(path)])
-            except Exception as exc:
-                pytest.fail(f"{op} config {cfg} escapes the exit contract: {exc!r}")
-            err = capsys.readouterr().err
-            assert status == 0 or 2 <= status <= 9, (op, cfg, status)
-            if status:
-                assert set(json.loads(err)) == {"error"}, (op, cfg, err)
+            self._keeps_the_exit_contract(op, numeric_fuzz_config(rng, op),
+                                          tmp_path / "cfg.json", capsys)
+
+    def test_sphere_keeps_the_exit_contract(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        for i in range(90):
+            op = ("invariant", "umbilics", "ph-audit")[i % 3]
+            self._keeps_the_exit_contract(op, sphere_fuzz_config(rng),
+                                          tmp_path / "cfg.json", capsys)

@@ -64,6 +64,13 @@ class TestPeriodicFieldValidation:
         with pytest.raises(ValueError):
             PeriodicField(LAT, vals, real_tag=True)
 
+    @pytest.mark.parametrize("n", [6, 7, 9])
+    def test_to_field_rejects_the_resolutions_samples_do(self, n):
+        # the budget fits every n here; the grid's own rule rejects them
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.1})
+        with pytest.raises(ValueError, match="even and >= 8"):
+            pot.to_field(n)
+
 
 class TestPeriodicDerivative:
     def test_d_of_sin_s(self):
@@ -461,16 +468,31 @@ class TestSpectrumFirst:
 
     def test_real_product_with_imaginary_drift_raises(self):
         # real-tagged operands whose spectrum is not Hermitian: the real
-        # product's samples are built at once and fail the reality check
+        # product builds, and its samples fail the reality check on their
+        # first read; a complex product runs no check
         n = 64
         pot = TrigPotential.from_half_modes(LAT, random_half_modes(7, budget=3))
         u, bad = pot.to_field(n), pot.to_field(n)
         C = eager_potential(pot, n).C
         C[1, 2] += 1e-6 * n * n
         bad._block = field_module._cut_to_band(np.fft.fftshift(C))
+        real = product([(1.0, (bad, u))])
+        assert real.real_tag and real._values is None
         with pytest.raises(ValueError, match="imaginary"):
-            product([(1.0, (bad, u))])
-        assert product([(1j, (bad, u))])._values is None
+            real.values
+        assert real._values is None
+        assert product([(1j, (bad, u))]).values.imag.any()
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN])
+    def test_potential_samples_form_on_read(self, lattice):
+        # to_field keeps the placed spectrum; its samples are the eager
+        # ones, projected onto the real axis, once read
+        n = 64
+        pot = TrigPotential.from_half_modes(lattice, random_half_modes(8, budget=3))
+        u = pot.to_field(n)
+        assert u.real_tag and u._values is None
+        assert np.array_equal(u.values, eager_potential(pot, n).values)
+        assert not u.values.imag.any()
 
     @staticmethod
     def _count_full_inverse_transforms(monkeypatch, n):
@@ -494,15 +516,15 @@ class TestSpectrumFirst:
         monkeypatch.setattr(field_module.fft, "ifft", counted)
         return grids
 
-    def test_objective_transforms_two_grids(self, monkeypatch):
-        # the to_field samples and r, one polynomial; derivative results are
-        # never transformed back
+    def test_objective_transforms_one_grid(self, monkeypatch):
+        # r, one polynomial; the potential's samples are never formed and
+        # derivative results are never transformed back
         n = 96
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
         expected = min_modulus_objective(u, n)
         grids = self._count_full_inverse_transforms(monkeypatch, n)
         assert min_modulus_objective(u, n) == expected
-        assert len(grids) == 2
+        assert len(grids) == 1
 
     @pytest.mark.parametrize("form", ["p_form", "divergence_form"])
     def test_reading_r_transforms_one_grid(self, monkeypatch, form):
