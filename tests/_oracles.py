@@ -30,6 +30,9 @@ P form of a trigonometric potential at any point by direct mode sums, with
 no grid, transform or field class.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.interpolate import RectBivariateSpline
@@ -178,6 +181,15 @@ def random_band_limited(seed: int, lattice: TorusLattice, n: int = 128,
             modes[(-j, -k)] = np.conj(c)
     f = periodic_from_modes(lattice, n, modes)
     return f.scale(amplitude / f.sup_norm()).real_part()
+
+
+def benchmark_pool(workload: str) -> dict:
+    """{job id: config} of a perfbench workload's pool, sorted by job id."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return dict(sorted(workloads.pool(workload).items()))
 
 
 def random_half_modes(seed: int, budget: int = 2, scale: float = 1.0) -> dict:

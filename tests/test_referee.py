@@ -1,18 +1,22 @@
 """The pipeline's r = Pu against the direct mode sums of
 :func:`_oracles.direct_r`, which share no grid, transform, product or field
-class with it.  The bound, 1e-12 of sup|r|, was fixed before any of these
-fields was measured."""
+class with it: on generic fields, on symmetric ones, on the benchmark pools'
+umbilics and obstruction configs and on the numeric fuzz configs of those
+operations that complete.  The bound, 1e-12 of sup|r|, was fixed before any
+of these was measured."""
 
 import numpy as np
 import pytest
 
 from umbilic.cartan import cartan_r
-from umbilic.errors import UnderResolved
+from umbilic.cli import parse_config, run
+from umbilic.errors import UmbilicError, UnderResolved
 from umbilic.field import TorusLattice
 from umbilic.index import torus_umbilics
 from umbilic.torussearch import TrigPotential, symmetric_obstruction_check
 
-from _oracles import direct_r, one_directional, random_half_modes
+from _oracles import benchmark_pool, direct_r, one_directional, random_half_modes
+from test_cli import FUZZ_OPERATIONS, numeric_fuzz_config
 
 BOUND = 1e-12
 N = 128
@@ -65,6 +69,52 @@ def test_obstruction_curves_are_zeros_of_direct_sums(pot, Y):
     z = pot.lattice.st_to_z(w * j0, w * k0)
     sup = cartan_r(pot.to_field(N), "p_form").sup_norm()
     assert np.max(np.abs(direct_r(pot.modes, pot.lattice.omega, z))) <= BOUND * sup
+
+
+REFEREED = ("umbilics", "obstruction")
+POOL = {job: cfg for workload in ("catalogue", "obstruction")
+        for job, cfg in benchmark_pool(workload).items() if cfg["operation"] in REFEREED}
+
+
+def reported_zeros_residual(cfg) -> float:
+    """max |r| by direct sums over the zeros a torus umbilics or obstruction
+    run reports (record points, or curve points on the curve line), over
+    sup|r| on its grid."""
+    inputs = parse_config(cfg)[1]
+    pot = inputs["potential"]
+    res = run(cfg)["results"]
+    if cfg["operation"] == "umbilics":
+        z = np.array([complex(*rec["z0"]) for rec in res["records"]])
+    else:
+        (j0, k0), theta = res["curve_line"], np.array(res["curve_offsets"])
+        w = theta / (j0 * j0 + k0 * k0)
+        z = pot.lattice.st_to_z(w * j0, w * k0)
+    sup = cartan_r(pot.to_field(inputs["grid_n"]), "p_form").sup_norm()
+    return np.max(np.abs(direct_r(pot.modes, pot.lattice.omega, z)), initial=0.0) / sup
+
+
+@pytest.mark.parametrize("cfg", POOL.values(), ids=POOL)
+def test_pool_zeros_are_zeros_of_direct_sums(cfg):
+    assert reported_zeros_residual(cfg) <= BOUND
+
+
+def test_fuzz_zeros_are_zeros_of_direct_sums():
+    # the numeric fuzz configs of test_cli that complete
+    rng = np.random.default_rng(0)
+    checked = 0
+    for i in range(200):
+        op = FUZZ_OPERATIONS[i % len(FUZZ_OPERATIONS)]
+        cfg = dict(numeric_fuzz_config(rng, op), operation=op)
+        if op not in REFEREED:
+            continue
+        try:
+            with np.errstate(all="ignore"):
+                residual = reported_zeros_residual(cfg)
+        except UmbilicError:
+            continue
+        assert residual <= BOUND, cfg
+        checked += 1
+    assert checked
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,24 +16,15 @@ from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
-from _oracles import (eager_derivative, eager_potential, lowest_separated_cells_full,
-                      obstruction_chain_2d, one_directional, profile_padded,
-                      random_half_modes, scipy_nelder_mead)
+from _oracles import (benchmark_pool, eager_derivative, eager_potential,
+                      lowest_separated_cells_full, obstruction_chain_2d, one_directional,
+                      profile_padded, random_half_modes, scipy_nelder_mead)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
 
 
-def obstruction_pool() -> dict:
-    """{job id: config} of the obstruction benchmark's pool, 8 configs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return dict(sorted(workloads.pool("obstruction").items()))
-
-
-OBSTRUCTION_POOL = obstruction_pool()
+OBSTRUCTION_POOL = benchmark_pool("obstruction")  # 8 configs
 
 
 def pool_potential(cfg) -> TrigPotential:
