@@ -55,7 +55,8 @@ config to the checked results block, for every operation; the sphere chart
 resolution used; the clusters of winding 0 that umbilics and ph-audit
 dropped, and how many of their index cross-checks ran or were skipped, by
 reason; the profile roots that obstruction could not certify as zero
-curves (uncertified_roots).  An obstruction's results give the line of its
+curves (uncertified_roots); the number of points of each call a search made
+to its objective, per trial (objective_groups).  An obstruction's results give the line of its
 zero curves, curve_line [j0, k0], and their sorted offsets theta_i in
 [0, 1) (curve_offsets): curve i is j0 s + k0 t = theta_i.  Both come from
 the potential's modes alone, so they do not depend on grid_n; the
@@ -447,7 +448,9 @@ def run_loewner(inp: dict) -> dict:
 
 
 def run_search(inp: dict) -> dict:
-    return {"results": torus_search(inp["search"]).results_payload()}
+    rep = torus_search(inp["search"])
+    return {"results": rep.results_payload(),
+            "diagnostics_extra": {"objective_groups": rep.objective_groups}}
 
 
 def run_obstruction(inp: dict) -> dict:

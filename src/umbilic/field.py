@@ -140,18 +140,29 @@ class TorusLattice:
 # or at full band n x n for -n/2 .. n/2 - 1, the Nyquist bins whole.
 
 def _freqs(B: np.ndarray) -> np.ndarray:
-    """Frequencies of the rows (and columns) of the block B."""
-    h = len(B) // 2
-    return np.arange(-h, len(B) - h)
+    """Frequencies of the rows (and columns) of the block B, or of each
+    block of a stack."""
+    L = B.shape[-1]
+    return np.arange(-(L // 2), L - L // 2)
+
+
+def _bands(B: np.ndarray) -> np.ndarray:
+    """The band of the block B, or of each block of a stack: the largest |k|
+    on either axis with a nonzero bin (0 for a zero block)."""
+    nonzero = B != 0
+    return np.where(nonzero.any(-1) | nonzero.any(-2), np.abs(_freqs(B)), 0).max(-1)
 
 
 def _cut_to_band(B: np.ndarray) -> np.ndarray:
     """B cut to its band h, the largest |k| on either axis with a nonzero
-    bin: (2h+1) x (2h+1), or B itself when h = n/2."""
+    bin (a stack to the largest band of its blocks): (2h+1) x (2h+1), or B
+    itself when h = n/2."""
     nonzero = B != 0
+    if B.ndim > 2:
+        nonzero = nonzero.reshape(-1, *B.shape[-2:]).any(0)
     h = int(np.abs(_freqs(B))[nonzero.any(1) | nonzero.any(0)].max(initial=0))
-    c = len(B) // 2
-    return B if 2 * h == len(B) else B[c - h:c + h + 1, c - h:c + h + 1]
+    c = B.shape[-1] // 2
+    return B if 2 * h == B.shape[-1] else B[..., c - h:c + h + 1, c - h:c + h + 1]
 
 
 def _transform2_in_place(transform, a: np.ndarray) -> np.ndarray:
@@ -180,17 +191,17 @@ def _samples(B: np.ndarray, n: int) -> np.ndarray:
 def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of the trigonometric interpolant on the frequencies of
     the block B: B / n^2, at full band on -n/2 .. n/2 with the Nyquist row
-    and column split evenly between -n/2 and n/2 (axis 0 first).  The
-    product with 1 / n^2 is bit for bit numpy's complex division by n^2, at
+    and column split evenly between -n/2 and n/2 (axis 0 first); of each
+    block of a stack alike.  The product with 1 / n^2 is bit for bit numpy's complex division by n^2, at
     a fraction of its cost."""
-    if len(B) < n:
+    if B.shape[-1] < n:
         return B * (1.0 / (n * n))
-    E = np.empty((n + 1, n + 1), dtype=complex)
-    np.multiply(B, 1.0 / (n * n), out=E[:n, :n])
-    E[0, :n] *= 0.5
-    E[n, :n] = E[0, :n]
-    E[:, 0] *= 0.5
-    E[:, n] = E[:, 0]
+    E = np.empty((*B.shape[:-2], n + 1, n + 1), dtype=complex)
+    np.multiply(B, 1.0 / (n * n), out=E[..., :n, :n])
+    E[..., 0, :n] *= 0.5
+    E[..., n, :n] = E[..., 0, :n]
+    E[..., :, 0] *= 0.5
+    E[..., :, n] = E[..., :, 0]
     return E
 
 
@@ -229,6 +240,12 @@ def _next_fast_len(target: int) -> int:
         m += 1
 
 
+def _lift_size(S: int, n: int) -> int:
+    """The side m of the grid that a product of band S on an n x n grid is
+    lifted to (see :meth:`PeriodicField._product`)."""
+    return min(2 * n, _next_fast_len(S + min(S, n // 2) + 1))
+
+
 def _lattice_wirtinger(ds, dt, omega):
     """(D, Dbar) from d/ds and d/dt on the lattice of 1 and omega."""
     denom = np.conj(omega) - omega
@@ -238,9 +255,12 @@ def _lattice_wirtinger(ds, dt, omega):
 
 def _tail_energy_fraction(B: np.ndarray, n: int) -> float:
     """Energy fraction of the block B but its constant carried by modes
-    with max(|j|, |k|) >= n/3, of which a band below n/3 has none."""
-    if 3 * (len(B) // 2) < n:
+    with max(|j|, |k|) >= n/3, of which a band below n/3 has none; of a
+    stack, the largest over its blocks."""
+    if 3 * (B.shape[-1] // 2) < n:
         return 0.0
+    if B.ndim > 2:
+        return max(_tail_energy_fraction(b, n) for b in B)
     k = np.abs(_freqs(B))
     tail = 3 * np.maximum(k[:, None], k[None, :]) >= n
     power = np.abs(B) ** 2
@@ -370,6 +390,12 @@ class PeriodicField(_SampledField):
     nobody reads them; calculus reads the block, never the projection.  A
     sum of fields is a sample sum and keeps no spectrum; a polynomial in
     fields is one :func:`product`.
+
+    A stack of k fields on one grid is one field whose block has a leading
+    axis, (k, 2h+1, 2h+1), cut to the largest band of its members.
+    :meth:`derivative`, :func:`product` and :meth:`jet_at` act on each
+    member as on the field alone, bit for bit, as long as the members share
+    one band; a stack has no samples, and :meth:`take` gives its members.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
@@ -423,7 +449,12 @@ class PeriodicField(_SampledField):
     def _band(self) -> int:
         """The largest |k| on either axis with a nonzero bin of the kept
         spectrum; a field built from samples counts as n/2."""
-        return self.n // 2 if self._block is None else len(self._block) // 2
+        return self.n // 2 if self._block is None else self._block.shape[-1] // 2
+
+    def take(self, members) -> "PeriodicField":
+        """Member i of a stack (an int), or the stack of the members listed,
+        cut to their own band."""
+        return self._from_block(self.lattice, self.n, self._block[members], self.real_tag)
 
     # -- construction ------------------------------------------------------
 
@@ -486,7 +517,7 @@ class PeriodicField(_SampledField):
         n = self.n
         if self._kept:
             B = self._block.copy()
-            B[len(B) // 2, len(B) // 2] = 0.0
+            B[..., B.shape[-1] // 2, B.shape[-1] // 2] = 0.0
         else:
             # Centering before the transform is a mathematical no-op (the DC
             # multiplier is zero) but keeps the FFT's internal rounding at the
@@ -526,17 +557,18 @@ class PeriodicField(_SampledField):
         The Nyquist bins are folded back only when K = n/2.  The k distinct
         operands are embedded into one k x m x m stack, which is lifted in
         place; the monomials then take one m x m term and the m x m sum,
-        which is transformed in place: k + 2 arrays of m x m at most."""
+        which is transformed in place: k + 2 arrays of m x m at most, per
+        member on a stack of fields."""
         n = self.n
         operands = {id(f): f for _, fs in terms for f in fs}
         S = max(sum(f._band() for f in fs) for _, fs in terms)
         K = min(S, n // 2)
-        m = min(2 * n, _next_fast_len(S + K + 1))
-        stack = np.zeros((len(operands), m, m), dtype=complex)
+        m = _lift_size(S, n)
+        stack = np.zeros((len(operands), *self._spectral_block().shape[:-2], m, m), dtype=complex)
         for f, C in zip(operands.values(), stack):  # each block in fft2 layout
             B = _interpolant(f._spectral_block(), n)
             g = _freqs(B) % m
-            C[np.ix_(g, g)] = B
+            C[..., g[:, None], g] = B
         lifted = dict(zip(operands, _transform2_in_place(fft.ifft, stack)))
         acc = None
         for c, fs in terms:
@@ -547,11 +579,11 @@ class PeriodicField(_SampledField):
         del lifted, stack
         F = _transform2_in_place(fft.fft, acc)
         g = np.arange(-K, K + 1) % m
-        G = F[np.ix_(g, g)]
+        G = F[..., g[:, None], g]
         if 2 * K == n:  # the n/2 row and column fold onto -n/2 (axis 0 first)
-            G[0] += G[n]
-            G[:, 0] += G[:, n]
-            G = G[:n, :n]
+            G[..., 0, :] += G[..., n, :]
+            G[..., :, 0] += G[..., :, n]
+            G = G[..., :n, :n]
         return self._from_block(self.lattice, n, G * (n * n), real_tag)
 
     # -- evaluation off the grid --------------------------------------------
@@ -565,28 +597,33 @@ class PeriodicField(_SampledField):
         to rounding, which is why zero-curve refinement takes the endpoint
         values of grid edges from the samples."""
         E, Es, Et = self._rows(s, t)
-        return ((Es @ E) * Et).sum(1)
+        return ((Es @ E) * Et).sum(-1)
 
     def jet_at(self, z):
         """(f, D f, Dbar f) of the interpolant at complex points: the rows of
         :meth:`evaluate_st`, one more matrix product for d/ds and a weighted
-        row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`."""
-        E, Es, Et = self._rows(*self.lattice.z_to_st(np.atleast_1d(np.asarray(z, dtype=complex))))
+        row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`.
+        On a stack of k fields z is (k, p), p points per member, and each
+        matrix product is one stacked product: per member it is bit for bit
+        the member's own, whose row count p it keeps."""
+        E, Es, Et = self._rows(*self.lattice.z_to_st(np.asarray(z, dtype=complex)))
         k = 2j * np.pi * _freqs(E)
         rows = Es @ E
-        fs, ft = (((Es * k) @ E) * Et).sum(1), (rows * Et * k).sum(1)
-        return ((rows * Et).sum(1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
+        fs, ft = (((Es * k) @ E) * Et).sum(-1), (rows * Et * k).sum(-1)
+        return ((rows * Et).sum(-1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
 
     def _rows(self, s, t):
         """The interpolant's coefficients E on the field's band (see
         :func:`_interpolant`), formed on the first evaluation and kept, and
-        the exponential rows at s and at t for the frequencies of E."""
+        the exponential rows at s and at t for the frequencies of E: one row
+        per point, the points flattened, and on a stack per member."""
         if self._coeffs is None:
             self._coeffs = _interpolant(self._spectral_block(), self.n)
         E = self._coeffs
         k = _freqs(E)
-        return (E, *(np.exp(2j * np.pi * np.outer(np.atleast_1d(np.asarray(u, dtype=float)), k))
-                     for u in (s, t)))
+        lead = E.shape[:-2]
+        return (E, *(np.exp(2j * np.pi * np.multiply.outer(
+            np.asarray(u, dtype=float).reshape(*lead, -1), k)) for u in (s, t)))
 
     def evaluate_at(self, z) -> np.ndarray:
         """Evaluate the interpolant at complex points (periodic in the lattice)."""

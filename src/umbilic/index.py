@@ -500,30 +500,61 @@ def _polish(f, starts, max_move, stop=0.0):
     some start's |f| is below stop, for a caller that only asks whether any
     start gets there; the default 0 never triggers.  Deterministic,
     monotone and confined.
+
+    f may also be a stack of k periodic fields (:meth:`PeriodicField.take`)
+    with starts (k, p), max_move and stop scalar or per member; the iterates
+    and |f| are then (k, p).  Each member is polished as it would be alone,
+    to its own stop, and a step makes one stacked ``jet_at`` call per group
+    of members that share their band and their count of live starts: a
+    stacked matrix product is bit for bit the member's own only at the same
+    row count.
     """
-    z0 = np.atleast_1d(np.asarray(starts, dtype=complex))
-    reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape)
+    z0 = np.asarray(starts, dtype=complex)
+    one = z0.ndim < 2
+    k, p = (1, z0.size) if one else z0.shape
+    reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape).reshape(-1)
+    stop = np.asarray(stop, dtype=float).reshape(-1, 1)
+    z0 = z0.reshape(-1)
+    band = None if one else np.array([f.take(i)._band() for i in range(k)])
+
+    def jet(points, at):
+        """f, D f and Dbar f at points, the iterates of the starts at."""
+        if one:
+            return f.jet_at(points)
+        rows = at // p  # each point's member; at is sorted, so members come in order
+        key = (band * (p + 1) + np.bincount(rows, minlength=k))[rows]
+        out = np.empty((3, len(at)), dtype=complex)
+        for group in np.unique(key):
+            sel = key == group
+            members = np.unique(rows[sel])
+            out[:, sel] = [x.ravel() for x in f.take(members).jet_at(
+                points[sel].reshape(len(members), -1))]
+        return out
+
     z = z0.copy()
-    v, a, b = f.jet_at(z)
+    live = np.arange(z.size)
+    v, a, b = jet(z, live)
     best = np.abs(v)
     dz = _lm_step(v, a, b)
-    live = np.arange(z.size)
     for _ in range(64):
-        if (best < stop).any():
-            break
+        hit = best.reshape(k, p) < stop
+        if hit.any():  # a member with a start below its stop is done
+            if one:
+                break
+            live = live[~hit.any(1)[live // p]]
         step = np.abs(dz[live])
         live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]
         if not live.size:
             break
         trial = z[live] + dz[live]
-        v, a, b = f.jet_at(trial)
+        v, a, b = jet(trial, live)
         mod = np.abs(v)
         take = (mod < best[live]) & (np.abs(trial - z0[live]) <= reach[live])
         done = live[take]
         z[done], best[done] = trial[take], mod[take]
         dz[done] = _lm_step(v[take], a[take], b[take])
         dz[live[~take]] *= 0.5
-    return z, best
+    return (z, best) if one else (z.reshape(k, p), best.reshape(k, p))
 
 
 def _polish_clusters(f, clusters, reach, sup):

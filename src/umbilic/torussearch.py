@@ -47,12 +47,13 @@ its own profile.  Every other potential is sampled on the 2-D grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
-from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import PeriodicField, TorusLattice, _real
+from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
+from .field import PeriodicField, TorusLattice, _bands, _lift_size, _real
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -82,6 +83,10 @@ _RING_TOL = 1e-3
 _CHERN_GRID_N = 256
 # _nelder_mead's stop, simplex extent and value spread: scipy's xatol, fatol
 _XATOL, _FATOL = 1e-6, 1e-12
+# min_modulus_objective: the bytes one stacked pass may lift for the P form's
+# product (16 members at band 3), and the operands that product lifts
+_STACK_BYTES = 512 * 1024
+_P_FORM_OPERANDS = 5
 
 
 @dataclass
@@ -131,25 +136,50 @@ class TrigPotential:
         the real samples form on first read.  Coefficients whose placed bins
         leave the float range raise DomainError; n must hold the band and be
         even and >= 8 (ValueError)."""
+        stack = self._stack()
+        return PeriodicField._from_block(self.lattice, n, _placed(stack.jk, stack.C, n)[0], True)
+
+    def _stack(self) -> "_Stack":
+        """u as a stack of one."""
         jk = np.array(list(self.modes), dtype=int).reshape(-1, 2)
-        h = int(np.abs(jk).max(initial=0))  # the mode budget
-        if 2 * h >= n:
-            raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
-        B = np.zeros((2 * h + 1, 2 * h + 1), dtype=complex)
-        B[jk[:, 0] + h, jk[:, 1] + h] = list(self.modes.values())
-        with np.errstate(over="ignore", invalid="ignore"):
-            B = (B + np.conj(B[::-1, ::-1])) / 2 * n * n
-        if not np.isfinite(B).all():
-            bad = {(j, k): self.modes[j, k]
-                   for j, k in (np.argwhere(~np.isfinite(B)) - h).tolist()}
-            raise DomainError(f"potential coefficients {bad} leave the float range "
-                              f"when placed on an n={n} grid")
-        return PeriodicField._from_block(self.lattice, n, B, True)
+        return _Stack(self.lattice, jk, np.array([list(self.modes.values())], dtype=complex))
 
     def shifted(self, c: float) -> "TrigPotential":
         modes = dict(self.modes)
         modes[(0, 0)] = modes.get((0, 0), 0.0) + float(c)
         return TrigPotential(self.lattice, modes)
+
+
+class _Stack(NamedTuple):
+    """k potentials on one lattice with the coefficient rows C (k, M) at the
+    mode keys jk (M, 2): the form in which min_modulus_objective scores
+    several potentials at once."""
+
+    lattice: TorusLattice
+    jk: np.ndarray
+    C: np.ndarray
+
+
+def _placed(jk: np.ndarray, C: np.ndarray, n: int) -> np.ndarray:
+    """The centred blocks (k, 2h+1, 2h+1) of the potentials with the
+    coefficient rows C at the mode keys jk, h the largest |j| or |k| of a
+    key, placed as ``TrigPotential.to_field`` places them, with its
+    ValueError and its DomainError, which names the first potential's
+    coefficients that leave the float range."""
+    h = int(np.abs(jk).max(initial=0))  # the mode budget
+    if 2 * h >= n:
+        raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
+    B = np.zeros((len(C), 2 * h + 1, 2 * h + 1), dtype=complex)
+    B[:, jk[:, 0] + h, jk[:, 1] + h] = C
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = (B + np.conj(B[:, ::-1, ::-1])) / 2 * n * n
+    if not np.isfinite(B).all():
+        i, *_ = np.argwhere(~np.isfinite(B))[0]
+        value = {tuple(key): complex(c) for key, c in zip(jk.tolist(), C[i])}
+        bad = {(j, k): value[j, k] for j, k in (np.argwhere(~np.isfinite(B[i])) - h).tolist()}
+        raise DomainError(f"potential coefficients {bad} leave the float range "
+                          f"when placed on an n={n} grid")
+    return B
 
 
 @dataclass(frozen=True)
@@ -169,7 +199,7 @@ class SymmetryDirection:
 # objective
 # --------------------------------------------------------------------------
 
-def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
+def min_modulus_objective(u, grid_n: int):
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
     The minimum is polished off-grid (the zero set of Pu need not meet the
@@ -185,20 +215,62 @@ def min_modulus_objective(u: TrigPotential, grid_n: int) -> float:
     below it the score is 0 whatever the others do.  A nonzero score never
     meets the stop, and its polish runs in full.  The starts come from the
     smallest 4 * 7^2 samples only (the bound of _lowest_separated_cells).
+
+    u is a TrigPotential, scored as a stack of one, or a _Stack of k
+    potentials, whose k scores come back as an array.  A stack is scored in
+    passes of members that share their band, each lifting at most
+    _STACK_BYTES for the P form's product: one stacked P form per pass, each
+    member's samples and starts in turn, and one stacked polish.  Every
+    score is bit for bit the one the member gets alone, and an error is the
+    one the first member that fails alone raises.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
-    r = cartan_r(u.to_field(grid_n), "p_form")
-    A = np.abs(r.values)
-    mx = float(A.max())
-    if _is_degenerate(mx):
-        return 0.0
-    # polish from the few lowest well-separated grid samples: a single local
-    # search can slide past the global minimum of a multi-valley field
-    starts = [r.corner_z(i, j) for i, j in _lowest_separated_cells(A, count=4, min_sep=4)]
-    stop = _ZERO_RATIO * mx
-    mn = min(float(A.min()), float(_polish(r, starts, 2.5 * r.cell_size, stop)[1].min()))
-    return 0.0 if mn < stop else float(mn / mx)
+    stack = u if isinstance(u, _Stack) else u._stack()
+    try:
+        scores = _stack_scores(stack, grid_n)
+    except (DomainError, UnderResolved):
+        for i in range(len(stack.C)):  # one member at a time: the first to fail raises
+            _stack_scores(stack._replace(C=stack.C[i:i + 1]), grid_n)
+        raise
+    return scores if stack is u else float(scores[0])
+
+
+def _stack_scores(stack: _Stack, grid_n: int) -> np.ndarray:
+    """The scores of min_modulus_objective, pass by pass."""
+    h = int(np.abs(stack.jk).max(initial=0))
+    size = max(1, _STACK_BYTES // (_P_FORM_OPERANDS * 16 * _lift_size(3 * h, grid_n) ** 2))
+    scores = np.empty(len(stack.C))
+    for first in range(0, len(stack.C), size):
+        B = _placed(stack.jk, stack.C[first:first + size], grid_n)
+        bands = _bands(B)
+        for band in np.unique(bands):
+            members = np.flatnonzero(bands == band)
+            u = PeriodicField._from_block(stack.lattice, grid_n, B[members], True)
+            scores[first + members] = _pass_scores(cartan_r(u, "p_form"), len(members))
+    return scores
+
+
+def _pass_scores(r: PeriodicField, k: int) -> np.ndarray:
+    """The scores of the k members of a stack r of invariants Pu."""
+    scores, live, extremes, starts = np.zeros(k), [], [], []
+    for i in range(k):  # the n x n samples of one member at a time
+        A = np.abs(r.take(i).values)
+        mx = float(A.max())
+        if not _is_degenerate(mx):
+            live.append(i)
+            extremes.append((float(A.min()), mx))
+            # polish from the few lowest well-separated grid samples: a single
+            # local search can slide past the global minimum of a multi-valley
+            # field; n >= 64 leaves room for all four
+            starts.append([r.corner_z(a, b) for a, b in _lowest_separated_cells(A, count=4, min_sep=4)])
+    if live:
+        stop = _ZERO_RATIO * np.array([mx for _, mx in extremes])
+        polished = _polish(r.take(live), starts, 2.5 * r.cell_size, stop)[1].min(1)
+        for i, (mn, mx), low in zip(live, extremes, polished.tolist()):
+            mn = min(mn, low)
+            scores[i] = 0.0 if mn < _ZERO_RATIO * mx else mn / mx
+    return scores
 
 
 def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
@@ -544,6 +616,7 @@ class SearchReport:
     history: list
     trials: int
     evaluations: int
+    objective_groups: list  # per trial, the number of points of each objective call
 
     def results_payload(self) -> dict:
         """Deterministic results block: identical configs reproduce it
@@ -562,15 +635,22 @@ class SearchReport:
         }
 
 
+def _clipped(X: np.ndarray, bound: float) -> np.ndarray:
+    """The coefficients c_i = x[2i] + i x[2i+1] of each row x of X, those
+    with |c| > bound scaled to the bound: c * (bound / |c|), with |c| the
+    hypot and the product by the real factor formed as Python's complex
+    arithmetic forms it, signed zeros included, so the search's scores and
+    its best_modes read one rule."""
+    C = np.array(X, dtype=float).view(complex)
+    m = np.hypot(C.real, C.imag)
+    over = m > bound
+    a, b, f = C.real[over], C.imag[over], bound / m[over]
+    C.real[over], C.imag[over] = a * f - b * 0.0, a * 0.0 + b * f
+    return C
+
+
 def _decode_modes(x: np.ndarray, mode_list, bound: float, lattice) -> TrigPotential:
-    half = {}
-    for i, (j, k) in enumerate(mode_list):
-        c = complex(x[2 * i], x[2 * i + 1])
-        m = abs(c)
-        if m > bound:
-            c *= bound / m
-        half[(j, k)] = c
-    return TrigPotential.from_half_modes(lattice, half)
+    return TrigPotential.from_half_modes(lattice, dict(zip(mode_list, _clipped(x, bound).tolist())))
 
 
 class _BudgetSpent(Exception):
@@ -590,20 +670,29 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int):
     ``_minimize_neldermead`` with ``adaptive=True``, no bounds, no callback
     and no iteration limit (scipy 1.17): the same initial simplex, centroid,
     trial points, evaluation order and numpy sorts, whose order among equal
-    values decides the path when the objective ties.  An evaluation past
-    ``maxfev`` ends the step it belongs to, even inside the initial simplex
-    or a shrink; the simplex is sorted once more and the search stops.
-    func gets a copy of each point."""
+    values decides the path when the objective ties.
+
+    func scores a group of points at once: it gets a copy of a (g, N) array
+    and returns their g values, each the value of its point alone.  The
+    initial simplex and each shrink are one group, since their points do
+    not depend on each other's values; a reflection, expansion or
+    contraction is a group of one.  An evaluation past ``maxfev`` ends the
+    step it belongs to, even inside the initial simplex or a shrink: the
+    group is cut to the budget left, a shrink's vertex whose evaluation is
+    refused has moved and keeps its old value, and the simplex is sorted
+    once more and the search stops."""
     N = len(x0)
     chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
     calls = 0
 
-    def f(x):
+    def f(X):
+        """func on the rows of X the budget allows; _BudgetSpent if none."""
         nonlocal calls
-        if calls >= maxfev:
+        X = X[:maxfev - calls]
+        if not len(X):
             raise _BudgetSpent
-        calls += 1
-        return func(np.copy(x))
+        calls += len(X)
+        return func(np.copy(X))
 
     sim = np.empty((N + 1, N))
     sim[0] = x0
@@ -613,8 +702,8 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int):
         sim[k + 1] = y
     fsim = np.full(N + 1, np.inf)
     try:
-        for k in range(N + 1):
-            fsim[k] = f(sim[k])
+        values = f(sim)
+        fsim[:len(values)] = values
     except _BudgetSpent:
         pass
     # sorted twice, as scipy does: the sort is not stable, so the second
@@ -628,28 +717,29 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
+            fxr = f(xr[None])[0]
             if fxr < fsim[0]:
                 xe = (1 + chi) * xbar - chi * sim[-1]
-                fxe = f(xe)
+                fxe = f(xe[None])[0]
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
                     xc = (1 + psi) * xbar - psi * sim[-1]
-                    fxc = f(xc)
+                    fxc = f(xc[None])[0]
                     keep = fxc <= fxr
                 else:  # inside contraction
                     xc = (1 - psi) * xbar + psi * sim[-1]
-                    fxc = f(xc)
+                    fxc = f(xc[None])[0]
                     keep = fxc < fsim[-1]
                 if keep:
                     sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
+                else:  # the vertices the budget evaluates, and one more that moves
+                    moved = min(N, maxfev - calls + 1)
+                    sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
+                    values = f(sim[1:moved + 1])
+                    fsim[1:len(values) + 1] = values
         except _BudgetSpent:
             pass
         sim, fsim = _sorted(sim, fsim)
@@ -662,21 +752,23 @@ def torus_search(config: SearchConfig) -> SearchReport:
     Deterministic for a fixed config; a best objective of zero is a valid
     (and, so far, the expected) finding."""
     mode_list = config.mode_list()
-    dim = 2 * len(mode_list)
-    history = []
-    counter = [0]
+    half = np.array(mode_list).reshape(-1, 2)
+    jk = np.concatenate([half, -half])
+    history, groups = [], []
 
-    def neg_objective(x):
-        pot = _decode_modes(x, mode_list, config.coeff_bound, config.lattice)
-        val = min_modulus_objective(pot, config.grid_n)
-        history.append((counter[0], val))
-        counter[0] += 1
-        return -val
+    def neg_objective(X):
+        C = _clipped(X, config.coeff_bound)
+        values = min_modulus_objective(
+            _Stack(config.lattice, jk, np.concatenate([C, np.conj(C)], axis=1)), config.grid_n)
+        history.extend(enumerate(values.tolist(), start=len(history)))
+        groups[-1].append(len(values))
+        return -values
 
     best = None
     for trial in range(config.trials):
         rng = np.random.default_rng([config.seed, trial])
-        x0 = rng.uniform(-0.25, 0.25, dim)
+        x0 = rng.uniform(-0.25, 0.25, 2 * len(mode_list))
+        groups.append([])
         fun, x = _nelder_mead(neg_objective, x0, config.evaluations)
         cand = (-float(fun), -trial, x)
         if best is None or cand[:2] > best[:2]:
@@ -690,4 +782,4 @@ def torus_search(config: SearchConfig) -> SearchReport:
         seed=config.seed, grid_n=config.grid_n, best_modes=best_pot,
         objective=float(objective), objective_2x=float(obj2),
         resolution_ok=resolution_ok, history=history,
-        trials=config.trials, evaluations=config.evaluations)
+        trials=config.trials, evaluations=config.evaluations, objective_groups=groups)

@@ -17,6 +17,8 @@ from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 from umbilic.index import SPHERE_HARMONICS
 from umbilic.torussearch import TrigPotential
 
+from _oracles import benchmark_pool
+
 LAT = TorusLattice(1j)
 
 
@@ -490,6 +492,22 @@ class TestMainAndExitCodes:
             assert len(json.loads(ref)["records"]) == 12
         for C in (-400.0, -30.0, 14.0, 15.0, 20.0, 400.0):
             assert results(C) == ref, C
+
+    def test_search_reports_its_objective_groups(self, tmp_path, capsys):
+        # in diagnostics, not results: each pool search scores its initial
+        # simplex of 49 points and one shrink of 48 in one call each, around
+        # three single points, and 1,599 of its 1,600 values are 0
+        values = []
+        for jid, cfg in benchmark_pool("search").items():
+            assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert "objective_groups" not in report["results"]
+            if jid == "search/warmup":  # 10 evaluations: the simplex, cut
+                assert report["diagnostics"]["objective_groups"] == [[10]]
+                continue
+            assert report["diagnostics"]["objective_groups"] == [[49, 1, 1, 48, 1]]
+            values += [v for _, v in report["results"]["history"]]
+        assert len(values) == 1600 and [v for v in values if v] == [3.3797912795189796e-4]
 
     def test_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -72,3 +72,32 @@ def test_no_pair_or_an_existing_point_exits_1(tmp_path):
     out.write_text("{}")
     assert bench_trajectory.main([str(parent), str(change), str(out)]) == 1
     assert out.read_text() == "{}"
+
+
+_DIFF_SPEC = importlib.util.spec_from_file_location(
+    "results_diff", Path(__file__).resolve().parents[1] / "tools" / "results_diff.py")
+results_diff = importlib.util.module_from_spec(_DIFF_SPEC)
+_DIFF_SPEC.loader.exec_module(results_diff)
+
+
+def outcome(results, **diagnostics):
+    return {"status": 0, "escaped": None, "results": results, "config": {"operation": "x"},
+            "diagnostics": diagnostics, "error": None}
+
+
+def test_results_diff_lists_diagnostics_keys_of_one_tree_apart():
+    old = {"search/a": outcome({"v": 1.0}, uncertified=[]),
+           "search/b": outcome({"v": 2.0}, gone=1),
+           "umbilics/c": outcome({"v": 3.0}, dropped=[1]),
+           "umbilics/d": outcome({"v": 4.0})}
+    new = {"search/a": outcome({"v": 1.0}, uncertified=[], objective_groups=[[49, 1]]),
+           "search/b": outcome({"v": 2.0}, objective_groups=[[10]]),
+           "umbilics/c": outcome({"v": 3.5}, dropped=[2]),
+           "umbilics/d": outcome({"v": 4.0})}
+    report = results_diff.compare(old, new)
+    assert report["identical"] == 3 and report["differ"] == ["umbilics/c"]
+    assert report["diagnostics_mismatches"] == ["search/a", "search/b", "umbilics/c"]
+    assert report["diagnostics_keys_only_new"] == {"objective_groups": ["search/a", "search/b"]}
+    assert report["diagnostics_keys_only_old"] == {"gone": ["search/b"]}
+    assert report["diagnostics_changed"] == {"dropped": ["umbilics/c"]}
+    assert results_diff.compare(old, old)["diagnostics_keys_only_new"] == {}

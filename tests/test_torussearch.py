@@ -1,16 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbilic import torussearch
-from umbilic.cartan import cartan_r
+from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
-from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate
+from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
 from umbilic.field import PeriodicField, TorusLattice
 from umbilic.index import _polish
-from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
-                                 _certified_roots, _decode_modes, _line,
+from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
+                                 _certified_roots, _decode_modes, _line, _Stack,
                                  _lowest_separated_cells, _nelder_mead, _profile,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
@@ -137,11 +139,22 @@ class TestObjective:
         assert top == 0.0 or abs(o1 - o2) <= 0.1 * top
 
 
+def members(stack) -> list:
+    """The potentials min_modulus_objective scores given stack, a
+    TrigPotential or a stack of them."""
+    if isinstance(stack, TrigPotential):
+        return [stack]
+    keys = [tuple(jk) for jk in stack.jk.tolist()]
+    return [TrigPotential(stack.lattice, dict(zip(keys, row))) for row in stack.C]
+
+
 def full_polish_objective(u, n, zero_ratio=1e-9):
     """The objective recomputed with the reference start walk and a polish
     that runs every start to its end."""
     r = cartan_r(u.to_field(n), "p_form")
     A = np.abs(r.values)
+    if _is_degenerate(r.sup_norm()):
+        return 0.0
     starts = [u.lattice.st_to_z(i / n, j / n)
               for i, j in lowest_separated_cells_full(A, count=4, min_sep=4)]
     cell = (1.0 + abs(u.lattice.omega)) / n
@@ -173,7 +186,7 @@ class TestObjectiveStop:
         objective = torussearch.min_modulus_objective
 
         def recorded(u, grid_n, **kw):
-            seen.append(u)
+            seen.extend(members(u))
             return objective(u, grid_n, **kw)
 
         monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
@@ -208,6 +221,181 @@ class TestObjectiveStop:
                 for count, min_sep in ((4, 4), (3, 2), (6, 5)):
                     assert (_lowest_separated_cells(A, count, min_sep)
                             == lowest_separated_cells_full(A, count, min_sep))
+
+
+def stack_of(lattice, budget, rows) -> _Stack:
+    """The search's stack of the half-mode coefficient rows at mode budget
+    budget, the conjugate modes filled in."""
+    half = np.array(SearchConfig(lattice, mode_budget=budget).mode_list())
+    return _Stack(lattice, np.concatenate([half, -half]), np.concatenate([rows, np.conj(rows)], 1))
+
+
+def search_stacks(monkeypatch, cfg) -> list:
+    """The stacks the search with config cfg scores."""
+    seen = []
+    objective = torussearch.min_modulus_objective
+
+    def recorded(u, grid_n):
+        seen.append(u)
+        return objective(u, grid_n)
+
+    monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
+    torus_search(cfg)
+    monkeypatch.undo()
+    return seen[:-1]  # objective_2x last
+
+
+class TestStackedObjective:
+    """A stack's scores are its members' scores alone, bit for bit: alone in a
+    stack of one, and alone on the plain-field path of full_polish_objective.
+    Most scores are 0, so the stacked P forms and polishes the objective
+    runs are held, member by member, to the plain-field ones bit for bit."""
+
+    @staticmethod
+    def assert_scores_alone(stack, n):
+        seen = {"cartan_r": [], "_polish": []}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, calls in seen.items():
+                def recorded(*args, _run=getattr(torussearch, name), _calls=calls):
+                    out = _run(*args)
+                    _calls.append((args, out))
+                    return out
+                mp.setattr(torussearch, name, recorded)
+            got = min_modulus_objective(stack, n).tolist()
+        for (u, form), r in seen["cartan_r"]:
+            for i in range(len(u._block)):
+                assert np.array_equal(r.take(i)._block, cartan_r(u.take(i), form)._block)
+        for (r, starts, reach, stop), (z, best) in seen["_polish"]:
+            for i in range(len(starts)):
+                alone = _polish(r.take(i), starts[i], reach, stop[i])
+                assert np.array_equal(alone[0], z[i]) and np.array_equal(alone[1], best[i])
+        alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
+                 for i in range(len(stack.C))]
+        assert got == alone == [full_polish_objective(u, n) for u in members(stack)]
+        return got
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), budget=st.integers(1, 3),
+           amplitude=st.sampled_from([0.25, 0.75]), n=st.sampled_from([64, 96]))
+    def test_members_score_as_alone(self, seed, budget, amplitude, n):
+        # coefficients up to 3x the search's starts, clipped at 0.3; a
+        # constant potential in the middle and a member of a smaller band,
+        # each scored in a pass of its own band
+        rng = np.random.default_rng(seed)
+        lattice = (LAT, LAT_GEN)[seed % 2]
+        half = SearchConfig(lattice, mode_budget=budget).mode_list()
+        rows = _clipped(rng.uniform(-amplitude, amplitude, (9, 2 * len(half))), 0.3)
+        rows[4] = 0.0
+        rows[6, [max(abs(j), abs(k)) == budget for j, k in half]] = 0.0
+        scores = self.assert_scores_alone(stack_of(lattice, budget, rows), n)
+        assert scores[4] == 0.0
+
+    def test_pinned_member_in_a_stack(self, monkeypatch):
+        # the one nonzero value of the 16 pool searches, among random members
+        stack = search_stacks(monkeypatch, SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
+                                                        grid_n=96, mode_budget=3))[0]
+        rows = _clipped(np.random.default_rng(4).uniform(-0.25, 0.25, (7, stack.C.shape[1])), 1.0)
+        rows[3] = stack.C[4, :24]
+        stack = stack_of(LAT_GEN, 3, rows)
+        assert self.assert_scores_alone(stack, 96)[3] == 3.3797912795189796e-4
+
+    def test_full_band_invariant(self):
+        # band 11 on n = 64: r's band 33 is cut to n/2, the Nyquist bins fold
+        # and the polish reads the interpolant at full band, for every member
+        rng = np.random.default_rng(11)
+        half = SearchConfig(LAT_GEN, mode_budget=11, grid_n=64).mode_list()
+        outer = np.array([max(abs(j), abs(k)) >= 11 for j, k in half])
+        rows = _clipped(rng.uniform(-0.05, 0.05, (5, 2 * len(half))), 1.0)
+        rows[:, outer] *= 1e-5  # the potential's modes >= n/6 pass the tail check
+        stack = stack_of(LAT_GEN, 11, rows)
+        assert cartan_r(members(stack)[0].to_field(64), "p_form")._band() == 32
+        self.assert_scores_alone(stack, 64)
+
+    def test_polish_of_a_stack_is_each_members_own(self, monkeypatch):
+        # a full polish (stop 0) of r for potentials of bands 3 and 2: starts
+        # die at different steps, so members part into groups by their count
+        # of live starts, and each member's iterates are its own alone
+        rng = np.random.default_rng(7)
+        rs = []
+        for budget in (3, 2, 3, 3, 2, 3):
+            half = SearchConfig(LAT_GEN, mode_budget=budget).mode_list()
+            rows = _clipped(rng.uniform(-0.2, 0.2, (1, 2 * len(half))), 1.0)
+            rs.append(cartan_r(members(stack_of(LAT_GEN, budget, rows))[0].to_field(64), "p_form"))
+        L = max(len(r._block) for r in rs)
+        stack = PeriodicField._from_block(LAT_GEN, 64, np.stack(
+            [np.pad(r._block, (L - len(r._block)) // 2) for r in rs]), True)
+        starts = LAT_GEN.st_to_z(*rng.random((2, len(rs), 4)))
+        sizes = []
+        jet = PeriodicField.jet_at
+
+        def counted(self, z):
+            sizes.append(np.shape(z))
+            return jet(self, z)
+
+        monkeypatch.setattr(PeriodicField, "jet_at", counted)
+        z, best = _polish(stack, starts, 0.3, 0.0)
+        assert len({c for _, c in sizes}) > 2  # the members parted
+        for i, r in enumerate(rs):
+            alone = _polish(r, starts[i], 0.3, 0.0)
+            assert np.array_equal(alone[0], z[i]) and np.array_equal(alone[1], best[i])
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["r-first", "placement-first"])
+    def test_first_failing_member_raises_its_own_error(self, order):
+        # one pass scores all three members at band 1: one's Pu leaves the
+        # float range and another's coefficient does when placed.  The stack
+        # raises the error of the first of them, as points scored one at a
+        # time would, though a pass places its members before any P form
+        rows = _clipped(np.random.default_rng(2).uniform(-0.25, 0.25, (3, 8)), 1.0)
+        overflow_r, overflow_placed = order
+        rows[overflow_r, 0], rows[overflow_placed, 0] = 1e120, 1e305
+        stack = stack_of(LAT, 1, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError) as alone:
+                min_modulus_objective(stack._replace(C=stack.C[1:2]), 64)
+            with pytest.raises(DomainError) as stacked:
+                min_modulus_objective(stack, 64)
+        assert ("Pu leaves" in str(alone.value)) == (order == (1, 2))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_clip_is_pythons_complex_arithmetic(self):
+        # |c| by hypot and c * (bound / |c|) as Python forms them, bit for bit
+        # and with the sign of every zero
+        rng = np.random.default_rng(3)
+        values = [0.0, -0.0, 1e-320, -1e-320, 1e-300, 0.3, -0.7, 2.5, -1e8, 1e300]
+        X = np.concatenate([rng.choice(values, (40, 12)), rng.normal(0.0, 2.0, (40, 12))])
+        for bound in (1.0, 0.3, 1e-300, 1e-320, 1e300):
+            got = _clipped(X, bound)
+            for x, row in zip(X, got):
+                ref = []
+                for a, b in zip(x[0::2].tolist(), x[1::2].tolist()):
+                    c = complex(a, b)
+                    ref.append(c * (bound / abs(c)) if abs(c) > bound else c)
+                ref = np.array(ref)
+                assert ref.tobytes() == row.tobytes()
+        # best_modes reads the same rule
+        half = SearchConfig(LAT, mode_budget=1).mode_list()
+        pot = _decode_modes(X[0, :8], half, 0.3, LAT)
+        assert [pot.modes[jk] for jk in half] == _clipped(X[0, :8], 0.3).tolist()
+
+    def test_a_group_lifts_within_the_stack_budget(self):
+        # mode budget 15 on n = 96: each member's P form lifts onto 96 x 96,
+        # so a 48-point group runs 48 passes of one member each, and peaks
+        # within _STACK_BYTES of one evaluation's peak
+        half = SearchConfig(LAT, mode_budget=15).mode_list()
+        rows = _clipped(np.random.default_rng(15).uniform(-0.01, 0.01, (48, 2 * len(half))), 1.0)
+        stack = stack_of(LAT, 15, rows)
+        one = stack._replace(C=stack.C[:1])
+        min_modulus_objective(one, 96)
+        tracemalloc.start()
+        try:
+            min_modulus_objective(one, 96)
+            single = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            min_modulus_objective(stack, 96)
+            group = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group <= 512 * 1024 + single
 
 
 class TestObstruction:
@@ -516,19 +704,30 @@ def _staircase(x):
     return float(np.floor(8 * x).sum() + (x ** 2).sum())
 
 
+def rowwise(f):
+    """The stacked signature of _nelder_mead's objective: f on each row."""
+    return lambda X: np.array([f(x) for x in X])
+
+
+def one_point_per_call(func, x0, maxfev):
+    """scipy's Nelder-Mead driving the stacked objective func one point per
+    call."""
+    return scipy_nelder_mead(lambda x: func(x[None])[0], x0, maxfev)
+
+
 # (objective, x0, maxfev); every case was checked to reach the path it names
 NELDER_MEAD_CASES = {
     # 199 of the 200 values are 0, as in the search: ties decide the sorts
-    "flat": (lambda x: -max(0.0, 1e-4 - abs(float(x[0]) - 0.2625)),
+    "flat": (rowwise(lambda x: -max(0.0, 1e-4 - abs(float(x[0]) - 0.2625))),
              np.linspace(0.25, -0.25, 6), 200),
-    "budget_in_initial_simplex": (_staircase, np.linspace(-0.2, 0.2, 8), 5),
+    "budget_in_initial_simplex": (rowwise(_staircase), np.linspace(-0.2, 0.2, 8), 5),
     # the 47th evaluation is the third of a four-point shrink
-    "budget_in_shrink": (_staircase, np.linspace(-0.2, 0.2, 4), 47),
-    "zero_entries": (_staircase, np.array([0.0, 0.1, 0.0, -0.2, 0.0]), 120),
-    "converges": (lambda x: float(((x - 0.1) ** 2).sum()), np.array([0.2, -0.1]), 2000),
-    "N1": (lambda x: float(np.cos(9 * x[0])), np.array([0.05]), 25),
+    "budget_in_shrink": (rowwise(_staircase), np.linspace(-0.2, 0.2, 4), 47),
+    "zero_entries": (rowwise(_staircase), np.array([0.0, 0.1, 0.0, -0.2, 0.0]), 120),
+    "converges": (rowwise(lambda x: float(((x - 0.1) ** 2).sum())), np.array([0.2, -0.1]), 2000),
+    "N1": (rowwise(lambda x: float(np.cos(9 * x[0]))), np.array([0.05]), 25),
     # the search's dimension at mode budget 3
-    "N48": (lambda x: -float(np.sin(3 * x).sum() - 9), np.random.default_rng(5).uniform(
+    "N48": (rowwise(lambda x: -float(np.sin(3 * x).sum() - 9)), np.random.default_rng(5).uniform(
         -0.25, 0.25, 48), 400),
 }
 
@@ -536,23 +735,32 @@ NELDER_MEAD_CASES = {
 @pytest.mark.parametrize("case", NELDER_MEAD_CASES)
 def test_nelder_mead_matches_scipy(case):
     func, x0, maxfev = NELDER_MEAD_CASES[case]
-    calls = []
+    groups = []
 
-    def counted(x):
-        calls.append(None)
-        return func(x)
+    def counted(X):
+        groups.append(len(X))
+        return func(X)
 
     fun, x = _nelder_mead(counted, x0, maxfev)
-    ref_fun, ref_x = scipy_nelder_mead(func, x0, maxfev)
+    ref_fun, ref_x = one_point_per_call(func, x0, maxfev)
     assert fun == ref_fun
     assert np.array_equal(x, ref_x)
+    # the initial simplex is one group, cut to the budget
+    assert groups[0] == min(len(x0) + 1, maxfev)
     # the tolerance stop ends "converges" before the budget; the rest spend it
-    assert (len(calls) < maxfev) == (case == "converges")
+    assert (sum(groups) < maxfev) == (case == "converges")
 
 
+@pytest.mark.parametrize("evaluations, groups", [(100, [49, 1, 1, 48, 1]), (30, [30]),
+                                                 (75, [49, 1, 1, 24])],
+                         ids=["full", "budget_in_initial_simplex", "budget_in_shrink"])
 @pytest.mark.parametrize("lattice, seed", [(LAT, 0), (LAT_GEN, 1)], ids=["square", "oblique"])
-def test_search_matches_the_scipy_driven_search(monkeypatch, lattice, seed):
-    cfg = SearchConfig(lattice=lattice, trials=1, evaluations=100, seed=seed, grid_n=96)
-    own = torus_search(cfg).results_payload()
-    monkeypatch.setattr(torussearch, "_nelder_mead", scipy_nelder_mead)
-    assert torus_search(cfg).results_payload() == own
+def test_search_matches_the_scipy_driven_search(monkeypatch, lattice, seed, evaluations, groups):
+    # at 75 the shrink's 25th vertex has moved when the budget refuses it
+    cfg = SearchConfig(lattice=lattice, trials=1, evaluations=evaluations, seed=seed, grid_n=96)
+    own = torus_search(cfg)
+    assert own.objective_groups == [groups]
+    monkeypatch.setattr(torussearch, "_nelder_mead", one_point_per_call)
+    ref = torus_search(cfg)
+    assert ref.results_payload() == own.results_payload()
+    assert ref.objective_groups == [[1] * evaluations]

@@ -14,6 +14,10 @@ drift over the numeric leaves of the ``results`` blocks that differ, each
 with its leaf (a rounding-level change on a tiny residual shows a large
 relative drift and a tiny absolute one), and ``differ``, the sorted job
 ids whose results are not byte-identical (an outcome mismatch included).
+``diagnostics_keys_only_old`` and ``diagnostics_keys_only_new`` map each
+diagnostics key present in one tree alone to the job ids that have it,
+apart from ``diagnostics_changed``, the keys of both trees whose values
+differ, so a change that only adds keys reads as such.
 ``per_operation`` repeats the counts, drifts and ``differ`` for each
 operation (the job-id prefix), so a change that moves every search result
 does not hide the drift of the others.  The exit status is 0 when every
@@ -111,11 +115,30 @@ def main(argv=None) -> int:
             return 2
         old, new = (json.loads(out.read_text()) for out in outs)
 
+    report = compare(old, new)
+    print(json.dumps(report, indent=1))
+    return 0 if (report["identical"] == len(old) and not report["config_mismatches"]
+                 and not report["diagnostics_mismatches"]) else 1
+
+
+def compare(old: dict, new: dict) -> dict:
+    """The report of main on the outcomes of two trees, {job id: outcome}
+    as ``run_tree`` writes them."""
     mismatches = []
     echo_mismatches, diagnostics_mismatches = (
         [jid for jid in sorted(old) if json.dumps(old[jid][key], sort_keys=True)
          != json.dumps(new[jid][key], sort_keys=True)]
         for key in ("config", "diagnostics"))
+    only_old, only_new, changed = {}, {}, {}
+    for jid in diagnostics_mismatches:
+        a, b = old[jid]["diagnostics"], new[jid]["diagnostics"]
+        for key in sorted(a.keys() | b.keys()):
+            if key not in b:
+                only_old.setdefault(key, []).append(jid)
+            elif key not in a:
+                only_new.setdefault(key, []).append(jid)
+            elif json.dumps(a[key], sort_keys=True) != json.dumps(b[key], sort_keys=True):
+                changed.setdefault(key, []).append(jid)
     # one tally for all configs, one per operation (the job-id prefix)
     tallies = {"all": _tally()}
     for jid in sorted(old):
@@ -140,17 +163,17 @@ def main(argv=None) -> int:
     failed = {jid: f"exit {o['status']} {o['error']}" for jid, o in sorted(old.items())
               if o["status"] != 0}
     total = _report(tallies.pop("all"))
-    print(json.dumps({**total,
-                      "outcome_mismatches": mismatches,
-                      "config_identical": len(old) - len(echo_mismatches),
-                      "config_mismatches": echo_mismatches,
-                      "diagnostics_identical": len(old) - len(diagnostics_mismatches),
-                      "diagnostics_mismatches": diagnostics_mismatches,
-                      "nonzero_exits_old": failed,
-                      "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}},
-                     indent=1))
-    return 0 if (total["identical"] == len(old)
-                 and not echo_mismatches and not diagnostics_mismatches) else 1
+    return {**total,
+            "outcome_mismatches": mismatches,
+            "config_identical": len(old) - len(echo_mismatches),
+            "config_mismatches": echo_mismatches,
+            "diagnostics_identical": len(old) - len(diagnostics_mismatches),
+            "diagnostics_mismatches": diagnostics_mismatches,
+            "diagnostics_keys_only_old": only_old,
+            "diagnostics_keys_only_new": only_new,
+            "diagnostics_changed": changed,
+            "nonzero_exits_old": failed,
+            "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}}
 
 
 def _tally():
