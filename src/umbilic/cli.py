@@ -56,14 +56,14 @@ resolution used; the clusters of winding 0 that umbilics and ph-audit
 dropped, and how many of their index cross-checks ran or were skipped, by
 reason; the profile roots that obstruction could not certify as zero
 curves (uncertified_roots); the number of points of each call a search made
-to its objective, per trial (objective_groups).  An obstruction's results give the line of its
-zero curves, curve_line [j0, k0], and their sorted offsets theta_i in
-[0, 1) (curve_offsets): curve i is j0 s + k0 t = theta_i.  Both come from
-the potential's modes alone, so they do not depend on grid_n; the
-residuals and identity checks are sampled on the grid.  A failed index audit is
-still a completed computation (exit 0, failure recorded in the report);
-configuration and numerical faults exit nonzero with a machine-readable
-error object:
+to its objective, per trial (objective_groups).  An obstruction's results
+give the line of its zero curves, curve_line [j0, k0], and their sorted
+offsets theta_i in [0, 1) (curve_offsets): curve i is j0 s + k0 t = theta_i.
+Both come from the potential's modes alone, so they do not depend on
+grid_n; the residuals and identity checks are sampled on the grid.  A failed
+index audit is still a completed computation (exit 0, failure recorded in
+the report); configuration and numerical faults exit nonzero with a
+machine-readable error object:
 
     exit 2  configuration invalid, or an output path cannot be written
     exit 3  metric not strictly pseudoconvex

@@ -192,8 +192,8 @@ def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of the trigonometric interpolant on the frequencies of
     the block B: B / n^2, at full band on -n/2 .. n/2 with the Nyquist row
     and column split evenly between -n/2 and n/2 (axis 0 first); of each
-    block of a stack alike.  The product with 1 / n^2 is bit for bit numpy's complex division by n^2, at
-    a fraction of its cost."""
+    block of a stack alike.  The product with 1 / n^2 is bit for bit
+    numpy's complex division by n^2, at a fraction of its cost."""
     if B.shape[-1] < n:
         return B * (1.0 / (n * n))
     E = np.empty((*B.shape[:-2], n + 1, n + 1), dtype=complex)

@@ -752,7 +752,7 @@ def torus_search(config: SearchConfig) -> SearchReport:
     Deterministic for a fixed config; a best objective of zero is a valid
     (and, so far, the expected) finding."""
     mode_list = config.mode_list()
-    half = np.array(mode_list).reshape(-1, 2)
+    half = np.array(mode_list)
     jk = np.concatenate([half, -half])
     history, groups = [], []
 

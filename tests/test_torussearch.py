@@ -751,12 +751,19 @@ def test_nelder_mead_matches_scipy(case):
     assert (sum(groups) < maxfev) == (case == "converges")
 
 
-@pytest.mark.parametrize("evaluations, groups", [(100, [49, 1, 1, 48, 1]), (30, [30]),
-                                                 (75, [49, 1, 1, 24])],
-                         ids=["full", "budget_in_initial_simplex", "budget_in_shrink"])
-@pytest.mark.parametrize("lattice, seed", [(LAT, 0), (LAT_GEN, 1)], ids=["square", "oblique"])
-def test_search_matches_the_scipy_driven_search(monkeypatch, lattice, seed, evaluations, groups):
-    # at 75 the shrink's 25th vertex has moved when the budget refuses it
+# (lattice, seed, evaluations, objective groups); at 75 evaluations the
+# shrink's 25th vertex has moved when the budget refuses it
+SCIPY_DRIVEN_SEARCHES = {
+    f"{name}{suffix}": (lattice, seed, evaluations, groups)
+    for name, lattice, seed in (("square", LAT, 0), ("oblique", LAT_GEN, 1))
+    for suffix, evaluations, groups in (("", 100, [49, 1, 1, 48, 1]),
+                                        ("-budget_in_initial_simplex", 30, [30]),
+                                        ("-budget_in_shrink", 75, [49, 1, 1, 24]))}
+
+
+@pytest.mark.parametrize("case", SCIPY_DRIVEN_SEARCHES)
+def test_search_matches_the_scipy_driven_search(monkeypatch, case):
+    lattice, seed, evaluations, groups = SCIPY_DRIVEN_SEARCHES[case]
     cfg = SearchConfig(lattice=lattice, trials=1, evaluations=evaluations, seed=seed, grid_n=96)
     own = torus_search(cfg)
     assert own.objective_groups == [groups]
