@@ -304,11 +304,12 @@ def build_torus_potential(metric: dict, lattice: TorusLattice, grid_n: int) -> T
         pot = TrigPotential.from_half_modes(lattice, _modes(_section(metric, "modes")))
     else:
         _require(isinstance(metric["samples"], str), "metric samples must be a file path")
-        # tabulated samples: recover band-limited modes from a dumped grid
+        # tabulated samples: recover band-limited modes from a dumped grid's
+        # one spectrum (centred and denoised), its Nyquist row and column dropped
         field = load_grid(metric["samples"], lattice)
         n = field.n
         f = np.arange(-(n // 2) + 1, n // 2)
-        C = (np.fft.fft2(field.values) / n ** 2)[np.ix_(f % n, f % n)]
+        C = field._spectral_block()[1:, 1:] / n ** 2
         jj, kk = np.nonzero(np.abs(C) > 1e-12)  # row major: j, then k
         pot = TrigPotential(lattice, {(int(f[j]), int(f[k])): complex(C[j, k])
                                       for j, k in zip(jj, kk)})

@@ -12,6 +12,9 @@ Two grid-backed representations live here:
   Derivatives, products and off-grid evaluation are sized to it.  Such a
   field is spectrum first: its samples form on first read, so a chain of
   derivatives and products transforms back only the samples someone reads.
+  A field built from samples has one spectrum as well, formed once on
+  first use (:meth:`PeriodicField._spectral_block`), and its derivatives,
+  products, evaluation and resolution checks all read it.
 * :class:`ChartGrid` holds samples on a square coordinate chart, is
   differentiated with 8th-order finite differences and is evaluated off
   the grid through its not-a-knot bicubic spline.
@@ -22,8 +25,9 @@ max(|j|, |k|) >= n/3 carry more than 1e-6 of its energy.  Chart
 derivatives run no check.  Products are truncated to n/2 unchecked, so
 :func:`umbilic.cartan.cartan_r`, whose cubic products have band 3b for a
 potential of band b, checks the potential's modes >= n/6 the same way.
-Only samples are denoised (see _DENOISE_FACTOR): a potential's chain of
-kept spectra is exact, and invariant under u -> u + C bit for bit.
+Only the spectrum of samples is denoised (see _DENOISE_FACTOR): a
+potential's chain of kept spectra is exact, and invariant under
+u -> u + C bit for bit.
 
 Both share their pointwise sample arithmetic (sums, scalings, exp, log)
 through one private base class; they differ only in derivatives,
@@ -75,11 +79,12 @@ _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 
 # The fft2 bins of a field's own samples below _DENOISE_FACTOR * n * eps * sup|f|
 # are indistinguishable from sample rounding (an FFT spreads per-sample noise of
-# size eps * sup into bins of size ~ n * eps * sup) and are zeroed before the
-# samples are differentiated.  Without this, the fourth-order operator
-# amplifies the rounding floor by ~1e10 and exact identities such as
-# constant-shift invariance drown in noise.  A kept spectrum carries no sample
-# rounding and is differentiated as it is.
+# size eps * sup into bins of size ~ n * eps * sup) and are zeroed where the
+# spectrum of the samples is formed (PeriodicField._spectral_block), so every
+# derivative, product and evaluation reads them zeroed.  Without this, the
+# fourth-order operator amplifies the rounding floor by ~1e10 and exact
+# identities such as constant-shift invariance drown in noise.  A kept
+# spectrum carries no sample rounding and is read as it is.
 _DENOISE_FACTOR = 16.0
 
 
@@ -377,10 +382,10 @@ class PeriodicField(_SampledField):
     Nyquist bins whole; the product lift and evaluation split them where
     they form the interpolant's coefficients.  The block sizes the
     derivative's arithmetic, the lift of a product and the rows of an
-    evaluation.  A field built from samples counts as band n/2; the first
-    product or evaluation that needs its spectrum stores the fft2 of the
-    samples as its block, and its derivatives transform the centred samples
-    (see :meth:`derivative`).
+    evaluation.  A field built from samples keeps an n x n block, so it
+    counts as band n/2: the one spectrum :meth:`_spectral_block` forms from
+    its samples, centred and denoised, on the first derivative, product,
+    evaluation or resolution check that needs it; all of them read it.
 
     When samples exist: a field built from samples has them at once; one
     that keeps its spectrum computes ``ifft2`` of its block, zero-filled to
@@ -401,8 +406,7 @@ class PeriodicField(_SampledField):
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
         super().__init__(values, real_tag)
         self.lattice = lattice
-        self._block = None  # the centred spectrum (see the class docstring)
-        self._kept = False  # the samples come from _block (else _block, once set, is their fft2)
+        self._block = None  # the centred spectrum, formed on first use (see _spectral_block)
         self._coeffs = None  # the interpolant's coefficients, formed by the first evaluation
 
     @property
@@ -436,20 +440,31 @@ class PeriodicField(_SampledField):
         out = cls.__new__(cls)
         out.lattice, out.n, out.real_tag = lattice, n, bool(real_tag)
         out._values, out._coeffs = None, None
-        out._block, out._kept = _cut_to_band(B), True
+        out._block = _cut_to_band(B)
         return out
 
     def _spectral_block(self) -> np.ndarray:
-        """The block; a field built from samples stores the fft2 of its
-        samples on first use."""
+        """The block.  A field built from samples forms its only spectrum
+        here, on first use: the fft2 of its samples centred on their mean,
+        with the bins below the sample rounding floor 16 n eps sup|f| zeroed
+        (see _DENOISE_FACTOR) and the samples' sum in the constant bin.
+        Centring is a no-op but for rounding: the transform's rounding
+        stays at the scale of the oscillation, not of the mean, so the bins
+        other than the constant one are invariant under constant shifts down
+        to the floor."""
         if self._block is None:
-            self._block = _centred_fft2(self.values)
+            v, n = self.values, self.n
+            B = _centred_fft2(v - complex(v.mean()))
+            B[np.abs(B) < _DENOISE_FACTOR * n * np.finfo(float).eps * self.sup_norm()] = 0.0
+            B[n // 2, n // 2] = v.sum()
+            self._block = B
         return self._block
 
     def _band(self) -> int:
-        """The largest |k| on either axis with a nonzero bin of the kept
-        spectrum; a field built from samples counts as n/2."""
-        return self.n // 2 if self._block is None else self._block.shape[-1] // 2
+        """The largest |k| on either axis with a nonzero bin of a kept
+        spectrum: its block's size.  A field built from samples keeps its
+        n x n block, so it counts as n/2."""
+        return self._spectral_block().shape[-1] // 2
 
     def take(self, members) -> "PeriodicField":
         """Member i of a stack (an int), or the stack of the members listed,
@@ -505,32 +520,23 @@ class PeriodicField(_SampledField):
 
         The ambiguous Nyquist bin is annihilated; fields passing the tail
         check carry no meaningful energy in it.  The multipliers act on the
-        block of the field's band, and the result keeps its own block.  A
-        kept spectrum (from ``to_field``, a derivative or a product) is read
-        as it is, with its DC entry zeroed, and its samples are never read.
-        A field built from samples transforms them, and after the tail
-        check the bins below the sample rounding floor 16 n eps sup|f| are
-        zeroed (see _DENOISE_FACTOR).
+        field's one spectrum (:meth:`_spectral_block`), with its constant
+        bin zeroed, and the result keeps its own block.  A kept spectrum
+        (from ``to_field``, a derivative or a product) is read as it is, and
+        its samples are never read; a field built from samples reads the
+        denoised transform it formed once, whatever the number of its
+        derivatives, products and evaluations.
         """
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
         n = self.n
-        if self._kept:
-            B = self._block.copy()
-            B[..., B.shape[-1] // 2, B.shape[-1] // 2] = 0.0
-        else:
-            # Centering before the transform is a mathematical no-op (the DC
-            # multiplier is zero) but keeps the FFT's internal rounding at the
-            # oscillation scale rather than the mean scale, so derivatives are
-            # invariant under constant shifts down to the denoise floor.
-            B = _centred_fft2(self.values - complex(self.values.mean()))
+        B = self._spectral_block().copy()
+        B[..., B.shape[-1] // 2, B.shape[-1] // 2] = 0.0
         frac = _tail_energy_fraction(B, n)
         if frac > _TAIL_TOL:
             raise UnderResolved(
                 f"spectral tail carries {frac:.3e} of total energy "
                 f"(tolerance {_TAIL_TOL:.1e}) on an n={n} grid")
-        if not self._kept:
-            B[np.abs(B) < _DENOISE_FACTOR * n * np.finfo(float).eps * self.sup_norm()] = 0.0
         k = _freqs(B)
         mult = 2j * np.pi * k
         mult[k == -(n // 2)] = 0.0

@@ -58,7 +58,7 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r, spherical_test
 from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
-from .field import ChartGrid, PeriodicField
+from .field import ChartGrid, PeriodicField, _bands
 
 __all__ = [
     "UmbilicRecord",
@@ -515,7 +515,7 @@ def _polish(f, starts, max_move, stop=0.0):
     reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape).reshape(-1)
     stop = np.asarray(stop, dtype=float).reshape(-1, 1)
     z0 = z0.reshape(-1)
-    band = None if one else np.array([f.take(i)._band() for i in range(k)])
+    band = None if one else _bands(f._block)
 
     def jet(points, at):
         """f, D f and Dbar f at points, the iterates of the starts at."""
@@ -539,8 +539,6 @@ def _polish(f, starts, max_move, stop=0.0):
     for _ in range(64):
         hit = best.reshape(k, p) < stop
         if hit.any():  # a member with a start below its stop is done
-            if one:
-                break
             live = live[~hit.any(1)[live // p]]
         step = np.abs(dz[live])
         live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]

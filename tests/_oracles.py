@@ -27,7 +27,9 @@ the bitwise reference for the obstruction's, which sums into zeroed arrays.  FIT
 numpy spline, and scipy's adaptive Nelder-Mead (``minimize``) the one for
 the search's own.  :func:`direct_r` is the referee for r = Pu itself: the
 P form of a trigonometric potential at any point by direct mode sums, with
-no grid, transform or field class.
+no grid, transform or field class.  The seeded configs of the CLI's
+exit-contract fuzz (:func:`fuzz_jobs`) live here too, so that the fuzz
+tests and ``tools/results_diff.py`` run the same ones.
 """
 
 import importlib.util
@@ -39,6 +41,7 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.optimize import minimize
 
 from umbilic.field import PeriodicField, TorusLattice, product
+from umbilic.index import SPHERE_HARMONICS
 
 
 def periodic_from_function(lattice: TorusLattice, n: int, fn,
@@ -148,9 +151,9 @@ def product_2n(terms) -> np.ndarray:
     """Samples of sum_k c_k f_k1 f_k2 ... with every operand lifted onto the
     2n grid, its Nyquist bins split, the monomials summed there, one
     transform back and the +-n/2 bins folded: the doubled-grid product
-    whatever the operands' bands.  Operands are read through the fft2 of
-    their samples, in the same order of operations as the library's
-    full-band lift."""
+    whatever the operands' bands.  Operands are read through the spectrum
+    of their samples (:func:`sampled_spectrum`), in the same order of
+    operations as the library's full-band lift."""
     n = terms[0][1][0].n
     m = 2 * n
     g = np.arange(-(n // 2), n // 2 + 1) % m
@@ -159,7 +162,7 @@ def product_2n(terms) -> np.ndarray:
         term = None
         for f in fs:
             P = np.zeros((m, m), dtype=complex)
-            P[np.ix_(g, g)] = _split_nyquist(np.fft.fftshift(_sample_fft(f)) / (n * n))
+            P[np.ix_(g, g)] = _split_nyquist(np.fft.fftshift(sampled_spectrum(f)) / (n * n))
             x = np.fft.ifft2(P, norm="forward")
             term = np.multiply(x, c) if term is None else term * x
         acc = term if acc is None else acc + term
@@ -190,6 +193,67 @@ def benchmark_pool(workload: str) -> dict:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return dict(sorted(workloads.pool(workload).items()))
+
+
+# entries of the numerical fuzz: zero, subnormal, tiny, moderate and
+# near-overflow magnitudes of both signs
+FUZZ_NUMBERS = [0.0] + [sign * v for v in (1e-320, 1e-300, 1e-160, 1e-12, 0.5, 1.0, 3.0, 30.0,
+                                           300.0, 1e8, 1e150, 1e300) for sign in (1.0, -1.0)]
+FUZZ_OPERATIONS = ("obstruction", "search", "invariant", "umbilics", "loewner")
+
+
+def numeric_fuzz_config(rng, op):
+    """A config of operation op that parses but whose numbers come from
+    FUZZ_NUMBERS, on a 64 x 64 torus grid."""
+    def x():
+        return FUZZ_NUMBERS[rng.integers(len(FUZZ_NUMBERS))]
+
+    def pair():
+        return [x(), x()]
+
+    cfg = {"surface": {"kind": "torus", "omega": pair()}, "metric": {"builtin": "constant"},
+           "numeric": {"grid_n": 64}}
+    if op == "obstruction":
+        # modes on the line (0, k), which d/dx annihilates on every lattice
+        cfg["metric"] = {"modes": {"0,1": pair(), "0,2": pair()}}
+        cfg["obstruction"] = {"direction": [x(), 0.0] if rng.random() < 0.75 else pair()}
+    elif op == "search":
+        cfg["search"] = {"mode_budget": 1, "trials": 1, "evaluations": 3,
+                         "coeff_bound": abs(x()) or 1.0}
+    elif op == "loewner":
+        cfg["loewner"] = {"g": {"coeffs": {"0,1": pair(), "2,1": pair(), "1,2": pair()}},
+                          "order": 6, "normalization": {"f_diag": [x()], "phi_diag": [x()]}}
+    else:
+        cfg["metric"] = {"modes": {"1,0": pair(), "0,1": pair(), "1,1": pair()}}
+    return cfg
+
+
+def sphere_fuzz_config(rng):
+    """A sphere config that parses but whose numbers come from FUZZ_NUMBERS:
+    the degree is the integer part of one's magnitude (at least 1), and 0-3
+    harmonics take their epsilons from it; grid_n 64."""
+    def x():
+        return FUZZ_NUMBERS[rng.integers(len(FUZZ_NUMBERS))]
+
+    names = sorted(SPHERE_HARMONICS)
+    perts = [{"harmonic": names[rng.integers(len(names))], "epsilon": x()}
+             for _ in range(rng.integers(4))]
+    return {"surface": {"kind": "sphere", "degree": int(abs(x())) or 1, "perturbations": perts},
+            "metric": {"builtin": "fs"}, "numeric": {"grid_n": 64}}
+
+
+def fuzz_jobs():
+    """The seeded configs of the exit-contract fuzz, as (kind, operation,
+    config): 200 "torus" ones (torus operations and ``loewner``) from seed
+    0, the operations of FUZZ_OPERATIONS in turn, then 90 "sphere" ones
+    from seed 1."""
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        op = FUZZ_OPERATIONS[i % len(FUZZ_OPERATIONS)]
+        yield "torus", op, numeric_fuzz_config(rng, op)
+    rng = np.random.default_rng(1)
+    for i in range(90):
+        yield "sphere", ("invariant", "umbilics", "ph-audit")[i % 3], sphere_fuzz_config(rng)
 
 
 def random_half_modes(seed: int, budget: int = 2, scale: float = 1.0) -> dict:
@@ -345,9 +409,17 @@ def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:
     return {kl: c for kl, c in out.items() if c != 0}
 
 
-def _sample_fft(f) -> np.ndarray:
-    """fft2 of the samples of f; real-tagged ones transform their real parts."""
-    return np.fft.fft2(f.values.real if f.real_tag else f.values)
+def sampled_spectrum(f) -> np.ndarray:
+    """The one fft2 spectrum of the samples of f: the transform of the
+    samples centred on their mean (of their real parts for a real tag),
+    its bins below the denoise floor 16 n eps sup|f| zeroed and the
+    samples' sum in the constant bin."""
+    v, n = f.values, f.values.shape[0]
+    c = v - complex(v.mean())
+    C = np.fft.fft2(c.real if f.real_tag else c)
+    C[np.abs(C) < 16.0 * n * np.finfo(float).eps * np.max(np.abs(v))] = 0.0
+    C[0, 0] = v.sum()
+    return C
 
 
 class EagerField:
@@ -358,9 +430,6 @@ class EagerField:
     def __init__(self, lattice, values, C=None, real_tag=False):
         self.values = PeriodicField(lattice, values, real_tag=real_tag).values
         self.lattice, self.C, self.real_tag, self.n = lattice, C, real_tag, self.values.shape[0]
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def eager_field(lattice, C, real_tag=False) -> EagerField:
@@ -401,24 +470,18 @@ def eager_band(f) -> int:
 
 
 def eager_derivative(f, direction: str, tail_tol=1e-6) -> EagerField:
-    """Wirtinger derivative with both full n x n multipliers; a field built
-    from samples (C is None) has the bins of their transform below the
-    denoise floor 16 n eps sup|f| zeroed, a kept spectrum is taken as it is."""
+    """Wirtinger derivative with both full n x n multipliers, of the kept
+    spectrum or, for a field built from samples (C is None), of
+    :func:`sampled_spectrum`, its constant bin zeroed."""
     n = f.n
-    if f.C is None:
-        v = f.values - complex(f.values.mean())
-        C = np.fft.fft2(v.real if f.real_tag else v)
-    else:
-        C = f.C.copy()
-        C[0, 0] = 0.0
+    C = sampled_spectrum(f) if f.C is None else f.C.copy()
+    C[0, 0] = 0.0
     if tail_tol is not None:
         k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
         tail = np.maximum(k[:, None], k[None, :]) >= int(np.ceil(n / 3.0))
         power = np.abs(C) ** 2
         if power.sum() > 0.0 and power[tail].sum() / power.sum() > tail_tol:
             raise ValueError("under-resolved")
-    if f.C is None:
-        C[np.abs(C) < 16.0 * n * np.finfo(float).eps * f.sup_norm()] = 0.0
     mult = 2j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     mult[n // 2] = 0.0
     omega = f.lattice.omega
@@ -446,7 +509,7 @@ def eager_product(terms) -> EagerField:
         term = None
         for f in fs:
             h = eager_band(f)
-            C = _sample_fft(f) if f.C is None else f.C
+            C = sampled_spectrum(f) if f.C is None else f.C
             g = np.arange(-h, h + 1)
             if 2 * h == n:
                 block = _split_nyquist(np.fft.fftshift(C) / (n * n))

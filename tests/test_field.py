@@ -14,7 +14,7 @@ from _oracles import (eager_covariant_hessian, eager_derivative, eager_divergenc
                       eager_field, fitpack_chart_spline, eager_gauss_curvature, eager_p_form, eager_pointwise,
                       eager_potential, eager_product, eager_samples, product_2n,
                       periodic_from_function, periodic_from_modes, random_band_limited,
-                      random_half_modes, trig_resample)
+                      random_half_modes, sampled_spectrum, trig_resample)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -429,7 +429,7 @@ class TestSpectrumFirst:
             lo, hi = (mid, hi) if ratio(mid)[1] < target else (lo, mid)
         v, r = ratio(lo)
         f = PeriodicField(LAT_GEN, v)
-        assert f._values is not None and not f._kept
+        assert f._values is not None and f._block is None
         return f, r
 
     def test_bin_just_below_exact_floor_is_zeroed(self):
@@ -563,6 +563,29 @@ class TestFullBandBlock:
         for direction in ("D", "Dbar"):
             assert np.array_equal(prod.derivative(direction).values,
                                   eager_derivative(ref_prod, direction).values)
+
+
+    def test_samples_are_transformed_once(self, monkeypatch):
+        # D, Dbar, a product and an evaluation of one field built from
+        # samples read the one spectrum it forms on first use: its samples
+        # centred, denoised and their sum in the constant bin
+        n = 64
+        f = random_band_limited(11, LAT_GEN, n=n).add(
+            random_band_limited(12, LAT_GEN, n=n).scale(1j)).shift(3.0)
+        transforms = []
+        fft2 = field_module.fft.fft2
+        monkeypatch.setattr(field_module.fft, "fft2",
+                            lambda x, *args, **kw: transforms.append(x.shape) or fft2(x, *args, **kw))
+        d, dbar = f.derivative("D"), f.derivative("Dbar")
+        cube = product([(1.0, (f, f, f))])
+        f.evaluate_st([0.1], [0.2])
+        monkeypatch.undo()
+        assert transforms == [(n, n)]
+        assert np.array_equal(f._spectral_block(), np.fft.fftshift(sampled_spectrum(f)))
+        ref = eager_samples(f)
+        for direction, got in (("D", d), ("Dbar", dbar)):
+            assert np.array_equal(got.values, eager_derivative(ref, direction).values)
+        assert np.array_equal(cube.values, product_2n([(1.0, (f, f, f))]))
 
 
 class TestEvaluation:

@@ -15,8 +15,7 @@ from umbilic.field import TorusLattice
 from umbilic.index import torus_umbilics
 from umbilic.torussearch import TrigPotential, symmetric_obstruction_check
 
-from _oracles import benchmark_pool, direct_r, one_directional, random_half_modes
-from test_cli import FUZZ_OPERATIONS, numeric_fuzz_config
+from _oracles import benchmark_pool, direct_r, fuzz_jobs, one_directional, random_half_modes
 
 BOUND = 1e-12
 N = 128
@@ -99,14 +98,12 @@ def test_pool_zeros_are_zeros_of_direct_sums(cfg):
 
 
 def test_fuzz_zeros_are_zeros_of_direct_sums():
-    # the numeric fuzz configs of test_cli that complete
-    rng = np.random.default_rng(0)
+    # the torus fuzz configs of test_cli that complete
     checked = 0
-    for i in range(200):
-        op = FUZZ_OPERATIONS[i % len(FUZZ_OPERATIONS)]
-        cfg = dict(numeric_fuzz_config(rng, op), operation=op)
-        if op not in REFEREED:
+    for kind, op, cfg in fuzz_jobs():
+        if kind != "torus" or op not in REFEREED:
             continue
+        cfg = dict(cfg, operation=op)
         try:
             with np.errstate(all="ignore"):
                 residual = reported_zeros_residual(cfg)

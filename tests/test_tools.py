@@ -101,3 +101,16 @@ def test_results_diff_lists_diagnostics_keys_of_one_tree_apart():
     assert report["diagnostics_keys_only_old"] == {"gone": ["search/b"]}
     assert report["diagnostics_changed"] == {"dropped": ["umbilics/c"]}
     assert results_diff.compare(old, old)["diagnostics_keys_only_new"] == {}
+
+
+def test_results_diff_compares_whole_error_objects():
+    # an outcome holds the whole error object, so a changed message differs
+    def failed(message):
+        return {"obstruction/fuzz-torus/000": {
+            "status": 4, "escaped": None, "results": None, "config": None, "diagnostics": {},
+            "error": {"code": "TotallyDegenerate", "exit_status": 4, "message": message}}}
+
+    assert results_diff.identical(results_diff.compare(failed("a"), failed("a")))
+    report = results_diff.compare(failed("a"), failed("b"))
+    assert not results_diff.identical(report)
+    assert report["differ"] == ["obstruction/fuzz-torus/000"] and report["outcome_mismatches"]

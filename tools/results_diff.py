@@ -1,4 +1,5 @@
-"""Compare the CLI outcomes of two source trees on every benchmark pool config.
+"""Compare the CLI outcomes of two source trees on every benchmark pool config
+and every seeded fuzz config.
 
     python3 tools/results_diff.py OLD_SRC NEW_SRC
 
@@ -8,10 +9,10 @@ for each workload, goes through ``umbilic.cli.main`` once per tree, each tree
 in its own interpreter.  The report gives the number of configs compared,
 how many have byte-identical ``results`` blocks, ``config`` echoes and
 ``diagnostics`` blocks (every entry but ``wall_time_s``) as sorted-key
-JSON, every exit-status or error-code mismatch, every config whose echo or
-diagnostics differ, and the largest relative and the largest absolute
-drift over the numeric leaves of the ``results`` blocks that differ, each
-with its leaf (a rounding-level change on a tiny residual shows a large
+JSON, every mismatch of exit status or error object (code, exit status
+and message), every config whose echo or diagnostics differ, and the
+largest relative and the largest absolute drift over the numeric leaves of
+the ``results`` blocks that differ, each with its leaf (a rounding-level change on a tiny residual shows a large
 relative drift and a tiny absolute one), and ``differ``, the sorted job
 ids whose results are not byte-identical (an outcome mismatch included).
 ``diagnostics_keys_only_old`` and ``diagnostics_keys_only_new`` map each
@@ -20,8 +21,14 @@ apart from ``diagnostics_changed``, the keys of both trees whose values
 differ, so a change that only adds keys reads as such.
 ``per_operation`` repeats the counts, drifts and ``differ`` for each
 operation (the job-id prefix), so a change that moves every search result
-does not hide the drift of the others.  The exit status is 0 when every
-config's results, echo and diagnostics are identical, else 1.
+does not hide the drift of the others.
+
+``fuzz`` is the same report, apart from the pool's counts, for the 290
+seeded configs of the CLI's exit-contract fuzz (``fuzz_jobs`` in
+``tests/_oracles.py``, the configs ``TestNumericFuzz`` runs), their job ids
+``<operation>/fuzz-<kind>/<number>``.  The exit status is 0 when every
+config's outcome, results, echo and diagnostics, in the pool and in the
+fuzz, are identical, else 1.
 """
 
 from __future__ import annotations
@@ -47,23 +54,28 @@ def run_tree(src: Path, out: Path):
     import umbilic.cli as cli
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         raise ImportError(f"umbilic was imported from {cli.__file__}, not from {src}")
-    outcomes = {}
+    sys.path.insert(1, str(ROOT / "tests"))
+    from _oracles import fuzz_jobs
+    jobs = {"pool": [(jid, cfg["operation"], cfg) for workload in workloads.WORKLOADS
+                     for jid, cfg in sorted(workloads.pool(workload).items())],
+            "fuzz": [(f"{op}/fuzz-{kind}/{i:03d}", op, cfg)
+                     for i, (kind, op, cfg) in enumerate(fuzz_jobs())]}
+    outcomes = {"pool": {}, "fuzz": {}}
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths: the report path is echoed, and must match across trees
         os.chdir(tmp)
         cfg_path, report_path = Path("cfg.json"), Path("report.json")
-        for workload in workloads.WORKLOADS:
-            for jid, cfg in sorted(workloads.pool(workload).items()):
+        for group, group_jobs in jobs.items():
+            for jid, op, cfg in group_jobs:
                 cfg_path.write_text(json.dumps(cfg))
-                status, report, _, escaped = run_job(cli, cfg["operation"],
-                                                     cfg_path, report_path)
+                status, report, _, escaped = run_job(cli, op, cfg_path, report_path)
                 diagnostics = report.get("diagnostics", {})
                 diagnostics.pop("wall_time_s", None)  # the one entry that is not deterministic
-                outcomes[jid] = {"status": status, "escaped": escaped,
-                                 "results": report.get("results"),
-                                 "config": report.get("config"),
-                                 "diagnostics": diagnostics,
-                                 "error": report.get("error", {}).get("code")}
+                outcomes[group][jid] = {"status": status, "escaped": escaped,
+                                        "results": report.get("results"),
+                                        "config": report.get("config"),
+                                        "diagnostics": diagnostics,
+                                        "error": report.get("error")}
     out.write_text(json.dumps(outcomes))
 
 
@@ -115,10 +127,16 @@ def main(argv=None) -> int:
             return 2
         old, new = (json.loads(out.read_text()) for out in outs)
 
-    report = compare(old, new)
+    report = {**compare(old["pool"], new["pool"]), "fuzz": compare(old["fuzz"], new["fuzz"])}
     print(json.dumps(report, indent=1))
-    return 0 if (report["identical"] == len(old) and not report["config_mismatches"]
-                 and not report["diagnostics_mismatches"]) else 1
+    return 0 if identical(report) and identical(report["fuzz"]) else 1
+
+
+def identical(report: dict) -> bool:
+    """Whether a report of :func:`compare` finds every config's results,
+    echo and diagnostics identical."""
+    return (report["identical"] == report["compared"] and not report["config_mismatches"]
+            and not report["diagnostics_mismatches"])
 
 
 def compare(old: dict, new: dict) -> dict:
