@@ -128,12 +128,44 @@ class TorusLattice:
         s = z.real - t * self.omega.real
         return s, t
 
-    def torus_distance(self, z0: complex, z1):
-        """Distance between points of C modulo the lattice, from z0 to each
-        of z1 (a point or an array)."""
+    def torus_distance(self, z0, z1):
+        """Distance between points of C modulo the lattice, from z0 to z1,
+        points or arrays that broadcast together.
+
+        The nearest image of d = z1 - z0 is a corner of the cell of a
+        Lagrange-reduced basis (a, b) that holds d: the cell's shorter
+        diagonal splits it into two triangles with no obtuse angle, and
+        each lies in the Voronoi cells of its own corners.  The candidates
+        are those four corners and the nine m + n omega with |m|, |n| <= 1,
+        each distance formed alike as |d - (m + n omega)|, so on a reduced
+        basis (1, omega) and d within one period the minimum is that of
+        the nine alone.  The nine alone miss the nearest image on a skewed
+        basis such as omega = 10 + 0.1i."""
         d = np.asarray(z1) - z0
+        (p1, q1), (p2, q2) = self._reduced_basis()
+        s, t = self.z_to_st(d)
+        det = p1 * q2 - p2 * q1  # +-1, its own inverse
+        # d = (x + .) a + (y + .) b: the corner x a + y b of d's cell
+        x, y = np.floor((q2 * s - p2 * t) * det), np.floor((p1 * t - q1 * s) * det)
         shifts = [m + n * self.omega for m in (-1, 0, 1) for n in (-1, 0, 1)]
+        shifts += [(x + i) * p1 + (y + j) * p2 + ((x + i) * q1 + (y + j) * q2) * self.omega
+                   for i in (0, 1) for j in (0, 1)]
         return np.min([np.hypot((d - sh).real, (d - sh).imag) for sh in shifts], axis=0)
+
+    def _reduced_basis(self):
+        """The integer coordinates (p, q) of p + q omega for a Lagrange
+        (Gauss) reduced basis a, b of the lattice: |a| <= |b| and
+        |Re(b conj(a))| <= |a|^2 / 2, from a, b = 1, omega."""
+        def point(v):
+            return v[0] + v[1] * self.omega
+
+        a, b = sorted([(1, 0), (0, 1)], key=lambda v: abs(point(v)))
+        while True:
+            mu = round((point(b) * point(a).conjugate()).real / abs(point(a)) ** 2)
+            b = (b[0] - mu * a[0], b[1] - mu * a[1])
+            if abs(point(b)) >= abs(point(a)):
+                return a, b
+            a, b = b, a
 
 
 # --------------------------------------------------------------------------
@@ -788,7 +820,8 @@ class ChartGrid(_SampledField):
         h = self.cell_size
         fx = _fd_axis0(self.values, h)
         fy = _fd_axis0(self.values.T, h).T
-        return self._like(_xy_wirtinger(fx, fy)[direction == "Dbar"], False)
+        return self._like(0.5 * (fx + 1j * fy) if direction == "Dbar" else 0.5 * (fx - 1j * fy),
+                          False)
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
         """Sample product: the one-monomial case of :func:`product`."""

@@ -41,13 +41,17 @@ every stage reads the grid facts both state under the same names (see
 depend on ``periodic``.
 
 Zero clusters, point and curve alike, are polished by one damped Newton
-iteration on (Re f, Im f) for all clusters of a field at once: each step
-is one call of the field's ``jet_at(z) -> (f, D f, Dbar f)``, the
-derivatives of the interpolant that ``evaluate_at`` evaluates.  Steps
-must lower |f| and stay within a fixed reach of their start, so a
-neighbouring zero cannot capture the iterate.  A caller that only needs to
-know whether |f| falls below a threshold passes it as the polish's stop,
-and the iteration ends at the first step where some start is below it.
+iteration on (Re f, Im f), :func:`_polish`, for all clusters of a field at
+once.  Its starts are k rows of p, and each step is one call of the jet
+its caller passes: here the field's ``jet_at(z) -> (f, D f, Dbar f)``,
+the derivatives of the interpolant that ``evaluate_at`` evaluates, at
+every live start of every row.  Steps must lower |f| and stay within a
+fixed reach of their start, so a neighbouring zero cannot capture the
+iterate.  A caller that only needs to know whether |f| falls below a
+threshold passes it as a row's stop, and the row ends at the first step
+where one of its starts is below it.  The search objective polishes a
+stack of fields, a row per member, with a jet of its own
+(``torussearch._pass_scores``).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r, spherical_test
 from .errors import NotPseudoconvex, PhaseStepTooLarge, TotallyDegenerate, ZeroOnContour
-from .field import ChartGrid, PeriodicField, _bands
+from .field import ChartGrid, PeriodicField
 
 __all__ = [
     "UmbilicRecord",
@@ -96,6 +100,8 @@ _MATCH_DISTANCE = 0.08
 # (more for a large cluster), capped at sep_frac times the nearest zero's distance
 _TORUS_CONTOUR = (2.5, 0.35)
 _CHART_CONTOUR = (3.0, 0.3)
+# _index_clusters' nearest-zero distances: pairs per block of rows
+_PAIR_BLOCK = 2 ** 14
 # _index_clusters' circle cross-check: ran, or skipped because the zero is
 # not isolated or the circle raised ZeroOnContour or PhaseStepTooLarge
 _CROSS_CHECKS = ("ran", "not_isolated", "zero_on_contour", "phase_step")
@@ -488,57 +494,41 @@ def refine_cluster_residual(f, clusters) -> list:
     return [float(m) / sup for m in best]
 
 
-def _polish(f, starts, max_move, stop=0.0):
-    """Damped Newton on (Re f, Im f) from all starts at once; returns the
-    iterates and their |f|.  Each step takes f, D f and Dbar f from one
-    ``f.jet_at`` call for all live starts and is the Levenberg-Marquardt
-    step of :func:`_lm_step`, defined also where the Jacobian is singular,
-    as on every zero curve of a constant-phase field.  A trial point is
-    taken when it lowers |f| and lies within max_move (scalar or per start)
-    of its start, else the step is halved; a start stops when its step falls
-    below rounding or is undefined.  The whole polish returns as soon as
-    some start's |f| is below stop, for a caller that only asks whether any
-    start gets there; the default 0 never triggers.  Deterministic,
-    monotone and confined.
+def _polish(jet, starts, max_move, stop=0.0):
+    """Damped Newton on (Re f, Im f) from k rows of p starts, (k, p), at
+    once; returns the (k, p) iterates and their |f|.  Each step takes f,
+    D f and Dbar f at all live iterates from one call ``jet(points, at)``,
+    at being the iterates' flat indices into the (k, p) starts in
+    increasing order, and is the Levenberg-Marquardt step of
+    :func:`_lm_step`, defined also where the Jacobian is singular, as on
+    every zero curve of a constant-phase field.  A trial point is taken
+    when it lowers |f| and lies within max_move (scalar, per row (k, 1) or
+    per start) of its start, else the step is halved; a start stops when
+    its step falls below rounding or is undefined.  A row ends as soon as
+    one of its starts' |f| is below its stop (scalar or per row), for a
+    caller that only asks whether any start of the row gets there; the
+    default 0 never triggers.  Deterministic, monotone and confined.
 
-    f may also be a stack of k periodic fields (:meth:`PeriodicField.take`)
-    with starts (k, p), max_move and stop scalar or per member; the iterates
-    and |f| are then (k, p).  Each member is polished as it would be alone,
-    to its own stop, and a step makes one stacked ``jet_at`` call per group
-    of members that share their band and their count of live starts: a
-    stacked matrix product is bit for bit the member's own only at the same
-    row count.
+    On one field the jet is its ``jet_at``, and the rows share each call.
+    A row's iterates are then those of its polish alone, bit for bit, on a
+    chart, whose spline is evaluated point by point, and on a torus field
+    wherever no jet call of either polish holds a single point: numpy's
+    matrix product of one row takes another BLAS routine than that of
+    several.  A caller with a field per row passes a jet that evaluates
+    each row on its own field.
     """
     z0 = np.asarray(starts, dtype=complex)
-    one = z0.ndim < 2
-    k, p = (1, z0.size) if one else z0.shape
+    k, p = z0.shape
     reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape).reshape(-1)
     stop = np.asarray(stop, dtype=float).reshape(-1, 1)
     z0 = z0.reshape(-1)
-    band = None if one else _bands(f._block)
-
-    def jet(points, at):
-        """f, D f and Dbar f at points, the iterates of the starts at."""
-        if one:
-            return f.jet_at(points)
-        rows = at // p  # each point's member; at is sorted, so members come in order
-        key = (band * (p + 1) + np.bincount(rows, minlength=k))[rows]
-        out = np.empty((3, len(at)), dtype=complex)
-        for group in np.unique(key):
-            sel = key == group
-            members = np.unique(rows[sel])
-            out[:, sel] = [x.ravel() for x in f.take(members).jet_at(
-                points[sel].reshape(len(members), -1))]
-        return out
-
-    z = z0.copy()
-    live = np.arange(z.size)
+    z, live = z0.copy(), np.arange(z0.size)
     v, a, b = jet(z, live)
     best = np.abs(v)
     dz = _lm_step(v, a, b)
     for _ in range(64):
         hit = best.reshape(k, p) < stop
-        if hit.any():  # a member with a start below its stop is done
+        if hit.any():  # a row with a start below its stop is done
             live = live[~hit.any(1)[live // p]]
         step = np.abs(dz[live])
         live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]
@@ -552,24 +542,29 @@ def _polish(f, starts, max_move, stop=0.0):
         z[done], best[done] = trial[take], mod[take]
         dz[done] = _lm_step(v[take], a[take], b[take])
         dz[live[~take]] *= 0.5
-    return (z, best) if one else (z.reshape(k, p), best.reshape(k, p))
+    return z.reshape(k, p), best.reshape(k, p)
 
 
 def _polish_clusters(f, clusters, reach, sup):
     """Polish every cluster in one batched call from its centre, confined
-    to its reach.  A start can stall where the Jacobian is singular, as at
-    the saddle of |f| between two zeros of one cluster; clusters left above
-    _POLISHED * sup are polished again from four starts around the centre,
-    and each cluster keeps its best iterate."""
+    to its reach, with ``f.jet_at`` as the jet.  A start can stall where
+    the Jacobian is singular, as at the saddle of |f| between two zeros of
+    one cluster; the m clusters left above _POLISHED * sup are polished
+    again as one (m, 4) polish from four starts around each centre, and
+    each keeps its best iterate, the earliest on a tie."""
+    def jet(points, at):
+        return f.jet_at(points)
+
     centers = np.array([c.center for c in clusters], dtype=complex)
     reach = np.asarray(reach, dtype=float)
-    z, mod = _polish(f, centers, reach)
-    owner = np.repeat(np.flatnonzero(mod > _POLISHED * sup), 4)
-    if owner.size:
-        starts = centers[owner] + 0.25 * reach[owner] * np.tile([1, 1j, -1, -1j], owner.size // 4)
-        for k, zk, mk in zip(owner, *_polish(f, starts, reach[owner])):
-            if mk < mod[k]:
-                z[k], mod[k] = zk, mk
+    z, mod = (x[0] for x in _polish(jet, centers[None], reach))
+    again = np.flatnonzero(mod > _POLISHED * sup)
+    if again.size:
+        starts = centers[again, None] + 0.25 * reach[again, None] * np.array([1, 1j, -1, -1j])
+        zk, mk = _polish(jet, starts, reach[again, None])
+        best = (np.arange(again.size), mk.argmin(1))  # the first minimum of each row
+        better = mk[best] < mod[again]
+        z[again[better]], mod[again[better]] = zk[best][better], mk[best][better]
     return [complex(zk) for zk in z], mod
 
 
@@ -637,6 +632,13 @@ def _index_clusters(r, clusters, region_radius=None):
     base_cells, sep_frac = _TORUS_CONTOUR if r.periodic else _CHART_CONTOUR
     zs, resids = _polish_clusters(
         r, clusters, [0.75 * _cluster_extent(c, cell) + 1.25 * cell for c in clusters], sup)
+    # each zero's distance to the nearest other, a block of rows at a time
+    z = np.array(zs, dtype=complex)
+    seps, rows = np.empty(len(z)), max(1, _PAIR_BLOCK // max(len(z), 1))
+    for first in range(0, len(z), rows):
+        d = r.distance(z[first:first + rows, None], z)
+        d[np.arange(len(d)), np.arange(first, first + len(d))] = np.inf
+        seps[first:first + rows] = d.min(1)
     records, dropped = [], []
     checks = dict.fromkeys(_CROSS_CHECKS, 0)
     for idx, c in enumerate(clusters):
@@ -646,7 +648,7 @@ def _index_clusters(r, clusters, region_radius=None):
                             "cells": c.size})
             continue
         base = max(base_cells * cell, 1.25 * _cluster_extent(c, cell))
-        sep = float(np.min(r.distance(z0, np.delete(zs, idx)), initial=np.inf))
+        sep = float(seps[idx])
         radius = min(base, sep_frac * sep) if np.isfinite(sep) else base
         if sep <= 3.0 * base:
             checks["not_isolated"] += 1

@@ -252,7 +252,12 @@ def _stack_scores(stack: _Stack, grid_n: int) -> np.ndarray:
 
 
 def _pass_scores(r: PeriodicField, k: int) -> np.ndarray:
-    """The scores of the k members of a stack r of invariants Pu."""
+    """The scores of the k members of a stack r of invariants Pu.  One
+    polish runs the starts of every live member, row i on member i: its
+    jet makes one stacked ``jet_at`` call per group of members that share
+    their band and their count of live starts.  A stacked matrix product
+    is bit for bit the member's own only at the same row count, so each
+    member's iterates are those of its polish alone."""
     scores, live, extremes, starts = np.zeros(k), [], [], []
     for i in range(k):  # the n x n samples of one member at a time
         A = np.abs(r.take(i).values)
@@ -265,8 +270,21 @@ def _pass_scores(r: PeriodicField, k: int) -> np.ndarray:
             # field; n >= 64 leaves room for all four
             starts.append([r.corner_z(a, b) for a, b in _lowest_separated_cells(A, count=4, min_sep=4)])
     if live:
+        band, p = _bands(r._block[live]), len(starts[0])
+
+        def jet(points, at):
+            rows = at // p  # each point's member; at is sorted, so members come in order
+            key = (band * (p + 1) + np.bincount(rows, minlength=len(live)))[rows]
+            out = np.empty((3, len(at)), dtype=complex)
+            for group in np.unique(key):
+                sel = key == group
+                members = np.unique(rows[sel])
+                out[:, sel] = [x.ravel() for x in r.take(np.take(live, members)).jet_at(
+                    points[sel].reshape(len(members), -1))]
+            return out
+
         stop = _ZERO_RATIO * np.array([mx for _, mx in extremes])
-        polished = _polish(r.take(live), starts, 2.5 * r.cell_size, stop)[1].min(1)
+        polished = _polish(jet, starts, 2.5 * r.cell_size, stop)[1].min(1)
         for i, (mn, mx), low in zip(live, extremes, polished.tolist()):
             mn = min(mn, low)
             scores[i] = 0.0 if mn < _ZERO_RATIO * mx else mn / mx

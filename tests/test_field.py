@@ -48,6 +48,38 @@ class TestTorusLattice:
         for lat in (LAT, LAT_GEN):
             single = [lat.torus_distance(0.05, z) for z in z1]
             assert np.all(lat.torus_distance(0.05, z1) == single)
+            # an array z0 broadcasts against z1: the matrix of pairwise distances
+            pairs = lat.torus_distance(z1[:, None], z1)
+            assert np.all(pairs == [lat.torus_distance(z, z1) for z in z1])
+
+    @staticmethod
+    def points(lat, count, seed):
+        """count points of the fundamental domain, uniform in (s, t)."""
+        return lat.st_to_z(*np.random.default_rng(seed).random((2, count)))
+
+    @pytest.mark.parametrize("omega", [3 + 0.2j, 10 + 0.1j, -7.6 + 0.35j, 4.5 + 2.2j, 0.2 + 0.3j])
+    def test_torus_distance_is_the_nearest_image_on_a_skewed_basis(self, omega):
+        lat = TorusLattice(omega)
+        z0, z1 = self.points(lat, 300, 1), self.points(lat, 300, 2)
+        d = z1 - z0
+        brute = np.min([np.hypot((d - sh).real, (d - sh).imag)
+                        for sh in [m + n * omega for m in range(-40, 41) for n in range(-40, 41)]],
+                       axis=0)
+        assert np.array_equal(lat.torus_distance(z0, z1), brute)
+        # the two images |m|, |n| <= 1 miss
+        example = {3 + 0.2j: (0.9 + 0.4 * omega, 0.1281), 10 + 0.1j: (0.7 + 0.45 * omega, 0.205)}
+        if omega in example:
+            z, want = example[omega]
+            assert lat.torus_distance(0.0, z) == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("lat", [LAT, LAT_GEN])
+    def test_torus_distance_on_a_reduced_basis_is_the_nine_shifts(self, lat):
+        z0, z1 = self.points(lat, 2000, 3), self.points(lat, 2000, 4)
+        d = z1 - z0
+        nine = np.min([np.hypot((d - sh).real, (d - sh).imag)
+                       for sh in [m + n * lat.omega for m in (-1, 0, 1) for n in (-1, 0, 1)]],
+                      axis=0)
+        assert np.array_equal(lat.torus_distance(z0, z1), nine)
 
 
 class TestPeriodicFieldValidation:

@@ -114,3 +114,51 @@ def test_results_diff_compares_whole_error_objects():
     report = results_diff.compare(failed("a"), failed("b"))
     assert not results_diff.identical(report)
     assert report["differ"] == ["obstruction/fuzz-torus/000"] and report["outcome_mismatches"]
+
+
+_LINES_SPEC = importlib.util.spec_from_file_location(
+    "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
+src_lines = importlib.util.module_from_spec(_LINES_SPEC)
+_LINES_SPEC.loader.exec_module(src_lines)
+
+SYNTHETIC = '''"""Module docstring,
+two lines."""
+
+import os  # a trailing comment keeps the line
+
+# a comment alone
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is no docstring
+    counts, both lines"""
+
+    def f(self):
+        """Function docstring,
+
+        three lines."""
+        return "# not a comment"
+
+
+async def g():
+    """One line."""
+    pass
+'''
+
+
+def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    (old / "pkg").mkdir(parents=True)
+    (new / "pkg").mkdir(parents=True)
+    (old / "pkg" / "mod.py").write_text(SYNTHETIC)
+    (new / "pkg" / "mod.py").write_text(SYNTHETIC + "\n\ndef h():\n    return 1\n")
+    (new / "pkg" / "extra.py").write_text("y = 2\n")
+    # import, class, x's two lines, def f, return, async def, pass
+    assert src_lines.code_lines(SYNTHETIC) == 8
+    assert src_lines.count_tree(old) == {"pkg/mod.py": 8}
+    assert src_lines.main([str(old), str(new)]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert rows == {"pkg/extra.py": ["0", "1", "+1"], "pkg/mod.py": ["8", "10", "+2"],
+                    "total": ["8", "11", "+3"]}

@@ -158,7 +158,8 @@ def full_polish_objective(u, n, zero_ratio=1e-9):
     starts = [u.lattice.st_to_z(i / n, j / n)
               for i, j in lowest_separated_cells_full(A, count=4, min_sep=4)]
     cell = (1.0 + abs(u.lattice.omega)) / n
-    ratio = min(float(A.min()), float(_polish(r, starts, 2.5 * cell)[1].min())) / r.sup_norm()
+    polished = _polish(lambda z, _: r.jet_at(z), [starts], 2.5 * cell)[1]
+    ratio = min(float(A.min()), float(polished.min())) / r.sup_norm()
     return 0.0 if ratio < zero_ratio else float(ratio)
 
 
@@ -253,22 +254,28 @@ class TestStackedObjective:
 
     @staticmethod
     def assert_scores_alone(stack, n):
-        seen = {"cartan_r": [], "_polish": []}
+        calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name, calls in seen.items():
-                def recorded(*args, _run=getattr(torussearch, name), _calls=calls):
+            for name in ("cartan_r", "_polish"):
+                def recorded(*args, _run=getattr(torussearch, name), _name=name):
                     out = _run(*args)
-                    _calls.append((args, out))
+                    calls.append((_name, args, out))
                     return out
                 mp.setattr(torussearch, name, recorded)
             got = min_modulus_objective(stack, n).tolist()
-        for (u, form), r in seen["cartan_r"]:
-            for i in range(len(u._block)):
-                assert np.array_equal(r.take(i)._block, cartan_r(u.take(i), form)._block)
-        for (r, starts, reach, stop), (z, best) in seen["_polish"]:
-            for i in range(len(starts)):
-                alone = _polish(r.take(i), starts[i], reach, stop[i])
-                assert np.array_equal(alone[0], z[i]) and np.array_equal(alone[1], best[i])
+        for name, args, out in calls:
+            if name == "cartan_r":  # a pass: its P form, and the members its polish runs
+                (u, form), r = args, out
+                for i in range(len(u._block)):
+                    assert np.array_equal(r.take(i)._block, cartan_r(u.take(i), form)._block)
+                live = [i for i in range(len(u._block))
+                        if not _is_degenerate(float(np.abs(r.take(i).values).max()))]
+                continue
+            (_, starts, reach, stop), (z, best) = args, out
+            assert len(starts) == len(live)
+            for row, i in enumerate(live):  # each row alone, on its plain field
+                alone = _polish(lambda w, _: r.take(i).jet_at(w), [starts[row]], reach, stop[row])
+                assert np.array_equal(alone[0][0], z[row]) and np.array_equal(alone[1][0], best[row])
         alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
                  for i in range(len(stack.C))]
         assert got == alone == [full_polish_objective(u, n) for u in members(stack)]
@@ -312,9 +319,10 @@ class TestStackedObjective:
         self.assert_scores_alone(stack, 64)
 
     def test_polish_of_a_stack_is_each_members_own(self, monkeypatch):
-        # a full polish (stop 0) of r for potentials of bands 3 and 2: starts
-        # die at different steps, so members part into groups by their count
-        # of live starts, and each member's iterates are its own alone
+        # a full polish (stop 0), with the jet of the objective's pass, of r
+        # for potentials of bands 3 and 2: starts die at different steps, so
+        # members part into groups by their count of live starts, and each
+        # member's iterates are its own alone
         rng = np.random.default_rng(7)
         rs = []
         for budget in (3, 2, 3, 3, 2, 3):
@@ -323,7 +331,7 @@ class TestStackedObjective:
             rs.append(cartan_r(members(stack_of(LAT_GEN, budget, rows))[0].to_field(64), "p_form"))
         L = max(len(r._block) for r in rs)
         stack = PeriodicField._from_block(LAT_GEN, 64, np.stack(
-            [np.pad(r._block, (L - len(r._block)) // 2) for r in rs]), True)
+            [np.pad(r._block, (L - len(r._block)) // 2) for r in rs]), False)
         starts = LAT_GEN.st_to_z(*rng.random((2, len(rs), 4)))
         sizes = []
         jet = PeriodicField.jet_at
@@ -332,12 +340,20 @@ class TestStackedObjective:
             sizes.append(np.shape(z))
             return jet(self, z)
 
+        seen = []
+
+        def full(jet, *_):  # the pass's own jet, on these starts, to the end
+            seen.append(_polish(jet, starts, 0.3, 0.0))
+            return seen[-1]
+
         monkeypatch.setattr(PeriodicField, "jet_at", counted)
-        z, best = _polish(stack, starts, 0.3, 0.0)
+        monkeypatch.setattr(torussearch, "_polish", full)
+        torussearch._pass_scores(stack, len(rs))
+        (z, best), = seen
         assert len({c for _, c in sizes}) > 2  # the members parted
         for i, r in enumerate(rs):
-            alone = _polish(r, starts[i], 0.3, 0.0)
-            assert np.array_equal(alone[0], z[i]) and np.array_equal(alone[1], best[i])
+            alone = _polish(lambda w, _: r.jet_at(w), starts[i:i + 1], 0.3, 0.0)
+            assert np.array_equal(alone[0][0], z[i]) and np.array_equal(alone[1][0], best[i])
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["r-first", "placement-first"])
     def test_first_failing_member_raises_its_own_error(self, order):
