@@ -342,8 +342,8 @@ class TestStackedObjective:
 
         seen = []
 
-        def full(jet, *_):  # the pass's own jet, on these starts, to the end
-            seen.append(_polish(jet, starts, 0.3, 0.0))
+        def full(pass_jet, *_):  # the pass's own jet, on these starts, to the end
+            seen.append(_polish(pass_jet, starts, 0.3, 0.0))
             return seen[-1]
 
         monkeypatch.setattr(PeriodicField, "jet_at", counted)
