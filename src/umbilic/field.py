@@ -48,6 +48,11 @@ m = min(2n, _next_fast_len(S + K + 1)): the padding rule m > S + K
 Transforms go through ``numpy.fft``, and the chart spline is numpy as
 well: importing this module loads no scipy.
 
+:func:`_row_windings` takes the winding of a torus interpolant along rows
+t = t0 from its coefficient block alone, each row certified by a chord
+tube with a rounding margin or left open; the search objective proves
+zeros with it (the argument principle between two rows).
+
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
 z = s + t*omega; the Wirtinger operators are recovered from
@@ -86,6 +91,11 @@ _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 # identities such as constant-shift invariance drown in noise.  A kept
 # spectrum carries no sample rounding and is read as it is.
 _DENOISE_FACTOR = 16.0
+
+# _row_samples: samples per row, a power of two, so that the phases
+# j m / M mod 1 of the sample factors are exact
+_ROW_SAMPLES = 256
+_ROW_ROOTS = np.exp(2j * np.pi * (np.arange(_ROW_SAMPLES) / _ROW_SAMPLES))
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +250,85 @@ def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     E[..., :, 0] *= 0.5
     E[..., :, n] = E[..., :, 0]
     return E
+
+
+def _row_windings(E: np.ndarray, rows) -> np.ndarray:
+    """The winding number about 0 of the trigonometric polynomial with the
+    coefficients E (axis 0 is s, axis 1 is t, as :func:`_interpolant` lays
+    them out) along each row t = t0 of rows, t0 in [0, 1) and s from 0 to
+    1, where the chord-tube test certifies it, else NaN: (len(rows),), or
+    (..., len(rows)) for a stack of blocks.
+
+    A row is sampled at s = m / M (:func:`_row_samples`), and its piece
+    between two samples, of length h = 1 / M, passes when the distance from
+    0 to its chord exceeds the tube L2 h^2 / 8 plus the rounding margin.
+    The row's true polynomial stays within the tube of its true chord (the
+    Peano kernel of linear interpolation is positive with integral at most
+    h^2 / 8, and L2 bounds |p''|), and the true chord within the margin of
+    the computed one.  When every piece passes, the homotopy from p to the
+    computed closed polygon never meets 0, so p's winding is the polygon's:
+    the sum of its chords' argument increments, each inside (-pi, pi) by
+    far more than its rounding, since the chord misses 0 by the margin.  A
+    block that is not finite, or is 0, certifies no row.  The samples are
+    scaled by a power of two, exactly, so that margin is about 1 and the
+    chord arithmetic neither overflows nor underflows.  One row at a time:
+    no (..., rows, M) temporaries."""
+    out = np.empty((*E.shape[:-2], len(rows)))
+    for q, (p, tube, margin) in enumerate(_row_samples(E, rows)):
+        scale = np.ldexp(1.0, -np.frexp(margin)[1])  # 1 for inf or NaN
+        p = p * scale[..., None]
+        a, b = p[..., :-1], p[..., 1:]
+        d = b - a
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0.0, 1.0)
+            passed = (np.abs(a + x * d) > ((tube + margin) * scale)[..., None]).all(-1)
+            winding = np.rint(np.angle(b / a).sum(-1) / (2 * np.pi))
+        out[..., q] = np.where(passed, winding, np.nan)
+    return out
+
+
+def _row_samples(E: np.ndarray, rows):
+    """For each row t0 of rows in turn, (p, tube, margin): the samples
+    p(m / M), m = 0 .. M with M = _ROW_SAMPLES (the first again at the
+    end), of p(s) = sum_j c_j e^{2 pi i j s} with c = E @ e^{2 pi i k t0},
+    the tube L2 h^2 / 8 (h = 1 / M) and the rounding margin of the samples,
+    the latter two per block of a stack.  Every product and sum is taken
+    block by block, so a block's values are bit for bit those it gets
+    alone, whatever the stack.
+
+    The bounds, for a block of side L, eps the machine epsilon, R_j the sum
+    of |E_jk| over k and S = sum_j R_j; E itself is the exact input.
+    - The phase of e^{2 pi i k t0} is formed from (k t0 mod 1): one
+      rounding of k t0 (at most eps L / 4 for |k| <= L / 2, t0 in [0, 1)),
+      a reduction that rounds at most once by eps / 2, and a product by
+      2 pi.  With exp's own rounding each factor is within 2 (L + 8) eps of
+      the true one.
+    - c_j is a dot product of length L, whose rounding is at most
+      (L + 4) eps R_j in any order of summation, so with the factors'
+      errors |c_j - true c_j| <= rel R_j, rel = 4 (L + 8) eps.
+    - L2 = sum_j (2 pi j)^2 (|c_j| + rel R_j) bounds the true max|p''|.
+    - A sample's factors e^{2 pi i j m / M} have the exact phase
+      (j m mod M) / M (M is a power of two) and are within 8 eps of the
+      true ones, and its dot product adds (L + 4) eps sum_j |c_j|.  With
+      the coefficients' errors a sample is within 2 rel S of the true
+      p(m / M), to first order in eps.
+    - The margin is 3 rel S.  The third rel S covers the rounding of the
+      chord's distance from 0 (a few eps S) and of the tube (relative
+      (L + 4) eps): a tube above 4 S certifies nothing, since no sample
+      exceeds S by more than the margin, and below it the tube's rounding
+      is below rel S.  Gradual underflow adds at most one smallest
+      subnormal per product, below the L tiny added.
+    """
+    L = E.shape[-1]
+    k = _freqs(E)
+    R = np.abs(E).sum(-1)
+    rel = 4 * (L + 8) * np.finfo(float).eps
+    margin = 3 * rel * R.sum(-1) + L * np.finfo(float).tiny
+    W = _ROW_ROOTS[np.multiply.outer(np.arange(_ROW_SAMPLES + 1), k) % _ROW_SAMPLES]
+    curvature = (2 * np.pi * k) ** 2 / (8 * _ROW_SAMPLES ** 2)
+    for t0 in rows:
+        c = E @ np.exp(2j * np.pi * (k * t0 % 1.0))
+        yield (W @ c[..., None])[..., 0], np.sum((np.abs(c) + rel * R) * curvature, -1), margin
 
 
 def _centred_fft2(values: np.ndarray) -> np.ndarray:

@@ -50,8 +50,9 @@ fixed reach of their start, so a neighbouring zero cannot capture the
 iterate.  A caller that only needs to know whether |f| falls below a
 threshold passes it as a row's stop, and the row ends at the first step
 where one of its starts is below it.  The search objective polishes a
-stack of fields, a row per member, with a jet of its own
-(``torussearch._pass_scores``).
+stack of fields, a row per member, with a jet of its own, for the members
+its row windings leave unproven (``torussearch._polish_scores``, called by
+``torussearch._pass_scores``).
 """
 
 from __future__ import annotations

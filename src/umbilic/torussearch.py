@@ -53,7 +53,7 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from .field import PeriodicField, TorusLattice, _bands, _lift_size, _real
+from .field import PeriodicField, TorusLattice, _bands, _interpolant, _lift_size, _real, _row_windings
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -87,6 +87,12 @@ _XATOL, _FATOL = 1e-6, 1e-12
 # product (16 members at band 3), and the operands that product lifts
 _STACK_BYTES = 512 * 1024
 _P_FORM_OPERANDS = 5
+# min_modulus_objective: the rows t = (q + 1/2) / _ROWS whose windings prove a zero
+_ROWS = 4
+# how each score was decided, in the order of SearchReport.objective_certificates:
+# a zero proven by row windings, a polish below the stop, a degenerate max, a nonzero score
+_SCORE_KINDS = ("windings", "polish", "degenerate", "nonzero")
+_WINDINGS, _POLISH, _DEGENERATE, _NONZERO = range(len(_SCORE_KINDS))
 
 
 @dataclass
@@ -199,66 +205,101 @@ class SymmetryDirection:
 # objective
 # --------------------------------------------------------------------------
 
-def min_modulus_objective(u, grid_n: int):
+def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
-    The minimum is polished off-grid (the zero set of Pu need not meet the
-    sample grid) by the damped Newton iteration of the zero polish, run
-    from the four lowest well-separated samples at once and kept within
-    2.5 cells of them, so potentials whose invariant genuinely vanishes
-    report exactly 0, on zero curves as well as at points; a degenerate max
+    A score of 0 is a proof or a polish.  First, Pu's windings along the
+    rows t = (q + 1/2) / _ROWS are taken by the chord-tube certificate
+    (``field._row_windings``); two certified rows with different windings
+    enclose a zero of Pu by the argument principle on the band between
+    them, and the score is 0 at once.  Otherwise the minimum is polished
+    off-grid (the zero set of Pu need not meet the sample grid) by the
+    damped Newton iteration of the zero polish, run from the four lowest
+    well-separated samples at once and kept within 2.5 cells of them; a
+    minimum below _ZERO_RATIO * max reports 0, a degenerate max
     (``cartan._is_degenerate``) also reports 0, and one that is not finite
-    raises DomainError.  The score is invariant under u -> u + C.
+    raises DomainError (a block that is not finite certifies nothing).  A
+    nonzero score is still an upper bound only, from four starts.  The
+    score is invariant under u -> u + C.
 
-    A minimum below _ZERO_RATIO * max reports 0, and the polish stops at that
-    same threshold: each start's |Pu| only decreases, so once one start is
-    below it the score is 0 whatever the others do.  A nonzero score never
-    meets the stop, and its polish runs in full.  The starts come from the
-    smallest 4 * 7^2 samples only (the bound of _lowest_separated_cells).
+    The polish stops at the zero threshold: each start's |Pu| only
+    decreases, so once one start is below it the score is 0 whatever the
+    others do.  A nonzero score never meets the stop, and its polish runs in
+    full.  The starts come from the smallest 4 * 7^2 samples only (the
+    bound of _lowest_separated_cells).
 
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
     potentials, whose k scores come back as an array.  A stack is scored in
     passes of members that share their band, each lifting at most
-    _STACK_BYTES for the P form's product: one stacked P form per pass, each
-    member's samples and starts in turn, and one stacked polish.  Every
-    score is bit for bit the one the member gets alone, and an error is the
-    one the first member that fails alone raises.
+    _STACK_BYTES for the P form's product: one stacked P form per pass, its
+    row windings, and for the members they leave open each member's samples
+    and starts in turn and one stacked polish.  Every score is bit for bit
+    the one the member gets alone, and an error is the one the first member
+    that fails alone raises.  With a tally, a dict keyed by _SCORE_KINDS,
+    each score adds 1 to the count of the way it was decided.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
     stack = u if isinstance(u, _Stack) else u._stack()
     try:
-        scores = _stack_scores(stack, grid_n)
+        scores, kinds = _stack_scores(stack, grid_n)
     except (DomainError, UnderResolved):
         for i in range(len(stack.C)):  # one member at a time: the first to fail raises
             _stack_scores(stack._replace(C=stack.C[i:i + 1]), grid_n)
         raise
+    if tally is not None:
+        for kind, count in zip(_SCORE_KINDS, np.bincount(kinds, minlength=len(_SCORE_KINDS))):
+            tally[kind] += int(count)
     return scores if stack is u else float(scores[0])
 
 
-def _stack_scores(stack: _Stack, grid_n: int) -> np.ndarray:
-    """The scores of min_modulus_objective, pass by pass."""
+def _stack_scores(stack: _Stack, grid_n: int):
+    """The scores of min_modulus_objective, pass by pass, and the index in
+    _SCORE_KINDS of the way each was decided."""
     h = int(np.abs(stack.jk).max(initial=0))
     size = max(1, _STACK_BYTES // (_P_FORM_OPERANDS * 16 * _lift_size(3 * h, grid_n) ** 2))
-    scores = np.empty(len(stack.C))
+    scores, kinds = np.empty(len(stack.C)), np.empty(len(stack.C), dtype=int)
     for first in range(0, len(stack.C), size):
         B = _placed(stack.jk, stack.C[first:first + size], grid_n)
         bands = _bands(B)
         for band in np.unique(bands):
             members = np.flatnonzero(bands == band)
             u = PeriodicField._from_block(stack.lattice, grid_n, B[members], True)
-            scores[first + members] = _pass_scores(cartan_r(u, "p_form"), len(members))
-    return scores
+            scores[first + members], kinds[first + members] = _pass_scores(cartan_r(u, "p_form"))
+    return scores, kinds
 
 
-def _pass_scores(r: PeriodicField, k: int) -> np.ndarray:
-    """The scores of the k members of a stack r of invariants Pu.  One
-    polish runs the starts of every live member, row i on member i: its
-    jet makes one stacked ``jet_at`` call per group of members that share
-    their band and their count of live starts.  A stacked matrix product
-    is bit for bit the member's own only at the same row count, so each
-    member's iterates are those of its polish alone."""
-    scores, live, extremes, starts = np.zeros(k), [], [], []
+def _pass_scores(r: PeriodicField):
+    """The scores of the members of a stack r of invariants Pu, and the
+    index in _SCORE_KINDS of the way each was decided.  A member whose
+    certified row windings differ scores 0 from its coefficients alone; the
+    others are scored by :func:`_polish_scores`.  The windings are taken on
+    each member's own band, so they are the member's own alone, bit for
+    bit."""
+    rows = (np.arange(_ROWS) + 0.5) / _ROWS
+    bands = _bands(r._block)
+    windings = np.empty((len(bands), _ROWS))
+    for band in np.unique(bands):
+        members = np.flatnonzero(bands == band)
+        windings[members] = _row_windings(_interpolant(r.take(members)._block, r.n), rows)
+    proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
+    scores, kinds = np.zeros(len(bands)), np.full(len(bands), _WINDINGS)
+    open_ = np.flatnonzero(~proven)
+    if open_.size:
+        scores[open_], kinds[open_] = _polish_scores(r.take(open_))
+    return scores, kinds
+
+
+def _polish_scores(r: PeriodicField):
+    """The scores of the members of a stack r of invariants Pu from their
+    samples and one polish, and the index in _SCORE_KINDS of the way each
+    was decided.  The polish runs the starts of every live member, row i on
+    member i: its jet makes one stacked ``jet_at`` call per group of members
+    that share their band and their count of live starts.  A stacked matrix
+    product is bit for bit the member's own only at the same row count, so
+    each member's iterates are those of its polish alone."""
+    k = len(r._block)
+    scores, kinds, live, extremes, starts = np.zeros(k), np.full(k, _DEGENERATE), [], [], []
     for i in range(k):  # the n x n samples of one member at a time
         A = np.abs(r.take(i).values)
         mx = float(A.max())
@@ -287,8 +328,8 @@ def _pass_scores(r: PeriodicField, k: int) -> np.ndarray:
         polished = _polish(jet, starts, 2.5 * r.cell_size, stop)[1].min(1)
         for i, (mn, mx), low in zip(live, extremes, polished.tolist()):
             mn = min(mn, low)
-            scores[i] = 0.0 if mn < _ZERO_RATIO * mx else mn / mx
-    return scores
+            scores[i], kinds[i] = (0.0, _POLISH) if mn < _ZERO_RATIO * mx else (mn / mx, _NONZERO)
+    return scores, kinds
 
 
 def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):
@@ -635,6 +676,7 @@ class SearchReport:
     trials: int
     evaluations: int
     objective_groups: list  # per trial, the number of points of each objective call
+    objective_certificates: list  # per trial, how many scores each way in _SCORE_KINDS decided
 
     def results_payload(self) -> dict:
         """Deterministic results block: identical configs reproduce it
@@ -772,12 +814,13 @@ def torus_search(config: SearchConfig) -> SearchReport:
     mode_list = config.mode_list()
     half = np.array(mode_list)
     jk = np.concatenate([half, -half])
-    history, groups = [], []
+    history, groups, certificates = [], [], []
 
     def neg_objective(X):
         C = _clipped(X, config.coeff_bound)
         values = min_modulus_objective(
-            _Stack(config.lattice, jk, np.concatenate([C, np.conj(C)], axis=1)), config.grid_n)
+            _Stack(config.lattice, jk, np.concatenate([C, np.conj(C)], axis=1)), config.grid_n,
+            tally=certificates[-1])
         history.extend(enumerate(values.tolist(), start=len(history)))
         groups[-1].append(len(values))
         return -values
@@ -787,6 +830,7 @@ def torus_search(config: SearchConfig) -> SearchReport:
         rng = np.random.default_rng([config.seed, trial])
         x0 = rng.uniform(-0.25, 0.25, 2 * len(mode_list))
         groups.append([])
+        certificates.append(dict.fromkeys(_SCORE_KINDS, 0))
         fun, x = _nelder_mead(neg_objective, x0, config.evaluations)
         cand = (-float(fun), -trial, x)
         if best is None or cand[:2] > best[:2]:
@@ -800,4 +844,5 @@ def torus_search(config: SearchConfig) -> SearchReport:
         seed=config.seed, grid_n=config.grid_n, best_modes=best_pot,
         objective=float(objective), objective_2x=float(obj2),
         resolution_ok=resolution_ok, history=history,
-        trials=config.trials, evaluations=config.evaluations, objective_groups=groups)
+        trials=config.trials, evaluations=config.evaluations, objective_groups=groups,
+        objective_certificates=certificates)

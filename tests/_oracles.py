@@ -10,7 +10,9 @@ every operand to 2n whatever its band.  The depth-first edge
 refinement is the reference for the library's level-synchronous one: the
 same bisection rule, one midpoint evaluation at a time.  The full sorted
 walk over every sample is the reference for the search objective's start
-selection, which sorts only a prefix.  The term-by-term product of
+selection, which sorts only a prefix.  Row windings from companion roots
+(:func:`row_windings`) are the reference for the objective's chord-tube
+windings, which sample each row.  The term-by-term product of
 coefficient dicts is the reference for the dense series convolution.  The
 eager spectral chain (:class:`EagerField`: full n x n spectra, full-grid
 derivative multipliers, samples formed at every step, bands found by
@@ -395,6 +397,24 @@ def lowest_separated_cells_full(A: np.ndarray, count: int, min_sep: int):
             if len(picked) >= count:
                 break
     return picked
+
+
+def row_windings(E: np.ndarray, rows) -> np.ndarray:
+    """The winding number about 0, along each row t = t0 of rows, s from 0
+    to 1, of the trigonometric polynomial with the centred coefficients E
+    (axis 0 is s, axis 1 is t; a stack of blocks alike), by the argument
+    principle: the row is p(w) = sum_j c_j w^j with w = e^{2 pi i s},
+    |j| <= L // 2, and its winding is the number of roots of the polynomial
+    w^{L // 2} p(w) inside |w| < 1 (np.roots, the eigenvalues of its
+    companion matrix), minus L // 2.  An int array (..., len(rows))."""
+    L = E.shape[-1]
+    k = np.arange(L) - L // 2
+    out = np.empty((*E.shape[:-2], len(rows)), dtype=int)
+    for member in np.ndindex(E.shape[:-2]):
+        for q, t0 in enumerate(rows):
+            c = E[member] @ np.exp(2j * np.pi * k * t0)
+            out[(*member, q)] = int(np.sum(np.abs(np.roots(c[::-1])) < 1.0)) - L // 2
+    return out
 
 
 def dict_series_mul(a: dict, b: dict, out_degree: int) -> dict:

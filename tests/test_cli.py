@@ -512,18 +512,27 @@ class TestMainAndExitCodes:
     def test_search_reports_its_objective_groups(self, tmp_path, capsys):
         # in diagnostics, not results: each pool search scores its initial
         # simplex of 49 points and one shrink of 48 in one call each, around
-        # three single points, and 1,599 of its 1,600 values are 0
-        values = []
+        # three single points, and all 1,600 values are 0.  How each score
+        # was decided is counted per trial, and most are proofs by row
+        # windings
+        values, kinds = [], dict.fromkeys(("windings", "polish", "degenerate", "nonzero"), 0)
         for jid, cfg in benchmark_pool("search").items():
             assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
             report = json.loads(capsys.readouterr().out)
-            assert "objective_groups" not in report["results"]
+            for key in ("objective_groups", "objective_certificates"):
+                assert key not in report["results"]
+            groups = report["diagnostics"]["objective_groups"]
+            certificates = report["diagnostics"]["objective_certificates"]
+            assert [sum(c.values()) for c in certificates] == [sum(g) for g in groups]
             if jid == "search/warmup":  # 10 evaluations: the simplex, cut
-                assert report["diagnostics"]["objective_groups"] == [[10]]
+                assert groups == [[10]]
                 continue
-            assert report["diagnostics"]["objective_groups"] == [[49, 1, 1, 48, 1]]
+            assert groups == [[49, 1, 1, 48, 1]]
             values += [v for _, v in report["results"]["history"]]
-        assert len(values) == 1600 and [v for v in values if v] == [3.3797912795189796e-4]
+            for key, count in certificates[0].items():
+                kinds[key] += count
+        assert len(values) == 1600 and [v for v in values if v] == []
+        assert kinds["nonzero"] == 0 and kinds["windings"] > 0.9 * len(values)
 
     def test_overrides(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -550,13 +550,20 @@ class TestSpectrumFirst:
 
     def test_objective_transforms_one_grid(self, monkeypatch):
         # r, one polynomial; the potential's samples are never formed and
-        # derivative results are never transformed back
+        # derivative results are never transformed back.  The first
+        # potential's row windings prove its zero from r's coefficients, so
+        # not even r's samples are formed; the s-only one never certifies,
+        # and its polish reads r's samples, one grid
         n = 96
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
-        expected = min_modulus_objective(u, n)
+        s_only = TrigPotential.from_half_modes(LAT_GEN, {(1, 0): 0.2, (2, 0): 0.05j})
+        expected = [min_modulus_objective(v, n) for v in (u, s_only)]
         grids = self._count_full_inverse_transforms(monkeypatch, n)
-        assert min_modulus_objective(u, n) == expected
-        assert len(grids) == 1
+        tally = dict.fromkeys(("windings", "polish", "degenerate", "nonzero"), 0)
+        assert min_modulus_objective(u, n, tally=tally) == expected[0]
+        assert len(grids) == 0 and tally["windings"] == 1
+        assert min_modulus_objective(s_only, n, tally=tally) == expected[1]
+        assert len(grids) == 1 and tally["polish"] == 1
 
     @pytest.mark.parametrize("form", ["p_form", "divergence_form"])
     def test_reading_r_transforms_one_grid(self, monkeypatch, form):

@@ -9,18 +9,18 @@ from umbilic import torussearch
 from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from umbilic.field import PeriodicField, TorusLattice
+from umbilic.field import PeriodicField, TorusLattice, _interpolant, _row_samples, _row_windings
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
                                  _certified_roots, _decode_modes, _line, _Stack,
-                                 _lowest_separated_cells, _nelder_mead, _profile,
+                                 _lowest_separated_cells, _nelder_mead, _placed, _profile,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
 from _oracles import (benchmark_pool, eager_derivative, eager_potential,
                       lowest_separated_cells_full, obstruction_chain_2d, one_directional,
-                      profile_padded, random_half_modes, scipy_nelder_mead)
+                      profile_padded, random_half_modes, row_windings, scipy_nelder_mead)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
@@ -163,13 +163,48 @@ def full_polish_objective(u, n, zero_ratio=1e-9):
     return 0.0 if ratio < zero_ratio else float(ratio)
 
 
+OBJECTIVE_ROWS = (np.arange(torussearch._ROWS) + 0.5) / torussearch._ROWS
+
+
+def row_evidence(u, n):
+    """The chord-tube windings of u's invariant along the objective's rows
+    (NaN where uncertified) and the oracle's companion-root windings."""
+    E = _interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n)
+    return _row_windings(E, OBJECTIVE_ROWS), row_windings(E, OBJECTIVE_ROWS)
+
+
+def reference_objective(u, n):
+    """The objective's value by other means: 0 where two certified rows wind
+    differently, each certified row with the oracle's winding, else the
+    full polish, which stays the reference wherever the certificate does
+    not fire."""
+    tube, oracle = row_evidence(u, n)
+    certified = np.isfinite(tube)
+    assert np.array_equal(tube[certified], oracle[certified])
+    if len(set(tube[certified].tolist())) > 1:
+        return 0.0
+    return full_polish_objective(u, n)
+
+
+def decided(u, n):
+    """(score, the way min_modulus_objective decided it)."""
+    tally = dict.fromkeys(torussearch._SCORE_KINDS, 0)
+    score = min_modulus_objective(u, n, tally=tally)
+    (kind,) = [k for k, count in tally.items() if count]
+    return score, kind
+
+
 class TestObjectiveStop:
     """The objective's polish ends once one start is below the zero
-    threshold; its value is that of the polish run to the end."""
+    threshold; its value is that of the polish run to the end, where the
+    row windings prove no zero first."""
 
     def test_zero_decided_in_few_steps(self, monkeypatch):
-        # the full polish makes 65 jet_at calls here: the starts that sit
-        # near nonzero local minima creep until the step cap
+        # the full polish makes 65 jet_at calls on the first: the starts
+        # that sit near nonzero local minima creep until the step cap.  Its
+        # row windings prove the zero with no jet at all; the zero curves
+        # of the one-directional potential never certify, and the polish
+        # stop decides them in a few steps
         sizes = []
         jet = PeriodicField.jet_at
 
@@ -179,7 +214,9 @@ class TestObjectiveStop:
 
         monkeypatch.setattr(PeriodicField, "jet_at", counted)
         pot = TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12))
-        assert min_modulus_objective(pot, 96) == 0.0
+        assert decided(pot, 96) == (0.0, "windings")
+        assert len(sizes) == 0
+        assert decided(TrigPotential.from_half_modes(LAT, {(1, 0): 0.2}), 96) == (0.0, "polish")
         assert 1 <= len(sizes) <= 8
 
     def test_same_value_as_full_polish(self, monkeypatch):
@@ -194,12 +231,16 @@ class TestObjectiveStop:
         rep = torus_search(SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
                                         grid_n=96, mode_budget=3))
         values = [v for _, v in rep.history]
-        assert values[4] == 3.3797912795189796e-4 and values[:4] == [0.0] * 4
+        assert values == [0.0] * 5
         for u, v in zip(seen, values):
-            assert v == full_polish_objective(u, 96)
+            assert v == reference_objective(u, 96)
+        # the fifth member: four starts polish to 3.38e-4, yet the oracle's
+        # rows wind differently, so its invariant has a zero
+        assert full_polish_objective(seen[4], 96) == 3.3797912795189796e-4
+        assert len(set(row_evidence(seen[4], 96)[1].tolist())) > 1
         for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
                     TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})):
-            assert min_modulus_objective(pot, 96) == full_polish_objective(pot, 96) == 0.0
+            assert min_modulus_objective(pot, 96) == reference_objective(pot, 96) == 0.0
 
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_start_picks_match_full_walk(self, n):
@@ -236,9 +277,9 @@ def search_stacks(monkeypatch, cfg) -> list:
     seen = []
     objective = torussearch.min_modulus_objective
 
-    def recorded(u, grid_n):
+    def recorded(u, grid_n, **kw):
         seen.append(u)
-        return objective(u, grid_n)
+        return objective(u, grid_n, **kw)
 
     monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
     torus_search(cfg)
@@ -248,27 +289,32 @@ def search_stacks(monkeypatch, cfg) -> list:
 
 class TestStackedObjective:
     """A stack's scores are its members' scores alone, bit for bit: alone in a
-    stack of one, and alone on the plain-field path of full_polish_objective.
-    Most scores are 0, so the stacked P forms and polishes the objective
-    runs are held, member by member, to the plain-field ones bit for bit."""
+    stack of one, and alone by the reference of reference_objective.  Most
+    scores are 0, so the stacked P forms and the polishes of the members
+    the row windings leave open are held, member by member, to the
+    plain-field ones bit for bit."""
 
     @staticmethod
     def assert_scores_alone(stack, n):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("cartan_r", "_polish"):
+            for name in ("cartan_r", "_polish_scores", "_polish"):
                 def recorded(*args, _run=getattr(torussearch, name), _name=name):
-                    out = _run(*args)
-                    calls.append((_name, args, out))
-                    return out
+                    call = [_name, args, None]  # in the order of entry: a pass's polish last
+                    calls.append(call)
+                    call[2] = _run(*args)
+                    return call[2]
                 mp.setattr(torussearch, name, recorded)
             got = min_modulus_objective(stack, n).tolist()
         for name, args, out in calls:
-            if name == "cartan_r":  # a pass: its P form, and the members its polish runs
+            if name == "cartan_r":  # a pass: its P form
                 (u, form), r = args, out
                 for i in range(len(u._block)):
                     assert np.array_equal(r.take(i)._block, cartan_r(u.take(i), form)._block)
-                live = [i for i in range(len(u._block))
+                continue
+            if name == "_polish_scores":  # the members of the pass the windings left open
+                (r,) = args
+                live = [i for i in range(len(r._block))
                         if not _is_degenerate(float(np.abs(r.take(i).values).max()))]
                 continue
             (_, starts, reach, stop), (z, best) = args, out
@@ -278,7 +324,7 @@ class TestStackedObjective:
                 assert np.array_equal(alone[0][0], z[row]) and np.array_equal(alone[1][0], best[row])
         alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
                  for i in range(len(stack.C))]
-        assert got == alone == [full_polish_objective(u, n) for u in members(stack)]
+        assert got == alone == [reference_objective(u, n) for u in members(stack)]
         return got
 
     @settings(max_examples=12, deadline=None)
@@ -298,13 +344,20 @@ class TestStackedObjective:
         assert scores[4] == 0.0
 
     def test_pinned_member_in_a_stack(self, monkeypatch):
-        # the one nonzero value of the 16 pool searches, among random members
+        # the member whose polish stalls at 3.38e-4, among random members:
+        # its row windings prove the zero in the stack as alone
         stack = search_stacks(monkeypatch, SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
                                                         grid_n=96, mode_budget=3))[0]
         rows = _clipped(np.random.default_rng(4).uniform(-0.25, 0.25, (7, stack.C.shape[1])), 1.0)
         rows[3] = stack.C[4, :24]
         stack = stack_of(LAT_GEN, 3, rows)
-        assert self.assert_scores_alone(stack, 96)[3] == 3.3797912795189796e-4
+        assert self.assert_scores_alone(stack, 96)[3] == 0.0
+        pinned = members(stack)[3]
+        assert full_polish_objective(pinned, 96) == 3.3797912795189796e-4
+        tube, oracle = row_evidence(pinned, 96)
+        certified = np.isfinite(tube)
+        assert np.array_equal(tube[certified], oracle[certified])
+        assert len(set(oracle[certified].tolist())) > 1
 
     def test_full_band_invariant(self):
         # band 11 on n = 64: r's band 33 is cut to n/2, the Nyquist bins fold
@@ -319,10 +372,11 @@ class TestStackedObjective:
         self.assert_scores_alone(stack, 64)
 
     def test_polish_of_a_stack_is_each_members_own(self, monkeypatch):
-        # a full polish (stop 0), with the jet of the objective's pass, of r
-        # for potentials of bands 3 and 2: starts die at different steps, so
-        # members part into groups by their count of live starts, and each
-        # member's iterates are its own alone
+        # a full polish (stop 0), with the jet the objective gives the
+        # members its row windings leave open, of r for potentials of bands
+        # 3 and 2: starts die at different steps, so members part into
+        # groups by their count of live starts, and each member's iterates
+        # are its own alone
         rng = np.random.default_rng(7)
         rs = []
         for budget in (3, 2, 3, 3, 2, 3):
@@ -348,7 +402,7 @@ class TestStackedObjective:
 
         monkeypatch.setattr(PeriodicField, "jet_at", counted)
         monkeypatch.setattr(torussearch, "_polish", full)
-        torussearch._pass_scores(stack, len(rs))
+        torussearch._polish_scores(stack)
         (z, best), = seen
         assert len({c for _, c in sizes}) > 2  # the members parted
         for i, r in enumerate(rs):
@@ -412,6 +466,85 @@ class TestStackedObjective:
         finally:
             tracemalloc.stop()
         assert group <= 512 * 1024 + single
+
+
+class TestRowWindings:
+    """The objective's row windings: every row the chord tube certifies has
+    the winding of the companion roots (the oracle), and rows of fields
+    that vary in one direction wind alike, so they never prove a zero."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), budget=st.integers(1, 3),
+           amplitude=st.sampled_from([0.05, 0.25, 0.75]), n=st.sampled_from([64, 96]))
+    def test_certified_rows_have_the_oracles_winding(self, seed, budget, amplitude, n):
+        rng = np.random.default_rng(seed)
+        lattice = (LAT, LAT_GEN)[seed % 2]
+        half = SearchConfig(lattice, mode_budget=budget).mode_list()
+        stack = stack_of(lattice, budget, _clipped(rng.uniform(-amplitude, amplitude,
+                                                               (6, 2 * len(half))), 0.3))
+        u = PeriodicField._from_block(lattice, n, _placed(stack.jk, stack.C, n), True)
+        E = _interpolant(cartan_r(u, "p_form")._spectral_block(), n)
+        rows = np.concatenate([OBJECTIVE_ROWS, rng.random(4)])
+        tube, oracle = _row_windings(E, rows), row_windings(E, rows)
+        certified = np.isfinite(tube)
+        assert certified.any()
+        assert np.array_equal(tube[certified], oracle[certified])
+        for i, member in enumerate(members(stack)):
+            own = tube[i][certified[i]]
+            if own.size and own.max() > own.min():  # a proven zero: the oracle's rows differ
+                assert oracle[i].max() > oracle[i].min()
+                assert min_modulus_objective(member, n) == 0.0
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (2, -1)])
+    def test_one_direction_never_proves_a_zero(self, lattice, jk):
+        # s-only and other one-directional potentials: every row meets the
+        # zero curves alike, so rows never wind differently, and the polish
+        # still finds the zero
+        rng = np.random.default_rng(sum(jk) + 3)
+        for n in (64, 96):
+            for _ in range(3):
+                profile = dict(zip((1, 2, 3), rng.uniform(-0.2, 0.2, 3) + 1j * rng.uniform(-0.2, 0.2, 3)))
+                pot = one_directional(lattice, jk, profile)[0]
+                tube, oracle = row_evidence(pot, n)
+                certified = np.isfinite(tube)
+                assert np.array_equal(tube[certified], oracle[certified])
+                assert len(set(tube[certified].tolist())) <= 1
+                assert decided(pot, n) == (0.0, "polish")
+
+    def test_rounding_stays_within_the_margin(self):
+        # the float64 row samples against direct mode sums in long double,
+        # on random blocks of many magnitudes and on full-band stacks
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is float64 here: no reference with more precision")
+        rng = np.random.default_rng(17)
+        blocks = [(rng.normal(size=(3, L, L)) + 1j * rng.normal(size=(3, L, L)))
+                  * 10.0 ** rng.uniform(-30, 30, (3, 1, 1)) for L in (1, 3, 19, 65)]
+        half = SearchConfig(LAT_GEN, mode_budget=11, grid_n=64).mode_list()
+        outer = np.array([max(abs(j), abs(k)) >= 11 for j, k in half])
+        coeffs = _clipped(rng.uniform(-0.05, 0.05, (5, 2 * len(half))), 1.0)
+        coeffs[:, outer] *= 1e-5
+        stack = stack_of(LAT_GEN, 11, coeffs)
+        u = PeriodicField._from_block(LAT_GEN, 64, _placed(stack.jk, stack.C, 64), True)
+        blocks.append(_interpolant(cartan_r(u, "p_form")._spectral_block(), 64))
+        assert blocks[-1].shape == (5, 65, 65)  # r at full band, its Nyquist bins split
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        rows = np.concatenate([OBJECTIVE_ROWS, rng.random(3)])
+        worst = 0.0
+        for E in blocks:
+            L = E.shape[-1]
+            k = np.arange(L) - L // 2
+            M = 256
+            s = np.arange(M + 1) / np.longdouble(M)
+            for t0, (p, tube, margin) in zip(rows, _row_samples(E, rows)):
+                c = E.astype(np.clongdouble) @ np.exp(1j * two_pi * (k * np.longdouble(t0)))
+                waves = np.exp(1j * two_pi * np.multiply.outer(k, s))
+                exact = c @ waves
+                worst = max(worst, float(np.max(np.abs(p - exact).max(-1) / margin)))
+                # the tube holds the exact row's curvature at every sample
+                curvature = np.abs((c * (two_pi * k) ** 2) @ waves).max(-1)
+                assert np.all(curvature / (8 * M * M) <= tube)
+        assert worst <= 1 / 8
 
 
 class TestObstruction:
