@@ -280,7 +280,7 @@ def _row_windings(E: np.ndarray, rows) -> np.ndarray:
         a, b = p[..., :-1], p[..., 1:]
         d = b - a
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0.0, 1.0)
+            x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0, 1)
             passed = (np.abs(a + x * d) > ((tube + margin) * scale)[..., None]).all(-1)
             winding = np.rint(np.angle(b / a).sum(-1) / (2 * np.pi))
         out[..., q] = np.where(passed, winding, np.nan)

@@ -53,7 +53,8 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from .field import PeriodicField, TorusLattice, _bands, _interpolant, _lift_size, _real, _row_windings
+from .field import (PeriodicField, TorusLattice, _bands, _interpolant, _lift_size, _real,
+                    _row_windings)
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 

@@ -504,7 +504,7 @@ class TestRowWindings:
         rng = np.random.default_rng(sum(jk) + 3)
         for n in (64, 96):
             for _ in range(3):
-                profile = dict(zip((1, 2, 3), rng.uniform(-0.2, 0.2, 3) + 1j * rng.uniform(-0.2, 0.2, 3)))
+                profile = dict(zip((1, 2, 3), np.array([1, 1j]) @ rng.uniform(-0.2, 0.2, (2, 3))))
                 pot = one_directional(lattice, jk, profile)[0]
                 tube, oracle = row_evidence(pot, n)
                 certified = np.isfinite(tube)
