@@ -48,6 +48,10 @@ m = min(2n, _next_fast_len(S + K + 1)): the padding rule m > S + K
 Transforms go through ``numpy.fft``, and the chart spline is numpy as
 well: importing this module loads no scipy.
 
+Off-grid evaluation on a torus (``evaluate_st``, ``jet_at``) takes each
+point's row product on its own (:func:`_point_rows`), so a point's value
+and jet are bit for bit the same alone, in any batch and in a stack.
+
 :func:`_row_windings` takes the winding of a torus interpolant along rows
 t = t0 from its coefficient block alone, each row certified by a chord
 tube with a rounding margin or left open; the search objective proves
@@ -146,20 +150,15 @@ class TorusLattice:
         Lagrange-reduced basis (a, b) that holds d: the cell's shorter
         diagonal splits it into two triangles with no obtuse angle, and
         each lies in the Voronoi cells of its own corners.  The candidates
-        are those four corners and the nine m + n omega with |m|, |n| <= 1,
-        each distance formed alike as |d - (m + n omega)|, so on a reduced
-        basis (1, omega) and d within one period the minimum is that of
-        the nine alone.  The nine alone miss the nearest image on a skewed
-        basis such as omega = 10 + 0.1i."""
+        are those four corners."""
         d = np.asarray(z1) - z0
         (p1, q1), (p2, q2) = self._reduced_basis()
         s, t = self.z_to_st(d)
         det = p1 * q2 - p2 * q1  # +-1, its own inverse
         # d = (x + .) a + (y + .) b: the corner x a + y b of d's cell
         x, y = np.floor((q2 * s - p2 * t) * det), np.floor((p1 * t - q1 * s) * det)
-        shifts = [m + n * self.omega for m in (-1, 0, 1) for n in (-1, 0, 1)]
-        shifts += [(x + i) * p1 + (y + j) * p2 + ((x + i) * q1 + (y + j) * q2) * self.omega
-                   for i in (0, 1) for j in (0, 1)]
+        shifts = [(x + i) * p1 + (y + j) * p2 + ((x + i) * q1 + (y + j) * q2) * self.omega
+                  for i in (0, 1) for j in (0, 1)]
         return np.min([np.hypot((d - sh).real, (d - sh).imag) for sh in shifts], axis=0)
 
     def _reduced_basis(self):
@@ -250,6 +249,16 @@ def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
     E[..., :, 0] *= 0.5
     E[..., :, n] = E[..., :, 0]
     return E
+
+
+def _point_rows(X: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """X @ E for exponential rows X (..., m, L) and coefficients E
+    (..., L, L), each row its own (1, L) @ (L, L) product, whatever m and
+    the row's position.  numpy's product of a batch of rows takes BLAS
+    routines whose rounding depends on the row count, so one batched
+    product gives a point other last bits alone than among others.  Every
+    row product of off-grid evaluation is taken here."""
+    return (X[..., None, :] @ E[..., None, :, :])[..., 0, :]
 
 
 def _row_windings(E: np.ndarray, rows) -> np.ndarray:
@@ -718,25 +727,26 @@ class PeriodicField(_SampledField):
     def evaluate_st(self, s, t) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary (s, t).
 
-        Point p is the row sum of ``(Es @ E) * Et``: one matrix product per
-        batch and no contraction planning, so a single point costs little
-        more than a short batch.  At grid nodes the result equals ``values``
-        to rounding, which is why zero-curve refinement takes the endpoint
-        values of grid edges from the samples."""
+        Point p is the row sum of ``(Es[p] @ E) * Et[p]``, its own row
+        product (:func:`_point_rows`) and no contraction planning: a point's
+        value is bit for bit the same alone, in any batch and at any
+        position.  At grid nodes the result equals ``values`` to rounding,
+        which is why zero-curve refinement takes the endpoint values of grid
+        edges from the samples."""
         E, Es, Et = self._rows(s, t)
-        return ((Es @ E) * Et).sum(-1)
+        return (_point_rows(Es, E) * Et).sum(-1)
 
     def jet_at(self, z):
         """(f, D f, Dbar f) of the interpolant at complex points: the rows of
-        :meth:`evaluate_st`, one more matrix product for d/ds and a weighted
+        :meth:`evaluate_st`, one more row product for d/ds and a weighted
         row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`.
-        On a stack of k fields z is (k, p), p points per member, and each
-        matrix product is one stacked product: per member it is bit for bit
-        the member's own, whose row count p it keeps."""
+        On a stack of k fields z is (k, p), p points per member.  Every
+        point's jet is bit for bit that of the point alone on its own field,
+        whatever the batch, as long as the members share one band."""
         E, Es, Et = self._rows(*self.lattice.z_to_st(np.asarray(z, dtype=complex)))
         k = 2j * np.pi * _freqs(E)
-        rows = Es @ E
-        fs, ft = (((Es * k) @ E) * Et).sum(-1), (rows * Et * k).sum(-1)
+        rows = _point_rows(Es, E)
+        fs, ft = (_point_rows(Es * k, E) * Et).sum(-1), (rows * Et * k).sum(-1)
         return ((rows * Et).sum(-1), *_lattice_wirtinger(fs, ft, self.lattice.omega))
 
     def _rows(self, s, t):

@@ -49,9 +49,12 @@ every live start of every row.  Steps must lower |f| and stay within a
 fixed reach of their start, so a neighbouring zero cannot capture the
 iterate.  A caller that only needs to know whether |f| falls below a
 threshold passes it as a row's stop, and the row ends at the first step
-where one of its starts is below it.  The search objective polishes a
-stack of fields, a row per member, with a jet of its own, for the members
-its row windings leave unproven (``torussearch._polish_scores``, called by
+where one of its starts is below it.  A point's jet is bit for bit the
+same in any batch, so each row's iterates are those of its polish alone,
+whatever other rows share the calls.  The search objective polishes a
+stack of fields of one band, a row per member, with a jet that evaluates
+every member's iterates in one stacked call, for the members its row
+windings leave unproven (``torussearch._polish_scores``, called by
 ``torussearch._pass_scores``).
 """
 
@@ -511,12 +514,10 @@ def _polish(jet, starts, max_move, stop=0.0):
     default 0 never triggers.  Deterministic, monotone and confined.
 
     On one field the jet is its ``jet_at``, and the rows share each call.
-    A row's iterates are then those of its polish alone, bit for bit, on a
-    chart, whose spline is evaluated point by point, and on a torus field
-    wherever no jet call of either polish holds a single point: numpy's
-    matrix product of one row takes another BLAS routine than that of
-    several.  A caller with a field per row passes a jet that evaluates
-    each row on its own field.
+    A point's jet does not depend on its batch, on a chart or a torus
+    field, so a row's iterates are those of its polish alone, bit for bit.
+    A caller with a field per row passes a jet that evaluates each row on
+    its own field.
     """
     z0 = np.asarray(starts, dtype=complex)
     k, p = z0.shape

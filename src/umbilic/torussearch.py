@@ -274,30 +274,28 @@ def _pass_scores(r: PeriodicField):
     """The scores of the members of a stack r of invariants Pu, and the
     index in _SCORE_KINDS of the way each was decided.  A member whose
     certified row windings differ scores 0 from its coefficients alone; the
-    others are scored by :func:`_polish_scores`.  The windings are taken on
-    each member's own band, so they are the member's own alone, bit for
-    bit."""
+    others are scored by :func:`_polish_scores`.  Both run band by band, on
+    the members that share one band, so every score is the member's own
+    alone, bit for bit."""
     rows = (np.arange(_ROWS) + 0.5) / _ROWS
     bands = _bands(r._block)
-    windings = np.empty((len(bands), _ROWS))
+    scores, kinds = np.zeros(len(bands)), np.full(len(bands), _WINDINGS)
     for band in np.unique(bands):
         members = np.flatnonzero(bands == band)
-        windings[members] = _row_windings(_interpolant(r.take(members)._block, r.n), rows)
-    proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
-    scores, kinds = np.zeros(len(bands)), np.full(len(bands), _WINDINGS)
-    open_ = np.flatnonzero(~proven)
-    if open_.size:
-        scores[open_], kinds[open_] = _polish_scores(r.take(open_))
+        windings = _row_windings(_interpolant(r.take(members)._block, r.n), rows)
+        proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
+        open_ = members[~proven]
+        if open_.size:
+            scores[open_], kinds[open_] = _polish_scores(r.take(open_))
     return scores, kinds
 
 
 def _polish_scores(r: PeriodicField):
-    """The scores of the members of a stack r of invariants Pu from their
-    samples and one polish, and the index in _SCORE_KINDS of the way each
-    was decided.  The polish runs the starts of every live member, row i on
-    member i: its jet makes one stacked ``jet_at`` call per group of members
-    that share their band and their count of live starts.  A stacked matrix
-    product is bit for bit the member's own only at the same row count, so
+    """The scores of the members of a stack r of invariants Pu of one band
+    from their samples and one polish, and the index in _SCORE_KINDS of the
+    way each was decided.  The polish runs the starts of every live member,
+    row i on member i, and its jet is one stacked ``jet_at`` call per step
+    on the (k, p) iterates; a point's jet does not depend on its batch, so
     each member's iterates are those of its polish alone."""
     k = len(r._block)
     scores, kinds, live, extremes, starts = np.zeros(k), np.full(k, _DEGENERATE), [], [], []
@@ -312,18 +310,11 @@ def _polish_scores(r: PeriodicField):
             # field; n >= 64 leaves room for all four
             starts.append([r.corner_z(a, b) for a, b in _lowest_separated_cells(A, count=4, min_sep=4)])
     if live:
-        band, p = _bands(r._block[live]), len(starts[0])
+        alive, z = r.take(live), np.array(starts)
 
         def jet(points, at):
-            rows = at // p  # each point's member; at is sorted, so members come in order
-            key = (band * (p + 1) + np.bincount(rows, minlength=len(live)))[rows]
-            out = np.empty((3, len(at)), dtype=complex)
-            for group in np.unique(key):
-                sel = key == group
-                members = np.unique(rows[sel])
-                out[:, sel] = [x.ravel() for x in r.take(np.take(live, members)).jet_at(
-                    points[sel].reshape(len(members), -1))]
-            return out
+            z.flat[at] = points
+            return [x.ravel()[at] for x in alive.jet_at(z)]
 
         stop = _ZERO_RATIO * np.array([mx for _, mx in extremes])
         polished = _polish(jet, starts, 2.5 * r.cell_size, stop)[1].min(1)

@@ -723,6 +723,64 @@ class TestEvaluation:
         assert PeriodicField(LAT_GEN, values).evaluate_st(s, t).tobytes() == first.tobytes()
 
 
+def contract_fields():
+    """Fields of every row length the pipelines evaluate, by L = 2 band + 1:
+    the invariant r of trigonometric potentials of bands 2 and 3 (L = 13
+    and 19), and fields built from samples at n = 128 and 256, which
+    evaluate at full band (L = 129 and 257).  numpy and umbilic only."""
+    rng = np.random.default_rng(12)
+    fields = []
+    for budget in (2, 3):
+        half = {(j, k): 0.1 * complex(*rng.normal(size=2))
+                for j in range(-budget, budget + 1) for k in range(budget + 1) if k > 0 or j > 0}
+        fields.append(cartan_r(TrigPotential.from_half_modes(LAT_GEN, half).to_field(64), "p_form"))
+    for n in (128, 256):
+        fields.append(PeriodicField(LAT_GEN, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    return fields
+
+
+class TestEvaluationContract:
+    """A point's value and jet are bit for bit the same alone, in any batch,
+    at any position and in a stack: the multi-start polish and the search's
+    stacked scores rest on it.  numpy promises no such thing of a batched
+    matrix product (its rounding can depend on the row count and on the BLAS
+    build), so this checks the running machine."""
+
+    SIZES = [*range(1, 41), 63, 64, 65, 100, 128, 129, 255, 256, 257, 300]
+
+    @pytest.mark.parametrize("L, f", zip([13, 19, 129, 257], contract_fields()),
+                             ids=["L13", "L19", "L129", "L257"])
+    def test_any_batch_is_each_point_alone(self, L, f):
+        assert f._rows(0.0, 0.0)[0].shape == (L, L)
+        rng = np.random.default_rng(L)
+        s, t = rng.uniform(-1.0, 2.0, (2, 300))
+        z = LAT_GEN.st_to_z(s, t)
+        value = np.array([f.evaluate_st(s[i:i + 1], t[i:i + 1])[0] for i in range(300)])
+        jet = np.array([[x[0] for x in f.jet_at(z[i:i + 1])] for i in range(300)]).T
+        for m in self.SIZES:
+            assert np.array_equal(f.evaluate_st(s[:m], t[:m]), value[:m])
+            assert np.array_equal(f.jet_at(z[:m]), jet[:, :m])
+        order = rng.permutation(300)
+        assert np.array_equal(f.evaluate_st(s[order], t[order]), value[order])
+        assert np.array_equal(f.jet_at(z[order]), jet[:, order])
+
+    @pytest.mark.parametrize("f", contract_fields()[1::2], ids=["L19", "L129"])
+    def test_stacked_jet_is_each_member_alone(self, f):
+        # k members of one band, p points each, against each member's own
+        # field at all p points and at each point alone
+        rng = np.random.default_rng(5)
+        B = f._spectral_block()
+        members = [PeriodicField._from_block(LAT_GEN, f.n, c * B, False)
+                   for c in rng.normal(size=(4, 2)) @ [1, 1j]]
+        stack = PeriodicField._from_block(LAT_GEN, f.n, np.stack([g._block for g in members]), False)
+        z = LAT_GEN.st_to_z(*rng.uniform(-1.0, 2.0, (2, 4, 7)))
+        got = stack.jet_at(z)
+        for i, g in enumerate(members):
+            assert np.array_equal([x[i] for x in got], g.jet_at(z[i]))
+            for j in range(7):
+                assert np.array_equal([x[i, j] for x in got], [x[0] for x in g.jet_at(z[i, j:j + 1])])
+
+
 def grid_field(kind):
     """A complex field on an oblique torus or on a chart, for the grid facts."""
     if kind == "torus":

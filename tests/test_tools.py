@@ -116,6 +116,23 @@ def test_results_diff_compares_whole_error_objects():
     assert report["differ"] == ["obstruction/fuzz-torus/000"] and report["outcome_mismatches"]
 
 
+def test_results_diff_lists_discrete_changes_apart_from_float_drift():
+    old = {"search/a": outcome({"objective": 3.25e-9, "resolution_ok": False, "n": 2}),
+           "search/b": outcome({"objective": 1.0, "modes": ["1,0"]}),
+           "umbilics/c": outcome({"records": [{"x": 0.5, "twice_index": 1}]})}
+    new = {"search/a": outcome({"objective": 4.19e-9, "resolution_ok": True, "n": 2}),
+           "search/b": outcome({"objective": 1.0 + 2 ** -52, "modes": ["1,0"]}),
+           "umbilics/c": outcome({"records": [{"x": 0.5, "twice_index": 1},
+                                              {"x": 0.7, "twice_index": -1}]})}
+    report = results_diff.compare(old, new)
+    assert report["differ"] == ["search/a", "search/b", "umbilics/c"]
+    assert report["discrete_changes"] == {
+        "search/a": {"/resolution_ok": [False, True]},
+        "umbilics/c": {"/records[1]/twice_index": ["<absent>", -1],
+                       "/records[1]/x": ["<absent>", 0.7]}}
+    assert results_diff.compare(old, old)["discrete_changes"] == {}
+
+
 _LINES_SPEC = importlib.util.spec_from_file_location(
     "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_LINES_SPEC)

@@ -236,7 +236,7 @@ class TestObjectiveStop:
             assert v == reference_objective(u, 96)
         # the fifth member: four starts polish to 3.38e-4, yet the oracle's
         # rows wind differently, so its invariant has a zero
-        assert full_polish_objective(seen[4], 96) == 3.3797912795189796e-4
+        assert full_polish_objective(seen[4], 96) == 3.379791279516251e-4
         assert len(set(row_evidence(seen[4], 96)[1].tolist())) > 1
         for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
                     TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})):
@@ -353,7 +353,7 @@ class TestStackedObjective:
         stack = stack_of(LAT_GEN, 3, rows)
         assert self.assert_scores_alone(stack, 96)[3] == 0.0
         pinned = members(stack)[3]
-        assert full_polish_objective(pinned, 96) == 3.3797912795189796e-4
+        assert full_polish_objective(pinned, 96) == 3.379791279516251e-4
         tube, oracle = row_evidence(pinned, 96)
         certified = np.isfinite(tube)
         assert np.array_equal(tube[certified], oracle[certified])
@@ -373,21 +373,17 @@ class TestStackedObjective:
 
     def test_polish_of_a_stack_is_each_members_own(self, monkeypatch):
         # a full polish (stop 0), with the jet the objective gives the
-        # members its row windings leave open, of r for potentials of bands
-        # 3 and 2: starts die at different steps, so members part into
-        # groups by their count of live starts, and each member's iterates
-        # are its own alone
+        # members its row windings leave open, of r for six potentials of
+        # band 3: starts die at different steps, so members hold different
+        # counts of live starts, yet each step is one stacked jet_at call on
+        # all (6, 4) iterates, and each member's iterates are its own alone
         rng = np.random.default_rng(7)
-        rs = []
-        for budget in (3, 2, 3, 3, 2, 3):
-            half = SearchConfig(LAT_GEN, mode_budget=budget).mode_list()
-            rows = _clipped(rng.uniform(-0.2, 0.2, (1, 2 * len(half))), 1.0)
-            rs.append(cartan_r(members(stack_of(LAT_GEN, budget, rows))[0].to_field(64), "p_form"))
-        L = max(len(r._block) for r in rs)
-        stack = PeriodicField._from_block(LAT_GEN, 64, np.stack(
-            [np.pad(r._block, (L - len(r._block)) // 2) for r in rs]), False)
+        half = SearchConfig(LAT_GEN, mode_budget=3).mode_list()
+        rows = _clipped(rng.uniform(-0.2, 0.2, (6, 2 * len(half))), 1.0)
+        rs = [cartan_r(u.to_field(64), "p_form") for u in members(stack_of(LAT_GEN, 3, rows))]
+        stack = PeriodicField._from_block(LAT_GEN, 64, np.stack([r._block for r in rs]), False)
         starts = LAT_GEN.st_to_z(*rng.random((2, len(rs), 4)))
-        sizes = []
+        sizes, counts = [], []
         jet = PeriodicField.jet_at
 
         def counted(self, z):
@@ -397,14 +393,19 @@ class TestStackedObjective:
         seen = []
 
         def full(pass_jet, *_):  # the pass's own jet, on these starts, to the end
-            seen.append(_polish(pass_jet, starts, 0.3, 0.0))
+            def steps(points, at):
+                counts.append(np.bincount(at // 4, minlength=len(rs)))
+                return pass_jet(points, at)
+
+            seen.append(_polish(steps, starts, 0.3, 0.0))
             return seen[-1]
 
         monkeypatch.setattr(PeriodicField, "jet_at", counted)
         monkeypatch.setattr(torussearch, "_polish", full)
         torussearch._polish_scores(stack)
         (z, best), = seen
-        assert len({c for _, c in sizes}) > 2  # the members parted
+        assert sizes == [(len(rs), 4)] * len(counts)  # one call per step, on every iterate
+        assert any(len(set(c[c > 0].tolist())) > 1 for c in counts)  # live counts differ
         for i, r in enumerate(rs):
             alone = _polish(lambda w, _: r.jet_at(w), starts[i:i + 1], 0.3, 0.0)
             assert np.array_equal(alone[0][0], z[i]) and np.array_equal(alone[1][0], best[i])

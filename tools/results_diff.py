@@ -19,6 +19,11 @@ ids whose results are not byte-identical (an outcome mismatch included).
 diagnostics key present in one tree alone to the job ids that have it,
 apart from ``diagnostics_changed``, the keys of both trees whose values
 differ, so a change that only adds keys reads as such.
+``discrete_changes`` maps each config whose results differ in a leaf that
+is not a float (a bool, an int, a string or null) or that one tree alone
+has to those leaves, each with its [old, new] value ("<absent>" on the side
+that lacks it), so a rounding drift reads apart from a flipped flag or a
+changed count.
 ``per_operation`` repeats the counts, drifts and ``differ`` for each
 operation (the job-id prefix), so a change that moves every search result
 does not hide the drift of the others.
@@ -110,6 +115,19 @@ def drift(a, b):
     return worst_rel, worst_abs
 
 
+def discrete_changes(a, b) -> dict:
+    """The leaves of two results blocks that differ and are not both floats,
+    and the leaves one block alone has, each path mapped to its [old, new]
+    value, "<absent>" on the side that lacks it."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    changes = {}
+    for path in [*la, *(p for p in lb if p not in la)]:
+        x, y = la.get(path, "<absent>"), lb.get(path, "<absent>")
+        if not (type(x) is type(y) is float or (type(x), x) == (type(y), y)):
+            changes[path] = [x, y]
+    return changes
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) == 3 and args[0] == "--child":
@@ -147,7 +165,7 @@ def compare(old: dict, new: dict) -> dict:
         [jid for jid in sorted(old) if json.dumps(old[jid][key], sort_keys=True)
          != json.dumps(new[jid][key], sort_keys=True)]
         for key in ("config", "diagnostics"))
-    only_old, only_new, changed = {}, {}, {}
+    only_old, only_new, changed, discrete = {}, {}, {}, {}
     for jid in diagnostics_mismatches:
         a, b = old[jid]["diagnostics"], new[jid]["diagnostics"]
         for key in sorted(a.keys() | b.keys()):
@@ -173,6 +191,8 @@ def compare(old: dict, new: dict) -> dict:
             continue
         else:
             (rel, rel_path), (dif, dif_path) = drift(a["results"], b["results"])
+            if changes := discrete_changes(a["results"], b["results"]):
+                discrete[jid] = changes
             for t in groups:
                 t["rel"] = max(t["rel"], (rel, f"{jid} {rel_path}"))
                 t["abs"] = max(t["abs"], (dif, f"{jid} {dif_path}"))
@@ -190,6 +210,7 @@ def compare(old: dict, new: dict) -> dict:
             "diagnostics_keys_only_old": only_old,
             "diagnostics_keys_only_new": only_new,
             "diagnostics_changed": changed,
+            "discrete_changes": discrete,
             "nonzero_exits_old": failed,
             "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}}
 
