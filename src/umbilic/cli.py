@@ -83,6 +83,7 @@ machine-readable error object:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -527,7 +528,10 @@ def _require_finite(value, path: str):
 # entry point
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every :func:`main` call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="umbilic",
         description="Umbilical loci of strictly pseudoconvex circle bundles: "

@@ -52,10 +52,12 @@ Off-grid evaluation on a torus (``evaluate_st``, ``jet_at``) takes each
 point's row product on its own (:func:`_point_rows`), so a point's value
 and jet are bit for bit the same alone, in any batch and in a stack.
 
-:func:`_row_windings` takes the winding of a torus interpolant along rows
-t = t0 from its coefficient block alone, each row certified by a chord
-tube with a rounding margin or left open; the search objective proves
-zeros with it (the argument principle between two rows).
+:func:`_chord_windings` takes the winding about 0 of 1-D trigonometric
+polynomials from their coefficients and an l1 bound on their rounding,
+each certified by a chord tube with a rounding margin, a failed piece
+halved at its dyadic midpoint until it passes, or left open; the search
+objective proves zeros with it on the rows of Pu (the argument principle
+between two rows).
 
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
@@ -72,7 +74,7 @@ The formal power series representation lives in :mod:`umbilic.series`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -96,10 +98,9 @@ _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 # spectrum carries no sample rounding and is read as it is.
 _DENOISE_FACTOR = 16.0
 
-# _row_samples: samples per row, a power of two, so that the phases
-# j m / M mod 1 of the sample factors are exact
-_ROW_SAMPLES = 256
-_ROW_ROOTS = np.exp(2j * np.pi * (np.arange(_ROW_SAMPLES) / _ROW_SAMPLES))
+# _chord_windings: samples per row at the first level, a power of two, so
+# that the phases j m / K mod 1 of the sample factors are exact at every level
+_ROW_SAMPLES = 128
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def _interpolant(B: np.ndarray, n: int) -> np.ndarray:
 
 def _point_rows(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     """X @ E for exponential rows X (..., m, L) and coefficients E
-    (..., L, L), each row its own (1, L) @ (L, L) product, whatever m and
+    (..., L, q), each row its own (1, L) @ (L, q) product, whatever m and
     the row's position.  numpy's product of a batch of rows takes BLAS
     routines whose rounding depends on the row count, so one batched
     product gives a point other last bits alone than among others.  Every
@@ -261,83 +262,107 @@ def _point_rows(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     return (X[..., None, :] @ E[..., None, :, :])[..., 0, :]
 
 
-def _row_windings(E: np.ndarray, rows) -> np.ndarray:
-    """The winding number about 0 of the trigonometric polynomial with the
-    coefficients E (axis 0 is s, axis 1 is t, as :func:`_interpolant` lays
-    them out) along each row t = t0 of rows, t0 in [0, 1) and s from 0 to
-    1, where the chord-tube test certifies it, else NaN: (len(rows),), or
-    (..., len(rows)) for a stack of blocks.
+def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """The winding number about 0 of the trigonometric polynomial
+    p(s) = sum_j P_j e^{2 pi i j s}, |j| <= J, s from 0 to 1, for each row of
+    coefficients P (..., 2J+1), where the chord-tube test certifies it, else
+    NaN: (...,).  err (...,) bounds the l1 distance from P to the exact
+    coefficients whose windings are asked for.
 
-    A row is sampled at s = m / M (:func:`_row_samples`), and its piece
-    between two samples, of length h = 1 / M, passes when the distance from
-    0 to its chord exceeds the tube L2 h^2 / 8 plus the rounding margin.
-    The row's true polynomial stays within the tube of its true chord (the
-    Peano kernel of linear interpolation is positive with integral at most
-    h^2 / 8, and L2 bounds |p''|), and the true chord within the margin of
-    the computed one.  When every piece passes, the homotopy from p to the
-    computed closed polygon never meets 0, so p's winding is the polygon's:
-    the sum of its chords' argument increments, each inside (-pi, pi) by
-    far more than its rounding, since the chord misses 0 by the margin.  A
-    block that is not finite, or is 0, certifies no row.  The samples are
-    scaled by a power of two, exactly, so that margin is about 1 and the
-    chord arithmetic neither overflows nor underflows.  One row at a time:
-    no (..., rows, M) temporaries."""
-    out = np.empty((*E.shape[:-2], len(rows)))
-    for q, (p, tube, margin) in enumerate(_row_samples(E, rows)):
-        scale = np.ldexp(1.0, -np.frexp(margin)[1])  # 1 for inf or NaN
-        p = p * scale[..., None]
-        a, b = p[..., :-1], p[..., 1:]
-        d = b - a
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0, 1)
-            passed = (np.abs(a + x * d) > ((tube + margin) * scale)[..., None]).all(-1)
-            winding = np.rint(np.angle(b / a).sum(-1) / (2 * np.pi))
-        out[..., q] = np.where(passed, winding, np.nan)
-    return out
+    A row is sampled at s = m / M, M = _ROW_SAMPLES, and its piece between
+    two samples, of length h, passes when the distance from 0 to its chord
+    exceeds the tube L2 h^2 / 8 plus the rounding margin (both from
+    :func:`_chord_bounds`).  The exact row stays within the tube of its
+    exact chord (the Peano kernel of linear interpolation is positive with
+    integral h^2 / 8, and L2 bounds |p''|), and the exact chord within the
+    margin of the computed one.  A piece that fails is halved at its dyadic
+    midpoint, level by level, until both halves pass; a row is uncertified
+    only when a failed piece's tube is already below the margin, where
+    halving can no longer pass it.  When every piece passes, the homotopy
+    from p to the computed closed polygon never meets 0, so p's winding is
+    the polygon's: the sum of its chords' argument increments, each inside
+    (-pi, pi) by far more than its rounding, since the chord misses 0 by
+    the margin.  A row that is not finite, or is 0, certifies nothing.  The
+    samples are scaled by a power of two, exactly, so that the margin is
+    about 1 and the chord arithmetic neither overflows nor underflows.
+    The first level's samples are each row's own product
+    (:func:`_point_rows`) and a midpoint is a row's own sum, so a row's
+    winding does not depend on the rows that share the call."""
+    lead = P.shape[:-1]
+    P = P.reshape(-1, P.shape[-1])
+    margin, L2 = _chord_bounds(P, np.broadcast_to(err, lead).reshape(-1))
+    live = np.isfinite(margin) & np.isfinite(L2) & np.isfinite(P).all(-1)
+    scale = np.ldexp(1.0, -np.frexp(np.where(live, margin, 1.0))[1])
+    M, N = _ROW_SAMPLES, P.shape[-1]
+    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite pass nothing
+        p = _point_rows(P, _sample_waves(N)) * scale[:, None]
+    a, b, rows = p[:, :-1].ravel(), p[:, 1:].ravel(), np.repeat(np.arange(len(P)), M)
+    at = np.tile(np.arange(M), len(P))  # a piece's left end is s = at / (M 2^level)
+    total = np.zeros(len(P))
+    level = 0
+    while True:
+        tube = L2 / (8.0 * M * M * 4.0 ** level)  # a power-of-two scaling of L2 / 8
+        alive = live[rows]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            passed = alive & _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
+            total += np.bincount(rows[passed], np.angle(b[passed] / a[passed]), len(P))
+        failed = np.flatnonzero(alive & ~passed)
+        stuck = rows[failed]
+        live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these
+        failed = failed[live[rows[failed]]]
+        if not failed.size:
+            break
+        rows, a, b, at = rows[failed], a[failed], b[failed], 2 * at[failed]
+        level += 1
+        v = (P[rows] * _waves(N, at[:, None] + 1, M << level)).sum(-1) * scale[rows]
+        rows, a, b, at = (np.repeat(x, 2) for x in (rows, a, b, at))
+        a[1::2], b[::2], at[1::2] = v, v, at[1::2] + 1  # the halves (a, v) and (v, b)
+    return np.where(live, np.rint(total / (2 * np.pi)), np.nan).reshape(lead)
 
 
-def _row_samples(E: np.ndarray, rows):
-    """For each row t0 of rows in turn, (p, tube, margin): the samples
-    p(m / M), m = 0 .. M with M = _ROW_SAMPLES (the first again at the
-    end), of p(s) = sum_j c_j e^{2 pi i j s} with c = E @ e^{2 pi i k t0},
-    the tube L2 h^2 / 8 (h = 1 / M) and the rounding margin of the samples,
-    the latter two per block of a stack.  Every product and sum is taken
-    block by block, so a block's values are bit for bit those it gets
-    alone, whatever the stack.
+def _chord_misses_zero(a, b, distance):
+    """Whether the chord from a to b keeps more than distance from 0."""
+    d = b - a
+    x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0, 1)
+    return np.abs(a + x * d) > distance
 
-    The bounds, for a block of side L, eps the machine epsilon, R_j the sum
-    of |E_jk| over k and S = sum_j R_j; E itself is the exact input.
-    - The phase of e^{2 pi i k t0} is formed from (k t0 mod 1): one
-      rounding of k t0 (at most eps L / 4 for |k| <= L / 2, t0 in [0, 1)),
-      a reduction that rounds at most once by eps / 2, and a product by
-      2 pi.  With exp's own rounding each factor is within 2 (L + 8) eps of
-      the true one.
-    - c_j is a dot product of length L, whose rounding is at most
-      (L + 4) eps R_j in any order of summation, so with the factors'
-      errors |c_j - true c_j| <= rel R_j, rel = 4 (L + 8) eps.
-    - L2 = sum_j (2 pi j)^2 (|c_j| + rel R_j) bounds the true max|p''|.
-    - A sample's factors e^{2 pi i j m / M} have the exact phase
-      (j m mod M) / M (M is a power of two) and are within 8 eps of the
-      true ones, and its dot product adds (L + 4) eps sum_j |c_j|.  With
-      the coefficients' errors a sample is within 2 rel S of the true
-      p(m / M), to first order in eps.
-    - The margin is 3 rel S.  The third rel S covers the rounding of the
-      chord's distance from 0 (a few eps S) and of the tube (relative
-      (L + 4) eps): a tube above 4 S certifies nothing, since no sample
-      exceeds S by more than the margin, and below it the tube's rounding
-      is below rel S.  Gradual underflow adds at most one smallest
-      subnormal per product, below the L tiny added.
-    """
-    L = E.shape[-1]
-    k = _freqs(E)
-    R = np.abs(E).sum(-1)
-    rel = 4 * (L + 8) * np.finfo(float).eps
-    margin = 3 * rel * R.sum(-1) + L * np.finfo(float).tiny
-    W = _ROW_ROOTS[np.multiply.outer(np.arange(_ROW_SAMPLES + 1), k) % _ROW_SAMPLES]
-    curvature = (2 * np.pi * k) ** 2 / (8 * _ROW_SAMPLES ** 2)
-    for t0 in rows:
-        c = E @ np.exp(2j * np.pi * (k * t0 % 1.0))
-        yield (W @ c[..., None])[..., 0], np.sum((np.abs(c) + rel * R) * curvature, -1), margin
+
+def _chord_bounds(P: np.ndarray, err: np.ndarray):
+    """(margin, L2) of :func:`_chord_windings` for the rows P (..., N), N =
+    2J + 1, whose exact coefficients lie within err in l1; eps is the
+    machine epsilon and ||P||_1 the l1 norm of a row.
+    - A sample's factors e^{2 pi i j m / K} have the exact phase
+      (j m mod K) / K (K is a power of two) and are within 8 eps of the true
+      ones, and its dot product adds (N + 4) eps ||P||_1, so a sample is
+      within err + (N + 12) eps ||P||_1 of the exact row's value.
+    - The margin is err + 4 (N + 8) eps ||P||_1.  The rest, above
+      (N + 12) eps ||P||_1, covers the rounding of the chord's distance from
+      0 (a few eps ||P||_1) and of the tube (relative (N + 4) eps): a tube
+      above 2 ||P||_1 certifies nothing, since no sample exceeds ||P||_1 by
+      more than the margin, and below it the tube's rounding is below
+      (2 N + 8) eps ||P||_1.  Gradual underflow adds at most one smallest
+      subnormal per product, below the N tiny added.
+    - L2 = sum_j (2 pi j)^2 |P_j| + (2 pi J)^2 err bounds the exact row's
+      max|p''|."""
+    N = P.shape[-1]
+    j = _freqs(P)
+    A = np.abs(P)
+    eps = np.finfo(float).eps
+    margin = err + 4 * (N + 8) * eps * A.sum(-1) + N * np.finfo(float).tiny
+    return margin, (A * (2 * np.pi * j) ** 2).sum(-1) + (2 * np.pi * (N // 2)) ** 2 * err
+
+
+def _waves(N: int, m: np.ndarray, K: int) -> np.ndarray:
+    """The factors e^{2 pi i j m / K} for j = -(N // 2) .. N // 2 on a last
+    axis, from the exact phases (j m mod K) / K, K a power of two."""
+    return np.exp(2j * np.pi * ((np.arange(N) - N // 2) * m % K / K))
+
+
+@lru_cache(maxsize=None)
+def _sample_waves(N: int) -> np.ndarray:
+    """The factors of the first level's samples s = m / M, m = 0 .. M
+    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1)."""
+    return _waves(N, np.arange(_ROW_SAMPLES + 1)[:, None], _ROW_SAMPLES).T.copy()
 
 
 def _centred_fft2(values: np.ndarray) -> np.ndarray:

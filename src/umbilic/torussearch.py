@@ -53,8 +53,8 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from .field import (PeriodicField, TorusLattice, _bands, _interpolant, _lift_size, _real,
-                    _row_windings)
+from .field import (PeriodicField, TorusLattice, _bands, _chord_windings, _freqs, _interpolant,
+                    _lattice_wirtinger, _lift_size, _real)
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -211,15 +211,20 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
 
     A score of 0 is a proof or a polish.  First, Pu's windings along the
     rows t = (q + 1/2) / _ROWS are taken by the chord-tube certificate
-    (``field._row_windings``); two certified rows with different windings
-    enclose a zero of Pu by the argument principle on the band between
-    them, and the score is 0 at once.  Otherwise the minimum is polished
-    off-grid (the zero set of Pu need not meet the sample grid) by the
-    damped Newton iteration of the zero polish, run from the four lowest
-    well-separated samples at once and kept within 2.5 cells of them; a
-    minimum below _ZERO_RATIO * max reports 0, a degenerate max
+    (``field._chord_windings``) on Pu's row polynomials, formed in one
+    dimension from u's coefficients (:func:`_pu_rows`) with a bound on
+    every rounding, so the certificate holds for the exact Pu of the placed
+    coefficients; two certified rows with different windings enclose a
+    zero of Pu by the argument principle on the band between them, and the
+    score is 0 with no 2-D P form.  Rows are taken where r's band 3h is
+    below n/2, and not for potentials that vary in one direction, whose
+    rows all wind alike.  Otherwise the minimum is polished off-grid (the
+    zero set of Pu need not meet the sample grid) from cartan_r's P form
+    by the damped Newton iteration of the zero polish, run from the four
+    lowest well-separated samples at once and kept within 2.5 cells of
+    them; a minimum below _ZERO_RATIO * max reports 0, a degenerate max
     (``cartan._is_degenerate``) also reports 0, and one that is not finite
-    raises DomainError (a block that is not finite certifies nothing).  A
+    raises DomainError (rows that are not finite certify nothing).  A
     nonzero score is still an upper bound only, from four starts.  The
     score is invariant under u -> u + C.
 
@@ -232,12 +237,11 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
     potentials, whose k scores come back as an array.  A stack is scored in
     passes of members that share their band, each lifting at most
-    _STACK_BYTES for the P form's product: one stacked P form per pass, its
-    row windings, and for the members they leave open each member's samples
-    and starts in turn and one stacked polish.  Every score is bit for bit
-    the one the member gets alone, and an error is the one the first member
-    that fails alone raises.  With a tally, a dict keyed by _SCORE_KINDS,
-    each score adds 1 to the count of the way it was decided.
+    _STACK_BYTES for the P form's product (:func:`_stack_scores`).  Every
+    score is bit for bit the one the member gets alone, and an error is the
+    one the first member that fails alone raises.  With a tally, a dict
+    keyed by _SCORE_KINDS, each score adds 1 to the count of the way it was
+    decided.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -256,7 +260,11 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
 
 def _stack_scores(stack: _Stack, grid_n: int):
     """The scores of min_modulus_objective, pass by pass, and the index in
-    _SCORE_KINDS of the way each was decided."""
+    _SCORE_KINDS of the way each was decided.  A pass places its members'
+    blocks and scores those of one band together (:func:`_pass_scores`):
+    first the row proofs, taken lazily, then, for the members they leave
+    open, one stacked P form, each member's samples and starts in turn and
+    one stacked polish, within the pass's _STACK_BYTES."""
     h = int(np.abs(stack.jk).max(initial=0))
     size = max(1, _STACK_BYTES // (_P_FORM_OPERANDS * 16 * _lift_size(3 * h, grid_n) ** 2))
     scores, kinds = np.empty(len(stack.C)), np.empty(len(stack.C), dtype=int)
@@ -266,28 +274,133 @@ def _stack_scores(stack: _Stack, grid_n: int):
         for band in np.unique(bands):
             members = np.flatnonzero(bands == band)
             u = PeriodicField._from_block(stack.lattice, grid_n, B[members], True)
-            scores[first + members], kinds[first + members] = _pass_scores(cartan_r(u, "p_form"))
+            scores[first + members], kinds[first + members] = _pass_scores(u)
     return scores, kinds
 
 
-def _pass_scores(r: PeriodicField):
-    """The scores of the members of a stack r of invariants Pu, and the
-    index in _SCORE_KINDS of the way each was decided.  A member whose
-    certified row windings differ scores 0 from its coefficients alone; the
-    others are scored by :func:`_polish_scores`.  Both run band by band, on
-    the members that share one band, so every score is the member's own
-    alone, bit for bit."""
+def _pass_scores(u: PeriodicField):
+    """The scores of the members of a stack u of potentials of one band h,
+    and the index in _SCORE_KINDS of the way each was decided.  Where
+    6h < n, Pu's rows are exact 1-D products of u's coefficients (r's band
+    3h is below n/2, so cartan_r truncates and folds nothing, and neither
+    its gate on the modes >= n/6 nor a derivative's tail check has a mode
+    to weigh), and a member whose certified row windings differ
+    (:func:`_row_proofs`) scores 0 with no 2-D P form; members with one
+    direction skip the rows (:func:`_one_directional`).  The others take
+    cartan_r's stacked P form and :func:`_polish_scores`, band by band of
+    r, so every score is the member's own alone, bit for bit, and every
+    error comes from where it comes alone."""
+    k = len(u._block)
+    proven = np.zeros(k, dtype=bool)
+    if 6 * u._band() < u.n:
+        rows = np.flatnonzero(~_one_directional(u._block))
+        if rows.size:
+            proven[rows] = _row_proofs(u.take(rows))
+    scores, kinds = np.zeros(k), np.full(k, _WINDINGS)
+    open_ = np.flatnonzero(~proven)
+    if open_.size:
+        r = cartan_r(u.take(open_), "p_form")
+        bands = _bands(r._block)
+        for band in np.unique(bands):
+            members = np.flatnonzero(bands == band)
+            scores[open_[members]], kinds[open_[members]] = _polish_scores(r.take(members))
+    return scores, kinds
+
+
+def _one_directional(B: np.ndarray) -> np.ndarray:
+    """Whether the nonzero bins of each block of a stack B (k, 2h+1, 2h+1)
+    but the constant lie on one line through 0, by :func:`_on_line`
+    against the first of them.  Such a potential varies in one direction,
+    so its Pu has zero curves, and every row crosses them alike."""
+    h = B.shape[-1] // 2
+    j = np.arange(-h, h + 1)
+    nonzero = B != 0
+    nonzero[:, h, h] = False
+    first = nonzero.reshape(len(B), -1).argmax(-1)
+    j0, k0 = (j[i][:, None, None] for i in divmod(first, 2 * h + 1))
+    return ~(nonzero & ~_on_line(j[:, None], j, j0, k0)).any((-2, -1))
+
+
+def _on_line(j, k, j0, k0):
+    """Whether the mode (j, k) lies on the line of (j0, k0) through 0: the
+    exact integer test j k0 - k j0 == 0."""
+    return j * k0 - k * j0 == 0
+
+
+# the derivatives D^a Dbar^b u of the P form, as (a, b), in _p_row's order:
+# Du, D^2 u, D Dbar u, D^2 Dbar u, D^3 Dbar u
+_P_DERIVATIVES = ((1, 0), (2, 0), (1, 1), (2, 1), (3, 1))
+
+
+def _row_proofs(u: PeriodicField) -> np.ndarray:
+    """Whether two certified row windings of each member's Pu differ, which
+    proves a zero of Pu by the argument principle on the band between the
+    rows.  Rows are taken lazily: t = 1/8 and 3/8 for every member, then
+    5/8 and 7/8 in turn for the members whose certified windings do not yet
+    differ.  A row's values do not depend on the members or rows that share
+    its call (:func:`_pu_rows`, ``field._chord_windings``)."""
+    X, bound = _derivative_blocks(u)
     rows = (np.arange(_ROWS) + 0.5) / _ROWS
-    bands = _bands(r._block)
-    scores, kinds = np.zeros(len(bands)), np.full(len(bands), _WINDINGS)
-    for band in np.unique(bands):
-        members = np.flatnonzero(bands == band)
-        windings = _row_windings(_interpolant(r.take(members)._block, r.n), rows)
+    windings = np.full((len(X), _ROWS), np.nan)
+    todo = np.arange(len(X))
+    for first, last in ((0, 2), (2, 3), (3, 4)):
+        windings[todo, first:last] = _chord_windings(*_pu_rows(X[todo], bound[todo],
+                                                               rows[first:last]))
         proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
-        open_ = members[~proven]
-        if open_.size:
-            scores[open_], kinds[open_] = _polish_scores(r.take(open_))
-    return scores, kinds
+        todo = np.flatnonzero(~proven)
+        if not todo.size:
+            break
+    return proven
+
+
+def _derivative_blocks(u: PeriodicField):
+    """(X, bound) for a stack u of k potentials of band h: X (k, 5, L, L),
+    L = 2h + 1, holds the coefficient blocks of the _P_DERIVATIVES of u,
+    the interpolant's coefficients E times products of the multipliers of
+    :meth:`PeriodicField.derivative` (``_lattice_wirtinger``); bound (k,)
+    bounds the l1 distance between a row of Pu formed from X by
+    :func:`_pu_rows` with exact convolutions and the exact row of the
+    exact Pu of u's placed block.
+
+    The bound, for eps the machine epsilon: E is the placed block over n^2,
+    within eps |E| of the exact quotient.  With
+    dbar = (|omega| |2 pi j| + |2 pi k|) / |conj(omega) - omega|, which
+    bounds |D| and |Dbar| at the bin (j, k), a derivative of order m has a
+    multiplier of modulus at most dbar^m, formed within 24 eps dbar^m, so
+    its block is within 27 eps |E| dbar^m.  A row's coefficients c_j =
+    sum_k X_jk e^{2 pi i k t0} add the factors' rounding (each within
+    2 (L + 8) eps, from (k t0 mod 1)) and the sum's, (L + 4) eps: in all
+    |c_j - exact c_j| <= rho R_j with rho = 4 (L + 16) eps and
+    R_j = sum_k |E_jk| dbar^m_jk, the majorant of |c_j|.  With S_m the sum
+    of R_j over j, the exact formula of _p_row on these rows moves by at
+    most 3 rho (1 + rho)^2 times T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below
+    bound = 4 rho T."""
+    E = _interpolant(u._spectral_block(), u.n)
+    omega = u.lattice.omega
+    mult = 2j * np.pi * _freqs(E)
+    D, Db = _lattice_wirtinger(mult[:, None], mult[None, :], omega)
+    DDb = D * Db
+    X = E[:, None] * np.stack([D, D * D, DDb, DDb * D, DDb * D * D])
+    dbar = ((abs(omega) * np.abs(mult)[:, None] + np.abs(mult)) / abs(omega.conjugate() - omega))
+    A = np.abs(E).reshape(len(E), -1)
+    S1, S2, S3, S4 = ((A * (dbar ** m).ravel()).sum(-1) for m in (1, 2, 3, 4))
+    rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
+    return X, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
+
+
+def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
+    """(P, err) for the derivative blocks X (k, 5, L, L) and their bound of
+    :func:`_derivative_blocks`: P (k, len(rows), 3L - 2) the coefficients
+    in s of Pu along each row t = t0 of rows, from the derivatives' rows
+    c = (X * e^{2 pi i k t0}) summed over k by :func:`_p_row`, and err
+    their l1 rounding bound, _p_row's tol plus bound.  Every row is summed
+    on its own, so its values do not depend on the stack or the rows that
+    share the call."""
+    k = _freqs(X)
+    waves = np.exp(2j * np.pi * (np.multiply.outer(rows, k) % 1.0))
+    c = (X[:, None] * waves[:, None, None, :]).sum(-1)  # (k, rows, 5, L)
+    P, tol = _p_row(*np.moveaxis(c, -2, 0))
+    return P, tol + bound[:, None]
 
 
 def _polish_scores(r: PeriodicField):
@@ -378,18 +491,17 @@ def _line(u: TrigPotential):
     j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
     b = u.mode_budget // max(abs(j0), abs(k0))
     c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in range(-b, b + 1)], dtype=complex)
-    on_line = all(jj * k0 - kk * j0 == 0 for jj, kk in u.modes)
+    on_line = all(_on_line(jj, kk, j0, k0) for jj, kk in u.modes)
     return (j0, k0), (c + np.conj(c[::-1])) / 2, on_line
 
 
 def _profile(c: np.ndarray):
     """(F, tol) for f(theta) = sum_m c[m + b] e^{2 pi i m theta}, |m| <= b:
     the rows of F are f, X1, Z1 and p (module docstring) in theta,
-    F[:, m + 3b] for |m| <= 3b; tol bounds the rounding of p's value from
-    F[3], by the l1 norms of the derivative coefficient vectors.  The rows
-    are summed into zeroed arrays in the order of the formulas, and
-    x - 0 and 0 - y are exact, so F is bit for bit the sum of the
-    zero-padded terms."""
+    F[:, m + 3b] for |m| <= 3b.  p is :func:`_p_row` of the derivatives
+    f', f'', f'', f''' and f'''' (D^2 u and D Dbar u are both multiples of
+    f''), and tol, its tol, bounds the rounding of p's value from F[3].
+    The rows are summed into zeroed arrays in the order of the formulas."""
     b = len(c) // 2
     m = np.arange(-b, b + 1)
     d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
@@ -397,21 +509,51 @@ def _profile(c: np.ndarray):
     F[0, 2 * b:4 * b + 1] = c
     X1 = np.zeros(4 * b + 1, dtype=complex)
     X1[b:3 * b + 1] = d3
-    X1 -= np.convolve(d1, d2)
+    X1 -= _convolve(d1, d2)
     F[1, b:5 * b + 1] = X1
     F[2, b:5 * b + 1] = X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1))
-    F[2] -= 2 * np.convolve(d1, X1)
-    P = F[3]  # ((d4 - 3 d1*d3) + 2 d1*d1*d2) - d2*d2
-    P[2 * b:4 * b + 1] = d4
-    P[b:5 * b + 1] -= 3 * np.convolve(d1, d3)
-    P += 2 * np.convolve(np.convolve(d1, d1), d2)
-    P[b:5 * b + 1] -= np.convolve(d2, d2)
-    n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
-    # with L the l1 bound below (||P||_1 <= L): each coefficient of P sums at
-    # most 6b + 1 products, and p(theta) sums 6b + 1 terms whose phases reach
-    # 6 pi b, so the computed value is off by at most (30.9 b + 2) eps L
-    tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
+    F[2] -= 2 * _convolve(d1, X1)
+    F[3], tol = _p_row(d1, d2, d2, d3, d4)
     return F, tol
+
+
+def _p_row(du, d2u, ddbu, d2dbu, d3dbu):
+    """(P, tol) for the coefficient rows (..., 2b + 1) of the derivatives
+    Du, D^2 u, D Dbar u, D^2 Dbar u and D^3 Dbar u of a potential along one
+    line: P (..., 6b + 1) the coefficients of Pu there,
+    ((d3dbu - 3 du*d2dbu) + 2 du*du*ddbu) - d2u*ddbu with * the exact
+    convolution, summed into zeroed arrays in that order (x - 0 and 0 - y
+    are exact), and tol (...) a rounding bound.  With T the l1 bound
+    ||d3dbu|| + 3 ||du|| ||d2dbu|| + 2 ||du||^2 ||ddbu|| + ||d2u|| ||ddbu||
+    of P: each coefficient of P sums at most 6b + 1 products, and a value
+    of the row sums 6b + 1 terms whose phases reach 6 pi b, so P is within
+    tol = 32 (3b + 1) eps T of the exact formula of these rows in l1, and a
+    value computed from it within tol of the exact one ((30.9 b + 2) eps T
+    at most)."""
+    b = du.shape[-1] // 2
+    pairs = _convolve(np.stack([du, du, d2u]), np.stack([d2dbu, du, ddbu]))
+    P = np.zeros((*du.shape[:-1], 6 * b + 1), dtype=complex)
+    P[..., 2 * b:4 * b + 1] = d3dbu
+    P[..., b:5 * b + 1] -= 3 * pairs[0]
+    P += 2 * _convolve(pairs[1], ddbu)
+    P[..., b:5 * b + 1] -= pairs[2]
+    n1, n2, n3, n4, n5 = np.abs(np.stack([du, d2u, ddbu, d2dbu, d3dbu])).sum(-1)
+    tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n5 + 3 * n1 * n4 + 2 * n1 * n1 * n3 + n2 * n3)
+    return P, tol
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The convolution of the last axes of a and b, (..., Na + Nb - 1):
+    output m sums a_i b_{m-i} into a zeroed array in increasing i, i over
+    the shorter operand, one elementwise step per i, so its bits do not
+    depend on the rows that share the call."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    Na, Nb = a.shape[-1], b.shape[-1]
+    out = np.zeros((*np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), Na + Nb - 1), dtype=complex)
+    for i in range(Na):
+        out[..., i:i + Nb] += a[..., i, None] * b
+    return out
 
 
 def _profile_values(P: np.ndarray, theta) -> np.ndarray:

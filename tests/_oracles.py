@@ -306,10 +306,11 @@ def one_directional(lattice: TorusLattice, jk, profile):
     return pot, Y
 
 
-def profile_padded(u):
+def profile_padded(u, convolve=np.convolve):
     """((j0, k0), F, tol) of the obstruction's profile, each row assembled
-    from zero-padded terms by np.pad: the reference for
-    :func:`torussearch._profile`, which sums into zeroed arrays."""
+    from zero-padded terms by np.pad with the convolutions of convolve: the
+    reference for :func:`torussearch._profile`, which sums into zeroed
+    arrays."""
     j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
     g = int(np.gcd(j, k))
     j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
@@ -318,10 +319,10 @@ def profile_padded(u):
     c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in m.tolist()], dtype=complex)
     c = (c + np.conj(c[::-1])) / 2
     d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
-    P = (np.pad(d4, 2 * b) - 3 * np.pad(np.convolve(d1, d3), b)
-         + 2 * np.convolve(np.convolve(d1, d1), d2) - np.pad(np.convolve(d2, d2), b))
-    X1 = np.pad(d3, b) - np.convolve(d1, d2)
-    Z1 = np.pad(X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1)), b) - 2 * np.convolve(d1, X1)
+    P = (np.pad(d4, 2 * b) - 3 * np.pad(convolve(d1, d3), b)
+         + 2 * convolve(convolve(d1, d1), d2) - np.pad(convolve(d2, d2), b))
+    X1 = np.pad(d3, b) - convolve(d1, d2)
+    Z1 = np.pad(X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1)), b) - 2 * convolve(d1, X1)
     n1, n2, n3, n4 = (float(np.abs(d).sum()) for d in (d1, d2, d3, d4))
     tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n4 + 3 * n1 * n3 + 2 * n1 * n1 * n2 + n2 * n2)
     return (j0, k0), np.stack([np.pad(c, 2 * b), np.pad(X1, b), Z1, P]), tol

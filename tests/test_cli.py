@@ -208,6 +208,34 @@ class TestMainAndExitCodes:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["form"] == "p_form" and res["spherical"] is spherical
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser once per process: calls after a command-line
+        # error and an invalid config give the exit codes and reports of
+        # calls that each build their own parser
+        bad = write_cfg(tmp_path, {"surface": {"kind": "cube"}}, "bad.json")
+        good = write_cfg(tmp_path, torus_cfg(numeric={"grid_n": 64}), "good.json")
+        calls = [["bogus", "--config", bad], ["invariant", "--config", bad],
+                 ["invariant", "--config", good], ["invariant", "--config", good, "--grid-n", "x"],
+                 ["invariant", "--config", good, "--grid-n", "96"]]
+
+        def outcomes(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                out = capsys.readouterr()
+                seen.append((status, json.loads(out.out)["results"] if out.out else out.err))
+            return seen
+
+        shared = outcomes(fresh=False)
+        assert [status for status, _ in shared] == [2, 2, 0, 2, 0]
+        assert shared == outcomes(fresh=True)
+        assert cli.build_parser() is cli.build_parser()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         code = main(["invariant", "--config",
                      write_cfg(tmp_path, {"surface": {"kind": "cube"}})])

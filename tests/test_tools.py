@@ -103,6 +103,27 @@ def test_results_diff_lists_diagnostics_keys_of_one_tree_apart():
     assert results_diff.compare(old, old)["diagnostics_keys_only_new"] == {}
 
 
+def test_results_diff_totals_the_objective_certificates_of_each_tree():
+    # a certificate that moves reads as counts: each tree's totals by kind
+    # over every trial of every search that reports them
+    def certified(*trials):
+        return outcome({"objective": 0.0}, objective_certificates=list(trials))
+
+    old = {"search/a": certified({"windings": 90, "polish": 10}, {"windings": 100, "polish": 0}),
+           "search/b": certified({"windings": 3, "polish": 0, "nonzero": 2}),
+           "umbilics/c": outcome({"v": 3.0})}
+    new = {"search/a": certified({"windings": 100, "polish": 0}, {"windings": 100, "polish": 0}),
+           "search/b": certified({"windings": 5, "polish": 0, "nonzero": 0}),
+           "umbilics/c": outcome({"v": 3.0})}
+    report = results_diff.compare(old, new)
+    assert report["objective_certificates"] == {
+        "old": {"windings": 193, "polish": 10, "nonzero": 2},
+        "new": {"windings": 205, "polish": 0, "nonzero": 0}}
+    assert report["diagnostics_changed"] == {"objective_certificates": ["search/a", "search/b"]}
+    assert results_diff.compare(new, new)["objective_certificates"]["old"] == \
+        results_diff.certificate_totals(new)
+
+
 def test_results_diff_compares_whole_error_objects():
     # an outcome holds the whole error object, so a changed message differs
     def failed(message):

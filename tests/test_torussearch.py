@@ -9,11 +9,14 @@ from umbilic import torussearch
 from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from umbilic.field import PeriodicField, TorusLattice, _interpolant, _row_samples, _row_windings
+from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _bands, _chord_bounds, _chord_windings,
+                           _interpolant, _point_rows, _sample_waves, _waves)
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
-                                 _certified_roots, _decode_modes, _line, _Stack,
+                                 _certified_roots, _convolve, _decode_modes, _derivative_blocks, _line,
+                                 _one_directional,
                                  _lowest_separated_cells, _nelder_mead, _placed, _profile,
+                                 _pu_rows, _Stack,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
@@ -163,26 +166,44 @@ def full_polish_objective(u, n, zero_ratio=1e-9):
     return 0.0 if ratio < zero_ratio else float(ratio)
 
 
-OBJECTIVE_ROWS = (np.arange(torussearch._ROWS) + 0.5) / torussearch._ROWS
+_ROWS = torussearch._ROWS
+OBJECTIVE_ROWS = (np.arange(_ROWS) + 0.5) / _ROWS
+
+
+def stack_field(stack: _Stack, n: int) -> PeriodicField:
+    """The potentials of a stack as one field, placed as the objective
+    places them."""
+    return PeriodicField._from_block(stack.lattice, n, _placed(stack.jk, stack.C, n), True)
+
+
+def pu_row_windings(u: PeriodicField, rows) -> np.ndarray:
+    """The chord-tube windings of Pu along rows for each member of a stack
+    u of potentials, from u's coefficients alone (NaN where uncertified)."""
+    return _chord_windings(*_pu_rows(*_derivative_blocks(u), rows))
 
 
 def row_evidence(u, n):
     """The chord-tube windings of u's invariant along the objective's rows
-    (NaN where uncertified) and the oracle's companion-root windings."""
+    (NaN where uncertified) and the oracle's companion-root windings on the
+    block of cartan_r."""
     E = _interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n)
-    return _row_windings(E, OBJECTIVE_ROWS), row_windings(E, OBJECTIVE_ROWS)
+    return (pu_row_windings(stack_field(u._stack(), n), OBJECTIVE_ROWS)[0],
+            row_windings(E, OBJECTIVE_ROWS))
 
 
 def reference_objective(u, n):
     """The objective's value by other means: 0 where two certified rows wind
     differently, each certified row with the oracle's winding, else the
     full polish, which stays the reference wherever the certificate does
-    not fire."""
-    tube, oracle = row_evidence(u, n)
-    certified = np.isfinite(tube)
-    assert np.array_equal(tube[certified], oracle[certified])
-    if len(set(tube[certified].tolist())) > 1:
-        return 0.0
+    not fire.  The rows are taken where r's band 3h is below n/2 and u's
+    modes do not lie on one line."""
+    B = _placed(*u._stack()[1:], n)
+    if 6 * int(_bands(B)[0]) < n and not _one_directional(B)[0]:
+        tube, oracle = row_evidence(u, n)
+        certified = np.isfinite(tube)
+        assert np.array_equal(tube[certified], oracle[certified])
+        if len(set(tube[certified].tolist())) > 1:
+            return 0.0
     return full_polish_objective(u, n)
 
 
@@ -469,83 +490,175 @@ class TestStackedObjective:
         assert group <= 512 * 1024 + single
 
 
-class TestRowWindings:
-    """The objective's row windings: every row the chord tube certifies has
-    the winding of the companion roots (the oracle), and rows of fields
-    that vary in one direction wind alike, so they never prove a zero."""
+# lattices of the row tests, up to |omega| = 1.4e8 (the fuzz's extremes)
+ROW_LATTICES = [LAT, LAT_GEN, TorusLattice(-300 - 0.5j), TorusLattice(3 + 1e8j),
+                TorusLattice(-1e8 - 1e8j)]
 
-    @settings(max_examples=12, deadline=None)
+
+class TestRowWindings:
+    """The objective's row windings, from Pu's row polynomials formed from
+    u's coefficients: every row the chord tube certifies has the winding
+    of the companion roots (the oracle) on the rows of cartan_r's block,
+    a row's values do not depend on its call, and rows of fields that vary
+    in one direction wind alike, so they never prove a zero."""
+
+    @settings(max_examples=16, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), budget=st.integers(1, 3),
-           amplitude=st.sampled_from([0.05, 0.25, 0.75]), n=st.sampled_from([64, 96]))
-    def test_certified_rows_have_the_oracles_winding(self, seed, budget, amplitude, n):
+           amplitude=st.sampled_from([0.05, 0.25, 0.75]), n=st.sampled_from([64, 96]),
+           lattice=st.sampled_from(ROW_LATTICES))
+    def test_certified_rows_have_the_oracles_winding(self, seed, budget, amplitude, n, lattice):
         rng = np.random.default_rng(seed)
-        lattice = (LAT, LAT_GEN)[seed % 2]
         half = SearchConfig(lattice, mode_budget=budget).mode_list()
         stack = stack_of(lattice, budget, _clipped(rng.uniform(-amplitude, amplitude,
                                                                (6, 2 * len(half))), 0.3))
-        u = PeriodicField._from_block(lattice, n, _placed(stack.jk, stack.C, n), True)
+        u = stack_field(stack, n)
         E = _interpolant(cartan_r(u, "p_form")._spectral_block(), n)
         rows = np.concatenate([OBJECTIVE_ROWS, rng.random(4)])
-        tube, oracle = _row_windings(E, rows), row_windings(E, rows)
+        tube, oracle = pu_row_windings(u, rows), row_windings(E, rows)
         certified = np.isfinite(tube)
         assert certified.any()
         assert np.array_equal(tube[certified], oracle[certified])
         for i, member in enumerate(members(stack)):
-            own = tube[i][certified[i]]
-            if own.size and own.max() > own.min():  # a proven zero: the oracle's rows differ
+            own = tube[i, :_ROWS][certified[i, :_ROWS]]
+            if own.size and own.max() > own.min():  # the objective's rows prove a zero
                 assert oracle[i].max() > oracle[i].min()
-                assert min_modulus_objective(member, n) == 0.0
+                assert decided(member, n) == (0.0, "windings")
+
+    def test_a_rows_values_do_not_depend_on_its_call(self):
+        # the same member's rows alone, in a stack at any position, and row
+        # by row, bit for bit: coefficients, bound and windings
+        rng = np.random.default_rng(5)
+        half = SearchConfig(LAT_GEN, mode_budget=3).mode_list()
+        stack = stack_of(LAT_GEN, 3, _clipped(rng.uniform(-0.5, 0.5, (9, 2 * len(half))), 1.0))
+        X, bound = _derivative_blocks(stack_field(stack, 96))
+        P, err = _pu_rows(X, bound, OBJECTIVE_ROWS)
+        windings = _chord_windings(P, err)
+        for i in range(len(X)):
+            for members_ in ([i], [i, (i + 3) % 9], list(range(i, 9))):
+                X1, bound1 = _derivative_blocks(stack_field(stack._replace(C=stack.C[members_]), 96))
+                assert np.array_equal(X1[0], X[i]) and bound1[0] == bound[i]
+                for q, t0 in enumerate(OBJECTIVE_ROWS):
+                    P1, err1 = _pu_rows(X1, bound1, [t0])
+                    assert np.array_equal(P1[0, 0], P[i, q]) and err1[0, 0] == err[i, q]
+                    assert np.array_equal(_chord_windings(P1, err1)[0, 0], windings[i, q],
+                                          equal_nan=True)
 
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (2, -1)])
     def test_one_direction_never_proves_a_zero(self, lattice, jk):
         # s-only and other one-directional potentials: every row meets the
-        # zero curves alike, so rows never wind differently, and the polish
-        # still finds the zero
+        # zero curves alike, so rows never wind differently; the objective
+        # skips their rows, and the polish finds the zero
         rng = np.random.default_rng(sum(jk) + 3)
         for n in (64, 96):
             for _ in range(3):
                 profile = dict(zip((1, 2, 3), np.array([1, 1j]) @ rng.uniform(-0.2, 0.2, (2, 3))))
                 pot = one_directional(lattice, jk, profile)[0]
+                assert _one_directional(_placed(*pot._stack()[1:], n))[0]
                 tube, oracle = row_evidence(pot, n)
                 certified = np.isfinite(tube)
                 assert np.array_equal(tube[certified], oracle[certified])
                 assert len(set(tube[certified].tolist())) <= 1
                 assert decided(pot, n) == (0.0, "polish")
 
+    def test_criterion_10_trial_0_is_proven_by_windings(self, monkeypatch):
+        # a failed piece is halved, not its row dropped: all 100 members of
+        # the criterion-10 search's trial 0 are proven by rows (59 took the
+        # polish when a row with one failed piece was dropped).  The first
+        # member's four rows all certify, with the oracle's windings
+        cfg = SearchConfig(LAT, mode_budget=3, trials=1, evaluations=100, seed=42, grid_n=96)
+        first = members(search_stacks(monkeypatch, cfg)[0])[0]
+        assert torus_search(cfg).objective_certificates == [
+            {"windings": 100, "polish": 0, "degenerate": 0, "nonzero": 0}]
+        tube, oracle = row_evidence(first, 96)
+        assert tube.tolist() == oracle.tolist() == [3, 1, 1, -2]
+
+    def test_fuzz_member_with_a_rounding_floor_is_a_certified_zero(self):
+        # the first member of search/fuzz-torus/186 (omega = -1e8 - 1e8i):
+        # its polish in z stalls at a rounding floor, 3.25e-9 of sup|Pu|, a
+        # nonzero score; its rows, which never form z, prove the zero
+        keys = [(1, 0), (-1, 1), (0, 1), (1, 1)]
+        half = [0.06848084366072715 - 0.11510664311806484j,
+                -0.22951323803190266 - 0.24173618223573545j,
+                0.1566351196001362 + 0.20637778863886086j,
+                0.05331788788358993 + 0.1147482804919992j]
+        u = TrigPotential.from_half_modes(TorusLattice(-1e8 - 1e8j), dict(zip(keys, half)))
+        assert full_polish_objective(u, 64) == 3.2476506250856304e-09
+        assert decided(u, 64) == (0.0, "windings")
+        tube, oracle = row_evidence(u, 64)
+        assert tube.tolist() == oracle.tolist() == [1, 1, -2, -1]
+
     def test_rounding_stays_within_the_margin(self):
-        # the float64 row samples against direct mode sums in long double,
-        # on random blocks of many magnitudes and on full-band stacks
+        # the float64 rows of Pu, at the first level's samples and at the
+        # midpoints of halved pieces, against the exact rows formed in long
+        # double from the same placed blocks, on potentials of many
+        # magnitudes, budgets 1-3 and 15 and lattices up to |omega| = 1.4e8
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
             pytest.skip("long double is float64 here: no reference with more precision")
         rng = np.random.default_rng(17)
-        blocks = [(rng.normal(size=(3, L, L)) + 1j * rng.normal(size=(3, L, L)))
-                  * 10.0 ** rng.uniform(-30, 30, (3, 1, 1)) for L in (1, 3, 19, 65)]
-        half = SearchConfig(LAT_GEN, mode_budget=11, grid_n=64).mode_list()
-        outer = np.array([max(abs(j), abs(k)) >= 11 for j, k in half])
-        coeffs = _clipped(rng.uniform(-0.05, 0.05, (5, 2 * len(half))), 1.0)
-        coeffs[:, outer] *= 1e-5
-        stack = stack_of(LAT_GEN, 11, coeffs)
-        u = PeriodicField._from_block(LAT_GEN, 64, _placed(stack.jk, stack.C, 64), True)
-        blocks.append(_interpolant(cartan_r(u, "p_form")._spectral_block(), 64))
-        assert blocks[-1].shape == (5, 65, 65)  # r at full band, its Nyquist bins split
         two_pi = 8 * np.arctan(np.longdouble(1))
-        rows = np.concatenate([OBJECTIVE_ROWS, rng.random(3)])
+        rows = np.concatenate([OBJECTIVE_ROWS, rng.random(2)])
+        M = _ROW_SAMPLES
         worst = 0.0
-        for E in blocks:
-            L = E.shape[-1]
-            k = np.arange(L) - L // 2
-            M = 256
-            s = np.arange(M + 1) / np.longdouble(M)
-            for t0, (p, tube, margin) in zip(rows, _row_samples(E, rows)):
-                c = E.astype(np.clongdouble) @ np.exp(1j * two_pi * (k * np.longdouble(t0)))
-                waves = np.exp(1j * two_pi * np.multiply.outer(k, s))
-                exact = c @ waves
-                worst = max(worst, float(np.max(np.abs(p - exact).max(-1) / margin)))
-                # the tube holds the exact row's curvature at every sample
-                curvature = np.abs((c * (two_pi * k) ** 2) @ waves).max(-1)
-                assert np.all(curvature / (8 * M * M) <= tube)
+        cases = [(lat, budget, 96) for lat in ROW_LATTICES for budget in (1, 2, 3)] + [(LAT_GEN, 15, 96)]
+        for lattice, budget, n in cases:
+            half = SearchConfig(lattice, mode_budget=budget).mode_list()
+            coeffs = (rng.uniform(-1, 1, (3, len(half))) + 1j * rng.uniform(-1, 1, (3, len(half))))
+            coeffs *= 10.0 ** rng.uniform(-30, 30, (3, 1))
+            u = stack_field(stack_of(lattice, budget, coeffs), n)
+            P, err = _pu_rows(*_derivative_blocks(u), rows)
+            margin, L2 = _chord_bounds(P, err)
+            N = P.shape[-1]
+            j = np.arange(N) - N // 2
+            # where each row is read: the first level's samples, and the
+            # midpoints of pieces halved 1 to 8 times
+            levels = rng.integers(1, 9, 40)
+            mids = 2 * rng.integers(0, M * 2 ** (levels - 1)) + 1
+            s = np.concatenate([np.arange(M + 1) / np.longdouble(M),
+                                mids / (M * 2.0 ** levels).astype(np.longdouble)])
+            flat = P.reshape(-1, N)
+            got = np.concatenate([
+                _point_rows(flat, _sample_waves(N)),  # as _chord_windings forms them
+                np.stack([(flat * _waves(N, m, M * 2 ** int(d))).sum(-1)
+                          for m, d in zip(mids, levels)], 1)], 1)
+            exact = exact_pu_rows(u, rows, two_pi).reshape(-1, N)
+            waves = np.exp(1j * two_pi * np.multiply.outer(j, s))
+            worst = max(worst, float(np.max(np.abs(got - exact @ waves).max(-1)
+                                            / margin.reshape(-1))))
+            # the tube holds the exact row's curvature wherever it is read
+            curvature = np.abs((exact * (two_pi * j) ** 2) @ waves).max(-1)
+            assert np.all(curvature <= L2.reshape(-1))
         assert worst <= 1 / 8
+
+
+def exact_pu_rows(u: PeriodicField, rows, two_pi) -> np.ndarray:
+    """The coefficients in s of Pu along each row t = t0 of rows for each
+    member of the stack u, in long double from u's placed block: the
+    derivatives' symbols D -> 2 pi i (j conj(omega) - k) / (conj(omega) -
+    omega), Dbar -> 2 pi i (k - omega j) / (conj(omega) - omega), each
+    derivative's row a direct sum over k and Pu's row their convolutions."""
+    B = u._block.astype(np.clongdouble) / np.longdouble(u.n) ** 2
+    k = np.arange(B.shape[-1]) - B.shape[-1] // 2
+    om = np.clongdouble(u.lattice.omega)
+    den = np.conj(om) - om
+    d = 1j * two_pi * (k[:, None] * np.conj(om) - k[None, :]) / den
+    db = 1j * two_pi * (k[None, :] - om * k[:, None]) / den
+    out = []
+    for block in B:
+        per_row = []
+        for t0 in rows:
+            w = np.exp(1j * two_pi * k * np.longdouble(t0))
+            du, d2u, ddbu, d2dbu, d3dbu = ((block * d ** a * db ** b) @ w
+                                           for a, b in ((1, 0), (2, 0), (1, 1), (2, 1), (3, 1)))
+            L = len(k)
+            P = np.zeros(3 * L - 2, dtype=np.clongdouble)
+            P[L - 1:2 * L - 1] += d3dbu
+            P[L // 2:L // 2 + 2 * L - 1] -= 3 * np.convolve(du, d2dbu)
+            P += 2 * np.convolve(np.convolve(du, du), ddbu)
+            P[L // 2:L // 2 + 2 * L - 1] -= np.convolve(d2u, ddbu)
+            per_row.append(P)
+        out.append(per_row)
+    return np.array(out)
 
 
 class TestObstruction:
@@ -700,12 +813,15 @@ class TestObstruction:
                              ids=[*OBSTRUCTION_POOL, *AGREEMENT])
     def test_profile_matches_the_padded_profile(self, pot):
         # summed into zeroed arrays in the order of the formulas, the
-        # profile is bit for bit the one assembled from np.pad terms
+        # profile is bit for bit the one assembled from np.pad terms with
+        # the same convolutions, and within its rounding bound of the one
+        # with numpy's
         line, c, on_line = _line(pot)
         F, tol = _profile(c)
-        ref_line, ref_F, ref_tol = profile_padded(pot)
+        ref_line, ref_F, ref_tol = profile_padded(pot, convolve=_convolve)
         assert on_line and line == ref_line
         assert np.array_equal(F, ref_F) and tol == ref_tol
+        assert np.abs(F - profile_padded(pot)[1]).sum(-1).max() <= tol
 
     def test_report_chern_is_chern_number(self):
         # one definition: the report takes its Chern number from the line

@@ -24,6 +24,10 @@ is not a float (a bool, an int, a string or null) or that one tree alone
 has to those leaves, each with its [old, new] value ("<absent>" on the side
 that lacks it), so a rounding drift reads apart from a flipped flag or a
 changed count.
+``objective_certificates`` gives each tree's totals, over the configs
+compared, of the search diagnostics of that name (per trial, how many
+objective scores each way decided), so a certificate that moves reads as
+counts.
 ``per_operation`` repeats the counts, drifts and ``differ`` for each
 operation (the job-id prefix), so a change that moves every search result
 does not hide the drift of the others.
@@ -211,8 +215,21 @@ def compare(old: dict, new: dict) -> dict:
             "diagnostics_keys_only_new": only_new,
             "diagnostics_changed": changed,
             "discrete_changes": discrete,
+            "objective_certificates": {"old": certificate_totals(old),
+                                       "new": certificate_totals(new)},
             "nonzero_exits_old": failed,
             "per_operation": {op: _report(t) for op, t in sorted(tallies.items())}}
+
+
+def certificate_totals(outcomes: dict) -> dict:
+    """The totals by kind of the ``objective_certificates`` diagnostics (a
+    list of per-trial counts) over the outcomes that have them."""
+    totals = {}
+    for outcome in outcomes.values():
+        for trial in outcome["diagnostics"].get("objective_certificates", []):
+            for kind, count in trial.items():
+                totals[kind] = totals.get(kind, 0) + count
+    return totals
 
 
 def _tally():
