@@ -305,7 +305,8 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
         alive = live[rows]
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             passed = alive & _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
-            total += np.bincount(rows[passed], np.angle(b[passed] / a[passed]), len(P))
+            turn = b * a.conj()  # a passing chord turns by arg(b / a), inside (-pi, pi)
+            total += np.bincount(rows, np.where(passed, np.arctan2(turn.imag, turn.real), 0), len(P))
         failed = np.flatnonzero(alive & ~passed)
         stuck = rows[failed]
         live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these
@@ -361,8 +362,11 @@ def _waves(N: int, m: np.ndarray, K: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _sample_waves(N: int) -> np.ndarray:
     """The factors of the first level's samples s = m / M, m = 0 .. M
-    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1)."""
-    return _waves(N, np.arange(_ROW_SAMPLES + 1)[:, None], _ROW_SAMPLES).T.copy()
+    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1), read-only,
+    as every call shares it."""
+    W = _waves(N, np.arange(_ROW_SAMPLES + 1)[:, None], _ROW_SAMPLES).T.copy()
+    W.flags.writeable = False
+    return W
 
 
 def _centred_fft2(values: np.ndarray) -> np.ndarray:

@@ -327,11 +327,6 @@ def _on_line(j, k, j0, k0):
     return j * k0 - k * j0 == 0
 
 
-# the derivatives D^a Dbar^b u of the P form, as (a, b), in _p_row's order:
-# Du, D^2 u, D Dbar u, D^2 Dbar u, D^3 Dbar u
-_P_DERIVATIVES = ((1, 0), (2, 0), (1, 1), (2, 1), (3, 1))
-
-
 def _row_proofs(u: PeriodicField) -> np.ndarray:
     """Whether two certified row windings of each member's Pu differ, which
     proves a zero of Pu by the argument principle on the band between the
@@ -343,9 +338,8 @@ def _row_proofs(u: PeriodicField) -> np.ndarray:
     rows = (np.arange(_ROWS) + 0.5) / _ROWS
     windings = np.full((len(X), _ROWS), np.nan)
     todo = np.arange(len(X))
-    for first, last in ((0, 2), (2, 3), (3, 4)):
-        windings[todo, first:last] = _chord_windings(*_pu_rows(X[todo], bound[todo],
-                                                               rows[first:last]))
+    for taken in (slice(0, 2), *(slice(q, q + 1) for q in range(2, _ROWS))):
+        windings[todo, taken] = _chord_windings(*_pu_rows(X[todo], bound[todo], rows[taken]))
         proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
         todo = np.flatnonzero(~proven)
         if not todo.size:
@@ -355,8 +349,9 @@ def _row_proofs(u: PeriodicField) -> np.ndarray:
 
 def _derivative_blocks(u: PeriodicField):
     """(X, bound) for a stack u of k potentials of band h: X (k, 5, L, L),
-    L = 2h + 1, holds the coefficient blocks of the _P_DERIVATIVES of u,
-    the interpolant's coefficients E times products of the multipliers of
+    L = 2h + 1, holds the coefficient blocks of Du, D^2 u, D Dbar u,
+    D^2 Dbar u and D^3 Dbar u (_p_row's order), the interpolant's
+    coefficients E times products of the multipliers of
     :meth:`PeriodicField.derivative` (``_lattice_wirtinger``); bound (k,)
     bounds the l1 distance between a row of Pu formed from X by
     :func:`_pu_rows` with exact convolutions and the exact row of the

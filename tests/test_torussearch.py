@@ -223,9 +223,9 @@ class TestObjectiveStop:
     def test_zero_decided_in_few_steps(self, monkeypatch):
         # the full polish makes 65 jet_at calls on the first: the starts
         # that sit near nonzero local minima creep until the step cap.  Its
-        # row windings prove the zero with no jet at all; the zero curves
-        # of the one-directional potential never certify, and the polish
-        # stop decides them in a few steps
+        # row windings prove the zero with no jet at all; the one-directional
+        # potential skips the rows, whose zero curves never certify, and the
+        # polish stop decides it in a few steps
         sizes = []
         jet = PeriodicField.jet_at
 
@@ -346,6 +346,9 @@ class TestStackedObjective:
         alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
                  for i in range(len(stack.C))]
         assert got == alone == [reference_objective(u, n) for u in members(stack)]
+        # and each was decided the same way alone and in the stack
+        kinds = [torussearch._SCORE_KINDS[k] for k in torussearch._stack_scores(stack, n)[1]]
+        assert kinds == [decided(u, n)[1] for u in members(stack)]
         return got
 
     @settings(max_examples=12, deadline=None)
