@@ -388,12 +388,12 @@ def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
     :func:`_derivative_blocks`: P (k, len(rows), 3L - 2) the coefficients
     in s of Pu along each row t = t0 of rows, from the derivatives' rows
     c = (X * e^{2 pi i k t0}) summed over k by :func:`_p_row`, and err
-    their l1 rounding bound, _p_row's tol plus bound.  Every row is summed
-    on its own, so its values do not depend on the stack or the rows that
-    share the call."""
+    their l1 rounding bound, _p_row's tol plus bound.  Every coefficient is
+    one sum over k of einsum's own loops (no BLAS), taken in the same order
+    whatever the stack or the rows that share the call."""
     k = _freqs(X)
     waves = np.exp(2j * np.pi * (np.multiply.outer(rows, k) % 1.0))
-    c = (X[:, None] * waves[:, None, None, :]).sum(-1)  # (k, rows, 5, L)
+    c = np.einsum("mdjk,rk->mrdj", X, waves)  # (members, rows, 5, L)
     P, tol = _p_row(*np.moveaxis(c, -2, 0))
     return P, tol + bound[:, None]
 
@@ -541,7 +541,8 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The convolution of the last axes of a and b, (..., Na + Nb - 1):
     output m sums a_i b_{m-i} into a zeroed array in increasing i, i over
     the shorter operand, one elementwise step per i, so its bits do not
-    depend on the rows that share the call."""
+    depend on the rows that share the call, and it holds no more than the
+    output and one step."""
     if a.shape[-1] > b.shape[-1]:
         a, b = b, a
     Na, Nb = a.shape[-1], b.shape[-1]
