@@ -302,15 +302,14 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
     level = 0
     while True:
         tube = L2 / (8.0 * M * M * 4.0 ** level)  # a power-of-two scaling of L2 / 8
-        alive = live[rows]
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            passed = alive & _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
+            passed = _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
             turn = b * a.conj()  # a passing chord turns by arg(b / a), inside (-pi, pi)
             total += np.bincount(rows, np.where(passed, np.arctan2(turn.imag, turn.real), 0), len(P))
-        failed = np.flatnonzero(alive & ~passed)
+        failed = np.flatnonzero(~passed)
         stuck = rows[failed]
         live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these
-        failed = failed[live[rows[failed]]]
+        failed = failed[live[stuck]]  # a dead row's pieces go no further
         if not failed.size:
             break
         rows, a, b, at = rows[failed], a[failed], b[failed], 2 * at[failed]
