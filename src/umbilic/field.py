@@ -305,7 +305,8 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             passed = _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
             turn = b * a.conj()  # a passing chord turns by arg(b / a), inside (-pi, pi)
-            total += np.bincount(rows, np.where(passed, np.arctan2(turn.imag, turn.real), 0), len(P))
+            turn = np.where(passed, np.arctan2(turn.imag, turn.real), 0)
+            total += np.bincount(rows, turn, len(P))
         failed = np.flatnonzero(~passed)
         stuck = rows[failed]
         live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these

@@ -9,14 +9,13 @@ from umbilic import torussearch
 from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _bands, _chord_bounds, _chord_windings,
-                           _interpolant, _point_rows, _sample_waves, _waves)
+from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _bands, _chord_bounds,
+                           _chord_windings, _interpolant, _point_rows, _sample_waves, _waves)
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
-                                 _certified_roots, _convolve, _decode_modes, _derivative_blocks, _line,
-                                 _one_directional,
-                                 _lowest_separated_cells, _nelder_mead, _placed, _profile,
-                                 _pu_rows, _Stack,
+                                 _certified_roots, _convolve, _decode_modes, _derivative_blocks,
+                                 _line, _lowest_separated_cells, _nelder_mead, _one_directional,
+                                 _placed, _profile, _pu_rows, _Stack,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
@@ -538,7 +537,8 @@ class TestRowWindings:
         windings = _chord_windings(P, err)
         for i in range(len(X)):
             for members_ in ([i], [i, (i + 3) % 9], list(range(i, 9))):
-                X1, bound1 = _derivative_blocks(stack_field(stack._replace(C=stack.C[members_]), 96))
+                some = stack._replace(C=stack.C[members_])
+                X1, bound1 = _derivative_blocks(stack_field(some, 96))
                 assert np.array_equal(X1[0], X[i]) and bound1[0] == bound[i]
                 for q, t0 in enumerate(OBJECTIVE_ROWS):
                     P1, err1 = _pu_rows(X1, bound1, [t0])
@@ -603,7 +603,8 @@ class TestRowWindings:
         rows = np.concatenate([OBJECTIVE_ROWS, rng.random(2)])
         M = _ROW_SAMPLES
         worst = 0.0
-        cases = [(lat, budget, 96) for lat in ROW_LATTICES for budget in (1, 2, 3)] + [(LAT_GEN, 15, 96)]
+        cases = [(lat, budget, 96) for lat in ROW_LATTICES for budget in (1, 2, 3)]
+        cases.append((LAT_GEN, 15, 96))
         for lattice, budget, n in cases:
             half = SearchConfig(lattice, mode_budget=budget).mode_list()
             coeffs = (rng.uniform(-1, 1, (3, len(half))) + 1j * rng.uniform(-1, 1, (3, len(half))))
