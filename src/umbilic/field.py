@@ -359,7 +359,7 @@ def _waves(N: int, m: np.ndarray, K: int) -> np.ndarray:
     return np.exp(2j * np.pi * ((np.arange(N) - N // 2) * m % K / K))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one row length per band in use
 def _sample_waves(N: int) -> np.ndarray:
     """The factors of the first level's samples s = m / M, m = 0 .. M
     (M = _ROW_SAMPLES, the first again at the end): (N, M + 1), read-only,

@@ -47,6 +47,7 @@ its own profile.  Every other potential is sampled on the 2-D grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -371,16 +372,28 @@ def _derivative_blocks(u: PeriodicField):
     most 3 rho (1 + rho)^2 times T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below
     bound = 4 rho T."""
     E = _interpolant(u._spectral_block(), u.n)
-    omega = u.lattice.omega
-    mult = 2j * np.pi * _freqs(E)
+    multipliers, dbar = _row_multipliers(E.shape[-1], u.lattice.omega)
+    S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), dbar)
+    rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
+    return E[:, None] * multipliers, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
+
+
+@lru_cache(maxsize=4)  # a search uses one lattice and one band
+def _row_multipliers(L: int, omega: complex):
+    """For bins of frequencies -(L // 2) .. L // 2 on the lattice of omega:
+    the multipliers (5, L, L) of :func:`_derivative_blocks`, products of
+    :meth:`PeriodicField.derivative`'s D and Dbar in _p_row's order, and
+    the majorants dbar^m (L * L, 4) for m = 1 .. 4; read-only, as every
+    call with these arguments shares them."""
+    mult = 2j * np.pi * (np.arange(L) - L // 2)
     D, Db = _lattice_wirtinger(mult[:, None], mult[None, :], omega)
     DDb = D * Db
-    X = E[:, None] * np.stack([D, D * D, DDb, DDb * D, DDb * D * D])
+    multipliers = np.stack([D, D * D, DDb, DDb * D, DDb * D * D])
     dbar = ((abs(omega) * np.abs(mult)[:, None] + np.abs(mult)) / abs(omega.conjugate() - omega))
-    A = np.abs(E).reshape(len(E), -1)
-    S1, S2, S3, S4 = ((A * (dbar ** m).ravel()).sum(-1) for m in (1, 2, 3, 4))
-    rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
-    return X, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
+    powers = np.stack([dbar.ravel() ** m for m in (1, 2, 3, 4)], -1)
+    for x in (multipliers, powers):
+        x.flags.writeable = False
+    return multipliers, powers
 
 
 def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
