@@ -372,8 +372,8 @@ def _derivative_blocks(u: PeriodicField):
     most 3 rho (1 + rho)^2 times T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below
     bound = 4 rho T."""
     E = _interpolant(u._spectral_block(), u.n)
-    multipliers, dbar = _row_multipliers(E.shape[-1], u.lattice.omega)
-    S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), dbar)
+    multipliers, majorants = _row_multipliers(E.shape[-1], u.lattice.omega)
+    S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), majorants)
     rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
     return E[:, None] * multipliers, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
 
