@@ -74,7 +74,7 @@ The formal power series representation lives in :mod:`umbilic.series`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Iterable
 
 import numpy as np
@@ -99,8 +99,10 @@ _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 _DENOISE_FACTOR = 16.0
 
 # _chord_windings: samples per row at the first level, a power of two, so
-# that the phases j m / K mod 1 of the sample factors are exact at every level
+# that the phases j m / K mod 1 of the sample factors are exact at every
+# level; the first level's factors are its roots of unity e^{2 pi i m / M}
 _ROW_SAMPLES = 128
+_SAMPLE_ROOTS = np.exp(2j * np.pi * (np.arange(_ROW_SAMPLES) / _ROW_SAMPLES))
 
 
 # --------------------------------------------------------------------------
@@ -359,14 +361,13 @@ def _waves(N: int, m: np.ndarray, K: int) -> np.ndarray:
     return np.exp(2j * np.pi * ((np.arange(N) - N // 2) * m % K / K))
 
 
-@lru_cache(maxsize=4)  # one row length per band in use
 def _sample_waves(N: int) -> np.ndarray:
     """The factors of the first level's samples s = m / M, m = 0 .. M
-    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1), read-only,
-    as every call shares it."""
-    W = _waves(N, np.arange(_ROW_SAMPLES + 1)[:, None], _ROW_SAMPLES).T.copy()
-    W.flags.writeable = False
-    return W
+    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1), the values
+    of :func:`_waves` gathered from the M roots of unity at the phases
+    (j m mod M) / M."""
+    M = _ROW_SAMPLES
+    return _SAMPLE_ROOTS[np.multiply.outer(np.arange(N) - N // 2, np.arange(M + 1)) % M]
 
 
 def _centred_fft2(values: np.ndarray) -> np.ndarray:

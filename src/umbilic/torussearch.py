@@ -47,7 +47,6 @@ its own profile.  Every other potential is sampled on the 2-D grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -378,22 +377,17 @@ def _derivative_blocks(u: PeriodicField):
     return E[:, None] * multipliers, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
 
 
-@lru_cache(maxsize=4)  # a search uses one lattice and one band
 def _row_multipliers(L: int, omega: complex):
     """For bins of frequencies -(L // 2) .. L // 2 on the lattice of omega:
     the multipliers (5, L, L) of :func:`_derivative_blocks`, products of
     :meth:`PeriodicField.derivative`'s D and Dbar in _p_row's order, and
-    the majorants dbar^m (L * L, 4) for m = 1 .. 4; read-only, as every
-    call with these arguments shares them."""
+    the majorants dbar^m (L * L, 4) for m = 1 .. 4."""
     mult = 2j * np.pi * (np.arange(L) - L // 2)
     D, Db = _lattice_wirtinger(mult[:, None], mult[None, :], omega)
     DDb = D * Db
     multipliers = np.stack([D, D * D, DDb, DDb * D, DDb * D * D])
     dbar = ((abs(omega) * np.abs(mult)[:, None] + np.abs(mult)) / abs(omega.conjugate() - omega))
-    powers = np.stack([dbar.ravel() ** m for m in (1, 2, 3, 4)], -1)
-    for x in (multipliers, powers):
-        x.flags.writeable = False
-    return multipliers, powers
+    return multipliers, np.stack([dbar.ravel() ** m for m in (1, 2, 3, 4)], -1)
 
 
 def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
