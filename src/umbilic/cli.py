@@ -86,6 +86,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -514,14 +515,27 @@ def run(cfg: dict) -> dict:
 def _require_finite(value, path: str):
     """Raise DomainError at the first NaN or infinite number in a results
     block: JSON has no such numbers, and a report never holds them."""
+    found = _first_nonfinite(value)
+    if found is not None:
+        raise DomainError(f"{path}{found[0]} is {found[1]}: the computation left the float range")
+
+
+def _first_nonfinite(value):
+    """(path suffix, number) of the first NaN or infinite float in nested
+    dicts and lists, or None: the walk spells the path of that leaf alone."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ("", value)
     if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{path}.{key}")
+        items, spell = value.items(), ".{}".format
     elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise DomainError(f"{path} is {value}: the computation left the float range")
+        items, spell = enumerate(value), "[{}]".format
+    else:
+        return None
+    for key, item in items:
+        found = _first_nonfinite(item)
+        if found is not None:
+            return spell(key) + found[0], found[1]
+    return None
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,10 @@ Two grid-backed representations live here:
   products, evaluation and resolution checks all read it.
 * :class:`ChartGrid` holds samples on a square coordinate chart, is
   differentiated with 8th-order finite differences and is evaluated off
-  the grid through its not-a-knot bicubic spline.
+  the grid through its not-a-knot bicubic spline.  A derivative is O(n^2)
+  real arithmetic on the float view of the samples, one stencil pass per
+  axis (:func:`_fd_wirtinger`), and is formed afresh on every call: a
+  chart keeps no partials.
 
 Resolution has one rule.  Every derivative of a periodic field checks its
 spectral tail and raises UnderResolved when the modes with
@@ -831,26 +834,47 @@ def fd_weights(x0: float, grid: Iterable[float], order: int) -> np.ndarray:
 _FD_STENCIL = 9  # 9-point stencils: interior order 8
 _FD_ROWS = np.array([fd_weights(p, range(_FD_STENCIL), 1) for p in range(_FD_STENCIL)])
 _FD_HALF = _FD_STENCIL // 2
+# the interior row is antisymmetric: c_k for the differences f[i+k] - f[i-k]
+_FD_CENTRE = (_FD_ROWS[_FD_HALF, _FD_HALF + 1:] - _FD_ROWS[_FD_HALF, _FD_HALF - 1::-1]) / 2
 
 
-def _fd_axis0(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative along axis 0, 8th order, one-sided near the edges."""
+def _fd_wirtinger(values: np.ndarray, h: float, direction: str) -> np.ndarray:
+    """D f or Dbar f of n x n samples with spacing h, from 8th-order
+    differences along each axis, one-sided within four layers of the edge.
+
+    Each axis is one pass over the float view of the samples (the y pass
+    over a contiguous transposed copy), with 0.5 / h folded into the
+    weights: four antisymmetric differences c_k (f[i+k] - f[i-k]) give the
+    interior rows, and one (4, 9) @ (9, 2n) product per side the four
+    one-sided rows at each edge.  The two halved partials then make D or
+    Dbar component by component: O(n^2) real arithmetic."""
     n = values.shape[0]
-    if n < _FD_STENCIL:
-        raise ValueError(f"need at least {_FD_STENCIL} samples per axis, got {n}")
-    out = np.empty_like(values)
-    c = _FD_ROWS[_FD_HALF]
-    core = np.zeros_like(values[_FD_HALF:n - _FD_HALF])
-    for o in range(_FD_STENCIL):
-        w = c[o]
-        if w != 0.0:
-            core += w * values[o:n - _FD_STENCIL + 1 + o]
-    out[_FD_HALF:n - _FD_HALF] = core
-    for i in range(_FD_HALF):
-        out[i] = np.tensordot(_FD_ROWS[i], values[:_FD_STENCIL], axes=(0, 0))
-        out[n - 1 - i] = np.tensordot(_FD_ROWS[_FD_STENCIL - 1 - i],
-                                      values[n - _FD_STENCIL:], axes=(0, 0))
-    return out / h
+    scale = 0.5 / h
+    centre = _FD_CENTRE * scale
+    head, tail = _FD_ROWS[:_FD_HALF] * scale, _FD_ROWS[_FD_HALF + 1:] * scale
+    inner = slice(_FD_HALF, n - _FD_HALF)
+    buf = np.empty((n - 2 * _FD_HALF, 2 * n))
+    halved = []
+    for samples in (values, values.T):
+        f = np.ascontiguousarray(samples, dtype=complex).view(float)
+        d = np.empty_like(f)
+        for k, c in enumerate(centre, 1):
+            diff = d[inner] if k == 1 else buf
+            np.subtract(f[_FD_HALF + k:n - _FD_HALF + k], f[_FD_HALF - k:n - _FD_HALF - k],
+                        out=diff)
+            diff *= c
+            if k > 1:
+                d[inner] += diff
+        np.matmul(head, f[:_FD_STENCIL], out=d[:_FD_HALF])
+        np.matmul(tail, f[n - _FD_STENCIL:], out=d[n - _FD_HALF:])
+        halved.append(d.reshape(n, n, 2))
+    fx, fy = halved[0], halved[1].transpose(1, 0, 2)
+    # with the halved partials, D = (fx.re + fy.im) + i (fx.im - fy.re),
+    # formed in place in fx; Dbar takes the other signs
+    first, second = (np.add, np.subtract) if direction == "D" else (np.subtract, np.add)
+    first(fx[..., 0], fy[..., 1], out=fx[..., 0])
+    second(fx[..., 1], fy[..., 0], out=fx[..., 1])
+    return fx.reshape(n, 2 * n).view(complex)
 
 
 # --------------------------------------------------------------------------
@@ -864,7 +888,9 @@ class ChartGrid(_SampledField):
     at every grid point; the mask marks the disk |z| <= R.  Derivatives are
     8th-order finite differences, one-sided within four layers of the
     square edge, so quantitative claims should be restricted to an
-    interior region.
+    interior region.  Each costs O(n^2) real operations (one stencil pass
+    per axis, see :func:`_fd_wirtinger`) and leaves the grid as it was: no
+    partial or derived field is cached on it.
     """
 
     def __init__(self, chart_id: str, radius: float, values: np.ndarray,
@@ -946,11 +972,7 @@ class ChartGrid(_SampledField):
         the trusted region."""
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
-        h = self.cell_size
-        fx = _fd_axis0(self.values, h)
-        fy = _fd_axis0(self.values.T, h).T
-        return self._like(0.5 * (fx + 1j * fy) if direction == "Dbar" else 0.5 * (fx - 1j * fy),
-                          False)
+        return self._like(_fd_wirtinger(self.values, self.cell_size, direction), False)
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
         """Sample product: the one-monomial case of :func:`product`."""

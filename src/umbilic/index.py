@@ -734,11 +734,13 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     spherical screen on chart 1, zero clusters and indices per chart,
     cross-chart deduplication, and the index audit against 2 chi = 4.
 
-    Ownership convention: a zero with |z| <= 1 belongs to chart 1 and one
-    with |w| < 1 to chart 2.  A zero seen by both charts (including zeros
-    pinned to the overlap circle |z| = 1) is reported exactly once, by the
-    owner of its best coordinate estimate, with the other chart's winding
-    kept as a stability check.
+    Ownership convention: a zero whose estimate lies within one chart cell
+    h = 2R / (n - 1) of the overlap circle or inside it, |z| <= 1 + h,
+    belongs to chart 1, and any other to chart 2.  Zeros pinned to |z| = 1
+    (inputs even under z -> 1/zbar) thus have one owner, not one that
+    finite-difference error picks.  A zero seen by both charts is reported
+    exactly once, by the owner of its best coordinate estimate, with the
+    other chart's winding kept as a stability check.
     """
     u1, u2 = sphere_metric_potentials(degree, perturbations, chart_n=chart_n)
     charts = {}
@@ -780,7 +782,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
             z_est = best.z0
         else:
             z_est = np.inf if best.z0 == 0 else 1.0 / best.z0
-        owner_id = "chart1" if (np.isfinite(z_est) and abs(z_est) <= 1.0) else "chart2"
+        owner_id = "chart1" if abs(z_est) <= 1.0 + u1.cell_size else "chart2"
         records.append(next((e for e in group if e.chart_id == owner_id), best))
         twices = sorted(e.twice_index for e in group)
         stability.append({

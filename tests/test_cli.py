@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from umbilic import cli
 from umbilic.cli import dump_grid, load_grid, main, parse_config, run
-from umbilic.errors import ConfigError, TotallyDegenerate
+from umbilic.errors import ConfigError, DomainError, TotallyDegenerate
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
 from umbilic.torussearch import TrigPotential
 
@@ -434,6 +434,21 @@ class TestMainAndExitCodes:
             assert main([op, "--config", write_cfg(tmp_path, cfg)]) == 9, op
             err = json.loads(capsys.readouterr().err)
             assert err["error"]["code"] == "DomainError", op
+
+    @pytest.mark.parametrize("block, message", [
+        ({"a": [1.0, {"b": float("nan")}]}, "results.a[1].b is nan"),
+        ([{"x": 2, "y": [0.5, np.float64(-np.inf)]}], "results[0].y[1] is -inf"),
+        ({"first": [[float("inf")], float("nan")], "later": float("nan")},
+         "results.first[0][0] is inf"),
+        ({3: {"k": [[], ["s", None, True, float("-inf")]]}}, "results.3.k[1][3] is -inf"),
+    ])
+    def test_the_first_nonfinite_leaf_is_named_by_its_path(self, block, message):
+        with pytest.raises(DomainError) as info:
+            cli._require_finite(block, "results")
+        assert str(info.value) == message + ": the computation left the float range"
+
+    def test_finite_blocks_pass(self):
+        cli._require_finite({"a": [1.0, {"b": 2, "c": "nan", "d": [1e308, -0.0]}]}, "results")
 
     @pytest.mark.parametrize("operation, modes, extra", [
         ("invariant", {"1,0": [0.2, 0.0], "0,1": [0.1, 0.1], "1,1": [0.05, 0.02]}, {}),

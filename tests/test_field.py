@@ -841,6 +841,23 @@ class TestGridFacts:
         assert f.min_modulus(None) == np.min(np.abs(f.values[m]))
 
 
+def fd_reference(values, h, direction):
+    """D or Dbar of chart samples, row by row: each row's 9 nodes (centred,
+    or the first or last nine within four rows of an edge) and its
+    fd_weights, then D = (d/dx - i d/dy) / 2."""
+    n = len(values)
+
+    def partial(f):
+        out = np.empty_like(f)
+        for i in range(n):
+            lo = min(max(i - 4, 0), n - 9)
+            out[i] = field_module.fd_weights(i - lo, range(9), 1) @ f[lo:lo + 9] / h
+        return out
+
+    fx, fy = partial(values), partial(values.T).T
+    return 0.5 * (fx - 1j * fy) if direction == "D" else 0.5 * (fx + 1j * fy)
+
+
 class TestChartGrid:
     def test_spacing(self):
         ch = ChartGrid("c1", 1.5, np.zeros((61, 61)), real_tag=True)
@@ -853,6 +870,48 @@ class TestChartGrid:
         Z = ch.z_grid()
         assert np.max(np.abs(dz.values - 2 * Z)) < 1e-11
         assert np.max(np.abs(dzb.values)) < 1e-11
+
+    @pytest.mark.parametrize("direction", ["D", "Dbar"])
+    def test_degree_8_polynomials_exact_on_every_row(self, direction):
+        # 9-point rows, centred and one-sided, are exact to rounding on
+        # polynomials of degree 8 in x (any y) and in y (any x)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        poly = np.polynomial.polynomial
+        ch = ChartGrid.from_function("c1", 1.3, 33, lambda Z: poly.polyval2d(Z.real, Z.imag, c))
+        X, Y = ch.z_grid().real, ch.z_grid().imag
+        fx = poly.polyval2d(X, Y, poly.polyder(c, axis=0))
+        fy = poly.polyval2d(X, Y, poly.polyder(c, axis=1))
+        exact = 0.5 * (fx - 1j * fy) if direction == "D" else 0.5 * (fx + 1j * fy)
+        err = np.abs(ch.derivative(direction).values - exact)
+        # one-sided rows weigh the samples by up to about 70 / h in l1
+        # (7.4e-15 of sup|f| / h seen, at the edges)
+        assert np.max(err) <= 1e-13 * np.max(np.abs(ch.values)) / ch.cell_size
+
+    @pytest.mark.parametrize("n", [9, 33, 128])
+    def test_derivative_matches_row_by_row_weights(self, n):
+        rng = np.random.default_rng(n)
+        big = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        dense = big[:n, :n].copy()
+        strided = big[::2, 1::2]  # a non-contiguous values array
+        for values in (dense, strided, dense.T):
+            ch = ChartGrid("c1", 0.7, values)
+            assert ch.values.flags.c_contiguous == (values is dense)
+            for direction in ("D", "Dbar"):
+                ref = fd_reference(values, ch.cell_size, direction)
+                got = ch.derivative(direction).values
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_derivative_keeps_no_state(self):
+        # each derivative is formed afresh: the field gains no attribute
+        # and its samples are left as they were
+        ch = ChartGrid.from_function("c1", 1.0, 64, lambda Z: np.exp(Z) * np.conj(Z))
+        before, samples = dict(vars(ch)), ch.values.copy()
+        for direction in ("D", "Dbar", "D"):
+            ch.derivative(direction)
+        assert vars(ch).keys() == before.keys()
+        assert all(vars(ch)[key] is value for key, value in before.items())
+        assert np.array_equal(ch.values, samples)
 
     def test_smooth_function_accuracy(self):
         ch = ChartGrid.from_function("c1", 1.5, 192,

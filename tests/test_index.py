@@ -12,8 +12,8 @@ from umbilic.index import (UmbilicRecord, locate_zero_cells, poincare_hopf_audit
                            umbilic_index, winding_degree)
 from umbilic.torussearch import TrigPotential
 
-from _oracles import (one_directional, periodic_from_function, random_band_limited,
-                      refine_edge_depth_first)
+from _oracles import (benchmark_pool, one_directional, periodic_from_function,
+                      random_band_limited, refine_edge_depth_first)
 
 LAT = TorusLattice(1j)
 OBLIQUE = TorusLattice(0.3 + 1.1j)
@@ -485,3 +485,20 @@ class TestSpherePipeline:
     def test_oversized_perturbation_rejected(self):
         with pytest.raises(NotPseudoconvex):
             sphere_metric_potentials(2, [("re_z", 3.0)], chart_n=64)
+
+    @pytest.mark.parametrize("job", ["ph-audit/degree1/v0", "ph-audit/degree2/v1",
+                                     "ph-audit/degree3/v1"])
+    def test_chart_ownership_does_not_depend_on_the_degree(self, job):
+        # these inputs are even under z -> 1/zbar, so their zeros sit on
+        # |z| = 1 or within 1e-3 of it; the degree adds log d to u and
+        # leaves r as it is, so only rounding differs between degrees, and
+        # every such zero belongs to chart 1 (with |z| <= 1 as the rule,
+        # degrees 1, 2 and 7 gave 1, 2 and 3 chart-1 records of 4)
+        surface = benchmark_pool("catalogue")[job]["surface"]
+        perts = [(p["harmonic"], p["epsilon"]) for p in surface["perturbations"]]
+        owners = set()
+        for degree in (1, 2, 3, 5, 7, 11):
+            records, audit = sphere_two_chart_umbilics(degree, perts, chart_n=128)
+            assert audit.sum_twice_index == 4
+            owners.add(tuple((rec.chart_id, rec.twice_index) for rec in records))
+        assert len(owners) == 1

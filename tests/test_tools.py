@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,3 +202,37 @@ def test_src_lines_counts_code_without_docstrings_comments_or_blanks(tmp_path, c
     rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
     assert rows == {"pkg/extra.py": ["0", "1", "+1"], "pkg/mod.py": ["8", "10", "+2"],
                     "total": ["8", "11", "+3"]}
+
+
+@pytest.fixture
+def cold_start(monkeypatch):
+    """tools/cold_start.py, loaded with sys.path and the bytecode flag it
+    sets restored after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location(
+        "cold_start", Path(__file__).resolve().parents[1] / "tools" / "cold_start.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("no_bytecode", [True, False])
+def test_cold_run_reports_the_import_time_and_the_bytecode_flag(cold_start, tmp_path,
+                                                                 monkeypatch, no_bytecode):
+    # a copy of the package, so a child that writes bytecode writes it here
+    src = tmp_path / "src"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "umbilic", src / "umbilic")
+    if no_bytecode:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    else:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    cfg = {"surface": {"kind": "chart", "radius": 1.0}, "metric": {"builtin": "constant"},
+           "operation": "loewner", "loewner": {"g": {"builtin": "zbar"}, "order": 4}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    latency, child = cold_start.cold_run(src, "loewner", cfg_path, tmp_path / "report.json")
+    assert child["status"] == 0 and child["scipy"] == []
+    assert child["dont_write_bytecode"] is no_bytecode
+    assert 0.0 < child["import_s"] < latency
+    assert any((src / "umbilic").rglob("*.pyc")) is not no_bytecode

@@ -12,10 +12,13 @@ REPEATS = 5 times, each time in a new interpreter that imports
 the interpreter to its exit, so it holds the interpreter's start, every
 import and the job.
 The report, JSON on stdout, gives per operation the job id, the exit
-status, the median and every run's latency in seconds, and the scipy
-modules the run had loaded when ``main`` returned: their number and the
-sorted public ``scipy.<subpackage>`` names among them.  The exit status is
-0 when every run exits 0, else 1.
+status, the median and every run's latency in seconds, the median time
+the child took to ``import umbilic.cli``, the child's
+``sys.flags.dont_write_bytecode`` (set by ``PYTHONDONTWRITEBYTECODE`` or
+``-B``: the child then compiles every module it imports, as no bytecode
+cache is written), and the scipy modules the run had loaded when ``main``
+returned: their number and the sorted public ``scipy.<subpackage>`` names
+among them.  The exit status is 0 when every run exits 0, else 1.
 """
 
 from __future__ import annotations
@@ -37,14 +40,20 @@ import workloads  # noqa: E402
 OPERATIONS = ("invariant", "umbilics", "ph-audit", "loewner", "obstruction", "search")
 REPEATS = 5
 
-# the child: one main call, then its exit status and the scipy modules loaded
+# the child: one main call, then its exit status, the scipy modules loaded,
+# its import time of umbilic.cli and whether it writes bytecode
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
 import umbilic.cli as cli
+import_s = time.perf_counter() - t0
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main([sys.argv[2], "--config", sys.argv[3], "--out", sys.argv[4]])
-print(json.dumps([status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps({"status": status,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "import_s": import_s,
+                  "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}))
 """
 
 
@@ -58,15 +67,16 @@ def canonical_configs() -> dict:
 
 
 def cold_run(src: Path, op: str, cfg_path: Path, report_path: Path):
-    """(latency_s, exit status, loaded scipy modules) of one fresh process."""
+    """(latency_s, child) of one fresh process: child is the CHILD's JSON
+    line ({"status", "scipy", "import_s", "dont_write_bytecode"}), or None
+    when the process printed nothing."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src), op, str(cfg_path),
                            str(report_path)], capture_output=True, text=True)
     latency = time.perf_counter() - t0
     if not proc.stdout.strip():
-        return latency, None, []
-    status, modules = json.loads(proc.stdout.splitlines()[-1])
-    return latency, status, modules
+        return latency, None
+    return latency, json.loads(proc.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -83,14 +93,18 @@ def main(argv=None) -> int:
             cfg_path, report_path = Path(tmp) / "cfg.json", Path(tmp) / "report.json"
             cfg_path.write_text(json.dumps(cfg))
             runs = [cold_run(src, op, cfg_path, report_path) for _ in range(REPEATS)]
-            statuses = sorted({status for _, status, _ in runs}, key=str)
-            modules = runs[-1][2]
+            children = [child for _, child in runs if child is not None]
+            statuses = sorted({child["status"] if child else None for _, child in runs}, key=str)
+            modules = children[-1]["scipy"] if children else []
             ok = ok and statuses == [0]
             report["operations"][op] = {
                 "job": jid,
                 "status": statuses[0] if len(statuses) == 1 else statuses,
-                "median_s": round(statistics.median(t for t, _, _ in runs), 4),
-                "runs_s": [round(t, 4) for t, _, _ in runs],
+                "median_s": round(statistics.median(t for t, _ in runs), 4),
+                "runs_s": [round(t, 4) for t, _ in runs],
+                "import_median_s": round(statistics.median(
+                    child["import_s"] for child in children), 4) if children else None,
+                "dont_write_bytecode": children[-1]["dont_write_bytecode"] if children else None,
                 "scipy_modules": len(modules),
                 "scipy_packages": sorted({f"scipy.{m.split('.')[1]}" for m in modules
                                           if "." in m and not m.split(".")[1].startswith("_")}),
