@@ -544,8 +544,10 @@ def _first_nonfinite(value):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    as it was, so every :func:`main` call reads the same one."""
+    """The command-line parser, built once per process, when this module is
+    imported (argparse's message lookup imports locale then, so a main call
+    loads no module): parsing leaves it as it was, so every :func:`main`
+    call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="umbilic",
         description="Umbilical loci of strictly pseudoconvex circle bundles: "
@@ -558,6 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override numeric.seed")
     parser.add_argument("--out", default=None, help="override output.report path")
     return parser
+
+
+build_parser()
 
 
 def main(argv=None) -> int:

@@ -100,6 +100,11 @@ SPHERE_SPHERICAL_TOL = 1e-6
 SPHERE_CHART_RADIUS = 1.6
 _LOCATE_RADIUS = 1.25
 _MATCH_DISTANCE = 0.08
+# sphere records and the cross-chart merge are ordered by (chart, Re z0 in
+# units of this grain, rounded, Im z0): the mirror zeros z and conj(z) of an
+# input even under conjugation have real parts that agree to the zeros'
+# accuracy (1e-8 and below), so they are ordered by Im z0, not by rounding
+_ORDER_GRAIN = 1e-6
 # _index_clusters' circle contour on a torus and on a chart: base_cells cells
 # (more for a large cluster), capped at sep_frac times the nearest zero's distance
 _TORUS_CONTOUR = (2.5, 0.35)
@@ -729,6 +734,12 @@ def sphere_metric_potentials(degree: int, perturbations, *, chart_n: int):
     return build(0, "chart1"), build(1, "chart2")
 
 
+def _record_key(rec: UmbilicRecord):
+    """The order of sphere records: chart, then Re z0 rounded to
+    _ORDER_GRAIN, then Im z0."""
+    return rec.chart_id, round(rec.z0.real / _ORDER_GRAIN), rec.z0.imag
+
+
 def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256):
     """Two-chart sphere pipeline: invariant per chart (the P form), the
     spherical screen on chart 1, zero clusters and indices per chart,
@@ -740,7 +751,8 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     (inputs even under z -> 1/zbar) thus have one owner, not one that
     finite-difference error picks.  A zero seen by both charts is reported
     exactly once, by the owner of its best coordinate estimate, with the
-    other chart's winding kept as a stability check.
+    other chart's winding kept as a stability check.  The merge visits the
+    zeros, and the records come back, in the order of :func:`_record_key`.
     """
     u1, u2 = sphere_metric_potentials(degree, perturbations, chart_n=chart_n)
     charts = {}
@@ -764,8 +776,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
     # cross-chart merge: greedy in (chart, z) order, one group per unused entry
     points = [_sphere_point(e.chart_id, e.z0) for e in entries]
     used = [False] * len(entries)
-    order = sorted(range(len(entries)),
-                   key=lambda k: (entries[k].chart_id, entries[k].z0.real, entries[k].z0.imag))
+    order = sorted(range(len(entries)), key=lambda k: _record_key(entries[k]))
     records, stability = [], []
     for a in order:
         if used[a]:
@@ -791,7 +802,7 @@ def sphere_two_chart_umbilics(degree: int, perturbations, *, chart_n: int = 256)
             "stable": len(set(twices)) == 1,
         })
 
-    records.sort(key=lambda rec: (rec.chart_id, rec.z0.real, rec.z0.imag))
+    records.sort(key=_record_key)
     audit = poincare_hopf_audit(records, "sphere")
     audit.details["chart_stability"] = stability
     audit.details["dropped_clusters"] = dropped

@@ -18,7 +18,6 @@ i.e. c equals its conjugate transpose and the series takes real values.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
 __all__ = ["PowerSeries2", "geometric_inverse"]
 
@@ -168,9 +167,10 @@ class PowerSeries2:
         return PowerSeries2(d - 1, out)
 
     def eval(self, z: complex) -> complex:
-        """The polynomial at (z, conj(z))."""
-        z = complex(z)
-        return complex(polyval2d(z, np.conj(z), self.c))
+        """The polynomial at (z, conj(z)): the powers z^k, k <= d, and their
+        conjugates contracted against c, sum_kl z^k c[k, l] conj(z)^l."""
+        powers = complex(z) ** np.arange(self.max_degree + 1)
+        return complex(powers @ self.c @ np.conj(powers))
 
     def __repr__(self):
         terms = ", ".join(f"({k},{l}): {self.c[k, l]:.6g}" for k, l in zip(*np.nonzero(self.c)))

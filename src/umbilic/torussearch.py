@@ -271,7 +271,7 @@ def _stack_scores(stack: _Stack, grid_n: int):
     for first in range(0, len(stack.C), size):
         B = _placed(stack.jk, stack.C[first:first + size], grid_n)
         bands = _bands(B)
-        for band in np.unique(bands):
+        for band in sorted(set(bands.tolist())):
             members = np.flatnonzero(bands == band)
             u = PeriodicField._from_block(stack.lattice, grid_n, B[members], True)
             scores[first + members], kinds[first + members] = _pass_scores(u)
@@ -301,7 +301,7 @@ def _pass_scores(u: PeriodicField):
     if open_.size:
         r = cartan_r(u.take(open_), "p_form")
         bands = _bands(r._block)
-        for band in np.unique(bands):
+        for band in sorted(set(bands.tolist())):
             members = np.flatnonzero(bands == band)
             scores[open_[members]], kinds[open_[members]] = _polish_scores(r.take(members))
     return scores, kinds
@@ -943,9 +943,68 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int):
     return np.min(fsim), sim[0]
 
 
+# numpy's SeedSequence (pool of 4 words) and PCG64 constants, for _start_points
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _start_points(seed: int, trial: int, size: int) -> np.ndarray:
+    """``np.random.default_rng([seed, trial]).uniform(-0.25, 0.25, size)``,
+    bit for bit, in Python integer arithmetic, so a search loads no
+    numpy.random: SeedSequence hashes the entropy's little-endian 32-bit
+    words (0 is one word) into a pool of 4 and draws PCG64's 128-bit state
+    and increment from it; each draw is one PCG64 step, the XSL-RR output
+    (M. E. O'Neill, HMC-CS-2014-0905) and the double (x >> 11) 2^-53,
+    scaled as numpy scales it.  seed and trial are >= 0."""
+    words = [n >> 32 * i & _M32 for n in (seed, trial)
+             for i in range(max(1, (n.bit_length() + 31) // 32))]
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        value = value * h & _M32
+        state.append(value ^ value >> 16)
+    s_hi, s_lo, i_hi, i_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    s = (inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc & _M128
+    out = []
+    for _ in range(size):
+        s = s * _PCG_MULT + inc & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append(-0.25 + 0.5 * ((x >> 11) * 2.0 ** -53))
+    return np.array(out)
+
+
 def torus_search(config: SearchConfig) -> SearchReport:
     """Multistart simplex maximization of the nonvanishing score over
     bounded Fourier coefficients, one :func:`_nelder_mead` run per trial.
+    Trial t starts from numpy's PCG64 stream for the entropy [seed, t]:
+    ``default_rng([seed, t]).uniform(-0.25, 0.25)`` per coefficient,
+    reproduced without numpy.random (:func:`_start_points`).
     Deterministic for a fixed config; a best objective of zero is a valid
     (and, so far, the expected) finding."""
     mode_list = config.mode_list()
@@ -964,8 +1023,7 @@ def torus_search(config: SearchConfig) -> SearchReport:
 
     best = None
     for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
-        x0 = rng.uniform(-0.25, 0.25, 2 * len(mode_list))
+        x0 = _start_points(config.seed, trial, 2 * len(mode_list))
         groups.append([])
         certificates.append(dict.fromkeys(_SCORE_KINDS, 0))
         fun, x = _nelder_mead(neg_objective, x0, config.evaluations)

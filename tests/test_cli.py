@@ -600,7 +600,8 @@ class TestMainAndExitCodes:
         assert text in getattr(capsys.readouterr(), stream)
 
 
-# one config per operation: none of them may load scipy
+# one config per operation: none of them may load scipy, or any module at all
+# once umbilic.cli is imported
 SCIPY_FREE_CONFIGS = {
     "obstruction": torus_cfg(metric={"modes": {"1,0": [0.2, 0.0]}}, operation="obstruction",
                              numeric={"grid_n": 64}, obstruction={"direction": [0.0, 1.0]}),
@@ -617,30 +618,52 @@ SCIPY_FREE_CONFIGS = {
                         search={"mode_budget": 1, "trials": 1, "evaluations": 5}),
 }
 
-_SCIPY_PROBE = """
+# the modules import umbilic.cli loads, then per operation main's exit
+# status and the modules its call added
+_MODULE_PROBE = """
 import json, sys
 import umbilic.cli as cli
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-seen = {"import": loaded()}
+imported = set(sys.modules)
+seen = {"import": sorted(imported)}
 for op, path in zip(sys.argv[1::2], sys.argv[2::2]):
     status = cli.main([op, "--config", path, "--out", path + ".out"])
-    seen[op] = [status, loaded()]
+    seen[op] = [status, sorted(set(sys.modules) - imported)]
 print(json.dumps(seen))
 """
 
 
-def test_cli_loads_no_scipy(tmp_path):
-    # in a child process: this interpreter has imported scipy already
+@pytest.fixture(scope="module")
+def module_probe(tmp_path_factory):
+    """_MODULE_PROBE's report on SCIPY_FREE_CONFIGS, from a child process:
+    this interpreter has imported scipy and numpy.random already."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     args = [a for op, cfg in SCIPY_FREE_CONFIGS.items()
             for a in (op, write_cfg(tmp_path, cfg, f"{op}.json"))]
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *args], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy(modules):
+    return [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_cli_loads_no_scipy(module_probe):
+    seen = {key: [value[0], _scipy(value[1])] if key in SCIPY_FREE_CONFIGS else _scipy(value)
+            for key, value in module_probe.items()}
     assert seen == {"import": [], **{op: [0, []] for op in SCIPY_FREE_CONFIGS}}
+
+
+def test_main_loads_no_module_after_import(module_probe):
+    # numpy loads these subpackages on first use; the CLI uses none of them
+    unused = ("scipy", "numpy.random", "numpy.ma", "numpy.polynomial")
+    assert [m for m in module_probe["import"]
+            if any(m == p or m.startswith(p + ".") for p in unused)] == []
+    assert {op: module_probe[op] for op in SCIPY_FREE_CONFIGS} == {
+        op: [0, []] for op in SCIPY_FREE_CONFIGS}
 
 
 class TestGridDump:

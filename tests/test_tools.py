@@ -236,3 +236,16 @@ def test_cold_run_reports_the_import_time_and_the_bytecode_flag(cold_start, tmp_
     assert child["dont_write_bytecode"] is no_bytecode
     assert 0.0 < child["import_s"] < latency
     assert any((src / "umbilic").rglob("*.pyc")) is not no_bytecode
+
+
+def test_cold_run_reports_the_modules_main_added(cold_start, tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "umbilic", src / "umbilic")
+    cfg = {"surface": {"kind": "torus", "omega": [0.0, 1.0]}, "metric": {"builtin": "constant"},
+           "operation": "search", "numeric": {"grid_n": 64},
+           "search": {"mode_budget": 1, "trials": 1, "evaluations": 5}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    _, child = cold_start.cold_run(src, "search", cfg_path, tmp_path / "report.json")
+    assert child["status"] == 0
+    assert child["main_modules"] == []

@@ -15,7 +15,7 @@ from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
                                  _certified_roots, _convolve, _decode_modes, _derivative_blocks,
                                  _line, _lowest_separated_cells, _nelder_mead, _one_directional,
-                                 _placed, _profile, _pu_rows, _Stack,
+                                 _placed, _profile, _pu_rows, _Stack, _start_points,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
@@ -997,6 +997,23 @@ class TestSearch:
                                         seed=3, grid_n=64, coeff_bound=0.01))
         assert rep.best_modes.modes
         assert all(abs(c) <= 0.01 * (1 + 1e-15) for c in rep.best_modes.modes.values())
+
+    # seeds of one to three 32-bit words, and a 101-bit seed whose four words
+    # and the trial's overflow SeedSequence's pool of four
+    @pytest.mark.parametrize("seed", [*range(64), 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 12345])
+    def test_start_points_are_numpys_pcg64_stream(self, seed):
+        for trial in range(4):
+            for m in (1, 6, 48):
+                want = np.random.default_rng([seed, trial]).uniform(-0.25, 0.25, m)
+                assert np.array_equal(_start_points(seed, trial, m), want)
+
+    def test_first_start_points_are_pinned(self):
+        # the stream's first values for [0, 0] and [42, 1]: every seeded
+        # search starts from them, whatever numpy is installed
+        assert _start_points(0, 0, 3).tolist() == [
+            0.06848084366072715, -0.11510664311806484, -0.22951323803190266]
+        assert _start_points(42, 1, 3).tolist() == [
+            0.1467513436961439, -0.1270206713292975, -0.047786833029235476]
 
 
 def _staircase(x):

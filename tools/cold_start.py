@@ -16,9 +16,11 @@ status, the median and every run's latency in seconds, the median time
 the child took to ``import umbilic.cli``, the child's
 ``sys.flags.dont_write_bytecode`` (set by ``PYTHONDONTWRITEBYTECODE`` or
 ``-B``: the child then compiles every module it imports, as no bytecode
-cache is written), and the scipy modules the run had loaded when ``main``
+cache is written), the scipy modules the run had loaded when ``main``
 returned: their number and the sorted public ``scipy.<subpackage>`` names
-among them.  The exit status is 0 when every run exits 0, else 1.
+among them, and ``main_modules``, the sorted names of the modules the
+``main`` call added to ``sys.modules`` after ``import umbilic.cli``, which
+should be none.  The exit status is 0 when every run exits 0, else 1.
 """
 
 from __future__ import annotations
@@ -41,17 +43,20 @@ OPERATIONS = ("invariant", "umbilics", "ph-audit", "loewner", "obstruction", "se
 REPEATS = 5
 
 # the child: one main call, then its exit status, the scipy modules loaded,
-# its import time of umbilic.cli and whether it writes bytecode
+# the modules main added, its import time of umbilic.cli and whether it
+# writes bytecode
 CHILD = """
 import contextlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
 import umbilic.cli as cli
 import_s = time.perf_counter() - t0
+imported = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main([sys.argv[2], "--config", sys.argv[3], "--out", sys.argv[4]])
 print(json.dumps({"status": status,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "main_modules": sorted(set(sys.modules) - imported),
                   "import_s": import_s,
                   "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}))
 """
@@ -68,8 +73,8 @@ def canonical_configs() -> dict:
 
 def cold_run(src: Path, op: str, cfg_path: Path, report_path: Path):
     """(latency_s, child) of one fresh process: child is the CHILD's JSON
-    line ({"status", "scipy", "import_s", "dont_write_bytecode"}), or None
-    when the process printed nothing."""
+    line ({"status", "scipy", "main_modules", "import_s",
+    "dont_write_bytecode"}), or None when the process printed nothing."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src), op, str(cfg_path),
                            str(report_path)], capture_output=True, text=True)
@@ -108,6 +113,7 @@ def main(argv=None) -> int:
                 "scipy_modules": len(modules),
                 "scipy_packages": sorted({f"scipy.{m.split('.')[1]}" for m in modules
                                           if "." in m and not m.split(".")[1].startswith("_")}),
+                "main_modules": children[-1]["main_modules"] if children else None,
             }
     print(json.dumps(report, indent=2))
     return 0 if ok else 1
