@@ -632,11 +632,9 @@ print(json.dumps(seen))
 """
 
 
-@pytest.fixture(scope="module")
-def module_probe(tmp_path_factory):
-    """_MODULE_PROBE's report on SCIPY_FREE_CONFIGS, from a child process:
-    this interpreter has imported scipy and numpy.random already."""
-    tmp_path = tmp_path_factory.mktemp("probe")
+def test_main_loads_no_module_after_import(tmp_path):
+    # in a child process: this interpreter has imported scipy and
+    # numpy.random already
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
     args = [a for op, cfg in SCIPY_FREE_CONFIGS.items()
@@ -644,26 +642,12 @@ def module_probe(tmp_path_factory):
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _scipy(modules):
-    return [m for m in modules if m.split(".")[0] == "scipy"]
-
-
-def test_cli_loads_no_scipy(module_probe):
-    seen = {key: [value[0], _scipy(value[1])] if key in SCIPY_FREE_CONFIGS else _scipy(value)
-            for key, value in module_probe.items()}
-    assert seen == {"import": [], **{op: [0, []] for op in SCIPY_FREE_CONFIGS}}
-
-
-def test_main_loads_no_module_after_import(module_probe):
+    seen = json.loads(proc.stdout.splitlines()[-1])
     # numpy loads these subpackages on first use; the CLI uses none of them
     unused = ("scipy", "numpy.random", "numpy.ma", "numpy.polynomial")
-    assert [m for m in module_probe["import"]
+    assert [m for m in seen.pop("import")
             if any(m == p or m.startswith(p + ".") for p in unused)] == []
-    assert {op: module_probe[op] for op in SCIPY_FREE_CONFIGS} == {
-        op: [0, []] for op in SCIPY_FREE_CONFIGS}
+    assert seen == {op: [0, []] for op in SCIPY_FREE_CONFIGS}
 
 
 class TestGridDump:
