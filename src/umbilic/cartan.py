@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossFormMismatch, DomainError, NotPseudoconvex, UnderResolved
-from .field import _TAIL_TOL, _tail_energy_fraction, product
+from .field import _TAIL_TOL, _exp, _fd_d_dbar, _tail_energy_fraction, product
 from .series import PowerSeries2, geometric_inverse
 
 __all__ = [
@@ -117,8 +117,7 @@ def cartan_r(u, form: str):
         w = _db(du)
         X = product([(-1.0, (du, w)), (1.0, (_d(w),))])
         return product([(-2.0, (du, X)), (1.0, (_d(X),))])
-    d2u = _d(du)
-    ddbu = _db(du)
+    d2u, ddbu = du.wirtinger()
     d2dbu = _d(ddbu)
     return product([(-3.0, (du, d2dbu)),
                     (2.0, (du, du, ddbu)),
@@ -195,16 +194,28 @@ def spherical_test(u, r, tol: float = 1e-6, region_radius: float | None = None) 
     test reads K = -2 e^{-u} D Dbar u and K_{;zz} = -2 e^{-2u} r pointwise
     (criterion 2's identity), so no exponential is differentiated or enters
     a product.  Each sup is taken over ``u.mask(region_radius)``: the whole
-    grid on a torus, a disk on a chart.  The pipelines screen sphere charts
-    with it; a torus has :func:`_is_degenerate`."""
-    _require_real(u, "spherical_test")
-    w = _db(_d(u))
-    K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)
-    kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
-    region = u.mask(region_radius)
-    ksup = float(np.max(K[region], initial=0.0))
-    hsup = float(np.max(kzz[region], initial=0.0))
+    grid on a torus, where D Dbar u is Dbar D u; a disk on a chart, where
+    D Dbar u is (u_xx + u_yy) / 4 from real stencil passes of u
+    (``field._fd_d_dbar``), and both exponentials are real, taken on the
+    disk alone.  The pipelines screen sphere charts with it; a torus has
+    :func:`_is_degenerate`."""
+    ksup, hsup = _screen_sups(u, r, region_radius)
     return bool(hsup <= tol * (1.0 + ksup))
+
+
+def _screen_sups(u, r, region_radius):
+    """(sup |K|, sup |K_{;zz}|) over u.mask(region_radius), as
+    :func:`spherical_test` reads them."""
+    _require_real(u, "spherical_test")
+    if u.periodic:  # the whole grid
+        K = 2.0 * np.abs(u.scale(-1.0).exp().values * _db(_d(u)).values)
+        kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
+    else:  # the disk, in real arithmetic
+        region = u.mask(region_radius)
+        v = u.values.real[region]
+        K = 2.0 * np.abs(_exp(-v) * _fd_d_dbar(u.values.real, u.cell_size)[region])
+        kzz = 2.0 * np.abs(_exp(-2.0 * v) * r.values[region])
+    return float(np.max(K, initial=0.0)), float(np.max(kzz, initial=0.0))
 
 
 def rigid_r_from_F(F: PowerSeries2) -> PowerSeries2:

@@ -18,9 +18,10 @@ Two grid-backed representations live here:
 * :class:`ChartGrid` holds samples on a square coordinate chart, is
   differentiated with 8th-order finite differences and is evaluated off
   the grid through its not-a-knot bicubic spline.  A derivative is O(n^2)
-  real arithmetic on the float view of the samples, one stencil pass per
-  axis (:func:`_fd_wirtinger`), and is formed afresh on every call: a
-  chart keeps no partials.
+  real arithmetic on the float view of the samples (the real samples alone
+  on a real-tagged grid), one stencil pass per axis
+  (:func:`_fd_wirtinger`), and is formed afresh on every call: a chart
+  keeps no partials.  ``wirtinger()`` gives D f and Dbar f from one pair.
 
 Resolution has one rule.  Every derivative of a periodic field checks its
 spectral tail and raises UnderResolved when the modes with
@@ -393,6 +394,16 @@ def _real(values: np.ndarray, tol: float = _REAL_TOL) -> np.ndarray:
     return values.real.astype(complex)
 
 
+def _exp(values: np.ndarray) -> np.ndarray:
+    """np.exp of real or complex samples; DomainError where it overflows."""
+    with np.errstate(over="ignore"):
+        out = np.exp(values)
+    if not np.all(np.isfinite(out)):
+        raise DomainError("exp overflows on these samples "
+                          f"(max real part {float(np.max(values.real)):.6g})")
+    return out
+
+
 def _next_fast_len(target: int) -> int:
     """The smallest m >= target with no prime factor above 11: the lengths
     pocketfft transforms fastest, as ``scipy.fft.next_fast_len`` gives them
@@ -482,12 +493,7 @@ class _SampledField:
         return self._like(self.values + c, self.real_tag and c.imag == 0.0)
 
     def exp(self):
-        with np.errstate(over="ignore"):
-            values = np.exp(self.values)
-        if not np.all(np.isfinite(values)):
-            raise DomainError("exp overflows on these samples "
-                              f"(max real part {float(np.max(self.values.real)):.6g})")
-        return self._like(values, self.real_tag)
+        return self._like(_exp(self.values), self.real_tag)
 
     def log(self):
         """Pointwise logarithm; every sample's modulus must exceed _LOG_FLOOR."""
@@ -706,6 +712,10 @@ class PeriodicField(_SampledField):
         B *= _lattice_wirtinger(mult[:, None], mult[None, :], self.lattice.omega)[direction == "Dbar"]
         return self._from_block(self.lattice, n, B, False)
 
+    def wirtinger(self) -> tuple:
+        """(D f, Dbar f): two :meth:`derivative` calls."""
+        return self.derivative("D"), self.derivative("Dbar")
+
     def mul(self, other: "PeriodicField") -> "PeriodicField":
         """Dealiased product: the one-monomial case of :func:`product`."""
         return product([(1.0, (self, other))])
@@ -838,43 +848,71 @@ _FD_HALF = _FD_STENCIL // 2
 _FD_CENTRE = (_FD_ROWS[_FD_HALF, _FD_HALF + 1:] - _FD_ROWS[_FD_HALF, _FD_HALF - 1::-1]) / 2
 
 
-def _fd_wirtinger(values: np.ndarray, h: float, direction: str) -> np.ndarray:
-    """D f or Dbar f of n x n samples with spacing h, from 8th-order
-    differences along each axis, one-sided within four layers of the edge.
+def _fd_halved(f: np.ndarray, h: float) -> np.ndarray:
+    """f_x / 2 along axis 0 of n x n samples f, real or complex, with
+    spacing h, as the float view (n x 2n for complex f), from 8th-order
+    differences, one-sided within four layers of the edge.
 
-    Each axis is one pass over the float view of the samples (the y pass
-    over a contiguous transposed copy), with 0.5 / h folded into the
-    weights: four antisymmetric differences c_k (f[i+k] - f[i-k]) give the
-    interior rows, and one (4, 9) @ (9, 2n) product per side the four
-    one-sided rows at each edge.  The two halved partials then make D or
-    Dbar component by component: O(n^2) real arithmetic."""
-    n = values.shape[0]
+    One pass over the float view of a contiguous copy of f, with 0.5 / h
+    folded into the weights: four antisymmetric differences
+    c_k (f[i+k] - f[i-k]) give the interior rows, and one (4, 9) @ (9, m)
+    product per side the four one-sided rows at each edge.  Each float
+    column is differentiated alone, so the real parts of complex samples
+    come out as the real samples' partial, bit for bit."""
+    n = f.shape[0]
+    x = np.ascontiguousarray(f).view(float)
     scale = 0.5 / h
     centre = _FD_CENTRE * scale
     head, tail = _FD_ROWS[:_FD_HALF] * scale, _FD_ROWS[_FD_HALF + 1:] * scale
     inner = slice(_FD_HALF, n - _FD_HALF)
-    buf = np.empty((n - 2 * _FD_HALF, 2 * n))
-    halved = []
-    for samples in (values, values.T):
-        f = np.ascontiguousarray(samples, dtype=complex).view(float)
-        d = np.empty_like(f)
-        for k, c in enumerate(centre, 1):
-            diff = d[inner] if k == 1 else buf
-            np.subtract(f[_FD_HALF + k:n - _FD_HALF + k], f[_FD_HALF - k:n - _FD_HALF - k],
-                        out=diff)
-            diff *= c
-            if k > 1:
-                d[inner] += diff
-        np.matmul(head, f[:_FD_STENCIL], out=d[:_FD_HALF])
-        np.matmul(tail, f[n - _FD_STENCIL:], out=d[n - _FD_HALF:])
-        halved.append(d.reshape(n, n, 2))
-    fx, fy = halved[0], halved[1].transpose(1, 0, 2)
-    # with the halved partials, D = (fx.re + fy.im) + i (fx.im - fy.re),
-    # formed in place in fx; Dbar takes the other signs
-    first, second = (np.add, np.subtract) if direction == "D" else (np.subtract, np.add)
-    first(fx[..., 0], fy[..., 1], out=fx[..., 0])
-    second(fx[..., 1], fy[..., 0], out=fx[..., 1])
-    return fx.reshape(n, 2 * n).view(complex)
+    buf = np.empty((n - 2 * _FD_HALF, x.shape[1]))
+    d = np.empty_like(x)
+    for k, c in enumerate(centre, 1):
+        diff = d[inner] if k == 1 else buf
+        np.subtract(x[_FD_HALF + k:n - _FD_HALF + k], x[_FD_HALF - k:n - _FD_HALF - k], out=diff)
+        diff *= c
+        if k > 1:
+            d[inner] += diff
+    np.matmul(head, x[:_FD_STENCIL], out=d[:_FD_HALF])
+    np.matmul(tail, x[n - _FD_STENCIL:], out=d[n - _FD_HALF:])
+    return d
+
+
+def _fd_wirtinger(values: np.ndarray, h: float, *directions: str) -> list:
+    """D f or Dbar f for each of ``directions``, of n x n samples with
+    spacing h, from one pair of halved partials: :func:`_fd_halved` along x,
+    and along y on the transposed samples.  O(n^2) real arithmetic.
+
+    With the halved partials, D = (fx.re + fy.im) + i (fx.im - fy.re), and
+    Dbar takes the other signs, formed component by component.  Real
+    samples (a real-tagged grid's ``values.real``) are differentiated
+    alone: their imaginary partials are the +0 that the complex pass forms
+    from a real-tagged grid's +0 imaginary parts, so each result is the
+    complex path's bit for bit, zero signs included."""
+    n = values.shape[0]
+    fx, fy = _fd_halved(values, h), _fd_halved(values.T, h)
+    if np.iscomplexobj(values):
+        fx, fy = fx.reshape(n, n, 2), fy.reshape(n, n, 2).transpose(1, 0, 2)
+        xr, xi, yr, yi = fx[..., 0], fx[..., 1], fy[..., 0], fy[..., 1]
+        last = fx  # the last result is formed in place
+    else:
+        xr, xi, yr, yi = fx, 0.0, fy.T, 0.0
+        last = np.empty((n, n, 2))
+    buffers = [np.empty((n, n, 2)) for _ in directions[1:]] + [last]
+    for direction, w in zip(directions, buffers):
+        first, second = (np.add, np.subtract) if direction == "D" else (np.subtract, np.add)
+        first(xr, yi, out=w[..., 0])
+        second(xi, yr, out=w[..., 1])
+    return [w.reshape(n, 2 * n).view(complex) for w in buffers]
+
+
+def _fd_d_dbar(values: np.ndarray, h: float) -> np.ndarray:
+    """D Dbar f = (f_xx + f_yy) / 4 of real n x n samples, from four real
+    stencil passes (:func:`_fd_halved` twice along each axis).  It is the
+    real part of Dbar D f on the complex path, bit for bit but for zero
+    signs."""
+    return (_fd_halved(_fd_halved(values, h), h)
+            + _fd_halved(_fd_halved(values.T, h), h).T)
 
 
 # --------------------------------------------------------------------------
@@ -889,8 +927,10 @@ class ChartGrid(_SampledField):
     8th-order finite differences, one-sided within four layers of the
     square edge, so quantitative claims should be restricted to an
     interior region.  Each costs O(n^2) real operations (one stencil pass
-    per axis, see :func:`_fd_wirtinger`) and leaves the grid as it was: no
-    partial or derived field is cached on it.
+    per axis, see :func:`_fd_wirtinger`), over the real samples alone when
+    the grid is real-tagged, and leaves the grid as it was: no partial or
+    derived field is cached on it.  :meth:`wirtinger` forms D f and Dbar f
+    from one pair of passes.
     """
 
     def __init__(self, chart_id: str, radius: float, values: np.ndarray,
@@ -955,7 +995,9 @@ class ChartGrid(_SampledField):
 
     def mask(self, region_radius: float | None = None) -> np.ndarray:
         r = self.radius if region_radius is None else float(region_radius)
-        return np.abs(self.z_grid()) <= r
+        x, z = self.axis(), np.empty((self.n, self.n), dtype=complex)
+        z.real, z.imag = x[:, None], x
+        return np.abs(z) <= r
 
     def sup_norm(self, region_radius: float | None = None) -> float:
         return float(np.max(np.abs(self.values[self.mask(region_radius)]), initial=0.0))
@@ -972,7 +1014,17 @@ class ChartGrid(_SampledField):
         the trusted region."""
         if direction not in ("D", "Dbar"):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
-        return self._like(_fd_wirtinger(self.values, self.cell_size, direction), False)
+        return self._like(_fd_wirtinger(self._samples(), self.cell_size, direction)[0], False)
+
+    def wirtinger(self) -> tuple:
+        """(D f, Dbar f) from one pair of stencil partials."""
+        return tuple(self._like(w, False)
+                     for w in _fd_wirtinger(self._samples(), self.cell_size, "D", "Dbar"))
+
+    def _samples(self) -> np.ndarray:
+        """The samples the stencils read: the real parts alone on a
+        real-tagged grid."""
+        return self.values.real if self.real_tag else self.values
 
     def mul(self, other: "ChartGrid") -> "ChartGrid":
         """Sample product: the one-monomial case of :func:`product`."""

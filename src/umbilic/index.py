@@ -82,6 +82,7 @@ __all__ = [
     "SPHERE_HARMONICS",
 ]
 
+_TWO_PI = 2.0 * np.pi
 _STEP_LIMIT = 0.5 * np.pi
 _CROSSING_STEP = 0.75 * np.pi
 _POLISHED = 1e-12
@@ -185,8 +186,13 @@ class AuditReport:
 # --------------------------------------------------------------------------
 
 def _wrap(a):
-    """Wrap phase increments to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(a), 2.0 * np.pi)
+    """Wrap phase increments to (-pi, pi]: pi - ((pi - a) mod 2 pi), the mod
+    taken as one shift by 2 pi below 0 or at 2 pi and above.  On a in
+    [-2 pi, 2 pi], the differences of two angles, pi - a lies in
+    [-pi, 3 pi], where this is np.mod bit for bit (the shift down is exact,
+    as fmod is); a NaN stays NaN."""
+    t = np.pi - np.asarray(a)
+    return np.pi - np.where(t < 0.0, t + _TWO_PI, np.where(t >= _TWO_PI, t - _TWO_PI, t))
 
 
 def winding_degree(loop_values, zero_floor: float | None = None) -> int:
@@ -308,9 +314,22 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
     region ``f.mask(region_radius)`` or more than a quarter of its samples
     sit below the zero floor; such inputs are locally spherical and should
     be screened first (see :func:`torus_umbilics` and :func:`spherical_test`).
+
+    On a chart the cell pass runs on the square of nodes that bounds the
+    region, grown by the one node the ring of a cluster's box reads, and
+    clipped to the grid: it is a chart of its own, whose node (i, j) is
+    the grid's (i + o, j + o).  Edge refinement, cluster cells and corners
+    take the grid's indices.  On a torus the square is the whole grid.
     """
-    V, n = f.values, f.n
     consider = f.mask(region_radius)
+    o, n = 0, f.n
+    if not f.periodic:
+        held = np.flatnonzero(consider.any(0) | consider.any(1))
+        if held.size:
+            o, end = max(int(held[0]) - 1, 0), min(int(held[-1]) + 2, n)
+            n = end - o
+            consider = consider[o:end, o:end]
+    V = f.values[o:o + n, o:o + n]
     M = np.abs(V)
     sup = float(np.max(M[consider], initial=0.0))
     if sup == 0.0:
@@ -321,9 +340,12 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
         raise TotallyDegenerate(
             f"{float(below[consider].mean()):.0%} of samples below the zero floor")
 
+    def refine(a, i, j):
+        return _refine_edges(f, a, i + o, j + o, floor)
+
     # the edge table: T[a, i, j] is the phase increment from corner (i, j)
     # one step along axis a, indices mod n; on a chart the last row and
-    # column of edges and cells lead off the grid and are never considered
+    # column of edges and cells lead off the square and are never considered
     P = np.angle(V)
     T = np.stack([_wrap(np.roll(P, -1, a) - P) for a in (0, 1)])
     bad = np.stack([(np.abs(T[a]) >= _STEP_LIMIT) | below | np.roll(below, -1, a)
@@ -337,7 +359,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
     # all bad edges, on a chart ring_winding refines the others on demand
     refined = bad & np.stack([cell_bad | np.roll(cell_bad, 1, 1),
                               cell_bad | np.roll(cell_bad, 1, 0)])
-    T[refined] = _refine_edges(f, *np.nonzero(refined), floor)
+    T[refined] = refine(*np.nonzero(refined))
     bottom, right, top, left = _cell_sides(T)
     wsum = bottom + right - top - left
     crossing = cell_ok & np.isnan(wsum)
@@ -373,8 +395,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
         todo = bad[a, ei, ej] & ~refined[a, ei, ej]
         if todo.any():
             try:
-                T[a[todo], ei[todo], ej[todo]] = _refine_edges(
-                    f, a[todo], ei[todo], ej[todo], floor)
+                T[a[todo], ei[todo], ej[todo]] = refine(a[todo], ei[todo], ej[todo])
             except PhaseStepTooLarge:
                 return None
         steps = np.repeat([1.0, 1.0, -1.0, -1.0], sizes) * T[a, ei, ej]
@@ -385,7 +406,8 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
 
     clusters = []
     for group in clusters_cells:
-        cells = [(i, j, (None if crossing[i % n, j % n] else int(windings[i % n, j % n])))
+        cells = [(i + o, j + o,
+                  (None if crossing[i % n, j % n] else int(windings[i % n, j % n])))
                  for i, j in group]
         has_crossing = any(w is None for _, _, w in cells)
         wrapping = f.periodic and _cluster_wraps(group, nc)
@@ -402,7 +424,7 @@ def locate_zero_cells(f, *, region_radius: float | None = None):
                         key=lambda c: c[0])
         clusters.append(ZeroCluster(
             chart_id=f.chart_id, cells=cells, winding=winding, kind=kind,
-            center=complex(f.corner_z(bi, bj))))
+            center=complex(f.corner_z(bi + o, bj + o))))
     clusters.sort(key=lambda c: (c.center.real, c.center.imag))
     return clusters
 

@@ -29,7 +29,10 @@ the bitwise reference for the obstruction's, which sums into zeroed arrays.  FIT
 numpy spline, and scipy's adaptive Nelder-Mead (``minimize``) the one for
 the search's own.  :func:`direct_r` is the referee for r = Pu itself: the
 P form of a trigonometric potential at any point by direct mode sums, with
-no grid, transform or field class.  The seeded configs of the CLI's
+no grid, transform or field class.  The spherical screen through two chart
+derivatives and complex exponentials over the whole square
+(:func:`spherical_screen`) is the reference for the screen's real stencil
+passes and real exponentials on the disk.  The seeded configs of the CLI's
 exit-contract fuzz (:func:`fuzz_jobs`) live here too, so that the fuzz
 tests and ``tools/results_diff.py`` run the same ones.
 """
@@ -612,3 +615,17 @@ def scipy_nelder_mead(func, x0, maxfev, xatol=1e-6, fatol=1e-12):
                    options={"maxfev": maxfev, "maxiter": 10 ** 9, "xatol": xatol,
                             "fatol": fatol, "adaptive": True})
     return res.fun, res.x
+
+
+def spherical_screen(u, r, tol=1e-6, region_radius=None):
+    """(verdict, sup |K|, sup |K_{;zz}|) of the spherical screen through the
+    field classes: D Dbar u = Dbar(D u) by two derivatives, e^{-u} and
+    e^{-2u} complex on the whole grid, K = -2 e^{-u} D Dbar u and
+    K_{;zz} = -2 e^{-2u} r, each sup over u.mask(region_radius)."""
+    w = u.derivative("D").derivative("Dbar")
+    K = 2.0 * np.abs(u.scale(-1.0).exp().values * w.values)
+    kzz = 2.0 * np.abs(u.scale(-2.0).exp().values * r.values)
+    region = u.mask(region_radius)
+    ksup = float(np.max(K[region], initial=0.0))
+    hsup = float(np.max(kzz[region], initial=0.0))
+    return hsup <= tol * (1.0 + ksup), ksup, hsup

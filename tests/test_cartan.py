@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from umbilic.cartan import (FORMS, cartan_r, cartan_r_all_forms,
+from umbilic.cartan import (FORMS, _screen_sups, cartan_r, cartan_r_all_forms,
                             covariant_hessian_zz, gauss_curvature,
                             kzz_identity_residual, potential_from_metric,
                             rigid_r_from_F, spherical_test)
 from umbilic.errors import NotPseudoconvex, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice
+from umbilic.index import SPHERE_SPHERICAL_TOL, sphere_metric_potentials
 from umbilic.series import PowerSeries2
 from umbilic.torussearch import TrigPotential, chern_normalize
 
-from _oracles import (fd_cartan_r, fd_covariant_hessian, periodic_from_function,
-                      random_band_limited)
+from _oracles import (benchmark_pool, fd_cartan_r, fd_covariant_hessian,
+                      periodic_from_function, random_band_limited, spherical_screen)
 
 LAT = TorusLattice(1j)
 
@@ -237,6 +238,45 @@ class TestSphericalTest:
         # covariant Hessian of the curvature does
         u = make()
         assert screen(u, region_radius=radius) == curvature_screen(u, 1e-6, radius)
+
+
+def _screen_inputs():
+    """(id, u, region radius) of the spherical screen: the round sphere of
+    degrees 1-3 and the ph-audit pool's sphere configs on both charts, the
+    criterion-4 charts, real potentials on the criterion-5 chart, and the
+    criterion-7 sphere."""
+    cases = []
+    for d in (1, 2, 3):
+        for u in sphere_metric_potentials(d, [], chart_n=128):
+            cases.append((f"round/degree{d}/{u.chart_id}", u, 1.0))
+        cases.append((f"criterion4/degree{d}", fs_chart(d), 1.0))
+    for jid, cfg in benchmark_pool("catalogue").items():
+        if cfg["operation"] == "ph-audit":
+            surface = cfg["surface"]
+            perts = [(p["harmonic"], p["epsilon"]) for p in surface["perturbations"]]
+            for u in sphere_metric_potentials(surface["degree"], perts, chart_n=128):
+                cases.append((f"{jid}/{u.chart_id}", u, 1.0))
+    z0 = 0.15 - 0.1j
+    for name, fn in (("re", lambda Z: (Z - z0).real), ("modulus", lambda Z: np.abs(Z - z0) ** 2),
+                     ("log", lambda Z: np.log1p(np.abs(Z - z0) ** 2 + 0.3 * (Z - z0).real))):
+        cases.append((f"criterion5/{name}", ChartGrid.from_function("c1", 1.0, 64, fn,
+                                                                    real_tag=True), None))
+    cases.append(("criterion7/chart1",
+                  sphere_metric_potentials(2, [("re_z", 0.05)], chart_n=256)[0], 1.0))
+    return cases
+
+
+@pytest.mark.parametrize("case", _screen_inputs(), ids=lambda case: case[0])
+def test_screen_matches_the_complex_whole_square_oracle(case):
+    # the real stencil passes and real exponentials on the disk decide as
+    # two chart derivatives and complex exponentials over the square did,
+    # with the same sups to 1e-12
+    _, u, radius = case
+    r = cartan_r(u, "p_form")
+    verdict, ksup, hsup = spherical_screen(u, r, SPHERE_SPHERICAL_TOL, radius)
+    assert spherical_test(u, r, SPHERE_SPHERICAL_TOL, region_radius=radius) == verdict
+    got = _screen_sups(u, r, radius)
+    assert got == pytest.approx((ksup, hsup), rel=1e-12, abs=0.0)
 
 
 class TestRigidFrontEnd:

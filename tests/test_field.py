@@ -113,6 +113,13 @@ class TestPeriodicDerivative:
         df = f.derivative("D")
         assert np.max(np.abs(df.values - np.pi * np.cos(2 * np.pi * S))) < 1e-10
 
+    def test_wirtinger_is_the_two_derivatives(self):
+        f = periodic_from_function(LAT, 32, lambda S, T: np.cos(2 * np.pi * (S - 2 * T)),
+                                   real_tag=True)
+        pair = f.wirtinger()
+        for got, direction in zip(pair, ("D", "Dbar")):
+            assert got.values.tobytes() == f.derivative(direction).values.tobytes()
+
     def test_constant_derivative_is_exactly_zero(self):
         f = PeriodicField.constant(LAT, 32, 3.7)
         for direction in ("D", "Dbar"):
@@ -837,6 +844,8 @@ class TestGridFacts:
             assert m.shape == (f.n, f.n) and m.all()
         else:
             assert np.array_equal(m, np.abs(f.z_grid()) <= f.radius) and not m.all()
+            for radius in (0.3, 1.0, float(np.abs(f.z_grid()[7, 20]))):  # the last, a node's |z|
+                assert np.array_equal(f.mask(radius), np.abs(f.z_grid()) <= radius)
         assert f.sup_norm(None) == np.max(np.abs(f.values[m]))
         assert f.min_modulus(None) == np.min(np.abs(f.values[m]))
 
@@ -902,16 +911,53 @@ class TestChartGrid:
                 got = ch.derivative(direction).values
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [9, 33, 128])
+    def test_real_samples_and_pairs_match_the_complex_path_bitwise(self, n):
+        # a real-tagged grid differentiates its real samples alone, and
+        # wirtinger() forms D and Dbar from one pair of partials: each gives
+        # the bits of an untagged grid's derivative, zero signs included.
+        # Zero blocks, -0 samples and repeated rows and columns make exact
+        # zero partials.
+        rng = np.random.default_rng(n)
+        big = rng.standard_normal((2 * n, 2 * n))
+        big[: n // 2, : n // 3] = 0.0
+        big[rng.random(big.shape) < 0.1] = -0.0
+        big[n // 2 + 1] = big[n // 2 - 1]
+        big[:, n // 2 + 1] = big[:, n // 2 - 1]
+        big = big.astype(complex)  # imaginary parts +0, as a real-tagged grid holds
+        dense = big[:n, :n].copy()
+        for values in (dense, big[::2, 1::2], dense.T):
+            untagged = ChartGrid("c1", 0.7, values)
+            tagged = ChartGrid("c1", 0.7, values, real_tag=True)
+            expected = [untagged.derivative(d).values.tobytes() for d in ("D", "Dbar")]
+            for got in ([tagged.derivative(d) for d in ("D", "Dbar")],
+                        tagged.wirtinger(), untagged.wirtinger()):
+                assert [g.values.tobytes() for g in got] == expected
+                assert not any(g.real_tag for g in got)
+
+    @pytest.mark.parametrize("n", [9, 33, 128])
+    def test_real_laplacian_is_the_real_part_of_dbar_d(self, n):
+        # four real passes give Re Dbar(D u) bit for bit, up to zero signs
+        u = ChartGrid.from_function("c1", 1.6, n, lambda Z: np.cos(3 * Z.real) * np.log1p(
+            np.abs(Z) ** 2) + Z.imag ** 3, real_tag=True)
+        got = field_module._fd_d_dbar(u.values.real, u.cell_size)
+        expected = u.derivative("D").derivative("Dbar").values.real
+        assert np.abs(got).tobytes() == np.abs(expected).tobytes()
+
     def test_derivative_keeps_no_state(self):
         # each derivative is formed afresh: the field gains no attribute
         # and its samples are left as they were
-        ch = ChartGrid.from_function("c1", 1.0, 64, lambda Z: np.exp(Z) * np.conj(Z))
-        before, samples = dict(vars(ch)), ch.values.copy()
-        for direction in ("D", "Dbar", "D"):
-            ch.derivative(direction)
-        assert vars(ch).keys() == before.keys()
-        assert all(vars(ch)[key] is value for key, value in before.items())
-        assert np.array_equal(ch.values, samples)
+        for tagged, fn in ((False, lambda Z: np.exp(Z) * np.conj(Z)),
+                           (True, lambda Z: np.cos(Z.real) * np.exp(-Z.imag ** 2))):
+            ch = ChartGrid.from_function("c1", 1.0, 64, fn, real_tag=tagged)
+            before, samples = dict(vars(ch)), ch.values.copy()
+            for direction in ("D", "Dbar", "D"):
+                ch.derivative(direction)
+            ch.wirtinger()
+            ch.wirtinger()
+            assert vars(ch).keys() == before.keys()
+            assert all(vars(ch)[key] is value for key, value in before.items())
+            assert ch.values.tobytes() == samples.tobytes()
 
     def test_smooth_function_accuracy(self):
         ch = ChartGrid.from_function("c1", 1.5, 192,

@@ -60,7 +60,43 @@ class TestWindingDegree:
             winding_degree([])
 
 
+def _neighbours(values):
+    return [v for x in values for v in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf))]
+
+
+def test_wrap_is_np_mod_bit_for_bit_on_angle_differences():
+    # the compare-and-shift wrap against pi - ((pi - a) mod 2 pi) under
+    # tobytes(): on the differences of two angles (its domain [-2 pi, 2 pi]),
+    # angles at and next to 0, +-pi and the axes included, and on the edge
+    # values +-0, +-pi, +-2 pi, their float neighbours and NaN
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    axes = np.array([1.0, -1.0, 1j, -1j, complex(-1.0, -0.0), complex(-1.0, 1e-300),
+                     complex(-1.0, -1e-300), complex(1.0, -0.0), 0.0, complex(-0.0, -0.0)])
+    angles = np.concatenate([np.angle(z), np.angle(axes),
+                             _neighbours([0.0, -0.0, np.pi, -np.pi]), [np.nan]])
+    edges = np.array(_neighbours([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi])
+                     + [np.nan, -np.nan])
+    for a in (np.subtract.outer(angles, angles), np.angle(z[1:]) - np.angle(z[:-1]), edges):
+        expected = np.pi - np.mod(np.pi - a, 2.0 * np.pi)
+        assert index._wrap(a).tobytes() == expected.tobytes()
+
+
 class TestLocateZeroCells:
+    @pytest.mark.parametrize("column", [10, 11])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
+    def test_ring_next_to_the_region_edge(self, column, offset):
+        # a zero on a grid line, next to the edge of the region: its cells
+        # cross the zero set, and the ring around them reads nodes just
+        # outside the region, which the chart's cell pass must hold
+        x = np.linspace(-1.0, 1.0, 65)
+        h = x[1] - x[0]
+        z0 = complex(x[column], offset * h)
+        ch = ChartGrid.from_function("c1", 1.0, 65, lambda Z: Z - z0)
+        clusters = locate_zero_cells(ch, region_radius=0.7)
+        assert [(c.kind, c.winding) for c in clusters] == [("point", 1)]
+        assert abs(clusters[0].center - z0) <= 1.5 * h
+
     def test_single_simple_zero_on_chart(self):
         # the second zero sits on a grid node, so its cells cross the zero
         # set and the winding comes from the ring around them

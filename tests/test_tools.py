@@ -156,6 +156,43 @@ def test_results_diff_lists_discrete_changes_apart_from_float_drift():
     assert results_diff.compare(old, old)["discrete_changes"] == {}
 
 
+def test_results_diff_counts_the_leaves_that_differ():
+    # every differing leaf counts once, a leaf one tree alone has included,
+    # and an int that becomes an equal float differs
+    old = {"umbilics/a": outcome({"records": [{"x": 0.5, "twice_index": 1}], "n": 2}),
+           "umbilics/b": outcome({"v": 1.0, "w": 2.0, "k": 3}),
+           "umbilics/c": outcome({"v": 1.0})}
+    new = {"umbilics/a": outcome({"records": [{"x": 0.5, "twice_index": 1},
+                                              {"x": 0.7, "twice_index": -1}], "n": 3}),
+           "umbilics/b": outcome({"v": 1.5, "w": 2.0, "k": 3.0}),
+           "umbilics/c": outcome({"v": 1.0})}
+    report = results_diff.compare(old, new)
+    assert report["leaves_differ"] == {"umbilics/a": 3, "umbilics/b": 2}
+    assert results_diff.compare(old, old)["leaves_differ"] == {}
+
+
+def test_results_diff_flags_the_same_records_in_a_different_order():
+    # two mirror pairs swapped read as one reorder of /records, not as a
+    # drift of one z0; a changed record among them is no reorder, and the
+    # search goes on into lists that are not permutations
+    def rec(x, y, twice):
+        return {"z0": [x, y], "twice_index": twice}
+
+    records = [rec(-0.5, 0.1, 1), rec(-0.5, -0.1, 1), rec(0.5, 0.1, -1), rec(0.5, -0.1, -1)]
+    swapped = [records[1], records[0], records[3], records[2]]
+    old = {"ph-audit/a": outcome({"records": records, "audit": {"sum": 0}}),
+           "ph-audit/b": outcome({"records": records}),
+           "ph-audit/c": outcome({"rows": [[1, 2], [3, 4]]})}
+    new = {"ph-audit/a": outcome({"records": swapped, "audit": {"sum": 0}}),
+           "ph-audit/b": outcome({"records": [rec(-0.5, 0.1, 1)] + swapped[1:]}),
+           "ph-audit/c": outcome({"rows": [[1, 2], [4, 3]]})}
+    report = results_diff.compare(old, new)
+    assert report["differ"] == ["ph-audit/a", "ph-audit/b", "ph-audit/c"]
+    assert report["reordered"] == {"ph-audit/a": ["/records"], "ph-audit/c": ["/rows[1]"]}
+    assert report["leaves_differ"]["ph-audit/a"] == 4  # Im z0 of each swapped record
+    assert results_diff.compare(old, old)["reordered"] == {}
+
+
 _LINES_SPEC = importlib.util.spec_from_file_location(
     "src_lines", Path(__file__).resolve().parents[1] / "tools" / "src_lines.py")
 src_lines = importlib.util.module_from_spec(_LINES_SPEC)

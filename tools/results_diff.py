@@ -24,6 +24,11 @@ is not a float (a bool, an int, a string or null) or that one tree alone
 has to those leaves, each with its [old, new] value ("<absent>" on the side
 that lacks it), so a rounding drift reads apart from a flipped flag or a
 changed count.
+``leaves_differ`` maps each config whose results differ to the number of
+leaves that differ (a leaf one tree alone has counting once), and
+``reordered`` maps each config whose two results hold the same records in a
+different order to the paths of those lists, so a reorder of several records
+reads as such and not as the one drift leaf above.
 ``objective_certificates`` gives each tree's totals, over the configs
 compared, of the search diagnostics of that name (per trial, how many
 objective scores each way decided), so a certificate that moves reads as
@@ -119,6 +124,31 @@ def drift(a, b):
     return worst_rel, worst_abs
 
 
+def leaves_differ(a, b) -> int:
+    """How many leaves of two results blocks differ in type or value, a
+    leaf one block alone has counting once."""
+    la, lb = dict(_leaves(a)), dict(_leaves(b))
+    return sum(path not in la or path not in lb
+               or (type(la[path]), la[path]) != (type(lb[path]), lb[path])
+               for path in la.keys() | lb.keys())
+
+
+def reordered(a, b, path="") -> list:
+    """The paths of the lists of two results blocks that hold the same
+    items, each compared as sorted-key JSON, in a different order; lists of
+    the same length that are not such a permutation are searched item by
+    item."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() & b.keys())
+                for p in reordered(a[key], b[key], f"{path}/{key}")]
+    if not (isinstance(a, list) and isinstance(b, list)) or len(a) != len(b):
+        return []
+    items = [[json.dumps(item, sort_keys=True) for item in side] for side in (a, b)]
+    if items[0] != items[1] and sorted(items[0]) == sorted(items[1]):
+        return [path]
+    return [p for k, (x, y) in enumerate(zip(a, b)) for p in reordered(x, y, f"{path}[{k}]")]
+
+
 def discrete_changes(a, b) -> dict:
     """The leaves of two results blocks that differ and are not both floats,
     and the leaves one block alone has, each path mapped to its [old, new]
@@ -169,7 +199,7 @@ def compare(old: dict, new: dict) -> dict:
         [jid for jid in sorted(old) if json.dumps(old[jid][key], sort_keys=True)
          != json.dumps(new[jid][key], sort_keys=True)]
         for key in ("config", "diagnostics"))
-    only_old, only_new, changed, discrete = {}, {}, {}, {}
+    only_old, only_new, changed, discrete, counts, permuted = {}, {}, {}, {}, {}, {}
     for jid in diagnostics_mismatches:
         a, b = old[jid]["diagnostics"], new[jid]["diagnostics"]
         for key in sorted(a.keys() | b.keys()):
@@ -197,6 +227,9 @@ def compare(old: dict, new: dict) -> dict:
             (rel, rel_path), (dif, dif_path) = drift(a["results"], b["results"])
             if changes := discrete_changes(a["results"], b["results"]):
                 discrete[jid] = changes
+            counts[jid] = leaves_differ(a["results"], b["results"])
+            if paths := reordered(a["results"], b["results"]):
+                permuted[jid] = paths
             for t in groups:
                 t["rel"] = max(t["rel"], (rel, f"{jid} {rel_path}"))
                 t["abs"] = max(t["abs"], (dif, f"{jid} {dif_path}"))
@@ -215,6 +248,8 @@ def compare(old: dict, new: dict) -> dict:
             "diagnostics_keys_only_new": only_new,
             "diagnostics_changed": changed,
             "discrete_changes": discrete,
+            "leaves_differ": counts,
+            "reordered": permuted,
             "objective_certificates": {"old": certificate_totals(old),
                                        "new": certificate_totals(new)},
             "nonzero_exits_old": failed,
