@@ -101,8 +101,7 @@ def potential_from_metric(h):
 def cartan_r(u, form: str):
     """The field r = Pu in the requested form (see module docstring).  On
     a torus u's modes >= n/6 and every derivative check their spectral
-    tail (UnderResolved).  u may be a stack of potentials that share a band
-    (``PeriodicField.take``); r is then the stack of their invariants."""
+    tail (UnderResolved)."""
     _require_real(u, "cartan_r")
     if form not in FORMS:
         raise ValueError(f"form must be one of {FORMS}, got {form!r}")

@@ -54,7 +54,7 @@ well: importing this module loads no scipy.
 
 Off-grid evaluation on a torus (``evaluate_st``, ``jet_at``) takes each
 point's row product on its own (:func:`_point_rows`), so a point's value
-and jet are bit for bit the same alone, in any batch and in a stack.
+and jet are bit for bit the same alone and in any batch.
 
 :func:`_chord_windings` takes the winding about 0 of 1-D trigonometric
 polynomials from their coefficients and an l1 bound on their rounding,
@@ -208,14 +208,11 @@ def _bands(B: np.ndarray) -> np.ndarray:
 
 def _cut_to_band(B: np.ndarray) -> np.ndarray:
     """B cut to its band h, the largest |k| on either axis with a nonzero
-    bin (a stack to the largest band of its blocks): (2h+1) x (2h+1), or B
-    itself when h = n/2."""
+    bin: (2h+1) x (2h+1), or B itself when h = n/2."""
     nonzero = B != 0
-    if B.ndim > 2:
-        nonzero = nonzero.reshape(-1, *B.shape[-2:]).any(0)
     h = int(np.abs(_freqs(B))[nonzero.any(1) | nonzero.any(0)].max(initial=0))
-    c = B.shape[-1] // 2
-    return B if 2 * h == B.shape[-1] else B[..., c - h:c + h + 1, c - h:c + h + 1]
+    c = len(B) // 2
+    return B if 2 * h == len(B) else B[c - h:c + h + 1, c - h:c + h + 1]
 
 
 def _transform2_in_place(transform, a: np.ndarray) -> np.ndarray:
@@ -434,12 +431,9 @@ def _lattice_wirtinger(ds, dt, omega):
 
 def _tail_energy_fraction(B: np.ndarray, n: int) -> float:
     """Energy fraction of the block B but its constant carried by modes
-    with max(|j|, |k|) >= n/3, of which a band below n/3 has none; of a
-    stack, the largest over its blocks."""
-    if 3 * (B.shape[-1] // 2) < n:
+    with max(|j|, |k|) >= n/3, of which a band below n/3 has none."""
+    if 3 * (len(B) // 2) < n:
         return 0.0
-    if B.ndim > 2:
-        return max(_tail_energy_fraction(b, n) for b in B)
     k = np.abs(_freqs(B))
     tail = 3 * np.maximum(k[:, None], k[None, :]) >= n
     power = np.abs(B) ** 2
@@ -564,12 +558,6 @@ class PeriodicField(_SampledField):
     nobody reads them; calculus reads the block, never the projection.  A
     sum of fields is a sample sum and keeps no spectrum; a polynomial in
     fields is one :func:`product`.
-
-    A stack of k fields on one grid is one field whose block has a leading
-    axis, (k, 2h+1, 2h+1), cut to the largest band of its members.
-    :meth:`derivative`, :func:`product` and :meth:`jet_at` act on each
-    member as on the field alone, bit for bit, as long as the members share
-    one band; a stack has no samples, and :meth:`take` gives its members.
     """
 
     def __init__(self, lattice: TorusLattice, values: np.ndarray, real_tag: bool = False):
@@ -633,12 +621,7 @@ class PeriodicField(_SampledField):
         """The largest |k| on either axis with a nonzero bin of a kept
         spectrum: its block's size.  A field built from samples keeps its
         n x n block, so it counts as n/2."""
-        return self._spectral_block().shape[-1] // 2
-
-    def take(self, members) -> "PeriodicField":
-        """Member i of a stack (an int), or the stack of the members listed,
-        cut to their own band."""
-        return self._from_block(self.lattice, self.n, self._block[members], self.real_tag)
+        return len(self._spectral_block()) // 2
 
     # -- construction ------------------------------------------------------
 
@@ -700,7 +683,7 @@ class PeriodicField(_SampledField):
             raise ValueError(f"direction must be 'D' or 'Dbar', got {direction!r}")
         n = self.n
         B = self._spectral_block().copy()
-        B[..., B.shape[-1] // 2, B.shape[-1] // 2] = 0.0
+        B[len(B) // 2, len(B) // 2] = 0.0
         frac = _tail_energy_fraction(B, n)
         if frac > _TAIL_TOL:
             raise UnderResolved(
@@ -736,18 +719,17 @@ class PeriodicField(_SampledField):
         The Nyquist bins are folded back only when K = n/2.  The k distinct
         operands are embedded into one k x m x m stack, which is lifted in
         place; the monomials then take one m x m term and the m x m sum,
-        which is transformed in place: k + 2 arrays of m x m at most, per
-        member on a stack of fields."""
+        which is transformed in place: k + 2 arrays of m x m at most."""
         n = self.n
         operands = {id(f): f for _, fs in terms for f in fs}
         S = max(sum(f._band() for f in fs) for _, fs in terms)
         K = min(S, n // 2)
         m = _lift_size(S, n)
-        stack = np.zeros((len(operands), *self._spectral_block().shape[:-2], m, m), dtype=complex)
+        stack = np.zeros((len(operands), m, m), dtype=complex)
         for f, C in zip(operands.values(), stack):  # each block in fft2 layout
             B = _interpolant(f._spectral_block(), n)
             g = _freqs(B) % m
-            C[..., g[:, None], g] = B
+            C[g[:, None], g] = B
         lifted = dict(zip(operands, _transform2_in_place(fft.ifft, stack)))
         acc = None
         for c, fs in terms:
@@ -758,11 +740,11 @@ class PeriodicField(_SampledField):
         del lifted, stack
         F = _transform2_in_place(fft.fft, acc)
         g = np.arange(-K, K + 1) % m
-        G = F[..., g[:, None], g]
+        G = F[g[:, None], g]
         if 2 * K == n:  # the n/2 row and column fold onto -n/2 (axis 0 first)
-            G[..., 0, :] += G[..., n, :]
-            G[..., :, 0] += G[..., :, n]
-            G = G[..., :n, :n]
+            G[0] += G[n]
+            G[:, 0] += G[:, n]
+            G = G[:n, :n]
         return self._from_block(self.lattice, n, G * (n * n), real_tag)
 
     # -- evaluation off the grid --------------------------------------------
@@ -783,9 +765,8 @@ class PeriodicField(_SampledField):
         """(f, D f, Dbar f) of the interpolant at complex points: the rows of
         :meth:`evaluate_st`, one more row product for d/ds and a weighted
         row sum for d/dt, mapped to D and Dbar as in :meth:`derivative`.
-        On a stack of k fields z is (k, p), p points per member.  Every
-        point's jet is bit for bit that of the point alone on its own field,
-        whatever the batch, as long as the members share one band."""
+        Every point's jet is bit for bit that of the point alone, whatever
+        the batch."""
         E, Es, Et = self._rows(*self.lattice.z_to_st(np.asarray(z, dtype=complex)))
         k = 2j * np.pi * _freqs(E)
         rows = _point_rows(Es, E)
@@ -796,14 +777,13 @@ class PeriodicField(_SampledField):
         """The interpolant's coefficients E on the field's band (see
         :func:`_interpolant`), formed on the first evaluation and kept, and
         the exponential rows at s and at t for the frequencies of E: one row
-        per point, the points flattened, and on a stack per member."""
+        per point, the points flattened."""
         if self._coeffs is None:
             self._coeffs = _interpolant(self._spectral_block(), self.n)
         E = self._coeffs
         k = _freqs(E)
-        lead = E.shape[:-2]
         return (E, *(np.exp(2j * np.pi * np.multiply.outer(
-            np.asarray(u, dtype=float).reshape(*lead, -1), k)) for u in (s, t)))
+            np.asarray(u, dtype=float).ravel(), k)) for u in (s, t)))
 
     def evaluate_at(self, z) -> np.ndarray:
         """Evaluate the interpolant at complex points (periodic in the lattice)."""

@@ -42,20 +42,18 @@ depend on ``periodic``.
 
 Zero clusters, point and curve alike, are polished by one damped Newton
 iteration on (Re f, Im f), :func:`_polish`, for all clusters of a field at
-once.  Its starts are k rows of p, and each step is one call of the jet
-its caller passes: here the field's ``jet_at(z) -> (f, D f, Dbar f)``,
-the derivatives of the interpolant that ``evaluate_at`` evaluates, at
-every live start of every row.  Steps must lower |f| and stay within a
-fixed reach of their start, so a neighbouring zero cannot capture the
-iterate.  A caller that only needs to know whether |f| falls below a
-threshold passes it as a row's stop, and the row ends at the first step
-where one of its starts is below it.  A point's jet is bit for bit the
-same in any batch, so each row's iterates are those of its polish alone,
-whatever other rows share the calls.  The search objective polishes a
-stack of fields of one band, a row per member, with a jet that evaluates
-every member's iterates in one stacked call, for the members its row
-windings leave unproven (``torussearch._polish_scores``, called by
-``torussearch._pass_scores``).
+once.  Its starts are k rows of p, and each step is one call of the
+field's ``jet_at(z) -> (f, D f, Dbar f)``, the derivatives of the
+interpolant that ``evaluate_at`` evaluates, at every live start of every
+row.  Steps must lower |f| and stay within a fixed reach of their start,
+so a neighbouring zero cannot capture the iterate.  A caller that only
+needs to know whether |f| falls below a threshold passes it as the stop,
+and a row ends at the first step where one of its starts is below it.  A
+point's jet is bit for bit the same in any batch, so each row's iterates
+are those of its polish alone, whatever other rows share the calls.  The
+search objective polishes the invariant of each potential its row
+windings leave unproven, one row of four starts
+(``torussearch._polish_scores``).
 """
 
 from __future__ import annotations
@@ -525,46 +523,40 @@ def refine_cluster_residual(f, clusters) -> list:
     return [float(m) / sup for m in best]
 
 
-def _polish(jet, starts, max_move, stop=0.0):
+def _polish(f, starts, max_move, stop=0.0):
     """Damped Newton on (Re f, Im f) from k rows of p starts, (k, p), at
     once; returns the (k, p) iterates and their |f|.  Each step takes f,
-    D f and Dbar f at all live iterates from one call ``jet(points, at)``,
-    at being the iterates' flat indices into the (k, p) starts in
-    increasing order, and is the Levenberg-Marquardt step of
-    :func:`_lm_step`, defined also where the Jacobian is singular, as on
-    every zero curve of a constant-phase field.  A trial point is taken
-    when it lowers |f| and lies within max_move (scalar, per row (k, 1) or
-    per start) of its start, else the step is halved; a start stops when
-    its step falls below rounding or is undefined.  A row ends as soon as
-    one of its starts' |f| is below its stop (scalar or per row), for a
-    caller that only asks whether any start of the row gets there; the
-    default 0 never triggers.  Deterministic, monotone and confined.
-
-    On one field the jet is its ``jet_at``, and the rows share each call.
-    A point's jet does not depend on its batch, on a chart or a torus
-    field, so a row's iterates are those of its polish alone, bit for bit.
-    A caller with a field per row passes a jet that evaluates each row on
-    its own field.
+    D f and Dbar f at all live iterates from one ``f.jet_at`` call, and is
+    the Levenberg-Marquardt step of :func:`_lm_step`, defined also where
+    the Jacobian is singular, as on every zero curve of a constant-phase
+    field.  A trial point is taken when it lowers |f| and lies within
+    max_move (scalar, per row (k, 1) or per start) of its start, else the
+    step is halved; a start stops when its step falls below rounding or is
+    undefined.  A row ends as soon as one of its starts' |f| is below the
+    scalar stop, for a caller that only asks whether any start of a row
+    gets there; the default 0 never triggers.  Deterministic, monotone and
+    confined.  A point's jet does not depend on its batch, on a chart or a
+    torus field, so a row's iterates are those of its polish alone, bit
+    for bit.
     """
     z0 = np.asarray(starts, dtype=complex)
     k, p = z0.shape
     reach = np.broadcast_to(np.asarray(max_move, dtype=float), z0.shape).reshape(-1)
-    stop = np.asarray(stop, dtype=float).reshape(-1, 1)
     z0 = z0.reshape(-1)
     z, live = z0.copy(), np.arange(z0.size)
-    v, a, b = jet(z, live)
+    v, a, b = f.jet_at(z)
     best = np.abs(v)
     dz = _lm_step(v, a, b)
     for _ in range(64):
         hit = best.reshape(k, p) < stop
-        if hit.any():  # a row with a start below its stop is done
+        if hit.any():  # a row with a start below the stop is done
             live = live[~hit.any(1)[live // p]]
         step = np.abs(dz[live])
         live = live[np.isfinite(step) & (step > np.finfo(float).eps * (1.0 + np.abs(z[live])))]
         if not live.size:
             break
         trial = z[live] + dz[live]
-        v, a, b = jet(trial, live)
+        v, a, b = f.jet_at(trial)
         mod = np.abs(v)
         take = (mod < best[live]) & (np.abs(trial - z0[live]) <= reach[live])
         done = live[take]
@@ -581,16 +573,13 @@ def _polish_clusters(f, clusters, reach, sup):
     one cluster; the m clusters left above _POLISHED * sup are polished
     again as one (m, 4) polish from four starts around each centre, and
     each keeps its best iterate, the earliest on a tie."""
-    def jet(points, at):
-        return f.jet_at(points)
-
     centers = np.array([c.center for c in clusters], dtype=complex)
     reach = np.asarray(reach, dtype=float)
-    z, mod = (x[0] for x in _polish(jet, centers[None], reach))
+    z, mod = (x[0] for x in _polish(f, centers[None], reach))
     again = np.flatnonzero(mod > _POLISHED * sup)
     if again.size:
         starts = centers[again, None] + 0.25 * reach[again, None] * np.array([1, 1j, -1, -1j])
-        zk, mk = _polish(jet, starts, reach[again, None])
+        zk, mk = _polish(f, starts, reach[again, None])
         best = (np.arange(again.size), mk.argmin(1))  # the first minimum of each row
         better = mk[best] < mod[again]
         z[again[better]], mod[again[better]] = zk[best][better], mk[best][better]

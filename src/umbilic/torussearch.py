@@ -54,7 +54,7 @@ import numpy as np
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
 from .field import (PeriodicField, TorusLattice, _bands, _chord_windings, _freqs, _interpolant,
-                    _lattice_wirtinger, _lift_size, _real)
+                    _lattice_wirtinger, _real)
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -84,10 +84,9 @@ _RING_TOL = 1e-3
 _CHERN_GRID_N = 256
 # _nelder_mead's stop, simplex extent and value spread: scipy's xatol, fatol
 _XATOL, _FATOL = 1e-6, 1e-12
-# min_modulus_objective: the bytes one stacked pass may lift for the P form's
-# product (16 members at band 3), and the operands that product lifts
-_STACK_BYTES = 512 * 1024
-_P_FORM_OPERANDS = 5
+# min_modulus_objective: the bytes of derivative blocks one pass may hold
+# (16 members at band 3)
+_STACK_BYTES = 64 * 1024
 # min_modulus_objective: the rows t = (q + 1/2) / _ROWS whose windings prove a zero
 _ROWS = 4
 # how each score was decided, in the order of SearchReport.objective_certificates:
@@ -235,13 +234,13 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     bound of _lowest_separated_cells).
 
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
-    potentials, whose k scores come back as an array.  A stack is scored in
-    passes of members that share their band, each lifting at most
-    _STACK_BYTES for the P form's product (:func:`_stack_scores`).  Every
-    score is bit for bit the one the member gets alone, and an error is the
-    one the first member that fails alone raises.  With a tally, a dict
-    keyed by _SCORE_KINDS, each score adds 1 to the count of the way it was
-    decided.
+    potentials, whose k scores come back as an array.  A stack's row proofs
+    run in passes of members that share their band, each holding at most
+    _STACK_BYTES of derivative blocks (:func:`_stack_scores`); a member the
+    rows leave open takes its P form and polish alone.  Every score is bit
+    for bit the one the member gets alone, and an error is the one the
+    first member that fails alone raises.  With a tally, a dict keyed by
+    _SCORE_KINDS, each score adds 1 to the count of the way it was decided.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -261,49 +260,45 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
 def _stack_scores(stack: _Stack, grid_n: int):
     """The scores of min_modulus_objective, pass by pass, and the index in
     _SCORE_KINDS of the way each was decided.  A pass places its members'
-    blocks and scores those of one band together (:func:`_pass_scores`):
-    first the row proofs, taken lazily, then, for the members they leave
-    open, one stacked P form, each member's samples and starts in turn and
-    one stacked polish, within the pass's _STACK_BYTES."""
+    blocks, at most _STACK_BYTES of derivative blocks of the mode budget h
+    (5 (2h+1)^2 complex bins a member), and scores those of one band
+    together, cut to that band (:func:`_pass_scores`)."""
     h = int(np.abs(stack.jk).max(initial=0))
-    size = max(1, _STACK_BYTES // (_P_FORM_OPERANDS * 16 * _lift_size(3 * h, grid_n) ** 2))
+    size = max(1, _STACK_BYTES // (5 * 16 * (2 * h + 1) ** 2))
     scores, kinds = np.empty(len(stack.C)), np.empty(len(stack.C), dtype=int)
     for first in range(0, len(stack.C), size):
         B = _placed(stack.jk, stack.C[first:first + size], grid_n)
         bands = _bands(B)
         for band in sorted(set(bands.tolist())):
             members = np.flatnonzero(bands == band)
-            u = PeriodicField._from_block(stack.lattice, grid_n, B[members], True)
-            scores[first + members], kinds[first + members] = _pass_scores(u)
+            cut = B[members, h - band:h + band + 1, h - band:h + band + 1]
+            scores[first + members], kinds[first + members] = _pass_scores(
+                cut, stack.lattice, grid_n)
     return scores, kinds
 
 
-def _pass_scores(u: PeriodicField):
-    """The scores of the members of a stack u of potentials of one band h,
-    and the index in _SCORE_KINDS of the way each was decided.  Where
-    6h < n, Pu's rows are exact 1-D products of u's coefficients (r's band
-    3h is below n/2, so cartan_r truncates and folds nothing, and neither
-    its gate on the modes >= n/6 nor a derivative's tail check has a mode
-    to weigh), and a member whose certified row windings differ
-    (:func:`_row_proofs`) scores 0 with no 2-D P form; members with one
-    direction skip the rows (:func:`_one_directional`).  The others take
-    cartan_r's stacked P form and :func:`_polish_scores`, band by band of
-    r, so every score is the member's own alone, bit for bit, and every
-    error comes from where it comes alone."""
-    k = len(u._block)
-    proven = np.zeros(k, dtype=bool)
-    if 6 * u._band() < u.n:
-        rows = np.flatnonzero(~_one_directional(u._block))
+def _pass_scores(B: np.ndarray, lattice: TorusLattice, n: int):
+    """The scores of the potentials with the placed blocks B (k, 2h+1, 2h+1)
+    of one band h on the n x n grid of lattice, and the index in
+    _SCORE_KINDS of the way each was decided.  Where 6h < n, Pu's rows are
+    exact 1-D products of u's coefficients (r's band 3h is below n/2, so
+    cartan_r truncates and folds nothing, and neither its gate on the
+    modes >= n/6 nor a derivative's tail check has a mode to weigh), and a
+    member whose certified row windings differ (:func:`_row_proofs`) scores
+    0 with no 2-D P form; members with one direction skip the rows
+    (:func:`_one_directional`).  Each of the others, in member order, is
+    placed as its own field and takes cartan_r's P form and
+    :func:`_polish_scores` alone, so every error comes from where it comes
+    alone."""
+    proven = np.zeros(len(B), dtype=bool)
+    if 6 * (B.shape[-1] // 2) < n:
+        rows = np.flatnonzero(~_one_directional(B))
         if rows.size:
-            proven[rows] = _row_proofs(u.take(rows))
-    scores, kinds = np.zeros(k), np.full(k, _WINDINGS)
-    open_ = np.flatnonzero(~proven)
-    if open_.size:
-        r = cartan_r(u.take(open_), "p_form")
-        bands = _bands(r._block)
-        for band in sorted(set(bands.tolist())):
-            members = np.flatnonzero(bands == band)
-            scores[open_[members]], kinds[open_[members]] = _polish_scores(r.take(members))
+            proven[rows] = _row_proofs(B[rows], n, lattice.omega)
+    scores, kinds = np.zeros(len(B)), np.full(len(B), _WINDINGS)
+    for i in np.flatnonzero(~proven).tolist():
+        u = PeriodicField._from_block(lattice, n, B[i], True)
+        scores[i], kinds[i] = _polish_scores(cartan_r(u, "p_form"))
     return scores, kinds
 
 
@@ -327,14 +322,16 @@ def _on_line(j, k, j0, k0):
     return j * k0 - k * j0 == 0
 
 
-def _row_proofs(u: PeriodicField) -> np.ndarray:
-    """Whether two certified row windings of each member's Pu differ, which
-    proves a zero of Pu by the argument principle on the band between the
-    rows.  Rows are taken lazily: t = 1/8 and 3/8 for every member, then
-    5/8 and 7/8 in turn for the members whose certified windings do not yet
-    differ.  A row's values do not depend on the members or rows that share
-    its call (:func:`_pu_rows`, ``field._chord_windings``)."""
-    X, bound = _derivative_blocks(u)
+def _row_proofs(B: np.ndarray, n: int, omega: complex) -> np.ndarray:
+    """Whether two certified row windings of the Pu of each potential with
+    the placed block B (k, L, L) on the n x n grid of the lattice of omega
+    differ, which proves a zero of Pu by the argument principle on the band
+    between the rows.  Rows are taken lazily: t = 1/8 and 3/8 for every
+    member, then 5/8 and 7/8 in turn for the members whose certified
+    windings do not yet differ.  A row's values do not depend on the
+    members or rows that share its call (:func:`_pu_rows`,
+    ``field._chord_windings``)."""
+    X, bound = _derivative_blocks(B, n, omega)
     rows = (np.arange(_ROWS) + 0.5) / _ROWS
     windings = np.full((len(X), _ROWS), np.nan)
     todo = np.arange(len(X))
@@ -347,15 +344,15 @@ def _row_proofs(u: PeriodicField) -> np.ndarray:
     return proven
 
 
-def _derivative_blocks(u: PeriodicField):
-    """(X, bound) for a stack u of k potentials of band h: X (k, 5, L, L),
-    L = 2h + 1, holds the coefficient blocks of Du, D^2 u, D Dbar u,
-    D^2 Dbar u and D^3 Dbar u (_p_row's order), the interpolant's
-    coefficients E times products of the multipliers of
-    :meth:`PeriodicField.derivative` (``_lattice_wirtinger``); bound (k,)
-    bounds the l1 distance between a row of Pu formed from X by
-    :func:`_pu_rows` with exact convolutions and the exact row of the
-    exact Pu of u's placed block.
+def _derivative_blocks(B: np.ndarray, n: int, omega: complex):
+    """(X, bound) for k potentials u with the placed blocks B (k, L, L),
+    L = 2h + 1, on the n x n grid of the lattice of omega: X (k, 5, L, L)
+    holds the coefficient blocks of Du, D^2 u, D Dbar u, D^2 Dbar u and
+    D^3 Dbar u (_p_row's order), the interpolant's coefficients E times
+    products of the multipliers of :meth:`PeriodicField.derivative`
+    (``_lattice_wirtinger``); bound (k,) bounds the l1 distance between a
+    row of Pu formed from X by :func:`_pu_rows` with exact convolutions
+    and the exact row of the exact Pu of u's placed block.
 
     The bound, for eps the machine epsilon: E is the placed block over n^2,
     within eps |E| of the exact quotient.  With
@@ -370,8 +367,8 @@ def _derivative_blocks(u: PeriodicField):
     of R_j over j, the exact formula of _p_row on these rows moves by at
     most 3 rho (1 + rho)^2 times T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below
     bound = 4 rho T."""
-    E = _interpolant(u._spectral_block(), u.n)
-    multipliers, majorants = _row_multipliers(E.shape[-1], u.lattice.omega)
+    E = _interpolant(B, n)
+    multipliers, majorants = _row_multipliers(E.shape[-1], omega)
     S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), majorants)
     rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
     return E[:, None] * multipliers, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
@@ -406,37 +403,19 @@ def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
 
 
 def _polish_scores(r: PeriodicField):
-    """The scores of the members of a stack r of invariants Pu of one band
-    from their samples and one polish, and the index in _SCORE_KINDS of the
-    way each was decided.  The polish runs the starts of every live member,
-    row i on member i, and its jet is one stacked ``jet_at`` call per step
-    on the (k, p) iterates; a point's jet does not depend on its batch, so
-    each member's iterates are those of its polish alone."""
-    k = len(r._block)
-    scores, kinds, live, extremes, starts = np.zeros(k), np.full(k, _DEGENERATE), [], [], []
-    for i in range(k):  # the n x n samples of one member at a time
-        A = np.abs(r.take(i).values)
-        mx = float(A.max())
-        if not _is_degenerate(mx):
-            live.append(i)
-            extremes.append((float(A.min()), mx))
-            # polish from the few lowest well-separated grid samples: a single
-            # local search can slide past the global minimum of a multi-valley
-            # field; n >= 64 leaves room for all four
-            starts.append([r.corner_z(a, b) for a, b in _lowest_separated_cells(A, count=4, min_sep=4)])
-    if live:
-        alive, z = r.take(live), np.array(starts)
-
-        def jet(points, at):
-            z.flat[at] = points
-            return [x.ravel()[at] for x in alive.jet_at(z)]
-
-        stop = _ZERO_RATIO * np.array([mx for _, mx in extremes])
-        polished = _polish(jet, starts, 2.5 * r.cell_size, stop)[1].min(1)
-        for i, (mn, mx), low in zip(live, extremes, polished.tolist()):
-            mn = min(mn, low)
-            scores[i], kinds[i] = (0.0, _POLISH) if mn < _ZERO_RATIO * mx else (mn / mx, _NONZERO)
-    return scores, kinds
+    """The score of the invariant r = Pu from its samples and one polish,
+    and the index in _SCORE_KINDS of the way it was decided."""
+    A = np.abs(r.values)
+    mx = float(A.max())
+    if _is_degenerate(mx):
+        return 0.0, _DEGENERATE
+    # polish from the few lowest well-separated grid samples: a single local
+    # search can slide past the global minimum of a multi-valley field;
+    # n >= 64 leaves room for all four
+    starts = [r.corner_z(a, b) for a, b in _lowest_separated_cells(A, count=4, min_sep=4)]
+    low = float(_polish(r, [starts], 2.5 * r.cell_size, _ZERO_RATIO * mx)[1].min())
+    mn = min(float(A.min()), low)
+    return (0.0, _POLISH) if mn < _ZERO_RATIO * mx else (mn / mx, _NONZERO)
 
 
 def _lowest_separated_cells(A: np.ndarray, count: int, min_sep: int):

@@ -747,9 +747,8 @@ def contract_fields():
 
 
 class TestEvaluationContract:
-    """A point's value and jet are bit for bit the same alone, in any batch,
-    at any position and in a stack: the multi-start polish and the search's
-    stacked scores rest on it.  numpy promises no such thing of a batched
+    """A point's value and jet are bit for bit the same alone, in any batch
+    and at any position: the multi-start polish rests on it.  numpy promises no such thing of a batched
     matrix product (its rounding can depend on the row count and on the BLAS
     build), so this checks the running machine."""
 
@@ -770,22 +769,6 @@ class TestEvaluationContract:
         order = rng.permutation(300)
         assert np.array_equal(f.evaluate_st(s[order], t[order]), value[order])
         assert np.array_equal(f.jet_at(z[order]), jet[:, order])
-
-    @pytest.mark.parametrize("f", contract_fields()[1::2], ids=["L19", "L129"])
-    def test_stacked_jet_is_each_member_alone(self, f):
-        # k members of one band, p points each, against each member's own
-        # field at all p points and at each point alone
-        rng = np.random.default_rng(5)
-        B = f._spectral_block()
-        members = [PeriodicField._from_block(LAT_GEN, f.n, c * B, False)
-                   for c in rng.normal(size=(4, 2)) @ [1, 1j]]
-        stack = PeriodicField._from_block(LAT_GEN, f.n, np.stack([g._block for g in members]), False)
-        z = LAT_GEN.st_to_z(*rng.uniform(-1.0, 2.0, (2, 4, 7)))
-        got = stack.jet_at(z)
-        for i, g in enumerate(members):
-            assert np.array_equal([x[i] for x in got], g.jet_at(z[i]))
-            for j in range(7):
-                assert np.array_equal([x[i, j] for x in got], [x[0] for x in g.jet_at(z[i, j:j + 1])])
 
 
 def grid_field(kind):

@@ -274,14 +274,10 @@ class TestPolish:
         assert len(sizes) <= 50
         assert max(r.residual for r in records) <= 1e-12
 
-    @staticmethod
-    def polish(f, starts, max_move, stop=0.0):
-        """_polish on one field: its jet_at for all rows at once."""
-        return index._polish(lambda z, _: f.jet_at(z), starts, max_move, stop)
 
     def test_monotone_and_confined(self):
         f = ChartGrid.from_function("c1", 1.0, 64, lambda Z: Z - 0.5)
-        (z,), (mod,) = self.polish(f, [[0.0, 0.45 + 0.02j]], [0.2, 0.2])
+        (z,), (mod,) = index._polish(f, [[0.0, 0.45 + 0.02j]], [0.2, 0.2])
         # the zero lies 0.5 from the first start: it stops short, inside its
         # reach, having lowered |f|
         assert abs(z[0]) <= 0.2 and 0.3 - 1e-12 <= mod[0] < 0.5
@@ -292,7 +288,7 @@ class TestPolish:
         # curve, and the damped step still reaches it
         f = ChartGrid.from_function(
             "c1", 1.0, 64, lambda Z: (1 + 2j) * (Z.real - 0.3 + 0.2 * Z.imag ** 2))
-        _, mod = self.polish(f, [[0.25 + 0.1j, 0.36 - 0.2j]], 0.1)
+        _, mod = index._polish(f, [[0.25 + 0.1j, 0.36 - 0.2j]], 0.1)
         assert np.all(mod <= 1e-14 * f.sup_norm())
 
     def test_rows_of_a_chart_polish_as_alone(self):
@@ -302,10 +298,10 @@ class TestPolish:
         f = ChartGrid.from_function("c1", 1.0, 64, lambda Z: (Z - 0.3) * (Z + 0.2j) * np.conj(Z + 0.4))
         starts = np.random.default_rng(3).uniform(-0.8, 0.8, (6, 5, 2)) @ [1, 1j]
         reach = np.linspace(0.1, 0.6, 6)[:, None]
-        z, mod = self.polish(f, starts, reach)
+        z, mod = index._polish(f, starts, reach)
         assert np.sum(mod <= 1e-12 * f.sup_norm()) >= 6 and np.any(mod > 1e-3)
         for i in range(len(starts)):
-            alone = self.polish(f, starts[i:i + 1], reach[i])
+            alone = index._polish(f, starts[i:i + 1], reach[i])
             assert np.array_equal(alone[0][0], z[i]) and np.array_equal(alone[1][0], mod[i])
 
     def test_rows_of_a_torus_field_polish_as_alone(self):
@@ -314,22 +310,25 @@ class TestPolish:
         r = cartan_r(random_band_limited(0, OBLIQUE, n=64, budget=3, amplitude=0.4), "p_form")
         starts = OBLIQUE.st_to_z(*np.random.default_rng(0).random((2, 7, 5)))
         for rows in (starts, starts[:, :1]):
-            z, mod = self.polish(r, rows, 0.2)
+            z, mod = index._polish(r, rows, 0.2)
             for i in range(len(rows)):
-                alone = self.polish(r, rows[i:i + 1], 0.2)
+                alone = index._polish(r, rows[i:i + 1], 0.2)
                 assert np.array_equal(alone[0][0], z[i]) and np.array_equal(alone[1][0], mod[i])
 
     def test_a_row_ends_at_its_stop(self):
-        # row 0 reaches its stop at its first start and ends there, its other
-        # start still far from its zero; row 1, with stop 0, polishes on
+        # row 0 reaches the stop at its first start and ends there, its other
+        # start still far from its zero; row 1, confined far from the zeros,
+        # has no start below the stop and polishes on as with stop 0
         f = ChartGrid.from_function("c1", 1.0, 64, lambda Z: (Z - 0.5) * (Z + 0.5))
-        starts = [[0.45 + 0.02j, -0.1 + 0.3j], [0.45 + 0.02j, -0.1 + 0.3j]]
-        z, mod = self.polish(f, starts, 0.5, [1e-3, 0.0])
-        full = self.polish(f, starts[:1], 0.5)
+        starts = [[0.45 + 0.02j, -0.1 + 0.3j], [-0.1 + 0.3j, 0.05 - 0.2j]]
+        reach = [[0.5], [0.05]]
+        z, mod = index._polish(f, starts, reach, 1e-3)
+        full = index._polish(f, starts, reach)
         assert mod[0, 0] < 1e-3 < mod[0, 1] and full[1][0, 0] < 1e-14 < mod[0, 0]
         assert mod[0, 1] > 100 * full[1][0, 1]
-        assert np.array_equal(z[1], full[0][0]) and np.array_equal(mod[1], full[1][0])
-        alone = self.polish(f, starts[:1], 0.5, 1e-3)
+        assert mod[1].min() > 1e-3
+        assert np.array_equal(z[1], full[0][1]) and np.array_equal(mod[1], full[1][1])
+        alone = index._polish(f, starts[:1], 0.5, 1e-3)
         assert np.array_equal(alone[0][0], z[0]) and np.array_equal(alone[1][0], mod[0])
 
 

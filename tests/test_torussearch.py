@@ -160,7 +160,7 @@ def full_polish_objective(u, n, zero_ratio=1e-9):
     starts = [u.lattice.st_to_z(i / n, j / n)
               for i, j in lowest_separated_cells_full(A, count=4, min_sep=4)]
     cell = (1.0 + abs(u.lattice.omega)) / n
-    polished = _polish(lambda z, _: r.jet_at(z), [starts], 2.5 * cell)[1]
+    polished = _polish(r, [starts], 2.5 * cell)[1]
     ratio = min(float(A.min()), float(polished.min())) / r.sup_norm()
     return 0.0 if ratio < zero_ratio else float(ratio)
 
@@ -169,25 +169,30 @@ _ROWS = torussearch._ROWS
 OBJECTIVE_ROWS = (np.arange(_ROWS) + 0.5) / _ROWS
 
 
-def stack_field(stack: _Stack, n: int) -> PeriodicField:
-    """The potentials of a stack as one field, placed as the objective
-    places them."""
-    return PeriodicField._from_block(stack.lattice, n, _placed(stack.jk, stack.C, n), True)
+def placed_blocks(stack, n: int) -> np.ndarray:
+    """The placed blocks (k, 2h+1, 2h+1) of the members of a stack that
+    share their band h, each as to_field places it and as a pass of the
+    objective holds it."""
+    return np.stack([u.to_field(n)._block for u in members(stack)])
 
 
-def pu_row_windings(u: PeriodicField, rows) -> np.ndarray:
+def pu_row_windings(stack, n: int, rows) -> np.ndarray:
     """The chord-tube windings of Pu along rows for each member of a stack
-    u of potentials, from u's coefficients alone (NaN where uncertified)."""
-    return _chord_windings(*_pu_rows(*_derivative_blocks(u), rows))
+    of potentials, from their placed blocks alone (NaN where uncertified)."""
+    B = placed_blocks(stack, n)
+    return _chord_windings(*_pu_rows(*_derivative_blocks(B, n, stack.lattice.omega), rows))
+
+
+def oracle_windings(u: TrigPotential, n: int, rows) -> np.ndarray:
+    """The oracle's companion-root windings of u's invariant along rows, on
+    the block of cartan_r."""
+    return row_windings(_interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n), rows)
 
 
 def row_evidence(u, n):
     """The chord-tube windings of u's invariant along the objective's rows
-    (NaN where uncertified) and the oracle's companion-root windings on the
-    block of cartan_r."""
-    E = _interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n)
-    return (pu_row_windings(stack_field(u._stack(), n), OBJECTIVE_ROWS)[0],
-            row_windings(E, OBJECTIVE_ROWS))
+    (NaN where uncertified) and the oracle's windings."""
+    return (pu_row_windings(u, n, OBJECTIVE_ROWS)[0], oracle_windings(u, n, OBJECTIVE_ROWS))
 
 
 def reference_objective(u, n):
@@ -309,39 +314,13 @@ def search_stacks(monkeypatch, cfg) -> list:
 
 class TestStackedObjective:
     """A stack's scores are its members' scores alone, bit for bit: alone in a
-    stack of one, and alone by the reference of reference_objective.  Most
-    scores are 0, so the stacked P forms and the polishes of the members
-    the row windings leave open are held, member by member, to the
-    plain-field ones bit for bit."""
+    stack of one, and alone by the reference of reference_objective.  The
+    row proofs run in passes; a member they leave open takes its P form and
+    polish alone."""
 
     @staticmethod
     def assert_scores_alone(stack, n):
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            for name in ("cartan_r", "_polish_scores", "_polish"):
-                def recorded(*args, _run=getattr(torussearch, name), _name=name):
-                    call = [_name, args, None]  # in the order of entry: a pass's polish last
-                    calls.append(call)
-                    call[2] = _run(*args)
-                    return call[2]
-                mp.setattr(torussearch, name, recorded)
-            got = min_modulus_objective(stack, n).tolist()
-        for name, args, out in calls:
-            if name == "cartan_r":  # a pass: its P form
-                (u, form), r = args, out
-                for i in range(len(u._block)):
-                    assert np.array_equal(r.take(i)._block, cartan_r(u.take(i), form)._block)
-                continue
-            if name == "_polish_scores":  # the members of the pass the windings left open
-                (r,) = args
-                live = [i for i in range(len(r._block))
-                        if not _is_degenerate(float(np.abs(r.take(i).values).max()))]
-                continue
-            (_, starts, reach, stop), (z, best) = args, out
-            assert len(starts) == len(live)
-            for row, i in enumerate(live):  # each row alone, on its plain field
-                alone = _polish(lambda w, _: r.take(i).jet_at(w), [starts[row]], reach, stop[row])
-                assert np.array_equal(alone[0][0], z[row]) and np.array_equal(alone[1][0], best[row])
+        got = min_modulus_objective(stack, n).tolist()
         alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
                  for i in range(len(stack.C))]
         assert got == alone == [reference_objective(u, n) for u in members(stack)]
@@ -394,44 +373,29 @@ class TestStackedObjective:
         assert cartan_r(members(stack)[0].to_field(64), "p_form")._band() == 32
         self.assert_scores_alone(stack, 64)
 
-    def test_polish_of_a_stack_is_each_members_own(self, monkeypatch):
-        # a full polish (stop 0), with the jet the objective gives the
-        # members its row windings leave open, of r for six potentials of
-        # band 3: starts die at different steps, so members hold different
-        # counts of live starts, yet each step is one stacked jet_at call on
-        # all (6, 4) iterates, and each member's iterates are its own alone
-        rng = np.random.default_rng(7)
-        half = SearchConfig(LAT_GEN, mode_budget=3).mode_list()
-        rows = _clipped(rng.uniform(-0.2, 0.2, (6, 2 * len(half))), 1.0)
-        rs = [cartan_r(u.to_field(64), "p_form") for u in members(stack_of(LAT_GEN, 3, rows))]
-        stack = PeriodicField._from_block(LAT_GEN, 64, np.stack([r._block for r in rs]), False)
-        starts = LAT_GEN.st_to_z(*rng.random((2, len(rs), 4)))
-        sizes, counts = [], []
-        jet = PeriodicField.jet_at
+    def test_row_passes_hold_the_stack_budget(self, monkeypatch):
+        # the row proofs of a group run in passes of at most _STACK_BYTES of
+        # derivative blocks, or of one member: a 49-point group at budget 3
+        # in passes of 16, 16, 16 and 1, a 48-point group at budget 15 in 48
+        # passes of one
+        passes = []
+        blocks = torussearch._derivative_blocks
 
-        def counted(self, z):
-            sizes.append(np.shape(z))
-            return jet(self, z)
+        def recorded(B, n, omega):
+            X, bound = blocks(B, n, omega)
+            passes.append((len(X), X.nbytes))
+            return X, bound
 
-        seen = []
-
-        def full(pass_jet, *_):  # the pass's own jet, on these starts, to the end
-            def steps(points, at):
-                counts.append(np.bincount(at // 4, minlength=len(rs)))
-                return pass_jet(points, at)
-
-            seen.append(_polish(steps, starts, 0.3, 0.0))
-            return seen[-1]
-
-        monkeypatch.setattr(PeriodicField, "jet_at", counted)
-        monkeypatch.setattr(torussearch, "_polish", full)
-        torussearch._polish_scores(stack)
-        (z, best), = seen
-        assert sizes == [(len(rs), 4)] * len(counts)  # one call per step, on every iterate
-        assert any(len(set(c[c > 0].tolist())) > 1 for c in counts)  # live counts differ
-        for i, r in enumerate(rs):
-            alone = _polish(lambda w, _: r.jet_at(w), starts[i:i + 1], 0.3, 0.0)
-            assert np.array_equal(alone[0][0], z[i]) and np.array_equal(alone[1][0], best[i])
+        monkeypatch.setattr(torussearch, "_derivative_blocks", recorded)
+        for budget, amplitude, points, sizes in ((3, 0.25, 49, [16, 16, 16, 1]),
+                                                 (15, 0.01, 48, [1] * 48)):
+            half = SearchConfig(LAT, mode_budget=budget).mode_list()
+            rows = _clipped(np.random.default_rng(budget).uniform(
+                -amplitude, amplitude, (points, 2 * len(half))), 1.0)
+            passes.clear()
+            min_modulus_objective(stack_of(LAT, budget, rows), 96)
+            assert [k for k, _ in passes] == sizes
+            assert all(nbytes <= torussearch._STACK_BYTES or k == 1 for k, nbytes in passes)
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["r-first", "placement-first"])
     def test_first_failing_member_raises_its_own_error(self, order):
@@ -506,10 +470,9 @@ def row_case(lattice, seed, budget, amplitude, n):
     half = SearchConfig(lattice, mode_budget=budget).mode_list()
     stack = stack_of(lattice, budget, _clipped(rng.uniform(-amplitude, amplitude,
                                                            (6, 2 * len(half))), 0.3))
-    u = stack_field(stack, n)
-    E = _interpolant(cartan_r(u, "p_form")._spectral_block(), n)
     rows = np.concatenate([OBJECTIVE_ROWS, rng.random(4)])
-    return stack, pu_row_windings(u, rows), row_windings(E, rows)
+    oracle = np.stack([oracle_windings(u, n, rows) for u in members(stack)])
+    return stack, pu_row_windings(stack, n, rows), oracle
 
 
 class TestRowWindings:
@@ -561,13 +524,13 @@ class TestRowWindings:
         rng = np.random.default_rng(5)
         half = SearchConfig(LAT_GEN, mode_budget=3).mode_list()
         stack = stack_of(LAT_GEN, 3, _clipped(rng.uniform(-0.5, 0.5, (9, 2 * len(half))), 1.0))
-        X, bound = _derivative_blocks(stack_field(stack, 96))
+        X, bound = _derivative_blocks(placed_blocks(stack, 96), 96, LAT_GEN.omega)
         P, err = _pu_rows(X, bound, OBJECTIVE_ROWS)
         windings = _chord_windings(P, err)
         for i in range(len(X)):
             for members_ in ([i], [i, (i + 3) % 9], list(range(i, 9))):
                 some = stack._replace(C=stack.C[members_])
-                X1, bound1 = _derivative_blocks(stack_field(some, 96))
+                X1, bound1 = _derivative_blocks(placed_blocks(some, 96), 96, LAT_GEN.omega)
                 assert np.array_equal(X1[0], X[i]) and bound1[0] == bound[i]
                 for q, t0 in enumerate(OBJECTIVE_ROWS):
                     P1, err1 = _pu_rows(X1, bound1, [t0])
@@ -638,8 +601,8 @@ class TestRowWindings:
             half = SearchConfig(lattice, mode_budget=budget).mode_list()
             coeffs = (rng.uniform(-1, 1, (3, len(half))) + 1j * rng.uniform(-1, 1, (3, len(half))))
             coeffs *= 10.0 ** rng.uniform(-30, 30, (3, 1))
-            u = stack_field(stack_of(lattice, budget, coeffs), n)
-            P, err = _pu_rows(*_derivative_blocks(u), rows)
+            B = placed_blocks(stack_of(lattice, budget, coeffs), n)
+            P, err = _pu_rows(*_derivative_blocks(B, n, lattice.omega), rows)
             margin, L2 = _chord_bounds(P, err)
             N = P.shape[-1]
             j = np.arange(N) - N // 2
@@ -654,7 +617,7 @@ class TestRowWindings:
                 _point_rows(flat, _sample_waves(N)),  # as _chord_windings forms them
                 np.stack([(flat * _waves(N, m, M * 2 ** int(d))).sum(-1)
                           for m, d in zip(mids, levels)], 1)], 1)
-            exact = exact_pu_rows(u, rows, two_pi).reshape(-1, N)
+            exact = exact_pu_rows(B, n, lattice.omega, rows, two_pi).reshape(-1, N)
             waves = np.exp(1j * two_pi * np.multiply.outer(j, s))
             worst = max(worst, float(np.max(np.abs(got - exact @ waves).max(-1)
                                             / margin.reshape(-1))))
@@ -664,15 +627,16 @@ class TestRowWindings:
         assert worst <= 1 / 8
 
 
-def exact_pu_rows(u: PeriodicField, rows, two_pi) -> np.ndarray:
+def exact_pu_rows(B: np.ndarray, n: int, omega: complex, rows, two_pi) -> np.ndarray:
     """The coefficients in s of Pu along each row t = t0 of rows for each
-    member of the stack u, in long double from u's placed block: the
-    derivatives' symbols D -> 2 pi i (j conj(omega) - k) / (conj(omega) -
-    omega), Dbar -> 2 pi i (k - omega j) / (conj(omega) - omega), each
+    potential with the placed block B (k, L, L) on the n x n grid of the
+    lattice of omega, in long double: the derivatives' symbols
+    D -> 2 pi i (j conj(omega) - k) / (conj(omega) - omega),
+    Dbar -> 2 pi i (k - omega j) / (conj(omega) - omega), each
     derivative's row a direct sum over k and Pu's row their convolutions."""
-    B = u._block.astype(np.clongdouble) / np.longdouble(u.n) ** 2
+    B = B.astype(np.clongdouble) / np.longdouble(n) ** 2
     k = np.arange(B.shape[-1]) - B.shape[-1] // 2
-    om = np.clongdouble(u.lattice.omega)
+    om = np.clongdouble(omega)
     den = np.conj(om) - om
     d = 1j * two_pi * (k[:, None] * np.conj(om) - k[None, :]) / den
     db = 1j * two_pi * (k[None, :] - om * k[:, None]) / den
