@@ -51,8 +51,8 @@ needs to know whether |f| falls below a threshold passes it as the stop,
 and a row ends at the first step where one of its starts is below it.  A
 point's jet is bit for bit the same in any batch, so each row's iterates
 are those of its polish alone, whatever other rows share the calls.  The
-search objective polishes the invariant of each potential its row
-windings leave unproven, one row of four starts
+search objective polishes the invariant of each potential its row and
+column windings leave unproven, one row of four starts
 (``torussearch._polish_scores``).
 """
 

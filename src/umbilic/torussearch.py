@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
-from .errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from .field import (PeriodicField, TorusLattice, _bands, _chord_windings, _freqs, _interpolant,
+from .errors import DomainError, SymmetryViolated, TotallyDegenerate
+from .field import (PeriodicField, TorusLattice, _bands, _chord_windings, _freqs,
                     _lattice_wirtinger, _real)
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
@@ -87,10 +87,12 @@ _XATOL, _FATOL = 1e-6, 1e-12
 # min_modulus_objective: the bytes of derivative blocks one pass may hold
 # (16 members at band 3)
 _STACK_BYTES = 64 * 1024
-# min_modulus_objective: the rows t = (q + 1/2) / _ROWS whose windings prove a zero
+# min_modulus_objective: the rows t = (q + 1/2) / _ROWS, and columns s alike, whose
+# windings prove a zero
 _ROWS = 4
 # how each score was decided, in the order of SearchReport.objective_certificates:
-# a zero proven by row windings, a polish below the stop, a degenerate max, a nonzero score
+# a zero proven by row or column windings, a polish below the stop, a degenerate max,
+# a nonzero score
 _SCORE_KINDS = ("windings", "polish", "degenerate", "nonzero")
 _WINDINGS, _POLISH, _DEGENERATE, _NONZERO = range(len(_SCORE_KINDS))
 
@@ -143,7 +145,7 @@ class TrigPotential:
         leave the float range raise DomainError; n must hold the band and be
         even and >= 8 (ValueError)."""
         stack = self._stack()
-        return PeriodicField._from_block(self.lattice, n, _placed(stack.jk, stack.C, n)[0], True)
+        return PeriodicField._from_block(self.lattice, n, _placed(stack.jk, stack.C, n), True)
 
     def _stack(self) -> "_Stack":
         """u as a stack of one."""
@@ -166,23 +168,34 @@ class _Stack(NamedTuple):
     C: np.ndarray
 
 
-def _placed(jk: np.ndarray, C: np.ndarray, n: int) -> np.ndarray:
-    """The centred blocks (k, 2h+1, 2h+1) of the potentials with the
-    coefficient rows C at the mode keys jk, h the largest |j| or |k| of a
-    key, placed as ``TrigPotential.to_field`` places them, with its
-    ValueError and its DomainError, which names the first potential's
-    coefficients that leave the float range."""
+def _hermitian(jk: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The centred coefficient blocks (k, 2h+1, 2h+1) of the potentials
+    with the coefficient rows C at the mode keys jk, h the largest |j| or
+    |k| of a key: bin (j, k) holds (c_{jk} + conj(c_{-j,-k})) / 2, a
+    Hermitian block, the real potential the search scores.  A sum that
+    leaves the float range is inf, not an error."""
     h = int(np.abs(jk).max(initial=0))  # the mode budget
-    if 2 * h >= n:
-        raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
     B = np.zeros((len(C), 2 * h + 1, 2 * h + 1), dtype=complex)
     B[:, jk[:, 0] + h, jk[:, 1] + h] = C
     with np.errstate(over="ignore", invalid="ignore"):
-        B = (B + np.conj(B[:, ::-1, ::-1])) / 2 * n * n
+        return (B + np.conj(B[:, ::-1, ::-1])) / 2
+
+
+def _placed(jk: np.ndarray, C: np.ndarray, n: int) -> np.ndarray:
+    """The centred block of the one potential with the coefficient row C
+    (1, M) at the mode keys jk, placed on the n x n grid as
+    ``TrigPotential.to_field`` places it: its Hermitian block
+    (:func:`_hermitian`) times n^2.  ValueError when the band does not fit,
+    DomainError, naming the coefficients, when a placed bin leaves the
+    float range."""
+    h = int(np.abs(jk).max(initial=0))
+    if 2 * h >= n:
+        raise ValueError(f"mode budget {h} does not fit on an n={n} grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _hermitian(jk, C)[0] * n * n
     if not np.isfinite(B).all():
-        i, *_ = np.argwhere(~np.isfinite(B))[0]
-        value = {tuple(key): complex(c) for key, c in zip(jk.tolist(), C[i])}
-        bad = {(j, k): value[j, k] for j, k in (np.argwhere(~np.isfinite(B[i])) - h).tolist()}
+        value = {tuple(key): complex(c) for key, c in zip(jk.tolist(), C[0])}
+        bad = {(j, k): value[j, k] for j, k in (np.argwhere(~np.isfinite(B)) - h).tolist()}
         raise DomainError(f"potential coefficients {bad} leave the float range "
                           f"when placed on an n={n} grid")
     return B
@@ -209,23 +222,24 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
     A score of 0 is a proof or a polish.  First, Pu's windings along the
-    rows t = (q + 1/2) / _ROWS are taken by the chord-tube certificate
-    (``field._chord_windings``) on Pu's row polynomials, formed in one
-    dimension from u's coefficients (:func:`_pu_rows`) with a bound on
-    every rounding, so the certificate holds for the exact Pu of the placed
-    coefficients; two certified rows with different windings enclose a
-    zero of Pu by the argument principle on the band between them, and the
-    score is 0 with no 2-D P form.  Rows are taken where r's band 3h is
-    below n/2, and not for potentials that vary in one direction, whose
-    rows all wind alike.  Otherwise the minimum is polished off-grid (the
-    zero set of Pu need not meet the sample grid) from cartan_r's P form
-    by the damped Newton iteration of the zero polish, run from the four
-    lowest well-separated samples at once and kept within 2.5 cells of
-    them; a minimum below _ZERO_RATIO * max reports 0, a degenerate max
-    (``cartan._is_degenerate``) also reports 0, and one that is not finite
-    raises DomainError (rows that are not finite certify nothing).  A
-    nonzero score is still an upper bound only, from four starts.  The
-    score is invariant under u -> u + C.
+    rows t = (q + 1/2) / _ROWS, and where those wind alike along the
+    columns s = (q + 1/2) / _ROWS, are taken by the chord-tube certificate
+    (``field._chord_windings``) on Pu's line polynomials, formed in one
+    dimension from u's own coefficients (:func:`_row_proofs`) with a bound
+    on every rounding, so the certificate holds for the exact Pu of u,
+    whatever grid_n; two certified rows, or two certified columns, with
+    different windings enclose a zero of Pu by the argument principle on
+    the band between them, and the score is 0 with no 2-D P form.
+    Potentials that vary in one direction skip the lines, which all wind
+    alike.  Otherwise u is placed on the grid_n x grid_n grid and the
+    minimum is polished off-grid (the zero set of Pu need not meet the
+    sample grid) from cartan_r's P form by the damped Newton iteration of
+    the zero polish, run from the four lowest well-separated samples at
+    once and kept within 2.5 cells of them; a minimum below _ZERO_RATIO *
+    max reports 0, a degenerate max (``cartan._is_degenerate``) also
+    reports 0, and one that is not finite raises DomainError (lines that
+    are not finite certify nothing).  A nonzero score is still an upper
+    bound only, from four starts.  The score is invariant under u -> u + C.
 
     The polish stops at the zero threshold: each start's |Pu| only
     decreases, so once one start is below it the score is 0 whatever the
@@ -234,72 +248,39 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     bound of _lowest_separated_cells).
 
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
-    potentials, whose k scores come back as an array.  A stack's row proofs
-    run in passes of members that share their band, each holding at most
-    _STACK_BYTES of derivative blocks (:func:`_stack_scores`); a member the
-    rows leave open takes its P form and polish alone.  Every score is bit
-    for bit the one the member gets alone, and an error is the one the
-    first member that fails alone raises.  With a tally, a dict keyed by
-    _SCORE_KINDS, each score adds 1 to the count of the way it was decided.
+    potentials, whose k scores come back as an array.  A stack's line
+    proofs run in passes, each holding at most _STACK_BYTES of derivative
+    blocks of the mode budget h (5 (2h+1)^2 complex bins a member), and
+    take the members that share a band together, cut to that band; then
+    each member the lines leave open, in member order, is placed alone and
+    takes its P form and polish alone.  A line's values do not depend on
+    the members that share its call, so every score is bit for bit the one
+    the member gets alone, and an error is the one the first member that
+    fails alone raises.  With a tally, a dict keyed by _SCORE_KINDS, each
+    score adds 1 to the count of the way it was decided.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
     stack = u if isinstance(u, _Stack) else u._stack()
-    try:
-        scores, kinds = _stack_scores(stack, grid_n)
-    except (DomainError, UnderResolved):
-        for i in range(len(stack.C)):  # one member at a time: the first to fail raises
-            _stack_scores(stack._replace(C=stack.C[i:i + 1]), grid_n)
-        raise
+    h = int(np.abs(stack.jk).max(initial=0))
+    size = max(1, _STACK_BYTES // (5 * 16 * (2 * h + 1) ** 2))
+    scores, kinds = np.zeros(len(stack.C)), np.full(len(stack.C), _WINDINGS)
+    for first in range(0, len(stack.C), size):
+        E = _hermitian(stack.jk, stack.C[first:first + size])
+        proven = np.zeros(len(E), dtype=bool)
+        bands, lines = _bands(E), ~_one_directional(E)
+        for band in sorted(set(bands[lines].tolist())):
+            members = np.flatnonzero(lines & (bands == band))
+            proven[members] = _row_proofs(
+                E[members, h - band:h + band + 1, h - band:h + band + 1], stack.lattice.omega)
+        for i in (first + np.flatnonzero(~proven)).tolist():
+            field = PeriodicField._from_block(
+                stack.lattice, grid_n, _placed(stack.jk, stack.C[i:i + 1], grid_n), True)
+            scores[i], kinds[i] = _polish_scores(cartan_r(field, "p_form"))
     if tally is not None:
         for kind, count in zip(_SCORE_KINDS, np.bincount(kinds, minlength=len(_SCORE_KINDS))):
             tally[kind] += int(count)
     return scores if stack is u else float(scores[0])
-
-
-def _stack_scores(stack: _Stack, grid_n: int):
-    """The scores of min_modulus_objective, pass by pass, and the index in
-    _SCORE_KINDS of the way each was decided.  A pass places its members'
-    blocks, at most _STACK_BYTES of derivative blocks of the mode budget h
-    (5 (2h+1)^2 complex bins a member), and scores those of one band
-    together, cut to that band (:func:`_pass_scores`)."""
-    h = int(np.abs(stack.jk).max(initial=0))
-    size = max(1, _STACK_BYTES // (5 * 16 * (2 * h + 1) ** 2))
-    scores, kinds = np.empty(len(stack.C)), np.empty(len(stack.C), dtype=int)
-    for first in range(0, len(stack.C), size):
-        B = _placed(stack.jk, stack.C[first:first + size], grid_n)
-        bands = _bands(B)
-        for band in sorted(set(bands.tolist())):
-            members = np.flatnonzero(bands == band)
-            cut = B[members, h - band:h + band + 1, h - band:h + band + 1]
-            scores[first + members], kinds[first + members] = _pass_scores(
-                cut, stack.lattice, grid_n)
-    return scores, kinds
-
-
-def _pass_scores(B: np.ndarray, lattice: TorusLattice, n: int):
-    """The scores of the potentials with the placed blocks B (k, 2h+1, 2h+1)
-    of one band h on the n x n grid of lattice, and the index in
-    _SCORE_KINDS of the way each was decided.  Where 6h < n, Pu's rows are
-    exact 1-D products of u's coefficients (r's band 3h is below n/2, so
-    cartan_r truncates and folds nothing, and neither its gate on the
-    modes >= n/6 nor a derivative's tail check has a mode to weigh), and a
-    member whose certified row windings differ (:func:`_row_proofs`) scores
-    0 with no 2-D P form; members with one direction skip the rows
-    (:func:`_one_directional`).  Each of the others, in member order, is
-    placed as its own field and takes cartan_r's P form and
-    :func:`_polish_scores` alone, so every error comes from where it comes
-    alone."""
-    proven = np.zeros(len(B), dtype=bool)
-    if 6 * (B.shape[-1] // 2) < n:
-        rows = np.flatnonzero(~_one_directional(B))
-        if rows.size:
-            proven[rows] = _row_proofs(B[rows], n, lattice.omega)
-    scores, kinds = np.zeros(len(B)), np.full(len(B), _WINDINGS)
-    for i in np.flatnonzero(~proven).tolist():
-        u = PeriodicField._from_block(lattice, n, B[i], True)
-        scores[i], kinds[i] = _polish_scores(cartan_r(u, "p_form"))
-    return scores, kinds
 
 
 def _one_directional(B: np.ndarray) -> np.ndarray:
@@ -322,40 +303,50 @@ def _on_line(j, k, j0, k0):
     return j * k0 - k * j0 == 0
 
 
-def _row_proofs(B: np.ndarray, n: int, omega: complex) -> np.ndarray:
-    """Whether two certified row windings of the Pu of each potential with
-    the placed block B (k, L, L) on the n x n grid of the lattice of omega
-    differ, which proves a zero of Pu by the argument principle on the band
-    between the rows.  Rows are taken lazily: t = 1/8 and 3/8 for every
-    member, then 5/8 and 7/8 in turn for the members whose certified
-    windings do not yet differ.  A row's values do not depend on the
-    members or rows that share its call (:func:`_pu_rows`,
+def _row_proofs(E: np.ndarray, omega: complex) -> np.ndarray:
+    """Whether two certified windings of the Pu of each potential with the
+    Hermitian coefficient block E (k, L, L) on the lattice of omega differ
+    along rows t = (q + 1/2) / _ROWS, or along columns s = (q + 1/2) /
+    _ROWS, which proves a zero of Pu by the argument principle on the band
+    between the two lines.  A row is never compared with a column: they
+    wind about other cycles.  Lines are taken lazily: t = 1/8 and 3/8 for
+    every member, then 5/8 and 7/8 in turn for the members whose certified
+    windings do not yet differ, then the columns alike for the members
+    the rows leave open, from the transposed derivative blocks, whose
+    bound is the rows' (each S_m of :func:`_derivative_blocks` sums over
+    the whole block).  A line's values do not depend on the members or
+    lines that share its call (:func:`_pu_rows`,
     ``field._chord_windings``)."""
-    X, bound = _derivative_blocks(B, n, omega)
-    rows = (np.arange(_ROWS) + 0.5) / _ROWS
-    windings = np.full((len(X), _ROWS), np.nan)
-    todo = np.arange(len(X))
-    for taken in (slice(0, 2), *(slice(q, q + 1) for q in range(2, _ROWS))):
-        windings[todo, taken] = _chord_windings(*_pu_rows(X[todo], bound[todo], rows[taken]))
-        proven = np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
-        todo = np.flatnonzero(~proven)
+    X, bound = _derivative_blocks(E, omega)
+    lines = (np.arange(_ROWS) + 0.5) / _ROWS
+    proven, todo = np.zeros(len(X), dtype=bool), np.arange(len(X))
+    for columns in (False, True):
         if not todo.size:
             break
+        if columns:
+            X = np.ascontiguousarray(X.swapaxes(-1, -2))
+        windings = np.full((len(X), _ROWS), np.nan)
+        for taken in (slice(0, 2), *(slice(q, q + 1) for q in range(2, _ROWS))):
+            windings[todo, taken] = _chord_windings(*_pu_rows(X[todo], bound[todo], lines[taken]))
+            proven |= np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
+            todo = np.flatnonzero(~proven)
+            if not todo.size:
+                break
     return proven
 
 
-def _derivative_blocks(B: np.ndarray, n: int, omega: complex):
-    """(X, bound) for k potentials u with the placed blocks B (k, L, L),
-    L = 2h + 1, on the n x n grid of the lattice of omega: X (k, 5, L, L)
-    holds the coefficient blocks of Du, D^2 u, D Dbar u, D^2 Dbar u and
-    D^3 Dbar u (_p_row's order), the interpolant's coefficients E times
-    products of the multipliers of :meth:`PeriodicField.derivative`
-    (``_lattice_wirtinger``); bound (k,) bounds the l1 distance between a
-    row of Pu formed from X by :func:`_pu_rows` with exact convolutions
-    and the exact row of the exact Pu of u's placed block.
+def _derivative_blocks(E: np.ndarray, omega: complex):
+    """(X, bound) for k potentials u with the Hermitian coefficient blocks
+    E (k, L, L), L = 2h + 1, on the lattice of omega: X (k, 5, L, L) holds
+    the coefficient blocks of Du, D^2 u, D Dbar u, D^2 Dbar u and
+    D^3 Dbar u (_p_row's order), E times products of the multipliers of
+    :meth:`PeriodicField.derivative` (``_lattice_wirtinger``); bound (k,)
+    bounds the l1 distance between a row of Pu formed from X by
+    :func:`_pu_rows` with exact convolutions and the exact row of the exact
+    Pu of u, and between a column formed from X transposed and the exact
+    column.
 
-    The bound, for eps the machine epsilon: E is the placed block over n^2,
-    within eps |E| of the exact quotient.  With
+    The bound, for eps the machine epsilon: E is exact.  With
     dbar = (|omega| |2 pi j| + |2 pi k|) / |conj(omega) - omega|, which
     bounds |D| and |Dbar| at the bin (j, k), a derivative of order m has a
     multiplier of modulus at most dbar^m, formed within 24 eps dbar^m, so
@@ -363,11 +354,11 @@ def _derivative_blocks(B: np.ndarray, n: int, omega: complex):
     sum_k X_jk e^{2 pi i k t0} add the factors' rounding (each within
     2 (L + 8) eps, from (k t0 mod 1)) and the sum's, (L + 4) eps: in all
     |c_j - exact c_j| <= rho R_j with rho = 4 (L + 16) eps and
-    R_j = sum_k |E_jk| dbar^m_jk, the majorant of |c_j|.  With S_m the sum
-    of R_j over j, the exact formula of _p_row on these rows moves by at
-    most 3 rho (1 + rho)^2 times T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below
-    bound = 4 rho T."""
-    E = _interpolant(B, n)
+    R_j = sum_k |E_jk| dbar^m_jk, the majorant of |c_j|; a column's alike,
+    j and k exchanged.  With S_m the sum of R_j over j, the sum over the
+    whole block for rows and columns alike, the exact formula of _p_row on
+    these lines moves by at most 3 rho (1 + rho)^2 times
+    T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below bound = 4 rho T."""
     multipliers, majorants = _row_multipliers(E.shape[-1], omega)
     S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), majorants)
     rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps

@@ -280,9 +280,12 @@ class TestMainAndExitCodes:
     @pytest.mark.parametrize("cfg", [
         # a mode in the top third of the frequency grid trips the tail check
         torus_cfg(metric={"modes": {"50,0": [1.0, 0.0]}}),
-        # the search objective differentiates the candidate potential
+        # the search objective differentiates the candidate potential: s-only
+        # members skip the line proofs and reach cartan_r's gate on the
+        # modes >= n/6
         torus_cfg(operation="search", numeric={"grid_n": 64},
-                  search={"mode_budget": 25, "trials": 1, "evaluations": 2}),
+                  search={"mode_budget": 25, "trials": 1, "evaluations": 2,
+                          "mode_filter": "s_only"}),
         # band 12 >= n/6 trips the potential's bound in cartan_r before the
         # proof path, which would differentiate X of band 24 >= n/3, runs
         torus_cfg(operation="obstruction", numeric={"grid_n": 64},
@@ -299,6 +302,18 @@ class TestMainAndExitCodes:
         assert code == 6
         assert json.loads(capsys.readouterr().err)["error"]["code"] == "UnderResolved"
         capsys.readouterr()
+
+    def test_search_past_n_over_6_proven_by_lines_exits_0(self, tmp_path, capsys):
+        # the lines read u's coefficients, exact at any grid_n, so a search
+        # whose band 25 is past n/6 on n = 64 is scored with no P form when
+        # its lines prove every member
+        cfg = torus_cfg(operation="search", numeric={"grid_n": 64},
+                        search={"mode_budget": 25, "trials": 1, "evaluations": 2})
+        assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["objective_certificates"] == [
+            {"windings": 2, "polish": 0, "degenerate": 0, "nonzero": 0}]
+        assert report["results"]["objective"] == 0.0
 
     @pytest.mark.parametrize("cfg", [
         torus_cfg(surface={"kind": "torus", "omega": ["a", 1]}),

@@ -9,13 +9,13 @@ from umbilic import torussearch
 from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _bands, _chord_bounds,
+from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _chord_bounds,
                            _chord_windings, _interpolant, _point_rows, _sample_waves, _waves)
 from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
                                  _certified_roots, _convolve, _decode_modes, _derivative_blocks,
-                                 _line, _lowest_separated_cells, _nelder_mead, _one_directional,
-                                 _placed, _profile, _pu_rows, _Stack, _start_points,
+                                 _hermitian, _line, _lowest_separated_cells, _nelder_mead,
+                                 _one_directional, _profile, _pu_rows, _Stack, _start_points,
                                  chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
@@ -169,45 +169,63 @@ _ROWS = torussearch._ROWS
 OBJECTIVE_ROWS = (np.arange(_ROWS) + 0.5) / _ROWS
 
 
-def placed_blocks(stack, n: int) -> np.ndarray:
-    """The placed blocks (k, 2h+1, 2h+1) of the members of a stack that
-    share their band h, each as to_field places it and as a pass of the
-    objective holds it."""
-    return np.stack([u.to_field(n)._block for u in members(stack)])
+def coefficient_blocks(stack) -> np.ndarray:
+    """The Hermitian coefficient blocks (k, 2h+1, 2h+1) of the members of a
+    stack of mode budget h (a TrigPotential is a stack of one): bin (j, k)
+    holds (c_jk + conj(c_-j,-k)) / 2 of the member's modes, the potential
+    that to_field places and whose lines the objective takes."""
+    stack = stack._stack() if isinstance(stack, TrigPotential) else stack
+    h = int(np.abs(stack.jk).max())
+    B = np.zeros((len(stack.C), 2 * h + 1, 2 * h + 1), dtype=complex)
+    for i, u in enumerate(members(stack)):
+        for (j, k), c in u.modes.items():
+            B[i, j + h, k + h] = (c + np.conj(u.modes[-j, -k])) / 2
+    return B
 
 
-def pu_row_windings(stack, n: int, rows) -> np.ndarray:
-    """The chord-tube windings of Pu along rows for each member of a stack
-    of potentials, from their placed blocks alone (NaN where uncertified)."""
-    B = placed_blocks(stack, n)
-    return _chord_windings(*_pu_rows(*_derivative_blocks(B, n, stack.lattice.omega), rows))
+def line_blocks(stack, columns: bool):
+    """(X, bound) of _derivative_blocks for the members of a stack, from
+    their coefficient blocks alone, X transposed for the columns as the
+    objective transposes it."""
+    X, bound = _derivative_blocks(coefficient_blocks(stack), stack.lattice.omega)
+    return (np.ascontiguousarray(X.swapaxes(-1, -2)) if columns else X), bound
 
 
-def oracle_windings(u: TrigPotential, n: int, rows) -> np.ndarray:
-    """The oracle's companion-root windings of u's invariant along rows, on
-    the block of cartan_r."""
-    return row_windings(_interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n), rows)
+def pu_row_windings(stack, rows, columns: bool = False) -> np.ndarray:
+    """The chord-tube windings of Pu along the rows t = t0 of rows (or the
+    columns s = t0) for each member of a stack of potentials, from their
+    coefficient blocks alone (NaN where uncertified)."""
+    return _chord_windings(*_pu_rows(*line_blocks(stack, columns), rows))
 
 
-def row_evidence(u, n):
+def oracle_windings(u: TrigPotential, n: int, rows, columns: bool = False) -> np.ndarray:
+    """The oracle's companion-root windings of u's invariant along rows (or
+    columns), on the block of cartan_r at n, transposed for the columns."""
+    E = _interpolant(cartan_r(u.to_field(n), "p_form")._spectral_block(), n)
+    return row_windings(E.T if columns else E, rows)
+
+
+def row_evidence(u, n, columns: bool = False):
     """The chord-tube windings of u's invariant along the objective's rows
-    (NaN where uncertified) and the oracle's windings."""
-    return (pu_row_windings(u, n, OBJECTIVE_ROWS)[0], oracle_windings(u, n, OBJECTIVE_ROWS))
+    (or columns), NaN where uncertified, and the oracle's windings, at the
+    least even n >= 6h + 2 where cartan_r's r is exact."""
+    return (pu_row_windings(u, OBJECTIVE_ROWS, columns)[0],
+            oracle_windings(u, max(n, 6 * u.mode_budget + 2), OBJECTIVE_ROWS, columns))
 
 
 def reference_objective(u, n):
-    """The objective's value by other means: 0 where two certified rows wind
-    differently, each certified row with the oracle's winding, else the
-    full polish, which stays the reference wherever the certificate does
-    not fire.  The rows are taken where r's band 3h is below n/2 and u's
-    modes do not lie on one line."""
-    B = _placed(*u._stack()[1:], n)
-    if 6 * int(_bands(B)[0]) < n and not _one_directional(B)[0]:
-        tube, oracle = row_evidence(u, n)
-        certified = np.isfinite(tube)
-        assert np.array_equal(tube[certified], oracle[certified])
-        if len(set(tube[certified].tolist())) > 1:
-            return 0.0
+    """The objective's value by other means: 0 where two certified rows, or
+    two certified columns, wind differently, each certified line with the
+    oracle's winding, else the full polish, which stays the reference
+    wherever the certificate does not fire.  The lines are taken for every
+    u whose modes do not lie on one line."""
+    if not _one_directional(coefficient_blocks(u))[0]:
+        for columns in (False, True):
+            tube, oracle = row_evidence(u, n, columns)
+            certified = np.isfinite(tube)
+            assert np.array_equal(tube[certified], oracle[certified])
+            if len(set(tube[certified].tolist())) > 1:
+                return 0.0
     return full_polish_objective(u, n)
 
 
@@ -315,18 +333,19 @@ def search_stacks(monkeypatch, cfg) -> list:
 class TestStackedObjective:
     """A stack's scores are its members' scores alone, bit for bit: alone in a
     stack of one, and alone by the reference of reference_objective.  The
-    row proofs run in passes; a member they leave open takes its P form and
+    line proofs run in passes; a member they leave open takes its P form and
     polish alone."""
 
     @staticmethod
     def assert_scores_alone(stack, n):
-        got = min_modulus_objective(stack, n).tolist()
+        tally = dict.fromkeys(torussearch._SCORE_KINDS, 0)
+        got = min_modulus_objective(stack, n, tally=tally).tolist()
         alone = [min_modulus_objective(stack._replace(C=stack.C[i:i + 1]), n)[0]
                  for i in range(len(stack.C))]
         assert got == alone == [reference_objective(u, n) for u in members(stack)]
-        # and each was decided the same way alone and in the stack
-        kinds = [torussearch._SCORE_KINDS[k] for k in torussearch._stack_scores(stack, n)[1]]
-        assert kinds == [decided(u, n)[1] for u in members(stack)]
+        # and the stack's scores were decided the ways its members' alone were
+        kinds = [decided(u, n)[1] for u in members(stack)]
+        assert tally == {kind: kinds.count(kind) for kind in torussearch._SCORE_KINDS}
         return got
 
     @settings(max_examples=12, deadline=None)
@@ -362,16 +381,20 @@ class TestStackedObjective:
         assert len(set(oracle[certified].tolist())) > 1
 
     def test_full_band_invariant(self):
-        # band 11 on n = 64: r's band 33 is cut to n/2, the Nyquist bins fold
-        # and the polish reads the interpolant at full band, for every member
+        # band 11 on n = 64: the s-only members skip the lines, and for them
+        # r's band 33 is cut to n/2, the Nyquist bins fold and the polish
+        # reads the interpolant at full band; the others' lines, exact at
+        # any n, prove their zeros
         rng = np.random.default_rng(11)
         half = SearchConfig(LAT_GEN, mode_budget=11, grid_n=64).mode_list()
         outer = np.array([max(abs(j), abs(k)) >= 11 for j, k in half])
         rows = _clipped(rng.uniform(-0.05, 0.05, (5, 2 * len(half))), 1.0)
         rows[:, outer] *= 1e-5  # the potential's modes >= n/6 pass the tail check
+        rows[:3, [k != 0 for _, k in half]] = 0.0
         stack = stack_of(LAT_GEN, 11, rows)
         assert cartan_r(members(stack)[0].to_field(64), "p_form")._band() == 32
         self.assert_scores_alone(stack, 64)
+        assert [decided(u, 64)[1] for u in members(stack)] == ["polish"] * 3 + ["windings"] * 2
 
     def test_row_passes_hold_the_stack_budget(self, monkeypatch):
         # the row proofs of a group run in passes of at most _STACK_BYTES of
@@ -381,8 +404,8 @@ class TestStackedObjective:
         passes = []
         blocks = torussearch._derivative_blocks
 
-        def recorded(B, n, omega):
-            X, bound = blocks(B, n, omega)
+        def recorded(E, omega):
+            X, bound = blocks(E, omega)
             passes.append((len(X), X.nbytes))
             return X, bound
 
@@ -399,10 +422,10 @@ class TestStackedObjective:
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["r-first", "placement-first"])
     def test_first_failing_member_raises_its_own_error(self, order):
-        # one pass scores all three members at band 1: one's Pu leaves the
-        # float range and another's coefficient does when placed.  The stack
-        # raises the error of the first of them, as points scored one at a
-        # time would, though a pass places its members before any P form
+        # one pass takes the lines of all three members at band 1: one's Pu
+        # leaves the float range and another's coefficient does when placed,
+        # and the lines of both are not finite.  The stack raises the error
+        # of the first of them, as points scored one at a time would
         rows = _clipped(np.random.default_rng(2).uniform(-0.25, 0.25, (3, 8)), 1.0)
         overflow_r, overflow_placed = order
         rows[overflow_r, 0], rows[overflow_placed, 0] = 1e120, 1e305
@@ -461,99 +484,104 @@ ROW_LATTICES = [LAT, LAT_GEN, TorusLattice(-300 - 0.5j), TorusLattice(3 + 1e8j),
                 TorusLattice(-1e8 - 1e8j)]
 
 
-def row_case(lattice, seed, budget, amplitude, n):
+def row_case(lattice, seed, budget, amplitude, n, columns=False):
     """A stack of 6 random potentials and the windings of each member's Pu
-    along the objective's rows and 4 random rows: the chord tube's from
-    u's coefficients (NaN where uncertified) and the oracle's on the block
-    of cartan_r."""
+    along the objective's rows and 4 random rows (or columns): the chord
+    tube's from u's coefficients (NaN where uncertified) and the oracle's
+    on the block of cartan_r at n."""
     rng = np.random.default_rng(seed)
     half = SearchConfig(lattice, mode_budget=budget).mode_list()
     stack = stack_of(lattice, budget, _clipped(rng.uniform(-amplitude, amplitude,
                                                            (6, 2 * len(half))), 0.3))
     rows = np.concatenate([OBJECTIVE_ROWS, rng.random(4)])
-    oracle = np.stack([oracle_windings(u, n, rows) for u in members(stack)])
-    return stack, pu_row_windings(stack, n, rows), oracle
+    oracle = np.stack([oracle_windings(u, n, rows, columns) for u in members(stack)])
+    return stack, pu_row_windings(stack, rows, columns), oracle
 
 
 class TestRowWindings:
-    """The objective's row windings, from Pu's row polynomials formed from
-    u's coefficients: every row the chord tube certifies has the winding
-    of the companion roots (the oracle) on the rows of cartan_r's block,
-    a row's values do not depend on its call, and rows of fields that vary
-    in one direction wind alike, so they never prove a zero."""
+    """The objective's line windings, from Pu's row and column polynomials
+    formed from u's coefficients: every line the chord tube certifies has
+    the winding of the companion roots (the oracle) on the rows or columns
+    of cartan_r's block, a line's values do not depend on its call, and
+    lines of fields that vary in one direction wind alike, so they never
+    prove a zero."""
 
     @settings(max_examples=16, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), budget=st.integers(1, 3),
            amplitude=st.sampled_from([0.05, 0.25, 0.75]), n=st.sampled_from([64, 96]),
-           lattice=st.sampled_from(ROW_LATTICES))
-    def test_certified_rows_have_the_oracles_winding(self, seed, budget, amplitude, n, lattice):
-        stack, tube, oracle = row_case(lattice, seed, budget, amplitude, n)
+           lattice=st.sampled_from(ROW_LATTICES), columns=st.booleans())
+    def test_certified_rows_have_the_oracles_winding(self, seed, budget, amplitude, n, lattice,
+                                                     columns):
+        # rows, or columns with columns set
+        stack, tube, oracle = row_case(lattice, seed, budget, amplitude, n, columns)
         certified = np.isfinite(tube)
         assert certified.any()
         assert np.array_equal(tube[certified], oracle[certified])
         for i, member in enumerate(members(stack)):
             every = tube[i][certified[i]]
             own = tube[i, :_ROWS][certified[i, :_ROWS]]
-            if every.size and every.max() > every.min():  # a proven zero: the oracle's rows differ
+            if every.size and every.max() > every.min():  # a proven zero: the oracle's lines differ
                 assert oracle[i].max() > oracle[i].min()
                 if lattice in (LAT, LAT_GEN):  # long cells: test_a_zero_off_the_objectives_rows
                     assert min_modulus_objective(member, n) == 0.0
-            if own.size and own.max() > own.min():  # the objective's own rows prove it
+            if own.size and own.max() > own.min():  # the objective's own lines prove it
                 assert decided(member, n) == (0.0, "windings")
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the polish works in z: on these long cells it stops 1e-9 to 1e-6 of sup|Pu| "
-        "short of a zero that only rows off the objective's own prove"))
     @pytest.mark.parametrize("lattice", ROW_LATTICES[2:], ids=["300", "1e8i", "1e8(1+i)"])
     def test_a_zero_off_the_objectives_rows_scores_0(self, lattice):
         # the sixth member of row_case(lattice, 35, 2, 0.05, 64): the
         # objective's four rows certify alike, a random row certifies
-        # another winding, so Pu has a zero, and the polish scores about
-        # 1.4e-6 (omega = -300 - 0.5i) or 4e-9 to 7e-9 (|omega| >= 1e8)
+        # another winding, so Pu has a zero.  The polish scores about
+        # 1.4e-6 (omega = -300 - 0.5i) or 4e-9 to 7e-9 (|omega| >= 1e8), but
+        # the objective's columns prove the zero
         stack, tube, oracle = row_case(lattice, 35, 2, 0.05, 64)
         certified = np.isfinite(tube[5])
         if not (np.array_equal(tube[5][certified], oracle[5][certified])
                 and len(set(tube[5, :_ROWS].tolist())) == 1
                 and len(set(tube[5][certified].tolist())) > 1):
             pytest.fail("the rows no longer prove this member's zero off the objective's rows")
-        assert min_modulus_objective(members(stack)[5], 64) == 0.0
+        assert decided(members(stack)[5], 64) == (0.0, "windings")
+        assert len(set(pu_row_windings(stack, OBJECTIVE_ROWS, columns=True)[5].tolist())) > 1
 
     def test_a_rows_values_do_not_depend_on_its_call(self):
-        # the same member's rows alone, in a stack at any position, and row
-        # by row, bit for bit: coefficients, bound and windings
+        # the same member's rows, and its columns, alone, in a stack at any
+        # position, and line by line, bit for bit: coefficients, bound and
+        # windings
         rng = np.random.default_rng(5)
         half = SearchConfig(LAT_GEN, mode_budget=3).mode_list()
         stack = stack_of(LAT_GEN, 3, _clipped(rng.uniform(-0.5, 0.5, (9, 2 * len(half))), 1.0))
-        X, bound = _derivative_blocks(placed_blocks(stack, 96), 96, LAT_GEN.omega)
-        P, err = _pu_rows(X, bound, OBJECTIVE_ROWS)
-        windings = _chord_windings(P, err)
-        for i in range(len(X)):
-            for members_ in ([i], [i, (i + 3) % 9], list(range(i, 9))):
-                some = stack._replace(C=stack.C[members_])
-                X1, bound1 = _derivative_blocks(placed_blocks(some, 96), 96, LAT_GEN.omega)
-                assert np.array_equal(X1[0], X[i]) and bound1[0] == bound[i]
-                for q, t0 in enumerate(OBJECTIVE_ROWS):
-                    P1, err1 = _pu_rows(X1, bound1, [t0])
-                    assert np.array_equal(P1[0, 0], P[i, q]) and err1[0, 0] == err[i, q]
-                    assert np.array_equal(_chord_windings(P1, err1)[0, 0], windings[i, q],
-                                          equal_nan=True)
+        for columns in (False, True):
+            X, bound = line_blocks(stack, columns)
+            P, err = _pu_rows(X, bound, OBJECTIVE_ROWS)
+            windings = _chord_windings(P, err)
+            for i in range(len(X)):
+                for members_ in ([i], [i, (i + 3) % 9], list(range(i, 9))):
+                    X1, bound1 = line_blocks(stack._replace(C=stack.C[members_]), columns)
+                    assert np.array_equal(X1[0], X[i]) and bound1[0] == bound[i]
+                    for q, t0 in enumerate(OBJECTIVE_ROWS):
+                        P1, err1 = _pu_rows(X1, bound1, [t0])
+                        assert np.array_equal(P1[0, 0], P[i, q]) and err1[0, 0] == err[i, q]
+                        assert np.array_equal(_chord_windings(P1, err1)[0, 0], windings[i, q],
+                                              equal_nan=True)
 
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (2, -1)])
     def test_one_direction_never_proves_a_zero(self, lattice, jk):
-        # s-only and other one-directional potentials: every row meets the
-        # zero curves alike, so rows never wind differently; the objective
-        # skips their rows, and the polish finds the zero
+        # s-only and other one-directional potentials: every row (and every
+        # column) meets the zero curves alike, so lines never wind
+        # differently; the objective skips their lines, and the polish finds
+        # the zero
         rng = np.random.default_rng(sum(jk) + 3)
         for n in (64, 96):
             for _ in range(3):
                 profile = dict(zip((1, 2, 3), np.array([1, 1j]) @ rng.uniform(-0.2, 0.2, (2, 3))))
                 pot = one_directional(lattice, jk, profile)[0]
-                assert _one_directional(_placed(*pot._stack()[1:], n))[0]
-                tube, oracle = row_evidence(pot, n)
-                certified = np.isfinite(tube)
-                assert np.array_equal(tube[certified], oracle[certified])
-                assert len(set(tube[certified].tolist())) <= 1
+                assert _one_directional(_hermitian(*pot._stack()[1:]))[0]
+                for columns in (False, True):
+                    tube, oracle = row_evidence(pot, n, columns)
+                    certified = np.isfinite(tube)
+                    assert np.array_equal(tube[certified], oracle[certified])
+                    assert len(set(tube[certified].tolist())) <= 1
                 assert decided(pot, n) == (0.0, "polish")
 
     def test_criterion_10_trial_0_is_proven_by_windings(self, monkeypatch):
@@ -584,10 +612,11 @@ class TestRowWindings:
         assert tube.tolist() == oracle.tolist() == [1, 1, -2, -1]
 
     def test_rounding_stays_within_the_margin(self):
-        # the float64 rows of Pu, at the first level's samples and at the
-        # midpoints of halved pieces, against the exact rows formed in long
-        # double from the same placed blocks, on potentials of many
-        # magnitudes, budgets 1-3 and 15 and lattices up to |omega| = 1.4e8
+        # the float64 rows and columns of Pu, at the first level's samples
+        # and at the midpoints of halved pieces, against the exact lines
+        # formed in long double from the same coefficient blocks, on
+        # potentials of many magnitudes, budgets 1-3 and 15 and lattices up
+        # to |omega| = 1.4e8
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
             pytest.skip("long double is float64 here: no reference with more precision")
         rng = np.random.default_rng(17)
@@ -595,14 +624,15 @@ class TestRowWindings:
         rows = np.concatenate([OBJECTIVE_ROWS, rng.random(2)])
         M = _ROW_SAMPLES
         worst = 0.0
-        cases = [(lat, budget, 96) for lat in ROW_LATTICES for budget in (1, 2, 3)]
-        cases.append((LAT_GEN, 15, 96))
-        for lattice, budget, n in cases:
+        cases = [(lat, budget, columns) for lat in ROW_LATTICES for budget in (1, 2, 3)
+                 for columns in (False, True)]
+        cases += [(LAT_GEN, 15, False), (LAT_GEN, 15, True)]
+        for lattice, budget, columns in cases:
             half = SearchConfig(lattice, mode_budget=budget).mode_list()
             coeffs = (rng.uniform(-1, 1, (3, len(half))) + 1j * rng.uniform(-1, 1, (3, len(half))))
             coeffs *= 10.0 ** rng.uniform(-30, 30, (3, 1))
-            B = placed_blocks(stack_of(lattice, budget, coeffs), n)
-            P, err = _pu_rows(*_derivative_blocks(B, n, lattice.omega), rows)
+            stack = stack_of(lattice, budget, coeffs)
+            P, err = _pu_rows(*line_blocks(stack, columns), rows)
             margin, L2 = _chord_bounds(P, err)
             N = P.shape[-1]
             j = np.arange(N) - N // 2
@@ -617,7 +647,8 @@ class TestRowWindings:
                 _point_rows(flat, _sample_waves(N)),  # as _chord_windings forms them
                 np.stack([(flat * _waves(N, m, M * 2 ** int(d))).sum(-1)
                           for m, d in zip(mids, levels)], 1)], 1)
-            exact = exact_pu_rows(B, n, lattice.omega, rows, two_pi).reshape(-1, N)
+            exact = exact_pu_rows(coefficient_blocks(stack), lattice.omega, rows, two_pi,
+                                  columns).reshape(-1, N)
             waves = np.exp(1j * two_pi * np.multiply.outer(j, s))
             worst = max(worst, float(np.max(np.abs(got - exact @ waves).max(-1)
                                             / margin.reshape(-1))))
@@ -627,14 +658,55 @@ class TestRowWindings:
         assert worst <= 1 / 8
 
 
-def exact_pu_rows(B: np.ndarray, n: int, omega: complex, rows, two_pi) -> np.ndarray:
-    """The coefficients in s of Pu along each row t = t0 of rows for each
-    potential with the placed block B (k, L, L) on the n x n grid of the
-    lattice of omega, in long double: the derivatives' symbols
-    D -> 2 pi i (j conj(omega) - k) / (conj(omega) - omega),
+class TestGridFreeProofs:
+    """The line proofs read u's coefficients alone, so which members they
+    prove, and their scores, do not depend on grid_n; only the members
+    they leave open are placed on the grid."""
+
+    @staticmethod
+    def assert_grid_free(stack):
+        proven = []
+        for n in (64, 96, 128, 192):
+            tally = dict.fromkeys(torussearch._SCORE_KINDS, 0)
+            scores = min_modulus_objective(stack, n, tally=tally)
+            windings = [decided(u, n)[1] == "windings" for u in members(stack)]
+            assert tally["windings"] == sum(windings)
+            assert np.all(scores[windings] == 0.0)
+            proven.append(windings)
+        # the polish of the others reads the grid, so only the proofs compare
+        assert all(p == proven[0] for p in proven)
+        return proven[0]
+
+    @settings(max_examples=16, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), budget=st.integers(1, 3),
+           amplitude=st.sampled_from([0.05, 0.25, 0.75]), lattice=st.sampled_from(ROW_LATTICES))
+    def test_proofs_do_not_depend_on_grid_n(self, seed, budget, amplitude, lattice):
+        half = SearchConfig(lattice, mode_budget=budget).mode_list()
+        rows = _clipped(np.random.default_rng(seed).uniform(
+            -amplitude, amplitude, (5, 2 * len(half))), 0.3)
+        self.assert_grid_free(stack_of(lattice, budget, rows))
+
+    def test_a_band_past_n_over_6_is_proven_at_every_grid(self):
+        # budget 12: r's band 36 exceeds n/2 at n = 64, where cartan_r
+        # would raise UnderResolved, yet the lines prove every member there
+        # as at n = 192
+        half = SearchConfig(LAT_GEN, mode_budget=12).mode_list()
+        rows = _clipped(np.random.default_rng(12).uniform(-0.25, 0.25, (6, 2 * len(half))), 0.3)
+        stack = stack_of(LAT_GEN, 12, rows)
+        with pytest.raises(UnderResolved):
+            cartan_r(members(stack)[0].to_field(64), "p_form")
+        assert self.assert_grid_free(stack) == [True] * 6
+
+
+def exact_pu_rows(E: np.ndarray, omega: complex, rows, two_pi, columns=False) -> np.ndarray:
+    """The coefficients in s of Pu along each row t = t0 of rows (in t along
+    each column s = t0) for each potential with the coefficient block E
+    (k, L, L) on the lattice of omega, in long double: the derivatives'
+    symbols D -> 2 pi i (j conj(omega) - k) / (conj(omega) - omega),
     Dbar -> 2 pi i (k - omega j) / (conj(omega) - omega), each
-    derivative's row a direct sum over k and Pu's row their convolutions."""
-    B = B.astype(np.clongdouble) / np.longdouble(n) ** 2
+    derivative's line a direct sum over the other axis and Pu's line their
+    convolutions."""
+    B = E.astype(np.clongdouble)
     k = np.arange(B.shape[-1]) - B.shape[-1] // 2
     om = np.clongdouble(omega)
     den = np.conj(om) - om
@@ -645,7 +717,8 @@ def exact_pu_rows(B: np.ndarray, n: int, omega: complex, rows, two_pi) -> np.nda
         per_row = []
         for t0 in rows:
             w = np.exp(1j * two_pi * k * np.longdouble(t0))
-            du, d2u, ddbu, d2dbu, d3dbu = ((block * d ** a * db ** b) @ w
+            du, d2u, ddbu, d2dbu, d3dbu = (((block * d ** a * db ** b).T if columns
+                                            else block * d ** a * db ** b) @ w
                                            for a, b in ((1, 0), (2, 0), (1, 1), (2, 1), (3, 1)))
             L = len(k)
             P = np.zeros(3 * L - 2, dtype=np.clongdouble)
