@@ -60,8 +60,8 @@ and jet are bit for bit the same alone and in any batch.
 polynomials from their coefficients and an l1 bound on their rounding,
 each certified by a chord tube with a rounding margin, a failed piece
 halved at its dyadic midpoint until it passes, or left open; the search
-objective proves zeros with it on the rows of Pu (the argument principle
-between two rows).
+objective proves zeros with it on the rows or columns of Pu (the argument
+principle between two rows, or between two columns).
 
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with

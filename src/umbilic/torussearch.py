@@ -35,17 +35,19 @@ a = i b and b^2 = -1 / (4 c^2); lam = -2 Im(c kappa).
 
 The Chern number is the periodic trapezoid rule for the mean of e^u on
 n x n nodes, n = max(256, 2h + 2) for a potential of mode budget h, so
-the band always fits.  When every mode key of u lies on one line, an
-exact integer test, u = f(theta) and the n^2 nodes take each of the n
-values theta = i / n exactly n times, (j0, k0) being primitive: the same
-rule is the mean of e^f over n nodes, from one 1-D inverse FFT of f's
-2b + 1 coefficients (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56
-(2014) 385-458).  The obstruction check reads it from the coefficients of
-its own profile.  Every other potential is sampled on the 2-D grid.
+the band always fits.  When every nonzero bin of u's Hermitian block
+lies on one line, an exact integer test, u = f(theta) and the n^2 nodes
+take each of the n values theta = i / n exactly n times, (j0, k0) being
+primitive: the same rule is the mean of e^f over n nodes, from one 1-D
+inverse FFT of f's 2b + 1 coefficients (L. N. Trefethen and J. A. C.
+Weideman, SIAM Rev. 56 (2014) 385-458).  The obstruction check reads it
+from the coefficients of its own profile.  Every other potential is
+sampled on the 2-D grid.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -455,16 +457,18 @@ def _line(u: TrigPotential):
     is the primitive vector of u's largest nonconstant mode, taken in the
     half plane k0 > 0 or (k0 = 0, j0 > 0); c holds the coefficients of the
     modes m (j0, k0), c[m + b] for |m| <= b, as the Hermitian part
-    to_field places; on_line says whether every mode key (j, k) of u lies
-    on that line, j k0 - k j0 == 0 in integers, so that u = f(j0 s + k0 t)
-    exactly and c holds all of u."""
+    to_field places, read from u's Hermitian block (:func:`_hermitian`);
+    on_line is :func:`_one_directional` of that block, the search's rule:
+    whether u = f(j0 s + k0 t), so that c holds all of u."""
     j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
     g = int(np.gcd(j, k))
     j0, k0 = (j // g, k // g) if k > 0 or (k == 0 and j > 0) else (-j // g, -k // g)
-    b = u.mode_budget // max(abs(j0), abs(k0))
-    c = np.array([u.modes.get((i * j0, i * k0), 0.0) for i in range(-b, b + 1)], dtype=complex)
-    on_line = all(_on_line(jj, kk, j0, k0) for jj, kk in u.modes)
-    return (j0, k0), (c + np.conj(c[::-1])) / 2, on_line
+    h = u.mode_budget
+    b = h // max(abs(j0), abs(k0))
+    m = np.arange(-b, b + 1)
+    stack = u._stack()
+    B = _hermitian(stack.jk, stack.C)
+    return (j0, k0), B[0, h + m * j0, h + m * k0], bool(_one_directional(B)[0])
 
 
 def _profile(c: np.ndarray):
@@ -687,10 +691,11 @@ def chern_number(u: TrigPotential) -> float:
     """(i / 2 pi) integral of e^u dz /\\ dzbar over the fundamental domain,
     i.e. (1/pi) * |Im omega| * mean(e^u): the periodic trapezoid rule on
     the n x n grid, n = max(_CHERN_GRID_N, 2h + 2) for a potential of mode
-    budget h, spectrally accurate for smooth u.  When every mode of u lies
-    on one line through 0 (_line), u = f(theta) and the n^2 nodes take each
-    of the n values theta = i / n exactly n times, so the rule is the mean
-    of e^f over those n values, in exact arithmetic the same quadrature."""
+    budget h, spectrally accurate for smooth u.  When u's Hermitian block
+    lies on one line through 0 (_line), u = f(theta) and the n^2 nodes take
+    each of the n values theta = i / n exactly n times, so the rule is the
+    mean of e^f over those n values, in exact arithmetic the same
+    quadrature."""
     return _chern(u, _line(u) if u.modes.keys() - {(0, 0)} else None)
 
 
@@ -913,68 +918,22 @@ def _nelder_mead(func, x0: np.ndarray, maxfev: int):
     return np.min(fsim), sim[0]
 
 
-# numpy's SeedSequence (pool of 4 words) and PCG64 constants, for _start_points
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
 def _start_points(seed: int, trial: int, size: int) -> np.ndarray:
-    """``np.random.default_rng([seed, trial]).uniform(-0.25, 0.25, size)``,
-    bit for bit, in Python integer arithmetic, so a search loads no
-    numpy.random: SeedSequence hashes the entropy's little-endian 32-bit
-    words (0 is one word) into a pool of 4 and draws PCG64's 128-bit state
-    and increment from it; each draw is one PCG64 step, the XSL-RR output
-    (M. E. O'Neill, HMC-CS-2014-0905) and the double (x >> 11) 2^-53,
-    scaled as numpy scales it.  seed and trial are >= 0."""
-    words = [n >> 32 * i & _M32 for n in (seed, trial)
-             for i in range(max(1, (n.bit_length() + 31) // 32))]
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (_MIX_L * x - _MIX_R * y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h, state = _INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ h
-        h = h * _MULT_B & _M32
-        value = value * h & _M32
-        state.append(value ^ value >> 16)
-    s_hi, s_lo, i_hi, i_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-    s = (inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc & _M128
-    out = []
-    for _ in range(size):
-        s = s * _PCG_MULT + inc & _M128
-        x, rot = (s >> 64 ^ s) & _M64, s >> 122
-        x = (x >> rot | x << (64 - rot)) & _M64
-        out.append(-0.25 + 0.5 * ((x >> 11) * 2.0 ** -53))
-    return np.array(out)
+    """The start of trial ``trial``: size draws -0.25 + 0.5 x, x uniform on
+    [0, 1), from the standard library's Mersenne Twister seeded with the
+    string ``f"{seed}:{trial}"``, which ``random.Random`` hashes with
+    SHA-512, so the draws do not depend on PYTHONHASHSEED, and the first m
+    of them not on size.  Python keeps a string's seeding and the sequence
+    of ``random()`` from one version to the next."""
+    rng = random.Random(f"{seed}:{trial}")
+    return np.array([-0.25 + 0.5 * rng.random() for _ in range(size)])
 
 
 def torus_search(config: SearchConfig) -> SearchReport:
     """Multistart simplex maximization of the nonvanishing score over
     bounded Fourier coefficients, one :func:`_nelder_mead` run per trial.
-    Trial t starts from numpy's PCG64 stream for the entropy [seed, t]:
-    ``default_rng([seed, t]).uniform(-0.25, 0.25)`` per coefficient,
-    reproduced without numpy.random (:func:`_start_points`).
+    Trial t starts from :func:`_start_points` of (seed, t), one draw in
+    [-0.25, 0.25) per real coordinate of the coefficients.
     Deterministic for a fixed config; a best objective of zero is a valid
     (and, so far, the expected) finding."""
     mode_list = config.mode_list()

@@ -27,14 +27,16 @@ derivatives and products.  The profile assembled from zero-padded terms is
 the bitwise reference for the obstruction's, which sums into zeroed arrays.  FITPACK's interpolating bicubic spline
 (``RectBivariateSpline``, s = 0) is the reference for the chart grid's
 numpy spline, and scipy's adaptive Nelder-Mead (``minimize``) the one for
-the search's own.  :func:`direct_r` is the referee for r = Pu itself: the
-P form of a trigonometric potential at any point by direct mode sums, with
-no grid, transform or field class.  The spherical screen through two chart
-derivatives and complex exponentials over the whole square
-(:func:`spherical_screen`) is the reference for the screen's real stencil
-passes and real exponentials on the disk.  The seeded configs of the CLI's
-exit-contract fuzz (:func:`fuzz_jobs`) live here too, so that the fuzz
-tests and ``tools/results_diff.py`` run the same ones.
+the search's own; :func:`pcg64_vertex` rebuilds its members from the
+PCG64 starts on which hard cases were found.  :func:`direct_r` is the
+referee for r = Pu itself: the P form of a trigonometric potential at any
+point by direct mode sums, with no grid, transform or field class.  The
+spherical screen through two chart derivatives and complex exponentials
+over the whole square (:func:`spherical_screen`) is the reference for the
+screen's real stencil passes and real exponentials on the disk.  The
+seeded configs of the CLI's exit-contract fuzz (:func:`fuzz_jobs`) live
+here too, so that the fuzz tests and ``tools/results_diff.py`` run the
+same ones.
 """
 
 import importlib.util
@@ -259,6 +261,19 @@ def fuzz_jobs():
     rng = np.random.default_rng(1)
     for i in range(90):
         yield "sphere", ("invariant", "umbilics", "ph-audit")[i % 3], sphere_fuzz_config(rng)
+
+
+def pcg64_vertex(seed: int, trial: int, m: int, scaled: int | None = None) -> np.ndarray:
+    """A vertex of the search's initial simplex from numpy's PCG64 start for
+    [seed, trial], the start earlier versions drew: x0 =
+    ``default_rng([seed, trial]).uniform(-0.25, 0.25, m)``, or x0 with
+    coordinate ``scaled`` multiplied by 1.05, the vertex the search scores
+    as member scaled + 2.  Hard cases found on those starts are rebuilt
+    from it."""
+    x = np.random.default_rng([seed, trial]).uniform(-0.25, 0.25, m)
+    if scaled is not None:
+        x[scaled] *= 1.05
+    return x
 
 
 def random_half_modes(seed: int, budget: int = 2, scale: float = 1.0) -> dict:

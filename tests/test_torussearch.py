@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +27,13 @@ from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
 
 from _oracles import (benchmark_pool, eager_derivative, eager_potential,
                       lowest_separated_cells_full, obstruction_chain_2d, one_directional,
-                      profile_padded, random_half_modes, row_windings, scipy_nelder_mead)
+                      pcg64_vertex, profile_padded, random_half_modes, row_windings,
+                      scipy_nelder_mead)
 
 LAT = TorusLattice(1j)
 LAT_GEN = TorusLattice(0.3 + 1.1j)
+# seeds of one to four 32-bit words
+START_SEEDS = [*range(64), 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 12345]
 
 
 OBSTRUCTION_POOL = benchmark_pool("obstruction")  # 8 configs
@@ -277,11 +285,14 @@ class TestObjectiveStop:
         assert values == [0.0] * 5
         for u, v in zip(seen, values):
             assert v == reference_objective(u, 96)
-        # the fifth member: four starts polish to 3.38e-4, yet the oracle's
-        # rows wind differently, so its invariant has a zero
-        assert full_polish_objective(seen[4], 96) == 3.379791279516251e-4
-        assert len(set(row_evidence(seen[4], 96)[1].tolist())) > 1
-        for pot in (TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
+        # the fifth member of this search from numpy's PCG64 start: four
+        # starts polish to 3.38e-4, yet the oracle's rows wind differently,
+        # so its invariant has a zero
+        pinned = pcg64_member(LAT_GEN, 3, 0, 0, scaled=3)
+        assert full_polish_objective(pinned, 96) == 3.379791279516251e-4
+        assert len(set(row_evidence(pinned, 96)[1].tolist())) > 1
+        for pot in (pinned,
+                    TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12)),
                     TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})):
             assert min_modulus_objective(pot, 96) == reference_objective(pot, 96) == 0.0
 
@@ -315,19 +326,12 @@ def stack_of(lattice, budget, rows) -> _Stack:
     return _Stack(lattice, np.concatenate([half, -half]), np.concatenate([rows, np.conj(rows)], 1))
 
 
-def search_stacks(monkeypatch, cfg) -> list:
-    """The stacks the search with config cfg scores."""
-    seen = []
-    objective = torussearch.min_modulus_objective
-
-    def recorded(u, grid_n, **kw):
-        seen.append(u)
-        return objective(u, grid_n, **kw)
-
-    monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
-    torus_search(cfg)
-    monkeypatch.undo()
-    return seen[:-1]  # objective_2x last
+def pcg64_member(lattice, budget, seed, trial, scaled=None) -> TrigPotential:
+    """The member a search of mode budget budget scored from the initial
+    simplex vertex :func:`_oracles.pcg64_vertex` of (seed, trial, scaled)."""
+    m = 2 * len(SearchConfig(lattice, mode_budget=budget).mode_list())
+    rows = _clipped(pcg64_vertex(seed, trial, m, scaled), 1.0)[None]
+    return members(stack_of(lattice, budget, rows))[0]
 
 
 class TestStackedObjective:
@@ -364,13 +368,11 @@ class TestStackedObjective:
         scores = self.assert_scores_alone(stack_of(lattice, budget, rows), n)
         assert scores[4] == 0.0
 
-    def test_pinned_member_in_a_stack(self, monkeypatch):
+    def test_pinned_member_in_a_stack(self):
         # the member whose polish stalls at 3.38e-4, among random members:
         # its row windings prove the zero in the stack as alone
-        stack = search_stacks(monkeypatch, SearchConfig(LAT_GEN, seed=0, trials=1, evaluations=5,
-                                                        grid_n=96, mode_budget=3))[0]
-        rows = _clipped(np.random.default_rng(4).uniform(-0.25, 0.25, (7, stack.C.shape[1])), 1.0)
-        rows[3] = stack.C[4, :24]
+        rows = _clipped(np.random.default_rng(4).uniform(-0.25, 0.25, (7, 48)), 1.0)
+        rows[3] = _clipped(pcg64_vertex(0, 0, 48, scaled=3), 1.0)
         stack = stack_of(LAT_GEN, 3, rows)
         assert self.assert_scores_alone(stack, 96)[3] == 0.0
         pinned = members(stack)[3]
@@ -584,13 +586,14 @@ class TestRowWindings:
                     assert len(set(tube[certified].tolist())) <= 1
                 assert decided(pot, n) == (0.0, "polish")
 
-    def test_criterion_10_trial_0_is_proven_by_windings(self, monkeypatch):
+    def test_criterion_10_trial_0_is_proven_by_windings(self):
         # a failed piece is halved, not its row dropped: all 100 members of
         # the criterion-10 search's trial 0 are proven by rows (59 took the
-        # polish when a row with one failed piece was dropped).  The first
-        # member's four rows all certify, with the oracle's windings
+        # polish from numpy's PCG64 start when a row with one failed piece
+        # was dropped).  That start's first member's four rows all certify,
+        # with the oracle's windings
         cfg = SearchConfig(LAT, mode_budget=3, trials=1, evaluations=100, seed=42, grid_n=96)
-        first = members(search_stacks(monkeypatch, cfg)[0])[0]
+        first = pcg64_member(LAT, 3, 42, 0)
         assert torus_search(cfg).objective_certificates == [
             {"windings": 100, "polish": 0, "degenerate": 0, "nonzero": 0}]
         tube, oracle = row_evidence(first, 96)
@@ -920,6 +923,16 @@ class TestChern:
         ref = grid_chern(pot)
         assert abs(chern_number(pot) - ref) <= 1e-15 * ref
 
+    def test_a_zero_mode_off_the_line_keeps_the_line(self):
+        # a zero coefficient off the line leaves the Hermitian block on one
+        # line, for the search's rule and for the Chern number alike: the
+        # 1-D route, one ulp from the 2-D route's 0.35094554694270896
+        pot = TrigPotential.from_half_modes(LAT, {(1, 0): 0.3 + 0.1j, (0, 1): 0.0})
+        stack = pot._stack()
+        assert _line(pot)[2] and _one_directional(_hermitian(stack.jk, stack.C))[0]
+        assert chern_number(pot) == 0.3509455469427089
+        assert abs(chern_number(pot) - grid_chern(pot)) <= 1e-15 * grid_chern(pot)
+
     @pytest.mark.parametrize("pot", [
         TrigPotential.from_half_modes(LAT_GEN, {(1, 0): 0.12, (0, 1): -0.07j, (1, 1): 0.05}),
         TrigPotential.from_half_modes(LAT, {(1, 0): 0.2, (2, 1): 0.05 - 0.02j}),
@@ -1035,22 +1048,48 @@ class TestSearch:
         assert rep.best_modes.modes
         assert all(abs(c) <= 0.01 * (1 + 1e-15) for c in rep.best_modes.modes.values())
 
-    # seeds of one to three 32-bit words, and a 101-bit seed whose four words
-    # and the trial's overflow SeedSequence's pool of four
-    @pytest.mark.parametrize("seed", [*range(64), 2 ** 32, 2 ** 64 + 5, 2 ** 100 + 12345])
-    def test_start_points_are_numpys_pcg64_stream(self, seed):
+    @pytest.mark.parametrize("seed", START_SEEDS)
+    def test_start_points_are_seeded_draws(self, seed):
+        # reproducible, in [-0.25, 0.25), the first m draws whatever size is
+        # asked for, and apart from every other (seed, trial) pair's draws
+        others = {tuple(_start_points(s, t, 6)) for s in START_SEEDS if s != seed
+                  for t in range(4)}
+        firsts = set()
         for trial in range(4):
+            full = _start_points(seed, trial, 48)
             for m in (1, 6, 48):
-                want = np.random.default_rng([seed, trial]).uniform(-0.25, 0.25, m)
-                assert np.array_equal(_start_points(seed, trial, m), want)
+                x = _start_points(seed, trial, m)
+                assert np.array_equal(x, _start_points(seed, trial, m))
+                assert np.array_equal(x, full[:m])
+                assert np.all((-0.25 <= x) & (x < 0.25))
+            firsts.add(tuple(full[:6]))
+        assert len(firsts) == 4 and firsts.isdisjoint(others)
 
     def test_first_start_points_are_pinned(self):
-        # the stream's first values for [0, 0] and [42, 1]: every seeded
-        # search starts from them, whatever numpy is installed
+        # the first draws for (0, 0) and (42, 1): every seeded search starts
+        # from them, whatever numpy is installed
         assert _start_points(0, 0, 3).tolist() == [
-            0.06848084366072715, -0.11510664311806484, -0.22951323803190266]
+            0.04235024256717279, 0.036537359955479076, 0.042295715908134524]
         assert _start_points(42, 1, 3).tolist() == [
-            0.1467513436961439, -0.1270206713292975, -0.047786833029235476]
+            0.22773739380599245, 0.04464053529687917, 0.08724538449461788]
+
+    def test_starts_and_results_do_not_depend_on_the_hash_seed(self):
+        # string hashing is salted by PYTHONHASHSEED; the draws and a small
+        # search's results are not: two child processes and this one agree
+        probe = ("from umbilic.field import TorusLattice\n"
+                 "from umbilic.torussearch import SearchConfig, _start_points, torus_search\n"
+                 "cfg = SearchConfig(TorusLattice(0.3 + 1.1j), mode_budget=1, trials=2,\n"
+                 "                   evaluations=8, seed=7, grid_n=64)\n"
+                 "out = [_start_points(7, 2, 6).tolist(), torus_search(cfg).results_payload()]\n")
+        printed = probe + "import json; print(json.dumps(out))"
+        src = str(Path(torussearch.__file__).resolve().parents[1])
+        outs = [subprocess.run([sys.executable, "-c", printed], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                               timeout=300, check=True).stdout
+                for hash_seed in ("0", "12345")]
+        here = {}
+        exec(probe, here)
+        assert outs[0] == outs[1] == json.dumps(here["out"]) + "\n"
 
 
 def _staircase(x):
