@@ -58,8 +58,9 @@ reason; the profile roots that obstruction could not certify as zero
 curves (uncertified_roots); the number of points of each call a search made
 to its objective, per trial (objective_groups), and how many of a trial's
 scores a row- or column-winding proof, a polish below the zero stop, a
-degenerate invariant or neither decided (objective_certificates: windings,
-polish, degenerate, nonzero).  An obstruction's results
+degenerate invariant, neither, or the symmetry theorem for a potential that
+varies in one direction decided (objective_certificates: windings, polish,
+degenerate, nonzero, symmetric).  An obstruction's results
 give the line of its zero curves, curve_line [j0, k0], and their sorted
 offsets theta_i in [0, 1) (curve_offsets): curve i is j0 s + k0 t = theta_i.
 Both come from the potential's modes alone, so they do not depend on

@@ -199,13 +199,6 @@ def _freqs(B: np.ndarray) -> np.ndarray:
     return np.arange(-(L // 2), L - L // 2)
 
 
-def _bands(B: np.ndarray) -> np.ndarray:
-    """The band of the block B, or of each block of a stack: the largest |k|
-    on either axis with a nonzero bin (0 for a zero block)."""
-    nonzero = B != 0
-    return np.where(nonzero.any(-1) | nonzero.any(-2), np.abs(_freqs(B)), 0).max(-1)
-
-
 def _cut_to_band(B: np.ndarray) -> np.ndarray:
     """B cut to its band h, the largest |k| on either axis with a nonzero
     bin: (2h+1) x (2h+1), or B itself when h = n/2."""
@@ -967,11 +960,6 @@ class ChartGrid(_SampledField):
     def distance(z0: complex, zs):
         d = np.asarray(zs) - z0
         return np.hypot(d.real, d.imag)
-
-    def z_grid(self) -> np.ndarray:
-        x = self.axis()
-        X, Y = np.meshgrid(x, x, indexing="ij")
-        return X + 1j * Y
 
     def mask(self, region_radius: float | None = None) -> np.ndarray:
         r = self.radius if region_radius is None else float(region_radius)

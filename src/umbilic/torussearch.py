@@ -55,8 +55,7 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import (PeriodicField, TorusLattice, _bands, _chord_windings, _freqs,
-                    _lattice_wirtinger, _real)
+from .field import PeriodicField, TorusLattice, _chord_windings, _freqs, _lattice_wirtinger, _real
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
 
@@ -94,9 +93,9 @@ _STACK_BYTES = 64 * 1024
 _ROWS = 4
 # how each score was decided, in the order of SearchReport.objective_certificates:
 # a zero proven by row or column windings, a polish below the stop, a degenerate max,
-# a nonzero score
-_SCORE_KINDS = ("windings", "polish", "degenerate", "nonzero")
-_WINDINGS, _POLISH, _DEGENERATE, _NONZERO = range(len(_SCORE_KINDS))
+# a nonzero score, a zero proven by the symmetry theorem (a one-directional potential)
+_SCORE_KINDS = ("windings", "polish", "degenerate", "nonzero", "symmetric")
+_WINDINGS, _POLISH, _DEGENERATE, _NONZERO, _SYMMETRIC = range(len(_SCORE_KINDS))
 
 
 @dataclass
@@ -223,25 +222,29 @@ class SymmetryDirection:
 def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
-    A score of 0 is a proof or a polish.  First, Pu's windings along the
-    rows t = (q + 1/2) / _ROWS, and where those wind alike along the
-    columns s = (q + 1/2) / _ROWS, are taken by the chord-tube certificate
+    A score of 0 is a proof or a polish.  A potential whose Hermitian block
+    is finite and varies in one direction (:func:`_one_directional`, an
+    exact integer test) scores 0 by the symmetry theorem of the module
+    docstring: it is never placed, and takes no P form and no polish.  For
+    every other potential, Pu's windings along the rows
+    t = (q + 1/2) / _ROWS, and where those wind alike along the columns
+    s = (q + 1/2) / _ROWS, are taken by the chord-tube certificate
     (``field._chord_windings``) on Pu's line polynomials, formed in one
     dimension from u's own coefficients (:func:`_row_proofs`) with a bound
     on every rounding, so the certificate holds for the exact Pu of u,
     whatever grid_n; two certified rows, or two certified columns, with
     different windings enclose a zero of Pu by the argument principle on
     the band between them, and the score is 0 with no 2-D P form.
-    Potentials that vary in one direction skip the lines, which all wind
-    alike.  Otherwise u is placed on the grid_n x grid_n grid and the
-    minimum is polished off-grid (the zero set of Pu need not meet the
-    sample grid) from cartan_r's P form by the damped Newton iteration of
-    the zero polish, run from the four lowest well-separated samples at
-    once and kept within 2.5 cells of them; a minimum below _ZERO_RATIO *
-    max reports 0, a degenerate max (``cartan._is_degenerate``) also
-    reports 0, and one that is not finite raises DomainError (lines that
-    are not finite certify nothing).  A nonzero score is still an upper
-    bound only, from four starts.  The score is invariant under u -> u + C.
+    Otherwise u is placed on the grid_n x grid_n grid and the minimum is
+    polished off-grid (the zero set of Pu need not meet the sample grid)
+    from cartan_r's P form by the damped Newton iteration of the zero
+    polish, run from the four lowest well-separated samples at once and
+    kept within 2.5 cells of them; a minimum below _ZERO_RATIO * max
+    reports 0, a degenerate max (``cartan._is_degenerate``) also reports 0,
+    and one that is not finite raises DomainError (lines that are not
+    finite certify nothing, and a one-directional block that is not finite
+    is placed, which raises).  A nonzero score is still an upper bound
+    only, from four starts.  The score is invariant under u -> u + C.
 
     The polish stops at the zero threshold: each start's |Pu| only
     decreases, so once one start is below it the score is 0 whatever the
@@ -250,16 +253,16 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     bound of _lowest_separated_cells).
 
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
-    potentials, whose k scores come back as an array.  A stack's line
-    proofs run in passes, each holding at most _STACK_BYTES of derivative
-    blocks of the mode budget h (5 (2h+1)^2 complex bins a member), and
-    take the members that share a band together, cut to that band; then
-    each member the lines leave open, in member order, is placed alone and
-    takes its P form and polish alone.  A line's values do not depend on
-    the members that share its call, so every score is bit for bit the one
-    the member gets alone, and an error is the one the first member that
-    fails alone raises.  With a tally, a dict keyed by _SCORE_KINDS, each
-    score adds 1 to the count of the way it was decided.
+    potentials, whose k scores come back as an array.  A stack is scored in
+    passes, each holding at most _STACK_BYTES of derivative blocks of the
+    mode budget h (5 (2h+1)^2 complex bins a member); a pass takes the line
+    proofs of its members that vary in more than one direction in one
+    call, on their whole blocks, then places each member left open alone,
+    in member order, for its P form and polish.  A line's values do not
+    depend on the members that share its call, so every score is bit for
+    bit the one the member gets alone, and an error is the one the first
+    member that fails alone raises.  With a tally, a dict keyed by
+    _SCORE_KINDS, each score adds 1 to the count of the way it was decided.
     """
     if grid_n < 64:
         raise ValueError("objective grid must have at least 64 points per axis")
@@ -269,12 +272,11 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     scores, kinds = np.zeros(len(stack.C)), np.full(len(stack.C), _WINDINGS)
     for first in range(0, len(stack.C), size):
         E = _hermitian(stack.jk, stack.C[first:first + size])
-        proven = np.zeros(len(E), dtype=bool)
-        bands, lines = _bands(E), ~_one_directional(E)
-        for band in sorted(set(bands[lines].tolist())):
-            members = np.flatnonzero(lines & (bands == band))
-            proven[members] = _row_proofs(
-                E[members, h - band:h + band + 1, h - band:h + band + 1], stack.lattice.omega)
+        lines = ~_one_directional(E)
+        proven = ~lines & np.isfinite(E).all((-2, -1))
+        kinds[first + np.flatnonzero(proven)] = _SYMMETRIC
+        if lines.any():
+            proven[lines] = _row_proofs(E[lines], stack.lattice.omega)
         for i in (first + np.flatnonzero(~proven)).tolist():
             field = PeriodicField._from_block(
                 stack.lattice, grid_n, _placed(stack.jk, stack.C[i:i + 1], grid_n), True)
@@ -287,22 +289,21 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
 
 def _one_directional(B: np.ndarray) -> np.ndarray:
     """Whether the nonzero bins of each block of a stack B (k, 2h+1, 2h+1)
-    but the constant lie on one line through 0, by :func:`_on_line`
-    against the first of them.  Such a potential varies in one direction,
-    so its Pu has zero curves, and every row crosses them alike."""
+    but the constant lie on one line through 0: the exact integer test
+    j k0 - k j0 == 0 of every such bin (j, k) against the first of them,
+    (j0, k0), true for a constant block.  Such a potential is u = f(theta),
+    theta = (j0 s + k0 t) / gcd(j0, k0), so Yu = 0 for the constant
+    direction Y along the lines theta = const, which close on the torus,
+    and by the theorem of the module docstring its Pu vanishes (on curves
+    theta = const, or everywhere for a constant): every row and column
+    crosses those curves alike."""
     h = B.shape[-1] // 2
     j = np.arange(-h, h + 1)
     nonzero = B != 0
     nonzero[:, h, h] = False
     first = nonzero.reshape(len(B), -1).argmax(-1)
     j0, k0 = (j[i][:, None, None] for i in divmod(first, 2 * h + 1))
-    return ~(nonzero & ~_on_line(j[:, None], j, j0, k0)).any((-2, -1))
-
-
-def _on_line(j, k, j0, k0):
-    """Whether the mode (j, k) lies on the line of (j0, k0) through 0: the
-    exact integer test j k0 - k j0 == 0."""
-    return j * k0 - k * j0 == 0
+    return ~(nonzero & (j[:, None] * k0 - j * j0 != 0)).any((-2, -1))
 
 
 def _row_proofs(E: np.ndarray, omega: complex) -> np.ndarray:

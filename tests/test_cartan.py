@@ -34,7 +34,8 @@ class TestPotentialFromMetric:
         h = ChartGrid.from_function("c1", 1.5, 192,
                                     lambda Z: 1.0 / (1 + np.abs(Z) ** 2), real_tag=True)
         u = potential_from_metric(h)
-        Z = h.z_grid()
+        x = h.axis()
+        Z = x[:, None] + 1j * x
         expect = -2 * np.log1p(np.abs(Z) ** 2)
         assert np.max(np.abs(u.values - expect)[h.mask(1.0)]) < 1e-9
 

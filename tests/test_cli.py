@@ -280,12 +280,12 @@ class TestMainAndExitCodes:
     @pytest.mark.parametrize("cfg", [
         # a mode in the top third of the frequency grid trips the tail check
         torus_cfg(metric={"modes": {"50,0": [1.0, 0.0]}}),
-        # the search objective differentiates the candidate potential: s-only
-        # members skip the line proofs and reach cartan_r's gate on the
-        # modes >= n/6
-        torus_cfg(operation="search", numeric={"grid_n": 64},
-                  search={"mode_budget": 25, "trials": 1, "evaluations": 2,
-                          "mode_filter": "s_only"}),
+        # the search objective differentiates the candidate potential: on
+        # this long cell no line of band 11 certifies, so the members reach
+        # cartan_r's gate on the modes >= n/6
+        torus_cfg(surface={"kind": "torus", "omega": [3.0, 1e8]}, operation="search",
+                  numeric={"grid_n": 64},
+                  search={"mode_budget": 11, "trials": 1, "evaluations": 2}),
         # band 12 >= n/6 trips the potential's bound in cartan_r before the
         # proof path, which would differentiate X of band 24 >= n/3, runs
         torus_cfg(operation="obstruction", numeric={"grid_n": 64},
@@ -312,7 +312,20 @@ class TestMainAndExitCodes:
         assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["diagnostics"]["objective_certificates"] == [
-            {"windings": 2, "polish": 0, "degenerate": 0, "nonzero": 0}]
+            {"windings": 2, "polish": 0, "degenerate": 0, "nonzero": 0, "symmetric": 0}]
+        assert report["results"]["objective"] == 0.0
+
+    def test_s_only_search_past_n_over_6_is_symmetric_exits_0(self, tmp_path, capsys):
+        # s-only members vary in one direction and score 0 by the symmetry
+        # theorem, placed on no grid, so band 25 past n/6 on n = 64 meets no
+        # gate
+        cfg = torus_cfg(operation="search", numeric={"grid_n": 64},
+                        search={"mode_budget": 25, "trials": 1, "evaluations": 2,
+                                "mode_filter": "s_only"})
+        assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostics"]["objective_certificates"] == [
+            {"windings": 0, "polish": 0, "degenerate": 0, "nonzero": 0, "symmetric": 2}]
         assert report["results"]["objective"] == 0.0
 
     @pytest.mark.parametrize("cfg", [
@@ -573,7 +586,8 @@ class TestMainAndExitCodes:
         # three single points, and all 1,600 values are 0.  How each score
         # was decided is counted per trial, and most are proofs by row
         # windings
-        values, kinds = [], dict.fromkeys(("windings", "polish", "degenerate", "nonzero"), 0)
+        values, kinds = [], dict.fromkeys(
+            ("windings", "polish", "degenerate", "nonzero", "symmetric"), 0)
         for jid, cfg in benchmark_pool("search").items():
             assert main(["search", "--config", write_cfg(tmp_path, cfg)]) == 0
             report = json.loads(capsys.readouterr().out)

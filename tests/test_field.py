@@ -8,7 +8,7 @@ from umbilic import field as field_module
 from umbilic.cartan import cartan_r, covariant_hessian_zz, gauss_curvature
 from umbilic.errors import DomainError, UnderResolved
 from umbilic.field import ChartGrid, PeriodicField, TorusLattice, product
-from umbilic.torussearch import TrigPotential, min_modulus_objective
+from umbilic.torussearch import _POLISH, TrigPotential, _polish_scores, min_modulus_objective
 
 from _oracles import (eager_covariant_hessian, eager_derivative, eager_divergence_form,
                       eager_field, fitpack_chart_spline, eager_gauss_curvature, eager_p_form, eager_pointwise,
@@ -559,18 +559,21 @@ class TestSpectrumFirst:
         # r, one polynomial; the potential's samples are never formed and
         # derivative results are never transformed back.  The first
         # potential's row windings prove its zero from r's coefficients, so
-        # not even r's samples are formed; the s-only one never certifies,
-        # and its polish reads r's samples, one grid
+        # not even r's samples are formed; the s-only one scores 0 by the
+        # symmetry theorem with no field at all, and the polish of its P
+        # form reads r's samples, one grid
         n = 96
         u = TrigPotential.from_half_modes(LAT_GEN, random_half_modes(1, budget=3, scale=0.1))
         s_only = TrigPotential.from_half_modes(LAT_GEN, {(1, 0): 0.2, (2, 0): 0.05j})
         expected = [min_modulus_objective(v, n) for v in (u, s_only)]
         grids = self._count_full_inverse_transforms(monkeypatch, n)
-        tally = dict.fromkeys(("windings", "polish", "degenerate", "nonzero"), 0)
+        tally = dict.fromkeys(("windings", "polish", "degenerate", "nonzero", "symmetric"), 0)
         assert min_modulus_objective(u, n, tally=tally) == expected[0]
         assert len(grids) == 0 and tally["windings"] == 1
         assert min_modulus_objective(s_only, n, tally=tally) == expected[1]
-        assert len(grids) == 1 and tally["polish"] == 1
+        assert len(grids) == 0 and tally["symmetric"] == 1
+        assert _polish_scores(cartan_r(s_only.to_field(n), "p_form")) == (0.0, _POLISH)
+        assert len(grids) == 1
 
     @pytest.mark.parametrize("form", ["p_form", "divergence_form"])
     def test_reading_r_transforms_one_grid(self, monkeypatch, form):
@@ -826,9 +829,11 @@ class TestGridFacts:
         if f.periodic:
             assert m.shape == (f.n, f.n) and m.all()
         else:
-            assert np.array_equal(m, np.abs(f.z_grid()) <= f.radius) and not m.all()
-            for radius in (0.3, 1.0, float(np.abs(f.z_grid()[7, 20]))):  # the last, a node's |z|
-                assert np.array_equal(f.mask(radius), np.abs(f.z_grid()) <= radius)
+            x = f.axis()
+            Z = np.abs(x[:, None] + 1j * x)
+            assert np.array_equal(m, Z <= f.radius) and not m.all()
+            for radius in (0.3, 1.0, float(Z[7, 20])):  # the last, a node's |z|
+                assert np.array_equal(f.mask(radius), Z <= radius)
         assert f.sup_norm(None) == np.max(np.abs(f.values[m]))
         assert f.min_modulus(None) == np.min(np.abs(f.values[m]))
 
@@ -859,7 +864,8 @@ class TestChartGrid:
         ch = ChartGrid.from_function("c1", 1.2, 64, lambda Z: Z ** 2)
         dz = ch.derivative("D")
         dzb = ch.derivative("Dbar")
-        Z = ch.z_grid()
+        x = ch.axis()
+        Z = x[:, None] + 1j * x
         assert np.max(np.abs(dz.values - 2 * Z)) < 1e-11
         assert np.max(np.abs(dzb.values)) < 1e-11
 
@@ -871,7 +877,7 @@ class TestChartGrid:
         c = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         poly = np.polynomial.polynomial
         ch = ChartGrid.from_function("c1", 1.3, 33, lambda Z: poly.polyval2d(Z.real, Z.imag, c))
-        X, Y = ch.z_grid().real, ch.z_grid().imag
+        X, Y = np.meshgrid(ch.axis(), ch.axis(), indexing="ij")
         fx = poly.polyval2d(X, Y, poly.polyder(c, axis=0))
         fy = poly.polyval2d(X, Y, poly.polyder(c, axis=1))
         exact = 0.5 * (fx - 1j * fy) if direction == "D" else 0.5 * (fx + 1j * fy)
@@ -947,7 +953,8 @@ class TestChartGrid:
                                      lambda Z: -2 * np.log1p(np.abs(Z) ** 2),
                                      real_tag=True)
         ddb = ch.derivative("D").derivative("Dbar")
-        Z = ch.z_grid()
+        x = ch.axis()
+        Z = x[:, None] + 1j * x
         exact = -2.0 / (1 + np.abs(Z) ** 2) ** 2
         assert np.max(np.abs(ddb.values - exact)[ch.mask(1.0)]) < 1e-10
 

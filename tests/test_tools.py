@@ -157,8 +157,9 @@ def test_results_diff_lists_discrete_changes_apart_from_float_drift():
 
 
 def test_results_diff_counts_the_leaves_that_differ():
-    # every differing leaf counts once, a leaf one tree alone has included,
-    # and an int that becomes an equal float differs
+    # every differing leaf counts once under its top-level results key, a
+    # leaf one tree alone has included, and an int that becomes an equal
+    # float differs
     old = {"umbilics/a": outcome({"records": [{"x": 0.5, "twice_index": 1}], "n": 2}),
            "umbilics/b": outcome({"v": 1.0, "w": 2.0, "k": 3}),
            "umbilics/c": outcome({"v": 1.0})}
@@ -167,7 +168,8 @@ def test_results_diff_counts_the_leaves_that_differ():
            "umbilics/b": outcome({"v": 1.5, "w": 2.0, "k": 3.0}),
            "umbilics/c": outcome({"v": 1.0})}
     report = results_diff.compare(old, new)
-    assert report["leaves_differ"] == {"umbilics/a": 3, "umbilics/b": 2}
+    assert report["leaves_differ"] == {"umbilics/a": {"n": 1, "records": 2},
+                                       "umbilics/b": {"k": 1, "v": 1}}
     assert results_diff.compare(old, old)["leaves_differ"] == {}
 
 
@@ -189,7 +191,7 @@ def test_results_diff_flags_the_same_records_in_a_different_order():
     report = results_diff.compare(old, new)
     assert report["differ"] == ["ph-audit/a", "ph-audit/b", "ph-audit/c"]
     assert report["reordered"] == {"ph-audit/a": ["/records"], "ph-audit/c": ["/rows[1]"]}
-    assert report["leaves_differ"]["ph-audit/a"] == 4  # Im z0 of each swapped record
+    assert report["leaves_differ"]["ph-audit/a"] == {"records": 4}  # Im z0 of each swapped record
     assert results_diff.compare(old, old)["reordered"] == {}
 
 

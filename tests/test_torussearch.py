@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -20,8 +21,8 @@ from umbilic.index import _polish
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
                                  _certified_roots, _convolve, _decode_modes, _derivative_blocks,
                                  _hermitian, _line, _lowest_separated_cells, _nelder_mead,
-                                 _one_directional, _profile, _pu_rows, _Stack, _start_points,
-                                 chern_normalize, chern_number,
+                                 _one_directional, _polish_scores, _profile, _pu_rows, _Stack,
+                                 _start_points, chern_normalize, chern_number,
                                  min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
@@ -245,6 +246,25 @@ def decided(u, n):
     return score, kind
 
 
+def polished(u, n):
+    """(score, kind) of u's P form on the n x n grid and its polish, the
+    route of a member that no proof decides."""
+    return _polish_scores(cartan_r(u.to_field(n), "p_form"))
+
+
+@pytest.fixture
+def placements(monkeypatch):
+    """The names of torussearch's _placed and cartan_r, once per call made
+    while the test runs."""
+    calls = []
+    for name in ("_placed", "cartan_r"):
+        def recorded(*args, _name=name, _real=getattr(torussearch, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(torussearch, name, recorded)
+    return calls
+
+
 class TestObjectiveStop:
     """The objective's polish ends once one start is below the zero
     threshold; its value is that of the polish run to the end, where the
@@ -254,8 +274,8 @@ class TestObjectiveStop:
         # the full polish makes 65 jet_at calls on the first: the starts
         # that sit near nonzero local minima creep until the step cap.  Its
         # row windings prove the zero with no jet at all; the one-directional
-        # potential skips the rows, whose zero curves never certify, and the
-        # polish stop decides it in a few steps
+        # potential scores 0 by the symmetry theorem, with no jet either, and
+        # on its P form the polish stop decides it in a few steps
         sizes = []
         jet = PeriodicField.jet_at
 
@@ -267,7 +287,10 @@ class TestObjectiveStop:
         pot = TrigPotential.from_half_modes(LAT, random_half_modes(0, budget=3, scale=0.12))
         assert decided(pot, 96) == (0.0, "windings")
         assert len(sizes) == 0
-        assert decided(TrigPotential.from_half_modes(LAT, {(1, 0): 0.2}), 96) == (0.0, "polish")
+        s_only = TrigPotential.from_half_modes(LAT, {(1, 0): 0.2})
+        assert decided(s_only, 96) == (0.0, "symmetric")
+        assert len(sizes) == 0
+        assert polished(s_only, 96) == (0.0, torussearch._POLISH)
         assert 1 <= len(sizes) <= 8
 
     def test_same_value_as_full_polish(self, monkeypatch):
@@ -357,8 +380,9 @@ class TestStackedObjective:
            amplitude=st.sampled_from([0.25, 0.75]), n=st.sampled_from([64, 96]))
     def test_members_score_as_alone(self, seed, budget, amplitude, n):
         # coefficients up to 3x the search's starts, clipped at 0.3; a
-        # constant potential in the middle and a member of a smaller band,
-        # each scored in a pass of its own band
+        # constant potential in the middle, which the symmetry theorem
+        # scores, and a member of a smaller band, whose lines run on the
+        # pass's whole blocks
         rng = np.random.default_rng(seed)
         lattice = (LAT, LAT_GEN)[seed % 2]
         half = SearchConfig(lattice, mode_budget=budget).mode_list()
@@ -383,10 +407,10 @@ class TestStackedObjective:
         assert len(set(oracle[certified].tolist())) > 1
 
     def test_full_band_invariant(self):
-        # band 11 on n = 64: the s-only members skip the lines, and for them
-        # r's band 33 is cut to n/2, the Nyquist bins fold and the polish
-        # reads the interpolant at full band; the others' lines, exact at
-        # any n, prove their zeros
+        # band 11 on n = 64: the s-only members score 0 by the symmetry
+        # theorem; on their P form r's band 33 is cut to n/2, the Nyquist
+        # bins fold and the polish reads the interpolant at full band.  The
+        # others' lines, exact at any n, prove their zeros
         rng = np.random.default_rng(11)
         half = SearchConfig(LAT_GEN, mode_budget=11, grid_n=64).mode_list()
         outer = np.array([max(abs(j), abs(k)) >= 11 for j, k in half])
@@ -396,7 +420,8 @@ class TestStackedObjective:
         stack = stack_of(LAT_GEN, 11, rows)
         assert cartan_r(members(stack)[0].to_field(64), "p_form")._band() == 32
         self.assert_scores_alone(stack, 64)
-        assert [decided(u, 64)[1] for u in members(stack)] == ["polish"] * 3 + ["windings"] * 2
+        assert [decided(u, 64)[1] for u in members(stack)] == ["symmetric"] * 3 + ["windings"] * 2
+        assert [polished(u, 64) for u in members(stack)[:3]] == [(0.0, torussearch._POLISH)] * 3
 
     def test_row_passes_hold_the_stack_budget(self, monkeypatch):
         # the row proofs of a group run in passes of at most _STACK_BYTES of
@@ -439,6 +464,28 @@ class TestStackedObjective:
                 min_modulus_objective(stack, 64)
         assert ("Pu leaves" in str(alone.value)) == (order == (1, 2))
         assert str(stacked.value) == str(alone.value)
+
+    def test_one_directional_member_that_is_not_finite_raises_on_placement(self, placements):
+        # s-only members: the first scores 0 by the symmetry theorem, but a
+        # Hermitian block that leaves the float range (1e308 + 1e308) proves
+        # nothing, so that member is placed, as every one-directional member
+        # was before, and raises placement's DomainError, in member order.  A
+        # block that is finite is never placed, so a coefficient that only
+        # leaves the range once placed (1e305 n^2) scores 0
+        jk = np.array([[1, 0], [2, 0], [-1, 0], [-2, 0]])
+        rows = np.array([[0.2, 0.05j], [1e308, 0.05j], [1e308j, 0.1], [1e305, 0.05j]])
+        stack = _Stack(LAT, jk, np.concatenate([rows, np.conj(rows)], 1))
+        tally = dict.fromkeys(torussearch._SCORE_KINDS, 0)
+        assert min_modulus_objective(stack._replace(C=stack.C[[0, 3]]), 64,
+                                     tally=tally).tolist() == [0.0, 0.0]
+        assert tally["symmetric"] == 2 and placements == []
+        bad = {1: "{(-1, 0): (1e+308-0j), (1, 0): (1e+308+0j)}",
+               2: "{(-1, 0): -1e+308j, (1, 0): 1e+308j}"}
+        for first, member in ((0, 1), (1, 1), (2, 2)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as err:
+                min_modulus_objective(stack._replace(C=stack.C[first:]), 64)
+            assert str(err.value) == (f"potential coefficients {bad[member]} leave the float "
+                                      "range when placed on an n=64 grid")
 
     def test_clip_is_pythons_complex_arithmetic(self):
         # |c| by hypot and c * (bound / |c|) as Python forms them, bit for bit
@@ -568,11 +615,11 @@ class TestRowWindings:
 
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (2, -1)])
-    def test_one_direction_never_proves_a_zero(self, lattice, jk):
+    def test_one_direction_never_proves_a_zero(self, lattice, jk, placements):
         # s-only and other one-directional potentials: every row (and every
         # column) meets the zero curves alike, so lines never wind
-        # differently; the objective skips their lines, and the polish finds
-        # the zero
+        # differently; the objective skips their lines and scores 0 by the
+        # symmetry theorem, with no field placed
         rng = np.random.default_rng(sum(jk) + 3)
         for n in (64, 96):
             for _ in range(3):
@@ -584,7 +631,9 @@ class TestRowWindings:
                     certified = np.isfinite(tube)
                     assert np.array_equal(tube[certified], oracle[certified])
                     assert len(set(tube[certified].tolist())) <= 1
-                assert decided(pot, n) == (0.0, "polish")
+                placements.clear()
+                assert decided(pot, n) == (0.0, "symmetric")
+                assert placements == []
 
     def test_criterion_10_trial_0_is_proven_by_windings(self):
         # a failed piece is halved, not its row dropped: all 100 members of
@@ -595,7 +644,7 @@ class TestRowWindings:
         cfg = SearchConfig(LAT, mode_budget=3, trials=1, evaluations=100, seed=42, grid_n=96)
         first = pcg64_member(LAT, 3, 42, 0)
         assert torus_search(cfg).objective_certificates == [
-            {"windings": 100, "polish": 0, "degenerate": 0, "nonzero": 0}]
+            {"windings": 100, "polish": 0, "degenerate": 0, "nonzero": 0, "symmetric": 0}]
         tube, oracle = row_evidence(first, 96)
         assert tube.tolist() == oracle.tolist() == [3, 1, 1, -2]
 
@@ -1011,6 +1060,44 @@ class TestChern:
             chern_number(pot)
         with pytest.raises(DomainError):
             chern_normalize(pot, 1)
+
+
+class TestSymmetricScores:
+    """A potential that varies in one direction scores 0 by the symmetry
+    theorem, placed on no grid; the obstruction's 1-D certificate proves a
+    zero curve of the same Pu."""
+
+    @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
+    @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (1, -1)])
+    def test_theorem_agrees_with_the_profiles_certified_roots(self, lattice, jk, placements):
+        rng = np.random.default_rng([jk[0], jk[1] + 1, int(lattice is LAT)])
+        pots = []
+        for budget in (1, 2, 3):
+            for scale in (1e-4, 0.05, 0.3):
+                for _ in range(2):
+                    c = scale * (rng.normal(size=budget) + 1j * rng.normal(size=budget))
+                    pots.append(one_directional(lattice, jk, dict(zip(range(1, budget + 1), c)))[0])
+        for pot in pots:
+            placements.clear()
+            assert decided(pot, 64) == (0.0, "symmetric")
+            assert placements == []
+            line = _line(pot)
+            F, tol = _profile(line[1])
+            assert line[2] and _certified_roots(F[3], tol)[0]
+
+    def test_criterion_10_s_only_search_is_decided_by_the_theorem(self, placements):
+        # criterion 10's s-only sub-search: every score is symmetric, no
+        # cartan_r runs, and the results are those of the P-form route
+        # (their sorted-key JSON's SHA-256)
+        cfg = SearchConfig(lattice=LAT, mode_budget=3, trials=1, evaluations=30, seed=42,
+                           grid_n=96, mode_filter="s_only")
+        report = torus_search(cfg)
+        assert report.objective_certificates == [
+            {"windings": 0, "polish": 0, "degenerate": 0, "nonzero": 0, "symmetric": 30}]
+        assert placements == []
+        payload = json.dumps(report.results_payload(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == (
+            "1c71e98f6d7d21c05d60f8ad80caae6fe79cb0a5230d5b184307f716fb0b6182")
 
 
 class TestSearch:

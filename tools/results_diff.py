@@ -24,8 +24,10 @@ is not a float (a bool, an int, a string or null) or that one tree alone
 has to those leaves, each with its [old, new] value ("<absent>" on the side
 that lacks it), so a rounding drift reads apart from a flipped flag or a
 changed count.
-``leaves_differ`` maps each config whose results differ to the number of
-leaves that differ (a leaf one tree alone has counting once), and
+``leaves_differ`` maps each config whose results differ to
+``{top-level results key: count}``, the number of leaves under that key
+that differ (a leaf one tree alone has counting once), so "only
+``best_modes`` differs" reads from the report, and
 ``reordered`` maps each config whose two results hold the same records in a
 different order to the paths of those lists, so a reorder of several records
 reads as such and not as the one drift leaf above.
@@ -124,13 +126,18 @@ def drift(a, b):
     return worst_rel, worst_abs
 
 
-def leaves_differ(a, b) -> int:
+def leaves_differ(a, b) -> dict:
     """How many leaves of two results blocks differ in type or value, a
-    leaf one block alone has counting once."""
+    leaf one block alone has counting once, per top-level key of the
+    blocks: {key: count} over the keys with a differing leaf."""
     la, lb = dict(_leaves(a)), dict(_leaves(b))
-    return sum(path not in la or path not in lb
-               or (type(la[path]), la[path]) != (type(lb[path]), lb[path])
-               for path in la.keys() | lb.keys())
+    counts = {}
+    for path in sorted(la.keys() | lb.keys()):
+        if (path not in la or path not in lb
+                or (type(la[path]), la[path]) != (type(lb[path]), lb[path])):
+            key = path[1:].split("/")[0].split("[")[0]
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def reordered(a, b, path="") -> list:
