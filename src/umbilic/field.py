@@ -56,13 +56,6 @@ Off-grid evaluation on a torus (``evaluate_st``, ``jet_at``) takes each
 point's row product on its own (:func:`_point_rows`), so a point's value
 and jet are bit for bit the same alone and in any batch.
 
-:func:`_chord_windings` takes the winding about 0 of 1-D trigonometric
-polynomials from their coefficients and an l1 bound on their rounding,
-each certified by a chord tube with a rounding margin, a failed piece
-halved at its dyadic midpoint until it passes, or left open; the search
-objective proves zeros with it on the rows or columns of Pu (the argument
-principle between two rows, or between two columns).
-
 Wirtinger derivatives are written ``D = d/dz`` and ``Dbar = d/dzbar``.
 On the torus all computation happens in lattice coordinates (s, t) with
 z = s + t*omega; the Wirtinger operators are recovered from
@@ -101,12 +94,6 @@ _TAIL_TOL = 1e-6  # see PeriodicField.derivative
 # identities such as constant-shift invariance drown in noise.  A kept
 # spectrum carries no sample rounding and is read as it is.
 _DENOISE_FACTOR = 16.0
-
-# _chord_windings: samples per row at the first level, a power of two, so
-# that the phases j m / K mod 1 of the sample factors are exact at every
-# level; the first level's factors are its roots of unity e^{2 pi i m / M}
-_ROW_SAMPLES = 128
-_SAMPLE_ROOTS = np.exp(2j * np.pi * (np.arange(_ROW_SAMPLES) / _ROW_SAMPLES))
 
 
 # --------------------------------------------------------------------------
@@ -256,112 +243,6 @@ def _point_rows(X: np.ndarray, E: np.ndarray) -> np.ndarray:
     product gives a point other last bits alone than among others.  Every
     row product of off-grid evaluation is taken here."""
     return (X[..., None, :] @ E[..., None, :, :])[..., 0, :]
-
-
-def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
-    """The winding number about 0 of the trigonometric polynomial
-    p(s) = sum_j P_j e^{2 pi i j s}, |j| <= J, s from 0 to 1, for each row of
-    coefficients P (..., 2J+1), where the chord-tube test certifies it, else
-    NaN: (...,).  err (...,) bounds the l1 distance from P to the exact
-    coefficients whose windings are asked for.
-
-    A row is sampled at s = m / M, M = _ROW_SAMPLES, and its piece between
-    two samples, of length h, passes when the distance from 0 to its chord
-    exceeds the tube L2 h^2 / 8 plus the rounding margin (both from
-    :func:`_chord_bounds`).  The exact row stays within the tube of its
-    exact chord (the Peano kernel of linear interpolation is positive with
-    integral h^2 / 8, and L2 bounds |p''|), and the exact chord within the
-    margin of the computed one.  A piece that fails is halved at its dyadic
-    midpoint, level by level, until both halves pass; a row is uncertified
-    only when a failed piece's tube is already below the margin, where
-    halving can no longer pass it.  When every piece passes, the homotopy
-    from p to the computed closed polygon never meets 0, so p's winding is
-    the polygon's: the sum of its chords' argument increments, each inside
-    (-pi, pi) by far more than its rounding, since the chord misses 0 by
-    the margin.  A row that is not finite, or is 0, certifies nothing.  The
-    samples are scaled by a power of two, exactly, so that the margin is
-    about 1 and the chord arithmetic neither overflows nor underflows.
-    The first level's samples are each row's own product
-    (:func:`_point_rows`) and a midpoint is a row's own sum, so a row's
-    winding does not depend on the rows that share the call."""
-    lead = P.shape[:-1]
-    P = P.reshape(-1, P.shape[-1])
-    margin, L2 = _chord_bounds(P, np.broadcast_to(err, lead).reshape(-1))
-    live = np.isfinite(margin) & np.isfinite(L2) & np.isfinite(P).all(-1)
-    scale = np.ldexp(1.0, -np.frexp(np.where(live, margin, 1.0))[1])
-    M, N = _ROW_SAMPLES, P.shape[-1]
-    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite pass nothing
-        p = _point_rows(P, _sample_waves(N)) * scale[:, None]
-    a, b, rows = p[:, :-1].ravel(), p[:, 1:].ravel(), np.repeat(np.arange(len(P)), M)
-    at = np.tile(np.arange(M), len(P))  # a piece's left end is s = at / (M 2^level)
-    total = np.zeros(len(P))
-    level = 0
-    while True:
-        tube = L2 / (8.0 * M * M * 4.0 ** level)  # a power-of-two scaling of L2 / 8
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            passed = _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
-            turn = b * a.conj()  # a passing chord turns by arg(b / a), inside (-pi, pi)
-            turn = np.where(passed, np.arctan2(turn.imag, turn.real), 0)
-            total += np.bincount(rows, turn, len(P))
-        failed = np.flatnonzero(~passed)
-        stuck = rows[failed]
-        live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these
-        failed = failed[live[stuck]]  # a dead row's pieces go no further
-        if not failed.size:
-            break
-        rows, a, b, at = rows[failed], a[failed], b[failed], 2 * at[failed]
-        level += 1
-        v = (P[rows] * _waves(N, at[:, None] + 1, M << level)).sum(-1) * scale[rows]
-        rows, a, b, at = (np.repeat(x, 2) for x in (rows, a, b, at))
-        a[1::2], b[::2], at[1::2] = v, v, at[1::2] + 1  # the halves (a, v) and (v, b)
-    return np.where(live, np.rint(total / (2 * np.pi)), np.nan).reshape(lead)
-
-
-def _chord_misses_zero(a, b, distance):
-    """Whether the chord from a to b keeps more than distance from 0."""
-    d = b - a
-    x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0, 1)
-    return np.abs(a + x * d) > distance
-
-
-def _chord_bounds(P: np.ndarray, err: np.ndarray):
-    """(margin, L2) of :func:`_chord_windings` for the rows P (..., N), N =
-    2J + 1, whose exact coefficients lie within err in l1; eps is the
-    machine epsilon and ||P||_1 the l1 norm of a row.
-    - A sample's factors e^{2 pi i j m / K} have the exact phase
-      (j m mod K) / K (K is a power of two) and are within 8 eps of the true
-      ones, and its dot product adds (N + 4) eps ||P||_1, so a sample is
-      within err + (N + 12) eps ||P||_1 of the exact row's value.
-    - The margin is err + 4 (N + 8) eps ||P||_1.  The rest, above
-      (N + 12) eps ||P||_1, covers the rounding of the chord's distance from
-      0 (a few eps ||P||_1) and of the tube (relative (N + 4) eps): a tube
-      above 2 ||P||_1 certifies nothing, since no sample exceeds ||P||_1 by
-      more than the margin, and below it the tube's rounding is below
-      (2 N + 8) eps ||P||_1.  Gradual underflow adds at most one smallest
-      subnormal per product, below the N tiny added.
-    - L2 = sum_j (2 pi j)^2 |P_j| + (2 pi J)^2 err bounds the exact row's
-      max|p''|."""
-    N = P.shape[-1]
-    j = _freqs(P)
-    A = np.abs(P)
-    eps = np.finfo(float).eps
-    margin = err + 4 * (N + 8) * eps * A.sum(-1) + N * np.finfo(float).tiny
-    return margin, (A * (2 * np.pi * j) ** 2).sum(-1) + (2 * np.pi * (N // 2)) ** 2 * err
-
-
-def _waves(N: int, m: np.ndarray, K: int) -> np.ndarray:
-    """The factors e^{2 pi i j m / K} for j = -(N // 2) .. N // 2 on a last
-    axis, from the exact phases (j m mod K) / K, K a power of two."""
-    return np.exp(2j * np.pi * ((np.arange(N) - N // 2) * m % K / K))
-
-
-def _sample_waves(N: int) -> np.ndarray:
-    """The factors of the first level's samples s = m / M, m = 0 .. M
-    (M = _ROW_SAMPLES, the first again at the end): (N, M + 1), the values
-    of :func:`_waves` gathered from the M roots of unity at the phases
-    (j m mod M) / M."""
-    M = _ROW_SAMPLES
-    return _SAMPLE_ROOTS[np.multiply.outer(np.arange(N) - N // 2, np.arange(M + 1)) % M]
 
 
 def _centred_fft2(values: np.ndarray) -> np.ndarray:

@@ -10,17 +10,11 @@ numerically: with v = e^{-u} D Dbar u, a transverse constant direction Y'
 and psi = e^{-u} Y'v, one has e^{-2u} Pu = b^2 Y'psi for a constant b, and
 the periodic function psi attains extrema where Y'psi changes sign.
 
-The zero set is found in one dimension.  Yu = 0 puts every mode of u on
-one line through 0, so u = f(theta) with theta = j0 s + k0 t and (j0, k0)
-primitive.  With kappa = D theta every derivative D^m Dbar^l u is
-kappa^m conj(kappa)^l f^(m+l), hence r = Pu = kappa^3 conj(kappa) p(theta)
-with p = f'''' - 3 f' f''' + 2 f'^2 f'' - f''^2, a real trigonometric
-polynomial of band 3b for a potential of band b along the line.  p's
-coefficients are exact convolutions of u's.  Its roots come from the
-companion matrix of z^{3b} p(z) (J. P. Boyd, SIAM J. Numer. Anal. 40 (2002)
-1666-1682), and a root across which p changes sign, held against a
-rounding bound on evaluating p, is one certified closed zero curve
-theta = const of r.
+The zero set is found in one dimension, by the line engine of
+:mod:`umbilic.lines`: Yu = 0 puts every mode of u on one line through 0,
+so u = f(theta) with theta = j0 s + k0 t, and r = Pu =
+kappa^3 conj(kappa) p(theta) with kappa = D theta and p the profile of f
+there, whose certified roots are closed zero curves theta = const of r.
 
 The audit is one-dimensional too: Y' acts on f(theta) as lam d/dtheta,
 lam = Y'theta, so X = (Y' - Y'u) D Dbar u = e^{2u} psi and
@@ -55,9 +49,10 @@ import numpy as np
 
 from .cartan import _is_degenerate, cartan_r
 from .errors import DomainError, SymmetryViolated, TotallyDegenerate
-from .field import PeriodicField, TorusLattice, _chord_windings, _freqs, _lattice_wirtinger, _real
+from .field import PeriodicField, TorusLattice, _real
 from .index import _polish
 from .index import locate_zero_cells  # noqa: F401  no caller here; perfbench traces this name
+from .lines import _certified_roots, _hermitian, _one_directional, _profile, _profile_values, _row_proofs
 
 __all__ = [
     "TrigPotential",
@@ -78,9 +73,6 @@ _ZERO_RATIO = 1e-9
 # symmetric_obstruction_check: sup|Yu| allowed, relative to 1 + sup|grad u|
 # = 1 + 2 sup|Du|
 _SYMMETRY_TOL = 1e-10
-# symmetric_obstruction_check: companion-matrix roots with ||z| - 1| at most
-# this are candidate zero curves
-_RING_TOL = 1e-3
 # chern_number's quadrature nodes per axis, at the least
 _CHERN_GRID_N = 256
 # _nelder_mead's stop, simplex extent and value spread: scipy's xatol, fatol
@@ -88,9 +80,6 @@ _XATOL, _FATOL = 1e-6, 1e-12
 # min_modulus_objective: the bytes of derivative blocks one pass may hold
 # (16 members at band 3)
 _STACK_BYTES = 64 * 1024
-# min_modulus_objective: the rows t = (q + 1/2) / _ROWS, and columns s alike, whose
-# windings prove a zero
-_ROWS = 4
 # how each score was decided, in the order of SearchReport.objective_certificates:
 # a zero proven by row or column windings, a polish below the stop, a degenerate max,
 # a nonzero score, a zero proven by the symmetry theorem (a one-directional potential)
@@ -169,19 +158,6 @@ class _Stack(NamedTuple):
     C: np.ndarray
 
 
-def _hermitian(jk: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The centred coefficient blocks (k, 2h+1, 2h+1) of the potentials
-    with the coefficient rows C at the mode keys jk, h the largest |j| or
-    |k| of a key: bin (j, k) holds (c_{jk} + conj(c_{-j,-k})) / 2, a
-    Hermitian block, the real potential the search scores.  A sum that
-    leaves the float range is inf, not an error."""
-    h = int(np.abs(jk).max(initial=0))  # the mode budget
-    B = np.zeros((len(C), 2 * h + 1, 2 * h + 1), dtype=complex)
-    B[:, jk[:, 0] + h, jk[:, 1] + h] = C
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (B + np.conj(B[:, ::-1, ::-1])) / 2
-
-
 def _placed(jk: np.ndarray, C: np.ndarray, n: int) -> np.ndarray:
     """The centred block of the one potential with the coefficient row C
     (1, M) at the mode keys jk, placed on the n x n grid as
@@ -223,18 +199,19 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     """Scale-free nonvanishing score min|Pu| / max|Pu| in [0, 1].
 
     A score of 0 is a proof or a polish.  A potential whose Hermitian block
-    is finite and varies in one direction (:func:`_one_directional`, an
+    is finite and varies in one direction (``lines._one_directional``, an
     exact integer test) scores 0 by the symmetry theorem of the module
     docstring: it is never placed, and takes no P form and no polish.  For
     every other potential, Pu's windings along the rows
     t = (q + 1/2) / _ROWS, and where those wind alike along the columns
-    s = (q + 1/2) / _ROWS, are taken by the chord-tube certificate
-    (``field._chord_windings``) on Pu's line polynomials, formed in one
-    dimension from u's own coefficients (:func:`_row_proofs`) with a bound
-    on every rounding, so the certificate holds for the exact Pu of u,
-    whatever grid_n; two certified rows, or two certified columns, with
-    different windings enclose a zero of Pu by the argument principle on
-    the band between them, and the score is 0 with no 2-D P form.
+    s = (q + 1/2) / _ROWS (``lines._ROWS``), are taken by the chord-tube
+    certificate (``lines._chord_windings``) on Pu's line polynomials,
+    formed in one dimension from u's own coefficients
+    (``lines._row_proofs``) with a bound on every rounding, so the
+    certificate holds for the exact Pu of u, whatever grid_n; two certified
+    rows, or two certified columns, with different windings enclose a zero
+    of Pu by the argument principle on the band between them, and the score
+    is 0 with no 2-D P form.
     Otherwise u is placed on the grid_n x grid_n grid and the minimum is
     polished off-grid (the zero set of Pu need not meet the sample grid)
     from cartan_r's P form by the damped Newton iteration of the zero
@@ -275,8 +252,7 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
         lines = ~_one_directional(E)
         proven = ~lines & np.isfinite(E).all((-2, -1))
         kinds[first + np.flatnonzero(proven)] = _SYMMETRIC
-        if lines.any():
-            proven[lines] = _row_proofs(E[lines], stack.lattice.omega)
+        proven[lines] = _row_proofs(E[lines], stack.lattice.omega)
         for i in (first + np.flatnonzero(~proven)).tolist():
             field = PeriodicField._from_block(
                 stack.lattice, grid_n, _placed(stack.jk, stack.C[i:i + 1], grid_n), True)
@@ -285,115 +261,6 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
         for kind, count in zip(_SCORE_KINDS, np.bincount(kinds, minlength=len(_SCORE_KINDS))):
             tally[kind] += int(count)
     return scores if stack is u else float(scores[0])
-
-
-def _one_directional(B: np.ndarray) -> np.ndarray:
-    """Whether the nonzero bins of each block of a stack B (k, 2h+1, 2h+1)
-    but the constant lie on one line through 0: the exact integer test
-    j k0 - k j0 == 0 of every such bin (j, k) against the first of them,
-    (j0, k0), true for a constant block.  Such a potential is u = f(theta),
-    theta = (j0 s + k0 t) / gcd(j0, k0), so Yu = 0 for the constant
-    direction Y along the lines theta = const, which close on the torus,
-    and by the theorem of the module docstring its Pu vanishes (on curves
-    theta = const, or everywhere for a constant): every row and column
-    crosses those curves alike."""
-    h = B.shape[-1] // 2
-    j = np.arange(-h, h + 1)
-    nonzero = B != 0
-    nonzero[:, h, h] = False
-    first = nonzero.reshape(len(B), -1).argmax(-1)
-    j0, k0 = (j[i][:, None, None] for i in divmod(first, 2 * h + 1))
-    return ~(nonzero & (j[:, None] * k0 - j * j0 != 0)).any((-2, -1))
-
-
-def _row_proofs(E: np.ndarray, omega: complex) -> np.ndarray:
-    """Whether two certified windings of the Pu of each potential with the
-    Hermitian coefficient block E (k, L, L) on the lattice of omega differ
-    along rows t = (q + 1/2) / _ROWS, or along columns s = (q + 1/2) /
-    _ROWS, which proves a zero of Pu by the argument principle on the band
-    between the two lines.  A row is never compared with a column: they
-    wind about other cycles.  Lines are taken lazily: t = 1/8 and 3/8 for
-    every member, then 5/8 and 7/8 in turn for the members whose certified
-    windings do not yet differ, then the columns alike for the members
-    the rows leave open, from the transposed derivative blocks, whose
-    bound is the rows' (each S_m of :func:`_derivative_blocks` sums over
-    the whole block).  A line's values do not depend on the members or
-    lines that share its call (:func:`_pu_rows`,
-    ``field._chord_windings``)."""
-    X, bound = _derivative_blocks(E, omega)
-    lines = (np.arange(_ROWS) + 0.5) / _ROWS
-    proven, todo = np.zeros(len(X), dtype=bool), np.arange(len(X))
-    for columns in (False, True):
-        if not todo.size:
-            break
-        if columns:
-            X = np.ascontiguousarray(X.swapaxes(-1, -2))
-        windings = np.full((len(X), _ROWS), np.nan)
-        for taken in (slice(0, 2), *(slice(q, q + 1) for q in range(2, _ROWS))):
-            windings[todo, taken] = _chord_windings(*_pu_rows(X[todo], bound[todo], lines[taken]))
-            proven |= np.fmax.reduce(windings, -1) > np.fmin.reduce(windings, -1)  # NaN: uncertified
-            todo = np.flatnonzero(~proven)
-            if not todo.size:
-                break
-    return proven
-
-
-def _derivative_blocks(E: np.ndarray, omega: complex):
-    """(X, bound) for k potentials u with the Hermitian coefficient blocks
-    E (k, L, L), L = 2h + 1, on the lattice of omega: X (k, 5, L, L) holds
-    the coefficient blocks of Du, D^2 u, D Dbar u, D^2 Dbar u and
-    D^3 Dbar u (_p_row's order), E times products of the multipliers of
-    :meth:`PeriodicField.derivative` (``_lattice_wirtinger``); bound (k,)
-    bounds the l1 distance between a row of Pu formed from X by
-    :func:`_pu_rows` with exact convolutions and the exact row of the exact
-    Pu of u, and between a column formed from X transposed and the exact
-    column.
-
-    The bound, for eps the machine epsilon: E is exact.  With
-    dbar = (|omega| |2 pi j| + |2 pi k|) / |conj(omega) - omega|, which
-    bounds |D| and |Dbar| at the bin (j, k), a derivative of order m has a
-    multiplier of modulus at most dbar^m, formed within 24 eps dbar^m, so
-    its block is within 27 eps |E| dbar^m.  A row's coefficients c_j =
-    sum_k X_jk e^{2 pi i k t0} add the factors' rounding (each within
-    2 (L + 8) eps, from (k t0 mod 1)) and the sum's, (L + 4) eps: in all
-    |c_j - exact c_j| <= rho R_j with rho = 4 (L + 16) eps and
-    R_j = sum_k |E_jk| dbar^m_jk, the majorant of |c_j|; a column's alike,
-    j and k exchanged.  With S_m the sum of R_j over j, the sum over the
-    whole block for rows and columns alike, the exact formula of _p_row on
-    these lines moves by at most 3 rho (1 + rho)^2 times
-    T = S4 + 3 S1 S3 + 2 S1^2 S2 + S2^2, below bound = 4 rho T."""
-    multipliers, majorants = _row_multipliers(E.shape[-1], omega)
-    S1, S2, S3, S4 = np.einsum("kb,bm->mk", np.abs(E).reshape(len(E), -1), majorants)
-    rho = 4 * (E.shape[-1] + 16) * np.finfo(float).eps
-    return E[:, None] * multipliers, 4 * rho * (S4 + 3 * S1 * S3 + 2 * S1 * S1 * S2 + S2 * S2)
-
-
-def _row_multipliers(L: int, omega: complex):
-    """For bins of frequencies -(L // 2) .. L // 2 on the lattice of omega:
-    the multipliers (5, L, L) of :func:`_derivative_blocks`, products of
-    :meth:`PeriodicField.derivative`'s D and Dbar in _p_row's order, and
-    the majorants dbar^m (L * L, 4) for m = 1 .. 4."""
-    mult = 2j * np.pi * (np.arange(L) - L // 2)
-    D, Db = _lattice_wirtinger(mult[:, None], mult[None, :], omega)
-    DDb = D * Db
-    multipliers = np.stack([D, D * D, DDb, DDb * D, DDb * D * D])
-    dbar = ((abs(omega) * np.abs(mult)[:, None] + np.abs(mult)) / abs(omega.conjugate() - omega))
-    return multipliers, np.stack([dbar.ravel() ** m for m in (1, 2, 3, 4)], -1)
-
-
-def _pu_rows(X: np.ndarray, bound: np.ndarray, rows):
-    """(P, err) for the derivative blocks X (k, 5, L, L) and their bound of
-    :func:`_derivative_blocks`: P (k, len(rows), 3L - 2) the coefficients
-    in s of Pu along each row t = t0 of rows, from the derivatives' rows
-    c = (X * e^{2 pi i k t0}) summed over k by :func:`_p_row`, and err
-    their l1 rounding bound, _p_row's tol plus bound.  Every coefficient is
-    one sum over k of einsum's own loops (no BLAS), taken in the same order
-    whatever the stack or the rows that share the call."""
-    k = _freqs(X)
-    waves = np.exp(2j * np.pi * (np.multiply.outer(rows, k) % 1.0))
-    c = np.einsum("mdjk,rk->mrdj", X, waves)  # (members, rows, 5, L)
-    P, tol = _p_row(*np.moveaxis(c, -2, 0))
-    return P, tol + bound[:, None]
 
 
 def _polish_scores(r: PeriodicField):
@@ -470,131 +337,6 @@ def _line(u: TrigPotential):
     stack = u._stack()
     B = _hermitian(stack.jk, stack.C)
     return (j0, k0), B[0, h + m * j0, h + m * k0], bool(_one_directional(B)[0])
-
-
-def _profile(c: np.ndarray):
-    """(F, tol) for f(theta) = sum_m c[m + b] e^{2 pi i m theta}, |m| <= b:
-    the rows of F are f, X1, Z1 and p (module docstring) in theta,
-    F[:, m + 3b] for |m| <= 3b.  p is :func:`_p_row` of the derivatives
-    f', f'', f'', f''' and f'''' (D^2 u and D Dbar u are both multiples of
-    f''), and tol, its tol, bounds the rounding of p's value from F[3].
-    The rows are summed into zeroed arrays in the order of the formulas."""
-    b = len(c) // 2
-    m = np.arange(-b, b + 1)
-    d1, d2, d3, d4 = (c * (2j * np.pi * m) ** e for e in (1, 2, 3, 4))
-    F = np.zeros((4, 6 * b + 1), dtype=complex)
-    F[0, 2 * b:4 * b + 1] = c
-    X1 = np.zeros(4 * b + 1, dtype=complex)
-    X1[b:3 * b + 1] = d3
-    X1 -= _convolve(d1, d2)
-    F[1, b:5 * b + 1] = X1
-    F[2, b:5 * b + 1] = X1 * (2j * np.pi * np.arange(-2 * b, 2 * b + 1))
-    F[2] -= 2 * _convolve(d1, X1)
-    F[3], tol = _p_row(d1, d2, d2, d3, d4)
-    return F, tol
-
-
-def _p_row(du, d2u, ddbu, d2dbu, d3dbu):
-    """(P, tol) for the coefficient rows (..., 2b + 1) of the derivatives
-    Du, D^2 u, D Dbar u, D^2 Dbar u and D^3 Dbar u of a potential along one
-    line: P (..., 6b + 1) the coefficients of Pu there,
-    ((d3dbu - 3 du*d2dbu) + 2 du*du*ddbu) - d2u*ddbu with * the exact
-    convolution, summed into zeroed arrays in that order (x - 0 and 0 - y
-    are exact), and tol (...) a rounding bound.  With T the l1 bound
-    ||d3dbu|| + 3 ||du|| ||d2dbu|| + 2 ||du||^2 ||ddbu|| + ||d2u|| ||ddbu||
-    of P: each coefficient of P sums at most 6b + 1 products, and a value
-    of the row sums 6b + 1 terms whose phases reach 6 pi b, so P is within
-    tol = 32 (3b + 1) eps T of the exact formula of these rows in l1, and a
-    value computed from it within tol of the exact one ((30.9 b + 2) eps T
-    at most)."""
-    b = du.shape[-1] // 2
-    pairs = _convolve(np.stack([du, du, d2u]), np.stack([d2dbu, du, ddbu]))
-    P = np.zeros((*du.shape[:-1], 6 * b + 1), dtype=complex)
-    P[..., 2 * b:4 * b + 1] = d3dbu
-    P[..., b:5 * b + 1] -= 3 * pairs[0]
-    P += 2 * _convolve(pairs[1], ddbu)
-    P[..., b:5 * b + 1] -= pairs[2]
-    n1, n2, n3, n4, n5 = np.abs(np.stack([du, d2u, ddbu, d2dbu, d3dbu])).sum(-1)
-    tol = 32 * (3 * b + 1) * np.finfo(float).eps * (n5 + 3 * n1 * n4 + 2 * n1 * n1 * n3 + n2 * n3)
-    return P, tol
-
-
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The convolution of the last axes of a and b, (..., Na + Nb - 1):
-    output m sums a_i b_{m-i} into a zeroed array in increasing i, i over
-    the shorter operand, one elementwise step per i, so its bits do not
-    depend on the rows that share the call, and it holds no more than the
-    output and one step."""
-    if a.shape[-1] > b.shape[-1]:
-        a, b = b, a
-    Na, Nb = a.shape[-1], b.shape[-1]
-    out = np.zeros((*np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), Na + Nb - 1), dtype=complex)
-    for i in range(Na):
-        out[..., i:i + Nb] += a[..., i, None] * b
-    return out
-
-
-def _profile_values(P: np.ndarray, theta) -> np.ndarray:
-    """p(theta) = sum_m P_m e^{2 pi i m theta}, real; one column per row of P."""
-    M = P.shape[-1] // 2
-    return (np.exp(2j * np.pi * np.outer(theta, np.arange(-M, M + 1))) @ P.T).real
-
-
-def _certified_roots(P: np.ndarray, tol: float):
-    """(certified, uncertified) roots in [0, 1) of the real trigonometric
-    polynomial p with coefficients P, whose values are known to tol.
-
-    The candidates are the angles of the roots of z^M p(z) within _RING_TOL
-    of the unit circle.  The midpoints between circular neighbours where
-    |p| > tol split them into groups.  A group of one candidate whose two
-    bounding midpoints carry opposite signs of p holds a zero by the
-    intermediate value theorem.  np.roots places the candidate to about
-    1e-14, so the bracket takes a sign step at the candidate's angle minus
-    and plus 2^-40 first, and is then bisected to rounding; it gives one
-    certified root.  Every other group (an even multiplicity, a near-root
-    off the circle, roots closer than rounding) gives one uncertified root,
-    the middle of its candidates; with no midpoint above tol, every
-    candidate is uncertified.
-
-    Outer coefficients below eps max|P_m| are rounding noise of P and are
-    dropped in pairs before np.roots, which divides by the leading one."""
-    cut = int(np.argmax(np.abs(P) > np.finfo(float).eps * np.max(np.abs(P))))
-    z = np.roots(P[cut:P.size - cut][::-1])
-    theta = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _RING_TOL]) / (2 * np.pi) % 1.0)
-    K = theta.size
-    mids = theta + np.diff(theta, append=theta[:1] + 1.0) / 2  # mids[i] follows theta[i]
-    pm = _profile_values(P, mids)
-    sep = np.flatnonzero(np.abs(pm) > tol).tolist()
-    if not sep:
-        return [], sorted(_turns(theta).tolist())
-    lo, hi, root, positive, uncertified = [], [], [], [], []
-    for a, b in zip(sep, sep[1:] + sep[:1]):  # the group of candidates a+1 .. b
-        if (b - a) % K == 1 and pm[a] * pm[b] < 0:  # the one candidate theta[b]
-            lo.append(mids[a])
-            hi.append(mids[b] + (b < a))
-            root.append(theta[b] + (b < a))
-            positive.append(pm[a] > 0)
-        else:
-            first = theta[(a + 1) % K]
-            uncertified.append(first + (theta[b] - first) % 1.0 / 2)
-    lo, hi, root = np.array(lo), np.array(hi), np.array(root)
-    positive = np.array(positive, dtype=bool)
-    for probe in (root - 2.0 ** -40, root + 2.0 ** -40):
-        left = (_profile_values(P, probe) > 0) == positive
-        inside = (lo < probe) & (probe < hi)
-        lo, hi = np.where(inside & left, probe, lo), np.where(inside & ~left, probe, hi)
-    mid = (lo + hi) / 2
-    while np.any((lo < mid) & (mid < hi)):
-        left = (_profile_values(P, mid) > 0) == positive
-        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-        mid = (lo + hi) / 2
-    return sorted(_turns(mid).tolist()), sorted(_turns(np.array(uncertified)).tolist())
-
-
-def _turns(x: np.ndarray) -> np.ndarray:
-    """x mod 1 in [0, 1): a float just below an integer rounds to 1.0."""
-    x = x % 1.0
-    return np.where(x < 1.0, x, 0.0)
 
 
 def symmetric_obstruction_check(u: TrigPotential, Y: SymmetryDirection, *,
@@ -703,10 +445,11 @@ def chern_number(u: TrigPotential) -> float:
 def _chern(u: TrigPotential, line) -> float:
     """chern_number(u), given _line(u) for a u with a nonconstant mode and
     None for a constant one.  The one-line route places the 2b + 1 line
-    coefficients c as to_field places the modes, takes one 1-D inverse
-    FFT and runs to_field's checks on its n samples: ValueError when the
-    band does not fit, DomainError when the placed coefficients leave the
-    float range, ValueError when the samples break the reality rule.
+    coefficients c as to_field places the modes (b <= h, so the band fits
+    on the n >= 2h + 2 nodes), takes one 1-D inverse FFT and runs
+    to_field's checks on its n samples: DomainError when the placed
+    coefficients leave the float range, ValueError when the samples break
+    the reality rule.
     Every other u is sampled by to_field on the n x n grid.  On both routes
     a mean of e^u that is inf or 0 raises DomainError."""
     n = max(_CHERN_GRID_N, 2 * u.mode_budget + 2)
@@ -715,8 +458,6 @@ def _chern(u: TrigPotential, line) -> float:
     else:
         c = line[1]
         b = len(c) // 2
-        if 2 * b >= n:
-            raise ValueError(f"line band {b} does not fit on {n} nodes")
         row = np.zeros(n, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             row[np.arange(-b, b + 1) % n] = c * n

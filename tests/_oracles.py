@@ -327,7 +327,7 @@ def one_directional(lattice: TorusLattice, jk, profile):
 def profile_padded(u, convolve=np.convolve):
     """((j0, k0), F, tol) of the obstruction's profile, each row assembled
     from zero-padded terms by np.pad with the convolutions of convolve: the
-    reference for :func:`torussearch._profile`, which sums into zeroed
+    reference for :func:`lines._profile`, which sums into zeroed
     arrays."""
     j, k = max((jk for jk in u.modes if jk != (0, 0)), key=lambda jk: abs(u.modes[jk]))
     g = int(np.gcd(j, k))

@@ -11,19 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbilic import torussearch
+from umbilic import lines, torussearch
 from umbilic.cartan import _is_degenerate, cartan_r
 from umbilic.cli import parse_config, run
 from umbilic.errors import DomainError, SymmetryViolated, TotallyDegenerate, UnderResolved
-from umbilic.field import (_ROW_SAMPLES, PeriodicField, TorusLattice, _chord_bounds,
-                           _chord_windings, _interpolant, _point_rows, _sample_waves, _waves)
+from umbilic.field import PeriodicField, TorusLattice, _interpolant, _point_rows
 from umbilic.index import _polish
+from umbilic.lines import (_ROW_SAMPLES, _certified_roots, _chord_bounds, _chord_windings,
+                           _convolve, _derivative_blocks, _hermitian, _one_directional, _profile,
+                           _pu_rows, _row_proofs, _sample_waves, _waves)
 from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential, _clipped,
-                                 _certified_roots, _convolve, _decode_modes, _derivative_blocks,
-                                 _hermitian, _line, _lowest_separated_cells, _nelder_mead,
-                                 _one_directional, _polish_scores, _profile, _pu_rows, _Stack,
-                                 _start_points, chern_normalize, chern_number,
-                                 min_modulus_objective,
+                                 _decode_modes, _line, _lowest_separated_cells, _nelder_mead,
+                                 _polish_scores, _Stack, _start_points, chern_normalize,
+                                 chern_number, min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
 from _oracles import (benchmark_pool, eager_derivative, eager_potential,
@@ -174,7 +174,7 @@ def full_polish_objective(u, n, zero_ratio=1e-9):
     return 0.0 if ratio < zero_ratio else float(ratio)
 
 
-_ROWS = torussearch._ROWS
+_ROWS = lines._ROWS
 OBJECTIVE_ROWS = (np.arange(_ROWS) + 0.5) / _ROWS
 
 
@@ -429,14 +429,14 @@ class TestStackedObjective:
         # in passes of 16, 16, 16 and 1, a 48-point group at budget 15 in 48
         # passes of one
         passes = []
-        blocks = torussearch._derivative_blocks
+        blocks = lines._derivative_blocks
 
         def recorded(E, omega):
             X, bound = blocks(E, omega)
             passes.append((len(X), X.nbytes))
             return X, bound
 
-        monkeypatch.setattr(torussearch, "_derivative_blocks", recorded)
+        monkeypatch.setattr(lines, "_derivative_blocks", recorded)
         for budget, amplitude, points, sizes in ((3, 0.25, 49, [16, 16, 16, 1]),
                                                  (15, 0.01, 48, [1] * 48)):
             half = SearchConfig(LAT, mode_budget=budget).mode_list()
@@ -612,6 +612,13 @@ class TestRowWindings:
                         assert np.array_equal(P1[0, 0], P[i, q]) and err1[0, 0] == err[i, q]
                         assert np.array_equal(_chord_windings(P1, err1)[0, 0], windings[i, q],
                                               equal_nan=True)
+
+    def test_an_empty_stack_proves_nothing(self):
+        # a pass whose members are all one-directional sends no block
+        X, bound = _derivative_blocks(np.zeros((0, 7, 7), complex), 1j)
+        assert X.shape == (0, 5, 7, 7) and bound.shape == (0,)
+        proven = _row_proofs(np.zeros((0, 7, 7), complex), 1j)
+        assert proven.dtype == bool and proven.shape == (0,)
 
     @pytest.mark.parametrize("lattice", [LAT, LAT_GEN], ids=["square", "oblique"])
     @pytest.mark.parametrize("jk", [(1, 0), (0, 1), (1, 1), (2, -1)])
