@@ -246,7 +246,12 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
     about 1 and the chord arithmetic neither overflows nor underflows.
     The first level's samples are each row's own product
     (:func:`_point_rows`) and a midpoint is a row's own sum, so a row's
-    winding does not depend on the rows that share the call."""
+    winding does not depend on the rows that share the call.
+
+    The first level is held as the (rows, M + 1) samples, its pieces the
+    views of their left and right ends, its turns summed along each row in
+    order; only failed pieces are gathered, with their rows and positions,
+    and a level's midpoints are formed at most M pieces at a time."""
     lead = P.shape[:-1]
     P = P.reshape(-1, P.shape[-1])
     margin, L2 = _chord_bounds(P, np.broadcast_to(err, lead).reshape(-1))
@@ -254,19 +259,25 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
     scale = np.ldexp(1.0, -np.frexp(np.where(live, margin, 1.0))[1])
     M, N = _ROW_SAMPLES, P.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # rows that are not finite pass nothing
-        p = _point_rows(P, _sample_waves(N)) * scale[:, None]
-    a, b, rows = p[:, :-1].ravel(), p[:, 1:].ravel(), np.repeat(np.arange(len(P)), M)
-    at = np.tile(np.arange(M), len(P))  # a piece's left end is s = at / (M 2^level)
+        p = _point_rows(P, _sample_waves(N))
+        p *= scale[:, None]
+    a, b = p[:, :-1], p[:, 1:]
     total = np.zeros(len(P))
     level = 0
     while True:
         tube = L2 / (8.0 * M * M * 4.0 ** level)  # a power-of-two scaling of L2 / 8
+        distance = (tube + margin) * scale
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            passed = _chord_misses_zero(a, b, ((tube + margin) * scale)[rows])
-            turn = b * a.conj()  # a passing chord turns by arg(b / a), inside (-pi, pi)
-            turn = np.where(passed, np.arctan2(turn.imag, turn.real), 0)
-            total += np.bincount(rows, turn, len(P))
+            if level:
+                turn, passed = _chord_turns(a, b, distance[rows])
+                total += np.bincount(rows, turn, len(P))
+            else:  # a row's turns summed in order, as bincount sums them
+                turn, passed = _chord_turns(a, b, distance[:, None])
+                total += np.cumsum(turn, -1, out=turn)[:, -1]
         failed = np.flatnonzero(~passed)
+        if not level:  # the first level's failed pieces, gathered
+            rows, at = np.divmod(failed, M)  # a piece's left end is s = at / (M 2^level)
+            a, b, failed = p[rows, at], p[rows, at + 1], np.arange(len(failed))
         stuck = rows[failed]
         live[stuck[tube[stuck] < margin[stuck]]] = False  # halving cannot pass these
         failed = failed[live[stuck]]  # a dead row's pieces go no further
@@ -274,17 +285,40 @@ def _chord_windings(P: np.ndarray, err: np.ndarray) -> np.ndarray:
             break
         rows, a, b, at = rows[failed], a[failed], b[failed], 2 * at[failed]
         level += 1
-        v = (P[rows] * _waves(N, at[:, None] + 1, M << level)).sum(-1) * scale[rows]
+        v = np.empty(len(rows), dtype=complex)
+        for first in range(0, len(rows), M):
+            piece = slice(first, first + M)
+            factors = P[rows[piece]]
+            factors *= _waves(N, at[piece, None] + 1, M << level)
+            v[piece] = factors.sum(-1) * scale[rows[piece]]
         rows, a, b, at = (np.repeat(x, 2) for x in (rows, a, b, at))
         a[1::2], b[::2], at[1::2] = v, v, at[1::2] + 1  # the halves (a, v) and (v, b)
     return np.where(live, np.rint(total / (2 * np.pi)), np.nan).reshape(lead)
 
 
-def _chord_misses_zero(a, b, distance):
-    """Whether the chord from a to b keeps more than distance from 0."""
+def _chord_turns(a, b, distance):
+    """(turn, passed) for the chords from a to b: passed where a chord keeps
+    more than distance from 0, and turn, arg(b / a) there, inside
+    (-pi, pi), 0 elsewhere.  Formed in one complex and two real buffers of
+    the chords' shape.  Each complex product takes its operands in the
+    order written, x d and b conj(a): numpy forms it with fused
+    multiply-adds, so its last bit is not commutative, and an unnamed
+    temporary past 256 KiB may be reused as the output with the operands
+    swapped."""
     d = b - a
-    x = np.clip(-(a.real * d.real + a.imag * d.imag) / (d.real ** 2 + d.imag ** 2), 0, 1)
-    return np.abs(a + x * d) > distance
+    x = a.real * d.real
+    x += a.imag * d.imag
+    np.negative(x, out=x)
+    square = np.square(d.real)
+    square += np.square(d.imag)
+    x /= square
+    np.clip(x, 0, 1, out=x)
+    np.add(a, np.multiply(x, d, out=d), out=d)  # the chord's nearest point to 0
+    passed = np.abs(d, out=square) > distance
+    np.multiply(b, np.conjugate(a, out=d), out=d)
+    turn = np.arctan2(d.imag, d.real, out=x)
+    turn[~passed] = 0
+    return turn, passed
 
 
 def _chord_bounds(P: np.ndarray, err: np.ndarray):

@@ -77,9 +77,10 @@ _SYMMETRY_TOL = 1e-10
 _CHERN_GRID_N = 256
 # _nelder_mead's stop, simplex extent and value spread: scipy's xatol, fatol
 _XATOL, _FATOL = 1e-6, 1e-12
-# min_modulus_objective: the bytes of derivative blocks one pass may hold
-# (16 members at band 3)
-_STACK_BYTES = 64 * 1024
+# min_modulus_objective: the bytes of derivative blocks one pass may hold,
+# 5 * 16 * (2h + 1)^2 a member at mode budget h: 50 members at budget 3, so
+# a 49-point simplex is one pass, 5 at budget 10, 2 at budget 15
+_STACK_BYTES = 192 * 1024
 # how each score was decided, in the order of SearchReport.objective_certificates:
 # a zero proven by row or column windings, a polish below the stop, a degenerate max,
 # a nonzero score, a zero proven by the symmetry theorem (a one-directional potential)
@@ -232,8 +233,9 @@ def min_modulus_objective(u, grid_n: int, tally: dict | None = None):
     u is a TrigPotential, scored as a stack of one, or a _Stack of k
     potentials, whose k scores come back as an array.  A stack is scored in
     passes, each holding at most _STACK_BYTES of derivative blocks of the
-    mode budget h (5 (2h+1)^2 complex bins a member); a pass takes the line
-    proofs of its members that vary in more than one direction in one
+    mode budget h (5 (2h+1)^2 complex bins a member: a search's initial
+    simplex and shrinks at budget 3 are one pass each); a pass takes the
+    line proofs of its members that vary in more than one direction in one
     call, on their whole blocks, then places each member left open alone,
     in member order, for its P form and polish.  A line's values do not
     depend on the members that share its call, so every score is bit for
@@ -677,13 +679,21 @@ def torus_search(config: SearchConfig) -> SearchReport:
     Trial t starts from :func:`_start_points` of (seed, t), one draw in
     [-0.25, 0.25) per real coordinate of the coefficients.
     Deterministic for a fixed config; a best objective of zero is a valid
-    (and, so far, the expected) finding."""
+    (and, so far, the expected) finding.
+
+    objective_2x scores the best potential again at 2 * grid_n, unless
+    every score of its trial is a proof for the exact Pu (``windings`` or
+    ``symmetric`` in objective_certificates) and the trial scored that very
+    point: then its 0 holds at any grid, and objective_2x is the objective.
+    A best point the trial never scored is a shrink vertex that moved when
+    the budget refused its evaluation, and keeps its old value."""
     mode_list = config.mode_list()
     half = np.array(mode_list)
     jk = np.concatenate([half, -half])
-    history, groups, certificates = [], [], []
+    history, groups, certificates, scored = [], [], [], []
 
     def neg_objective(X):
+        scored[-1].append(X)
         C = _clipped(X, config.coeff_bound)
         values = min_modulus_objective(
             _Stack(config.lattice, jk, np.concatenate([C, np.conj(C)], axis=1)), config.grid_n,
@@ -697,13 +707,19 @@ def torus_search(config: SearchConfig) -> SearchReport:
         x0 = _start_points(config.seed, trial, 2 * len(mode_list))
         groups.append([])
         certificates.append(dict.fromkeys(_SCORE_KINDS, 0))
+        scored.append([])
         fun, x = _nelder_mead(neg_objective, x0, config.evaluations)
         cand = (-float(fun), -trial, x)
         if best is None or cand[:2] > best[:2]:
             best = cand
     objective, neg_trial, x_best = best
     best_pot = _decode_modes(x_best, mode_list, config.coeff_bound, config.lattice)
-    obj2 = min_modulus_objective(best_pot, 2 * config.grid_n)
+    kinds = certificates[-neg_trial]
+    if (kinds["windings"] + kinds["symmetric"] == sum(kinds.values())
+            and any((X == x_best).all(-1).any() for X in scored[-neg_trial])):
+        obj2 = objective  # a zero proven for the exact Pu, whatever the grid
+    else:
+        obj2 = min_modulus_objective(best_pot, 2 * config.grid_n)
     top = max(objective, obj2)
     resolution_ok = bool(top == 0.0 or abs(objective - obj2) <= 0.1 * top)
     return SearchReport(

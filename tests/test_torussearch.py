@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from umbilic.torussearch import (SearchConfig, SymmetryDirection, TrigPotential,
                                  chern_number, min_modulus_objective,
                                  symmetric_obstruction_check, torus_search)
 
-from _oracles import (benchmark_pool, eager_derivative, eager_potential,
+from _oracles import (benchmark_pool, eager_derivative, eager_potential, fuzz_jobs,
                       lowest_separated_cells_full, obstruction_chain_2d, one_directional,
                       pcg64_vertex, profile_padded, random_half_modes, row_windings,
                       scipy_nelder_mead)
@@ -426,8 +427,7 @@ class TestStackedObjective:
     def test_row_passes_hold_the_stack_budget(self, monkeypatch):
         # the row proofs of a group run in passes of at most _STACK_BYTES of
         # derivative blocks, or of one member: a 49-point group at budget 3
-        # in passes of 16, 16, 16 and 1, a 48-point group at budget 15 in 48
-        # passes of one
+        # in one pass, a 48-point group at budget 15 in 24 passes of two
         passes = []
         blocks = lines._derivative_blocks
 
@@ -437,8 +437,8 @@ class TestStackedObjective:
             return X, bound
 
         monkeypatch.setattr(lines, "_derivative_blocks", recorded)
-        for budget, amplitude, points, sizes in ((3, 0.25, 49, [16, 16, 16, 1]),
-                                                 (15, 0.01, 48, [1] * 48)):
+        for budget, amplitude, points, sizes in ((3, 0.25, 49, [49]),
+                                                 (15, 0.01, 48, [2] * 24)):
             half = SearchConfig(LAT, mode_budget=budget).mode_list()
             rows = _clipped(np.random.default_rng(budget).uniform(
                 -amplitude, amplitude, (points, 2 * len(half))), 1.0)
@@ -527,6 +527,26 @@ class TestStackedObjective:
             tracemalloc.stop()
         assert group <= 512 * 1024 + single
 
+    def test_a_simplex_pass_stays_within_its_memory(self):
+        # mode budget 3: a 49-point group, a search's initial simplex, is
+        # one pass, and peaks within 1.25 MiB of one evaluation's peak (it
+        # reads about 1 MiB, the chord pass of 98 rows its most)
+        half = SearchConfig(LAT, mode_budget=3).mode_list()
+        rows = _clipped(np.random.default_rng(3).uniform(-0.25, 0.25, (49, 2 * len(half))), 1.0)
+        stack = stack_of(LAT, 3, rows)
+        one = stack._replace(C=stack.C[:1])
+        min_modulus_objective(one, 96)
+        tracemalloc.start()
+        try:
+            min_modulus_objective(one, 96)
+            single = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            min_modulus_objective(stack, 96)
+            group = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert group <= 1280 * 1024 + single
+
 
 # lattices of the row tests, up to |omega| = 1.4e8 (the fuzz's extremes)
 ROW_LATTICES = [LAT, LAT_GEN, TorusLattice(-300 - 0.5j), TorusLattice(3 + 1e8j),
@@ -612,6 +632,35 @@ class TestRowWindings:
                         assert np.array_equal(P1[0, 0], P[i, q]) and err1[0, 0] == err[i, q]
                         assert np.array_equal(_chord_windings(P1, err1)[0, 0], windings[i, q],
                                               equal_nan=True)
+
+    def test_a_rows_winding_does_not_depend_on_the_midpoint_chunks(self, monkeypatch):
+        # budget 15: a level halves more than _ROW_SAMPLES pieces, whose
+        # midpoints are formed in chunks, and the first level holds every
+        # row's samples at once; each row's winding alone is its winding in
+        # the call, the uncertified NaN of a member whose lines are not
+        # finite included
+        half = SearchConfig(LAT_GEN, mode_budget=15).mode_list()
+        rows = _clipped(np.random.default_rng(15).uniform(-0.05, 0.05, (3, 2 * len(half))), 1.0)
+        rows[2, 0] = 1e200
+        halved = {}
+        waves = lines._waves
+
+        def recorded(N, m, K):
+            halved[K] = halved.get(K, 0) + len(m)
+            return waves(N, m, K)
+
+        monkeypatch.setattr(lines, "_waves", recorded)
+        stack = stack_of(LAT_GEN, 15, rows)
+        for columns in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                P, err = _pu_rows(*line_blocks(stack, columns), OBJECTIVE_ROWS)
+            halved.clear()
+            windings = _chord_windings(P, err)
+            assert max(halved.values()) > _ROW_SAMPLES
+            assert np.isnan(windings[2]).all() and np.isfinite(windings[:2]).all()
+            for i, q in np.ndindex(*windings.shape):
+                assert np.array_equal(_chord_windings(P[i:i + 1, q:q + 1], err[i:i + 1, q:q + 1]),
+                                      windings[i:i + 1, q:q + 1], equal_nan=True)
 
     def test_an_empty_stack_proves_nothing(self):
         # a pass whose members are all one-directional sends no block
@@ -1127,6 +1176,54 @@ class TestSearch:
                            seed=0, grid_n=64)
         rep = torus_search(cfg)
         assert "wall_time" not in rep.results_payload()
+
+    @staticmethod
+    def recorded_search(monkeypatch, cfg):
+        """The search's report and the grid of each objective call."""
+        grids = []
+        objective = torussearch.min_modulus_objective
+
+        def recorded(u, grid_n, **kw):
+            grids.append(grid_n)
+            return objective(u, grid_n, **kw)
+
+        monkeypatch.setattr(torussearch, "min_modulus_objective", recorded)
+        return torus_search(cfg), grids
+
+    def test_a_proven_best_is_not_scored_again(self, monkeypatch):
+        # a pool search: every score is a line proof, which holds for the
+        # exact Pu at any grid, so objective_2x is the objective and the
+        # objective runs once per Nelder-Mead group, none after the trials
+        cfg = parse_config(benchmark_pool("search")["search/oblique/seed1"])[1]["search"]
+        rep, grids = self.recorded_search(monkeypatch, cfg)
+        assert rep.objective_certificates[0]["windings"] == cfg.evaluations
+        assert grids == [cfg.grid_n] * sum(map(len, rep.objective_groups)) == [96] * 5
+        assert rep.objective_2x == min_modulus_objective(rep.best_modes, 2 * cfg.grid_n) == 0.0
+
+    def test_a_grid_dependent_best_is_scored_again(self, monkeypatch):
+        # fuzz config 001 ends on nonzero scores, which read the grid
+        kind, op, raw = next(islice(fuzz_jobs(), 1, None))
+        cfg = parse_config(dict(raw, operation=op))[1]["search"]
+        rep, grids = self.recorded_search(monkeypatch, cfg)
+        assert rep.objective_certificates[0]["nonzero"] > 0
+        assert grids == [cfg.grid_n] * len(rep.objective_groups[0]) + [2 * cfg.grid_n]
+        assert rep.objective_2x == min_modulus_objective(rep.best_modes, 2 * cfg.grid_n) > 0.0
+
+    def test_a_best_never_scored_is_scored_again(self, monkeypatch):
+        # a proven trial whose best point the trial never scored (a shrink
+        # vertex the budget refuses has moved): its proofs say nothing of
+        # that point, so it is scored at twice the grid
+        nelder_mead = torussearch._nelder_mead
+
+        def moved(func, x0, maxfev):
+            fun, x = nelder_mead(func, x0, maxfev)
+            return fun, 0.9 * x
+
+        monkeypatch.setattr(torussearch, "_nelder_mead", moved)
+        cfg = SearchConfig(lattice=LAT, mode_budget=1, trials=1, evaluations=6, seed=0, grid_n=64)
+        rep, grids = self.recorded_search(monkeypatch, cfg)
+        assert rep.objective_certificates[0]["windings"] == 6
+        assert grids[-1] == 128 and len(grids) == len(rep.objective_groups[0]) + 1
 
     def test_coefficient_bound_keeps_the_phase(self):
         pot = _decode_modes(np.array([1.2, -1.6, 0.1, 0.2]), [(1, 0), (0, 1)], 0.5, LAT)
